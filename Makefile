@@ -39,7 +39,7 @@ lint:
 	else \
 		echo "ruff not installed; skipping (CI runs it pinned)"; \
 	fi
-	$(PY) -m repro lint src scripts benchmarks
+	$(PY) -m repro lint src scripts benchmarks tests
 
 # Type gate: mypy over the strict surfaces (storage, obs, sharding; see
 # [tool.mypy] in pyproject.toml).  Skipped locally if mypy is absent —

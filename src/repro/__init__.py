@@ -28,9 +28,10 @@ Quick start — everything routes through the unified solver facade
 
 The pre-facade entry points (:func:`delta_color`, the per-theorem
 ``delta_coloring_*`` functions, :func:`color_graph`, ...) remain as
-deprecated-but-stable wrappers over the same engines — see docs/API.md.
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured experiment index.
+deprecated-but-stable wrappers over the same engines — see docs/API.md,
+which also covers the service, storage and incremental docs next to it.
+perfbench/README.md describes the benchmark: the workloads, every
+end-to-end and per-layer metric, and how to run it.
 """
 
 from repro.api import (

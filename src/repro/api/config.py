@@ -40,9 +40,11 @@ class SolverConfig:
     strict:
         Enable the per-phase contract checks of the pipelines.
     validate:
-        Re-validate the returned coloring at the facade level against the
-        algorithm's palette bound (the engines also validate internally;
-        turn this off to skip the extra O(n+m) pass in throughput runs).
+        Validate the returned coloring at the facade level against the
+        algorithm's palette bound.  The randomized family validates once
+        per solve either way (here, or inside its registry adapter when
+        this is off); the other engines also validate internally, so
+        turning this off skips their extra O(n+m) pass in throughput runs.
     params:
         Full override of the randomized pipeline's knobs; when set, the
         randomized algorithms run with these parameters instead of the

@@ -28,9 +28,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.api.config import SolverConfig
+from repro.core.randomized import (
+    RandomizedParams,
+    large_delta_params,
+    run_pipeline,
+    small_delta_params,
+)
 from repro.errors import ReproError
 from repro.graphs.graph import Graph
-from repro.graphs.properties import is_nice
+from repro.graphs.properties import assert_nice, is_nice
+from repro.graphs.validation import validate_coloring
 
 __all__ = [
     "AlgorithmSpec",
@@ -187,32 +194,35 @@ def _run_randomized(graph: Graph, config: SolverConfig) -> EngineRun:
     """The paper's dispatch: Theorem 1 for Δ = 3, Theorem 3 for Δ ≥ 4
     (exactly :func:`repro.delta_color`); ``config.params`` overrides the
     presets and runs the nine-phase pipeline with those knobs."""
-    from repro.core.randomized import (
-        delta_coloring_large_delta,
-        delta_coloring_randomized,
-        delta_coloring_small_delta,
-    )
-    from repro.graphs.properties import assert_nice
-
     # Checked before the Δ dispatch so degenerate graphs (paths, cycles)
     # raise NotNiceGraphError, not the small-Δ contract error.
     assert_nice(graph)
-    seed_used = config.seed
+    return _run_randomized_on_nice(graph, config)
+
+
+def _run_randomized_on_nice(graph: Graph, config: SolverConfig) -> EngineRun:
+    """:func:`_run_randomized` minus the nice check (``auto`` has made it)."""
     params = _effective_params(config)
     if params is not None:
-        result = delta_coloring_randomized(graph, params)
-        name = "randomized"
-        seed_used = params.seed
-    elif graph.max_degree() >= 4:
-        result = delta_coloring_large_delta(
-            graph, seed=config.seed, strict=config.strict
-        )
-        name = "randomized-large"
-    else:
-        result = delta_coloring_small_delta(
-            graph, seed=config.seed, strict=config.strict
-        )
-        name = "randomized-small"
+        return _run_pipeline(graph, config, params, "randomized")
+    if graph.max_degree() >= 4:
+        params = large_delta_params(graph, config.seed, config.strict, None)
+        return _run_pipeline(graph, config, params, "randomized-large")
+    params = small_delta_params(graph, config.seed, config.strict, None)
+    return _run_pipeline(graph, config, params, "randomized-small")
+
+
+def _run_pipeline(
+    graph: Graph, config: SolverConfig, params: RandomizedParams, name: str
+) -> EngineRun:
+    """Run the nine-phase pipeline on a graph known to be nice.
+
+    The final coloring is validated once per solve: by the facade when
+    ``config.validate`` is on, here otherwise.
+    """
+    result = run_pipeline(graph, params)
+    if not config.validate:
+        validate_coloring(graph, result.colors, max_colors=result.delta)
     return EngineRun(
         algorithm=name,
         colors=result.colors,
@@ -224,52 +234,24 @@ def _run_randomized(graph: Graph, config: SolverConfig) -> EngineRun:
             result.stats, RANDOMIZED_PHASE_KEYS, result.phase_wall
         ),
         stats=result.stats,
-        seed_used=seed_used,
+        seed_used=params.seed,
     )
 
 
 def _run_randomized_small(graph: Graph, config: SolverConfig) -> EngineRun:
-    from repro.core.randomized import delta_coloring_small_delta
-
-    result = delta_coloring_small_delta(
-        graph, seed=config.seed, strict=config.strict,
-        params=_effective_params(config),
+    params = small_delta_params(
+        graph, config.seed, config.strict, _effective_params(config)
     )
-    return EngineRun(
-        algorithm="randomized-small",
-        colors=result.colors,
-        delta=result.delta,
-        palette=result.delta,
-        rounds=result.rounds,
-        phase_rounds=result.phase_rounds,
-        phase_stats=_attribute_stats(
-            result.stats, RANDOMIZED_PHASE_KEYS, result.phase_wall
-        ),
-        stats=result.stats,
-        seed_used=config.params.seed if config.params else config.seed,
-    )
+    assert_nice(graph)
+    return _run_pipeline(graph, config, params, "randomized-small")
 
 
 def _run_randomized_large(graph: Graph, config: SolverConfig) -> EngineRun:
-    from repro.core.randomized import delta_coloring_large_delta
-
-    result = delta_coloring_large_delta(
-        graph, seed=config.seed, strict=config.strict,
-        params=_effective_params(config),
+    params = large_delta_params(
+        graph, config.seed, config.strict, _effective_params(config)
     )
-    return EngineRun(
-        algorithm="randomized-large",
-        colors=result.colors,
-        delta=result.delta,
-        palette=result.delta,
-        rounds=result.rounds,
-        phase_rounds=result.phase_rounds,
-        phase_stats=_attribute_stats(
-            result.stats, RANDOMIZED_PHASE_KEYS, result.phase_wall
-        ),
-        stats=result.stats,
-        seed_used=config.params.seed if config.params else config.seed,
-    )
+    assert_nice(graph)
+    return _run_pipeline(graph, config, params, "randomized-large")
 
 
 def _run_deterministic(graph: Graph, config: SolverConfig) -> EngineRun:
@@ -386,7 +368,7 @@ def _run_auto(graph: Graph, config: SolverConfig) -> EngineRun:
     each component with its own optimum.
     """
     if graph.n > 0 and is_nice(graph):  # is_nice implies connected
-        return _run_randomized(graph, config)
+        return _run_randomized_on_nice(graph, config)
     return _run_components(graph, config)
 
 

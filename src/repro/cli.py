@@ -22,11 +22,11 @@ Gives downstream users a zero-code path to the library:
   the cross-process view of where one request's time went, router to
   solver phase.
 * ``lint`` — run **reprolint**, the repository's AST-based invariant
-  linter (:mod:`repro.devtools`): seven repo-contract rules (seeded-only
+  linter (:mod:`repro.devtools`): eight repo-contract rules (seeded-only
   randomness, non-blocking async tiers, guarded numpy imports, clock-free
   fingerprints, typed storage excepts, validated wire access, complete
-  vectorized/python fallback pairs) with suppressions, pyproject config
-  and a committed baseline.  See docs/DEVTOOLS.md.
+  vectorized/python fallback pairs, no wall-clock asserts in tests) with
+  suppressions, pyproject config and a committed baseline.  See docs/DEVTOOLS.md.
 * ``demo`` — run one of the bundled example scenarios.
 * ``info`` — parse a graph and print its structural profile (Δ, girth
   probe, niceness, Gallai-tree status, component count).
@@ -51,7 +51,7 @@ Examples::
     python -m repro serve --port 8512 --shards 2
     python -m repro serve --port 8512 --shards 2 --trace-dir traces/
     python -m repro trace traces/ --top 3
-    python -m repro lint src scripts benchmarks
+    python -m repro lint src scripts benchmarks tests
     python -m repro lint --list-rules
 """
 
@@ -729,8 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint.add_argument(
-        "paths", nargs="*", default=["src", "scripts", "benchmarks"],
-        help="files or directories to lint (default: src scripts benchmarks)",
+        "paths", nargs="*", default=["src", "scripts", "benchmarks", "tests"],
+        help="files or directories to lint (default: src scripts benchmarks tests)",
     )
     lint.add_argument("--json", action="store_true", help="machine-readable report")
     lint.add_argument(

@@ -6,19 +6,29 @@ selected subgraphs form the virtual graph G_DCC (two subgraphs adjacent if
 they share a vertex or are joined by a G-edge), on which phase (2)
 computes a (2, β) ruling set whose components become the base layer B0.
 
-**Detection** (DESIGN.md §4.6): node v collects its radius-r ball (r LOCAL
-rounds), takes the block decomposition of the induced subgraph, and selects
-the first block containing v that is neither a clique nor an odd cycle.
-Such a block is 2-connected, hence a DCC (Definition 9), and lives inside
-the ball so its radius around v is <= 2r.  Conversely any DCC of radius
+**Detection**: node v collects its radius-r ball (r LOCAL rounds), takes
+the block decomposition of the induced subgraph, and selects the first
+block containing v that is neither a clique nor an odd cycle.  Such a
+block is 2-connected, hence a DCC (Definition 9), and lives inside the
+ball so its radius around v is <= 2r.  Conversely any DCC of radius
 <= r/2 around v lies inside the ball and forces the block containing it to
 be a DCC, so detection at radius r is complete for DCCs of radius <= r/2.
-A ball that induces a tree (the overwhelmingly common case in the
-locally-tree-like workloads) is skipped without a block decomposition; the
-tree test counts in-ball edges through a reusable byte mask over the CSR
-adjacency, so no induced subgraph is materialised unless the ball actually
-contains a cycle.  This per-node loop is the single hottest path of the
-randomized pipeline — see the "Performance notes" section of ROADMAP.md.
+
+A ball is kept only if it has >= 4 members and at least as many in-ball
+edges as members; otherwise it induces a tree (the overwhelmingly common
+case on locally-tree-like graphs) and cannot host a 2-connected block.
+On the vectorized path that edge count is the row pass over every ball:
+each member probes its upper-triangular neighbours (larger ids only)
+against a membership bitmap, so every in-ball edge is probed once, from
+its smaller endpoint, and the pass costs half of Σ deg over all ball
+members — about n·Δ^(r+1)/2 probes.  In-ball degrees (both
+directions) are computed only for the kept balls whose centre is still
+unselected, wave by wave, right before their 2-core peel; the bitmap
+lives in :class:`DCCScratch`, sized to stay in cache.  A core that is
+one cycle skips the Hopcroft–Tarjan walk.  This phase is the hottest of
+the randomized pipeline; its wall time is ``solver.1-dcc-detect.ms`` in
+perfbench (perfbench/README.md), and docs/API.md lists which fast paths
+are pinned bit-identical to their Python twins.
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
 rounds *simulated through member nodes*: each live DCC draws a priority,
@@ -36,7 +46,6 @@ from dataclasses import dataclass, field
 
 from repro.graphs.blocks import blocks_through
 from repro.graphs.graph import Graph
-from repro.graphs.properties import is_clique_nodes, is_odd_cycle_nodes
 from repro.local.rounds import RoundLedger
 
 __all__ = ["DCCDetection", "DCCScratch", "detect_dccs", "virtual_graph_ruling_set"]
@@ -58,24 +67,36 @@ class DCCDetection:
     rounds: int = 0
 
 
+# Membership bitmap of the in-ball probes: ``rows × n`` flags, one row per
+# ball in the current chunk.  4M cells keep the bitmap inside one core's
+# L2 at n=32768 (122 rows a chunk); the row floor keeps huge graphs from
+# paying per-chunk call overhead (n=250000: 64 rows, a 16 MB bitmap).
+_BITMAP_CELLS = 4_000_000
+_MIN_BITMAP_ROWS = 64
+
+
 # The pure-Python fallback here is not a renamed twin of this kernel but
 # the original lazy per-ball counting pass inside detect_dccs (structurally
 # different: per-candidate BFS + peel instead of blockwise sparse
 # products); the two paths are pinned equivalent by the fixed-seed golden
 # tests and the detect_dccs property tests.
 # reprolint: disable=RPL007 -- fallback is the lazy path in detect_dccs
-def _vectorized_ball_blocks(graph: Graph, radius: int):
+def _vectorized_ball_blocks(graph: Graph, radius: int, shared: "DCCScratch"):
     """Blockwise vectorized ball structure for DCC detection (or ``None``).
 
     Yields ``(np, candidates, balls)`` tuples where ``candidates`` is an
     int array of node ids and row ``i`` of the CSR matrix ``balls``
-    holds the radius-``r`` ball members of ``candidates[i]`` with their
-    in-ball degrees as data — the 2-core peeling input:
+    holds the radius-``r`` ball members of ``candidates[i]`` (pattern
+    only; the in-ball degrees the peel needs are computed lazily, per
+    wave, by :func:`_detect_in_waves`):
 
-    * ball rows come from ``((A+I)^r A) ∘ (A+I)^r`` (every ball member
-      has an in-ball neighbour, so the product pattern *is* the ball);
-    * rows that are too small (< 4 nodes) or induce a tree
-      (``Σ deg < 2·|ball|``) are dropped — the cheap-reject conditions.
+    * ball rows come from ``(A+I)^r`` (every ball member has an in-ball
+      neighbour, so the product pattern *is* the ball);
+    * rows that are too small (< 4 nodes) or induce a tree (fewer
+      in-ball edges than members) are dropped — the cheap-reject
+      conditions.  The edge count probes the upper-triangular adjacency
+      (each in-ball edge once, from its smaller endpoint), half the
+      volume of per-member degrees.
 
     The consumer (:func:`detect_dccs`) peels candidate rows in batches
     via :func:`_batched_peel`, in *waves* interleaved with selection, so
@@ -99,6 +120,12 @@ def _vectorized_ball_blocks(graph: Graph, radius: int):
     adjacency = sparse.csr_matrix(
         (np.ones(len(idx), dtype=np.int32), idx, indptr), shape=(n, n)
     )
+    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    upper = idx > owner
+    up_idx = idx[upper]
+    up_ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(owner[upper], minlength=n), out=up_ptr[1:])
+    bitmap = shared.bitmap(np)
     # Block the rows so the intermediates stay bounded (~Δ^{r+1} nonzeros
     # per row) even on million-edge inputs.
     delta = max(1, graph.max_degree())
@@ -116,23 +143,15 @@ def _vectorized_ball_blocks(graph: Graph, radius: int):
                 reach.data[:] = 1
             # No sort_indices anywhere: member order is irrelevant (the
             # peel is order-free and blocks_through sorts its own roots).
-            # In-ball degrees via the SDDMM gather (pattern = reach:
-            # every ball member has its BFS parent in the ball), instead
-            # of materialising the radius-(r+1) reach that
-            # ``(reach @ A) ∘ reach`` would build just to mask it away.
-            counts = _entry_in_set_counts(np, reach, indptr, idx)
-            in_ball = sparse.csr_matrix(
-                (counts, reach.indices, reach.indptr), shape=reach.shape
-            )
-            bounds = reach.indptr
-            cumulative = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-            twice_edges = cumulative[bounds[1:]] - cumulative[bounds[:-1]]
-            ball_sizes = np.diff(bounds)
-            keep = (ball_sizes >= 4) & (twice_edges >= 2 * ball_sizes)
+            # In-ball edges via the SDDMM gather (pattern = reach), never
+            # materialising the radius-(r+1) reach.
+            edges = _in_row_counts(np, reach, up_ptr, up_idx, bitmap, per_row=True)
+            ball_sizes = np.diff(reach.indptr)
+            keep = (ball_sizes >= 4) & (edges >= ball_sizes)
             candidates = np.flatnonzero(keep) + start
             if not len(candidates):
                 continue
-            yield (np, candidates, in_ball[keep])
+            yield (np, candidates, reach[keep])
 
     return blocks()
 
@@ -140,40 +159,52 @@ def _vectorized_ball_blocks(graph: Graph, radius: int):
 class DCCScratch:
     """Reusable O(n) scratch for :func:`detect_dccs` sweeps.
 
-    One allocation of the byte mask, the Hopcroft–Tarjan disc/low arrays
-    and the active-membership mask serves *every* ``detect_dccs`` call on
-    graphs of the same node count — the per-layer/per-component call
-    sites (``repro.core.small_components``) used to pay a fresh
-    ``O(n)`` allocation per invocation just to look at a 10-node
-    component.  All arrays are returned to their zeroed state after each
+    One allocation of the byte mask, the Hopcroft–Tarjan disc/low arrays,
+    the active-membership mask and (on the vectorized path) the numpy
+    membership bitmap serves *every* ``detect_dccs`` call on graphs of
+    the same node count — the per-layer/per-component call sites
+    (``repro.core.small_components``) used to pay a fresh ``O(n)``
+    allocation per invocation just to look at a 10-node component, and
+    every peel round used to allocate (and page-fault in) a fresh
+    bitmap.  All arrays are returned to their zeroed state after each
     call, so sharing is safe.
     """
 
-    __slots__ = ("n", "mask", "scratch", "active_mask")
+    __slots__ = ("n", "mask", "scratch", "active_mask", "_bitmap")
 
     def __init__(self, n: int):
         self.n = n
         self.mask = bytearray(n)
         self.scratch = ([0] * n, [0] * n)
         self.active_mask = bytearray(n)
+        self._bitmap = None
+
+    def bitmap(self, np):
+        """The zeroed ``rows × n`` probe bitmap, allocated on first use."""
+        if self._bitmap is None:
+            rows = min(self.n, max(_MIN_BITMAP_ROWS, _BITMAP_CELLS // max(1, self.n)))
+            self._bitmap = np.zeros(rows * self.n, dtype=bool)
+        return self._bitmap
 
 
 def _detect_in_waves(state: "_DetectState", np, candidates, balls) -> None:
     """Peel-and-select one yielded block in geometrically growing waves.
 
-    A wave batch-peels the next chunk of *still-unselected* candidates
+    A wave computes in-ball degrees for the next chunk of
+    *still-unselected* candidates, batch-peels them
     (:func:`_batched_peel`), then runs selection on the surviving cores
     in ascending node order.  Selection adoption marks whole blocks as
-    selected, so later waves skip their members before paying any peel
-    work — the exact pruning the sequential path gets for free, while
-    each wave stays a batched array operation.  Output is identical to
-    peel-then-select per node: selection still runs in ascending
-    candidate order and re-checks ``selected_by`` first.
+    selected, so later waves skip their members before paying any
+    counting or peel work — the exact pruning the sequential path gets
+    for free, while each wave stays a batched array operation.  Output
+    is identical to peel-then-select per node: selection still runs in
+    ascending candidate order and re-checks ``selected_by`` first.
     """
     graph = state.graph
     offsets, indices = graph.csr()
     indptr = np.frombuffer(offsets, dtype=np.int32)
     idx = np.frombuffer(indices, dtype=np.int32)
+    bitmap = state.shared.bitmap(np)
     selected_by = state.selected_by
     cand_list = candidates.tolist()
     total = len(cand_list)
@@ -188,9 +219,9 @@ def _detect_in_waves(state: "_DetectState", np, candidates, balls) -> None:
         if not batch:
             continue
         wave *= 2
-        core = _batched_peel(
-            np, balls[np.asarray(batch, dtype=np.int64)], indptr, idx
-        )
+        core = balls[np.asarray(batch, dtype=np.int64)]
+        core.data = _in_row_counts(np, core, indptr, idx, bitmap)
+        core = _batched_peel(np, core, indptr, idx, bitmap)
         core_sizes = np.diff(core.indptr)
         centers = candidates[batch]
         # A candidate survives only if its own node is in its core
@@ -201,6 +232,9 @@ def _detect_in_waves(state: "_DetectState", np, candidates, balls) -> None:
         alive = center_alive & (core_sizes >= 4)
         if not alive.any():
             continue
+        # A row whose core degrees are all 2 is a single cycle.
+        irregular = np.bincount(row_of[core.data != 2], minlength=len(batch))
+        cycle = (irregular == 0).tolist()
         c_ptr = core.indptr.tolist()
         c_idx = core.indices.tolist()
         for i in np.flatnonzero(alive).tolist():
@@ -208,24 +242,23 @@ def _detect_in_waves(state: "_DetectState", np, candidates, balls) -> None:
             if selected_by[v] != -1:
                 continue
             _select_blocks(
-                state, v, c_idx[c_ptr[i] : c_ptr[i + 1]], mask_set=False
+                state, v, c_idx[c_ptr[i] : c_ptr[i + 1]], mask_set=False,
+                cycle=cycle[i],
             )
 
 
-def _batched_peel(np, core, indptr, idx):
+def _batched_peel(np, core, indptr, idx, bitmap):
     """2-core peel of every row of ``core`` at once.
 
     ``core`` is a CSR matrix whose row ``i`` holds the ball members of
     candidate ``i`` with their in-ball degrees as data.  Each round drops
-    every degree-<= 1 entry, then recounts surviving degrees with an
-    SDDMM-style gather: expand each surviving member's G-neighbour row
-    (``indptr``/``idx`` are G's CSR buffers) and test membership against
-    a dense per-row-chunk bitmap.  Unlike a sparse ``membership @ A``
-    product this never materialises the radius-(r+1) reach of the
-    survivors — the work per round is O(Σ deg over surviving entries),
-    which is what keeps large detection radii from regressing.  The
-    fixpoint is the unique 2-core of each ball, identical to the
-    sequential per-ball peel.
+    every degree-<= 1 entry, then recounts surviving degrees with
+    :func:`_in_row_counts` (``indptr``/``idx`` are G's CSR buffers).
+    Unlike a sparse ``membership @ A`` product this never materialises
+    the radius-(r+1) reach of the survivors — the work per round is
+    O(Σ deg over surviving entries), which is what keeps large detection
+    radii from regressing.  The fixpoint is the unique 2-core of each
+    ball, identical to the sequential per-ball peel.
     """
     while True:
         weak = core.data < 2
@@ -235,63 +268,68 @@ def _batched_peel(np, core, indptr, idx):
         core.eliminate_zeros()
         if core.nnz == 0:
             return core
-        core.data[:] = _entry_in_set_counts(np, core, indptr, idx)
+        core.data[:] = _in_row_counts(np, core, indptr, idx, bitmap)
 
 
-def _entry_in_set_counts(np, matrix, indptr, idx):
-    """Per-entry count of G-neighbours inside the entry's own row.
+def _in_row_counts(np, matrix, indptr, idx, bitmap, per_row=False):
+    """Count, for every nonzero ``(i, w)`` of the CSR ``matrix``, the
+    neighbours ``x`` of ``w`` (row ``w`` of the CSR pair ``indptr``/
+    ``idx``) that are themselves in row ``i`` — or, with ``per_row``,
+    the sum of those counts over each row.
 
-    For every nonzero ``(i, w)`` of the CSR ``matrix``, counts
-    ``|N_G(w) ∩ row_i|`` (``indptr``/``idx`` are G's CSR buffers) — the
-    SDDMM-style kernel behind both the in-ball degree computation and
-    every peel round.  Work is O(Σ deg over entries): each entry's
-    neighbour row is gathered and tested against a dense per-row-chunk
-    membership bitmap; nothing outside the existing pattern is ever
-    materialised.
+    The SDDMM-style kernel behind the keep test (over the upper-
+    triangular adjacency, where the row sum is the ball's edge count),
+    the in-ball degrees and every peel round (over G's full adjacency).
+    Work is O(Σ deg over entries): each entry's neighbour row is
+    gathered and tested against ``bitmap``, a zeroed ``rows × n``
+    membership bitmap filled for one chunk of rows at a time and
+    cleared again before returning; nothing outside the existing pattern
+    is ever materialised.
     """
     k, n = matrix.shape
-    counts = np.empty(matrix.nnz, dtype=np.int32)
-    row_lens = np.diff(matrix.indptr)
-    chunk = max(1, 16_000_000 // max(1, n))  # dense bitmap budget ~16MB
-    dense = np.zeros(min(chunk, k) * n, dtype=bool)  # flat-indexed bitmap
+    counts = np.zeros(k if per_row else matrix.nnz, dtype=np.int32)
+    chunk = len(bitmap) // n
+    ptr = matrix.indptr
+    row_lens = np.diff(ptr)
+    degrees = np.diff(indptr)
     for row0 in range(0, k, chunk):
         row1 = min(k, row0 + chunk)
-        lo, hi = int(matrix.indptr[row0]), int(matrix.indptr[row1])
+        lo, hi = int(ptr[row0]), int(ptr[row1])
         if lo == hi:
             continue
-        rows = np.repeat(
-            np.arange(row1 - row0, dtype=np.int32), row_lens[row0:row1]
-        )
         cols = matrix.indices[lo:hi]
-        cells = rows * np.int32(n) + cols  # chunk*n stays under 2^31
-        dense[cells] = True
-        starts = indptr[cols]
-        deg = indptr[cols + 1] - starts
+        deg = degrees[cols]
         total = int(deg.sum(dtype=np.int64))
-        # int32 positions are the fast path; a chunk whose summed degrees
-        # exceed int32 (possible at huge Δ: entries/chunk × Δ) must widen
-        # or the cumsum/arange below would wrap and gather garbage.
-        postype = np.int32 if total < 2**31 - 1 else np.int64
+        # int32 positions are the fast path; a chunk whose probes or
+        # bitmap cells exceed int32 (huge Δ or n) must widen, or the
+        # cumsum/arange below would wrap and gather garbage.
+        postype = np.int32 if max(total, len(bitmap)) < 2**31 - 1 else np.int64
+        row_base = np.arange(0, (row1 - row0) * n, n, dtype=postype)
+        cells = np.repeat(row_base, row_lens[row0:row1])
+        cells += cols
+        bitmap[cells] = True
         bounds = np.empty(len(deg) + 1, dtype=postype)
         bounds[0] = 0
-        np.cumsum(deg, dtype=postype, out=bounds[1:])
-        # One fused repeat carries both per-entry offsets: the shift from
-        # expansion position to G's idx buffer, and the entry's dense-row
-        # base for the membership gather.
-        per_entry = np.repeat(
-            np.stack(
-                (starts - bounds[:-1], (rows * np.int32(n)).astype(postype))
-            ),
-            deg,
-            axis=1,
-        )
-        expansion = np.arange(total, dtype=postype)
-        alive = dense[per_entry[1] + idx[expansion + per_entry[0]]]
-        cumulative = np.empty(total + 1, dtype=postype)
-        cumulative[0] = 0
-        np.cumsum(alive, dtype=postype, out=cumulative[1:])
-        counts[lo:hi] = cumulative[bounds[1:]] - cumulative[bounds[:-1]]
-        dense[cells] = False
+        np.cumsum(deg, out=bounds[1:])
+        # Probe p of entry e reads idx[indptr[w_e] + p - bounds[e]] and
+        # tests it in its row's slice of the bitmap.
+        positions = np.repeat(indptr[cols] - bounds[:-1], deg)
+        positions += np.arange(total, dtype=postype)
+        row_bounds = bounds[ptr[row0 : row1 + 1] - lo]
+        probes = idx[positions].astype(postype, copy=False)
+        probes += np.repeat(row_base, np.diff(row_bounds))
+        alive = bitmap[probes]
+        bitmap[cells] = False
+        # Sum each nonempty segment; their starts are strictly increasing,
+        # so reduceat needs no clamping and empty segments stay zero.
+        segments = row_bounds if per_row else bounds
+        lengths = np.diff(segments)
+        nonempty = np.flatnonzero(lengths)
+        if len(nonempty):
+            out = counts[row0:row1] if per_row else counts[lo:hi]
+            out[nonempty] = np.add.reduceat(
+                alive, segments[:-1][nonempty], dtype=np.int32
+            )
     return counts
 
 
@@ -319,7 +357,7 @@ def detect_dccs(
     detection = DCCDetection(selected_by=[-1] * graph.n, rounds=radius)
     state = _DetectState(graph, detection, scratch)
     if active is None:
-        vectorized = _vectorized_ball_blocks(graph, radius)
+        vectorized = _vectorized_ball_blocks(graph, radius, state.shared)
         if vectorized is not None:
             for np, candidates, balls in vectorized:
                 _detect_in_waves(state, np, candidates, balls)
@@ -394,7 +432,7 @@ class _DetectState:
     """Per-sweep state (dedup, adoption) over a reusable :class:`DCCScratch`."""
 
     __slots__ = (
-        "graph", "detection", "selected_by", "mask", "scratch",
+        "graph", "detection", "selected_by", "shared", "mask", "scratch",
         "active_mask", "index_of", "core_blocks",
     )
 
@@ -410,6 +448,7 @@ class _DetectState:
         self.graph = graph
         self.detection = detection
         self.selected_by = detection.selected_by
+        self.shared = shared
         self.mask = shared.mask
         self.scratch = shared.scratch
         self.active_mask = shared.active_mask
@@ -468,21 +507,26 @@ def _select_from_core(
             deg[u] = 0
         return
     core = [u for u in members if mask[u]]
+    cycle = all(deg[u] == 2 for u in core)
     for u in members:
         deg[u] = 0
-    _select_blocks(state, v, core, mask_set=True)
+    _select_blocks(state, v, core, mask_set=True, cycle=cycle)
 
 
 def _select_blocks(
-    state: _DetectState, v: int, core: list[int], mask_set: bool
+    state: _DetectState, v: int, core: list[int], mask_set: bool, cycle: bool
 ) -> None:
     """Let ``v`` select its first qualifying block inside ``core``.
 
-    The full block decomposition of the core (plus each block's
-    clique/odd-cycle verdict) is memoised per distinct core under its
-    sorted node tuple — ``blocks_through(v)`` equals the full list
+    The qualifying blocks of the core's decomposition (neither clique
+    nor odd cycle, :func:`_is_dcc_block`) are memoised per distinct core
+    under its sorted node tuple — ``blocks_through(v)`` equals the full list
     filtered to blocks containing ``v``, in the same discovery order, so
     every node of a shared core selects identically to a private walk.
+    ``cycle`` says every core node has core degree 2: the 2-core of a
+    (connected) ball is connected, so the core is one cycle, its own only
+    block, and a DCC iff its length is even — no Hopcroft–Tarjan walk
+    needed (most cores on locally-tree-like graphs are one short cycle).
     ``mask_set`` says whether ``state.mask`` already has the core bits
     set (the sequential peel leaves it that way); the mask is always
     clear on return.
@@ -492,31 +536,31 @@ def _select_blocks(
     key = tuple(sorted(core))
     cached = state.core_blocks.get(key)
     if cached is None:
-        if not mask_set:
-            for u in core:
-                mask[u] = 1
-        # All blocks of the core, in original labels; membership edges of
-        # a node-induced subgraph coincide with G's edges, so the clique /
-        # odd-cycle classification uses G's cached adjacency sets.
-        cached = []
-        for block in blocks_through(
-            graph, None, core, mask=mask, scratch=state.scratch
-        ):
-            qualifies = (
-                len(block) >= 4
-                and not is_clique_nodes(graph, block)
-                and not is_odd_cycle_nodes(graph, block)
-            )
-            cached.append((qualifies, set(block), tuple(block)))
+        if cycle:
+            cached = [(set(key), key)] if len(key) % 2 == 0 else []
+        else:
+            if not mask_set:
+                for u in core:
+                    mask[u] = 1
+                mask_set = True
+            # The qualifying blocks of the core, in discovery order and
+            # original labels.
+            cached = []
+            adj = graph.adj
+            for block in blocks_through(
+                graph, None, core, mask=mask, scratch=state.scratch
+            ):
+                if len(block) >= 4:
+                    block_set = set(block)
+                    if _is_dcc_block(adj, block, block_set):
+                        cached.append((block_set, tuple(block)))
         state.core_blocks[key] = cached
-        for u in core:
-            mask[u] = 0
-    elif mask_set:
+    if mask_set:
         for u in core:
             mask[u] = 0
     chosen: tuple[int, ...] | None = None
-    for qualifies, block_set, block in cached:
-        if qualifies and v in block_set:
+    for block_set, block in cached:
+        if v in block_set:
             chosen = block
             break
     if chosen is None:
@@ -535,6 +579,22 @@ def _select_blocks(
         if selected_by[u] == -1:
             selected_by[u] = dcc_id
         detection.nodes_in_dccs.add(u)
+
+
+def _is_dcc_block(adj, block: list[int], members: set[int]) -> bool:
+    """Is ``block`` (a block of an induced subgraph, >= 4 nodes) neither a
+    clique nor an odd cycle?
+
+    Read from the in-block degrees alone: a block is connected, so it is
+    a clique iff every in-block degree is ``k - 1`` and an odd cycle iff
+    ``k`` is odd and every in-block degree is 2.  The first node's degree
+    says which of the two uniform patterns is still possible.
+    """
+    k = len(block)
+    target = len(members.intersection(adj[block[0]]))
+    if target != k - 1 and (target != 2 or k % 2 == 0):
+        return True
+    return any(len(members.intersection(adj[u])) != target for u in block)
 
 
 def virtual_graph_ruling_set(

@@ -96,6 +96,8 @@ def marking_process(
     outcome.initially_selected = len(selected)
     survivors = _without_close_pairs(graph, selected, backoff, h_mask)
     outcome.backed_off = len(selected) - len(survivors)
+    if not survivors:
+        return outcome  # nothing to mark; skip building the adjacency sets
 
     adj = graph.adj
     adj_sets = graph.adjacency_sets()

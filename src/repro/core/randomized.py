@@ -132,12 +132,9 @@ def delta_coloring_small_delta(
 
     Requires a nice graph with Δ >= 3.
     """
-    delta = graph.max_degree()
-    if delta < 3:
-        raise AlgorithmContractError(f"small-Δ algorithm needs Δ >= 3, got {delta}")
-    if params is None:
-        params = RandomizedParams.small_delta(graph.n, delta, seed=seed, strict=strict)
-    return delta_coloring_randomized(graph, params)
+    return delta_coloring_randomized(
+        graph, small_delta_params(graph, seed, strict, params)
+    )
 
 
 def delta_coloring_large_delta(
@@ -148,12 +145,33 @@ def delta_coloring_large_delta(
 
     Requires a nice graph with Δ >= 4.
     """
+    return delta_coloring_randomized(
+        graph, large_delta_params(graph, seed, strict, params)
+    )
+
+
+def small_delta_params(
+    graph: Graph, seed: int, strict: bool, params: RandomizedParams | None
+) -> RandomizedParams:
+    """``params``, or the Theorem 1 preset; raises unless Δ >= 3."""
+    delta = graph.max_degree()
+    if delta < 3:
+        raise AlgorithmContractError(f"small-Δ algorithm needs Δ >= 3, got {delta}")
+    if params is None:
+        params = RandomizedParams.small_delta(graph.n, delta, seed=seed, strict=strict)
+    return params
+
+
+def large_delta_params(
+    graph: Graph, seed: int, strict: bool, params: RandomizedParams | None
+) -> RandomizedParams:
+    """``params``, or the Theorem 3 preset; raises unless Δ >= 4."""
     delta = graph.max_degree()
     if delta < 4:
         raise AlgorithmContractError(f"large-Δ algorithm needs Δ >= 4, got {delta}")
     if params is None:
         params = RandomizedParams.large_delta(graph.n, delta, seed=seed, strict=strict)
-    return delta_coloring_randomized(graph, params)
+    return params
 
 
 def delta_coloring_randomized(
@@ -161,10 +179,23 @@ def delta_coloring_randomized(
 ) -> DeltaColoringResult:
     """The nine-phase randomized Δ-coloring pipeline (see module docstring).
 
-    Validates the final coloring unconditionally; in ``params.strict`` mode
-    additionally checks every per-phase contract.
+    Checks that ``graph`` is nice first and validates the final coloring
+    unconditionally; in ``params.strict`` mode additionally checks every
+    per-phase contract.
     """
     assert_nice(graph)
+    result = run_pipeline(graph, params)
+    validate_coloring(graph, result.colors, max_colors=result.delta)
+    return result
+
+
+def run_pipeline(graph: Graph, params: RandomizedParams) -> DeltaColoringResult:
+    """The nine phases on a graph the caller has already checked is nice.
+
+    Neither checks niceness nor validates the output: the solver facade
+    (:mod:`repro.api.registry`) does each once per solve, and
+    :func:`delta_coloring_randomized` does both for direct callers.
+    """
     delta = graph.max_degree()
     n = graph.n
     rng = random.Random(params.seed)
@@ -283,7 +314,6 @@ def delta_coloring_randomized(
             costs.append(2 * r_dcc + 1)
         ledger.charge_max(costs)
 
-    validate_coloring(graph, colors, max_colors=delta)
     return DeltaColoringResult(
         colors=colors,
         delta=delta,

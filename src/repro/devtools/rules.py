@@ -12,6 +12,7 @@ RPL004   wall-clock reads in fingerprint/digest construction
 RPL005   bare/overbroad ``except`` in journal/WAL/recovery code
 RPL006   raw subscripts on decoded wire-protocol dicts
 RPL007   ``_*_vectorized`` without a dispatched ``_*_python`` twin
+RPL008   asserts on wall-clock ratios or differences under ``tests/``
 =======  ==============================================================
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import ast
 import re
+from pathlib import PurePosixPath
 from typing import Iterator
 
 from repro.devtools.framework import (
@@ -38,6 +40,7 @@ __all__ = [
     "TypedExceptInStorageRule",
     "ValidatedWireAccessRule",
     "FallbackPairRule",
+    "NoTimingAssertInTestsRule",
 ]
 
 
@@ -529,3 +532,130 @@ class FallbackPairRule(Rule):
             if isinstance(node, ast.Attribute) and node.attr == twin:
                 return True
         return False
+
+
+@register
+class NoTimingAssertInTestsRule(Rule):
+    """RPL008: tier-1 tests never assert on wall-clock ratios/differences.
+
+    ``assert serial_s / parallel_s > 1.5`` passes or fails with the box it
+    runs on (CPU count, neighbours, cold caches), so it turns tier-1 red
+    for reasons no code change caused.  Timing belongs in a benchmark
+    gate (``perfbench``), which repeats, interleaves and reports spread.
+
+    A value is a clock reading when it comes from ``time.perf_counter``,
+    ``time.time`` or ``time.monotonic`` (``_ns`` variants included), and
+    a timing when it is a difference or ratio involving one — directly or
+    through the local names it is assigned to.  An ``assert`` whose test
+    involves a timing is flagged; comparing a bare reading against a
+    deadline is not (that is a wait, not a measurement).
+    """
+
+    code = "RPL008"
+    name = "no-timing-assert-in-tests"
+    rationale = "wall-clock ratio asserts make tier-1 depend on the machine"
+
+    CLOCK_CALLS = frozenset(
+        {
+            "time.perf_counter", "time.perf_counter_ns",
+            "time.time", "time.time_ns",
+            "time.monotonic", "time.monotonic_ns",
+        }
+    )
+    _READING = 1
+    _TIMING = 2
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        # Scoped by the repo-relative path (an ancestor directory that
+        # happens to be called "tests" must not pull a whole checkout in).
+        path = PurePosixPath(ctx.display_path)
+        return (
+            "tests" in path.parts[:-1]
+            or path.name.startswith("test_")
+            or path.name.endswith("_test.py")
+        )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        yield from self._check_scope(ctx, ctx.tree, {}, _track_imports(ctx.tree).aliases)
+
+    def _check_scope(
+        self,
+        ctx: FileContext,
+        scope: ast.AST,
+        outer: dict[str, int],
+        aliases: dict[str, str],
+    ) -> Iterator[Finding]:
+        """Check one module/function body; nested functions are their own
+        scopes and see the enclosing names (a ``t0`` in one test says
+        nothing about a ``t0`` in the next)."""
+        nodes = list(self._own_nodes(scope))
+        kinds = self._name_kinds(nodes, dict(outer), aliases)
+        for node in nodes:
+            if isinstance(node, ast.Assert) and (
+                self._kind(node.test, kinds, aliases) == self._TIMING
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    "assert on a wall-clock ratio/difference — timing "
+                    "depends on the machine; measure it in a benchmark "
+                    "gate (perfbench), not in tier-1",
+                )
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_scope(ctx, node, kinds, aliases)
+
+    @staticmethod
+    def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+        """Nodes of ``scope``'s body, stopping at (but yielding) nested
+        function definitions."""
+        stack = list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.extend(ast.iter_child_nodes(node))
+
+    def _name_kinds(
+        self, nodes: list[ast.AST], kinds: dict[str, int], aliases: dict[str, str]
+    ) -> dict[str, int]:
+        """Extend ``kinds`` with the names bound to clock readings or
+        timings among ``nodes`` (to a fixpoint, so ``t0 = perf_counter();
+        dt = perf_counter() - t0; r = dt / 2`` taints all three)."""
+        bindings: list[tuple[ast.expr, ast.expr]] = []
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                bindings += [(target, node.value) for target in node.targets]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and node.value:
+                bindings.append((node.target, node.value))
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                bindings.append((node.target, node.iter))
+        changed = True
+        while changed:
+            changed = False
+            for target, value in bindings:
+                kind = self._kind(value, kinds, aliases)
+                if not kind:
+                    continue
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and kinds.get(name.id, 0) < kind:
+                        kinds[name.id] = kind
+                        changed = True
+        return kinds
+
+    def _kind(self, expr: ast.AST, kinds: dict[str, int], aliases: dict[str, str]) -> int:
+        """0 (unrelated), ``_READING`` or ``_TIMING`` for ``expr``."""
+        if isinstance(expr, ast.Call) and dotted_call_target(expr, aliases) in self.CLOCK_CALLS:
+            return self._READING
+        if isinstance(expr, ast.Name):
+            return kinds.get(expr.id, 0)
+        kind = max(
+            (self._kind(child, kinds, aliases) for child in ast.iter_child_nodes(expr)),
+            default=0,
+        )
+        if (
+            kind
+            and isinstance(expr, ast.BinOp)
+            and isinstance(expr.op, (ast.Sub, ast.Div, ast.FloorDiv))
+        ):
+            return self._TIMING
+        return kind

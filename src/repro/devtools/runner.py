@@ -224,8 +224,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         description="reprolint: repo-contract static analysis (see docs/DEVTOOLS.md)",
     )
     parser.add_argument(
-        "paths", nargs="*", default=["src", "scripts", "benchmarks"],
-        help="files or directories to lint (default: src scripts benchmarks)",
+        "paths", nargs="*", default=["src", "scripts", "benchmarks", "tests"],
+        help="files or directories to lint (default: src scripts benchmarks tests)",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable report")
     parser.add_argument(

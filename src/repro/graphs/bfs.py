@@ -14,6 +14,13 @@ set, a predicate, a ``bytearray``/bool-sequence mask (e.g. the ``mask`` of
 :class:`repro.graphs.graph.SubgraphView`), or ``None``; the ``None`` case
 takes a specialised loop with no per-visit predicate call, which matters in
 the per-node ball collection of DCC detection.
+
+Unrestricted searches that should reach a good part of a graph of at
+least ``VECTOR_MIN_NODES`` nodes (the B-layers of the randomized
+pipeline, the ruling forests of the deterministic one, connectivity
+checks) run level by level over the CSR buffers with numpy
+(:func:`frontier_levels`); the per-visit Python loops stay as the
+bit-identical fallback twins.
 """
 
 from __future__ import annotations
@@ -34,6 +41,86 @@ __all__ = [
 ]
 
 UNREACHED = -1
+
+# numpy BFS pays fixed costs (~20 µs a level, an O(n) conversion back
+# to a list) that the Python loop does not.  Measured on random 8-regular
+# graphs (best of 200): at serve-read's n=1024 a 64-source depth-10
+# search takes 0.25 ms in numpy vs 0.35 ms in Python, its layers 0.22 vs
+# 0.40 ms and a connectivity check 0.36 vs 0.49 ms; at n=256 Python wins
+# all three, at n=512 numpy does.  A search expected to reach under a
+# quarter of the graph (two sources, depth 2: 0.13 vs 0.04 ms at n=4096)
+# also stays in Python, and so does a graph too deep for the per-level
+# cost (more than VECTOR_MAX_LEVELS levels).
+VECTOR_MIN_NODES = 512
+VECTOR_MAX_LEVELS = 64
+
+
+def _worth_vectorizing(
+    graph: Graph, num_sources: int, max_depth: int | None, allowed: object = None
+) -> bool:
+    """Should an unrestricted search run through :func:`frontier_levels`:
+    ``graph.n >= VECTOR_MIN_NODES`` and an expected reach (sources times
+    (Δ-1) per level) of at least a quarter of the graph?"""
+    n = graph.n
+    if allowed is not None or n < VECTOR_MIN_NODES or num_sources == 0:
+        return False
+    if max_depth is None:
+        return True
+    reach = num_sources
+    growth = max(1, graph.max_degree() - 1)
+    for _ in range(max_depth):
+        if 4 * reach >= n:
+            break
+        reach *= growth
+    return 4 * reach >= n
+
+
+def frontier_levels(graph: Graph, sources: Iterable[int], max_depth: int | None):
+    """Level-synchronous BFS over ``graph.csr()`` with numpy.
+
+    Returns ``levels``, a list of int arrays: ``levels[i]`` holds the
+    nodes at distance exactly ``i`` from the closest source (unsorted,
+    each once), stopping at the last non-empty level or ``max_depth``.
+    Returns ``None`` when numpy is unavailable, a source is out of range
+    or the search runs deeper than ``VECTOR_MAX_LEVELS`` levels — the
+    caller then runs its Python twin, which is cheaper on long, thin
+    graphs.
+    """
+    try:
+        import numpy as np
+    except Exception:  # pragma: no cover - numpy-free environments
+        return None
+    n = graph.n
+    offsets, indices = graph.csr()
+    indptr = np.frombuffer(offsets, dtype=np.int32)
+    idx = np.frombuffer(indices, dtype=np.int32)
+    seen = np.zeros(n, dtype=bool)
+    frontier = np.fromiter(sources, dtype=np.int64)
+    if frontier.size and (frontier.min() < 0 or frontier.max() >= n):
+        return None  # the Python twin owns out-of-range semantics
+    frontier = np.unique(frontier)
+    seen[frontier] = True
+    levels = [frontier] if frontier.size else []
+    slot = np.zeros(n, dtype=np.int64)
+    while frontier.size and (max_depth is None or len(levels) <= max_depth):
+        if len(levels) > VECTOR_MAX_LEVELS:
+            return None
+        starts = indptr[frontier]
+        deg = indptr[frontier + 1] - starts
+        total = int(deg.sum())
+        bounds = np.cumsum(deg) - deg
+        positions = np.repeat(starts - bounds, deg) + np.arange(total)
+        reached = idx[positions]
+        reached = reached[~seen[reached]]
+        # Keep one copy of each newly reached node: the last write to
+        # ``slot`` wins, and exactly one position reads its own index.
+        order = np.arange(reached.size)
+        slot[reached] = order
+        frontier = reached[slot[reached] == order]
+        seen[frontier] = True
+        if frontier.size:
+            levels.append(frontier)
+    return levels
 
 
 def _normalize_allowed(
@@ -63,6 +150,36 @@ def bfs_distances(
     ``max_depth`` or unreachable.  Sources that are not ``allowed`` are
     skipped; traversal never enters disallowed nodes.
     """
+    sources = list(sources)
+    if _worth_vectorizing(graph, len(sources), max_depth, allowed):
+        dist = _bfs_distances_vectorized(graph, sources, max_depth)
+        if dist is not None:
+            return dist
+    return _bfs_distances_python(graph, sources, max_depth, allowed)
+
+
+def _bfs_distances_vectorized(
+    graph: Graph, sources: Iterable[int], max_depth: int | None
+) -> list[int] | None:
+    """:func:`bfs_distances` (``allowed=None``) over :func:`frontier_levels`."""
+    levels = frontier_levels(graph, sources, max_depth)
+    if levels is None:
+        return None
+    import numpy as np
+
+    dist = np.full(graph.n, UNREACHED, dtype=np.int32)
+    for depth, level in enumerate(levels):
+        dist[level] = depth
+    return dist.tolist()
+
+
+def _bfs_distances_python(
+    graph: Graph,
+    sources: Iterable[int],
+    max_depth: int | None,
+    allowed: set[int] | Sequence[bool] | Callable[[int], bool] | None,
+) -> list[int]:
+    """The per-visit loop behind :func:`bfs_distances` (reference twin)."""
     dist = [UNREACHED] * graph.n
     queue: deque[int] = deque()
     adj = graph.adj
@@ -222,7 +339,34 @@ def distance_layers(
     (Section 3) and the ``C``/``D`` layers of phases (5) and (6).  The
     result stops at the last non-empty layer (or ``max_depth``).
     """
-    dist = bfs_distances(graph, base, max_depth=max_depth, allowed=allowed)
+    base = list(base)
+    if _worth_vectorizing(graph, len(base), max_depth, allowed):
+        layers = _distance_layers_vectorized(graph, base, max_depth)
+        if layers is not None:
+            return layers
+    return _distance_layers_python(graph, base, max_depth, allowed)
+
+
+def _distance_layers_vectorized(
+    graph: Graph, base: Iterable[int], max_depth: int | None
+) -> list[list[int]] | None:
+    """:func:`distance_layers` (``allowed=None``) over :func:`frontier_levels`."""
+    levels = frontier_levels(graph, base, max_depth)
+    if levels is None:
+        return None
+    import numpy as np
+
+    return [np.sort(level).tolist() for level in levels]
+
+
+def _distance_layers_python(
+    graph: Graph,
+    base: Iterable[int],
+    max_depth: int | None,
+    allowed: set[int] | Sequence[bool] | Callable[[int], bool] | None,
+) -> list[list[int]]:
+    """Layers from the per-visit BFS loop (reference twin)."""
+    dist = _bfs_distances_python(graph, base, max_depth, allowed)
     depth = max((d for d in dist if d != UNREACHED), default=-1)
     layers: list[list[int]] = [[] for _ in range(depth + 1)]
     for v, d in enumerate(dist):

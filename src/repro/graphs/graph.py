@@ -312,9 +312,32 @@ class Graph:
 
     def is_connected(self) -> bool:
         """True iff the graph is connected (the empty graph counts as
-        connected, single-node graphs too)."""
+        connected, single-node graphs too).
+
+        Graphs of at least ``bfs.VECTOR_MIN_NODES`` nodes run one BFS
+        from node 0 over the CSR buffers with numpy; the component scan
+        is the fallback twin (no numpy, or a graph too deep for a
+        level-synchronous search).
+        """
         if self.n <= 1:
             return True
+        from repro.graphs.bfs import VECTOR_MIN_NODES
+
+        if self.n >= VECTOR_MIN_NODES:
+            connected = self._is_connected_vectorized()
+            if connected is not None:
+                return connected
+        return self._is_connected_python()
+
+    def _is_connected_vectorized(self) -> bool | None:
+        from repro.graphs.bfs import frontier_levels
+
+        levels = frontier_levels(self, [0], None)
+        if levels is None:
+            return None
+        return sum(len(level) for level in levels) == self.n
+
+    def _is_connected_python(self) -> bool:
         return len(self.connected_components()) == 1
 
     def is_connected_without(self, removed: set[int]) -> bool:

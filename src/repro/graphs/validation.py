@@ -53,11 +53,74 @@ def validate_coloring(
         If False, every node must be colored.
     max_violations:
         Cap on collected violation messages (errors can otherwise be huge).
+
+    Graphs of at least ``VECTOR_MIN_NODES`` nodes are checked over the
+    CSR buffers with numpy; only a coloring that fails there (or colors
+    numpy cannot hold as integers) takes the Python pass, which is what
+    words the violation messages — so they are identical either way.
     """
     if len(colors) != graph.n:
         raise ColoringError(
             f"coloring has {len(colors)} entries for a graph on {graph.n} nodes"
         )
+    if graph.n >= VECTOR_MIN_NODES and _validate_coloring_vectorized(
+        graph, colors, max_colors, allow_partial
+    ):
+        return
+    _validate_coloring_python(graph, colors, max_colors, allow_partial, max_violations)
+
+
+# Measured on random 8-regular graphs (best of 200): at serve-read's
+# n=1024 numpy validates in 0.09 ms against 0.40 ms for the Python pass;
+# at n=128 it is 0.04 vs 0.06 ms, about where the list-to-array
+# conversion stops dominating.
+VECTOR_MIN_NODES = 128
+
+
+def _validate_coloring_vectorized(
+    graph: Graph,
+    colors: Sequence[int],
+    max_colors: int | None,
+    allow_partial: bool,
+) -> bool:
+    """True iff the coloring passes every check of
+    :func:`_validate_coloring_python`; False when it fails one or numpy
+    cannot decide (missing, or colors that are not plain integers)."""
+    try:
+        import numpy as np
+    except Exception:  # pragma: no cover - numpy-free environments
+        return False
+    try:
+        color = np.asarray(colors)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    if color.ndim != 1 or color.dtype.kind not in "iu":
+        return False
+    colored = color != UNCOLORED
+    if not allow_partial and not colored.all():
+        return False
+    in_palette = color >= 1
+    if max_colors is not None:
+        in_palette &= color <= max_colors
+    if not (in_palette | ~colored).all():
+        return False
+    offsets, indices = graph.csr()
+    indptr = np.frombuffer(offsets, dtype=np.int32)
+    idx = np.frombuffer(indices, dtype=np.int32)
+    owner_color = np.repeat(color, np.diff(indptr))
+    clash = owner_color == color[idx]
+    return not (clash & (owner_color != UNCOLORED)).any()
+
+
+def _validate_coloring_python(
+    graph: Graph,
+    colors: Sequence[int],
+    max_colors: int | None,
+    allow_partial: bool,
+    max_violations: int,
+) -> None:
+    """The per-node/per-edge pass behind :func:`validate_coloring`
+    (reference twin; the only place violation messages are worded)."""
     violations: list[str] = []
     for v in range(graph.n):
         c = colors[v]

@@ -86,9 +86,15 @@ def _reduce_round_vectorized(graph: Graph, colors: list[int], d: int, q: int):
     Computes exactly what the scalar loop does — evaluate every node's
     degree-``d`` polynomial over GF(q) at all points, forbid points where a
     neighbour's polynomial agrees, pick the smallest free point — but as a
-    handful of (n × q) array operations plus one CSR-aligned reduction over
-    the edge endpoints, instead of ~n·q·Δ interpreted steps.  Falls back
-    (returns ``None``) without numpy.
+    handful of (n × q) array operations plus one CSR-aligned comparison
+    over the edge endpoints, instead of ~n·q·Δ interpreted steps.  Falls
+    back (returns ``None``) without numpy.
+
+    The evaluation is a sum of per-digit table rows (``table_j[c, x] =
+    c·x^j mod q``) with a single final reduction, in the narrowest dtype
+    that holds it: GF(q) values take one byte whenever q <= 256 (both
+    rounds at Δ = 8 use q = 29, then 17), so the (edges × q) comparison
+    moves half the bytes of 16-bit values and an eighth of int64 ones.
     """
     try:
         import numpy as np
@@ -96,52 +102,50 @@ def _reduce_round_vectorized(graph: Graph, colors: list[int], d: int, q: int):
         return None
     n = graph.n
     offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32).astype(np.int64)
+    indptr = np.frombuffer(offsets, dtype=np.int32)
     dst = np.frombuffer(indices, dtype=np.int32)
-    color_arr = np.asarray(colors, dtype=np.int64)
-    # Base-q digits are the polynomial coefficients; Horner at all points.
-    coeffs = np.empty((d + 1, n), dtype=np.int64)
-    tmp = color_arr.copy()
-    for j in range(d + 1):
-        coeffs[j] = tmp % q
-        tmp //= q
-    xs = np.arange(q, dtype=np.int64)
-    values = np.zeros((n, q), dtype=np.int64)
-    for j in range(d, -1, -1):
-        values = (values * xs + coeffs[j][:, None]) % q
-    # GF(q) values fit in 16 bits for every feasible q; the narrow dtype
-    # keeps the (edges × q) comparison temporaries small.
-    values = values.astype(np.int16)
-    # conflict[v, x] = any neighbour whose polynomial agrees with v's at x.
-    conflict = np.zeros((n, q), dtype=bool)
+    value_type = np.uint8 if q <= 256 else np.uint16
+    # (d + 1) reduced terms, each < q, sum without overflow.
+    acc_type = np.uint16 if (d + 1) * q < 2**16 else np.uint32
+    rest = np.asarray(colors, dtype=np.int64)
+    points = np.arange(q, dtype=np.int64)
+    power = np.ones(q, dtype=np.int64)  # x^j mod q, for all points x
+    values = np.zeros((n, q), dtype=acc_type)
+    for _ in range(d + 1):
+        table = (points[:, None] * power % q).astype(acc_type)
+        values += table[rest % q]
+        rest //= q
+        power = power * points % q
+    values %= acc_type(q)
+    values = values.astype(value_type)
+    # conflict[v, x] = some neighbour's polynomial agrees with v's at x.
+    conflict = np.zeros(n * q, dtype=bool)
     m = len(dst)
     if m:
+        degrees = np.diff(indptr)
         # Chunk by node ranges so the (edges × q) comparison stays bounded;
-        # the CSR layout makes each node's edges one contiguous segment, so
-        # the per-node OR is a single reduceat over the comparison rows.
+        # each node's edges are one contiguous CSR segment, so repeating
+        # its value row lines it up with its neighbours' rows.
         rows_per_chunk = max(1, int(8_000_000 // max(1, q * max(1, m // n))))
         for start in range(0, n, rows_per_chunk):
             stop = min(n, start + rows_per_chunk)
             lo, hi = int(indptr[start]), int(indptr[stop])
             if lo == hi:
                 continue
-            counts = np.diff(indptr[start : stop + 1]).astype(np.int64)
-            src_rel = np.repeat(np.arange(stop - start, dtype=np.int64), counts)
-            equal = values[start + src_rel] == values[dst[lo:hi]]
-            # reduceat over the nonempty rows only: their segment starts
-            # are strictly increasing and < len(equal), so no clamping is
-            # needed (clamping a trailing empty row's sentinel would steal
-            # the previous row's last edge).  Empty rows keep the zero
-            # (conflict-free) default.
-            nonempty = np.flatnonzero(counts)
-            seg_starts = (indptr[start:stop] - lo).astype(np.int64)[nonempty]
-            reduced = np.logical_or.reduceat(equal, seg_starts, axis=0)
-            conflict[start + nonempty] = reduced
-    free = ~conflict
+            counts = degrees[start:stop]
+            equal = np.repeat(values[start:stop], counts, axis=0) == values[dst[lo:hi]]
+            # Agreements are sparse (two distinct polynomials agree on at
+            # most d points): scatter them instead of reducing every row.
+            hits = np.flatnonzero(equal)
+            edge = hits // q
+            owner = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
+            conflict[owner[edge] * q + (hits - edge * q)] = True
+    free = ~conflict.reshape(n, q)
     chosen_x = free.argmax(axis=1)
-    if not free[np.arange(n), chosen_x].all():
+    rows = np.arange(n)
+    if not free[rows, chosen_x].all():
         raise AssertionError("no free evaluation point; parameter bug")
-    chosen_value = values[np.arange(n), chosen_x]
+    chosen_value = values[rows, chosen_x].astype(np.int64)
     return (chosen_x * q + chosen_value).tolist()
 
 

@@ -20,7 +20,6 @@ from repro.api import (
     ColoringResult,
     SolverConfig,
     SolverPool,
-    default_workers,
     get_algorithm,
     list_algorithms,
     register_algorithm,
@@ -42,12 +41,14 @@ from repro.errors import NotNiceGraphError, ReproError
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     hypercube,
     path_graph,
     random_regular_graph,
     torus_grid,
 )
 from repro.graphs.named import petersen_graph
+from repro.graphs.properties import assert_nice
 from repro.graphs.validation import validate_coloring
 
 EXPECTED_NAMES = {
@@ -143,6 +144,59 @@ class TestRegistry:
         assert clique.algorithm == "components"
         assert clique.palette == 5
         assert clique.stats["component_families"] == {"clique": 1}
+
+
+class TestChecksOncePerSolve:
+    """The registry path checks niceness once and validates once."""
+
+    NOT_NICE = {
+        "disconnected": lambda: disjoint_union([torus_grid(4, 4), torus_grid(4, 5)]),
+        "clique": lambda: complete_graph(5),
+        "cycle": lambda: cycle_graph(8),
+        "path": lambda: path_graph(6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NOT_NICE))
+    def test_not_nice_error_and_message_unchanged(self, name):
+        graph = self.NOT_NICE[name]()
+        with pytest.raises(NotNiceGraphError) as direct:
+            assert_nice(graph)
+        with pytest.raises(NotNiceGraphError) as facade:
+            solve(graph, algorithm="randomized")
+        with pytest.raises(NotNiceGraphError) as engine:
+            delta_coloring_randomized(graph, RandomizedParams())
+        assert str(facade.value) == str(direct.value) == str(engine.value)
+
+    def test_one_connectivity_scan_and_one_validation(self, monkeypatch):
+        import repro.api.registry as registry_mod
+        import repro.api.solver as solver_mod
+        import repro.core.randomized as randomized_mod
+        from repro.graphs.graph import Graph
+
+        graph = torus_grid(6, 7)
+        calls = {"connected": 0, "validate": 0}
+        real_connected = Graph.is_connected
+        real_validate = validate_coloring
+
+        def counting_connected(self):
+            calls["connected"] += self is graph
+            return real_connected(self)
+
+        def counting_validate(target, *args, **kwargs):
+            calls["validate"] += target is graph
+            return real_validate(target, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "is_connected", counting_connected)
+        for module in (solver_mod, registry_mod, randomized_mod):
+            monkeypatch.setattr(module, "validate_coloring", counting_validate)
+        for algorithm in ("auto", "randomized", "randomized-large"):
+            for validate in (True, False):
+                calls.update(connected=0, validate=0)
+                solve(graph, algorithm=algorithm, seed=0, validate=validate)
+                assert calls == {"connected": 1, "validate": 1}, (algorithm, validate)
+        calls.update(connected=0, validate=0)
+        delta_coloring_large_delta(graph, seed=0)
+        assert calls == {"connected": 1, "validate": 1}
 
 
 class TestSolveMatchesLegacy:
@@ -253,15 +307,11 @@ class TestSolveMany:
             *(set(r.phase_rounds) for r in results)
         )
 
-    @pytest.mark.skipif(
-        default_workers() < 2,
-        reason="throughput speedup needs >= 2 usable CPUs",
-    )
     def test_throughput_speedup_on_e2b_shapes(self):
-        """solve_many(workers=4) must beat serial by >1.5× on the E2b
-        quick-sweep shapes when the hardware has the cores for it."""
-        import time
-
+        """A warmed 4-worker pool returns the serial results bit for bit
+        on the E2b quick-sweep shapes.  How much faster it is belongs to
+        a benchmark, not to tier-1: perfbench's ``batch_solves_per_s``
+        measures pooled throughput."""
         graphs = [
             random_regular_graph(n, 8, seed=s)
             for s in range(2)
@@ -270,15 +320,12 @@ class TestSolveMany:
         config = SolverConfig(algorithm="randomized-large", seed=0, validate=False)
         with SolverPool(workers=4) as pool:
             pool.warm()
-            t0 = time.perf_counter()
             parallel = solve_many(graphs, config, pool=pool)
-            parallel_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
         serial = solve_many(graphs, config)
-        serial_s = time.perf_counter() - t0
-        for a, b in zip(serial, parallel):
-            assert a.colors == b.colors
-        assert serial_s / parallel_s > 1.5
+        assert [r.colors for r in parallel] == [r.colors for r in serial]
+        assert [r.content_digest() for r in parallel] == [
+            r.content_digest() for r in serial
+        ]
 
 
 class TestColoringResult:

@@ -406,6 +406,117 @@ class TestRPL007FallbackPair:
         assert findings == []
 
 
+class TestRPL008NoTimingAssertInTests:
+    def test_ratio_of_durations_flagged(self, tmp_path):
+        # The shape of the pooled-throughput assert that went red on a
+        # 2-CPU box: durations bound to names, then compared as a ratio.
+        findings, _ = run_lint(
+            tmp_path,
+            "tests/test_pool.py",
+            """
+            import time
+
+            def test_speedup(run_parallel, run_serial):
+                t0 = time.perf_counter()
+                run_parallel()
+                parallel_s = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                run_serial()
+                serial_s = time.perf_counter() - t0
+                assert serial_s / parallel_s > 1.5
+            """,
+        )
+        assert codes(findings) == ["RPL008"]
+        assert "benchmark" in findings[0].message
+
+    def test_inline_difference_and_aliases_flagged(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "tests/test_latency.py",
+            """
+            import time as clock
+            from time import monotonic as mono, perf_counter_ns
+
+            def test_fast(work):
+                start = clock.time()
+                work()
+                assert clock.time() - start < 0.5
+
+            def test_faster(work):
+                begin = mono()
+                work()
+                elapsed = mono() - begin
+                budget = elapsed * 2
+                assert budget < 1.0
+
+            def test_fastest(work):
+                samples = []
+                for _ in range(3):
+                    t = perf_counter_ns()
+                    work()
+                    samples.append(perf_counter_ns() - t)
+                first = perf_counter_ns()
+                assert max(perf_counter_ns() - first for _ in range(2)) < 10**6
+            """,
+        )
+        assert codes(findings) == ["RPL008", "RPL008", "RPL008"]
+
+    def test_deadlines_and_plain_ratios_not_flagged(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "tests/test_waits.py",
+            """
+            import time
+
+            def test_waits_for_worker(spy, hits, total):
+                deadline = time.monotonic() + 60.0
+                while time.monotonic() < deadline and not spy.updates:
+                    time.sleep(0.05)
+                assert time.monotonic() < deadline
+                assert hits / total > 0.9
+                t0 = 3
+                assert (t0 - 1) / 2 == 1
+
+            def test_other_scope():
+                t0 = time.perf_counter()
+                return t0
+            """,
+        )
+        assert findings == []
+
+    def test_source_files_out_of_scope(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/analysis/timing.py",
+            """
+            import time
+
+            def measure(work):
+                t0 = time.perf_counter()
+                work()
+                elapsed = time.perf_counter() - t0
+                assert elapsed >= 0
+                return elapsed
+            """,
+        )
+        assert findings == []
+
+    def test_suppression_with_reason(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "tests/test_budget.py",
+            """
+            import time
+
+            def test_budget(work):
+                t0 = time.perf_counter()
+                work()
+                assert time.perf_counter() - t0 < 60  # reprolint: disable=RPL008 -- hang guard
+            """,
+        )
+        assert findings == []
+
+
 class TestSuppressions:
     VIOLATION = """
     import time
@@ -593,7 +704,10 @@ class TestRunnerAndCLI:
         out = io.StringIO()
         assert lint_main(["--list-rules"], out=out) == 0
         listing = out.getvalue()
-        for code in ("RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006", "RPL007"):
+        for code in (
+            "RPL001", "RPL002", "RPL003", "RPL004",
+            "RPL005", "RPL006", "RPL007", "RPL008",
+        ):
             assert code in listing
 
     def test_cli_missing_path_is_usage_error(self, tmp_path):
@@ -603,7 +717,10 @@ class TestRunnerAndCLI:
         repo = Path(__file__).resolve().parent.parent
         out = io.StringIO()
         code = lint_main(
-            [str(repo / "src"), str(repo / "scripts"), str(repo / "benchmarks")],
+            [
+                str(repo / "src"), str(repo / "scripts"),
+                str(repo / "benchmarks"), str(repo / "tests"),
+            ],
             out=out,
         )
         assert code == 0, out.getvalue()
