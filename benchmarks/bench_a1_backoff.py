@@ -1,6 +1,6 @@
 """A1/A2 — ablation: the marking process knobs (backoff b, selection p).
 
-DESIGN.md calls out two design choices the paper fixes by analysis:
+The paper fixes two marking-process choices by analysis:
 
 * the backoff distance b (6 for Δ >= 4, 12 for Δ = 3).  Larger b makes
   survivors rarer but guarantees the structural invariants (Lemma 12/14

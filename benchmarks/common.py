@@ -2,8 +2,8 @@
 
 Every bench builds a :class:`repro.analysis.Table`, prints it, and writes
 it to ``benchmarks/results/<name>.txt`` so the tables survive pytest's
-output capture.  Set ``REPRO_BENCH_FULL=1`` for the larger sweeps recorded
-in EXPERIMENTS.md; the default quick mode keeps the whole suite within a
+output capture.  Set ``REPRO_BENCH_FULL=1`` for the larger sweeps; the
+default quick mode keeps the whole suite within a
 few minutes.  Set ``REPRO_BENCH_SMOKE=1`` (what ``make bench-smoke`` /
 ``python -m repro bench --smoke`` do) to shrink every sweep to its single
 smallest point — a CI-speed pass whose only job is to catch benches

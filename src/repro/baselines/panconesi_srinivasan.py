@@ -1,9 +1,9 @@
 """The Panconesi–Srinivasan baseline: O(log³ n / log Δ) Δ-coloring [PS92/95].
 
 This is the 25-year state of the art the paper improves on, rebuilt inside
-the same layering framework from the components available in 1993 (see
-DESIGN.md §3; the original exposition uses network decompositions and
-token machinery, but its cost structure is exactly reproduced here):
+the same layering framework from the components available in 1993 (the
+original exposition uses network decompositions and token machinery, but
+its cost structure is exactly reproduced here):
 
 * base layer: a deterministic (R, (R-1)·log n) AGLP ruling forest with
   R = Θ(log_{Δ-1} n)   →  z = O(log² n / log Δ) layers;

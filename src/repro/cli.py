@@ -29,7 +29,8 @@ Gives downstream users a zero-code path to the library:
   suppressions, pyproject config and a committed baseline.  See docs/DEVTOOLS.md.
 * ``demo`` — run one of the bundled example scenarios.
 * ``info`` — parse a graph and print its structural profile (Δ, girth
-  probe, niceness, Gallai-tree status, component count).
+  probe, niceness, Gallai-tree status, component count), plus whether
+  the native DCC detection kernel loaded (its path) or why it did not.
 * ``bench`` — wall-clock measurement via :mod:`repro.analysis.harness`:
   ``--smoke`` runs every ``benchmarks/bench_e*.py`` at its tiniest size
   (the CI rot check behind ``make bench-smoke``), ``--sweep`` times
@@ -63,6 +64,7 @@ import sys
 from pathlib import Path
 
 from repro.api import SolverConfig, list_algorithms, solve
+from repro.core import native
 from repro.errors import GraphConstructionError, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import girth_up_to, is_gallai_tree, is_nice
@@ -175,6 +177,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"girth (<=12) : {girth if girth is not None else '>12 or acyclic'}")
     print(f"nice         : {is_nice(graph)}")
     print(f"gallai tree  : {is_gallai_tree(graph)}")
+    print(f"dcc kernel   : {native.kernel_status().describe()}")
     return 0
 
 

@@ -17,18 +17,17 @@ be a DCC, so detection at radius r is complete for DCCs of radius <= r/2.
 A ball is kept only if it has >= 4 members and at least as many in-ball
 edges as members; otherwise it induces a tree (the overwhelmingly common
 case on locally-tree-like graphs) and cannot host a 2-connected block.
-On the vectorized path that edge count is the row pass over every ball:
-each member probes its upper-triangular neighbours (larger ids only)
-against a membership bitmap, so every in-ball edge is probed once, from
-its smaller endpoint, and the pass costs half of Σ deg over all ball
-members — about n·Δ^(r+1)/2 probes.  In-ball degrees (both
-directions) are computed only for the kept balls whose centre is still
-unselected, wave by wave, right before their 2-core peel; the bitmap
-lives in :class:`DCCScratch`, sized to stay in cache.  A core that is
-one cycle skips the Hopcroft–Tarjan walk.  This phase is the hottest of
-the randomized pipeline; its wall time is ``solver.1-dcc-detect.ms`` in
-perfbench (perfbench/README.md), and docs/API.md lists which fast paths
-are pinned bit-identical to their Python twins.
+A kept ball is peeled to its 2-core, where every block lives; a core
+that is one cycle skips the Hopcroft–Tarjan walk.  The ball pass (ball
+collection, in-ball degrees, tree reject, peel: about n·Δ^(r+1) probes)
+runs in one small C kernel, ``dcc_kernel.c``, built with the system
+compiler on first use and called through ctypes (``repro.core.native``):
+≈45 ms at n=32768, Δ=8, r=2 on a 2-CPU box, under half of the phase.
+Its pure-Python twin
+(:func:`_ball_cores_python`) is pinned bit-identical to it and runs when
+no compiler is available.  Block selection stays in Python on both
+paths.  Wall time is ``solver.1-dcc-detect.ms`` in perfbench
+(perfbench/README.md).
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
 rounds *simulated through member nodes*: each live DCC draws a priority,
@@ -40,10 +39,12 @@ round costs O(r) real rounds, as the paper states.
 
 from __future__ import annotations
 
+import ctypes
 import random
-from collections.abc import Iterable
+from array import array
 from dataclasses import dataclass, field
 
+from repro.core import native
 from repro.graphs.blocks import blocks_through
 from repro.graphs.graph import Graph
 from repro.local.rounds import RoundLedger
@@ -67,270 +68,44 @@ class DCCDetection:
     rounds: int = 0
 
 
-# Membership bitmap of the in-ball probes: ``rows × n`` flags, one row per
-# ball in the current chunk.  4M cells keep the bitmap inside one core's
-# L2 at n=32768 (122 rows a chunk); the row floor keeps huge graphs from
-# paying per-chunk call overhead (n=250000: 64 rows, a 16 MB bitmap).
-_BITMAP_CELLS = 4_000_000
-_MIN_BITMAP_ROWS = 64
-
-
-# The pure-Python fallback here is not a renamed twin of this kernel but
-# the original lazy per-ball counting pass inside detect_dccs (structurally
-# different: per-candidate BFS + peel instead of blockwise sparse
-# products); the two paths are pinned equivalent by the fixed-seed golden
-# tests and the detect_dccs property tests.
-# reprolint: disable=RPL007 -- fallback is the lazy path in detect_dccs
-def _vectorized_ball_blocks(graph: Graph, radius: int, shared: "DCCScratch"):
-    """Blockwise vectorized ball structure for DCC detection (or ``None``).
-
-    Yields ``(np, candidates, balls)`` tuples where ``candidates`` is an
-    int array of node ids and row ``i`` of the CSR matrix ``balls``
-    holds the radius-``r`` ball members of ``candidates[i]`` (pattern
-    only; the in-ball degrees the peel needs are computed lazily, per
-    wave, by :func:`_detect_in_waves`):
-
-    * ball rows come from ``(A+I)^r`` (every ball member has an in-ball
-      neighbour, so the product pattern *is* the ball);
-    * rows that are too small (< 4 nodes) or induce a tree (fewer
-      in-ball edges than members) are dropped — the cheap-reject
-      conditions.  The edge count probes the upper-triangular adjacency
-      (each in-ball edge once, from its smaller endpoint), half the
-      volume of per-member degrees.
-
-    The consumer (:func:`detect_dccs`) peels candidate rows in batches
-    via :func:`_batched_peel`, in *waves* interleaved with selection, so
-    the adoption short-circuit ("a node inside an already-selected block
-    never detects") keeps pruning work exactly as it does on the lazy
-    pure-Python path.  Returns ``None`` when scipy is unavailable or the
-    graph is tiny (the caller then falls back to the per-ball counting
-    pass).
-    """
-    if graph.n < 256 or graph.num_edges == 0:
-        return None
-    try:
-        import numpy as np
-        from scipy import sparse
-    except Exception:  # pragma: no cover - scipy-free environments
-        return None
-    offsets, indices = graph.csr()
-    n = graph.n
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(idx), dtype=np.int32), idx, indptr), shape=(n, n)
-    )
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    upper = idx > owner
-    up_idx = idx[upper]
-    up_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(owner[upper], minlength=n), out=up_ptr[1:])
-    bitmap = shared.bitmap(np)
-    # Block the rows so the intermediates stay bounded (~Δ^{r+1} nonzeros
-    # per row) even on million-edge inputs.
-    delta = max(1, graph.max_degree())
-    per_row = min(n, delta ** (radius + 1) + 1)
-    step = max(1024, min(n, 4_000_000 // per_row))
-    identity = sparse.identity(n, dtype=np.int32, format="csr")
-
-    def blocks():
-        for start in range(0, n, step):
-            rows = slice(start, min(n, start + step))
-            reach = adjacency[rows] + identity[rows]
-            reach.data[:] = 1
-            for _ in range(radius - 1):
-                reach = reach @ adjacency + reach
-                reach.data[:] = 1
-            # No sort_indices anywhere: member order is irrelevant (the
-            # peel is order-free and blocks_through sorts its own roots).
-            # In-ball edges via the SDDMM gather (pattern = reach), never
-            # materialising the radius-(r+1) reach.
-            edges = _in_row_counts(np, reach, up_ptr, up_idx, bitmap, per_row=True)
-            ball_sizes = np.diff(reach.indptr)
-            keep = (ball_sizes >= 4) & (edges >= ball_sizes)
-            candidates = np.flatnonzero(keep) + start
-            if not len(candidates):
-                continue
-            yield (np, candidates, reach[keep])
-
-    return blocks()
+# Output rows per kernel call (each row: node, core size, cycle flag); a
+# full buffer ends the call and the pass resumes at the next node.
+_OUT_ROWS = 4096
 
 
 class DCCScratch:
     """Reusable O(n) scratch for :func:`detect_dccs` sweeps.
 
     One allocation of the byte mask, the Hopcroft–Tarjan disc/low arrays,
-    the active-membership mask and (on the vectorized path) the numpy
-    membership bitmap serves *every* ``detect_dccs`` call on graphs of
-    the same node count — the per-layer/per-component call sites
-    (``repro.core.small_components``) used to pay a fresh ``O(n)``
-    allocation per invocation just to look at a 10-node component, and
-    every peel round used to allocate (and page-fault in) a fresh
-    bitmap.  All arrays are returned to their zeroed state after each
-    call, so sharing is safe.
+    the active-membership mask and (when the native kernel runs) its
+    ``array('i')`` work and output buffers serves *every* ``detect_dccs``
+    call on graphs of the same node count — the per-component call sites
+    (``repro.core.small_components``) call it once per small component,
+    which would otherwise pay O(n) allocations to look at a 10-node
+    component.  Masks and degrees are returned to their zeroed state
+    after each call, so sharing is safe.
     """
 
-    __slots__ = ("n", "mask", "scratch", "active_mask", "_bitmap")
+    __slots__ = ("n", "mask", "scratch", "active_mask", "_kernel_buffers")
 
     def __init__(self, n: int):
         self.n = n
         self.mask = bytearray(n)
         self.scratch = ([0] * n, [0] * n)
         self.active_mask = bytearray(n)
-        self._bitmap = None
+        self._kernel_buffers: tuple[array, ...] | None = None
 
-    def bitmap(self, np):
-        """The zeroed ``rows × n`` probe bitmap, allocated on first use."""
-        if self._bitmap is None:
-            rows = min(self.n, max(_MIN_BITMAP_ROWS, _BITMAP_CELLS // max(1, self.n)))
-            self._bitmap = np.zeros(rows * self.n, dtype=bool)
-        return self._bitmap
-
-
-def _detect_in_waves(state: "_DetectState", np, candidates, balls) -> None:
-    """Peel-and-select one yielded block in geometrically growing waves.
-
-    A wave computes in-ball degrees for the next chunk of
-    *still-unselected* candidates, batch-peels them
-    (:func:`_batched_peel`), then runs selection on the surviving cores
-    in ascending node order.  Selection adoption marks whole blocks as
-    selected, so later waves skip their members before paying any
-    counting or peel work — the exact pruning the sequential path gets
-    for free, while each wave stays a batched array operation.  Output
-    is identical to peel-then-select per node: selection still runs in
-    ascending candidate order and re-checks ``selected_by`` first.
-    """
-    graph = state.graph
-    offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    bitmap = state.shared.bitmap(np)
-    selected_by = state.selected_by
-    cand_list = candidates.tolist()
-    total = len(cand_list)
-    position = 0
-    wave = 256
-    while position < total:
-        batch: list[int] = []
-        while position < total and len(batch) < wave:
-            if selected_by[cand_list[position]] == -1:
-                batch.append(position)
-            position += 1
-        if not batch:
-            continue
-        wave *= 2
-        core = balls[np.asarray(batch, dtype=np.int64)]
-        core.data = _in_row_counts(np, core, indptr, idx, bitmap)
-        core = _batched_peel(np, core, indptr, idx, bitmap)
-        core_sizes = np.diff(core.indptr)
-        centers = candidates[batch]
-        # A candidate survives only if its own node is in its core
-        # (checked patternwise, no per-row search) and >= 4 remain.
-        row_of = np.repeat(np.arange(len(batch), dtype=np.int64), core_sizes)
-        center_alive = np.zeros(len(batch), dtype=bool)
-        center_alive[row_of[core.indices == centers[row_of]]] = True
-        alive = center_alive & (core_sizes >= 4)
-        if not alive.any():
-            continue
-        # A row whose core degrees are all 2 is a single cycle.
-        irregular = np.bincount(row_of[core.data != 2], minlength=len(batch))
-        cycle = (irregular == 0).tolist()
-        c_ptr = core.indptr.tolist()
-        c_idx = core.indices.tolist()
-        for i in np.flatnonzero(alive).tolist():
-            v = cand_list[batch[i]]
-            if selected_by[v] != -1:
-                continue
-            _select_blocks(
-                state, v, c_idx[c_ptr[i] : c_ptr[i + 1]], mask_set=False,
-                cycle=cycle[i],
+    def kernel_buffers(self) -> tuple[array, ...]:
+        """``(deg, ball, stack, rows, members)`` for the native kernel,
+        allocated on first use; ``members`` holds at least ``n`` entries,
+        so any single core fits."""
+        if self._kernel_buffers is None:
+            n = self.n
+            self._kernel_buffers = tuple(
+                array("i", bytes(4 * size))
+                for size in (n, n, n, 3 * _OUT_ROWS, n + 8 * _OUT_ROWS)
             )
-
-
-def _batched_peel(np, core, indptr, idx, bitmap):
-    """2-core peel of every row of ``core`` at once.
-
-    ``core`` is a CSR matrix whose row ``i`` holds the ball members of
-    candidate ``i`` with their in-ball degrees as data.  Each round drops
-    every degree-<= 1 entry, then recounts surviving degrees with
-    :func:`_in_row_counts` (``indptr``/``idx`` are G's CSR buffers).
-    Unlike a sparse ``membership @ A`` product this never materialises
-    the radius-(r+1) reach of the survivors — the work per round is
-    O(Σ deg over surviving entries), which is what keeps large detection
-    radii from regressing.  The fixpoint is the unique 2-core of each
-    ball, identical to the sequential per-ball peel.
-    """
-    while True:
-        weak = core.data < 2
-        if not weak.any():
-            return core
-        core.data[weak] = 0
-        core.eliminate_zeros()
-        if core.nnz == 0:
-            return core
-        core.data[:] = _in_row_counts(np, core, indptr, idx, bitmap)
-
-
-def _in_row_counts(np, matrix, indptr, idx, bitmap, per_row=False):
-    """Count, for every nonzero ``(i, w)`` of the CSR ``matrix``, the
-    neighbours ``x`` of ``w`` (row ``w`` of the CSR pair ``indptr``/
-    ``idx``) that are themselves in row ``i`` — or, with ``per_row``,
-    the sum of those counts over each row.
-
-    The SDDMM-style kernel behind the keep test (over the upper-
-    triangular adjacency, where the row sum is the ball's edge count),
-    the in-ball degrees and every peel round (over G's full adjacency).
-    Work is O(Σ deg over entries): each entry's neighbour row is
-    gathered and tested against ``bitmap``, a zeroed ``rows × n``
-    membership bitmap filled for one chunk of rows at a time and
-    cleared again before returning; nothing outside the existing pattern
-    is ever materialised.
-    """
-    k, n = matrix.shape
-    counts = np.zeros(k if per_row else matrix.nnz, dtype=np.int32)
-    chunk = len(bitmap) // n
-    ptr = matrix.indptr
-    row_lens = np.diff(ptr)
-    degrees = np.diff(indptr)
-    for row0 in range(0, k, chunk):
-        row1 = min(k, row0 + chunk)
-        lo, hi = int(ptr[row0]), int(ptr[row1])
-        if lo == hi:
-            continue
-        cols = matrix.indices[lo:hi]
-        deg = degrees[cols]
-        total = int(deg.sum(dtype=np.int64))
-        # int32 positions are the fast path; a chunk whose probes or
-        # bitmap cells exceed int32 (huge Δ or n) must widen, or the
-        # cumsum/arange below would wrap and gather garbage.
-        postype = np.int32 if max(total, len(bitmap)) < 2**31 - 1 else np.int64
-        row_base = np.arange(0, (row1 - row0) * n, n, dtype=postype)
-        cells = np.repeat(row_base, row_lens[row0:row1])
-        cells += cols
-        bitmap[cells] = True
-        bounds = np.empty(len(deg) + 1, dtype=postype)
-        bounds[0] = 0
-        np.cumsum(deg, out=bounds[1:])
-        # Probe p of entry e reads idx[indptr[w_e] + p - bounds[e]] and
-        # tests it in its row's slice of the bitmap.
-        positions = np.repeat(indptr[cols] - bounds[:-1], deg)
-        positions += np.arange(total, dtype=postype)
-        row_bounds = bounds[ptr[row0 : row1 + 1] - lo]
-        probes = idx[positions].astype(postype, copy=False)
-        probes += np.repeat(row_base, np.diff(row_bounds))
-        alive = bitmap[probes]
-        bitmap[cells] = False
-        # Sum each nonempty segment; their starts are strictly increasing,
-        # so reduceat needs no clamping and empty segments stay zero.
-        segments = row_bounds if per_row else bounds
-        lengths = np.diff(segments)
-        nonempty = np.flatnonzero(lengths)
-        if len(nonempty):
-            out = counts[row0:row1] if per_row else counts[lo:hi]
-            out[nonempty] = np.add.reduceat(
-                alive, segments[:-1][nonempty], dtype=np.int32
-            )
-    return counts
+        return self._kernel_buffers
 
 
 def detect_dccs(
@@ -356,76 +131,140 @@ def detect_dccs(
     ledger.charge(radius)
     detection = DCCDetection(selected_by=[-1] * graph.n, rounds=radius)
     state = _DetectState(graph, detection, scratch)
-    if active is None:
-        vectorized = _vectorized_ball_blocks(graph, radius, state.shared)
-        if vectorized is not None:
-            for np, candidates, balls in vectorized:
-                _detect_in_waves(state, np, candidates, balls)
-            return detection
-        nodes: Iterable[int] = range(graph.n)
-        allowed = None
-    else:
-        nodes = sorted(set(active))
+    nodes = None if active is None else sorted(set(active))
+    allowed = None
+    if nodes is not None:
+        if nodes and (nodes[0] < 0 or nodes[-1] >= graph.n):
+            raise IndexError(f"active node out of range for n={graph.n}")
         allowed = state.active_mask
         for v in nodes:
             allowed[v] = 1
-    # Pure-Python fallback: per-node ball collection and counting, with a
-    # specialised frontier expansion over the reusable byte masks (no
-    # dict/deque/predicate call), visiting nodes in bfs_ball level order.
-    adj = graph.adj
+    kernel = native.dcc_kernel()
+    if kernel is None:
+        cores = _ball_cores_python(state, radius, nodes, allowed)
+    else:
+        cores = _ball_cores_native(kernel, state, radius, nodes, allowed)
+    # Rows come in ascending node order; a node that adopted an earlier
+    # selection does not detect (a core never depends on selections).
     selected_by = state.selected_by
-    mask = state.mask
-    for v in nodes:
-        if selected_by[v] != -1:
-            continue
-        mask[v] = 1
-        ball = [v]
-        frontier = [v]
-        if allowed is None:
-            for _ in range(radius):
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if not mask[w]:
-                            mask[w] = 1
-                            nxt.append(w)
-                ball.extend(nxt)
-                frontier = nxt
-        else:
-            for _ in range(radius):
-                nxt = []
-                for u in frontier:
-                    for w in adj[u]:
-                        if allowed[w] and not mask[w]:
-                            mask[w] = 1
-                            nxt.append(w)
-                ball.extend(nxt)
-                frontier = nxt
-        if len(ball) < 4:
-            for u in ball:
-                mask[u] = 0
-            continue
-        # Acyclicity test on the ball: count in-ball edge endpoints (and
-        # record per-node in-ball degrees for the 2-core peel); a tree has
-        # < len(ball) edges and cannot host a 2-connected subgraph.
-        twice_edges = 0
-        degs = []
-        for u in ball:
-            d = 0
-            for w in adj[u]:
-                if mask[w]:
-                    d += 1
-            degs.append(d)
-            twice_edges += d
-        for u in ball:
-            mask[u] = 0
-        if twice_edges < 2 * len(ball):
-            continue  # the ball is a tree: no 2-connected subgraph
-        _select_from_core(state, v, ball, degs)
+    for v, core, cycle in cores:
+        if selected_by[v] == -1:
+            _select_blocks(state, v, core, cycle)
     if allowed is not None:
         for v in nodes:
             allowed[v] = 0
     return detection
+
+
+def _ball_cores_native(kernel, state: "_DetectState", radius: int, nodes, allowed):
+    """The ``(v, core, single_cycle)`` rows of ``dcc_kernel.c``, one
+    output buffer per kernel call (see :func:`_ball_cores_python` for
+    what a row is)."""
+    graph = state.graph
+    count = graph.n if nodes is None else len(nodes)
+    if count == 0:
+        return
+    offsets, indices = graph.csr()
+    deg, ball, stack, rows, members = state.shared.kernel_buffers()
+    node_buf = None if nodes is None else array("i", nodes)
+    # The byte masks are exported for the whole sweep (never resized).
+    mask = ctypes.c_char.from_buffer(state.mask)
+    active = None if allowed is None else ctypes.c_char.from_buffer(allowed)
+    args = (
+        _address(offsets), _address(indices), radius,
+        None if active is None else ctypes.addressof(active),
+        None if node_buf is None else _address(node_buf),
+        count,
+    )
+    work = (
+        ctypes.addressof(mask), _address(deg), _address(ball), _address(stack),
+        _address(rows), len(rows) // 3, _address(members), len(members),
+    )
+    emitted = ctypes.c_int()
+    start = 0
+    while start < count:
+        start = kernel(*args, start, *work, ctypes.byref(emitted))
+        head = rows[: 3 * emitted.value].tolist()
+        body = members[: sum(head[1::3])].tolist()
+        at = 0
+        for i in range(0, len(head), 3):
+            size = head[i + 1]
+            yield head[i], body[at : at + size], head[i + 2] == 1
+            at += size
+
+
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
+
+
+def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
+    """Pure-Python twin of ``dcc_kernel.c``: per node ``v`` (ascending),
+    collect its radius-``radius`` ball (within ``allowed`` when given),
+    reject it if it has < 4 members or fewer in-ball edges than members
+    (a tree hosts no 2-connected block), peel it to its 2-core, and yield
+    ``(v, core, single_cycle)`` when ``v`` survives in a core of >= 4
+    nodes.  ``single_cycle`` says every core degree is 2.
+
+    Every 2-connected block lives inside the 2-core of the ball, so the
+    Hopcroft–Tarjan walk sees only the usually-tiny cycle-carrying core,
+    and ``v`` being peeled proves no block contains it.  Rows are made
+    lazily: a node selected by adoption before its turn is skipped
+    before any work (the caller would skip its row anyway).
+    """
+    graph = state.graph
+    adj = graph.adj
+    selected_by = state.selected_by
+    mask = state.mask
+    deg = state.scratch[0]  # shares the blocks_through disc scratch (zeroed)
+    for v in range(graph.n) if nodes is None else nodes:
+        if selected_by[v] != -1:
+            continue
+        # Level-order frontier expansion over the reusable byte masks.
+        mask[v] = 1
+        ball = [v]
+        frontier = [v]
+        for _ in range(radius):
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if not mask[w] and (allowed is None or allowed[w]):
+                        mask[w] = 1
+                        nxt.append(w)
+            ball.extend(nxt)
+            frontier = nxt
+        twice_edges = 0
+        if len(ball) >= 4:
+            for u in ball:
+                d = 0
+                for w in adj[u]:
+                    if mask[w]:
+                        d += 1
+                deg[u] = d
+                twice_edges += d
+        core = None
+        if twice_edges >= 2 * len(ball):
+            stack = [u for u in ball if deg[u] <= 1]
+            alive = len(ball)
+            while stack:
+                u = stack.pop()
+                if not mask[u]:
+                    continue
+                mask[u] = 0
+                alive -= 1
+                for w in adj[u]:
+                    if mask[w]:
+                        dw = deg[w] - 1
+                        deg[w] = dw
+                        if dw == 1:
+                            stack.append(w)
+            if alive >= 4 and mask[v]:
+                core = [u for u in ball if mask[u]]
+                cycle = all(deg[u] == 2 for u in core)
+        for u in ball:
+            mask[u] = 0
+            deg[u] = 0
+        if core is not None:
+            yield v, core, cycle
 
 
 class _DetectState:
@@ -460,61 +299,8 @@ class _DetectState:
         self.core_blocks: dict[tuple[int, ...], list] = {}
 
 
-def _select_from_core(
-    state: _DetectState, v: int, members: list[int], degrees: list[int]
-) -> None:
-    """Peel ``members`` (with in-ball ``degrees``) to the 2-core and let
-    ``v`` select its first qualifying block there.
-
-    Every 2-connected block lives inside the 2-core of the ball, so peeling
-    degree-<=1 nodes first shrinks the Hopcroft–Tarjan walk from the whole
-    ball (~Δ^{r+1} nodes) to the usually-tiny cycle-carrying core; ``v``
-    being peeled proves no block contains it.  The set of qualifying blocks
-    is exactly the full-ball set, and this sequential peel computes the
-    same (unique) 2-core as the batched sparse peel of
-    :func:`_vectorized_ball_blocks` (both feed :func:`_select_blocks`);
-    when a node lies in *several* qualifying blocks, the discovery order —
-    hence which valid DCC it selects — can differ from the pre-peel
-    implementation, whose DFS also walked the peeled pendant trees.  Any
-    qualifying block is a correct selection per the paper's phase (1).
-    """
-    adj = state.graph.adj
-    mask = state.mask
-    deg = state.scratch[0]  # shares the blocks_through disc scratch (zeroed)
-    stack = []
-    for pos, u in enumerate(members):
-        mask[u] = 1
-        d = degrees[pos]
-        deg[u] = d
-        if d <= 1:
-            stack.append(u)
-    alive = len(members)
-    while stack:
-        u = stack.pop()
-        if not mask[u]:
-            continue
-        mask[u] = 0
-        alive -= 1
-        for w in adj[u]:
-            if mask[w]:
-                dw = deg[w] - 1
-                deg[w] = dw
-                if dw == 1:
-                    stack.append(w)
-    if alive < 4 or not mask[v]:
-        for u in members:
-            mask[u] = 0
-            deg[u] = 0
-        return
-    core = [u for u in members if mask[u]]
-    cycle = all(deg[u] == 2 for u in core)
-    for u in members:
-        deg[u] = 0
-    _select_blocks(state, v, core, mask_set=True, cycle=cycle)
-
-
 def _select_blocks(
-    state: _DetectState, v: int, core: list[int], mask_set: bool, cycle: bool
+    state: _DetectState, v: int, core: list[int], cycle: bool
 ) -> None:
     """Let ``v`` select its first qualifying block inside ``core``.
 
@@ -527,9 +313,7 @@ def _select_blocks(
     (connected) ball is connected, so the core is one cycle, its own only
     block, and a DCC iff its length is even — no Hopcroft–Tarjan walk
     needed (most cores on locally-tree-like graphs are one short cycle).
-    ``mask_set`` says whether ``state.mask`` already has the core bits
-    set (the sequential peel leaves it that way); the mask is always
-    clear on return.
+    ``state.mask`` is clear on entry and on return.
     """
     graph = state.graph
     mask = state.mask
@@ -539,10 +323,8 @@ def _select_blocks(
         if cycle:
             cached = [(set(key), key)] if len(key) % 2 == 0 else []
         else:
-            if not mask_set:
-                for u in core:
-                    mask[u] = 1
-                mask_set = True
+            for u in core:
+                mask[u] = 1
             # The qualifying blocks of the core, in discovery order and
             # original labels.
             cached = []
@@ -554,10 +336,9 @@ def _select_blocks(
                     block_set = set(block)
                     if _is_dcc_block(adj, block, block_set):
                         cached.append((block_set, tuple(block)))
+            for u in core:
+                mask[u] = 0
         state.core_blocks[key] = cached
-    if mask_set:
-        for u in core:
-            mask[u] = 0
     chosen: tuple[int, ...] | None = None
     for block_set, block in cached:
         if v in block_set:

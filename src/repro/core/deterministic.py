@@ -4,7 +4,8 @@ The algorithm is the layering technique in its purest form:
 
 1. Linial's O(Δ²) coloring (symmetry breaking for the list engines).
 2. Base layer B0 = an (R, z) ruling forest with R = 4·log_{Δ-1} n + 1
-   (substituted: the AGLP bit-recursion ruling set, DESIGN.md §4.2, giving
+   (substituted: the AGLP bit-recursion ruling set of
+   :mod:`repro.primitives.ruling_sets`, giving
    z = (R-1)·⌈log₂ n⌉).
 3. Layers B_1..B_z by distance to B0; removed, then re-colored in reverse
    as (deg+1)-list instances with the deterministic engine (Theorem 18
@@ -21,7 +22,7 @@ Theorem 21 (the 2^O(√log n) re-proof of [PS95]) prescribes the same
 pipeline with a network-decomposition-based ruling set; our AGLP + color
 class engine already runs in O(Δ²·log² n) ⊆ 2^{O(√log n)} rounds for
 Δ = 2^{o(√log n)}, so :func:`delta_coloring_deterministic` subsumes it
-(recorded as a substitution in EXPERIMENTS.md E3).
+(benchmarks/bench_e3_deterministic.py measures it against the bound).
 """
 
 from __future__ import annotations

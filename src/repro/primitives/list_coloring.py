@@ -24,8 +24,8 @@ the live neighbourhood each time.  Three engines:
   independent set, so all its nodes can greedily commit simultaneously.
   Exactly ``palette`` rounds, independent of n.  (The paper's
   O(√Δ log Δ log*Δ) algorithm [FHK16+BEG17] is a major standalone project;
-  DESIGN.md §4.1 documents why this substitution preserves the properties
-  the layering technique needs.)
+  the substitute keeps what the layering technique needs from it: a
+  deterministic per-layer cost that does not depend on n.)
 
 All engines mutate ``colors`` in place and validate the deg+1 precondition
 in ``strict`` mode.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import native
+from repro.core.dcc import detect_dccs
 from repro.graphs.generators import (
     complete_graph_minus_edge,
     high_girth_regular_graph,
@@ -53,3 +55,17 @@ def irregular_nice():
 def small_dcc():
     """K6 minus an edge: a single DCC with Δ = 5."""
     return complete_graph_minus_edge(6)
+
+
+@pytest.fixture(scope="session")
+def detect_python():
+    """``detect_dccs`` forced onto its pure-Python twin: the one seam the
+    kernel-vs-Python equivalence tests use (the same path a box without
+    a C compiler runs)."""
+
+    def run(graph, radius, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "dcc_kernel", lambda: None)
+            return detect_dccs(graph, radius, **kwargs)
+
+    return run

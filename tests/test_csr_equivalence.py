@@ -225,8 +225,9 @@ class TestValidationStillRejects:
 
 
 class TestVectorizedPathParity:
-    """The numpy/scipy fast paths must be bit-identical to the pure-Python
-    fallbacks — including the shapes that once broke them."""
+    """The numpy fast paths and the native DCC kernel must be
+    bit-identical to the pure-Python fallbacks — including the shapes
+    that once broke them."""
 
     def test_linial_with_trailing_isolated_nodes(self):
         # Regression: the chunked reduceat once clamped a trailing
@@ -249,7 +250,7 @@ class TestVectorizedPathParity:
             assert vectorized.colors == scalar.colors
             assert vectorized.palette == scalar.palette
 
-    def test_dcc_detection_paths_agree_on_multi_block_cut_vertex(self):
+    def test_dcc_detection_paths_agree_on_multi_block_cut_vertex(self, detect_python):
         # Node 1 sits in two qualifying blocks (two C4s) with a pendant
         # tree hanging off the core — the shape where block discovery
         # order is delicate.  Both detection paths must pick the same one.
@@ -260,51 +261,36 @@ class TestVectorizedPathParity:
             (1, 2), (2, 3), (3, 4), (4, 1),
             (0, 6),
         ]
-        graph = Graph(300, gadget)  # large enough for the vectorized gate
+        graph = Graph(300, gadget)
         vec = dcc_mod.detect_dccs(graph, 3)
-        real = dcc_mod._vectorized_ball_blocks
-        dcc_mod._vectorized_ball_blocks = lambda *a, **k: None
-        try:
-            fallback = dcc_mod.detect_dccs(graph, 3)
-        finally:
-            dcc_mod._vectorized_ball_blocks = real
+        fallback = detect_python(graph, 3)
         assert vec.dccs == fallback.dccs
         assert vec.selected_by == fallback.selected_by
         assert vec.nodes_in_dccs == fallback.nodes_in_dccs
         assert vec.dccs  # the gadget's DCCs are found at all
 
-    def test_dcc_detection_paths_agree_on_random_graphs(self):
+    def test_dcc_detection_paths_agree_on_random_graphs(self, detect_python):
         import repro.core.dcc as dcc_mod
         from repro.graphs.generators import random_regular_graph
 
         for seed in range(3):
             graph = random_regular_graph(400, 6, seed=seed)
             vec = dcc_mod.detect_dccs(graph, 2)
-            real = dcc_mod._vectorized_ball_blocks
-            dcc_mod._vectorized_ball_blocks = lambda *a, **k: None
-            try:
-                fallback = dcc_mod.detect_dccs(graph, 2)
-            finally:
-                dcc_mod._vectorized_ball_blocks = real
+            fallback = detect_python(graph, 2)
             assert vec.dccs == fallback.dccs
             assert vec.selected_by == fallback.selected_by
 
-    def test_dcc_batched_peel_agrees_on_dcc_rich_graphs(self):
+    def test_dcc_batched_peel_agrees_on_dcc_rich_graphs(self, detect_python):
         # The torus is DCCs-everywhere: every ball survives the cheap
-        # rejects, so the batched sparse 2-core peel (not just the skip
-        # logic) is what must match the sequential per-ball peel.
+        # rejects, so the native kernel's 2-core peel (not just the skip
+        # logic) is what must match the Python twin's per-ball peel.
         import repro.core.dcc as dcc_mod
         from repro.graphs.generators import torus_grid
 
         for radius in (2, 3):
             graph = torus_grid(20, 20)
             vec = dcc_mod.detect_dccs(graph, radius)
-            real = dcc_mod._vectorized_ball_blocks
-            dcc_mod._vectorized_ball_blocks = lambda *a, **k: None
-            try:
-                fallback = dcc_mod.detect_dccs(graph, radius)
-            finally:
-                dcc_mod._vectorized_ball_blocks = real
+            fallback = detect_python(graph, radius)
             assert vec.dccs == fallback.dccs
             assert vec.selected_by == fallback.selected_by
             assert vec.nodes_in_dccs == fallback.nodes_in_dccs

@@ -1,4 +1,4 @@
-"""numpy fast paths of the Theorem 3 solve vs their pure-Python twins.
+"""Fast paths of the Theorem 3 solve vs their pure-Python twins.
 
 Each vectorized kernel on the solve path keeps its Python twin as the
 fallback (reprolint RPL007); these tests pin the pairs to each other on
@@ -10,11 +10,12 @@ numpy-vs-Python threshold:
 * ``validate_coloring`` — the numpy verdict matches the Python pass, and
   the ``ColoringError.violations`` a caller sees are the Python pass's;
 * ``bfs_distances`` / ``distance_layers`` — several sources, ``max_depth``;
-* ``detect_dccs`` — the vectorized ball pass (upper-triangular keep test,
-  lazy in-ball degrees, shared bitmap chunks, single-cycle cores) vs the
-  lazy per-ball path, on tori, planted 4- and 5-cycles and theta graphs,
-  girth-9 graphs, Gallai trees and disconnected graphs, with every
-  selection checked against Definition 9 independently.
+* ``detect_dccs`` — the native C ball pass (``dcc_kernel.c``: ball, tree
+  reject, 2-core peel, single-cycle flag, resumable output) vs its lazy
+  per-ball Python twin, on tori, planted 4- and 5-cycles and theta
+  graphs, girth-9 graphs, Gallai trees, disconnected graphs, ``active=``
+  subsets, small ``n`` and a one-row output buffer, with every selection
+  checked against Definition 9 independently.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.dcc as dcc_mod
+from repro.core import native
 from repro.errors import ColoringError
 from repro.graphs import bfs as bfs_mod
 from repro.graphs import validation as validation_mod
@@ -49,8 +51,8 @@ try:
 except ImportError:  # the numpy-free CI leg: every twin is the Python one
     HAVE_NUMPY = False
 
-# Sizes straddling validation.VECTOR_MIN_NODES (128), the DCC vectorized
-# gate (n >= 256) and bfs.VECTOR_MIN_NODES (512).
+# Sizes straddling validation.VECTOR_MIN_NODES (128) and
+# bfs.VECTOR_MIN_NODES (512).
 SIZES = [40, 127, 128, 255, 256, 511, 512, 1100]
 FAST = settings(max_examples=25, deadline=None)
 
@@ -306,58 +308,114 @@ def detection_workloads():
             (2, 3),
         ),
         ("rrg-multi-chunk", random_regular_graph(4096, 6, seed=9), (2,)),
-        ("below-gate", torus_grid(15, 17), (2,)),  # n = 255: lazy path either way
+        ("below-gate", torus_grid(15, 17), (2,)),  # n = 255
+        ("tiny", torus_grid(3, 4), (1, 2)),
     ]
 
 
-def detect_lazy(graph: Graph, radius: int):
-    real = dcc_mod._vectorized_ball_blocks
-    dcc_mod._vectorized_ball_blocks = lambda *a, **k: None
-    try:
-        return dcc_mod.detect_dccs(graph, radius)
-    finally:
-        dcc_mod._vectorized_ball_blocks = real
+requires_kernel = pytest.mark.skipif(
+    native.dcc_kernel() is None, reason="native DCC kernel not loaded on this box"
+)
+
+
+def assert_same_detection(got, expected, label=""):
+    assert got.dccs == expected.dccs, label
+    assert got.selected_by == expected.selected_by, label
+    assert got.nodes_in_dccs == expected.nodes_in_dccs, label
 
 
 @pytest.mark.parametrize(
     "name,graph,radii", detection_workloads(), ids=[w[0] for w in detection_workloads()]
 )
-def test_dcc_detection_paths_agree(name, graph, radii):
+def test_dcc_detection_paths_agree(name, graph, radii, detect_python):
     for radius in radii:
-        vec = dcc_mod.detect_dccs(graph, radius)
-        lazy = detect_lazy(graph, radius)
-        assert vec.dccs == lazy.dccs, name
-        assert vec.selected_by == lazy.selected_by, name
-        assert vec.nodes_in_dccs == lazy.nodes_in_dccs, name
+        got = dcc_mod.detect_dccs(graph, radius)
+        assert_same_detection(got, detect_python(graph, radius), name)
         # Independent oracle: every selection is a DCC (Definition 9).
-        assert all(is_degree_choosable_component(graph, dcc) for dcc in vec.dccs), name
+        assert all(is_degree_choosable_component(graph, dcc) for dcc in got.dccs), name
 
 
-def test_dcc_detection_small_bitmap_chunks(monkeypatch):
-    """A bitmap of a few rows forces many chunks (and empty ones)."""
+@pytest.mark.parametrize(
+    "name,graph,radii", detection_workloads(), ids=[w[0] for w in detection_workloads()]
+)
+def test_dcc_detection_paths_agree_on_active_subsets(name, graph, radii, detect_python):
+    """``active=`` (the per-component call sites): balls stay inside the
+    subset, one scratch serves every call and is left clean."""
+    rng = random.Random(graph.n)
+    scratch = dcc_mod.DCCScratch(graph.n)
+    near = bfs_mod.bfs_distances(graph, [0], max_depth=4)
+    subsets = [
+        {v for v in range(graph.n) if rng.random() < 0.7},
+        {v for v in range(graph.n) if near[v] >= 0},
+        set(),
+    ]
+    for radius in radii:
+        for active in subsets:
+            got = dcc_mod.detect_dccs(graph, radius, active=active, scratch=scratch)
+            assert_same_detection(got, detect_python(graph, radius, active=active), name)
+            assert got.nodes_in_dccs <= active
+    assert not any(scratch.mask) and not any(scratch.active_mask)
+
+
+@pytest.mark.parametrize("bad", [-1, 42])
+def test_dcc_detection_rejects_out_of_range_active_nodes(bad, detect_python):
+    graph = torus_grid(6, 7)
+    for detect in (dcc_mod.detect_dccs, detect_python):
+        with pytest.raises(IndexError, match="out of range"):
+            detect(graph, 2, active={0, 1, bad})
+
+
+@FAST
+@given(
+    n=st.sampled_from([4, 9, 40, 255, 256, 600]),
+    seed=st.integers(0, 10_000),
+    avg=st.sampled_from([1.8, 3.0, 4.5]),
+    radius=st.sampled_from([1, 2, 3]),
+)
+def test_dcc_detection_paths_agree_on_sparse_graphs(n, seed, avg, radius, detect_python):
+    graph = sparse_graph(n, seed, avg)
+    assert_same_detection(dcc_mod.detect_dccs(graph, radius), detect_python(graph, radius))
+
+
+@requires_kernel
+def test_dcc_detection_tiny_output_capacity(monkeypatch, detect_python):
+    """One output row per kernel call: every row goes through the resume
+    path, including rows whose core must be recomputed."""
     graph = planted(
         high_girth_regular_graph(400, 3, 9, seed=2),
         [theta_edges(0, (2, 2, 3)), theta_edges(0, (3, 3, 3))],
         3,
     )
-    expected = detect_lazy(graph, 3)
-    monkeypatch.setattr(dcc_mod, "_BITMAP_CELLS", 3 * graph.n)
-    monkeypatch.setattr(dcc_mod, "_MIN_BITMAP_ROWS", 1)
-    got = dcc_mod.detect_dccs(graph, 3)
-    assert got.dccs == expected.dccs
-    assert got.selected_by == expected.selected_by
-    assert got.dccs
+    expected = detect_python(graph, 3)
+    calls = []
+    kernel = native.dcc_kernel()
+
+    def counting(*args):
+        calls.append(args[6])  # the start position
+        return kernel(*args)
+
+    monkeypatch.setattr(dcc_mod, "_OUT_ROWS", 1)
+    monkeypatch.setattr(native, "dcc_kernel", lambda: counting)
+    assert_same_detection(dcc_mod.detect_dccs(graph, 3), expected)
+    assert expected.dccs
+    assert len(calls) > len(expected.dccs)
+    assert calls == sorted(calls)
+    active = set(range(0, graph.n, 2)) | set(expected.nodes_in_dccs)
+    assert_same_detection(
+        dcc_mod.detect_dccs(graph, 3, active=active),
+        detect_python(graph, 3, active=active),
+    )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the bitmap is a numpy array")
-def test_dcc_scratch_bitmap_is_reused_and_left_zeroed():
-    import numpy as np
-
+@requires_kernel
+def test_dcc_scratch_is_reused_and_left_zeroed():
     graph = torus_grid(20, 20)
     scratch = dcc_mod.DCCScratch(graph.n)
     first = dcc_mod.detect_dccs(graph, 2, scratch=scratch)
-    bitmap = scratch.bitmap(np)
-    assert not bitmap.any()
+    buffers = scratch.kernel_buffers()
+    deg = buffers[0]
+    assert not any(deg) and not any(scratch.mask)
+    assert not any(scratch.scratch[0]) and not any(scratch.scratch[1])
     second = dcc_mod.detect_dccs(graph, 2, scratch=scratch)
-    assert scratch.bitmap(np) is bitmap
-    assert first.dccs == second.dccs and first.selected_by == second.selected_by
+    assert scratch.kernel_buffers() is buffers
+    assert_same_detection(first, second)
