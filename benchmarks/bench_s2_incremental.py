@@ -18,7 +18,7 @@ validity-asserted.  Three probes:
   the digest chain (every child names its parent; replaying an update
   hits the cache), and child-coloring validity.
 * ``sustained`` — :func:`repro.analysis.harness.sustained_update_stream`:
-  one long-lived engine on the dynamic (updatable-CSR) backend absorbs
+  one long-lived engine, every delta in place on its updatable CSR, absorbs
   thousands of alternating insert/delete ops at n=10⁵ with per-op
   dirty-region validation; must hold **≥ 10⁴ ops/sec**.
 * ``tcp_update`` — functional check of the wire protocol on a small

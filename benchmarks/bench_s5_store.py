@@ -101,9 +101,7 @@ def run_populate(port, graphs, *, roots, chain_length, n, delta, seed) -> dict:
             base = full.apply_updates(removed=matching)
             parent = client.solve(base, seed=seed).fingerprint
             for step in range(chain_length):
-                reply = client.update(
-                    parent, edges_added=[matching[step]], backend="dynamic"
-                )
+                reply = client.update(parent, edges_added=[matching[step]])
                 parent = reply.fingerprint
             chains.append(
                 {
@@ -146,7 +144,6 @@ def run_warm_phase(port, graphs, populate: dict, *, seed) -> dict:
                 reply = client.update(
                     chain["head"],
                     edges_added=[tuple(chain["next_delta"])],
-                    backend="dynamic",
                 )
             except StaleParentError:
                 stale += 1

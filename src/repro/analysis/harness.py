@@ -440,17 +440,16 @@ def sustained_update_stream(
     matching_size: int = 256,
     seed: int = 0,
     validate: bool = True,
-    backend: str = "dynamic",
     algorithm: str = "randomized-large",
 ) -> dict:
     """Sustained update throughput on one long-lived engine.
 
     The complement of :func:`incremental_update_sweep`: instead of one
-    facade call per measurement (engine setup, fresh immutable graph,
-    result marshalling — the *service* path), a single
+    facade call per measurement (engine setup, child snapshot, result
+    marshalling — the *service* path), a single
     :class:`repro.core.incremental.IncrementalColoring` engine absorbs a
     long alternating insert/delete stream over a carved matching — the
-    *streaming* path the dynamic backend exists for.  Matching edges
+    *streaming* path, every delta in place.  Matching edges
     keep Δ fixed by construction (see :func:`carve_matching`), so no op
     forces a full re-solve and every op exercises exactly the in-place
     delta + conflict-repair machinery, with per-op dirty-region
@@ -474,11 +473,10 @@ def sustained_update_stream(
         base,
         parent,
         config=config.without_observer(),
-        backend=backend,
         validate=validate,
     )
-    # One untimed round trip warms the stream: backend conversion,
-    # adjacency caches, the engine's registry lookup.
+    # One untimed round trip warms the stream: the first relocation of
+    # the touched rows, the engine's registry lookup.
     engine.insert_edge(*matching[0])
     engine.delete_edge(*matching[0])
     inserted = [False] * len(matching)
@@ -501,7 +499,6 @@ def sustained_update_stream(
         "n": n,
         "delta": delta,
         "ops": ops,
-        "backend": backend,
         "validate": validate,
         "matching_size": matching_size,
         "elapsed_s": round(elapsed, 6),

@@ -10,6 +10,13 @@ of re-spawning workers per point).
 Determinism: a solve is a pure function of ``(graph, config)`` — workers
 only change scheduling, never results, so ``solve_many(workers=4)`` is
 bit-identical to ``workers=1``.
+
+:func:`solve_incremental` and :func:`apply_incremental` repair instead
+of re-solving.  Both run the one update path of
+:mod:`repro.core.incremental`: the engine adopts the graph into a
+:class:`repro.graphs.dynamic.DynamicGraph` and applies each delta in
+place; ``solve_incremental`` additionally hands back the child graph as
+the engine's compacted snapshot.
 """
 
 from __future__ import annotations
@@ -132,9 +139,10 @@ def solve_incremental(
     conflicts the delta created are repaired through the incremental
     ladder (greedy free color → Theorem 5 token walk → full re-solve;
     see :mod:`repro.core.incremental`).  ``parent`` must be a result for
-    ``graph`` itself (the *pre-update* instance); the child graph is
-    built internally via :meth:`repro.graphs.Graph.apply_updates` and
-    returned alongside the result so callers can chain updates.
+    ``graph`` itself (the *pre-update* instance, never mutated); the
+    engine adopts it, applies the delta in place and returns the child
+    graph (its compacted snapshot) alongside the result so callers can
+    chain updates.
 
     ``config`` (plus ``overrides``) governs validation and the full
     re-solve fallback — by default ``algorithm="auto"`` with the parent's

@@ -27,31 +27,20 @@ Deletions never create conflicts (removing constraints preserves
 properness), so they are O(delta-application) unless they lower Δ —
 a *smaller* palette contract — which forces a resolve.
 
-**Graph backends.**  Delta application has two modes, selected by the
-``backend`` parameter:
-
-* ``"immutable"`` — every op builds a fresh :class:`repro.graphs.Graph`
-  via :meth:`Graph.apply_updates` (touched-rows CSR rewrite, O(n + m)
-  buffer copies).  The engine never mutates a caller's graph, and
-  ``engine.graph`` keeps its identity semantics — a rejected op leaves
-  the *same object* in place.
-* ``"dynamic"`` — the engine owns a
-  :class:`repro.graphs.dynamic.DynamicGraph` (slack-padded updatable
-  CSR) and applies deltas **in place**, O(Δ) per touched row.  This is
-  the streaming mode: ~μs delta application independent of n.
-* ``"auto"`` (default) — start immutable, convert to an owned dynamic
-  copy once the stream proves itself (two accepted ops).  One-shot
-  facade calls (:func:`repro.api.solve_incremental`) stay on the
-  immutable path and hand out ordinary graphs; sustained streams pay
-  one O(n + m) conversion and then update in place.
-
-In dynamic mode the engine still never mutates caller state: the
-conversion copies, and ``engine.graph`` returns an immutable
-:meth:`~repro.graphs.dynamic.DynamicGraph.snapshot` (cached until the
-next mutation — cheap at stream end, O(n + m) if read every op; use
+**One update path.**  The engine adopts its graph into a
+:class:`repro.graphs.dynamic.DynamicGraph` at construction — one copy of
+the CSR indices, every row at exact size, well under a millisecond at
+n=32768 — and applies every delta **in place**, O(Δ) per touched row.
+The caller's graph is never mutated.  ``engine.graph`` returns an
+immutable :meth:`~repro.graphs.dynamic.DynamicGraph.snapshot`: the
+caller's own graph until the first accepted op, afterwards a compacted
+copy cached until the next mutation (O(n + m) if read every op; use
 ``colors_view()`` / ``last_dirty_region`` for per-op monitoring).
-Rejected and failed ops roll back both structures exactly: the graph
-via the delta undo log, the colors via the store journal.
+Rejected and failed ops roll back both structures exactly: the graph via
+the delta undo log (which also restores the cached snapshot, so
+``engine.graph`` keeps its identity), the colors via the store journal.
+The ``backend`` constructor argument is accepted for compatibility and
+ignored.
 
 Every op returns an :class:`UpdateOutcome` with repair-locality stats
 (`recolored_count`, `max_repair_radius`, charged LOCAL `rounds`, the
@@ -96,10 +85,7 @@ from repro.graphs.validation import (
     validate_coloring_region,
 )
 
-__all__ = ["IncrementalColoring", "UpdateOutcome"]
-
-#: Accepted ops after which ``backend="auto"`` converts to dynamic.
-AUTO_CONVERT_AFTER = 2
+__all__ = ["IncrementalColoring", "UpdateOutcome", "check_delta"]
 
 #: Batch size above which membership probes switch from per-edge row
 #: scans to touched-row sets built once.
@@ -167,8 +153,8 @@ class IncrementalColoring:
     Parameters
     ----------
     graph:
-        The current instance (never mutated; updates either swap in new
-        graphs or mutate an engine-owned dynamic copy).
+        The current instance (never mutated; the engine adopts it into
+        an owned :class:`repro.graphs.dynamic.DynamicGraph`).
     colors:
         A valid coloring of ``graph`` with colors in ``1..palette``
         (validated at construction unless ``validate_seed=False``).
@@ -184,9 +170,7 @@ class IncrementalColoring:
         The :class:`repro.api.SolverConfig` used for full re-solves
         (default: ``algorithm="auto"`` with ``seed``).
     backend:
-        Delta-application mode: ``"auto"`` (immutable until the stream
-        proves itself, then dynamic), ``"dynamic"`` (convert at
-        construction), ``"immutable"`` (never convert).
+        Accepted for compatibility and ignored: there is one update path.
     allow_resolve:
         When False, updates that would need a full re-solve (Δ changes)
         raise :class:`repro.errors.DeltaChangeError` instead, leaving the
@@ -215,11 +199,9 @@ class IncrementalColoring:
         validate: bool = False,
         validate_seed: bool = True,
     ):
-        if backend not in ("auto", "dynamic", "immutable"):
-            raise ValueError(f"unknown IncrementalColoring backend: {backend!r}")
-        self._graph = graph
+        self._graph = DynamicGraph.from_graph(graph)
         self._colors = ColorStore(colors)
-        self._delta = graph.max_degree()
+        self._delta = self._graph.max_degree()
         self.palette = palette if palette is not None else self._delta
         self.algorithm = algorithm
         self.seed = seed
@@ -227,16 +209,11 @@ class IncrementalColoring:
         # (may legitimately be None when the seeding result's was); the
         # engine's own ``seed`` stays an int for the re-solve config.
         self.result_seed: int | None = seed
-        self.backend = backend
         self.allow_resolve = allow_resolve
         self.validate = validate
         self._config = config
         self._last_dirty: list[int] | None = []
-        self._is_dynamic = isinstance(graph, DynamicGraph)
         self._supports_inc: tuple[str, bool] | None = None
-        if backend == "dynamic" and not self._is_dynamic:
-            self._graph = DynamicGraph.from_graph(graph)
-            self._is_dynamic = True
         if validate_seed:
             validate_coloring(graph, self._colors, max_colors=self.palette or None)
         self.totals: dict[str, Any] = {
@@ -268,13 +245,11 @@ class IncrementalColoring:
 
     @property
     def graph(self) -> Graph:
-        """The current graph.  On the immutable path this is the exact
-        object last committed (identity-stable across rejected ops); on
-        the dynamic path, an immutable snapshot of the owned dynamic
-        graph, cached until the next mutation."""
-        if self._is_dynamic:
-            return self._graph.snapshot()
-        return self._graph
+        """The current graph: an immutable snapshot of the owned dynamic
+        graph — the caller's graph until the first accepted op, then a
+        compacted copy cached until the next mutation.  Rejected ops
+        leave the same object in place."""
+        return self._graph.snapshot()
 
     @property
     def colors(self) -> list[int]:
@@ -294,8 +269,8 @@ class IncrementalColoring:
     @property
     def n(self) -> int:
         """Node count of the current graph, without snapshotting it
-        (``engine.graph`` on the dynamic path is an O(n + m) copy; the
-        service's admission control only needs the size)."""
+        (``engine.graph`` after a mutation is an O(n + m) compaction;
+        the service's admission control only needs the size)."""
         return self._graph.n
 
     @property
@@ -321,11 +296,9 @@ class IncrementalColoring:
         return list(dirty) if dirty is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        mode = "dynamic" if self._is_dynamic else "immutable"
         return (
             f"IncrementalColoring(n={self._graph.n}, m={self._graph.num_edges}, "
-            f"Δ={self._delta}, palette={self.palette}, ops={self.totals['ops']}, "
-            f"backend={mode})"
+            f"Δ={self._delta}, palette={self.palette}, ops={self.totals['ops']})"
         )
 
     # -- operations --------------------------------------------------------
@@ -356,22 +329,11 @@ class IncrementalColoring:
         removed: list[tuple[int, int]],
     ) -> UpdateOutcome:
         started = time.perf_counter()
-        if (
-            self.backend == "auto"
-            and not self._is_dynamic
-            and self.totals["ops"] >= AUTO_CONVERT_AFTER
-        ):
-            # The stream proved itself: own a dynamic copy from here on.
-            self._graph = DynamicGraph.from_graph(self._graph)
-            self._is_dynamic = True
-        self._validate_delta(added, removed)
+        check_delta(self._graph, added, removed)
         outcome = UpdateOutcome(
             op=op, edges_added=len(added), edges_removed=len(removed)
         )
-        if self._is_dynamic:
-            dirty = self._apply_dynamic(added, removed, outcome)
-        else:
-            dirty = self._apply_immutable(added, removed, outcome)
+        dirty = self._apply_delta(added, removed, outcome)
         self._last_dirty = sorted(dirty) if dirty is not None else None
         outcome.delta = self._delta
         outcome.palette = self.palette
@@ -389,50 +351,7 @@ class IncrementalColoring:
         self._accumulate(outcome)
         return outcome
 
-    def _apply_immutable(
-        self,
-        added: list[tuple[int, int]],
-        removed: list[tuple[int, int]],
-        outcome: UpdateOutcome,
-    ) -> set[int] | None:
-        """Delta via :meth:`Graph.apply_updates`: a fresh graph object,
-        committed only on success — rejections leave the old identity."""
-        graph = self._graph
-        new_graph = graph.apply_updates(added, removed)
-        new_delta = new_graph.max_degree()
-        store = self._colors
-        dirty: set[int] | None = {v for edge in added for v in edge}
-        if self._delta_moved(new_delta):
-            self._resolve(new_graph, outcome, reason=f"delta {self._delta}->{new_delta}")
-            return None
-        conflicts = [
-            (u, v)
-            for u, v in added
-            if store[u] == store[v] and store[u] != UNCOLORED
-        ]
-        outcome.conflicts = len(conflicts)
-        if conflicts and not self._spec_supports_incremental():
-            self._resolve(new_graph, outcome, reason="algorithm-unsupported")
-            return None
-        if conflicts:
-            uncolor = self._minimal_uncolor_set(conflicts, new_graph)
-            store.begin()
-            try:
-                self._repair(new_graph, store, uncolor, outcome)
-            except ReproError:
-                # Repair stalled (e.g. the delta carved out a clique
-                # component): last rung of the ladder.
-                store.rollback()
-                self._resolve(new_graph, outcome, reason="repair-stalled")
-                return None
-            changed = store.commit()
-            outcome.recolored_count = len(changed)
-            dirty.update(changed)
-        self._graph = new_graph
-        self._delta = new_delta
-        return dirty
-
-    def _apply_dynamic(
+    def _apply_delta(
         self,
         added: list[tuple[int, int]],
         removed: list[tuple[int, int]],
@@ -440,8 +359,9 @@ class IncrementalColoring:
     ) -> set[int] | None:
         """Delta in place on the owned :class:`DynamicGraph`: O(Δ) per
         touched row.  Failures after mutation undo the delta and roll
-        back the color journal, so rejections stay exact."""
-        dyn: DynamicGraph = self._graph
+        back the color journal, so rejections stay exact (down to the
+        identity of ``engine.graph``)."""
+        dyn = self._graph
         store = self._colors
         new_delta = dyn.delta_after(added, removed)
         resolve_reason: str | None = None
@@ -468,7 +388,7 @@ class IncrementalColoring:
         undo = dyn.apply_delta(added, removed, record_undo=True, _validated=True)
         try:
             if resolve_reason is not None:
-                self._resolve(dyn, outcome, reason=resolve_reason)
+                self._resolve(outcome, reason=resolve_reason)
                 return None
             dirty: set[int] | None = {v for edge in added for v in edge}
             if conflicts:
@@ -481,7 +401,7 @@ class IncrementalColoring:
                     # Repair stalled: last rung of the ladder (raises
                     # DeltaChangeError under allow_resolve=False, which
                     # the outer handler turns into an exact rollback).
-                    self._resolve(dyn, outcome, reason="repair-stalled")
+                    self._resolve(outcome, reason="repair-stalled")
                     return None
                 changed = store.commit()
                 outcome.recolored_count = len(changed)
@@ -504,82 +424,6 @@ class IncrementalColoring:
         return (
             new_delta != self._delta and self.palette == self._delta
         ) or new_delta > self.palette
-
-    def _validate_delta(
-        self, added: list[tuple[int, int]], removed: list[tuple[int, int]]
-    ) -> None:
-        """The typed rejection contract, checked **before any mutation**.
-
-        Presence and batch-consistency violations get typed errors
-        (:class:`EdgeNotPresentError`, :class:`EdgeAlreadyPresentError`,
-        :class:`ConflictingUpdateError`); range errors and self-loops
-        keep their :class:`repro.errors.GraphError` identity from the
-        graph layer.  For batches past a few edges, membership probes
-        run against touched-row sets built once instead of re-scanning
-        a neighbour row per edge.
-        """
-        graph = self._graph
-        n = graph.n
-        if len(added) + len(removed) > MEMBERSHIP_SET_THRESHOLD:
-            rows: dict[int, set[int]] = {}
-            for u, v in added:
-                if 0 <= u < n and u not in rows:
-                    rows[u] = set(graph.neighbors_csr(u))
-            for u, v in removed:
-                if 0 <= u < n and u not in rows:
-                    rows[u] = set(graph.neighbors_csr(u))
-
-            def present(u: int, v: int) -> bool:
-                return v in rows[u]
-        else:
-
-            def present(u: int, v: int) -> bool:
-                return v in graph.neighbors_csr(u)
-
-        # Batch self-consistency first: a batch that names the same key
-        # twice is contradictory no matter what the graph holds, so the
-        # consistency error must win over any presence error.
-        removed_keys: set[tuple[int, int]] = set()
-        for u, v in removed:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise EdgeNotPresentError(
-                    f"cannot delete edge ({u}, {v}): already deleted in this batch"
-                )
-            removed_keys.add(key)
-        added_keys: set[tuple[int, int]] = set()
-        for u, v in added:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise ConflictingUpdateError(
-                    f"edge ({u}, {v}) appears in both added and removed"
-                )
-            if key in added_keys:
-                raise EdgeAlreadyPresentError(
-                    f"cannot insert edge ({u}, {v}): already present"
-                )
-            added_keys.add(key)
-        # Then presence against the live graph.
-        for u, v in removed:
-            if not (0 <= u < n and 0 <= v < n) or not present(u, v):
-                raise EdgeNotPresentError(
-                    f"cannot delete edge ({u}, {v}): not present"
-                )
-        for u, v in added:
-            if 0 <= u < n and 0 <= v < n and u != v and present(u, v):
-                raise EdgeAlreadyPresentError(
-                    f"cannot insert edge ({u}, {v}): already present"
-                )
-        # Range errors and self-loops keep their GraphError identity from
-        # the graph layer; on the immutable path Graph.apply_updates
-        # re-checks them anyway, on the dynamic path this pass is what
-        # lets apply_delta skip its own validation (_validated=True).
-        if self._is_dynamic:
-            for u, v in added:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise GraphError(f"self-loop at node {u} is not allowed")
 
     def _spec_supports_incremental(self) -> bool:
         cached = self._supports_inc
@@ -674,16 +518,13 @@ class IncrementalColoring:
                 "token-walk", time.perf_counter() - rung_started
             )
 
-    def _resolve(
-        self, graph: Graph, outcome: UpdateOutcome, reason: str
-    ) -> None:
-        """Rung 3: full re-solve of the new graph through the facade.
+    def _resolve(self, outcome: UpdateOutcome, reason: str) -> None:
+        """Rung 3: full re-solve of the (already mutated) graph through
+        the facade.
 
-        ``graph`` is either the fresh immutable graph (committed here) or
-        the engine's own already-mutated :class:`DynamicGraph` (solved
-        via its snapshot).  The color store must hold the *pre-op*
-        coloring (callers roll back partial repairs first) so the
-        recolored count is a true pre/post diff.
+        The color store must hold the *pre-op* coloring (callers roll
+        back partial repairs first) so the recolored count is a true
+        pre/post diff.
         """
         if not self.allow_resolve:
             raise DeltaChangeError(
@@ -695,9 +536,8 @@ class IncrementalColoring:
         config = self._config
         if config is None:
             config = SolverConfig(algorithm="auto", seed=self.seed)
-        solvable = graph.snapshot() if isinstance(graph, DynamicGraph) else graph
         rung_started = time.perf_counter()
-        result = solve(solvable, config)
+        result = solve(self._graph.snapshot(), config)
         outcome.charge_rung_wall("resolve", time.perf_counter() - rung_started)
         outcome.full_resolve = True
         outcome.resolve_reason = reason
@@ -707,8 +547,7 @@ class IncrementalColoring:
         self.algorithm = result.algorithm
         self.palette = result.palette
         store.replace(result.colors)
-        self._graph = graph
-        self._delta = graph.max_degree()
+        self._delta = self._graph.max_degree()
 
     def _accumulate(self, outcome: UpdateOutcome) -> None:
         totals = self.totals
@@ -726,3 +565,73 @@ class IncrementalColoring:
             totals["repair_modes"][mode] = (
                 totals["repair_modes"].get(mode, 0) + count
             )
+
+
+def check_delta(
+    graph: Graph,
+    added: list[tuple[int, int]],
+    removed: list[tuple[int, int]],
+) -> None:
+    """The typed rejection contract of an edge delta against ``graph``.
+
+    Presence and batch-consistency violations get typed errors
+    (:class:`EdgeNotPresentError`, :class:`EdgeAlreadyPresentError`,
+    :class:`ConflictingUpdateError`); out-of-range endpoints and
+    self-loops among the added edges raise :class:`GraphError`.  The
+    engine runs it before any mutation, and the service client runs it
+    before its stale-parent fallback re-solve, so a bad delta raises the
+    same error type on both paths.  For batches past a few edges,
+    membership probes run against touched-row sets built once instead of
+    re-scanning a neighbour row per edge.
+    """
+    n = graph.n
+    if len(added) + len(removed) > MEMBERSHIP_SET_THRESHOLD:
+        rows: dict[int, set[int]] = {}
+        for u, v in added + removed:
+            if 0 <= u < n and u not in rows:
+                rows[u] = set(graph.neighbors_csr(u))
+
+        def present(u: int, v: int) -> bool:
+            return v in rows[u]
+    else:
+
+        def present(u: int, v: int) -> bool:
+            return v in graph.neighbors_csr(u)
+
+    # Batch self-consistency first: a batch that names the same key twice
+    # is contradictory no matter what the graph holds, so the consistency
+    # error must win over any presence error.
+    removed_keys: set[tuple[int, int]] = set()
+    for u, v in removed:
+        key = (u, v) if u < v else (v, u)
+        if key in removed_keys:
+            raise EdgeNotPresentError(
+                f"cannot delete edge ({u}, {v}): already deleted in this batch"
+            )
+        removed_keys.add(key)
+    added_keys: set[tuple[int, int]] = set()
+    for u, v in added:
+        key = (u, v) if u < v else (v, u)
+        if key in removed_keys:
+            raise ConflictingUpdateError(
+                f"edge ({u}, {v}) appears in both added and removed"
+            )
+        if key in added_keys:
+            raise EdgeAlreadyPresentError(
+                f"cannot insert edge ({u}, {v}): already present"
+            )
+        added_keys.add(key)
+    # Then presence against the live graph.
+    for u, v in removed:
+        if not (0 <= u < n and 0 <= v < n) or not present(u, v):
+            raise EdgeNotPresentError(f"cannot delete edge ({u}, {v}): not present")
+    for u, v in added:
+        if 0 <= u < n and 0 <= v < n and u != v and present(u, v):
+            raise EdgeAlreadyPresentError(
+                f"cannot insert edge ({u}, {v}): already present"
+            )
+    for u, v in added:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at node {u} is not allowed")

@@ -1,57 +1,59 @@
-"""Updatable CSR: slack-padded neighbour rows with in-place edge updates.
+"""Updatable CSR: the one in-place edge-update path.
 
-:class:`repro.graphs.graph.Graph` treats instances as immutable — every
-edge delta builds a *new* graph, and even the touched-rows-only rewrite
-of :meth:`Graph.apply_updates` pays O(n + m) buffer copies per update.
-That is the right trade for snapshot workloads (the service caches and
-fingerprints immutable instances), but it is the latency floor of the
-*streaming* workload: a single-edge update against a long-lived
-:class:`repro.core.incremental.IncrementalColoring` engine should cost
-O(Δ), not O(n + m).
+:class:`repro.graphs.graph.Graph` is immutable: its CSR buffers are
+never written after construction, which is what lets the service cache
+and fingerprint instances.  :class:`DynamicGraph` is the representation
+every edge delta goes through — the incremental engine's streams and
+:meth:`Graph.apply_updates` alike.  It keeps the CSR discipline (one
+flat native-int data buffer, one start offset per row) but lets rows
+move and grow so edges insert and delete **in place**:
 
-:class:`DynamicGraph` is the streaming-native representation.  It keeps
-the CSR discipline — one flat native-int data buffer, one start offset
-per row — but pads every row to a power-of-two capacity so edges insert
-and delete **in place**:
-
+* :meth:`DynamicGraph.from_graph` **adopts** a graph's CSR as-is: the
+  data buffer is one copy of the indices, every row sits at exact size
+  (no slack), and the graph itself stays the cached ``csr()`` /
+  :meth:`~DynamicGraph.snapshot` until the first mutation — adopting an
+  n=32768 graph costs well under a millisecond, so nothing needs a
+  second update path;
 * ``apply_delta(added, removed)`` mutates only the touched rows: an
   insert appends into the row's slack (amortized O(1)); a delete shifts
   the row left (O(deg), preserving neighbour order so downstream seeded
-  algorithms behave identically to the immutable path);
-* a row out of slack is **relocated** to the tail of the data buffer
-  with doubled capacity, leaving a hole; when holes exceed a third of
-  the buffer an amortized **compaction** rebuilds the storage with
-  fresh power-of-two capacities (a relocation leaves ``old_cap`` holes
-  but appends ``≥ 2·old_cap`` fresh slots, so holes can approach but
-  never reach half the buffer — one third is the reachable trigger);
+  algorithms see the same rows a from-scratch build would give);
+* a row out of slack — every adopted row on its first insert — is
+  **relocated** to the tail of the data buffer with power-of-two
+  capacity, leaving a hole; when holes exceed a third of the buffer an
+  amortized **compaction** rebuilds the storage with padded capacities
+  (a relocation leaves ``old_cap`` holes but appends ``≥ 2·old_cap``
+  fresh slots, so holes can approach but never reach half the buffer —
+  one third is the reachable trigger);
 * a degree histogram is maintained per op, so ``max_degree()`` — which
   the incremental engine consults on *every* update to police the
   Δ-coloring contract — is O(1) instead of O(n);
 * ``apply_delta(..., record_undo=True)`` returns an undo token that
-  restores the exact pre-delta rows (content, not layout), which is how
-  the engine keeps its "typed rejections leave state untouched" promise
-  even for failures discovered after mutation.
+  restores the exact pre-delta rows (content, not layout) and the
+  pre-delta cached snapshot, which is how the engine keeps its "typed
+  rejections leave state untouched" promise — down to the identity of
+  the graph it hands out — even for failures discovered after mutation.
 
 ``DynamicGraph`` subclasses :class:`Graph`, so everything written
 against the immutable interface keeps working: ``csr()`` compacts the
-padded rows into a classic ``(offsets, indices)`` pair on demand (cached
-until the next mutation; the compaction itself runs vectorized on numpy
-with a bit-identical pure-Python fallback), ``adj`` / ``has_edge`` /
+rows into a classic ``(offsets, indices)`` pair on demand (cached until
+the next mutation; the compaction itself runs vectorized on numpy with
+a bit-identical pure-Python fallback), ``adj`` / ``has_edge`` /
 ``subgraph`` read through the live rows, and :meth:`snapshot` emits an
 immutable :class:`Graph` sharing the compacted buffers — safe to hand to
 caches and solvers because mutation never writes into a compacted
 buffer, it only abandons it.
 
-Equivalence contract (pinned by ``tests/test_dynamic_graph.py``): after
-any sequence of deltas, ``csr()`` is **bit-identical** to the immutable
-graph produced by folding the same deltas through
-:meth:`Graph.apply_updates` — same offsets, same indices, same neighbour
-order.
+Row-order contract (pinned by ``tests/test_dynamic_graph.py`` against a
+naive list-of-rows model and from-scratch builds): a removal drops the
+neighbour and keeps the rest of the row in order, an insertion appends;
+removals apply before insertions within one delta.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Iterable
 
 from repro.errors import GraphError
@@ -59,8 +61,11 @@ from repro.graphs.graph import Graph
 
 __all__ = ["DynamicGraph", "DeltaUndo"]
 
-#: Smallest per-row capacity (slots); rows never shrink below this.
+#: Smallest capacity (slots) of a relocated or compacted row.
 MIN_ROW_SLOTS = 4
+
+#: Graphs of at least this many nodes adopt and compact on numpy.
+VECTOR_MIN_NODES = 512
 
 
 def _row_capacity(deg: int, min_slots: int = MIN_ROW_SLOTS) -> int:
@@ -69,15 +74,41 @@ def _row_capacity(deg: int, min_slots: int = MIN_ROW_SLOTS) -> int:
     return max(min_slots, 1 << (need - 1).bit_length())
 
 
+def _adopt_vectorized(offsets: array, n: int):
+    """Row starts, row lengths and the degree histogram of a CSR offsets
+    buffer, on numpy; None without numpy (the caller falls back to
+    :func:`_adopt_python`, which returns the same triple)."""
+    np = _numpy()
+    if np is None:
+        return None
+    offs = np.frombuffer(offsets, dtype=np.int32)
+    # Written straight into the arrays' own buffers: no temporaries.
+    starts = array("q", bytes(8 * n))
+    lens = array("i", bytes(4 * n))
+    np.frombuffer(starts, dtype=np.int64)[:] = offs[:n]
+    lens_view = np.frombuffer(lens, dtype=np.int32)
+    np.subtract(offs[1:], offs[:-1], out=lens_view)
+    counts = np.bincount(lens_view)
+    hist = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
+    return starts, lens, hist
+
+
+def _adopt_python(offsets: array, n: int):
+    """Pure-Python twin of :func:`_adopt_vectorized`."""
+    lens = array("i", [offsets[v + 1] - offsets[v] for v in range(n)])
+    return array("q", offsets[:n]), lens, dict(Counter(lens))
+
+
 class DeltaUndo:
     """Opaque token restoring a :class:`DynamicGraph` to its pre-delta rows.
 
     Captures row *contents* (not storage positions): relocation or
     compaction between capture and restore is irrelevant, the logical
-    graph comes back bit-identical.
+    graph comes back bit-identical.  The pre-delta cached snapshot rides
+    along, so a rolled-back delta hands out the same graph object again.
     """
 
-    __slots__ = ("rows", "num_edges", "deg_hist", "max_deg")
+    __slots__ = ("rows", "num_edges", "deg_hist", "max_deg", "snapshot")
 
     def __init__(
         self,
@@ -85,21 +116,23 @@ class DeltaUndo:
         num_edges: int,
         deg_hist: dict[int, int],
         max_deg: int,
+        snapshot: Graph | None,
     ):
         self.rows = rows
         self.num_edges = num_edges
         self.deg_hist = deg_hist
         self.max_deg = max_deg
+        self.snapshot = snapshot
 
 
 class DynamicGraph(Graph):
     """A simple undirected graph with in-place edge updates.
 
     Build one with :meth:`from_graph` (the usual route: adopt a solved
-    immutable instance into streaming mode) or ``DynamicGraph(n, edges)``.
-    The mutating API is :meth:`apply_delta` / :meth:`insert_edge` /
-    :meth:`delete_edge`; everything else is the read-only :class:`Graph`
-    interface, answered from the live padded rows.
+    immutable instance) or ``DynamicGraph(n, edges)``.  The mutating API
+    is :meth:`apply_delta` / :meth:`insert_edge` / :meth:`delete_edge`;
+    everything else is the read-only :class:`Graph` interface, answered
+    from the live rows.
     """
 
     __slots__ = (
@@ -118,63 +151,44 @@ class DynamicGraph(Graph):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), *,
                  min_slots: int = MIN_ROW_SLOTS):
-        base = Graph(n, edges)
-        offsets, indices = base.csr()
-        self._adopt_csr(n, offsets, indices, base.num_edges, min_slots)
+        self._adopt(Graph(n, edges), min_slots)
 
     @classmethod
     def from_graph(cls, graph: Graph, *, min_slots: int = MIN_ROW_SLOTS) -> "DynamicGraph":
-        """A dynamic copy of ``graph`` (row order preserved exactly)."""
+        """Adopt ``graph``'s CSR as-is: one copy of the indices buffer,
+        every row at exact size, ``graph`` itself as the cached snapshot
+        until the first mutation.  ``graph`` is never written to."""
         dyn = cls.__new__(cls)
-        offsets, indices = graph.csr()
-        dyn._adopt_csr(graph.n, offsets, indices, graph.num_edges, min_slots)
+        dyn._adopt(graph, min_slots)
         return dyn
 
-    def _adopt_csr(
-        self, n: int, offsets: array, indices: array, num_edges: int,
-        min_slots: int,
-    ) -> None:
+    def _adopt(self, graph: Graph, min_slots: int) -> None:
+        graph = graph.snapshot() if isinstance(graph, DynamicGraph) else graph
+        n = graph.n
+        offsets, indices = graph.csr()
+        parts = _adopt_vectorized(offsets, n) if n >= VECTOR_MIN_NODES else None
+        starts, lens, hist = parts if parts is not None else _adopt_python(offsets, n)
         self.n = n
-        self._num_edges = num_edges
+        self._num_edges = graph.num_edges
         self._min_slots = min_slots
-        lens = array("i", bytes(4 * n))
-        caps = array("i", bytes(4 * n))
-        starts = array("q", bytes(8 * n))
-        total = 0
-        for v in range(n):
-            deg = offsets[v + 1] - offsets[v]
-            lens[v] = deg
-            cap = _row_capacity(deg, min_slots)
-            caps[v] = cap
-            starts[v] = total
-            total += cap
-        data = array("i", bytes(4 * total))
-        for v in range(n):
-            deg = lens[v]
-            if deg:
-                s = starts[v]
-                data[s : s + deg] = indices[offsets[v] : offsets[v] + deg]
         self._starts = starts
         self._lens = lens
-        self._caps = caps
-        self._data = data
+        self._caps = lens[:]
+        self._data = indices[:]
         self._holes = 0
         self.relocations = 0
         self.compactions = 0
-        hist: dict[int, int] = {}
-        for v in range(n):
-            d = lens[v]
-            hist[d] = hist.get(d, 0) + 1
         self._deg_hist = hist
         self._dyn_max = max(hist) if hist else 0
-        # Graph base slots double as invalidatable caches here.
-        self._offsets = None
-        self._indices = None
+        # Graph base slots double as invalidatable caches here; until the
+        # first mutation the adopted graph answers csr() and snapshot().
+        self._offsets = offsets
+        self._indices = indices
         self._adj = None
         self._adj_sets = None
         self._max_degree = None
         self._min_degree = None
-        self._snapshot = None
+        self._snapshot = graph
 
     # -- cache discipline --------------------------------------------------
 
@@ -245,7 +259,7 @@ class DynamicGraph(Graph):
         the next mutation; never aliased by future mutations)."""
         if self._offsets is None:
             np = _numpy()
-            if np is not None and self.n >= 512:
+            if np is not None and self.n >= VECTOR_MIN_NODES:
                 self._offsets, self._indices = self._compact_numpy(np)
             else:
                 self._offsets, self._indices = self._compact_python()
@@ -268,21 +282,21 @@ class DynamicGraph(Graph):
         return offsets, indices
 
     def _compact_numpy(self, np) -> tuple[array, array]:
-        lens = np.frombuffer(self._lens, dtype=np.int32).astype(np.int64)
+        lens = np.frombuffer(self._lens, dtype=np.int32)
         starts = np.frombuffer(self._starts, dtype=np.int64)
         data = np.frombuffer(self._data, dtype=np.int32)
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        total = int(offsets[-1])
-        # Source index of every compacted slot: its row's padded start
-        # plus its offset within the row.
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), lens)
-        within = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lens)
-        gathered = data[starts[rows] + within]
-        return (
-            array("i", offsets.astype(np.int32).tobytes()),
-            array("i", gathered.astype(np.int32, copy=False).tobytes()),
-        )
+        # Both outputs are written in place into their final arrays.
+        offsets = array("i", bytes(4 * (self.n + 1)))
+        offs = np.frombuffer(offsets, dtype=np.int32)
+        np.cumsum(lens, out=offs[1:])
+        # Source index of every compacted slot: its row's shift (live
+        # start minus compacted start) plus the slot's own position.
+        source = np.repeat(starts - offs[:-1], lens)
+        source += np.arange(len(source), dtype=np.int64)
+        indices = array("i", [0]) * len(source)
+        if len(source):
+            np.take(data, source, out=np.frombuffer(indices, dtype=np.int32))
+        return offsets, indices
 
     def snapshot(self) -> Graph:
         """An immutable :class:`Graph` of the current state (cached until
@@ -294,14 +308,6 @@ class DynamicGraph(Graph):
             graph._max_degree = self._dyn_max
             self._snapshot = graph
         return self._snapshot
-
-    def apply_updates(
-        self,
-        added: Iterable[tuple[int, int]] = (),
-        removed: Iterable[tuple[int, int]] = (),
-    ) -> Graph:
-        """Immutable-style delta: a *new* graph, this one untouched."""
-        return self.snapshot().apply_updates(added, removed)
 
     # -- mutation ----------------------------------------------------------
 
@@ -323,12 +329,12 @@ class DynamicGraph(Graph):
     ) -> DeltaUndo | None:
         """Apply a whole delta **in place**: O(vol of touched rows).
 
-        Validation matches :meth:`Graph.apply_updates` exactly (raises
-        :class:`GraphError` with the same messages, state untouched):
-        endpoints in range, no self-loops, removed edges present, added
-        edges absent, no key repeated within the batch or appearing in
-        both lists.  All checks run before the first mutation, so a
-        raising call never leaves a partial delta behind.
+        Validation (raises :class:`GraphError`, state untouched):
+        endpoints in range, no self-loops, no key repeated within the
+        batch or appearing in both lists, removed edges present, added
+        edges absent — checked in that order.  All checks run before the
+        first mutation, so a raising call never leaves a partial delta
+        behind.
 
         With ``record_undo=True`` returns a :class:`DeltaUndo` token for
         :meth:`undo_delta`.  ``_validated`` skips the validation pass for
@@ -352,9 +358,10 @@ class DynamicGraph(Graph):
                 num_edges=self._num_edges,
                 deg_hist=dict(self._deg_hist),
                 max_deg=self._dyn_max,
+                snapshot=self._snapshot,
             )
-        # Removals first, then insertions, mirroring the per-row
-        # "drop then extend" order of Graph.apply_updates.
+        # Removals first, then insertions: each touched row keeps its
+        # order minus the removals, with the additions appended.
         for u, v in removed:
             self._row_remove(u, v)
             self._row_remove(v, u)
@@ -381,6 +388,9 @@ class DynamicGraph(Graph):
         self._dyn_max = undo.max_deg
         self._num_edges = undo.num_edges
         self._touch()
+        if undo.snapshot is not None:
+            self._snapshot = undo.snapshot
+            self._offsets, self._indices = undo.snapshot.csr()
 
     def delta_after(
         self,
@@ -427,7 +437,7 @@ class DynamicGraph(Graph):
     def _validate_delta(
         self, added: list[tuple[int, int]], removed: list[tuple[int, int]]
     ) -> None:
-        """The :meth:`Graph.apply_updates` validation contract, verbatim."""
+        """The graph-layer validation contract of :meth:`apply_delta`."""
         n = self.n
         for u, v in added + removed:
             if not (0 <= u < n and 0 <= v < n):
@@ -440,8 +450,6 @@ class DynamicGraph(Graph):
             if key in removed_keys:
                 raise GraphError(f"edge ({u}, {v}) removed twice in one update")
             removed_keys.add(key)
-            if not self.has_edge(u, v):
-                raise GraphError(f"cannot remove edge ({u}, {v}): not present")
         added_keys: set[tuple[int, int]] = set()
         for u, v in added:
             key = (u, v) if u < v else (v, u)
@@ -452,6 +460,10 @@ class DynamicGraph(Graph):
                     f"edge ({u}, {v}) both added and removed in one update"
                 )
             added_keys.add(key)
+        for u, v in removed:
+            if not self.has_edge(u, v):
+                raise GraphError(f"cannot remove edge ({u}, {v}): not present")
+        for u, v in added:
             if self.has_edge(u, v):
                 raise GraphError(f"cannot add edge ({u}, {v}): already present")
 

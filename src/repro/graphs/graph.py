@@ -34,6 +34,11 @@ memoryview of a neighbour row), :meth:`Graph.subgraph_view`
 (allocation-free masked view for "run on the remainder graph H" call
 sites), and :class:`GraphBuilder` (incremental construction for
 generators, with optional deduplication).
+
+Graphs are immutable.  Edge deltas have one implementation, the
+in-place :class:`repro.graphs.dynamic.DynamicGraph`, which adopts a
+graph's CSR as-is; :meth:`Graph.apply_updates` is a thin front door to
+it that returns the updated graph as a new immutable instance.
 """
 
 from __future__ import annotations
@@ -418,150 +423,27 @@ class Graph:
     ) -> "Graph":
         """A new graph with ``added`` edges inserted and ``removed`` deleted.
 
-        The delta application that backs the incremental-coloring engine
-        (:mod:`repro.core.incremental`): instead of re-running the full
-        constructor validation (three O(n + m) passes over an edge list
-        this graph already certified), only the *touched* neighbour rows
-        are checked and rewritten — untouched rows are copied between the
-        CSR buffers in bulk slices.  ``self`` is not mutated (graphs stay
-        immutable); the node set is fixed — updates never grow ``n``
-        (grow through :meth:`GraphBuilder.from_graph` instead).
+        ``self`` is adopted by a :class:`repro.graphs.dynamic.DynamicGraph`
+        (one copy of the indices buffer), the delta applies in place
+        there, and the compacted snapshot comes back — the same update
+        path the incremental engine runs.  ``self`` is not mutated; the
+        node set is fixed (grow through :meth:`GraphBuilder.from_graph`).
 
         Validation (raises :class:`GraphError`, leaving ``self`` usable):
-        endpoints in range, no self-loops, every removed edge must be
-        present, every added edge must be absent, no edge repeated
-        within the batch — including appearing in both lists at once (a
+        endpoints in range, no self-loops, no edge repeated within the
+        batch — including appearing in both lists at once (a
         remove-and-re-add is a no-op; spell it as two calls if the
-        intermediate version matters).
+        intermediate version matters) — every removed edge present and
+        every added edge absent.
 
-        Large deltas (more directed endpoints touched than remain
-        untouched) take a whole-buffer rebuild instead of span-by-span
-        copying — same result, better constants.
-
-        Row-order determinism: both internal paths produce the *same*
-        CSR buffers — every untouched row verbatim, every touched row in
-        its old order minus removals with additions appended in batch
-        order.  :class:`repro.graphs.dynamic.DynamicGraph` mirrors these
-        semantics in place, which is what makes "updatable CSR equals
-        immutable apply_updates, bit for bit" a testable contract.
+        Row order: every untouched row verbatim, every touched row in its
+        old order minus removals with additions appended in batch order.
         """
-        added = list(added)
-        removed = list(removed)
-        n = self.n
-        for u, v in added + removed:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-        to_remove: dict[int, set[int]] = {}
-        removed_keys: set[tuple[int, int]] = set()
-        for u, v in removed:
-            key = (u, v) if u < v else (v, u)
-            if key in removed_keys:
-                raise GraphError(f"edge ({u}, {v}) removed twice in one update")
-            removed_keys.add(key)
-            to_remove.setdefault(u, set()).add(v)
-            to_remove.setdefault(v, set()).add(u)
-        to_add: dict[int, list[int]] = {}
-        added_keys: set[tuple[int, int]] = set()
-        for u, v in added:
-            key = (u, v) if u < v else (v, u)
-            if key in added_keys:
-                raise GraphError(f"duplicate edge ({u}, {v}) in update batch")
-            if key in removed_keys:
-                raise GraphError(
-                    f"edge ({u}, {v}) both added and removed in one update"
-                )
-            added_keys.add(key)
-            to_add.setdefault(u, []).append(v)
-            to_add.setdefault(v, []).append(u)
-        offsets, indices = self._offsets, self._indices
-        # Presence checks scan only the touched rows (O(deg) each).
-        for u, v in removed:
-            if v not in indices[offsets[u] : offsets[u + 1]]:
-                raise GraphError(f"cannot remove edge ({u}, {v}): not present")
-        for u, v in added:
-            if v in indices[offsets[u] : offsets[u + 1]]:
-                raise GraphError(f"cannot add edge ({u}, {v}): already present")
-        touched = set(to_remove) | set(to_add)
-        touched_volume = sum(
-            offsets[v + 1] - offsets[v] for v in touched
-        ) + 2 * len(added)
-        new_m = self._num_edges + len(added) - len(removed)
-        new_offsets = self._shifted_offsets(n, offsets, touched, to_add, to_remove)
-        if touched_volume > len(indices) - touched_volume:
-            # Most of the volume moves anyway: rebuild every row in one
-            # pass (same row semantics as the span-copy path below, so
-            # the two branches stay bit-identical).
-            new_indices = array("i", bytes(4 * (2 * new_m)))
-            pos = 0
-            for v in range(n):
-                row_start, row_end = offsets[v], offsets[v + 1]
-                drop = to_remove.get(v)
-                if drop:
-                    row = [w for w in indices[row_start:row_end] if w not in drop]
-                else:
-                    row = indices[row_start:row_end].tolist()
-                row.extend(to_add.get(v, ()))
-                new_indices[pos : pos + len(row)] = array("i", row)
-                pos += len(row)
-            return Graph._from_csr(n, new_offsets, new_indices, new_m)
-        new_indices = array("i", bytes(4 * (2 * new_m)))
-        ordered = sorted(touched)
-        copy_from = 0  # source cursor (old buffer)
-        copy_to = 0  # destination cursor (new buffer)
-        for v in ordered:
-            row_start, row_end = offsets[v], offsets[v + 1]
-            if row_start > copy_from:  # bulk-copy the untouched span before v
-                span = row_start - copy_from
-                new_indices[copy_to : copy_to + span] = indices[copy_from:row_start]
-                copy_to += span
-            drop = to_remove.get(v)
-            if drop:
-                row = [w for w in indices[row_start:row_end] if w not in drop]
-            else:
-                row = indices[row_start:row_end].tolist()
-            row.extend(to_add.get(v, ()))
-            new_indices[copy_to : copy_to + len(row)] = array("i", row)
-            copy_to += len(row)
-            copy_from = row_end
-        if copy_from < len(indices):
-            new_indices[copy_to:] = indices[copy_from:]
-        return Graph._from_csr(n, new_offsets, new_indices, new_m)
+        from repro.graphs.dynamic import DynamicGraph
 
-    @staticmethod
-    def _shifted_offsets(
-        n: int,
-        offsets: array,
-        touched: set[int],
-        to_add: dict[int, list[int]],
-        to_remove: dict[int, "set[int]"],
-    ) -> array:
-        """Offsets of the updated CSR: old offsets plus the running degree
-        shift of the touched rows.
-
-        Small deltas touch a handful of rows but the shift still has to be
-        propagated across all ``n + 1`` offsets; that prefix sum runs on
-        numpy when available (the update path's last O(n) Python loop),
-        with a bit-identical plain loop otherwise.
-        """
-        try:
-            import numpy as np
-        except Exception:  # pragma: no cover - numpy-free environments
-            np = None
-        if np is not None and n >= 1024:
-            deltas = np.zeros(n + 1, dtype=np.int64)
-            for v in touched:
-                deltas[v + 1] = len(to_add.get(v, ())) - len(to_remove.get(v, ()))
-            shifted = np.frombuffer(offsets, dtype=np.int32) + np.cumsum(deltas)
-            return array("i", shifted.astype(np.int32).tobytes())
-        new_offsets = array("i", bytes(4 * (n + 1)))
-        shift = 0
-        for v in range(n):
-            if v in touched:
-                shift += len(to_add.get(v, ())) - len(to_remove.get(v, ()))
-            new_offsets[v + 1] = offsets[v + 1] + shift
-        return new_offsets
+        dyn = DynamicGraph.from_graph(self)
+        dyn.apply_delta(added, removed)
+        return dyn.snapshot()
 
     def validate_coloring_region(
         self,
@@ -704,10 +586,9 @@ class GraphBuilder:
     ) -> "GraphBuilder":
         """A builder pre-loaded with ``graph``'s edges (insertion order).
 
-        The bulk half of :meth:`Graph.apply_updates` and the escape hatch
-        for updates that must grow the node set.  ``skip_keys`` drops the
-        given ``(min, max)`` edge keys while copying — the caller promises
-        they exist (the update path validates presence first).
+        The escape hatch for updates that must grow the node set.
+        ``skip_keys`` drops the given ``(min, max)`` edge keys while
+        copying.
         """
         builder = cls(graph.n, dedup=dedup)
         us, vs, seen = builder._us, builder._vs, builder._seen

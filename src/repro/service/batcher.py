@@ -34,17 +34,15 @@ IncrementalColoring` engine from the stored graph + cached coloring;
 every further update **moves** that engine along the version chain
 (popped at the parent digest, delta applied in place via
 :func:`repro.api.apply_incremental`, re-stored at the child digest), so
-a long-lived stream pays the dynamic backend's in-place price instead
-of re-materializing an immutable child per op.  Child results are
-cached under version-chained digests exactly as before — the digests,
-colors, and stats are pinned bit-identical to the old path.
+a long-lived stream pays the in-place price per op and never
+re-materializes a child graph.  Child results are cached under
+version-chained digests.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -53,13 +51,11 @@ from repro.api.result import ColoringResult
 from repro.api.solver import SolverPool, apply_incremental, solve_many
 from repro.errors import ServiceOverloadedError, StaleParentError
 from repro.graphs.graph import Graph
-from repro.service.cache import ResultCache
 from repro.service.fingerprint import (
     config_fingerprint,
     request_fingerprint,
     update_fingerprint,
 )
-from repro.service.graphstore import GraphStore
 from repro.service.metrics import ServiceMetrics, error_kind
 from repro.service.storage import (
     StorageBundle,
@@ -172,12 +168,6 @@ class BatchingGateway:
         sheds *backlog*, proportionally to the work actually queued.
         ``None`` (the default) disables cost metering and admission is
         by request count alone.
-    cache / graph_store:
-        **Deprecated** since the storage API: pass ``storage=`` (a
-        config or a bundle) instead — see the migration table in
-        docs/API.md.  Still honoured, with a :class:`DeprecationWarning`:
-        the given instances are wrapped into an in-memory bundle, so
-        behavior is unchanged.
     tracer:
         The :class:`repro.obs.Tracer` child spans are recorded on
         (``gateway.cache_probe`` / ``gateway.coalesce_wait`` /
@@ -192,14 +182,12 @@ class BatchingGateway:
         self,
         workers: int = 1,
         *,
-        cache: ResultCache | None = None,
         metrics: ServiceMetrics | None = None,
         max_batch: int = 8,
         max_wait_s: float = 0.002,
         max_queue: int = 64,
         max_followers: int | None = None,
         max_cost: int | None = None,
-        graph_store: GraphStore | None = None,
         storage: "StorageConfig | StorageBundle | None" = None,
         tracer: Tracer | None = None,
     ):
@@ -212,23 +200,6 @@ class BatchingGateway:
         if max_cost is not None and max_cost < 1:
             raise ValueError(f"max_cost must be >= 1, got {max_cost}")
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        if cache is not None or graph_store is not None:
-            if storage is not None:
-                raise ValueError(
-                    "pass either storage= or the deprecated cache=/graph_store= "
-                    "kwargs, not both"
-                )
-            warnings.warn(
-                "BatchingGateway(cache=..., graph_store=...) is deprecated; "
-                "pass storage=StorageBundle(cache=..., graph_store=...) or a "
-                "StorageConfig (see docs/API.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            storage = StorageBundle(
-                cache=cache if cache is not None else ResultCache(),
-                graph_store=graph_store if graph_store is not None else GraphStore(),
-            )
         if storage is None:
             storage = StorageConfig()
         if isinstance(storage, StorageConfig):
@@ -503,7 +474,6 @@ class BatchingGateway:
         edges_removed: "list[tuple[int, int]]" = (),
         config: SolverConfig | None = None,
         *,
-        backend: str = "auto",
         parent_span=None,
     ) -> UpdateReply:
         """Resolve one edge-stream update against a cached parent.
@@ -519,14 +489,6 @@ class BatchingGateway:
         child result is cached under a version-chained digest
         (:func:`repro.service.fingerprint.update_fingerprint`) that is
         itself a valid ``parent_digest``.
-
-        ``backend`` picks the chain engine's delta-application mode when
-        one has to be *created* (``"auto"``, ``"dynamic"``,
-        ``"immutable"`` — see :class:`repro.core.incremental.
-        IncrementalColoring`); long-lived streaming clients pass
-        ``"dynamic"`` to skip the auto path's warm-up ops.  It never
-        enters the child digest: results are backend-equivalent by the
-        engine's pinned contract.
 
         Raises :class:`StaleParentError` when the parent is unknown
         (evicted, never solved here, or a chain head that already
@@ -639,7 +601,7 @@ class BatchingGateway:
                 from repro.core.incremental import IncrementalColoring
 
                 engine = IncrementalColoring.from_result(
-                    parent_graph, parent_result, config=config, backend=backend
+                    parent_graph, parent_result, config=config
                 )
             return apply_incremental(
                 engine, edges_added, edges_removed, config,
@@ -691,7 +653,7 @@ class BatchingGateway:
                 self.storage.wal.append(
                     update_record(
                         parent_digest, child_digest, edges_added, edges_removed,
-                        config, backend,
+                        config,
                     )
                 )
             self.cache.put(child_digest, updated.result)

@@ -29,10 +29,8 @@ from typing import Any
 
 from repro.api.config import SolverConfig
 from repro.api.result import ColoringResult
+from repro.core.incremental import check_delta
 from repro.errors import (
-    EdgeAlreadyPresentError,
-    EdgeNotPresentError,
-    GraphError,
     IncrementalUpdateError,
     ReproError,
     ServiceOverloadedError,
@@ -124,37 +122,27 @@ def _parse_solve_reply(reply: dict[str, Any]) -> SolveReply:
 
 
 def _fallback_child_graph(
-    fallback_graph: Any, edges_added: Any, edges_removed: Any
+    fallback_graph: Any,
+    edges_added: list[tuple[int, int]],
+    edges_removed: list[tuple[int, int]],
 ) -> Graph:
     """The post-delta graph for the stale-parent re-solve fallback.
 
     ``fallback_graph`` is the *parent* instance in any shape
     :func:`graph_payload` accepts; the delta is applied locally (same
     validation as the server's engine would run) to produce the child
-    the fallback ``solve`` uploads.  Presence/absence rejections keep
-    the update API's typed errors (the server path raises
-    :class:`EdgeAlreadyPresentError` / :class:`EdgeNotPresentError` for
-    the same deltas; the exception type must not depend on whether the
-    parent was still cached); range and self-loop errors keep their
-    :class:`GraphError` identity, exactly like the engine.
+    the fallback ``solve`` uploads.  The delta is checked by the
+    engine's own :func:`repro.core.incremental.check_delta` first, so a
+    bad delta raises the same typed error whether or not the parent was
+    still cached.
     """
     if not isinstance(fallback_graph, Graph):
         payload = graph_payload(fallback_graph)
         fallback_graph = Graph(
             payload["n"], [tuple(e) for e in payload["edges"]]
         )
-    try:
-        return fallback_graph.apply_updates(
-            added=[tuple(e) for e in edges_added],
-            removed=[tuple(e) for e in edges_removed],
-        )
-    except GraphError as exc:
-        message = str(exc)
-        if "already present" in message or "added and removed" in message:
-            raise EdgeAlreadyPresentError(message) from exc
-        if "not present" in message or "removed twice" in message:
-            raise EdgeNotPresentError(message) from exc
-        raise
+    check_delta(fallback_graph, edges_added, edges_removed)
+    return fallback_graph.apply_updates(edges_added, edges_removed)
 
 
 def _update_request(
@@ -163,7 +151,6 @@ def _update_request(
     edges_removed: Any,
     config: SolverConfig | dict | None,
     overrides: dict,
-    backend: str | None = None,
 ) -> dict[str, Any]:
     request: dict[str, Any] = {
         "op": "update",
@@ -171,8 +158,6 @@ def _update_request(
         "edges_added": [list(e) for e in edges_added],
         "edges_removed": [list(e) for e in edges_removed],
     }
-    if backend is not None:
-        request["backend"] = backend
     cfg = config_payload(config, overrides)
     if cfg is not None:
         request["config"] = cfg
@@ -229,7 +214,6 @@ class ColoringClient:
         config: SolverConfig | dict | None = None,
         *,
         fallback_graph: Any = None,
-        backend: str | None = None,
         **overrides: Any,
     ) -> SolveReply:
         """Apply an edge delta to a previously served instance.
@@ -237,13 +221,6 @@ class ColoringClient:
         ``parent_digest`` is the ``fingerprint`` of an earlier solve (or
         update) reply; the returned reply's ``fingerprint`` is the child
         digest for chaining.
-
-        ``backend`` (``"auto"`` / ``"dynamic"`` / ``"immutable"``, None =
-        server default) picks the server-side chain engine's delta mode
-        when this update creates one — long-lived streaming clients pass
-        ``"dynamic"`` to get the in-place sustained-ops price from the
-        first op.  Results are backend-equivalent; the digest chain does
-        not depend on it.
 
         When the server evicted the parent it answers ``stale_parent``;
         passing the parent instance as ``fallback_graph`` (any shape
@@ -266,7 +243,7 @@ class ColoringClient:
                 self._roundtrip(
                     _update_request(
                         parent_digest, edges_added, edges_removed, config,
-                        overrides, backend,
+                        overrides,
                     )
                 )
             )
@@ -387,12 +364,10 @@ class AsyncColoringClient:
         config: SolverConfig | dict | None = None,
         *,
         fallback_graph: Any = None,
-        backend: str | None = None,
         **overrides: Any,
     ) -> SolveReply:
         """Async counterpart of :meth:`ColoringClient.update` (including
-        the ``fallback_graph`` stale-parent auto re-solve and the
-        ``backend`` chain-engine selector)."""
+        the ``fallback_graph`` stale-parent auto re-solve)."""
         edges_added = [tuple(e) for e in edges_added]
         edges_removed = [tuple(e) for e in edges_removed]
         try:
@@ -400,7 +375,7 @@ class AsyncColoringClient:
                 await self._roundtrip(
                     _update_request(
                         parent_digest, edges_added, edges_removed, config,
-                        overrides, backend,
+                        overrides,
                     )
                 )
             )

@@ -16,7 +16,7 @@ Two entry kinds share the LRU:
   :class:`repro.graphs.dynamic.DynamicGraph`.  An ``update`` *moves*
   the engine from the parent digest to the child digest
   (:meth:`pop_engine` → apply delta in place → :meth:`put_engine`), so
-  a chain of k updates mutates one slack-padded CSR instead of
+  a chain of k updates mutates one updatable CSR instead of
   re-materializing k immutable children — the sustained-ops price from
   docs/INCREMENTAL.md, now behind the ``update`` verb.
 
@@ -64,9 +64,9 @@ def estimate_graph_nbytes(graph: Graph) -> int:
 
 
 def estimate_engine_nbytes(engine: Any) -> int:
-    """Footprint of one chain-head engine: the slack-padded dynamic CSR
-    (offsets + padded indices, charged at 2× the live edges to cover the
-    slack), the color store, and the undo/journal machinery overhead."""
+    """Footprint of one chain-head engine: the dynamic CSR (offsets +
+    row data, charged at 2× the live edges to cover relocated rows), the
+    color store, and the undo/journal machinery overhead."""
     return 512 + 16 * engine.n + 32 * engine.num_edges
 
 

@@ -561,14 +561,11 @@ class ColoringServer(NdjsonEndpoint):
 
             {"id": 9, "op": "update", "parent_digest": "…",
              "edges_added": [[u, v], ...], "edges_removed": [[u, v], ...],
-             "backend": "auto" | "dynamic" | "immutable",
              "config": { … SolverConfig fields for the re-solve fallback … }}
 
-        ``backend`` (optional, default ``"auto"``) picks the chain
-        engine's delta-application mode when this update has to create
-        one; long-lived streaming clients send ``"dynamic"`` for the
-        in-place sustained-ops price from the first op.  It never enters
-        the child digest — results are backend-equivalent.
+        A ``backend`` field (``"auto"`` / ``"dynamic"`` / ``"immutable"``)
+        is accepted for compatibility and ignored — there is one update
+        path; any other value is still a protocol error.
 
         The reply mirrors ``solve`` plus ``parent_digest`` and an
         ``update`` block with the repair statistics; ``fingerprint`` is
@@ -582,6 +579,7 @@ class ColoringServer(NdjsonEndpoint):
                 "protocol",
                 ServiceProtocolError("update needs a string parent_digest"),
             )
+        # Legacy field: the three old values are accepted and ignored.
         backend = request.get("backend", "auto")
         if backend not in ("auto", "dynamic", "immutable"):
             return _error_reply(
@@ -608,8 +606,7 @@ class ColoringServer(NdjsonEndpoint):
         )
         try:
             reply = await self.gateway.submit_update(
-                parent_digest, added, removed, config, backend=backend,
-                parent_span=span,
+                parent_digest, added, removed, config, parent_span=span,
             )
         except ServiceOverloadedError as exc:
             span.set_attr("error", "overloaded").end()

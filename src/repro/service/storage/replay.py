@@ -13,8 +13,9 @@ died with the old process.  :func:`replay_chains` brings them back:
    digest (or a ``u1:`` digest whose prefix predates the WAL — then the
    chain is unreplayable and is skipped, not failed).
 3. Load the base graph and base result from the durable store, seed an
-   :class:`~repro.core.incremental.IncrementalColoring` on the dynamic
-   backend, and reapply the lineage's deltas in order.  Repair is
+   :class:`~repro.core.incremental.IncrementalColoring`, and reapply
+   the lineage's deltas in order (the ``"backend"`` field of older
+   records is ignored: there is one update path).  Repair is
    deterministic, so the rebuilt head is bit-identical to the engine the
    dead process held — the next ``update`` against it continues the
    chain as if the restart never happened.
@@ -106,10 +107,7 @@ def replay_chains(
         try:
             config = config_from_payload(lineage[0].get("config"))
             engine = IncrementalColoring.from_result(
-                base_graph,
-                base_result,
-                config=config,
-                backend=lineage[0].get("backend", "dynamic"),
+                base_graph, base_result, config=config
             )
             updated = None
             for record in lineage:

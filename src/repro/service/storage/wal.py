@@ -7,8 +7,9 @@ are content-addressed and re-derivable; a live engine is neither — it
 is the *product* of a specific sequence of deltas applied to a specific
 base solve.  :class:`UpdateWAL` records exactly that sequence: one
 record per successfully applied update, carrying the parent and child
-digests, the edge delta, the result-affecting config payload, and the
-repair backend.
+digests, the edge delta and the result-affecting config payload.
+Records written before the update path was unified also carry a
+``"backend"`` field; replay ignores it.
 
 Replay (:mod:`repro.service.storage.replay`) walks these records
 child→parent back to a base ``r1:`` solve whose graph and result the
@@ -42,16 +43,19 @@ def update_record(
     edges_added: Any,
     edges_removed: Any,
     config: SolverConfig,
-    backend: str,
+    backend: str | None = None,
 ) -> dict[str, Any]:
-    """The canonical WAL payload for one applied update."""
+    """The canonical WAL payload for one applied update.
+
+    ``backend`` is accepted for compatibility and ignored: there is one
+    update path, so records no longer carry it.
+    """
     return {
         "parent": parent_digest,
         "child": child_digest,
         "added": [[int(u), int(v)] for u, v in edges_added],
         "removed": [[int(u), int(v)] for u, v in edges_removed],
         "config": config.without_observer().as_dict(),
-        "backend": backend,
     }
 
 

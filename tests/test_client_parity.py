@@ -47,7 +47,6 @@ class TestSignatureParity:
         for cls in (ColoringClient, AsyncColoringClient):
             update = _signature(cls, "update").parameters
             assert update["fallback_graph"].kind is inspect.Parameter.KEYWORD_ONLY
-            assert update["backend"].kind is inspect.Parameter.KEYWORD_ONLY
             metrics = _signature(cls, "metrics").parameters
             assert metrics["format"].kind is inspect.Parameter.KEYWORD_ONLY
 
@@ -93,9 +92,7 @@ class TestBehavioralParity:
         with ColoringClient(port=server) as sync_client:
             assert sync_client.ping() is True
             solved = sync_client.solve(graph, seed=1)
-            updated = sync_client.update(
-                solved.fingerprint, edges_removed=delta, backend="dynamic"
-            )
+            updated = sync_client.update(solved.fingerprint, edges_removed=delta)
             sync_stats = sync_client.stats()
             sync_metrics = sync_client.metrics()
             sync_text = sync_client.metrics(format="prometheus")
@@ -104,9 +101,7 @@ class TestBehavioralParity:
             async with AsyncColoringClient(port=server) as client:
                 assert await client.ping() is True
                 solved2 = await client.solve(graph, seed=1)
-                updated2 = await client.update(
-                    solved2.fingerprint, edges_removed=delta, backend="dynamic"
-                )
+                updated2 = await client.update(solved2.fingerprint, edges_removed=delta)
                 stats = await client.stats()
                 metrics = await client.metrics()
                 text = await client.metrics(format="prometheus")

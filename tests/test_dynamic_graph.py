@@ -1,15 +1,16 @@
 """Tests for the updatable CSR (:class:`repro.graphs.dynamic.DynamicGraph`).
 
 The load-bearing contract: after any sequence of deltas, a dynamic
-graph's compacted ``csr()`` is **bit-identical** to the immutable graph
-produced by folding the same deltas through
-:meth:`repro.graphs.Graph.apply_updates` — same offsets, same indices,
-same neighbour order.  The immutable path is the correctness reference;
-the dynamic path is the O(Δ)-per-op reimplementation.
+graph's compacted ``csr()`` is **bit-identical** to a naive list-of-rows
+model of the same deltas (a removal drops the neighbour and keeps the
+row's order, an insertion appends), and its edge set equals a
+from-scratch :class:`repro.graphs.Graph` build of the current edges.
+Neither reference shares code with the graph under test.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,9 +18,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs.dynamic import DynamicGraph
+from repro.graphs.dynamic import MIN_ROW_SLOTS, DynamicGraph
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.graph import Graph
+
+
+class RowModel:
+    """The reference: one Python list per row, updated the naive way."""
+
+    def __init__(self, graph: Graph):
+        self.rows = [list(graph.neighbors(v)) for v in range(graph.n)]
+
+    def apply(self, added=(), removed=()) -> None:
+        for u, v in removed:
+            self.rows[u].remove(v)
+            self.rows[v].remove(u)
+        for u, v in added:
+            self.rows[u].append(v)
+            self.rows[v].append(u)
+
+    def edges(self) -> set[tuple[int, int]]:
+        return {(u, v) for u, row in enumerate(self.rows) for v in row if u < v}
+
+
+def assert_matches_model(dyn: DynamicGraph, model: RowModel) -> None:
+    offsets, indices = dyn.csr()
+    rows = model.rows
+    assert list(offsets) == [0] + list(
+        itertools.accumulate(len(row) for row in rows)
+    ), "offsets diverged from the row model"
+    assert list(indices) == [w for row in rows for w in row], (
+        "indices diverged from the row model"
+    )
+    assert dyn.num_edges == len(model.edges())
+    assert dyn.max_degree() == max((len(row) for row in rows), default=0)
+    scratch = Graph(len(rows), sorted(model.edges()))
+    assert set(dyn.edges()) == set(scratch.edges())
+    assert dyn.degrees() == scratch.degrees()
 
 
 def assert_csr_identical(dyn: DynamicGraph, ref: Graph) -> None:
@@ -69,11 +104,38 @@ class TestConstruction:
         # node 4 is isolated
         assert dyn.degree(4) == 0 and list(dyn.neighbors_csr(4)) == []
 
-    def test_row_capacities_are_padded_powers_of_two(self):
-        dyn = DynamicGraph.from_graph(random_regular_graph(32, 4, seed=0))
+    def test_adoption_is_exact_size_and_growth_pads(self):
+        graph = random_regular_graph(32, 4, seed=0)
+        dyn = DynamicGraph.from_graph(graph)
+        # Adoption: exact row sizes, and the adopted graph is the cache.
         stats = dyn.storage_stats()
-        assert stats["data_slots"] > stats["live_slots"]
+        assert stats["data_slots"] == stats["live_slots"] == 2 * graph.num_edges
         assert stats["holes"] == 0 and stats["relocations"] == 0
+        assert dyn.snapshot() is graph
+        assert dyn.csr()[1] is graph.csr()[1]
+        # The first insert into a row relocates it to a padded row.
+        u, v = next(
+            (u, v)
+            for u in range(graph.n)
+            for v in range(u + 1, graph.n)
+            if not graph.has_edge(u, v)
+        )
+        dyn.insert_edge(u, v)
+        stats = dyn.storage_stats()
+        assert stats["relocations"] == 2 and stats["holes"] == 8
+        for w in (u, v):
+            cap = dyn._caps[w]
+            assert cap > dyn.degree(w) and cap & (cap - 1) == 0
+        assert list(dyn.neighbors_csr(u))[-1] == v
+        # Compaction pads every row to a power of two with a free slot.
+        dyn._compact_storage()
+        stats = dyn.storage_stats()
+        assert stats["holes"] == 0 and stats["data_slots"] == sum(dyn._caps)
+        for w in range(dyn.n):
+            cap = dyn._caps[w]
+            assert cap >= max(MIN_ROW_SLOTS, dyn.degree(w) + 1)
+            assert cap & (cap - 1) == 0
+        assert_csr_identical(dyn, graph.apply_updates(added=[(u, v)]))
 
 
 class TestInPlaceUpdates:
@@ -127,15 +189,15 @@ class TestInPlaceUpdates:
         rng = random.Random(7)
         n = 32
         dyn = DynamicGraph(n, [])
-        ref = Graph(n, [])
+        model = RowModel(Graph(n, []))
         # Hammer a few rows so relocations pile up holes past the
         # half-buffer trigger.
         for step in random_stream(rng, set(), n, ops=400, batch_max=2):
             added, removed = step
             dyn.apply_delta(added=added, removed=removed)
-            ref = ref.apply_updates(added=added, removed=removed)
+            model.apply(added=added, removed=removed)
         assert dyn.compactions > 0, "stream never triggered a compaction"
-        assert_csr_identical(dyn, ref)
+        assert_matches_model(dyn, model)
         stats = dyn.storage_stats()
         assert stats["holes"] * 3 <= stats["data_slots"]
 
@@ -196,6 +258,16 @@ class TestUndo:
             else:
                 dyn.apply_delta(added=[(u, v)])
 
+    def test_undo_restores_the_cached_snapshot(self):
+        graph = random_regular_graph(40, 4, seed=2)
+        dyn = DynamicGraph.from_graph(graph)
+        undo = dyn.apply_delta(removed=[next(graph.edges())], record_undo=True)
+        assert dyn.snapshot() is not graph
+        dyn.undo_delta(undo)
+        # A rolled-back delta hands out the very graph it started from.
+        assert dyn.snapshot() is graph
+        assert dyn.csr() == graph.csr()
+
 
 class TestSnapshot:
     def test_snapshot_is_immutable_and_detached(self):
@@ -235,18 +307,19 @@ class TestCompactionTwins:
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_random_streams_pin_dynamic_to_immutable(data):
+def test_random_streams_match_row_model(data):
     """Property: folding any valid update stream through DynamicGraph
-    in place equals folding it through immutable apply_updates, CSR
-    bit for bit — including after undo/redo of every step."""
+    in place equals the naive row model, CSR bit for bit, and a
+    from-scratch build of the current edge set — including after
+    undo/redo of every step."""
     n = data.draw(st.integers(min_value=2, max_value=12), label="n")
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(
         st.lists(st.sampled_from(all_pairs), unique=True, max_size=len(all_pairs)),
         label="edges",
     )
-    ref = Graph(n, edges)
-    dyn = DynamicGraph.from_graph(ref)
+    dyn = DynamicGraph.from_graph(Graph(n, edges))
+    model = RowModel(Graph(n, edges))
     current = set(edges)
     ops = data.draw(st.integers(min_value=1, max_value=10), label="ops")
     for _ in range(ops):
@@ -259,12 +332,14 @@ def test_random_streams_pin_dynamic_to_immutable(data):
             removed = [data.draw(st.sampled_from(present), label="edge")]
         else:
             continue
-        new_ref = ref.apply_updates(added=added, removed=removed)
+        before = RowModel(dyn.snapshot())
         undo = dyn.apply_delta(added=added, removed=removed, record_undo=True)
-        assert_csr_identical(dyn, new_ref)
+        model.apply(added=added, removed=removed)
+        assert_matches_model(dyn, model)
         dyn.undo_delta(undo)
-        assert_csr_identical(dyn, ref)
+        assert_matches_model(dyn, before)
         dyn.apply_delta(added=added, removed=removed)
-        ref = new_ref
         current.difference_update(removed)
         current.update(added)
+        assert_matches_model(dyn, model)
+        assert model.edges() == current

@@ -9,6 +9,8 @@ ops raise typed errors and leave the engine untouched.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,10 +198,10 @@ class TestTypedRejections:
         assert engine.totals["ops"] == 0
 
     def test_dynamic_backend_rejections_leave_state_untouched(self):
-        # Same contract on the in-place backend, where a sloppy
-        # implementation could leave a half-applied delta behind.
+        # Deltas apply in place, where a sloppy implementation could
+        # leave a half-applied delta behind — after accepted ops too.
         base, matching, result = updatable_instance()
-        engine = IncrementalColoring.from_result(base, result, backend="dynamic")
+        engine = IncrementalColoring.from_result(base, result)
         u, v = next(base.edges())
         before = engine.colors
         edges_before = set(engine.graph.edges())
@@ -213,17 +215,23 @@ class TestTypedRejections:
                 (EdgeNotPresentError, EdgeAlreadyPresentError, ConflictingUpdateError)
             ):
                 raiser()
+        assert engine.graph is base
         assert set(engine.graph.edges()) == edges_before
         assert engine.colors == before
         assert engine.totals["ops"] == 0
+        engine.insert_edge(*matching[1])
+        head, colors = engine.graph, engine.colors
+        with pytest.raises(EdgeAlreadyPresentError):
+            engine.batch_update(added=[matching[2], matching[1]])
+        assert engine.graph is head and engine.colors == colors
 
     def test_dynamic_backend_delta_change_rejected_exactly(self):
-        # allow_resolve=False on the dynamic backend: the Δ-move check
-        # runs before mutation, so rejection is exact.
+        # allow_resolve=False: the Δ-move check runs before mutation, so
+        # rejection is exact.
         graph = random_regular_graph(24, 4, seed=1)
         result = solve(graph, seed=1)
         engine = IncrementalColoring.from_result(
-            graph, result, backend="dynamic", allow_resolve=False
+            graph, result, allow_resolve=False
         )
         nonedge = next(
             (u, v)
@@ -234,6 +242,7 @@ class TestTypedRejections:
         before = engine.colors
         with pytest.raises(DeltaChangeError):
             engine.insert_edge(*nonedge)
+        assert engine.graph is graph
         assert set(engine.graph.edges()) == set(graph.edges())
         assert engine.colors == before and engine.delta == 4
 
@@ -288,6 +297,22 @@ class TestFullResolveFallback:
         assert outcome.full_resolve
         assert engine.palette == 4
         validate_coloring(engine.graph, engine.colors, max_colors=engine.palette)
+
+    def test_repair_stall_rejected_after_mutation_rolls_back_exactly(self):
+        # The stall is found only after the delta applied in place; with
+        # re-solves disallowed the undo log must restore the graph down
+        # to the identity of the object the engine hands out.
+        graph = complete_graph(4).apply_updates(removed=[(0, 1)])
+        result = solve(graph, algorithm="components", seed=0)
+        engine = IncrementalColoring.from_result(
+            graph, result, algorithm="deterministic", allow_resolve=False
+        )
+        before = engine.colors
+        with pytest.raises(DeltaChangeError, match="repair-stalled"):
+            engine.insert_edge(0, 1)
+        assert engine.graph is graph
+        assert engine.colors == before and engine.totals["ops"] == 0
+        assert not engine._graph.has_edge(0, 1)
 
     def test_components_seed_skips_repair_ladder(self):
         # `components` results carry per-component χ palettes the repair
@@ -419,18 +444,49 @@ class TestSolveIncrementalFacade:
             solve_incremental(base, result, edges_removed=[matching[0]])
 
 
-class TestDynamicBackend:
-    """The updatable-CSR engine path pinned against the immutable one."""
+def assert_engine_matches_references(engine, n, edges, model_rows) -> None:
+    """The engine's graph against a from-scratch build and a naive
+    list-of-rows model (CSR bit for bit); its coloring against the
+    validator."""
+    scratch = Graph(n, sorted(edges))
+    graph = engine.graph
+    assert set(graph.edges()) == set(scratch.edges())
+    assert graph.degrees() == scratch.degrees()
+    assert engine.delta == scratch.max_degree()
+    offsets, indices = graph.csr()
+    assert list(indices) == [w for row in model_rows for w in row]
+    assert list(offsets[1:]) == list(
+        itertools.accumulate(len(row) for row in model_rows)
+    )
+    validate_coloring(scratch, engine.colors, max_colors=engine.palette)
 
-    def test_auto_backend_converts_after_sustained_ops(self):
+
+def apply_to_rows(rows, added=(), removed=()) -> None:
+    for u, v in removed:
+        rows[u].remove(v)
+        rows[v].remove(u)
+    for u, v in added:
+        rows[u].append(v)
+        rows[v].append(u)
+
+
+class TestDynamicBackend:
+    """The one in-place update path, pinned to references."""
+
+    def test_engine_adopts_the_graph_in_place(self):
         from repro.graphs.dynamic import DynamicGraph
 
         base, matching, result = updatable_instance(slack=6)
         engine = IncrementalColoring.from_result(base, result)
-        assert not isinstance(engine._graph, DynamicGraph)
+        # Adopted at construction; the caller's graph is the snapshot
+        # until the first accepted op and is never written to.
+        assert isinstance(engine._graph, DynamicGraph)
+        assert engine.graph is base
+        csr_before = tuple(bytes(buf) for buf in base.csr())
         for u, v in matching[:3]:
             engine.insert_edge(u, v)
-        assert isinstance(engine._graph, DynamicGraph)
+        assert engine.graph is not base
+        assert tuple(bytes(buf) for buf in base.csr()) == csr_before
         # the public view stays an immutable Graph
         assert not isinstance(engine.graph, DynamicGraph)
 
@@ -442,40 +498,45 @@ class TestDynamicBackend:
         assert not isinstance(out.graph, DynamicGraph)
 
     def test_backends_pinned_identical_on_stream(self):
-        """Both backends process the same mixed stream: identical graphs
-        (CSR bit for bit), identical colorings, identical totals."""
+        """The legacy ``backend`` values are accepted and ignored: each
+        engine processes the same mixed stream identically (CSR bit for
+        bit, colorings, totals), and matches the references throughout."""
         base, matching, result = updatable_instance(n=64, delta=4, slack=8)
-        imm = IncrementalColoring.from_result(
-            base, result, backend="immutable", validate=True
-        )
-        dyn = IncrementalColoring.from_result(
-            base, result, backend="dynamic", validate=True
-        )
+        engines = [
+            IncrementalColoring.from_result(
+                base, result, backend=backend, validate=True
+            )
+            for backend in ("auto", "dynamic", "immutable")
+        ]
+        edges = set(base.edges())
+        rows = [list(base.neighbors(v)) for v in range(base.n)]
         for i, (u, v) in enumerate(matching):
-            a = imm.insert_edge(u, v).as_dict()
-            b = dyn.insert_edge(u, v).as_dict()
-            for payload in (a, b):
+            outcomes = [engine.insert_edge(u, v).as_dict() for engine in engines]
+            for payload in outcomes:
                 payload.pop("wall_time_s")
                 payload.pop("rung_wall_s")
-            assert a == b
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            edges.add((u, v))
+            apply_to_rows(rows, added=[(u, v)])
             if i % 2:
-                imm.delete_edge(u, v)
-                dyn.delete_edge(u, v)
-            assert imm.colors == dyn.colors
-            assert imm.graph.csr() == dyn.graph.csr()
-            assert imm.delta == dyn.delta and imm.palette == dyn.palette
-        totals_imm = dict(imm.totals)
-        totals_dyn = dict(dyn.totals)
-        assert totals_imm == totals_dyn
+                for engine in engines:
+                    engine.delete_edge(u, v)
+                edges.discard((u, v))
+                apply_to_rows(rows, removed=[(u, v)])
+            first = engines[0]
+            for engine in engines[1:]:
+                assert engine.colors == first.colors
+                assert engine.graph.csr() == first.graph.csr()
+                assert engine.palette == first.palette
+            assert_engine_matches_references(first, base.n, edges, rows)
+        assert engines[0].totals == engines[1].totals == engines[2].totals
 
     def test_dynamic_backend_full_resolve_path(self):
-        # Δ-raising insert on the dynamic backend: resolve rung, state
-        # consistent afterwards and further ops still work.
+        # Δ-raising insert: resolve rung, state consistent afterwards
+        # and further ops still work.
         graph = random_regular_graph(24, 4, seed=1)
         result = solve(graph, seed=1)
-        engine = IncrementalColoring.from_result(
-            graph, result, backend="dynamic", validate=True
-        )
+        engine = IncrementalColoring.from_result(graph, result, validate=True)
         nonedge = next(
             (u, v)
             for u in range(graph.n)
@@ -492,8 +553,10 @@ class TestDynamicBackend:
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_random_stream_backends_agree(data):
-    """Property: the dynamic and immutable backends stay bit-identical
-    (graph CSR, coloring, Δ, palette) across any accepted op stream."""
+    """Property: across any accepted op stream, engines built with each
+    legacy ``backend`` value agree bit for bit (graph CSR, coloring, Δ,
+    palette) — the argument selects nothing — and match a from-scratch
+    build, the naive row model and the validator."""
     n = data.draw(st.integers(min_value=4, max_value=12), label="n")
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(
@@ -512,6 +575,7 @@ def test_random_stream_backends_agree(data):
         graph, result, backend="dynamic", validate=True
     )
     reference = set(edges)
+    rows = [list(graph.neighbors(v)) for v in range(n)]
     ops = data.draw(st.integers(min_value=1, max_value=6), label="ops")
     for _ in range(ops):
         present = sorted(reference)
@@ -524,15 +588,17 @@ def test_random_stream_backends_agree(data):
             imm.insert_edge(*edge)
             dyn.insert_edge(*edge)
             reference.add(edge)
+            apply_to_rows(rows, added=[edge])
         elif present:
             edge = data.draw(st.sampled_from(present), label="edge")
             imm.delete_edge(*edge)
             dyn.delete_edge(*edge)
             reference.discard(edge)
+            apply_to_rows(rows, removed=[edge])
         assert imm.colors == dyn.colors
         assert imm.graph.csr() == dyn.graph.csr()
         assert imm.delta == dyn.delta and imm.palette == dyn.palette
-        assert set(dyn.graph.edges()) == reference
+        assert_engine_matches_references(dyn, n, reference, rows)
 
 
 @settings(max_examples=25, deadline=None)

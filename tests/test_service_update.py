@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.harness import carve_matching
 from repro.api import SolverConfig
 from repro.errors import (
+    EdgeAlreadyPresentError,
     EdgeNotPresentError,
     IncrementalUpdateError,
     ServiceOverloadedError,
@@ -405,6 +406,40 @@ class TestUpdateOverTCP:
 
         asyncio.run(drive())
 
+    @pytest.mark.parametrize("flip", [False, True], ids=["same", "reversed"])
+    def test_fallback_types_a_repeated_added_edge_like_the_engine(self, flip):
+        """A batch naming one absent edge twice (either orientation) is
+        an EdgeAlreadyPresentError on the live engine and on the
+        stale-parent fallback alike."""
+        from repro.api import solve
+        from repro.core.incremental import IncrementalColoring
+
+        base, matching = updatable_instance()
+        u, v = matching[0]
+        batch = [(u, v), (v, u) if flip else (u, v)]
+        engine = IncrementalColoring.from_result(base, solve(base, seed=1))
+        with pytest.raises(EdgeAlreadyPresentError):
+            engine.batch_update(added=batch)
+
+        async def drive():
+            server = ColoringServer(port=0, workers=1)
+            await server.start()
+            try:
+                port = server.port
+
+                def client_flow():
+                    with ColoringClient(port=port, timeout=60.0) as client:
+                        with pytest.raises(EdgeAlreadyPresentError):
+                            client.update(
+                                "c" * 64, edges_added=batch, fallback_graph=base
+                            )
+
+                await asyncio.get_running_loop().run_in_executor(None, client_flow)
+            finally:
+                await server.close()
+
+        asyncio.run(drive())
+
     def test_async_client_stale_parent_fallback(self):
         base, matching = updatable_instance()
 
@@ -578,7 +613,22 @@ class TestChainEngineEquivalence:
         asyncio.run(drive())
 
 
+def raw_update(port: int, request: dict) -> dict:
+    """One NDJSON round trip, bypassing the client (which no longer
+    sends the legacy ``backend`` field)."""
+    import json
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        reader = sock.makefile("r", encoding="utf-8")
+        sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+        return json.loads(reader.readline())
+
+
 class TestDynamicBackendWire:
+    """The wire ``backend`` field: the three legacy values are accepted
+    and ignored, anything else is a protocol error."""
+
     def test_update_backend_dynamic_over_tcp(self):
         base, matching = updatable_instance()
 
@@ -591,48 +641,67 @@ class TestDynamicBackendWire:
                 def client_flow():
                     with ColoringClient(port=port, timeout=60.0) as client:
                         solved = client.solve(base, seed=1)
-                        upd = client.update(
-                            solved.fingerprint,
-                            edges_added=[matching[0]],
-                            backend="dynamic",
-                        )
-                        child = base.apply_updates(added=[matching[0]])
-                        validate_coloring(
-                            child, list(upd.result.colors),
-                            max_colors=upd.result.palette,
-                        )
-                        return upd
+                    return raw_update(port, {
+                        "id": 1, "op": "update",
+                        "parent_digest": solved.fingerprint,
+                        "edges_added": [list(matching[0])],
+                        "backend": "dynamic",
+                    })
 
-                upd = await asyncio.get_running_loop().run_in_executor(
+                reply = await asyncio.get_running_loop().run_in_executor(
                     None, client_flow
                 )
-                # the chain head is a live engine on the dynamic backend
-                engine = server.gateway.graph_store.pop_engine(upd.fingerprint)
+                assert reply["ok"], reply
+                child = base.apply_updates(added=[matching[0]])
+                validate_coloring(
+                    child, reply["result"]["colors"],
+                    max_colors=reply["result"]["palette"],
+                )
+                # the chain head is a live engine in the graph store
+                engine = server.gateway.graph_store.pop_engine(reply["fingerprint"])
                 assert engine is not None
-                assert engine._is_dynamic
+                assert set(engine.graph.edges()) == set(child.edges())
             finally:
                 await server.close()
 
         asyncio.run(drive())
 
     def test_backend_choice_does_not_fragment_the_cache(self):
-        """backend is an execution hint, not a result-affecting field:
-        the same delta under either backend shares one child digest."""
+        """The same delta under any legacy backend value shares one
+        child digest: the field never reaches the engine or the digest."""
         base, matching = updatable_instance()
 
         async def drive():
-            async with BatchingGateway() as gateway:
-                solved = await gateway.submit(base, SolverConfig(seed=1))
-                upd = await gateway.submit_update(
-                    solved.fingerprint, edges_added=[matching[0]],
-                    backend="dynamic",
+            server = ColoringServer(port=0, workers=1)
+            await server.start()
+            try:
+                port = server.port
+
+                def client_flow():
+                    with ColoringClient(port=port, timeout=60.0) as client:
+                        solved = client.solve(base, seed=1)
+                        plain = client.update(
+                            solved.fingerprint, edges_added=[matching[0]]
+                        )
+                    replies = [
+                        raw_update(port, {
+                            "id": i, "op": "update",
+                            "parent_digest": solved.fingerprint,
+                            "edges_added": [list(matching[0])],
+                            "backend": backend,
+                        })
+                        for i, backend in enumerate(("dynamic", "immutable", "auto"))
+                    ]
+                    return plain, replies
+
+                plain, replies = await asyncio.get_running_loop().run_in_executor(
+                    None, client_flow
                 )
-                replay = await gateway.submit_update(
-                    solved.fingerprint, edges_added=[matching[0]],
-                    backend="immutable",
-                )
-                assert replay.cached
-                assert replay.fingerprint == upd.fingerprint
+                for reply in replies:
+                    assert reply["ok"] and reply["cached"]
+                    assert reply["fingerprint"] == plain.fingerprint
+            finally:
+                await server.close()
 
         asyncio.run(drive())
 
@@ -644,18 +713,12 @@ class TestDynamicBackendWire:
                 port = server.port
 
                 def client_flow():
-                    import json
-                    import socket
-
-                    with socket.create_connection(("127.0.0.1", port), 10) as sock:
-                        reader = sock.makefile("r", encoding="utf-8")
-                        sock.sendall((json.dumps({
-                            "id": 1, "op": "update",
-                            "parent_digest": "x" * 64,
-                            "edges_added": [[0, 1]],
-                            "backend": "nope",
-                        }) + "\n").encode("utf-8"))
-                        return json.loads(reader.readline())
+                    return raw_update(port, {
+                        "id": 1, "op": "update",
+                        "parent_digest": "x" * 64,
+                        "edges_added": [[0, 1]],
+                        "backend": "nope",
+                    })
 
                 reply = await asyncio.get_running_loop().run_in_executor(
                     None, client_flow
@@ -668,25 +731,25 @@ class TestDynamicBackendWire:
 
         asyncio.run(drive())
 
-    def test_async_client_passes_backend(self):
+    def test_async_client_update_parks_a_live_engine(self):
         base, matching = updatable_instance()
 
         async def drive():
             server = ColoringServer(port=0, workers=1)
             await server.start()
             try:
+                from repro.graphs.dynamic import DynamicGraph
                 from repro.service.client import AsyncColoringClient
 
                 async with AsyncColoringClient(port=server.port) as client:
                     solved = await client.solve(base, seed=1)
                     upd = await client.update(
-                        solved.fingerprint,
-                        edges_added=[matching[0]],
-                        backend="dynamic",
+                        solved.fingerprint, edges_added=[matching[0]]
                     )
                     assert upd.parent_digest == solved.fingerprint
                 engine = server.gateway.graph_store.pop_engine(upd.fingerprint)
-                assert engine is not None and engine._is_dynamic
+                assert engine is not None
+                assert isinstance(engine._graph, DynamicGraph)
             finally:
                 await server.close()
 

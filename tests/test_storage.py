@@ -10,8 +10,6 @@ the deprecation shims on the old gateway kwargs.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import solve
@@ -22,6 +20,7 @@ from repro.service.storage import (
     FsyncPolicy,
     Journal,
     ResultStore,
+    StorageBundle,
     StorageConfig,
     TieredResultStore,
     UpdateWAL,
@@ -197,17 +196,25 @@ class TestTieredStore:
 
 
 class TestGatewayStorageParam:
-    def test_legacy_kwargs_warn_and_still_work(self):
+    def test_legacy_kwargs_are_gone(self):
+        # storage= is the one way in; custom stores ride in a bundle.
+        for kwargs in ({"cache": ResultCache()}, {"graph_store": GraphStore()}):
+            with pytest.raises(TypeError):
+                BatchingGateway(**kwargs)
         cache, store = ResultCache(max_entries=7), GraphStore(max_entries=5)
-        with pytest.warns(DeprecationWarning, match="storage="):
-            gateway = BatchingGateway(cache=cache, graph_store=store)
+        gateway = BatchingGateway(
+            storage=StorageBundle(cache=cache, graph_store=store)
+        )
         assert gateway.cache is cache and gateway.graph_store is store
 
-    def test_legacy_kwargs_conflict_with_storage(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                BatchingGateway(cache=ResultCache(), storage=StorageConfig())
+    def test_legacy_kwargs_with_storage_are_rejected(self):
+        # No conflict to resolve any more: the old names are simply unknown.
+        for kwargs in (
+            {"cache": ResultCache(), "storage": StorageConfig()},
+            {"graph_store": GraphStore(), "storage": StorageConfig()},
+        ):
+            with pytest.raises(TypeError):
+                BatchingGateway(**kwargs)
 
     def test_bundle_injection_is_not_owned(self, tmp_path):
         bundle = StorageConfig(store_dir=tmp_path / "s").build()

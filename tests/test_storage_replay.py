@@ -15,10 +15,19 @@ import asyncio
 
 import pytest
 
+from repro.api import SolverConfig, solve, solve_incremental
 from repro.errors import StaleParentError
 from repro.graphs.generators import random_regular_graph
-from repro.service import BatchingGateway
-from repro.service.storage import StorageConfig
+from repro.service import BatchingGateway, request_fingerprint
+from repro.service.fingerprint import config_fingerprint, update_fingerprint
+from repro.service.graphstore import GraphStore
+from repro.service.storage import (
+    DurableStore,
+    StorageConfig,
+    UpdateWAL,
+    replay_chains,
+    update_record,
+)
 
 
 def run(coro):
@@ -53,12 +62,8 @@ class TestWarmRestart:
             ).warm()
             base = await gateway.submit(parent)
             assert not base.cached
-            u1 = await gateway.submit_update(
-                base.fingerprint, edges_added=[delta[0]], backend="dynamic"
-            )
-            u2 = await gateway.submit_update(
-                u1.fingerprint, edges_added=[delta[1]], backend="dynamic"
-            )
+            u1 = await gateway.submit_update(base.fingerprint, edges_added=[delta[0]])
+            u2 = await gateway.submit_update(u1.fingerprint, edges_added=[delta[1]])
             await gateway.close()
             return base, u1, u2
 
@@ -81,9 +86,7 @@ class TestWarmRestart:
             assert head.content_digest() == u2.result.content_digest()
             # and the chain continues: a further delta applies in place
             removed = next(iter(parent.edges()))
-            u3 = await gateway.submit_update(
-                u2.fingerprint, edges_removed=[removed], backend="dynamic"
-            )
+            u3 = await gateway.submit_update(u2.fingerprint, edges_removed=[removed])
             assert u3.parent_digest == u2.fingerprint
             stats = gateway.stats()
             assert stats["storage"]["replay"]["chains_replayed"] == 1
@@ -100,7 +103,6 @@ class TestWarmRestart:
             await gateway.submit_update(
                 base.fingerprint,
                 edges_removed=[next(iter(graph.edges()))],
-                backend="dynamic",
             )
             await gateway.close()
 
@@ -133,7 +135,6 @@ class TestWarmRestart:
             await gateway.submit_update(
                 base.fingerprint,
                 edges_removed=[next(iter(graph.edges()))],
-                backend="dynamic",
             )
             await gateway.close()
 
@@ -166,7 +167,6 @@ class TestChainHeadEviction:
             u1 = await gateway.submit_update(
                 base.fingerprint,
                 edges_removed=[next(iter(graph.edges()))],
-                backend="dynamic",
             )
             # the head engine is live in the store; evicting it is the
             # typed loss the stats must surface
@@ -180,7 +180,6 @@ class TestChainHeadEviction:
             with pytest.raises(StaleParentError):
                 await gateway.submit_update(
                     u1.fingerprint, edges_removed=[remaining[0]],
-                    backend="dynamic",
                 )
             await gateway.close()
             return u1.fingerprint, remaining[0]
@@ -194,10 +193,43 @@ class TestChainHeadEviction:
                 storage=StorageConfig(store_dir=tmp_path)
             ).warm()
             assert gateway.last_replay["chains_replayed"] == 1
-            reply = await gateway.submit_update(
-                head_digest, edges_removed=[next_delta], backend="dynamic"
-            )
+            reply = await gateway.submit_update(head_digest, edges_removed=[next_delta])
             assert reply.parent_digest == head_digest
             await gateway.close()
 
         run(restart())
+
+
+class TestLegacyWalRecords:
+    def test_backend_field_is_ignored_on_replay(self, tmp_path, graph):
+        """Records written while the update path still had a ``backend``
+        knob carry the field; replay ignores it and rebuilds the chain
+        head a live engine reaches: same colors, same edges."""
+        config = SolverConfig(seed=3)
+        delta = _carve(graph, 2)
+        parent = graph.apply_updates(removed=delta)
+        base_key = request_fingerprint(parent, config)
+        key, head_graph, head = base_key, parent, solve(parent, config)
+        with DurableStore(tmp_path) as store, UpdateWAL(
+            tmp_path / "update.wal"
+        ) as wal:
+            store.put(base_key, head)
+            store.put_graph(base_key, parent)
+            for edge in delta:
+                updated = solve_incremental(head_graph, head, [edge], [], config)
+                child = update_fingerprint(key, [edge], [], config_fingerprint(config))
+                record = update_record(key, child, [edge], [], config)
+                assert "backend" not in record
+                wal.append({**record, "backend": "immutable"})
+                key, head_graph, head = child, updated.graph, updated.result
+        with DurableStore(tmp_path) as store, UpdateWAL(
+            tmp_path / "update.wal"
+        ) as wal:
+            graph_store = GraphStore()
+            report = replay_chains(wal, store, graph_store)
+            assert report["chains_replayed"] == 1
+            assert report["deltas_replayed"] == 2
+            engine = graph_store.pop_engine(key)
+        assert engine is not None
+        assert engine.colors == list(head.colors)
+        assert set(engine.graph.edges()) == set(head_graph.edges())

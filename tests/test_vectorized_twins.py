@@ -10,6 +10,8 @@ numpy-vs-Python threshold:
 * ``validate_coloring`` — the numpy verdict matches the Python pass, and
   the ``ColoringError.violations`` a caller sees are the Python pass's;
 * ``bfs_distances`` / ``distance_layers`` — several sources, ``max_depth``;
+* ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
+  — the empty graph, edgeless graphs, isolated nodes;
 * ``detect_dccs`` — the native C ball pass (``dcc_kernel.c``: ball, tree
   reject, 2-core peel, single-cycle flag, resumable output) vs its lazy
   per-ball Python twin, on tori, planted 4- and 5-cycles and theta
@@ -21,6 +23,7 @@ numpy-vs-Python threshold:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ import repro.core.dcc as dcc_mod
 from repro.core import native
 from repro.errors import ColoringError
 from repro.graphs import bfs as bfs_mod
+from repro.graphs import dynamic as dynamic_mod
 from repro.graphs import validation as validation_mod
 from repro.graphs.generators import (
     cycle_graph,
@@ -232,6 +236,43 @@ class TestBreadthFirst:
         assert bfs_mod.frontier_levels(graph, [0, 300], None) is None
         with pytest.raises(IndexError):
             bfs_mod.bfs_distances(graph, [0, 300])
+
+
+class TestAdoption:
+    """``DynamicGraph`` adoption: row starts, row lengths and the degree
+    histogram of a CSR, on numpy and in pure Python."""
+
+    @staticmethod
+    def assert_twins_agree(graph: Graph) -> None:
+        offsets, _ = graph.csr()
+        starts, lens, hist = dynamic_mod._adopt_python(offsets, graph.n)
+        assert starts.typecode == "q" and lens.typecode == "i"
+        assert list(starts) == list(offsets[: graph.n])
+        assert list(lens) == graph.degrees()
+        assert hist == dict(Counter(graph.degrees()))
+        vectorized = dynamic_mod._adopt_vectorized(offsets, graph.n)
+        assert (vectorized is not None) == HAVE_NUMPY
+        if vectorized is not None:
+            assert vectorized[0].typecode == "q" and vectorized[1].typecode == "i"
+            assert vectorized == (starts, lens, hist)
+
+    @FAST
+    @given(
+        n=st.sampled_from(SIZES),
+        seed=st.integers(0, 10_000),
+        avg=st.sampled_from([0.5, 1.8, 3.0, 5.0]),
+    )
+    def test_twins_agree(self, n, seed, avg):
+        self.assert_twins_agree(sparse_graph(n, seed, avg))
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 600])
+    def test_edgeless_graphs(self, n):
+        # n=0 has an empty histogram; isolated nodes only a zero bucket.
+        self.assert_twins_agree(Graph(n))
+
+    def test_isolated_nodes_among_edges(self):
+        base = random_regular_graph(600, 5, seed=9)
+        self.assert_twins_agree(Graph(base.n + 40, list(base.edges())))
 
 
 # -- DCC detection ------------------------------------------------------------
