@@ -26,10 +26,10 @@ Quick start — everything routes through the unified solver facade
     print(list_algorithms())  # auto, randomized, ..., ps, greedy, components
     results = solve_many(graphs, SolverConfig(algorithm="ps"), workers=4)
 
-The pre-facade entry points (:func:`delta_color`, the per-theorem
-``delta_coloring_*`` functions, :func:`color_graph`, ...) remain as
-deprecated-but-stable wrappers over the same engines — see docs/API.md,
-which also covers the service, storage and incremental docs next to it.
+:func:`solve` is the only way to run an engine; docs/API.md maps each
+removed pre-facade entry point (``delta_color``, the per-theorem
+``delta_coloring_*`` functions, ``color_graph``) to its ``solve`` call,
+and links the service, storage and incremental docs next to it.
 perfbench/README.md describes the benchmark: the workloads, every
 end-to-end and per-layer metric, and how to run it.
 """
@@ -45,19 +45,11 @@ from repro.api import (
     solve,
     solve_many,
 )
-from repro.baselines import centralized_brooks, centralized_greedy, ps_delta_coloring
+from repro.baselines import centralized_brooks, centralized_greedy
 from repro.core import (
-    ComponentColoring,
-    DeltaColoringResult,
-    DeterministicResult,
     RandomizedParams,
     default_fix_radius,
     degree_list_color,
-    delta_coloring_deterministic,
-    delta_coloring_large_delta,
-    delta_coloring_randomized,
-    delta_coloring_small_delta,
-    color_graph,
     color_special,
     fix_uncolored_node,
     slocal_delta_coloring,
@@ -103,22 +95,12 @@ __all__ = [
     "register_algorithm",
     "get_algorithm",
     "list_algorithms",
-    "delta_color",
     "Graph",
     "UNCOLORED",
     "validate_coloring",
     "RandomizedParams",
-    "DeltaColoringResult",
-    "DeterministicResult",
-    "delta_coloring_randomized",
-    "delta_coloring_small_delta",
-    "delta_coloring_large_delta",
-    "delta_coloring_deterministic",
-    "color_graph",
     "color_special",
-    "ComponentColoring",
     "slocal_delta_coloring",
-    "ps_delta_coloring",
     "centralized_brooks",
     "centralized_greedy",
     "degree_list_color",
@@ -147,29 +129,3 @@ __all__ = [
     "AlgorithmContractError",
 ]
 
-
-def delta_color(graph: Graph, seed: int = 0, strict: bool = False) -> DeltaColoringResult:
-    """Δ-color a nice graph with the best-fitting algorithm of the paper.
-
-    Deprecated-but-stable wrapper over ``solve(graph,
-    algorithm="randomized")``: dispatches on Δ exactly as the paper's
-    results do — the small-Δ algorithm (Theorem 1) for Δ = 3, the
-    large-Δ algorithm (Theorem 3) for Δ >= 4 — and repackages the
-    facade's :class:`ColoringResult` as the legacy
-    :class:`DeltaColoringResult`.  The result's ``colors`` use palette
-    {1..Δ}.
-
-    Raises :class:`NotNiceGraphError` on cliques, cycles, and paths —
-    those are exactly the graphs Brooks' theorem excludes (or that need
-    Ω(n) rounds).
-    """
-    result = solve(
-        graph, algorithm="randomized", seed=seed, strict=strict, validate=False
-    )
-    return DeltaColoringResult(
-        colors=list(result.colors),
-        delta=result.delta,
-        rounds=result.rounds,
-        phase_rounds=dict(result.phase_rounds),
-        stats=dict(result.stats),
-    )

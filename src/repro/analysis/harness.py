@@ -208,7 +208,6 @@ def delta_coloring_sweep(
     seed: int = 0,
     warmup: int = 1,
     repeats: int = 3,
-    validate: bool = True,
     algorithm: str = "randomized-large",
     on_phase: Callable[[str, int, dict[str, Any]], None] | None = None,
 ) -> list[SweepPoint]:
@@ -230,7 +229,7 @@ def delta_coloring_sweep(
     from repro.api import SolverConfig, solve
     from repro.graphs.generators import random_regular_graph
 
-    config = SolverConfig(algorithm=algorithm, seed=seed, validate=validate)
+    config = SolverConfig(algorithm=algorithm, seed=seed)
 
     def setup(point: dict[str, Any]):
         return random_regular_graph(point["n"], delta, seed=seed)

@@ -5,9 +5,10 @@ One stable surface over the package's family of Δ-coloring pipelines:
 * a string-keyed **algorithm registry** with capability metadata
   (:func:`list_algorithms`, :func:`get_algorithm`,
   :func:`register_algorithm`, :class:`AlgorithmSpec`);
-* a single frozen result type every engine adapts into
-  (:class:`ColoringResult`, JSON-round-trippable via ``as_dict`` /
-  ``from_dict``);
+* a single frozen result type (:class:`ColoringResult`,
+  JSON-round-trippable via ``as_dict`` / ``from_dict``) that
+  :func:`solve` packs every engine's :class:`repro.local.rounds.EngineRun`
+  into;
 * one configuration object (:class:`SolverConfig`) consolidating the
   previously scattered kwargs, including an ``on_phase`` observer hook;
 * :func:`solve` for one graph and :func:`solve_many` (+
@@ -26,9 +27,11 @@ Quick start::
     results = solve_many(graphs, SolverConfig(algorithm="ps"), workers=4)
 
 See docs/API.md for the registry names, config fields, and the result
-schema.  The pre-facade entry points (``repro.delta_color``,
-``repro.color_graph``, the per-theorem functions) remain available as
-deprecated-but-stable wrappers over the same engines.
+schema.  :func:`solve` is the only way to run an engine: it checks
+niceness once (for algorithms that need it) and validates the coloring
+once.  The pre-facade entry points (``repro.delta_color``,
+``repro.color_graph``, the per-theorem functions) are gone; docs/API.md
+maps each to its ``solve`` call.
 """
 
 from repro.api.config import PhaseObserver, SolverConfig

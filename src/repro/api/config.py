@@ -40,11 +40,10 @@ class SolverConfig:
     strict:
         Enable the per-phase contract checks of the pipelines.
     validate:
-        Validate the returned coloring at the facade level against the
-        algorithm's palette bound.  The randomized family validates once
-        per solve either way (here, or inside its registry adapter when
-        this is off); the other engines also validate internally, so
-        turning this off skips their extra O(n+m) pass in throughput runs.
+        Governs the update path only: :func:`repro.api.apply_incremental`
+        (and :func:`repro.api.solve_incremental`) check each op's dirty
+        region when it is on.  :func:`repro.api.solve` validates every
+        coloring once against the algorithm's palette either way.
     params:
         Full override of the randomized pipeline's knobs; when set, the
         randomized algorithms run with these parameters instead of the

@@ -3,7 +3,10 @@
 Every Δ-coloring pipeline in the package is registered here under a
 stable name, together with capability metadata (does it require a *nice*
 graph, is it deterministic, what palette does it guarantee) and an
-adapter that runs the native engine and normalises its output.  New
+adapter that unpacks the :class:`SolverConfig` into the engine call and
+returns the engine's :class:`EngineRun`.  :func:`repro.api.solve` owns
+the whole-graph checks: niceness once when ``needs_nice``, validation
+once on every solve.  New
 engines (e.g. the MIS-reduction solver of "Faster Distributed Δ-Coloring
 via a Reduction to MIS") plug in with one :func:`register_algorithm`
 call — no caller changes.
@@ -24,20 +27,23 @@ Registered names
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.api.config import SolverConfig
+from repro.baselines.panconesi_srinivasan import ps_delta_coloring
+from repro.core.deterministic import delta_coloring_deterministic
 from repro.core.randomized import (
-    RandomizedParams,
     large_delta_params,
     run_pipeline,
     small_delta_params,
 )
+from repro.core.special_cases import color_components
 from repro.errors import ReproError
 from repro.graphs.graph import Graph
-from repro.graphs.properties import assert_nice, is_nice
-from repro.graphs.validation import validate_coloring
+from repro.graphs.properties import is_nice
+from repro.local.rounds import EngineRun
 
 __all__ = [
     "AlgorithmSpec",
@@ -49,24 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class EngineRun:
-    """Normalised engine output an adapter hands back to the facade."""
-
-    algorithm: str
-    colors: list[int]
-    delta: int
-    palette: int
-    rounds: int
-    phase_rounds: dict[str, int] = field(default_factory=dict)
-    phase_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
-    stats: dict[str, Any] = field(default_factory=dict)
-    seed_used: int | None = None
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One registry entry: the adapter plus its capability metadata.
+
+    ``needs_nice`` makes :func:`repro.api.solve` reject a graph that is
+    not nice with :class:`repro.errors.NotNiceGraphError` before the
+    adapter runs, so adapters never check niceness themselves.
 
     ``supports_incremental`` marks algorithms whose results the
     incremental engine (:mod:`repro.core.incremental`) can maintain under
@@ -117,29 +112,6 @@ def algorithm_specs() -> list[AlgorithmSpec]:
     return list(_REGISTRY.values())
 
 
-def _attribute_stats(
-    stats: dict[str, Any],
-    key_map: dict[str, tuple[str, ...]],
-    phase_wall: dict[str, float] | None = None,
-) -> dict[str, dict[str, Any]]:
-    """Split a run's flat stats dict into per-phase dicts.
-
-    ``phase_wall`` (the ledger's wall-clock breakdown, keyed by the same
-    phase names) lands under the reserved ``wall_s`` key; nested ledger
-    phases absent from ``key_map`` get an entry of their own, so the
-    timing decomposition is complete even where no stats were attributed.
-    ``wall_s`` is reserved: it is stripped from content digests, so two
-    runs of equal coloring content stay digest-equal across machines.
-    """
-    attributed = {
-        phase: {k: stats[k] for k in keys if k in stats}
-        for phase, keys in key_map.items()
-    }
-    for phase, wall in (phase_wall or {}).items():
-        attributed.setdefault(phase, {})["wall_s"] = round(wall, 6)
-    return attributed
-
-
 def _effective_params(config: SolverConfig):
     """The randomized-family params with ``config.strict`` folded in.
 
@@ -149,128 +121,41 @@ def _effective_params(config: SolverConfig):
     assertions, never touches the rng stream, so folding it in keeps
     colors bit-identical.
     """
-    import dataclasses
-
     params = config.params
     if params is not None and config.strict and not params.strict:
         params = dataclasses.replace(params, strict=True)
     return params
 
 
-# Which stats keys each pipeline phase produced (module-level so new
-# stats keys fail loudly in tests rather than silently vanishing from
-# the observer's view).
-RANDOMIZED_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "0:linial": ("linial_palette", "linial_iterations"),
-    "1:dcc-detect": ("num_dccs", "nodes_in_dccs"),
-    "2:dcc-ruling-set": ("b0_components", "b0_size", "virtual_ruling_iterations"),
-    "3:b-layers": ("h_size",),
-    "4:marking": ("selection_p", "t_nodes", "marked", "initially_selected", "backed_off"),
-    "5:happiness-layers": (
-        "happiness_radius", "c_layers", "leftover_nodes", "uncolored_marks",
-    ),
-    "6:small-components": (
-        "leftover_components", "leftover_max_component", "fallbacks",
-    ),
-}
-
-DETERMINISTIC_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "0:linial": ("linial_palette",),
-    "1:ruling-forest": ("ruling_distance", "b0_size"),
-    "2:layers": ("num_layers",),
-    "3:color-layers": ("layer_iterations",),
-    "4:color-b0-brooks": ("fix_modes", "fix_slots", "max_fix_radius"),
-}
-
-PS_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "1:ruling-forest": ("ruling_distance", "b0_size"),
-    "2:layers": ("num_layers",),
-    "3:color-layers": ("layer_iterations", "max_layer_iterations"),
-    "4:color-b0-brooks": ("fix_modes",),
-}
-
-
 def _run_randomized(graph: Graph, config: SolverConfig) -> EngineRun:
-    """The paper's dispatch: Theorem 1 for Δ = 3, Theorem 3 for Δ ≥ 4
-    (exactly :func:`repro.delta_color`); ``config.params`` overrides the
-    presets and runs the nine-phase pipeline with those knobs."""
-    # Checked before the Δ dispatch so degenerate graphs (paths, cycles)
-    # raise NotNiceGraphError, not the small-Δ contract error.
-    assert_nice(graph)
-    return _run_randomized_on_nice(graph, config)
-
-
-def _run_randomized_on_nice(graph: Graph, config: SolverConfig) -> EngineRun:
-    """:func:`_run_randomized` minus the nice check (``auto`` has made it)."""
+    """The paper's dispatch: Theorem 1 for Δ = 3, Theorem 3 for Δ ≥ 4;
+    ``config.params`` overrides the presets and runs the nine-phase
+    pipeline with those knobs."""
     params = _effective_params(config)
     if params is not None:
-        return _run_pipeline(graph, config, params, "randomized")
+        return run_pipeline(graph, params)
     if graph.max_degree() >= 4:
-        params = large_delta_params(graph, config.seed, config.strict, None)
-        return _run_pipeline(graph, config, params, "randomized-large")
-    params = small_delta_params(graph, config.seed, config.strict, None)
-    return _run_pipeline(graph, config, params, "randomized-small")
-
-
-def _run_pipeline(
-    graph: Graph, config: SolverConfig, params: RandomizedParams, name: str
-) -> EngineRun:
-    """Run the nine-phase pipeline on a graph known to be nice.
-
-    The final coloring is validated once per solve: by the facade when
-    ``config.validate`` is on, here otherwise.
-    """
-    result = run_pipeline(graph, params)
-    if not config.validate:
-        validate_coloring(graph, result.colors, max_colors=result.delta)
-    return EngineRun(
-        algorithm=name,
-        colors=result.colors,
-        delta=result.delta,
-        palette=result.delta,
-        rounds=result.rounds,
-        phase_rounds=result.phase_rounds,
-        phase_stats=_attribute_stats(
-            result.stats, RANDOMIZED_PHASE_KEYS, result.phase_wall
-        ),
-        stats=result.stats,
-        seed_used=params.seed,
-    )
+        return _run_randomized_large(graph, config)
+    return _run_randomized_small(graph, config)
 
 
 def _run_randomized_small(graph: Graph, config: SolverConfig) -> EngineRun:
     params = small_delta_params(
         graph, config.seed, config.strict, _effective_params(config)
     )
-    assert_nice(graph)
-    return _run_pipeline(graph, config, params, "randomized-small")
+    return run_pipeline(graph, params, "randomized-small")
 
 
 def _run_randomized_large(graph: Graph, config: SolverConfig) -> EngineRun:
     params = large_delta_params(
         graph, config.seed, config.strict, _effective_params(config)
     )
-    assert_nice(graph)
-    return _run_pipeline(graph, config, params, "randomized-large")
+    return run_pipeline(graph, params, "randomized-large")
 
 
 def _run_deterministic(graph: Graph, config: SolverConfig) -> EngineRun:
-    from repro.core.deterministic import delta_coloring_deterministic
-
-    result = delta_coloring_deterministic(
+    return delta_coloring_deterministic(
         graph, strict=config.strict, ruling_k=config.ruling_k
-    )
-    return EngineRun(
-        algorithm="deterministic",
-        colors=result.colors,
-        delta=result.delta,
-        palette=result.delta,
-        rounds=result.rounds,
-        phase_rounds=result.phase_rounds,
-        phase_stats=_attribute_stats(
-            result.stats, DETERMINISTIC_PHASE_KEYS, result.phase_wall
-        ),
-        stats=result.stats,
     )
 
 
@@ -301,21 +186,7 @@ def _run_slocal(graph: Graph, config: SolverConfig) -> EngineRun:
 
 
 def _run_ps(graph: Graph, config: SolverConfig) -> EngineRun:
-    from repro.baselines.panconesi_srinivasan import ps_delta_coloring
-
-    result = ps_delta_coloring(graph, seed=config.seed, strict=config.strict)
-    return EngineRun(
-        algorithm="ps",
-        colors=result.colors,
-        delta=result.delta,
-        palette=result.delta,
-        rounds=result.rounds,
-        phase_rounds=result.phase_rounds,
-        phase_stats=_attribute_stats(
-            result.stats, PS_PHASE_KEYS, result.phase_wall
-        ),
-        stats=result.stats,
-    )
+    return ps_delta_coloring(graph, seed=config.seed, strict=config.strict)
 
 
 def _run_greedy(graph: Graph, config: SolverConfig) -> EngineRun:
@@ -338,24 +209,7 @@ def _run_greedy(graph: Graph, config: SolverConfig) -> EngineRun:
 
 
 def _run_components(graph: Graph, config: SolverConfig) -> EngineRun:
-    from repro.core.special_cases import color_graph
-
-    result = color_graph(graph, seed=config.seed, strict=config.strict)
-    delta = graph.max_degree() if graph.n else 0
-    stats: dict[str, Any] = {
-        "component_families": dict(result.component_families),
-        "num_components": sum(result.component_families.values()),
-    }
-    return EngineRun(
-        algorithm="components",
-        colors=result.colors,
-        delta=delta,
-        palette=result.num_colors,
-        rounds=result.rounds,
-        phase_rounds={"components": result.rounds},
-        phase_stats={"components": dict(stats)},
-        stats=stats,
-    )
+    return color_components(graph, seed=config.seed, strict=config.strict)
 
 
 def _run_auto(graph: Graph, config: SolverConfig) -> EngineRun:
@@ -368,7 +222,7 @@ def _run_auto(graph: Graph, config: SolverConfig) -> EngineRun:
     each component with its own optimum.
     """
     if graph.n > 0 and is_nice(graph):  # is_nice implies connected
-        return _run_randomized_on_nice(graph, config)
+        return _run_randomized(graph, config)
     return _run_components(graph, config)
 
 

@@ -1,14 +1,10 @@
 """The one result type every solver entry point returns.
 
-Historically each pipeline had its own result shape
-(``DeltaColoringResult``, ``DeterministicResult``, ``PSResult``,
-``ComponentColoring``, ``SpecialColoring``, plus the bare
-``(colors, SLocalRun)`` tuple of the SLOCAL colorer), and every caller —
-CLI, harness, benchmarks, examples — poked at whichever attributes its
-algorithm happened to expose.  :class:`ColoringResult` is the single,
-frozen, JSON-round-trippable record they all adapt into; the legacy
-types remain as the engines' native outputs and as deprecated-but-stable
-wrappers.
+Every engine hands :func:`repro.api.solve` one
+:class:`repro.local.rounds.EngineRun`; the facade checks it and packs
+it into :class:`ColoringResult`, the single, frozen,
+JSON-round-trippable record that every caller — CLI, harness, service,
+benchmarks, examples — reads.
 """
 
 from __future__ import annotations
@@ -85,8 +81,8 @@ class ColoringResult:
         The seed the run was configured with (recorded even for
         deterministic algorithms, which ignore it).
     wall_time_s:
-        Wall-clock seconds spent inside the engine (excludes facade
-        validation).
+        Wall-clock seconds spent inside the engine (excludes the
+        facade's niceness check and validation).
     """
 
     algorithm: str

@@ -32,6 +32,7 @@ from repro.api.config import SolverConfig
 from repro.api.registry import get_algorithm
 from repro.api.result import ColoringResult
 from repro.graphs.graph import Graph
+from repro.graphs.properties import assert_nice
 from repro.graphs.validation import validate_coloring
 
 __all__ = [
@@ -60,17 +61,23 @@ def solve(
 
     ``overrides`` are :class:`SolverConfig` fields applied on top of
     ``config`` (so ``solve(g, algorithm="ps", seed=3)`` needs no explicit
-    config object).  Raises the engine's own errors unchanged
-    (:class:`repro.errors.NotNiceGraphError` for algorithms that need a
-    nice graph, etc.).
+    config object).
+
+    This is the one place the whole-graph checks run: niceness once,
+    before the engine, for algorithms that need a nice graph
+    (:class:`repro.errors.NotNiceGraphError` otherwise), and validation
+    once, after it, on every solve — a proper coloring within
+    ``palette`` colors (:class:`repro.errors.ColoringError` otherwise).
+    Other engine errors propagate unchanged.
     """
     config = _make_config(config, overrides)
     spec = get_algorithm(config.algorithm)
+    if spec.needs_nice:
+        assert_nice(graph)
     started = time.perf_counter()
     run = spec.run(graph, config)
     wall_time = time.perf_counter() - started
-    if config.validate:
-        validate_coloring(graph, run.colors, max_colors=run.palette or None)
+    validate_coloring(graph, run.colors, max_colors=run.palette or None)
     phase_stats = {k: dict(v) for k, v in run.phase_stats.items()}
     if len(run.phase_rounds) == 1:
         # Single-phase engines (slocal, greedy, components) have no

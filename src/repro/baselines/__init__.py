@@ -1,6 +1,9 @@
-"""Baselines: the algorithms the paper improves on or is checked against."""
+"""Baselines: the algorithms the paper improves on or is checked against.
+
+The [PS95] baseline itself runs as ``solve(graph, algorithm="ps")``; its
+engine lives in :mod:`repro.baselines.panconesi_srinivasan`.
+"""
 
 from repro.baselines.greedy import centralized_brooks, centralized_greedy
-from repro.baselines.panconesi_srinivasan import PSResult, ps_delta_coloring
 
-__all__ = ["centralized_brooks", "centralized_greedy", "PSResult", "ps_delta_coloring"]
+__all__ = ["centralized_brooks", "centralized_greedy"]

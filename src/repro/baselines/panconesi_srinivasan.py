@@ -19,42 +19,36 @@ O((log log n)²) / O(log Δ) + … rounds are compared.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from repro.errors import AlgorithmContractError
 from repro.core.brooks import fix_uncolored_node
 from repro.core.deterministic import ruling_distance
 from repro.core.layering import color_layers_in_reverse
 from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
-from repro.graphs.properties import assert_nice
-from repro.graphs.validation import UNCOLORED, validate_coloring
-from repro.local.rounds import RoundLedger
+from repro.graphs.validation import UNCOLORED
+from repro.local.rounds import EngineRun, RoundLedger
 from repro.primitives.ruling_sets import ruling_forest_aglp
 
-__all__ = ["PSResult", "ps_delta_coloring"]
+__all__ = ["PS_PHASE_KEYS", "ps_delta_coloring"]
 
 
-@dataclass
-class PSResult:
-    """Output of the baseline (mirrors DeltaColoringResult)."""
-
-    colors: list[int]
-    delta: int
-    rounds: int
-    phase_rounds: dict[str, int] = field(default_factory=dict)
-    stats: dict[str, object] = field(default_factory=dict)
-    phase_wall: dict[str, float] = field(default_factory=dict)
+PS_PHASE_KEYS: dict[str, tuple[str, ...]] = {
+    "1:ruling-forest": ("ruling_distance", "b0_size"),
+    "2:layers": ("num_layers",),
+    "3:color-layers": ("layer_iterations", "max_layer_iterations"),
+    "4:color-b0-brooks": ("fix_modes",),
+}
 
 
 def ps_delta_coloring(
     graph: Graph, seed: int = 0, strict: bool = False
-) -> PSResult:
-    """Δ-color a nice graph with the PS-shaped baseline (module docstring)."""
-    assert_nice(graph)
+) -> EngineRun:
+    """Δ-color a nice graph with the PS-shaped baseline (module docstring).
+
+    The engine behind ``solve(graph, algorithm="ps")``, which checks
+    niceness and validates the output.
+    """
     delta = graph.max_degree()
-    if delta < 3:
-        raise AlgorithmContractError(f"baseline needs Δ >= 3, got {delta}")
     n = graph.n
     rng = random.Random(seed)
     ledger = RoundLedger()
@@ -96,12 +90,4 @@ def ps_delta_coloring(
         ledger.charge_max(costs)
         stats["fix_modes"] = modes
 
-    validate_coloring(graph, colors, max_colors=delta)
-    return PSResult(
-        colors=colors,
-        delta=delta,
-        rounds=ledger.total_rounds,
-        phase_rounds=ledger.snapshot(),
-        stats=stats,
-        phase_wall=ledger.wall_snapshot(),
-    )
+    return EngineRun.from_ledger("ps", colors, delta, ledger, stats, PS_PHASE_KEYS)

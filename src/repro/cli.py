@@ -279,7 +279,7 @@ def _bench_sweep(args: argparse.Namespace) -> int:
         return 2
     report = HarnessReport(name="delta-coloring-wall-clock")
     report.add(
-        f"delta_coloring_large_delta Δ={args.delta}",
+        f"randomized-large Δ={args.delta}",
         delta_coloring_sweep(
             sweep_sizes,
             delta=args.delta,

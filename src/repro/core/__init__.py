@@ -9,17 +9,19 @@
 * :mod:`repro.core.small_components` — leftover components (phase 6).
 * :mod:`repro.core.randomized` — Theorems 1 and 3 orchestrators.
 * :mod:`repro.core.deterministic` — Theorem 4 (subsuming Theorem 21).
+* :mod:`repro.core.special_cases` — Brooks' excluded families and the
+  per-component dispatcher.
+
+The pipelines are engines behind :func:`repro.api.solve`: each returns a
+:class:`repro.local.rounds.EngineRun`, and the facade checks niceness
+and validates the coloring once per solve.
 """
 
 from repro.core.brooks import BrooksFixResult, default_fix_radius, fix_uncolored_node
 from repro.core.colorstore import ColorStore
 from repro.core.dcc import DCCDetection, detect_dccs, virtual_graph_ruling_set
 from repro.core.degree_choosable import backtracking_list_color, degree_list_color
-from repro.core.deterministic import (
-    DeterministicResult,
-    delta_coloring_deterministic,
-    ruling_distance,
-)
+from repro.core.deterministic import ruling_distance
 from repro.core.happiness import HappinessLayers, build_happiness_layers
 from repro.core.layering import (
     LayerColoringReport,
@@ -31,20 +33,9 @@ from repro.core.marking import (
     default_selection_probability,
     marking_process,
 )
-from repro.core.randomized import (
-    DeltaColoringResult,
-    RandomizedParams,
-    delta_coloring_large_delta,
-    delta_coloring_randomized,
-    delta_coloring_small_delta,
-)
+from repro.core.randomized import RandomizedParams
 from repro.core.small_components import SmallComponentsReport, color_small_components
-from repro.core.special_cases import (
-    ComponentColoring,
-    SpecialColoring,
-    color_graph,
-    color_special,
-)
+from repro.core.special_cases import SpecialColoring, color_special
 from repro.core.slocal_coloring import slocal_delta_coloring
 
 __all__ = [
@@ -68,16 +59,8 @@ __all__ = [
     "SmallComponentsReport",
     "color_small_components",
     "RandomizedParams",
-    "DeltaColoringResult",
-    "delta_coloring_randomized",
-    "delta_coloring_small_delta",
-    "delta_coloring_large_delta",
-    "DeterministicResult",
-    "delta_coloring_deterministic",
     "ruling_distance",
     "SpecialColoring",
     "color_special",
-    "ComponentColoring",
-    "color_graph",
     "slocal_delta_coloring",
 ]

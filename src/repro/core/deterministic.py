@@ -28,32 +28,29 @@ class engine already runs in O(Δ²·log² n) ⊆ 2^{O(√log n)} rounds for
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.errors import AlgorithmContractError
 from repro.core.brooks import fix_uncolored_node
 from repro.core.layering import color_layers_in_reverse
 from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
-from repro.graphs.properties import assert_nice
-from repro.graphs.validation import UNCOLORED, validate_coloring
-from repro.local.rounds import RoundLedger
+from repro.graphs.validation import UNCOLORED
+from repro.local.rounds import EngineRun, RoundLedger
 from repro.primitives.linial import linial_coloring
 from repro.primitives.ruling_sets import ruling_forest_aglp
 
-__all__ = ["DeterministicResult", "delta_coloring_deterministic", "ruling_distance"]
+__all__ = [
+    "DETERMINISTIC_PHASE_KEYS", "delta_coloring_deterministic", "ruling_distance",
+]
 
 
-@dataclass
-class DeterministicResult:
-    """Output of the deterministic pipeline (mirrors DeltaColoringResult)."""
-
-    colors: list[int]
-    delta: int
-    rounds: int
-    phase_rounds: dict[str, int] = field(default_factory=dict)
-    stats: dict[str, object] = field(default_factory=dict)
-    phase_wall: dict[str, float] = field(default_factory=dict)
+DETERMINISTIC_PHASE_KEYS: dict[str, tuple[str, ...]] = {
+    "0:linial": ("linial_palette",),
+    "1:ruling-forest": ("ruling_distance", "b0_size"),
+    "2:layers": ("num_layers",),
+    "3:color-layers": ("layer_iterations",),
+    "4:color-b0-brooks": ("fix_modes", "fix_slots", "max_fix_radius"),
+}
 
 
 def ruling_distance(n: int, delta: int) -> int:
@@ -64,16 +61,15 @@ def ruling_distance(n: int, delta: int) -> int:
 
 def delta_coloring_deterministic(
     graph: Graph, strict: bool = False, ruling_k: int | None = None
-) -> DeterministicResult:
-    """Theorem 4: deterministic Δ-coloring of a nice graph with Δ >= 3.
+) -> EngineRun:
+    """Theorem 4: deterministic Δ-coloring of a nice graph (so Δ >= 3).
 
-    ``ruling_k`` overrides the ruling distance R (exposed for the A3-style
-    ablations); the default is the paper's 4·log_{Δ-1} n + 1.
+    The engine behind ``solve(graph, algorithm="deterministic")``, which
+    checks niceness and validates the output.  ``ruling_k`` overrides
+    the ruling distance R (exposed for the A3-style ablations); the
+    default is the paper's 4·log_{Δ-1} n + 1.
     """
-    assert_nice(graph)
     delta = graph.max_degree()
-    if delta < 3:
-        raise AlgorithmContractError(f"deterministic algorithm needs Δ >= 3, got {delta}")
     n = graph.n
     ledger = RoundLedger()
     colors = [UNCOLORED] * n
@@ -107,17 +103,11 @@ def delta_coloring_deterministic(
     stats["layer_iterations"] = report.total_iterations
 
     with ledger.phase("4:color-b0-brooks"):
-        fix_stats = _fix_base_layer(graph, colors, base_layer, delta, big_r, ledger, strict)
+        fix_stats = _fix_base_layer(graph, colors, base_layer, delta, big_r, ledger)
     stats.update(fix_stats)
 
-    validate_coloring(graph, colors, max_colors=delta)
-    return DeterministicResult(
-        colors=colors,
-        delta=delta,
-        rounds=ledger.total_rounds,
-        phase_rounds=ledger.snapshot(),
-        stats=stats,
-        phase_wall=ledger.wall_snapshot(),
+    return EngineRun.from_ledger(
+        "deterministic", colors, delta, ledger, stats, DETERMINISTIC_PHASE_KEYS
     )
 
 
@@ -128,7 +118,6 @@ def _fix_base_layer(
     delta: int,
     big_r: int,
     ledger: RoundLedger,
-    strict: bool,
 ) -> dict[str, object]:
     """Phase 4: repair every B0 node via Theorem 5, packing disjoint
     repairs into shared round slots.
@@ -165,9 +154,6 @@ def _fix_base_layer(
             slots.append((halo, local.total_rounds))
     for _blocked, cost in slots:
         ledger.charge(cost)
-    if strict and len(slots) > 1:
-        # Overlapping repairs should not occur when R > 2·budget radius.
-        pass  # accounted sequentially above; the stats expose it
     return {
         "fix_modes": modes,
         "fix_slots": len(slots),

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AlgorithmContractError
 from repro.core.dcc import detect_dccs, virtual_graph_ruling_set
@@ -42,17 +42,16 @@ from repro.core.marking import default_selection_probability, marking_process
 from repro.core.small_components import SmallComponentsReport, color_small_components
 from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
-from repro.graphs.properties import assert_nice
-from repro.graphs.validation import UNCOLORED, validate_coloring
-from repro.local.rounds import RoundLedger
+from repro.graphs.validation import UNCOLORED
+from repro.local.rounds import EngineRun, RoundLedger
 from repro.primitives.linial import linial_coloring
 
 __all__ = [
     "RandomizedParams",
-    "DeltaColoringResult",
-    "delta_coloring_randomized",
-    "delta_coloring_small_delta",
-    "delta_coloring_large_delta",
+    "RANDOMIZED_PHASE_KEYS",
+    "large_delta_params",
+    "run_pipeline",
+    "small_delta_params",
 ]
 
 
@@ -100,55 +99,11 @@ class RandomizedParams:
         (O(log Δ)-shaped) per-layer engine."""
         return RandomizedParams(
             dcc_radius=2,
-            backoff=6 if delta >= 4 else 6,
+            backoff=6,
             engine="hybrid",
             seed=seed,
             strict=strict,
         )
-
-
-@dataclass
-class DeltaColoringResult:
-    """Output of an end-to-end Δ-coloring run.
-
-    ``rounds`` is the LOCAL total; ``phase_rounds`` the paper's cost
-    decomposition; ``stats`` carries the structural quantities the
-    benchmarks tabulate (DCC counts, T-node counts, leftover component
-    sizes, fallbacks).
-    """
-
-    colors: list[int]
-    delta: int
-    rounds: int
-    phase_rounds: dict[str, int] = field(default_factory=dict)
-    stats: dict[str, object] = field(default_factory=dict)
-    phase_wall: dict[str, float] = field(default_factory=dict)
-
-
-def delta_coloring_small_delta(
-    graph: Graph, seed: int = 0, strict: bool = False,
-    params: RandomizedParams | None = None,
-) -> DeltaColoringResult:
-    """Theorem 1 / Corollary 2: randomized Δ-coloring tuned for Δ = O(1).
-
-    Requires a nice graph with Δ >= 3.
-    """
-    return delta_coloring_randomized(
-        graph, small_delta_params(graph, seed, strict, params)
-    )
-
-
-def delta_coloring_large_delta(
-    graph: Graph, seed: int = 0, strict: bool = False,
-    params: RandomizedParams | None = None,
-) -> DeltaColoringResult:
-    """Theorem 3: randomized Δ-coloring for Δ >= 4.
-
-    Requires a nice graph with Δ >= 4.
-    """
-    return delta_coloring_randomized(
-        graph, large_delta_params(graph, seed, strict, params)
-    )
 
 
 def small_delta_params(
@@ -175,27 +130,33 @@ def large_delta_params(
     return params
 
 
-def delta_coloring_randomized(
-    graph: Graph, params: RandomizedParams
-) -> DeltaColoringResult:
-    """The nine-phase randomized Δ-coloring pipeline (see module docstring).
+# Which stats keys each pipeline phase produced (module-level so new
+# stats keys fail loudly in tests rather than silently vanishing from
+# the observer's view).
+RANDOMIZED_PHASE_KEYS: dict[str, tuple[str, ...]] = {
+    "0:linial": ("linial_palette", "linial_iterations"),
+    "1:dcc-detect": ("num_dccs", "nodes_in_dccs"),
+    "2:dcc-ruling-set": ("b0_components", "b0_size", "virtual_ruling_iterations"),
+    "3:b-layers": ("h_size",),
+    "4:marking": ("selection_p", "t_nodes", "marked", "initially_selected", "backed_off"),
+    "5:happiness-layers": (
+        "happiness_radius", "c_layers", "leftover_nodes", "uncolored_marks",
+    ),
+    "6:small-components": (
+        "leftover_components", "leftover_max_component", "fallbacks",
+    ),
+}
 
-    Checks that ``graph`` is nice first and validates the final coloring
-    unconditionally; in ``params.strict`` mode additionally checks every
-    per-phase contract.
-    """
-    assert_nice(graph)
-    result = run_pipeline(graph, params)
-    validate_coloring(graph, result.colors, max_colors=result.delta)
-    return result
 
+def run_pipeline(
+    graph: Graph, params: RandomizedParams, algorithm: str = "randomized"
+) -> EngineRun:
+    """The nine phases on a nice graph (see module docstring).
 
-def run_pipeline(graph: Graph, params: RandomizedParams) -> DeltaColoringResult:
-    """The nine phases on a graph the caller has already checked is nice.
-
-    Neither checks niceness nor validates the output: the solver facade
-    (:mod:`repro.api.registry`) does each once per solve, and
-    :func:`delta_coloring_randomized` does both for direct callers.
+    Neither checks niceness nor validates the output:
+    :func:`repro.api.solve` does each once per solve.  In
+    ``params.strict`` mode every per-phase contract is checked.
+    ``algorithm`` is the registry name the run is recorded under.
     """
     delta = graph.max_degree()
     n = graph.n
@@ -315,13 +276,9 @@ def run_pipeline(graph: Graph, params: RandomizedParams) -> DeltaColoringResult:
             costs.append(2 * r_dcc + 1)
         ledger.charge_max(costs)
 
-    return DeltaColoringResult(
-        colors=colors,
-        delta=delta,
-        rounds=ledger.total_rounds,
-        phase_rounds=ledger.snapshot(),
-        stats=stats,
-        phase_wall=ledger.wall_snapshot(),
+    return EngineRun.from_ledger(
+        algorithm, colors, delta, ledger, stats, RANDOMIZED_PHASE_KEYS,
+        seed_used=params.seed,
     )
 
 

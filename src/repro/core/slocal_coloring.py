@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from repro.core.brooks import default_fix_radius, fix_uncolored_node
 from repro.graphs.graph import Graph
-from repro.graphs.properties import assert_nice
-from repro.graphs.validation import UNCOLORED, validate_coloring
+from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
 from repro.local.slocal import SLocalRun, SLocalSimulator
 
@@ -34,9 +33,10 @@ def slocal_delta_coloring(
 
     ``order`` is the adversarial processing order (default: by id).
     Returns ``(colors, run)`` where ``run`` certifies the per-node
-    locality; the maximum is O(log_Δ n) by Lemma 16.
+    locality; the maximum is O(log_Δ n) by Lemma 16.  Neither checks
+    niceness nor validates the output: ``solve(graph,
+    algorithm="slocal")`` does both.
     """
-    assert_nice(graph)
     delta = graph.max_degree()
     sequence = order if order is not None else list(range(graph.n))
     colors = [UNCOLORED] * graph.n
@@ -57,5 +57,4 @@ def slocal_delta_coloring(
 
     simulator = SLocalSimulator(graph)
     run = simulator.run(sequence, step, colors)
-    validate_coloring(graph, colors, max_colors=delta)
     return colors, run

@@ -9,8 +9,9 @@ families.  This module completes the library:
   paths and even cycles with 2 colors, odd cycles with 3, cliques K_k
   with k (each matching its chromatic number; note χ = Δ+1 for odd
   cycles and cliques — exactly Brooks' exceptions);
-* :func:`color_graph` — colors *any* graph, component by component:
-  nice components get the paper's Δ-coloring (with the per-component Δ),
+* :func:`color_components` — colors *any* graph, component by component
+  (the engine behind ``solve(graph, algorithm="components")``): nice
+  components get the paper's Δ-coloring (with the per-component Δ),
   excluded components get their optimal special coloring.  The round
   cost is the max over components (they run concurrently in LOCAL).
 
@@ -22,13 +23,10 @@ diameter 1 and cost O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import NotNiceGraphError
-from repro.core.randomized import (
-    RandomizedParams,
-    delta_coloring_randomized,
-)
+from repro.core.randomized import RandomizedParams, run_pipeline
+from repro.errors import ColoringError, NotNiceGraphError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
     is_complete,
@@ -36,9 +34,10 @@ from repro.graphs.properties import (
     is_nice,
     is_path_graph,
 )
-from repro.graphs.validation import UNCOLORED, validate_coloring
+from repro.graphs.validation import UNCOLORED
+from repro.local.rounds import EngineRun
 
-__all__ = ["SpecialColoring", "color_special", "ComponentColoring", "color_graph"]
+__all__ = ["SpecialColoring", "color_special", "color_components"]
 
 
 @dataclass
@@ -54,40 +53,51 @@ class SpecialColoring:
 def color_special(graph: Graph) -> SpecialColoring:
     """Optimally color a connected clique, cycle, or path.
 
-    Raises :class:`NotNiceGraphError` if the graph is none of these (use
-    the Δ-coloring algorithms instead), including the single-node /
-    edgeless cases which are handled as trivial paths.
+    Raises :class:`NotNiceGraphError` if the graph is none of these: a
+    nice graph is Δ-colored by ``solve(graph, algorithm="randomized")``,
+    a disconnected one by ``solve(graph, algorithm="components")``.  A
+    single node is a trivial path.
     """
     if graph.n == 0:
         return SpecialColoring(colors=[], num_colors=0, rounds=0, family="empty")
+    if is_complete(graph) or is_path_graph(graph) or is_cycle_graph(graph):
+        return _color_excluded(graph)
+    raise NotNiceGraphError(
+        "graph is not a clique, cycle or path — use solve(graph, "
+        'algorithm="randomized") on a nice graph, algorithm="components" '
+        "on any other"
+    )
+
+
+def _color_excluded(graph: Graph) -> SpecialColoring:
+    """Color a connected, non-empty clique, path or cycle.
+
+    The caller has established the family (and connectivity), so a
+    non-clique with n - 1 edges is a path and any other is a cycle.
+    """
     if is_complete(graph):
         # Clique K_k: k colors; diameter 1, so ids order a 1-round greedy.
         colors = [v + 1 for v in range(graph.n)]
         return SpecialColoring(
             colors=colors, num_colors=graph.n, rounds=1, family="clique"
         )
-    if is_path_graph(graph):
+    if graph.num_edges == graph.n - 1:
         colors = _two_color_from(graph, _path_endpoint(graph))
         return SpecialColoring(
-            colors=colors, num_colors=min(2, max(1, graph.n)), rounds=graph.n,
+            colors=colors, num_colors=min(2, graph.n), rounds=graph.n,
             family="path",
         )
-    if is_cycle_graph(graph):
-        order = _walk_cycle(graph, 0)
-        colors = [UNCOLORED] * graph.n
-        for index, v in enumerate(order):
-            colors[v] = 1 + index % 2
-        if graph.n % 2 == 1:
-            # Odd cycle: the walk's last node takes the third color.
-            colors[order[-1]] = 3
-            family, k = "odd-cycle", 3
-        else:
-            family, k = "even-cycle", 2
-        validate_coloring(graph, colors, max_colors=k)
-        return SpecialColoring(colors=colors, num_colors=k, rounds=graph.n, family=family)
-    raise NotNiceGraphError(
-        "graph is nice — use delta_color / delta_coloring_* instead"
-    )
+    order = _walk_cycle(graph, 0)
+    colors = [UNCOLORED] * graph.n
+    for index, v in enumerate(order):
+        colors[v] = 1 + index % 2
+    if graph.n % 2 == 1:
+        # Odd cycle: the walk's last node takes the third color.
+        colors[order[-1]] = 3
+        family, k = "odd-cycle", 3
+    else:
+        family, k = "even-cycle", 2
+    return SpecialColoring(colors=colors, num_colors=k, rounds=graph.n, family=family)
 
 
 def _path_endpoint(graph: Graph) -> int:
@@ -125,52 +135,53 @@ def _two_color_from(graph: Graph, start: int) -> list[int]:
     return colors
 
 
-@dataclass
-class ComponentColoring:
-    """Result of :func:`color_graph` on an arbitrary graph.
-
-    ``num_colors`` is the global palette size (components share colors
-    1..k); ``component_families`` counts how each component was handled;
-    ``rounds`` is the max over components.
-    """
-
-    colors: list[int]
-    num_colors: int
-    rounds: int
-    component_families: dict[str, int] = field(default_factory=dict)
-
-
-def color_graph(graph: Graph, seed: int = 0, strict: bool = False) -> ComponentColoring:
+def color_components(graph: Graph, seed: int = 0, strict: bool = False) -> EngineRun:
     """Color an arbitrary graph with the fewest colors this library can
     guarantee per component: Δ_component for nice components (the paper's
-    algorithms), χ for the excluded families.
+    randomized pipeline), χ for the excluded families.
 
-    Components are independent in LOCAL, so they are colored concurrently
-    and the cost is the slowest component.  This is also the natural
+    The engine behind ``solve(graph, algorithm="components")``, which
+    validates the whole coloring against the largest per-component
+    palette; here each component is held to its own palette and a
+    component that exceeds it raises :class:`ColoringError`.  Components
+    are independent in LOCAL, so they are colored concurrently and the
+    cost is the slowest component.  This is also the natural
     *failure-handling* entry point: after crashed nodes are removed, the
     survivor graph is recolored per component (see
     ``tests/test_special_cases.py``).
     """
-    result = ComponentColoring(colors=[UNCOLORED] * graph.n, num_colors=0, rounds=0)
+    colors = [UNCOLORED] * graph.n
+    palette = rounds = 0
+    families: dict[str, int] = {}
     for component in graph.connected_components():
         sub, originals = graph.subgraph(component)
         if sub.n == 1:
-            assignment, used, rounds, family = [1], 1, 0, "isolated"
+            assignment, bound, cost, family = [1], 1, 0, "isolated"
         elif is_nice(sub):
-            params = RandomizedParams(seed=seed, strict=strict)
-            if sub.max_degree() < 3:
-                raise AssertionError("nice graphs have Δ >= 3")
-            res = delta_coloring_randomized(sub, params)
-            assignment = res.colors
-            used, rounds, family = sub.max_degree(), res.rounds, "nice"
+            run = run_pipeline(sub, RandomizedParams(seed=seed, strict=strict))
+            assignment, bound, cost, family = run.colors, run.delta, run.rounds, "nice"
         else:
-            special = color_special(sub)
-            assignment = special.colors
-            used, rounds, family = special.num_colors, special.rounds, special.family
+            special = _color_excluded(sub)
+            assignment, bound = special.colors, special.num_colors
+            cost, family = special.rounds, special.family
+        if max(assignment) > bound:
+            raise ColoringError(
+                f"{family} component on {sub.n} nodes uses color "
+                f"{max(assignment)}, above its palette of {bound}"
+            )
         for i, v in enumerate(originals):
-            result.colors[v] = assignment[i]
-        result.num_colors = max(result.num_colors, used)
-        result.rounds = max(result.rounds, rounds)
-        result.component_families[family] = result.component_families.get(family, 0) + 1
-    validate_coloring(graph, result.colors, max_colors=result.num_colors or None)
-    return result
+            colors[v] = assignment[i]
+        palette = max(palette, bound)
+        rounds = max(rounds, cost)
+        families[family] = families.get(family, 0) + 1
+    stats = {"component_families": families, "num_components": sum(families.values())}
+    return EngineRun(
+        algorithm="components",
+        colors=colors,
+        delta=graph.max_degree() if graph.n else 0,
+        palette=palette,
+        rounds=rounds,
+        phase_rounds={"components": rounds},
+        phase_stats={"components": dict(stats)},
+        stats=stats,
+    )

@@ -90,32 +90,39 @@ def is_complete(graph: Graph) -> bool:
 
 def is_cycle_graph(graph: Graph) -> bool:
     """True iff the whole graph is a single cycle C_n, n >= 3."""
-    if graph.n < 3 or graph.num_edges != graph.n:
-        return False
-    if any(graph.degree(v) != 2 for v in range(graph.n)):
-        return False
-    return graph.is_connected()
+    return _cycle_shaped(graph) and graph.is_connected()
 
 
 def is_path_graph(graph: Graph) -> bool:
     """True iff the whole graph is a simple path P_n (n >= 1)."""
+    return _path_shaped(graph) and graph.is_connected()
+
+
+def _cycle_shaped(graph: Graph) -> bool:
+    """n >= 3 nodes, n edges, all of degree 2: a cycle iff connected."""
+    if graph.n < 3 or graph.num_edges != graph.n:
+        return False
+    return all(graph.degree(v) == 2 for v in range(graph.n))
+
+
+def _path_shaped(graph: Graph) -> bool:
+    """n >= 1 nodes, n - 1 edges, degrees <= 2: a path iff connected."""
     if graph.n == 0 or graph.num_edges != graph.n - 1:
         return False
-    degs = graph.degrees()
     if graph.n == 1:
         return True
-    if sorted(degs)[:2] != [1, 1] or max(degs) > 2:
-        return False
-    return graph.is_connected()
+    degs = graph.degrees()
+    return sorted(degs)[:2] == [1, 1] and max(degs) <= 2
 
 
 def is_nice(graph: Graph) -> bool:
-    """Nice graph per [PS95]: connected and not a path, cycle, or clique."""
-    return (
-        graph.is_connected()
-        and not is_path_graph(graph)
-        and not is_cycle_graph(graph)
-        and not is_complete(graph)
+    """Nice graph per [PS95]: connected and not a path, cycle, or clique.
+
+    Scans connectivity once: the path and cycle tests after it are the
+    shape tests only.
+    """
+    return graph.is_connected() and not (
+        _path_shaped(graph) or _cycle_shaped(graph) or is_complete(graph)
     )
 
 
@@ -132,9 +139,9 @@ def assert_nice(graph: Graph) -> None:
         )
     if is_complete(graph):
         raise NotNiceGraphError("complete graphs are not Δ-colorable (Brooks)")
-    if is_cycle_graph(graph):
+    if _cycle_shaped(graph):
         raise NotNiceGraphError("cycles need special handling (Δ=2 / odd cycle)")
-    if is_path_graph(graph):
+    if _path_shaped(graph):
         raise NotNiceGraphError("paths need special handling (Δ<=2)")
 
 

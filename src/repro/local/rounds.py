@@ -20,8 +20,9 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any
 
-__all__ = ["RoundLedger", "PhaseBreakdown"]
+__all__ = ["RoundLedger", "PhaseBreakdown", "EngineRun"]
 
 
 @dataclass
@@ -132,3 +133,64 @@ class RoundLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"RoundLedger(total={self.total_rounds})"
+
+
+@dataclass
+class EngineRun:
+    """What one engine run hands back to the solver facade.
+
+    Every registered engine returns one; :func:`repro.api.solve` checks
+    it (proper coloring within ``palette`` colors) and packs it into the
+    public :class:`repro.api.ColoringResult`.
+    """
+
+    algorithm: str
+    colors: list[int]
+    delta: int
+    palette: int
+    rounds: int
+    phase_rounds: dict[str, int] = field(default_factory=dict)
+    phase_stats: dict[str, dict[str, Any]] = field(default_factory=dict)
+    stats: dict[str, Any] = field(default_factory=dict)
+    seed_used: int | None = None
+
+    @classmethod
+    def from_ledger(
+        cls,
+        algorithm: str,
+        colors: list[int],
+        delta: int,
+        ledger: RoundLedger,
+        stats: dict[str, Any],
+        phase_keys: dict[str, tuple[str, ...]],
+        seed_used: int | None = None,
+    ) -> "EngineRun":
+        """A Δ-palette run whose rounds, phase rounds and phase walls
+        come from ``ledger``.
+
+        ``phase_keys`` names the stats keys each phase produced; they are
+        copied into that phase's ``phase_stats`` entry.  Each phase's
+        wall-clock seconds land under the reserved ``wall_s`` key, and
+        nested ledger phases absent from ``phase_keys`` get an entry of
+        their own, so the timing decomposition is complete even where no
+        stats were attributed.  ``wall_s`` is stripped from content
+        digests, so two runs of equal coloring content stay digest-equal
+        across machines.
+        """
+        phase_stats = {
+            phase: {k: stats[k] for k in keys if k in stats}
+            for phase, keys in phase_keys.items()
+        }
+        for phase, wall in ledger.wall_snapshot().items():
+            phase_stats.setdefault(phase, {})["wall_s"] = round(wall, 6)
+        return cls(
+            algorithm=algorithm,
+            colors=colors,
+            delta=delta,
+            palette=delta,
+            rounds=ledger.total_rounds,
+            phase_rounds=ledger.snapshot(),
+            phase_stats=phase_stats,
+            stats=stats,
+            seed_used=seed_used,
+        )

@@ -1,8 +1,8 @@
 """Tests for the unified solver facade (:mod:`repro.api`).
 
-Covers the acceptance criteria of the facade PR: registry completeness
-(every registered name solves a smoke graph), ``solve()`` bit-identical
-to the legacy entry points on the golden fixed seeds, ``solve_many``
+Covers registry completeness (every registered name solves a smoke
+graph), the facade's one niceness check and one validation per solve,
+``solve()`` bit-identical to calling each engine directly, ``solve_many``
 determinism across worker counts (and >1.5× throughput when the machine
 actually has spare cores), the JSON round-trip of
 :class:`repro.api.ColoringResult`, and the ``on_phase`` observer.
@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro import delta_color
 from repro.api import (
     AlgorithmSpec,
     ColoringResult,
@@ -31,12 +30,12 @@ from repro.baselines.panconesi_srinivasan import ps_delta_coloring
 from repro.core.deterministic import delta_coloring_deterministic
 from repro.core.randomized import (
     RandomizedParams,
-    delta_coloring_large_delta,
-    delta_coloring_randomized,
-    delta_coloring_small_delta,
+    large_delta_params,
+    run_pipeline,
+    small_delta_params,
 )
 from repro.core.slocal_coloring import slocal_delta_coloring
-from repro.core.special_cases import color_graph
+from repro.core.special_cases import color_components
 from repro.errors import NotNiceGraphError, ReproError
 from repro.graphs.generators import (
     complete_graph,
@@ -61,6 +60,16 @@ EXPECTED_NAMES = {
     "ps",
     "greedy",
     "components",
+}
+
+# Brooks' excluded families and a disconnected graph: never nice.
+DEGENERATE = {
+    "K2": lambda: complete_graph(2),
+    "K4": lambda: complete_graph(4),
+    "C5": lambda: cycle_graph(5),
+    "C8": lambda: cycle_graph(8),
+    "P5": lambda: path_graph(5),
+    "two_tori": lambda: disjoint_union([torus_grid(4, 4), torus_grid(4, 5)]),
 }
 
 # The golden-seed instance set of tests/test_golden_seed.py.
@@ -147,7 +156,8 @@ class TestRegistry:
 
 
 class TestChecksOncePerSolve:
-    """The registry path checks niceness once and validates once."""
+    """The facade checks niceness once (for ``needs_nice`` specs) and
+    validates once, on every solve; engines and adapters do neither."""
 
     NOT_NICE = {
         "disconnected": lambda: disjoint_union([torus_grid(4, 4), torus_grid(4, 5)]),
@@ -163,83 +173,125 @@ class TestChecksOncePerSolve:
             assert_nice(graph)
         with pytest.raises(NotNiceGraphError) as facade:
             solve(graph, algorithm="randomized")
-        with pytest.raises(NotNiceGraphError) as engine:
-            delta_coloring_randomized(graph, RandomizedParams())
-        assert str(facade.value) == str(direct.value) == str(engine.value)
+        assert str(facade.value) == str(direct.value)
+
+    @pytest.mark.parametrize("graph_name", sorted(DEGENERATE))
+    @pytest.mark.parametrize(
+        "algorithm", sorted(n for n in EXPECTED_NAMES if get_algorithm(n).needs_nice)
+    )
+    def test_needs_nice_rejects_before_any_contract_check(self, algorithm, graph_name):
+        """NotNiceGraphError, never the Δ presets' AlgorithmContractError:
+        the facade's niceness check runs before the adapter."""
+        with pytest.raises(NotNiceGraphError):
+            solve(DEGENERATE[graph_name](), algorithm=algorithm, seed=0)
 
     def test_one_connectivity_scan_and_one_validation(self, monkeypatch):
-        import repro.api.registry as registry_mod
-        import repro.api.solver as solver_mod
-        import repro.core.randomized as randomized_mod
+        """Every algorithm, either ``validate`` value, a connected and a
+        disconnected input: ``validate_coloring`` runs once per solve and
+        ``assert_nice`` once for ``needs_nice`` specs, both only from the
+        facade, and no graph object is scanned for connectivity twice."""
+        import sys
+
+        import repro.graphs.properties as properties_mod
+        import repro.graphs.validation as validation_mod
         from repro.graphs.graph import Graph
 
-        graph = torus_grid(6, 7)
-        calls = {"connected": 0, "validate": 0}
+        scans: dict[int, list] = {}
+        real = {
+            "assert_nice": properties_mod.assert_nice,
+            "validate_coloring": validation_mod.validate_coloring,
+        }
+        callers: dict[str, list[str]] = {name: [] for name in real}
         real_connected = Graph.is_connected
-        real_validate = validate_coloring
 
         def counting_connected(self):
-            calls["connected"] += self is graph
+            # Keyed by id with the object kept alive, so a freed
+            # subgraph's id cannot be reused by the next one.
+            scans.setdefault(id(self), [self, 0])[1] += 1
             return real_connected(self)
 
-        def counting_validate(target, *args, **kwargs):
-            calls["validate"] += target is graph
-            return real_validate(target, *args, **kwargs)
+        def counting(name):
+            def wrapper(*args, **kwargs):
+                callers[name].append(sys._getframe(1).f_globals["__name__"])
+                return real[name](*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(Graph, "is_connected", counting_connected)
-        for module in (solver_mod, registry_mod, randomized_mod):
-            monkeypatch.setattr(module, "validate_coloring", counting_validate)
-        for algorithm in ("auto", "randomized", "randomized-large"):
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for name in real:
+                    if getattr(module, name, None) is real[name]:
+                        monkeypatch.setattr(module, name, counting(name))
+
+        union = disjoint_union([
+            torus_grid(4, 4), complete_graph(5), cycle_graph(5),
+            random_regular_graph(40, 3, seed=1),
+        ])
+        cases = [(name, torus_grid(6, 7)) for name in sorted(EXPECTED_NAMES)]
+        cases += [("auto", union), ("components", union)]
+        for algorithm, graph in cases:
             for validate in (True, False):
-                calls.update(connected=0, validate=0)
+                scans.clear()
+                for calls in callers.values():
+                    calls.clear()
                 solve(graph, algorithm=algorithm, seed=0, validate=validate)
-                assert calls == {"connected": 1, "validate": 1}, (algorithm, validate)
-        calls.update(connected=0, validate=0)
-        delta_coloring_large_delta(graph, seed=0)
-        assert calls == {"connected": 1, "validate": 1}
+                case = (algorithm, graph.n, validate)
+                assert callers["validate_coloring"] == ["repro.api.solver"], case
+                expected = ["repro.api.solver"] if get_algorithm(algorithm).needs_nice else []
+                assert callers["assert_nice"] == expected, case
+                assert max((c for _, c in scans.values()), default=0) <= 1, case
 
 
 class TestSolveMatchesLegacy:
-    """solve() is bit-identical to the pre-facade entry points."""
+    """solve() is bit-identical to the engine each removed legacy entry
+    point wrapped, called directly: the facade checks the engine's
+    EngineRun and packs it, never changes it."""
+
+    @staticmethod
+    def _assert_packs(result, run):
+        assert list(result.colors) == run.colors
+        assert result.rounds == run.rounds
+        assert result.phase_rounds == run.phase_rounds
+        assert result.palette == run.palette
+        assert result.stats == run.stats
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_randomized_golden_seeds(self, name, seed):
         graph = GOLDEN_GRAPHS[name]()
         facade = solve(graph, algorithm="randomized", seed=seed)
-        legacy = delta_color(graph, seed=seed)
-        assert list(facade.colors) == legacy.colors
-        assert facade.rounds == legacy.rounds
-        assert facade.phase_rounds == legacy.phase_rounds
+        if graph.max_degree() >= 4:
+            params = large_delta_params(graph, seed, False, None)
+        else:
+            params = small_delta_params(graph, seed, False, None)
+        self._assert_packs(facade, run_pipeline(graph, params))
 
     def test_small_and_large_presets(self):
         cubic = random_regular_graph(80, 3, seed=2)
         facade = solve(cubic, algorithm="randomized-small", seed=2)
-        legacy = delta_coloring_small_delta(cubic, seed=2)
-        assert list(facade.colors) == legacy.colors
+        params = small_delta_params(cubic, 2, False, None)
+        self._assert_packs(facade, run_pipeline(cubic, params))
 
         dense = random_regular_graph(80, 6, seed=2)
         facade = solve(dense, algorithm="randomized-large", seed=2)
-        legacy = delta_coloring_large_delta(dense, seed=2)
-        assert list(facade.colors) == legacy.colors
+        params = large_delta_params(dense, 2, False, None)
+        self._assert_packs(facade, run_pipeline(dense, params))
 
     def test_params_override(self):
         graph = random_regular_graph(80, 3, seed=5)
         params = RandomizedParams(dcc_radius=3, seed=5, engine="hybrid")
         facade = solve(graph, SolverConfig(algorithm="randomized", params=params))
-        legacy = delta_coloring_randomized(graph, params)
-        assert list(facade.colors) == legacy.colors
+        self._assert_packs(facade, run_pipeline(graph, params))
         assert facade.seed == 5  # recorded from the params, not the config
 
     def test_deterministic_and_ps(self):
         graph = random_regular_graph(80, 4, seed=3)
-        assert (
-            list(solve(graph, algorithm="deterministic").colors)
-            == delta_coloring_deterministic(graph).colors
+        self._assert_packs(
+            solve(graph, algorithm="deterministic"),
+            delta_coloring_deterministic(graph),
         )
-        assert (
-            list(solve(graph, algorithm="ps", seed=4).colors)
-            == ps_delta_coloring(graph, seed=4).colors
+        self._assert_packs(
+            solve(graph, algorithm="ps", seed=4), ps_delta_coloring(graph, seed=4)
         )
 
     def test_slocal(self):
@@ -251,11 +303,10 @@ class TestSolveMatchesLegacy:
         assert facade.stats["write_radius"] == legacy_run.write_radius
 
     def test_components(self):
-        graph = complete_graph(4)
+        graph = disjoint_union([complete_graph(4), cycle_graph(5)])
         facade = solve(graph, algorithm="components", seed=0)
-        legacy = color_graph(graph, seed=0)
-        assert list(facade.colors) == legacy.colors
-        assert facade.palette == legacy.num_colors
+        self._assert_packs(facade, color_components(graph, seed=0))
+        assert facade.palette == 4
 
 
 class TestSolveMany:
@@ -418,8 +469,8 @@ class TestSolverConfig:
 
     def test_validate_toggle(self):
         graph = random_regular_graph(48, 4, seed=1)
-        # Both paths must succeed; validate=False just skips the facade
-        # re-check (the engines still validate internally).
+        # The flag governs only the update path: solve() validates once
+        # either way, and the colors cannot depend on it.
         assert solve(graph, validate=False).colors == solve(graph).colors
 
     def test_as_dict_omits_observer(self):

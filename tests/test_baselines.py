@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import solve
 from repro.baselines.greedy import centralized_brooks, centralized_greedy
-from repro.baselines.panconesi_srinivasan import ps_delta_coloring
 from repro.errors import NotNiceGraphError
 from repro.graphs.generators import (
     complete_graph,
@@ -20,34 +20,30 @@ class TestPSBaseline:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_regular_graphs(self, d):
         g = random_regular_graph(300, d, seed=d)
-        result = ps_delta_coloring(g, seed=d, strict=True)
+        result = solve(g, algorithm="ps", seed=d, strict=True)
         validate_coloring(g, result.colors, max_colors=d)
 
     def test_torus(self):
         g = torus_grid(10, 11)
-        result = ps_delta_coloring(g, seed=1, strict=True)
+        result = solve(g, algorithm="ps", seed=1, strict=True)
         validate_coloring(g, result.colors, max_colors=4)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_irregular(self, seed):
         g = random_nice_graph(250, 4, seed=seed)
-        result = ps_delta_coloring(g, seed=seed, strict=True)
+        result = solve(g, algorithm="ps", seed=seed, strict=True)
         validate_coloring(g, result.colors, max_colors=4)
 
     def test_high_girth(self):
         g = high_girth_regular_graph(600, 3, girth=8, seed=1)
-        result = ps_delta_coloring(g, seed=1, strict=True)
+        result = solve(g, algorithm="ps", seed=1, strict=True)
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_stats(self):
         g = random_regular_graph(300, 4, seed=9)
-        result = ps_delta_coloring(g, seed=9)
+        result = solve(g, algorithm="ps", seed=9)
         assert result.stats["num_layers"] >= 1
         assert result.rounds == sum(result.phase_rounds.values())
-
-    def test_rejects_non_nice(self):
-        with pytest.raises(NotNiceGraphError):
-            ps_delta_coloring(complete_graph(4))
 
 
 class TestCentralizedOracles:

@@ -12,9 +12,8 @@ import pytest
 from repro import (
     UNCOLORED,
     degree_list_color,
-    delta_color,
-    delta_coloring_deterministic,
     fix_uncolored_node,
+    solve,
     validate_coloring,
 )
 from repro.core.dcc import detect_dccs
@@ -67,7 +66,7 @@ class TestThetaGraphs:
         g = theta_graph(a, b, c)
         if not is_nice(g):
             pytest.skip("degenerate theta")
-        result = delta_color(g, seed=a + b + c)
+        result = solve(g, algorithm="randomized", seed=a + b + c)
         validate_coloring(g, result.colors, max_colors=g.max_degree())
 
 
@@ -76,21 +75,21 @@ class TestSmallestNiceGraphs:
         # triangle with two horns: Δ = 3, nice
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
         assert is_nice(g)
-        result = delta_color(g, seed=1)
+        result = solve(g, algorithm="randomized", seed=1)
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_paw_graph(self):
         # triangle plus one pendant: the smallest nice graph
         g = Graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
         assert is_nice(g)
-        result = delta_color(g, seed=1)
+        result = solve(g, algorithm="randomized", seed=1)
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_book_graph(self):
         # triangles sharing one edge: B_3
         g = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4)])
         assert is_nice(g)
-        result = delta_color(g, seed=2)
+        result = solve(g, algorithm="randomized", seed=2)
         validate_coloring(g, result.colors, max_colors=g.max_degree())
 
     def test_barbell(self):
@@ -99,16 +98,16 @@ class TestSmallestNiceGraphs:
         k4b = [(4 + i, 4 + j) for i in range(4) for j in range(i + 1, 4)]
         g = Graph(10, k4a + k4b + [(0, 8), (8, 9), (9, 4)])
         assert is_nice(g)
-        result = delta_color(g, seed=3)
+        result = solve(g, algorithm="randomized", seed=3)
         validate_coloring(g, result.colors, max_colors=g.max_degree())
-        det = delta_coloring_deterministic(g)
+        det = solve(g, algorithm="deterministic")
         validate_coloring(g, det.colors, max_colors=g.max_degree())
 
     def test_two_triangles_sharing_vertex_is_gallai_but_irregular(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
         assert is_gallai_tree(g)
         assert is_nice(g)  # nice yet Gallai: colorable via deficient nodes
-        result = delta_color(g, seed=4)
+        result = solve(g, algorithm="randomized", seed=4)
         validate_coloring(g, result.colors, max_colors=4)
 
 

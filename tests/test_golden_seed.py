@@ -2,9 +2,12 @@
 
 Performance refactors of the graph core and the hot algorithm loops must
 not silently change *algorithm behaviour*.  These tests freeze the output
-of fixed-seed :func:`repro.delta_color` runs on four named instances: the
+of fixed-seed ``solve(graph, algorithm="randomized", seed=...)`` runs
+(Theorem 1 for Δ = 3, Theorem 3 for Δ >= 4) on four named instances: the
 full color vector (as a SHA-256 digest, plus the literal vector for the
-smallest graph) and the exact LOCAL round total.
+smallest graph) and the exact LOCAL round total.  The constants predate
+the facade: they were captured from the ``delta_color`` wrapper this
+call replaced, and it reproduces them bit for bit.
 
 If a change legitimately alters the random execution path (e.g. a new
 phase, a different tie-break rule), regenerate the constants with::
@@ -22,7 +25,7 @@ import hashlib
 
 import pytest
 
-from repro import delta_color
+from repro.api import solve
 from repro.graphs.generators import hypercube, random_regular_graph, torus_grid
 from repro.graphs.named import petersen_graph
 from repro.graphs.validation import validate_coloring
@@ -39,6 +42,10 @@ def _graphs():
         "hypercube_4": hypercube(4),
         "rrg_64_5_s3": random_regular_graph(64, 5, seed=3),
     }
+
+
+def _solve(graph, seed):
+    return solve(graph, algorithm="randomized", seed=seed)
 
 
 # (graph, seed) -> (rounds, colors digest).  Captured from the seed
@@ -67,7 +74,7 @@ PETERSEN_COLORS_SEED0 = [3, 2, 2, 1, 3, 3, 1, 2, 1, 1]
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN), ids=lambda p: str(p))
 def test_golden_coloring(name, seed):
     graph = _graphs()[name]
-    result = delta_color(graph, seed=seed)
+    result = _solve(graph, seed)
     validate_coloring(graph, result.colors, max_colors=graph.max_degree())
     expected_rounds, expected_digest = GOLDEN[(name, seed)]
     assert result.rounds == expected_rounds, (
@@ -80,15 +87,15 @@ def test_golden_coloring(name, seed):
 
 
 def test_petersen_exact_vector():
-    result = delta_color(petersen_graph(), seed=0)
-    assert result.colors == PETERSEN_COLORS_SEED0
+    result = _solve(petersen_graph(), 0)
+    assert list(result.colors) == PETERSEN_COLORS_SEED0
 
 
 def test_same_seed_same_output():
-    """delta_color is a pure function of (graph, seed)."""
+    """A randomized solve is a pure function of (graph, seed)."""
     graph = _graphs()["torus_6x7"]
-    first = delta_color(graph, seed=5)
-    second = delta_color(graph, seed=5)
+    first = _solve(graph, 5)
+    second = _solve(graph, 5)
     assert first.colors == second.colors
     assert first.rounds == second.rounds
     assert first.phase_rounds == second.phase_rounds
@@ -97,7 +104,7 @@ def test_same_seed_same_output():
 if __name__ == "__main__":  # regenerate the golden table
     for (name, seed) in sorted({key for key in GOLDEN}):
         graph = _graphs()[name]
-        result = delta_color(graph, seed=seed)
+        result = _solve(graph, seed)
         print(
             f'    ("{name}", {seed}): '
             f'({result.rounds}, "{_colors_digest(result.colors)}"),'

@@ -4,14 +4,7 @@ instances, plus the public API surface."""
 import pytest
 
 import repro
-from repro import (
-    delta_color,
-    delta_coloring_deterministic,
-    delta_coloring_large_delta,
-    delta_coloring_small_delta,
-    ps_delta_coloring,
-    validate_coloring,
-)
+from repro import solve, validate_coloring
 from repro.analysis.stats import loglog_slope, mean
 from repro.errors import NotNiceGraphError
 from repro.graphs.generators import (
@@ -25,10 +18,11 @@ from repro.graphs.generators import (
 
 
 ALGORITHMS = [
-    ("small-delta", lambda g, s: delta_coloring_small_delta(g, seed=s)),
-    ("deterministic", lambda g, s: delta_coloring_deterministic(g)),
-    ("ps-baseline", lambda g, s: ps_delta_coloring(g, seed=s)),
+    ("small-delta", lambda g, s: solve(g, algorithm="randomized-small", seed=s)),
+    ("deterministic", lambda g, s: solve(g, algorithm="deterministic")),
+    ("ps-baseline", lambda g, s: solve(g, algorithm="ps", seed=s)),
 ]
+LARGE_DELTA = ("large-delta", lambda g, s: solve(g, algorithm="randomized-large", seed=s))
 
 
 class TestAllAlgorithmsAgreeOnValidity:
@@ -44,19 +38,13 @@ class TestAllAlgorithmsAgreeOnValidity:
         result = algorithm(g, 6)
         validate_coloring(g, result.colors, max_colors=3)
 
-    @pytest.mark.parametrize(
-        "name,algorithm",
-        ALGORITHMS + [("large-delta", lambda g, s: delta_coloring_large_delta(g, seed=s))],
-    )
+    @pytest.mark.parametrize("name,algorithm", ALGORITHMS + [LARGE_DELTA])
     def test_four_regular(self, name, algorithm):
         g = random_regular_graph(300, 4, seed=43)
         result = algorithm(g, 43)
         validate_coloring(g, result.colors, max_colors=4)
 
-    @pytest.mark.parametrize(
-        "name,algorithm",
-        ALGORITHMS + [("large-delta", lambda g, s: delta_coloring_large_delta(g, seed=s))],
-    )
+    @pytest.mark.parametrize("name,algorithm", ALGORITHMS + [LARGE_DELTA])
     def test_torus(self, name, algorithm):
         g = torus_grid(9, 10)
         result = algorithm(g, 7)
@@ -66,12 +54,12 @@ class TestAllAlgorithmsAgreeOnValidity:
 class TestDispatcher:
     def test_small_delta_dispatch(self):
         g = random_regular_graph(200, 3, seed=1)
-        result = delta_color(g, seed=1)
+        result = solve(g, algorithm="randomized", seed=1)
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_large_delta_dispatch(self):
         g = random_regular_graph(200, 5, seed=2)
-        result = delta_color(g, seed=2)
+        result = solve(g, algorithm="randomized", seed=2)
         validate_coloring(g, result.colors, max_colors=5)
 
     @pytest.mark.parametrize(
@@ -79,7 +67,7 @@ class TestDispatcher:
     )
     def test_rejects_non_nice(self, bad):
         with pytest.raises(NotNiceGraphError):
-            delta_color(bad)
+            solve(bad, algorithm="randomized")
 
 
 class TestPublicSurface:
@@ -90,9 +78,24 @@ class TestPublicSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_legacy_entry_points_are_gone(self):
+        """solve() is the only way to run an engine."""
+        import repro.baselines
+        import repro.core
+
+        removed = (
+            "delta_color", "delta_coloring_small_delta", "delta_coloring_large_delta",
+            "delta_coloring_randomized", "delta_coloring_deterministic",
+            "ps_delta_coloring", "color_graph", "DeltaColoringResult",
+            "DeterministicResult", "PSResult", "ComponentColoring",
+        )
+        for package in (repro, repro.core, repro.baselines):
+            for name in removed:
+                assert not hasattr(package, name), (package.__name__, name)
+
     def test_result_contract(self):
         g = random_regular_graph(150, 4, seed=3)
-        result = delta_color(g, seed=3)
+        result = solve(g, algorithm="randomized", seed=3)
         assert result.rounds == sum(result.phase_rounds.values())
         assert result.delta == 4
         assert len(result.colors) == g.n
@@ -104,8 +107,8 @@ class TestRoundScalingSanity:
 
     def test_new_beats_baseline_on_large_instances(self):
         g = random_regular_graph(3000, 4, seed=11)
-        new = delta_coloring_large_delta(g, seed=11).rounds
-        old = ps_delta_coloring(g, seed=11).rounds
+        new = solve(g, algorithm="randomized-large", seed=11).rounds
+        old = solve(g, algorithm="ps", seed=11).rounds
         assert new < old
 
     def test_baseline_grows_faster(self):
@@ -113,8 +116,8 @@ class TestRoundScalingSanity:
         new_rounds, old_rounds = [], []
         for n in sizes:
             g = random_regular_graph(n, 4, seed=n)
-            new_rounds.append(delta_coloring_large_delta(g, seed=n).rounds)
-            old_rounds.append(ps_delta_coloring(g, seed=n).rounds)
+            new_rounds.append(solve(g, algorithm="randomized-large", seed=n).rounds)
+            old_rounds.append(solve(g, algorithm="ps", seed=n).rounds)
         assert loglog_slope(sizes, old_rounds) > loglog_slope(sizes, new_rounds) - 0.05
 
     def test_stats_helpers(self):

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro import (
-    delta_color,
-    delta_coloring_deterministic,
-    ps_delta_coloring,
-    slocal_delta_coloring,
-    validate_coloring,
-)
+from repro import slocal_delta_coloring, solve, validate_coloring
 from repro.graphs.named import (
     circulant_graph,
     complete_bipartite,
@@ -28,12 +22,12 @@ class TestPetersen:
 
     def test_delta_coloring(self):
         g = petersen_graph()
-        result = delta_color(g, seed=1)
+        result = solve(g, algorithm="randomized", seed=1)
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_deterministic(self):
         g = petersen_graph()
-        result = delta_coloring_deterministic(g)
+        result = solve(g, algorithm="deterministic")
         validate_coloring(g, result.colors, max_colors=3)
 
     def test_slocal(self):
@@ -47,7 +41,7 @@ class TestCompleteBipartite:
     def test_delta_coloring(self, a, b):
         g = complete_bipartite(a, b)
         assert is_nice(g)
-        result = delta_color(g, seed=a * 10 + b)
+        result = solve(g, algorithm="randomized", seed=a * 10 + b)
         validate_coloring(g, result.colors, max_colors=max(a, b))
 
     def test_structure(self):
@@ -58,7 +52,7 @@ class TestCompleteBipartite:
     @pytest.mark.parametrize("a,b", [(3, 3), (3, 4)])
     def test_ps_baseline(self, a, b):
         g = complete_bipartite(a, b)
-        result = ps_delta_coloring(g, seed=1)
+        result = solve(g, algorithm="ps", seed=1)
         validate_coloring(g, result.colors, max_colors=max(a, b))
 
 
@@ -71,12 +65,12 @@ class TestKneser:
     def test_k72_delta_coloring(self):
         g = kneser_graph(7, 2)  # 21 nodes, 10-regular
         assert all(g.degree(v) == 10 for v in range(g.n))
-        result = delta_color(g, seed=2)
+        result = solve(g, algorithm="randomized", seed=2)
         validate_coloring(g, result.colors, max_colors=10)
 
     def test_k62_delta_coloring(self):
         g = kneser_graph(6, 2)  # 15 nodes, 6-regular
-        result = delta_color(g, seed=3)
+        result = solve(g, algorithm="randomized", seed=3)
         validate_coloring(g, result.colors, max_colors=6)
 
 
@@ -86,7 +80,7 @@ class TestCirculant:
         g = circulant_graph(n, offsets)
         if not is_nice(g):
             pytest.skip("degenerate circulant")
-        result = delta_color(g, seed=n)
+        result = solve(g, algorithm="randomized", seed=n)
         validate_coloring(g, result.colors, max_colors=g.max_degree())
 
     def test_offsets_validated(self):

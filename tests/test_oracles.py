@@ -1,0 +1,110 @@
+"""Differential oracle suite: every registered engine against independent
+checks on generated graph families.
+
+The engines are checked on families built by
+:mod:`repro.graphs.generators`, not only on the fixtures they were tuned
+on.  On each input:
+
+* the validator passes on the returned coloring, within its palette;
+* an engine that needs a nice graph stays within Δ colors, and
+  centralized Brooks (the sequential oracle) reaches the same bound;
+* :class:`NotNiceGraphError` is raised exactly when the input is not
+  nice, and only by engines that need a nice graph.
+
+Graphs are kept small so every (engine, graph) pair runs in tier-1.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api import get_algorithm, list_algorithms, solve
+from repro.baselines.greedy import centralized_brooks
+from repro.errors import AlgorithmContractError, NotNiceGraphError
+from repro.graphs.generators import (
+    complete_graph,
+    complete_graph_minus_edge,
+    cycle_graph,
+    disjoint_union,
+    hypercube,
+    path_graph,
+    random_gallai_tree,
+    random_nice_graph,
+    random_regular_graph,
+    torus_grid,
+)
+from repro.graphs.properties import is_nice
+from repro.graphs.validation import validate_coloring
+
+FAMILIES = {
+    "torus_4x4": lambda: torus_grid(4, 4),
+    "torus_5x6": lambda: torus_grid(5, 6),
+    "hypercube_3": lambda: hypercube(3),
+    "hypercube_4": lambda: hypercube(4),
+    **{
+        f"rrg_30_{d}": (lambda d=d: random_regular_graph(30, d, seed=d))
+        for d in (3, 4, 5, 6)
+    },
+    "nice_40_3": lambda: random_nice_graph(40, 3, seed=1),
+    "nice_40_5": lambda: random_nice_graph(40, 5, seed=2),
+    **{
+        f"gallai_{blocks}_s{seed}": (
+            lambda blocks=blocks, seed=seed: random_gallai_tree(blocks, seed=seed)
+        )
+        for blocks, seed in ((1, 0), (1, 3), (4, 1), (6, 2))
+    },
+    "K5_minus_edge": lambda: complete_graph_minus_edge(5),
+    "K6_minus_edge": lambda: complete_graph_minus_edge(6),
+    "K1": lambda: complete_graph(1),
+    "K2": lambda: complete_graph(2),
+    "K4": lambda: complete_graph(4),
+    "K5": lambda: complete_graph(5),
+    "C4": lambda: cycle_graph(4),
+    "C7": lambda: cycle_graph(7),
+    "P2": lambda: path_graph(2),
+    "P6": lambda: path_graph(6),
+    "union_torus_K4": lambda: disjoint_union([torus_grid(4, 4), complete_graph(4)]),
+    "union_C5_P3": lambda: disjoint_union([cycle_graph(5), path_graph(3)]),
+    "union_two_nice": lambda: disjoint_union([
+        random_regular_graph(20, 3, seed=4), hypercube(3),
+    ]),
+}
+
+# The Theorem 3 preset's own contract: it needs Δ >= 4 even on nice graphs.
+MIN_DELTA = {"randomized-large": 4}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("algorithm", list_algorithms())
+def test_engine_against_oracles(algorithm, family):
+    graph = FAMILIES[family]()
+    spec = get_algorithm(algorithm)
+    delta = graph.max_degree()
+    nice = is_nice(graph)
+    if spec.needs_nice and not nice:
+        with pytest.raises(NotNiceGraphError):
+            solve(graph, algorithm=algorithm, seed=1, strict=True)
+        return
+    if delta < MIN_DELTA.get(algorithm, 0):
+        with pytest.raises(AlgorithmContractError):
+            solve(graph, algorithm=algorithm, seed=1, strict=True)
+        return
+    result = solve(graph, algorithm=algorithm, seed=1, strict=True)
+    validate_coloring(graph, list(result.colors), max_colors=result.palette or None)
+    # Brooks: χ <= Δ + 1 for every graph, χ <= Δ for every nice one.
+    assert result.palette <= delta + 1
+    if spec.needs_nice or (nice and spec.palette_bound != "Δ+1"):
+        assert result.palette <= delta
+
+
+@pytest.mark.parametrize(
+    "family", sorted(name for name, build in FAMILIES.items() if is_nice(build()))
+)
+def test_centralized_brooks_reaches_delta(family):
+    graph = FAMILIES[family]()
+    validate_coloring(graph, centralized_brooks(graph), max_colors=graph.max_degree())
+
+
+def test_families_cover_both_sides():
+    nice = [name for name, build in FAMILIES.items() if is_nice(build())]
+    assert 8 <= len(nice) < len(FAMILIES)

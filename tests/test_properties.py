@@ -173,18 +173,46 @@ class TestTheorem8BruteForce:
     """
 
     def _is_degree_choosable_bruteforce(self, g: Graph) -> bool:
+        """Exhaustive over every assignment of deg(v)-lists from the
+        universe, up to relabeling the universe — which cannot change
+        whether an assignment is colorable.  So node 0 takes {1..d0},
+        and node 1 one list per possible overlap with it."""
         universe_size = max(6, g.max_degree() + 2)
         universe = range(1, universe_size + 1)
-        for lists in itertools.product(
-            *[itertools.combinations(universe, max(1, g.degree(v))) for v in range(g.n)]
-        ):
-            feasible = any(
-                all(combo[u] != combo[v] for u, v in g.edges())
-                for combo in itertools.product(*lists)
+        sizes = [max(1, g.degree(v)) for v in range(g.n)]
+        first = tuple(range(1, sizes[0] + 1))
+        seconds = [
+            tuple(range(1, overlap + 1))
+            + tuple(range(sizes[0] + 1, sizes[0] + 1 + sizes[1] - overlap))
+            for overlap in range(
+                max(0, sizes[1] - (universe_size - sizes[0])),
+                min(sizes[0], sizes[1]) + 1,
             )
-            if not feasible:
+        ]
+        rest = [itertools.combinations(universe, size) for size in sizes[2:]]
+        for lists in itertools.product([first], seconds, *rest):
+            if not self._has_proper_coloring(g, lists):
                 return False
         return True
+
+    @staticmethod
+    def _has_proper_coloring(g: Graph, lists) -> bool:
+        """Backtracking over the lists in node order; the first proper
+        coloring found ends the search."""
+        colors = [0] * g.n
+        earlier = [[u for u in g.adj[v] if u < v] for v in range(g.n)]
+
+        def extend(v: int) -> bool:
+            if v == g.n:
+                return True
+            for color in lists[v]:
+                if all(colors[u] != color for u in earlier[v]):
+                    colors[v] = color
+                    if extend(v + 1):
+                        return True
+            return False
+
+        return extend(0)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_equivalence_on_small_graphs(self, seed):

@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import delta_color
+from repro import solve
 from repro.core.degree_choosable import degree_list_color
 from repro.core.marking import marking_process
 from repro.errors import InfeasibleListColoringError
@@ -35,7 +35,7 @@ class TestEndToEndProperties:
     @settings(max_examples=12, deadline=None)
     def test_delta_color_on_random_nice_graphs(self, delta, seed):
         graph = random_nice_graph(80 + 10 * delta, delta, seed=seed)
-        result = delta_color(graph, seed=seed)
+        result = solve(graph, algorithm="randomized", seed=seed)
         validate_coloring(graph, result.colors, max_colors=delta)
 
     @given(
@@ -46,7 +46,7 @@ class TestEndToEndProperties:
     def test_delta_color_on_regular_graphs(self, d, seed):
         n = 120 if (120 * d) % 2 == 0 else 121
         graph = random_regular_graph(n, d, seed=seed)
-        result = delta_color(graph, seed=seed)
+        result = solve(graph, algorithm="randomized", seed=seed)
         validate_coloring(graph, result.colors, max_colors=d)
 
 

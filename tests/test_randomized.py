@@ -1,17 +1,15 @@
-"""End-to-end tests for the randomized Δ-coloring algorithms (Thms 1, 3)."""
+"""End-to-end tests for the randomized Δ-coloring algorithms (Thms 1, 3).
+
+Rejection of graphs that are not nice is covered for every engine by
+``tests/test_oracles.py``.
+"""
 
 import pytest
 
-from repro.core.randomized import (
-    RandomizedParams,
-    delta_coloring_large_delta,
-    delta_coloring_randomized,
-    delta_coloring_small_delta,
-)
-from repro.errors import AlgorithmContractError, NotNiceGraphError
+from repro.api import solve
+from repro.core.randomized import RandomizedParams
+from repro.errors import AlgorithmContractError
 from repro.graphs.generators import (
-    complete_graph,
-    cycle_graph,
     high_girth_regular_graph,
     hypercube,
     random_nice_graph,
@@ -25,57 +23,48 @@ class TestSmallDelta:
     @pytest.mark.parametrize("seed", range(5))
     def test_cubic_graphs(self, seed):
         g = random_regular_graph(400, 3, seed=seed)
-        result = delta_coloring_small_delta(g, seed=seed, strict=True)
+        result = solve(g, algorithm="randomized-small", seed=seed, strict=True)
         validate_coloring(g, result.colors, max_colors=3)
         assert result.delta == 3
 
     @pytest.mark.parametrize("seed", range(3))
     def test_high_girth_cubic_exercises_shattering(self, seed):
         g = high_girth_regular_graph(1200, 3, girth=9, seed=seed)
-        result = delta_coloring_small_delta(g, seed=seed, strict=True)
+        result = solve(g, algorithm="randomized-small", seed=seed, strict=True)
         validate_coloring(g, result.colors, max_colors=3)
         assert result.stats["num_dccs"] == 0
         assert result.stats["h_size"] == g.n
-
-    def test_rejects_delta_two(self):
-        # a "theta graph"-free Δ=2 graph is a cycle/path: not nice anyway
-        with pytest.raises((AlgorithmContractError, NotNiceGraphError)):
-            delta_coloring_small_delta(cycle_graph(8))
 
 
 class TestLargeDelta:
     @pytest.mark.parametrize("d", [4, 5, 6, 8])
     def test_regular_graphs(self, d):
         g = random_regular_graph(300, d, seed=d)
-        result = delta_coloring_large_delta(g, seed=d, strict=True)
+        result = solve(g, algorithm="randomized-large", seed=d, strict=True)
         validate_coloring(g, result.colors, max_colors=d)
 
     def test_torus(self):
         g = torus_grid(14, 15)
-        result = delta_coloring_large_delta(g, seed=1, strict=True)
+        result = solve(g, algorithm="randomized-large", seed=1, strict=True)
         validate_coloring(g, result.colors, max_colors=4)
         # the torus is DCC-everywhere: all nodes fall in B-layers
         assert result.stats["h_size"] == 0
 
     def test_hypercube(self):
         g = hypercube(6)
-        result = delta_coloring_large_delta(g, seed=2, strict=True)
+        result = solve(g, algorithm="randomized-large", seed=2, strict=True)
         validate_coloring(g, result.colors, max_colors=6)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_irregular(self, seed):
         g = random_nice_graph(300, 5, seed=seed)
-        result = delta_coloring_large_delta(g, seed=seed, strict=True)
+        result = solve(g, algorithm="randomized-large", seed=seed, strict=True)
         validate_coloring(g, result.colors, max_colors=5)
 
     def test_rejects_delta_three(self):
         g = random_regular_graph(60, 3, seed=1)
         with pytest.raises(AlgorithmContractError, match=">= 4"):
-            delta_coloring_large_delta(g)
-
-    def test_rejects_clique(self):
-        with pytest.raises(NotNiceGraphError):
-            delta_coloring_large_delta(complete_graph(6))
+            solve(g, algorithm="randomized-large")
 
 
 class TestParamsAndStats:
@@ -85,7 +74,7 @@ class TestParamsAndStats:
             dcc_radius=2, backoff=6, happiness_radius=3, engine="hybrid",
             seed=5, strict=True,
         )
-        result = delta_coloring_randomized(g, params)
+        result = solve(g, algorithm="randomized", params=params)
         validate_coloring(g, result.colors, max_colors=3)
         # tiny happiness radius must push nodes into phase 6
         assert result.stats["leftover_nodes"] > 0
@@ -93,7 +82,7 @@ class TestParamsAndStats:
 
     def test_phase_breakdown_present(self):
         g = random_regular_graph(200, 4, seed=3)
-        result = delta_coloring_large_delta(g, seed=3)
+        result = solve(g, algorithm="randomized-large", seed=3)
         assert result.rounds == sum(result.phase_rounds.values())
         assert any(key.startswith("0:linial") for key in result.phase_rounds)
 
@@ -107,19 +96,19 @@ class TestParamsAndStats:
     def test_deterministic_engine_variant(self):
         g = random_regular_graph(300, 4, seed=9)
         params = RandomizedParams(engine="deterministic", seed=9, strict=True)
-        result = delta_coloring_randomized(g, params)
+        result = solve(g, algorithm="randomized", params=params)
         validate_coloring(g, result.colors, max_colors=4)
 
     def test_random_engine_variant(self):
         g = random_regular_graph(300, 4, seed=10)
         params = RandomizedParams(engine="random", seed=10, strict=True)
-        result = delta_coloring_randomized(g, params)
+        result = solve(g, algorithm="randomized", params=params)
         validate_coloring(g, result.colors, max_colors=4)
 
     def test_reproducible_given_seed(self):
         g = random_regular_graph(300, 4, seed=11)
-        a = delta_coloring_large_delta(g, seed=11)
-        b = delta_coloring_large_delta(g, seed=11)
+        a = solve(g, algorithm="randomized-large", seed=11)
+        b = solve(g, algorithm="randomized-large", seed=11)
         assert a.colors == b.colors
         assert a.rounds == b.rounds
 
@@ -136,7 +125,7 @@ class TestStress:
         else:
             g = torus_grid(8 + seed % 4, 9)
             delta = 4
-        result = delta_coloring_randomized(
-            g, RandomizedParams(seed=seed, strict=True)
+        result = solve(
+            g, algorithm="randomized", params=RandomizedParams(seed=seed, strict=True)
         )
         validate_coloring(g, result.colors, max_colors=delta)

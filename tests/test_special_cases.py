@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.special_cases import color_graph, color_special
-from repro.errors import NotNiceGraphError
+from repro.api import solve
+from repro.core import special_cases
+from repro.core.special_cases import color_special
+from repro.errors import ColoringError, NotNiceGraphError
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -66,6 +68,8 @@ class TestSpecialFamilies:
 
 
 class TestColorGraphDispatch:
+    """``solve(algorithm="components")``: per-component dispatch."""
+
     def test_mixed_components(self):
         g = disjoint_union([
             cycle_graph(9),
@@ -74,24 +78,24 @@ class TestColorGraphDispatch:
             path_graph(5),
             Graph(1),
         ])
-        result = color_graph(g, seed=2)
-        validate_coloring(g, result.colors, max_colors=result.num_colors)
-        assert result.component_families == {
+        result = solve(g, algorithm="components", seed=2)
+        validate_coloring(g, list(result.colors), max_colors=result.palette)
+        assert result.stats["component_families"] == {
             "odd-cycle": 1, "clique": 1, "nice": 1, "path": 1, "isolated": 1,
         }
         # palette = max over components: K4 needs 4, odd cycle 3, cubic 3
-        assert result.num_colors == 4
+        assert result.palette == 4
 
     def test_single_nice_component(self):
         g = random_regular_graph(100, 4, seed=3)
-        result = color_graph(g, seed=3)
-        validate_coloring(g, result.colors, max_colors=4)
-        assert result.component_families == {"nice": 1}
+        result = solve(g, algorithm="components", seed=3)
+        validate_coloring(g, list(result.colors), max_colors=4)
+        assert result.stats["component_families"] == {"nice": 1}
 
     def test_all_isolated(self):
         g = Graph(5)
-        result = color_graph(g)
-        assert result.num_colors == 1
+        result = solve(g, algorithm="components")
+        assert result.palette == 1
         assert set(result.colors) == {1}
 
     def test_failure_injection(self):
@@ -104,12 +108,29 @@ class TestColorGraphDispatch:
         dead = set(rng.sample(range(g.n), 40))
         survivors = [v for v in range(g.n) if v not in dead]
         sub, _originals = g.subgraph(survivors)
-        result = color_graph(sub, seed=5)
-        validate_coloring(sub, result.colors, max_colors=result.num_colors)
+        result = solve(sub, algorithm="components", seed=5)
+        validate_coloring(sub, list(result.colors), max_colors=result.palette)
         # degree cap survives node removal
-        assert result.num_colors <= 5
+        assert result.palette <= 5
 
     def test_rounds_are_max_over_components(self):
         g = disjoint_union([cycle_graph(40), complete_graph(4)])
-        result = color_graph(g)
+        result = solve(g, algorithm="components")
         assert result.rounds == 40  # the cycle dominates
+
+    def test_component_held_to_its_own_palette(self, monkeypatch):
+        """An odd cycle colored properly but with a 4th color passes the
+        whole-graph check (K4 makes the palette 4), so only the
+        per-component bound can catch it."""
+        real = special_cases._color_excluded
+
+        def one_color_too_many(graph):
+            special = real(graph)
+            if special.family == "odd-cycle":
+                special.colors = [4 if c == 3 else c for c in special.colors]
+            return special
+
+        monkeypatch.setattr(special_cases, "_color_excluded", one_color_too_many)
+        g = disjoint_union([cycle_graph(9), complete_graph(4)])
+        with pytest.raises(ColoringError, match="odd-cycle component"):
+            solve(g, algorithm="components")
