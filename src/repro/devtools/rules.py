@@ -403,7 +403,11 @@ class ValidatedWireAccessRule(Rule):
     code = "RPL006"
     name = "validated-wire-access"
     rationale = "raw subscripts turn malformed requests into tracebacks, not typed replies"
-    module_prefixes = ("repro.service.server", "repro.service.sharding.router")
+    module_prefixes = (
+        "repro.service.server",
+        "repro.service.client",
+        "repro.service.sharding.router",
+    )
 
     DEFAULT_DICT_NAMES = ("request", "reply", "payload", "msg", "message")
 

@@ -1,31 +1,27 @@
-"""Clients for the NDJSON coloring service.
+"""Clients for the NDJSON coloring service (wire format in
+:mod:`repro.service.server`).
 
-Two flavours over the same wire protocol (see
-:mod:`repro.service.server`):
-
-* :class:`ColoringClient` — synchronous, one blocking socket, strict
-  request→reply alternation.  The ergonomic choice for scripts, the CLI
-  and the serve-smoke check.
-* :class:`AsyncColoringClient` — asyncio streams with pipelining: many
-  ``solve`` coroutines may be in flight on one connection, replies are
-  matched by request id.  This is what the open-loop load generator
-  (``benchmarks/bench_s1_service.py``) drives, and what actually
-  exercises the gateway's micro-batching.
-
-Both round-trip the PR 2 result schema: a successful solve returns a
-:class:`SolveReply` whose ``result`` is a real
-:class:`repro.api.ColoringResult` rebuilt via ``from_dict``, digest-equal
-to the server's object.
+Every verb is written once, sans IO, in :class:`_Verbs`.
+:class:`ColoringClient` drives it over one blocking socket (scripts, the
+CLI, executor threads); :class:`AsyncColoringClient` over an
+:class:`NdjsonConnection`, the pipelined transport the shard router's
+links use too.  A lost connection, a reply line that is not a JSON
+object and an ``ok`` reply missing its fields raise
+:class:`repro.errors.ServiceProtocolError`; error replies raise their
+typed error.  A solve returns a :class:`SolveReply` whose ``result`` is
+a :class:`repro.api.ColoringResult`, digest-equal to the server's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import itertools
 import json
 import socket
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Generator, Self
 
 from repro.api.config import SolverConfig
 from repro.api.result import ColoringResult
@@ -38,8 +34,14 @@ from repro.errors import (
     StaleParentError,
 )
 from repro.graphs.graph import Graph
+from repro.service.server import MAX_LINE_BYTES, encode_line, graph_from_payload
 
-__all__ = ["SolveReply", "ColoringClient", "AsyncColoringClient", "RemoteEngineError"]
+__all__ = ["SolveReply", "ColoringClient", "AsyncColoringClient", "NdjsonConnection",
+           "RemoteEngineError"]
+
+#: A verb in flight: yields requests, is sent their replies, returns the result.
+Exchange = Generator[dict[str, Any], dict[str, Any], Any]
+_Pending = dict[int, asyncio.Future]
 
 
 class RemoteEngineError(ReproError):
@@ -82,8 +84,7 @@ def config_payload(config: SolverConfig | dict | None, overrides: dict) -> Any:
     if isinstance(config, SolverConfig):
         if overrides:
             config = config.replace(**overrides)
-        payload = config.as_dict()
-        return payload
+        return config.as_dict()
     if config is None:
         return overrides or None
     if isinstance(config, dict):
@@ -93,28 +94,63 @@ def config_payload(config: SolverConfig | dict | None, overrides: dict) -> Any:
     )
 
 
+def _request(op: str, config: Any, overrides: dict, **fields: Any) -> dict[str, Any]:
+    request = {"op": op, **fields}
+    cfg = config_payload(config, overrides)
+    if cfg is not None:
+        request["config"] = cfg
+    return request
+
+
+def _decode_reply(line: bytes) -> dict[str, Any]:
+    """One reply line as a dict, or a :class:`ServiceProtocolError` naming it."""
+    try:
+        reply = json.loads(line)
+    except ValueError:  # bad JSON or bad UTF-8
+        reply = None
+    if not isinstance(reply, dict):
+        raise ServiceProtocolError(f"garbled reply line {line[:120]!r}")
+    return reply
+
+
+#: Typed error per reply ``error.type``; any other type is a protocol error.
+_ERROR_TYPES: dict[Any, type[ReproError]] = {
+    "overloaded": ServiceOverloadedError,
+    "engine": RemoteEngineError,
+    "stale_parent": StaleParentError,
+    "update": IncrementalUpdateError,
+}
+
+
 def _raise_for_error(reply: dict[str, Any]) -> None:
-    error = reply.get("error") or {}
-    kind = error.get("type")
+    error = reply.get("error")
+    if not isinstance(error, dict):
+        error = {}
     message = f"{error.get('name', 'error')}: {error.get('message', '')}"
-    if kind == "overloaded":
-        raise ServiceOverloadedError(message)
-    if kind == "engine":
-        raise RemoteEngineError(message)
-    if kind == "stale_parent":
-        raise StaleParentError(message)
-    if kind == "update":
-        raise IncrementalUpdateError(message)
-    raise ServiceProtocolError(message)
+    raise _ERROR_TYPES.get(error.get("type"), ServiceProtocolError)(message)
+
+
+def _reply_field(reply: dict[str, Any], key: str) -> Any:
+    """Field ``key`` of an ``ok`` reply.  An error reply raises its typed
+    error; an ``ok`` reply without ``key`` is a protocol error."""
+    if not reply.get("ok"):
+        _raise_for_error(reply)
+    value = reply.get(key)
+    if value is None:
+        raise ServiceProtocolError(f"ok reply is missing {key!r}")
+    return value
 
 
 def _parse_solve_reply(reply: dict[str, Any]) -> SolveReply:
-    if not reply.get("ok"):
-        _raise_for_error(reply)
+    result = _reply_field(reply, "result")
+    try:
+        parsed = ColoringResult.from_dict(result)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ServiceProtocolError(f"malformed result in reply ({exc!r})") from exc
     return SolveReply(
-        result=ColoringResult.from_dict(reply["result"]),
-        cached=bool(reply["cached"]),
-        fingerprint=reply["fingerprint"],
+        result=parsed,
+        cached=bool(reply.get("cached")),
+        fingerprint=str(_reply_field(reply, "fingerprint")),
         node_ids=reply.get("node_ids"),
         parent_digest=reply.get("parent_digest"),
         update=reply.get("update"),
@@ -126,85 +162,26 @@ def _fallback_child_graph(
     edges_added: list[tuple[int, int]],
     edges_removed: list[tuple[int, int]],
 ) -> Graph:
-    """The post-delta graph for the stale-parent re-solve fallback.
-
-    ``fallback_graph`` is the *parent* instance in any shape
-    :func:`graph_payload` accepts; the delta is applied locally (same
-    validation as the server's engine would run) to produce the child
-    the fallback ``solve`` uploads.  The delta is checked by the
-    engine's own :func:`repro.core.incremental.check_delta` first, so a
-    bad delta raises the same typed error whether or not the parent was
-    still cached.
-    """
+    """The child graph the stale-parent fallback solves: the delta applied
+    locally to ``fallback_graph`` (the parent, in any :func:`graph_payload`
+    shape), checked first by the engine's own
+    :func:`repro.core.incremental.check_delta` so a bad delta raises the
+    same typed error whether or not the parent was still cached."""
     if not isinstance(fallback_graph, Graph):
-        payload = graph_payload(fallback_graph)
-        fallback_graph = Graph(
-            payload["n"], [tuple(e) for e in payload["edges"]]
-        )
+        fallback_graph, _ = graph_from_payload(graph_payload(fallback_graph))
     check_delta(fallback_graph, edges_added, edges_removed)
     return fallback_graph.apply_updates(edges_added, edges_removed)
 
 
-def _update_request(
-    parent_digest: str,
-    edges_added: Any,
-    edges_removed: Any,
-    config: SolverConfig | dict | None,
-    overrides: dict,
-) -> dict[str, Any]:
-    request: dict[str, Any] = {
-        "op": "update",
-        "parent_digest": parent_digest,
-        "edges_added": [list(e) for e in edges_added],
-        "edges_removed": [list(e) for e in edges_removed],
-    }
-    cfg = config_payload(config, overrides)
-    if cfg is not None:
-        request["config"] = cfg
-    return request
+class _Verbs:
+    """Every verb of the protocol as an :data:`Exchange`; :func:`_blocking`
+    and :func:`_awaiting` make client methods of them."""
 
-
-class ColoringClient:
-    """Blocking NDJSON client (one request in flight at a time).
-
-    Usage::
-
-        with ColoringClient("127.0.0.1", 8512) as client:
-            reply = client.solve(graph, algorithm="auto", seed=1)
-            print(reply.result.palette, reply.cached)
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8512, timeout: float | None = 60.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._ids = itertools.count(1)
-
-    def _roundtrip(self, request: dict[str, Any]) -> dict[str, Any]:
-        request_id = next(self._ids)
-        request["id"] = request_id
-        self._sock.sendall(
-            (json.dumps(request, separators=(",", ":")) + "\n").encode("utf-8")
-        )
-        while True:
-            line = self._reader.readline()
-            if not line:
-                raise ServiceProtocolError("server closed the connection")
-            reply = json.loads(line)
-            if reply.get("id") == request_id:
-                return reply
-
-    def solve(
-        self,
-        graph: Any,
-        config: SolverConfig | dict | None = None,
-        **overrides: Any,
-    ) -> SolveReply:
+    def solve(self, graph: Any, config: SolverConfig | dict | None = None,
+              **overrides: Any) -> Exchange:
         """Solve remotely; mirrors :func:`repro.api.solve`'s signature."""
-        request = {"op": "solve", "graph": graph_payload(graph)}
-        cfg = config_payload(config, overrides)
-        if cfg is not None:
-            request["config"] = cfg
-        return _parse_solve_reply(self._roundtrip(request))
+        request = _request("solve", config, overrides, graph=graph_payload(graph))
+        return _parse_solve_reply((yield request))
 
     def update(
         self,
@@ -215,7 +192,7 @@ class ColoringClient:
         *,
         fallback_graph: Any = None,
         **overrides: Any,
-    ) -> SolveReply:
+    ) -> Exchange:
         """Apply an edge delta to a previously served instance.
 
         ``parent_digest`` is the ``fingerprint`` of an earlier solve (or
@@ -238,28 +215,23 @@ class ColoringClient:
         # the deltas, and a generator argument must not arrive drained.
         edges_added = [tuple(e) for e in edges_added]
         edges_removed = [tuple(e) for e in edges_removed]
+        request = _request("update", config, overrides, parent_digest=parent_digest,
+                           edges_added=[list(e) for e in edges_added],
+                           edges_removed=[list(e) for e in edges_removed])
         try:
-            return _parse_solve_reply(
-                self._roundtrip(
-                    _update_request(
-                        parent_digest, edges_added, edges_removed, config,
-                        overrides,
-                    )
-                )
-            )
+            return _parse_solve_reply((yield request))
         except StaleParentError:
             if fallback_graph is None:
                 raise
-            child = _fallback_child_graph(fallback_graph, edges_added, edges_removed)
-            return self.solve(child, config, **overrides)
+        child = _fallback_child_graph(fallback_graph, edges_added, edges_removed)
+        return (yield from _Verbs.solve(self, child, config, **overrides))
 
-    def stats(self) -> dict[str, Any]:
-        reply = self._roundtrip({"op": "stats"})
-        if not reply.get("ok"):
-            _raise_for_error(reply)
-        return reply["stats"]
+    def stats(self) -> Exchange:
+        """The server's gateway, cache and metrics snapshot (against a
+        router, the merged cluster view plus ``router``/``shards``)."""
+        return _reply_field((yield {"op": "stats"}), "stats")
 
-    def metrics(self, *, format: str = "json") -> dict[str, Any] | str:
+    def metrics(self, *, format: str = "json") -> Exchange:
         """The server's instrument registry snapshot.
 
         ``format="json"`` returns the snapshot dict
@@ -267,14 +239,82 @@ class ColoringClient:
         a router, the merged fleet view); ``format="prometheus"`` returns
         the text exposition as a string.
         """
-        reply = self._roundtrip({"op": "metrics", "format": format})
-        if not reply.get("ok"):
-            _raise_for_error(reply)
-        return reply["metrics_text" if format == "prometheus" else "metrics"]
+        reply = yield {"op": "metrics", "format": format}
+        return _reply_field(reply, "metrics_text" if format == "prometheus" else "metrics")
 
-    def ping(self) -> bool:
-        reply = self._roundtrip({"op": "ping"})
+    def ping(self) -> Exchange:
+        """True when the server answers ``pong``."""
+        reply = yield {"op": "ping"}
         return bool(reply.get("ok")) and bool(reply.get("pong"))
+
+
+def _blocking(verb: Callable[..., Exchange]) -> Callable[..., Any]:
+    @functools.wraps(verb)
+    def call(self: ColoringClient, *args: Any, **kwargs: Any) -> Any:
+        exchange = verb(self, *args, **kwargs)
+        try:
+            request = next(exchange)
+            while True:
+                request = exchange.send(self._roundtrip(request))
+        except StopIteration as done:
+            return done.value
+    return call
+
+
+def _awaiting(verb: Callable[..., Exchange]) -> Callable[..., Any]:
+    @functools.wraps(verb)
+    async def call(self: AsyncColoringClient, *args: Any, **kwargs: Any) -> Any:
+        exchange = verb(self, *args, **kwargs)
+        try:
+            request = next(exchange)
+            while True:
+                request = exchange.send(await self.request(request))
+        except StopIteration as done:
+            return done.value
+    return call
+
+
+class ColoringClient:
+    """Blocking NDJSON client (one request in flight at a time).
+
+    The constructor connects (a refused connect raises ``OSError``);
+    ``timeout`` bounds each socket operation (``TimeoutError``).
+
+    Usage::
+
+        with ColoringClient("127.0.0.1", 8512) as client:
+            reply = client.solve(graph, algorithm="auto", seed=1)
+            print(reply.result.palette, reply.cached)
+    """
+
+    def __init__(self, host: str = "127.0.0.1", port: int = 8512, timeout: float | None = 60.0):
+        self._address = f"{host}:{port}"
+        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._reader = self._sock.makefile("rb")
+        self._ids = itertools.count(1)
+
+    def _roundtrip(self, request: dict[str, Any]) -> dict[str, Any]:
+        request_id = next(self._ids)
+        request["id"] = request_id
+        try:
+            self._sock.sendall(encode_line(request))
+            while True:
+                line = self._reader.readline()
+                if not line:
+                    raise ServiceProtocolError(f"{self._address} closed the connection")
+                reply = _decode_reply(line)
+                if reply.get("id") == request_id:
+                    return reply
+        except ConnectionError as exc:
+            raise ServiceProtocolError(
+                f"{self._address} dropped the connection ({type(exc).__name__})"
+            ) from exc
+
+    solve = _blocking(_Verbs.solve)
+    update = _blocking(_Verbs.update)
+    stats = _blocking(_Verbs.stats)
+    metrics = _blocking(_Verbs.metrics)
+    ping = _blocking(_Verbs.ping)
 
     def close(self) -> None:
         try:
@@ -289,137 +329,122 @@ class ColoringClient:
         self.close()
 
 
-class AsyncColoringClient:
-    """Pipelined asyncio client: many solves in flight on one connection."""
+class NdjsonConnection:
+    """One pipelined NDJSON connection, connected lazily.
+
+    Requests in flight get connection-local ids (overwriting ``id``) and
+    their replies are matched back by them.  A refused connect raises
+    :class:`ServiceProtocolError`; a failed write, a hang-up, a reset or
+    a garbled line fails every request in flight on that connection with
+    one, and the next request reconnects.  Only connecting takes a lock.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8512):
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
+        self.host, self.port = host, port
         self._writer: asyncio.StreamWriter | None = None
-        self._pending: dict[int, asyncio.Future] = {}
+        self._pending: _Pending = {}
+        self._read_task: asyncio.Task | None = None
         self._ids = itertools.count(1)
-        self._reader_task: asyncio.Task | None = None
+        self._connect_lock = asyncio.Lock()
 
-    async def connect(self) -> "AsyncColoringClient":
-        from repro.service.server import MAX_LINE_BYTES
-
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
+    async def connect(self) -> Self:
+        """Connect now instead of on the first request."""
+        await self._connected()
         return self
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                reply = json.loads(line)
-                future = self._pending.pop(reply.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        finally:
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ServiceProtocolError("server closed the connection")
-                    )
-            self._pending.clear()
+    def update_address(self, host: str, port: int) -> None:
+        """Point at a new address (a restarted peer); the current
+        connection, if any, closes and the next request reconnects."""
+        self.host, self.port = host, port
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
 
-    async def _roundtrip(self, request: dict[str, Any]) -> dict[str, Any]:
-        if self._writer is None:
-            raise ServiceProtocolError("client is not connected; call connect()")
+    async def request(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """One round trip: send ``payload``, return its reply dict."""
+        writer, pending = self._writer, self._pending
+        if writer is None or writer.is_closing():
+            writer, pending = await self._connected()
         request_id = next(self._ids)
-        request["id"] = request_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        self._writer.write(
-            (json.dumps(request, separators=(",", ":")) + "\n").encode("utf-8")
-        )
-        await self._writer.drain()
+        payload["id"] = request_id
+        line = encode_line(payload)  # before the future exists: a bad payload leaves none behind
+        future = asyncio.get_running_loop().create_future()
+        pending[request_id] = future
+        writer.write(line)
+        # drain raises only once the connection is lost, and then
+        # _read_loop fails this future with every other one in flight
+        with contextlib.suppress(OSError):
+            await writer.drain()
         return await future
 
-    async def solve(
-        self,
-        graph: Any,
-        config: SolverConfig | dict | None = None,
-        **overrides: Any,
-    ) -> SolveReply:
-        request = {"op": "solve", "graph": graph_payload(graph)}
-        cfg = config_payload(config, overrides)
-        if cfg is not None:
-            request["config"] = cfg
-        return _parse_solve_reply(await self._roundtrip(request))
-
-    async def update(
-        self,
-        parent_digest: str,
-        edges_added: Any = (),
-        edges_removed: Any = (),
-        config: SolverConfig | dict | None = None,
-        *,
-        fallback_graph: Any = None,
-        **overrides: Any,
-    ) -> SolveReply:
-        """Async counterpart of :meth:`ColoringClient.update` (including
-        the ``fallback_graph`` stale-parent auto re-solve)."""
-        edges_added = [tuple(e) for e in edges_added]
-        edges_removed = [tuple(e) for e in edges_removed]
-        try:
-            return _parse_solve_reply(
-                await self._roundtrip(
-                    _update_request(
-                        parent_digest, edges_added, edges_removed, config,
-                        overrides,
-                    )
+    async def _connected(self) -> tuple[asyncio.StreamWriter, _Pending]:
+        async with self._connect_lock:
+            writer = self._writer
+            if writer is not None and not writer.is_closing():
+                return writer, self._pending
+            try:
+                reader, writer = await asyncio.open_connection(
+                    self.host, self.port, limit=MAX_LINE_BYTES
                 )
+            except OSError as exc:
+                raise ServiceProtocolError(
+                    f"cannot connect to {self.host}:{self.port} ({type(exc).__name__})"
+                ) from exc
+            pending: _Pending = {}
+            self._writer, self._pending = writer, pending
+            self._read_task = asyncio.get_running_loop().create_task(
+                self._read_loop(reader, writer, pending)
             )
-        except StaleParentError:
-            if fallback_graph is None:
-                raise
-            child = _fallback_child_graph(fallback_graph, edges_added, edges_removed)
-            return await self.solve(child, config, **overrides)
+            return writer, pending
 
-    async def stats(self) -> dict[str, Any]:
-        reply = await self._roundtrip({"op": "stats"})
-        if not reply.get("ok"):
-            _raise_for_error(reply)
-        return reply["stats"]
-
-    async def metrics(self, *, format: str = "json") -> dict[str, Any] | str:
-        """Async counterpart of :meth:`ColoringClient.metrics`."""
-        reply = await self._roundtrip({"op": "metrics", "format": format})
-        if not reply.get("ok"):
-            _raise_for_error(reply)
-        return reply["metrics_text" if format == "prometheus" else "metrics"]
-
-    async def ping(self) -> bool:
-        reply = await self._roundtrip({"op": "ping"})
-        return bool(reply.get("ok")) and bool(reply.get("pong"))
+    async def _read_loop(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                         pending: _Pending) -> None:
+        reason = "closed the connection"
+        try:
+            while line := await reader.readline():
+                reply = _decode_reply(line)
+                future = pending.pop(reply.get("id"), None)
+                if future is not None and not future.done():
+                    future.set_result(reply)
+        # a garbled line, a reset, a line past MAX_LINE_BYTES
+        except (ServiceProtocolError, OSError, ValueError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        finally:
+            if self._writer is writer:
+                self._writer = None
+            writer.close()
+            message = f"{self.host}:{self.port} {reason}; no reply"
+            for future in pending.values():
+                if not future.done():
+                    future.set_exception(ServiceProtocolError(message))
+            pending.clear()
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writer = None
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
+        writer, self._writer = self._writer, None
+        task, self._read_task = self._read_task, None
+        if writer is not None:
+            writer.close()
+            with contextlib.suppress(OSError):
+                await writer.wait_closed()
+        if task is not None:
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
 
-    async def __aenter__(self) -> "AsyncColoringClient":
+    async def __aenter__(self) -> Self:
         return await self.connect()
 
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.close()
+
+
+class AsyncColoringClient(NdjsonConnection):
+    """Pipelined asyncio client: many requests in flight on one
+    connection.  ``await AsyncColoringClient(host, port).connect()`` (or
+    ``async with``) connects up front; otherwise the first request does."""
+
+    solve = _awaiting(_Verbs.solve)
+    update = _awaiting(_Verbs.update)
+    stats = _awaiting(_Verbs.stats)
+    metrics = _awaiting(_Verbs.metrics)
+    ping = _awaiting(_Verbs.ping)

@@ -83,6 +83,7 @@ __all__ = [
     "graph_from_payload",
     "config_from_payload",
     "MAX_LINE_BYTES",
+    "encode_line",
 ]
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)} - {"on_phase"}
@@ -94,6 +95,11 @@ _PARAMS_FIELDS = {f.name for f in dataclasses.fields(RandomizedParams)}
 # (it is also the hard cap on accepted request size — one more layer of
 # admission control).
 MAX_LINE_BYTES = 64 * 1024 * 1024
+
+
+def encode_line(message: dict[str, Any]) -> bytes:
+    """One NDJSON frame: compact JSON plus the newline, UTF-8."""
+    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 _MAX_NODE = 2**31  # ids must pack into (u << 32) | v edge keys and 'i' CSR buffers
@@ -404,14 +410,12 @@ class NdjsonEndpoint:
     ) -> None:
         reply = await self._reply_for(line)
         result = reply.get("result")
-
-        def encode() -> bytes:
-            return (json.dumps(reply, separators=(",", ":")) + "\n").encode("utf-8")
-
         if result and len(result.get("colors", ())) > self._INLINE_ENCODE_MAX_COLORS:
-            payload = await asyncio.get_running_loop().run_in_executor(None, encode)
+            payload = await asyncio.get_running_loop().run_in_executor(
+                None, encode_line, reply
+            )
         else:
-            payload = encode()
+            payload = encode_line(reply)
         async with write_lock:
             try:
                 writer.write(payload)

@@ -25,19 +25,16 @@ its digest arc:
   sections.
 * ``ping`` — answered locally with the fleet's liveness.
 
-Transport: one pipelined, auto-reconnecting NDJSON connection per shard
-(:class:`_ShardLink` — the :class:`repro.service.client.
-AsyncColoringClient` wire discipline, minus reply parsing: the router
-forwards raw reply dicts and only rewrites the request id).  A dead
-shard answers ``overloaded`` (:class:`repro.errors.
-ShardUnavailableError` — retriable; the supervisor is restarting it),
-never a hang.
+Transport: one :class:`repro.service.client.NdjsonConnection` per shard,
+the connection :class:`~repro.service.client.AsyncColoringClient` runs
+on; replies pass through with only the client's id restored.  A shard
+that is down or drops the connection mid-request answers ``overloaded``
+(:class:`repro.errors.ShardUnavailableError`, retriable), never a hang.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 from collections import OrderedDict
 from typing import Any, Sequence
@@ -45,13 +42,13 @@ from typing import Any, Sequence
 from repro.errors import ReproError, ServiceProtocolError, ShardUnavailableError
 from repro.obs.meters import MetricsRegistry, merge_snapshots, render_prometheus
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER, Tracer
+from repro.service.client import NdjsonConnection
 from repro.service.fingerprint import (
     combine_fingerprints,
     config_fingerprint,
     edge_keys_fingerprint,
 )
 from repro.service.server import (
-    MAX_LINE_BYTES,
     NdjsonEndpoint,
     _error_reply,
     config_from_payload,
@@ -65,128 +62,6 @@ __all__ = ["ShardRouter"]
 #: pure-Python walk) moves off the event loop — same threshold as the
 #: gateway's own submit path.
 _INLINE_FINGERPRINT_MAX_EDGES = 100_000
-
-
-class _ShardLink:
-    """One pipelined NDJSON connection to a shard, lazily (re)connected.
-
-    Many forwards may be in flight at once; replies are matched by a
-    link-local id (the router restores the client's id on the way back).
-    Connection failures — refused while the shard restarts, reset when
-    it dies mid-request — surface as :class:`ShardUnavailableError` on
-    every affected in-flight future.
-    """
-
-    def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
-        self._pending: dict[int, asyncio.Future] = {}
-        self._ids = itertools.count(1)
-        self._connect_lock = asyncio.Lock()
-
-    def update_address(self, host: str, port: int) -> None:
-        """Point the link at a restarted shard; the stale connection (if
-        any) is torn down so the next forward reconnects."""
-        self.host = host
-        self.port = port
-        writer = self._writer
-        self._writer = None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-
-    async def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """One round-trip; raises :class:`ShardUnavailableError` when the
-        shard cannot be reached or dies before replying."""
-        try:
-            await self._ensure_connected()
-        except OSError as exc:
-            raise ShardUnavailableError(
-                f"shard at {self.host}:{self.port} is unavailable "
-                f"({type(exc).__name__}); retry with backoff"
-            ) from exc
-        assert self._writer is not None
-        link_id = next(self._ids)
-        payload["id"] = link_id
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[link_id] = future
-        try:
-            self._writer.write(
-                (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-            )
-            await self._writer.drain()
-        except (OSError, ConnectionResetError) as exc:
-            self._pending.pop(link_id, None)
-            raise ShardUnavailableError(
-                f"shard at {self.host}:{self.port} dropped the connection; "
-                "retry with backoff"
-            ) from exc
-        return await future
-
-    async def _ensure_connected(self) -> None:
-        async with self._connect_lock:
-            if self._writer is not None and not self._writer.is_closing():
-                return
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port, limit=MAX_LINE_BYTES
-            )
-            self._reader = reader
-            self._writer = writer
-            self._read_task = asyncio.get_running_loop().create_task(
-                self._read_loop(reader, writer)
-            )
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                reply = json.loads(line)
-                future = self._pending.pop(reply.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        except (ConnectionResetError, asyncio.CancelledError, ValueError):
-            pass
-        finally:
-            # Fail everything this connection still owed; the next
-            # forward reconnects (the restarted shard re-warms its arc).
-            if self._writer is writer:
-                self._writer = None
-                self._reader = None
-            for future in list(self._pending.values()):
-                if not future.done():
-                    future.set_exception(
-                        ShardUnavailableError(
-                            f"shard at {self.host}:{self.port} closed the "
-                            "connection mid-request; retry with backoff"
-                        )
-                    )
-            self._pending.clear()
-            writer.close()
-
-    async def close(self) -> None:
-        writer = self._writer
-        self._writer = None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-        if self._read_task is not None:
-            self._read_task.cancel()
-            try:
-                await self._read_task
-            except asyncio.CancelledError:
-                pass
-            self._read_task = None
 
 
 class ShardRouter(NdjsonEndpoint):
@@ -221,7 +96,7 @@ class ShardRouter(NdjsonEndpoint):
         if not shard_addresses:
             raise ValueError("ShardRouter needs at least one shard address")
         super().__init__(host, port)
-        self._links = [_ShardLink(h, p) for h, p in shard_addresses]
+        self._links = [NdjsonConnection(h, p) for h, p in shard_addresses]
         self._shard_ids = [f"shard-{i}" for i in range(len(self._links))]
         self.ring = HashRing(self._shard_ids, vnodes=vnodes)
         self._index_of = {sid: i for i, sid in enumerate(self._shard_ids)}
@@ -384,40 +259,43 @@ class ShardRouter(NdjsonEndpoint):
             payload["trace"] = forward_span.wire_context()
         try:
             reply = await self._links[shard].request(payload)
-        except ShardUnavailableError as exc:
+        except ServiceProtocolError as exc:
             self.unavailable += 1
             self._error_counter.inc(kind="shard_unavailable")
             if forward_span:
                 forward_span.set_attr("error", "shard_unavailable").end()
-            return _error_reply(request_id, "overloaded", exc)
+            unavailable = ShardUnavailableError(
+                f"shard {shard} is unavailable ({exc}); retry with backoff"
+            )
+            return _error_reply(request_id, "overloaded", unavailable)
         forward_span.end()
         reply["id"] = request_id
         return reply
 
     # -- cluster stats -----------------------------------------------------
 
-    async def _aggregate_stats(self, request_id: Any) -> dict[str, Any]:
-        async def one(shard: int) -> dict[str, Any]:
-            try:
-                reply = await self._links[shard].request({"op": "stats"})
-            except ShardUnavailableError as exc:
-                return {"shard": shard, "alive": False, "error": str(exc)}
-            if not reply.get("ok"):
-                return {
-                    "shard": shard, "alive": False,
-                    "error": str(reply.get("error")),
-                }
-            shard_stats = reply.get("stats")
-            if not isinstance(shard_stats, dict):
-                return {
-                    "shard": shard, "alive": False,
-                    "error": "malformed stats reply (missing 'stats' object)",
-                }
-            return {"shard": shard, "alive": True, **shard_stats}
+    async def _fan_out(self, op: str) -> list[dict[str, Any] | str]:
+        """Send ``op`` to every shard at once.  Per shard: the object its
+        ``ok`` reply carries under ``op``, or why there is none."""
 
-        shards = list(
-            await asyncio.gather(*(one(i) for i in range(self.num_shards)))
-        )
+        async def one(link: NdjsonConnection) -> dict[str, Any] | str:
+            try:
+                reply = await link.request({"op": op})
+            except ServiceProtocolError as exc:
+                return f"unavailable ({exc})"
+            if not reply.get("ok"):
+                return str(reply.get("error"))
+            body = reply.get(op)
+            return body if isinstance(body, dict) else f"malformed {op} reply"
+
+        return list(await asyncio.gather(*(one(link) for link in self._links)))
+
+    async def _aggregate_stats(self, request_id: Any) -> dict[str, Any]:
+        shards = [
+            {"shard": i, "alive": True, **body} if isinstance(body, dict)
+            else {"shard": i, "alive": False, "error": body}
+            for i, body in enumerate(await self._fan_out("stats"))
+        ]
         stats = _merge_shard_stats(shards)
         stats["router"] = {
             "shards": self.num_shards,
@@ -447,25 +325,12 @@ class ShardRouter(NdjsonEndpoint):
             raise ServiceProtocolError(
                 f"unknown metrics format {fmt!r} (expected json|prometheus)"
             )
-
-        async def one(shard: int) -> dict[str, Any] | None:
-            try:
-                reply = await self._links[shard].request({"op": "metrics"})
-            except ShardUnavailableError:
-                return None
-            if not reply.get("ok"):
-                return None
-            snapshot = reply.get("metrics")
-            return snapshot if isinstance(snapshot, dict) else None
-
-        shard_snaps = list(
-            await asyncio.gather(*(one(i) for i in range(self.num_shards)))
-        )
-        for shard, snap in enumerate(shard_snaps):
-            self._shard_up.set(1.0 if snap is not None else 0.0, shard=shard)
+        bodies = await self._fan_out("metrics")
+        for shard, body in enumerate(bodies):
+            self._shard_up.set(1.0 if isinstance(body, dict) else 0.0, shard=shard)
+        # the router's registry is read after the gauges it just set
         merged = merge_snapshots(
-            [self.registry.as_dict()]
-            + [s for s in shard_snaps if s is not None]
+            [self.registry.as_dict()] + [b for b in bodies if isinstance(b, dict)]
         )
         if fmt == "prometheus":
             return {

@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import ShardFailedError
+from repro.errors import ServiceProtocolError, ShardFailedError
 
 __all__ = ["ShardWorker"]
 
@@ -175,7 +175,8 @@ class ShardWorker:
         return self.process is not None and self.process.poll() is None
 
     def ping(self, timeout_s: float = 2.0) -> bool:
-        """Protocol-level health check: one ``ping`` round-trip."""
+        """Protocol-level health check: one ``ping`` round-trip.  A refused,
+        timed-out, dropped or garbled exchange is ``False``."""
         if not self.alive() or self.port is None:
             return False
         from repro.service.client import ColoringClient
@@ -183,7 +184,7 @@ class ShardWorker:
         try:
             with ColoringClient(self.host, self.port, timeout=timeout_s) as client:
                 return client.ping()
-        except OSError:
+        except (OSError, ServiceProtocolError):
             return False
 
     # -- restart policy ----------------------------------------------------

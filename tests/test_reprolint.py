@@ -344,6 +344,20 @@ class TestRPL006ValidatedWireAccess:
         assert codes(findings) == ["RPL006"]
         assert "fallback" in findings[0].message
 
+    def test_client_module_in_scope(self, tmp_path):
+        # replies are decoded wire dicts too: a raw read of a missing
+        # field is a KeyError where the client owes ServiceProtocolError
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/service/client.py",
+            """
+            def parse(reply):
+                return reply["result"]
+            """,
+        )
+        assert codes(findings) == ["RPL006"]
+        assert "reply['result']" in findings[0].message
+
     def test_other_modules_out_of_scope(self, tmp_path):
         findings, _ = run_lint(
             tmp_path,
