@@ -1,5 +1,6 @@
 """Golden table: :meth:`ColoringResult.content_digest` of every registered
-algorithm on a fixed instance set.
+algorithm on a fixed instance set, plus the Theorem 1 shattering path
+(marking, happiness layers, C-layers) on girth-9 cubic graphs.
 
 The digest covers the whole ``r1:`` result content — colors, palette,
 rounds, the phase-round decomposition, stats and per-phase stats (timing
@@ -15,14 +16,20 @@ why in the commit message) with::
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import pytest
 
-from repro.api import solve
+from repro.analysis.harness import carve_matching
+from repro.api import SolverConfig, solve
+from repro.core.randomized import RandomizedParams
 from repro.errors import ReproError
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    high_girth_regular_graph,
     hypercube,
     path_graph,
     random_regular_graph,
@@ -54,7 +61,33 @@ NOT_NICE = {
         random_regular_graph(40, 3, seed=1),
     ]),
 }
-GRAPHS = {**NICE, **NOT_NICE}
+
+
+@functools.lru_cache(maxsize=None)
+def _girth9():
+    """A girth-9 cubic graph has no DCCs, so all of it is H: phases 4-7
+    (marking, happiness layers, C-layers) color every node."""
+    return high_girth_regular_graph(2048, 3, 9, seed=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _girth9_carved():
+    """The same graph minus a 64-edge matching: 128 boundary nodes, so
+    the boundary rule of phase 5 uncolors marks near them."""
+    graph = _girth9()
+    return graph.apply_updates(removed=carve_matching(graph, 64))
+
+
+# Theorem 1 instances: name -> (graph, selection_p override or None).
+# At p = 0.01 (the preset is ≈0.0068) about 26 nodes are selected and
+# 4-5 of them survive the backoff.
+SHATTER = {
+    "girth9_2048": (_girth9, None),
+    "girth9_2048_carved": (_girth9_carved, None),
+    "girth9_2048_p0.01": (_girth9, 0.01),
+}
+SHATTER_ALGORITHMS = ("auto", "randomized", "randomized-small")
+GRAPHS = {**NICE, **NOT_NICE, **{name: make for name, (make, _) in SHATTER.items()}}
 
 
 def _cases():
@@ -63,12 +96,26 @@ def _cases():
         for name in names:
             for seed in (0, 1):
                 yield algorithm, name, seed
+    for algorithm in SHATTER_ALGORITHMS:
+        for name in SHATTER:
+            for seed in (0, 1):
+                yield algorithm, name, seed
+
+
+def _solve(algorithm: str, name: str, seed: int):
+    graph = GRAPHS[name]()
+    params = None
+    selection_p = SHATTER.get(name, (None, None))[1]
+    if selection_p is not None:
+        preset = RandomizedParams.small_delta(graph.n, graph.max_degree(), seed=seed)
+        params = dataclasses.replace(preset, selection_p=selection_p)
+    return solve(graph, SolverConfig(algorithm=algorithm, seed=seed, params=params))
 
 
 def _outcome(algorithm: str, name: str, seed: int) -> str:
     """First 16 hex digits of the content digest, or the error type."""
     try:
-        result = solve(GRAPHS[name](), algorithm=algorithm, seed=seed)
+        result = _solve(algorithm, name, seed)
     except ReproError as exc:
         return type(exc).__name__
     return result.content_digest()[:16]
@@ -196,6 +243,24 @@ GOLDEN = {
     ('components', 'P5', 1): '472cc6567e766bfa',
     ('components', 'union', 0): '6a73b60f4945a593',
     ('components', 'union', 1): '82bcaf4c95c9b4cd',
+    ('auto', 'girth9_2048', 0): '6d6568015a553136',
+    ('auto', 'girth9_2048', 1): '36777eb836e8920e',
+    ('auto', 'girth9_2048_carved', 0): '80192d3c702a8b22',
+    ('auto', 'girth9_2048_carved', 1): '03b04f3a429a489e',
+    ('auto', 'girth9_2048_p0.01', 0): 'f76ad2e01d18d6b2',
+    ('auto', 'girth9_2048_p0.01', 1): '78bf5edce5621f1e',
+    ('randomized', 'girth9_2048', 0): '6d6568015a553136',
+    ('randomized', 'girth9_2048', 1): '36777eb836e8920e',
+    ('randomized', 'girth9_2048_carved', 0): '80192d3c702a8b22',
+    ('randomized', 'girth9_2048_carved', 1): '03b04f3a429a489e',
+    ('randomized', 'girth9_2048_p0.01', 0): 'f76ad2e01d18d6b2',
+    ('randomized', 'girth9_2048_p0.01', 1): '78bf5edce5621f1e',
+    ('randomized-small', 'girth9_2048', 0): '6d6568015a553136',
+    ('randomized-small', 'girth9_2048', 1): '36777eb836e8920e',
+    ('randomized-small', 'girth9_2048_carved', 0): '80192d3c702a8b22',
+    ('randomized-small', 'girth9_2048_carved', 1): '03b04f3a429a489e',
+    ('randomized-small', 'girth9_2048_p0.01', 0): 'd55bf433f01b63bc',
+    ('randomized-small', 'girth9_2048_p0.01', 1): '8414350e072fe60f',
 }
 
 
@@ -208,6 +273,22 @@ def test_golden_solve(algorithm, name, seed):
 
 def test_table_covers_every_case():
     assert set(GOLDEN) == set(_cases())
+
+
+@pytest.mark.parametrize("name", sorted(SHATTER))
+@pytest.mark.parametrize("seed", (0, 1))
+def test_shatter_instances_exercise_phases_4_to_7(name, seed):
+    """The Theorem 1 digests pin marking, happiness and C-layers only if
+    those phases do work: some selected nodes back off, some survive as
+    T-nodes, and C-layers color all of H."""
+    stats = _solve("auto", name, seed).stats
+    assert stats["h_size"] == 2048
+    assert stats["backed_off"] > 0
+    assert stats["t_nodes"] > 0
+    assert stats["c_layers"] > 0
+    assert stats["leftover_nodes"] == 0
+    if name == "girth9_2048_carved":
+        assert stats["uncolored_marks"] > 0
 
 
 if __name__ == "__main__":  # regenerate the golden table
