@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.graphs.bfs import bfs_distances, distance_layers
+from repro.graphs.bfs import VECTOR_MIN_NODES, bfs_distances, distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
@@ -65,23 +65,28 @@ def build_happiness_layers(
     """Phase (5): boundary uncoloring, seed computation, C-layer BFS.
 
     Mutates ``colors`` (marks near the boundary are uncolored).  Charges
-    ``r`` rounds for the boundary flood and ``2r`` for the layer BFS.
+    ``r`` rounds for the boundary flood and ``2r`` for the layer BFS,
+    also when H is empty.  The H-degrees come from H's own CSR rows
+    (never a pass over all m edges), and both searches run inside H's
+    byte mask, so they vectorize once they reach far.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     result = HappinessLayers()
     ledger.charge(r + 2 * r)
     result.rounds = 3 * r
+    if not h_nodes:
+        return result
 
-    degree_in_h = {
-        v: sum(1 for u in graph.adj[v] if u in h_nodes) for v in h_nodes
-    }
-    boundary = {v for v in h_nodes if degree_in_h[v] < delta}
+    h_mask = bytearray(graph.n)
+    for v in h_nodes:
+        h_mask[v] = 1
+    boundary = _boundary(graph, h_nodes, h_mask, delta)
     result.boundary = boundary
 
     # Uncolor marks within distance r of the boundary (distance inside H).
     marked = set(marking.marked)
-    if boundary:
-        dist_to_boundary = bfs_distances(graph, boundary, max_depth=r, allowed=h_nodes)
+    if boundary and marked:
+        dist_to_boundary = bfs_distances(graph, boundary, max_depth=r, allowed=h_mask)
         for m in list(marked):
             if dist_to_boundary[m] != -1:
                 colors[m] = UNCOLORED
@@ -99,10 +104,59 @@ def build_happiness_layers(
 
     seeds = t_alive | boundary
     uncolored_h = {v for v in h_nodes if colors[v] == UNCOLORED}
+    for v in h_nodes - uncolored_h:
+        h_mask[v] = 0  # from here on the mask holds uncolored_h
     # Demoted T-nodes and uncolored marks are plain uncolored nodes now and
     # participate in the BFS as relay/layer nodes.
-    layers = distance_layers(graph, seeds & uncolored_h, max_depth=2 * r, allowed=uncolored_h)
+    layers = distance_layers(graph, seeds & uncolored_h, max_depth=2 * r, allowed=h_mask)
     result.layers = layers
-    layered = {v for layer in layers for v in layer}
-    result.leftover = uncolored_h - layered
+    # The layers hold nodes of uncolored_h only, so equal counts mean no
+    # leftover and the set difference can be skipped.
+    if sum(map(len, layers)) < len(uncolored_h):
+        layered = {v for layer in layers for v in layer}
+        result.leftover = uncolored_h - layered
     return result
+
+
+def _boundary(
+    graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
+) -> set[int]:
+    """Nodes of H with fewer than ``delta`` neighbours in H, from the CSR
+    rows of H only (O(|H|·Δ)); ``h_mask`` is H's byte mask."""
+    if len(h_nodes) >= VECTOR_MIN_NODES:
+        boundary = _boundary_vectorized(graph, h_nodes, h_mask, delta)
+        if boundary is not None:
+            return boundary
+    return _boundary_python(graph, h_nodes, h_mask, delta)
+
+
+def _boundary_vectorized(
+    graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
+) -> set[int] | None:
+    """:func:`_boundary` with numpy: gather H's rows, prefix-sum the mask
+    over them and difference at the row bounds."""
+    try:
+        import numpy as np
+    except Exception:  # pragma: no cover - numpy-free environments
+        return None
+    offsets, indices = graph.csr()
+    indptr = np.frombuffer(offsets, dtype=np.int32)
+    idx = np.frombuffer(indices, dtype=np.int32)
+    rows = np.fromiter(h_nodes, dtype=np.int64, count=len(h_nodes))
+    starts = indptr[rows]
+    deg = indptr[rows + 1] - starts
+    bounds = np.cumsum(deg) - deg
+    positions = np.repeat(starts - bounds, deg) + np.arange(int(deg.sum()))
+    inside = np.frombuffer(h_mask, dtype=np.uint8)[idx[positions]]
+    prefix = np.zeros(inside.size + 1, dtype=np.int64)
+    np.cumsum(inside, out=prefix[1:])
+    deg_h = prefix[bounds + deg] - prefix[bounds]
+    return set(rows[deg_h < delta].tolist())
+
+
+def _boundary_python(
+    graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
+) -> set[int]:
+    """The per-node loop behind :func:`_boundary` (reference twin)."""
+    adj = graph.adj
+    return {v for v in h_nodes if sum(h_mask[u] for u in adj[v]) < delta}

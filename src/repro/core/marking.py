@@ -2,11 +2,19 @@
 
 Each node of the remainder graph H selects itself independently with
 probability p.  A selected node that sees another selected node within the
-*backoff distance* b unselects itself; every surviving selected node picks
-two random non-adjacent H-neighbours and colors them with color one — the
-survivor becomes a **T-node** (a node with two equally-colored neighbours,
-which is guaranteed a free color whenever it is colored last among its
-neighbours), the two neighbours are **marked**.
+*backoff distance* b (distance inside H) unselects itself; every surviving
+selected node picks two random non-adjacent H-neighbours and colors them
+with color one — the survivor becomes a **T-node** (a node with two
+equally-colored neighbours, which is guaranteed a free color whenever it
+is colored last among its neighbours), the two neighbours are **marked**.
+
+The backoff rule is a purely local b-hop test, so it runs as one BFS per
+selected node: the search stays inside H, stops at depth b and exits at
+the first other selected node it meets.  That is what a node learns from
+b rounds of flooding selection flags, so the LOCAL charge stays
+``backoff + 2`` (the flood plus the pick/mark exchange); the selected
+nodes are few (p ≈ 1/|B_b|), so the searches together visit about as
+many nodes as H has.
 
 The paper's parameters (b = 6 for Δ >= 4, b = 12 for Δ = 3; p = Δ^{-b})
 make the w.h.p. statements of Lemmas 23/31 true asymptotically but select
@@ -88,6 +96,8 @@ def marking_process(
     outcome = MarkingOutcome()
     ledger.charge(backoff + 2)
     outcome.rounds = backoff + 2
+    if not h_nodes:
+        return outcome
 
     h_mask = bytearray(graph.n)
     for v in h_nodes:
@@ -96,18 +106,17 @@ def marking_process(
     outcome.initially_selected = len(selected)
     survivors = _without_close_pairs(graph, selected, backoff, h_mask)
     outcome.backed_off = len(selected) - len(survivors)
-    if not survivors:
-        return outcome  # nothing to mark; skip building the adjacency sets
-
     adj = graph.adj
-    adj_sets = graph.adjacency_sets()
     for v in sorted(survivors):
-        neighbors = [u for u in adj[v] if h_mask[u]]
-        pair = _random_non_adjacent_pair(neighbors, adj_sets, rng)
-        if pair is None:
+        # A uniformly random non-adjacent pair of H-neighbours.  A clique
+        # neighbourhood has none and its node cannot become a T-node
+        # (cf. Lemma 13: that happens exactly where the graph is locally
+        # DCC-free).
+        pairs = graph.complement_within([u for u in adj[v] if h_mask[u]])
+        if not pairs:
             outcome.no_pair_available += 1
             continue
-        u1, u2 = pair
+        u1, u2 = pairs[rng.randrange(len(pairs))]
         colors[u1] = MARK_COLOR
         colors[u2] = MARK_COLOR
         outcome.t_nodes[v] = (u1, u2)
@@ -122,56 +131,25 @@ def _without_close_pairs(
     """Selected nodes with no other selected node within ``backoff`` hops
     (distance measured inside H): the mutual-unselection rule.
 
-    Implemented as ``backoff`` rounds of best-two-labels propagation: every
-    node tracks the two closest selected nodes with *distinct* identities;
-    a selected node survives iff its second-closest selected node (the
-    closest one is itself, at distance 0) is farther than ``backoff``.
-    ``allowed`` is a byte mask of the remainder graph H (mask probes are
-    the inner-loop operation of the flood).
+    One BFS per selected node over the byte mask ``allowed`` of H, level
+    by level up to depth ``backoff``; it stops at the first other
+    selected node it reaches, which unselects its source.
     """
-    if not selected:
-        return set()
     adj = graph.adj
-    # labels[v] = up to two (dist, source) pairs with distinct sources.
-    labels: dict[int, list[tuple[int, int]]] = {v: [(0, v)] for v in selected}
-    for _ in range(backoff):
-        updates: dict[int, list[tuple[int, int]]] = {}
-        for v, pairs in labels.items():
-            for u in adj[v]:
-                if not allowed[u]:
-                    continue
-                incoming = [(d + 1, s) for d, s in pairs]
-                if incoming:
-                    updates.setdefault(u, []).extend(incoming)
-        for u, incoming in updates.items():
-            merged = labels.get(u, []) + incoming
-            best: dict[int, int] = {}
-            for d, s in merged:
-                if s not in best or d < best[s]:
-                    best[s] = d
-            top_two = sorted(((d, s) for s, d in best.items()))[:2]
-            labels[u] = top_two
     survivors = set()
-    for v in selected:
-        others = [d for d, s in labels.get(v, []) if s != v]
-        if not others or min(others) > backoff:
-            survivors.add(v)
+    for source in selected:
+        seen = {source}
+        frontier = [source]
+        for _ in range(backoff):
+            reached = []
+            for v in frontier:
+                for u in adj[v]:
+                    if allowed[u] and u not in seen:
+                        seen.add(u)
+                        reached.append(u)
+            if not selected.isdisjoint(reached):
+                break
+            frontier = reached
+        else:
+            survivors.add(source)
     return survivors
-
-
-def _random_non_adjacent_pair(
-    neighbors: list[int], adj_sets: list[set[int]], rng: random.Random
-) -> tuple[int, int] | None:
-    """A uniformly random non-adjacent pair among ``neighbors`` (or None if
-    the neighbourhood is a clique — then the node cannot become a T-node,
-    cf. Lemma 13: clique neighbourhoods occur exactly where the graph is
-    locally DCC-free)."""
-    pairs = [
-        (a, b)
-        for i, a in enumerate(neighbors)
-        for b in neighbors[i + 1:]
-        if b not in adj_sets[a]
-    ]
-    if not pairs:
-        return None
-    return pairs[rng.randrange(len(pairs))]

@@ -47,6 +47,7 @@ from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
+from repro.primitives.list_coloring import first_available_color
 
 __all__ = ["SmallComponentsReport", "color_small_components"]
 
@@ -183,7 +184,8 @@ def _color_component(
         system = systems[idx]
         if len(system) == 1:
             v = system[0]
-            if not _take_available(graph, colors, v, delta):
+            colors[v] = first_available_color(graph, colors, v, delta)
+            if colors[v] == UNCOLORED:
                 raise AlgorithmContractError(
                     f"free node {v} had no available color in D_0"
                 )
@@ -214,15 +216,6 @@ def _free_nodes(
                 free.add(v)
                 break
     return free
-
-
-def _take_available(graph: Graph, colors: list[int], v: int, max_colors: int) -> bool:
-    used = {colors[u] for u in graph.adj[v] if colors[u] != UNCOLORED}
-    for c in range(1, max_colors + 1):
-        if c not in used:
-            colors[v] = c
-            return True
-    return False
 
 
 def _color_dcc(graph: Graph, colors: list[int], block: set[int], max_colors: int) -> None:

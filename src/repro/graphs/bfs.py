@@ -15,12 +15,17 @@ set, a predicate, a ``bytearray``/bool-sequence mask (e.g. the ``mask`` of
 takes a specialised loop with no per-visit predicate call, which matters in
 the per-node ball collection of DCC detection.
 
-Unrestricted searches that should reach a good part of a graph of at
-least ``VECTOR_MIN_NODES`` nodes (the B-layers of the randomized
-pipeline, the ruling forests of the deterministic one, connectivity
-checks) run level by level over the CSR buffers with numpy
-(:func:`frontier_levels`); the per-visit Python loops stay as the
-bit-identical fallback twins.
+Searches that should reach a good part of the nodes they may visit, at
+least ``VECTOR_MIN_NODES`` of them, run level by level over the CSR
+buffers with numpy (:func:`frontier_levels`): the B-layers of the
+randomized pipeline, the boundary and C-layer searches inside H, the
+ruling forests of the deterministic one, connectivity checks.  A masked
+search vectorizes when ``allowed`` is a set (weighed by its size, so a
+small component's member set never pays an O(n) mask build) or a
+``bytearray`` mask of length n (its caller already paid O(n));
+disallowed nodes start the search as seen.  Predicates and other
+sequences always take the Python loop.  The per-visit Python loops stay
+as the bit-identical fallback twins.
 """
 
 from __future__ import annotations
@@ -55,35 +60,60 @@ VECTOR_MIN_NODES = 512
 VECTOR_MAX_LEVELS = 64
 
 
+def _searchable_size(graph: Graph, allowed: object) -> int:
+    """How many nodes a search may visit, as far as the vectorize
+    decision is concerned: n unrestricted or for a length-n ``bytearray``
+    mask, ``len(allowed)`` for a set, and 0 (stay in Python) for a
+    predicate or any other sequence."""
+    if allowed is None:
+        return graph.n
+    if isinstance(allowed, (set, frozenset)):
+        return len(allowed)
+    if isinstance(allowed, (bytes, bytearray)) and len(allowed) == graph.n:
+        return graph.n
+    return 0
+
+
 def _worth_vectorizing(
     graph: Graph, num_sources: int, max_depth: int | None, allowed: object = None
 ) -> bool:
-    """Should an unrestricted search run through :func:`frontier_levels`:
-    ``graph.n >= VECTOR_MIN_NODES`` and an expected reach (sources times
-    (Δ-1) per level) of at least a quarter of the graph?"""
-    n = graph.n
-    if allowed is not None or n < VECTOR_MIN_NODES or num_sources == 0:
+    """Should a search run through :func:`frontier_levels`: at least
+    ``VECTOR_MIN_NODES`` searchable nodes (see :func:`_searchable_size`;
+    a masked search is weighed by the size of its set, so a component's
+    member set or a decomposition cluster stays in Python) and an
+    expected reach (sources times (Δ-1) per level) of at least a quarter
+    of them?"""
+    size = _searchable_size(graph, allowed)
+    if size < VECTOR_MIN_NODES or num_sources == 0:
         return False
     if max_depth is None:
         return True
     reach = num_sources
     growth = max(1, graph.max_degree() - 1)
     for _ in range(max_depth):
-        if 4 * reach >= n:
+        if 4 * reach >= size:
             break
         reach *= growth
-    return 4 * reach >= n
+    return 4 * reach >= size
 
 
-def frontier_levels(graph: Graph, sources: Iterable[int], max_depth: int | None):
+def frontier_levels(
+    graph: Graph,
+    sources: Iterable[int],
+    max_depth: int | None,
+    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
+):
     """Level-synchronous BFS over ``graph.csr()`` with numpy.
 
     Returns ``levels``, a list of int arrays: ``levels[i]`` holds the
     nodes at distance exactly ``i`` from the closest source (unsorted,
     each once), stopping at the last non-empty level or ``max_depth``.
-    Returns ``None`` when numpy is unavailable, a source is out of range
-    or the search runs deeper than ``VECTOR_MAX_LEVELS`` levels — the
-    caller then runs its Python twin, which is cheaper on long, thin
+    ``allowed`` (a node set or a length-n ``bytearray`` mask) restricts
+    the search: disallowed nodes start as seen, so sources outside it
+    are skipped and the search never enters them.  Returns ``None`` when
+    numpy is unavailable, a source or an ``allowed`` node is out of
+    range or the search runs deeper than ``VECTOR_MAX_LEVELS`` levels —
+    the caller then runs its Python twin, which is cheaper on long, thin
     graphs.
     """
     try:
@@ -94,11 +124,21 @@ def frontier_levels(graph: Graph, sources: Iterable[int], max_depth: int | None)
     offsets, indices = graph.csr()
     indptr = np.frombuffer(offsets, dtype=np.int32)
     idx = np.frombuffer(indices, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool)
     frontier = np.fromiter(sources, dtype=np.int64)
     if frontier.size and (frontier.min() < 0 or frontier.max() >= n):
         return None  # the Python twin owns out-of-range semantics
+    if allowed is None:
+        seen = np.zeros(n, dtype=bool)
+    elif isinstance(allowed, (set, frozenset)):
+        members = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
+        if members.size and (members.min() < 0 or members.max() >= n):
+            return None
+        seen = np.ones(n, dtype=bool)
+        seen[members] = False
+    else:
+        seen = np.frombuffer(allowed, dtype=np.uint8, count=n) == 0
     frontier = np.unique(frontier)
+    frontier = frontier[~seen[frontier]]
     seen[frontier] = True
     levels = [frontier] if frontier.size else []
     slot = np.zeros(n, dtype=np.int64)
@@ -152,17 +192,20 @@ def bfs_distances(
     """
     sources = list(sources)
     if _worth_vectorizing(graph, len(sources), max_depth, allowed):
-        dist = _bfs_distances_vectorized(graph, sources, max_depth)
+        dist = _bfs_distances_vectorized(graph, sources, max_depth, allowed)
         if dist is not None:
             return dist
     return _bfs_distances_python(graph, sources, max_depth, allowed)
 
 
 def _bfs_distances_vectorized(
-    graph: Graph, sources: Iterable[int], max_depth: int | None
+    graph: Graph,
+    sources: Iterable[int],
+    max_depth: int | None,
+    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
 ) -> list[int] | None:
-    """:func:`bfs_distances` (``allowed=None``) over :func:`frontier_levels`."""
-    levels = frontier_levels(graph, sources, max_depth)
+    """:func:`bfs_distances` over :func:`frontier_levels`."""
+    levels = frontier_levels(graph, sources, max_depth, allowed)
     if levels is None:
         return None
     import numpy as np
@@ -337,21 +380,27 @@ def distance_layers(
 
     This is exactly how the paper builds ``B_1, .., B_s`` from ``B_0``
     (Section 3) and the ``C``/``D`` layers of phases (5) and (6).  The
-    result stops at the last non-empty layer (or ``max_depth``).
+    result stops at the last non-empty layer (or ``max_depth``); an empty
+    base gives no layers.
     """
     base = list(base)
+    if not base:
+        return []
     if _worth_vectorizing(graph, len(base), max_depth, allowed):
-        layers = _distance_layers_vectorized(graph, base, max_depth)
+        layers = _distance_layers_vectorized(graph, base, max_depth, allowed)
         if layers is not None:
             return layers
     return _distance_layers_python(graph, base, max_depth, allowed)
 
 
 def _distance_layers_vectorized(
-    graph: Graph, base: Iterable[int], max_depth: int | None
+    graph: Graph,
+    base: Iterable[int],
+    max_depth: int | None,
+    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
 ) -> list[list[int]] | None:
-    """:func:`distance_layers` (``allowed=None``) over :func:`frontier_levels`."""
-    levels = frontier_levels(graph, base, max_depth)
+    """:func:`distance_layers` over :func:`frontier_levels`."""
+    levels = frontier_levels(graph, base, max_depth, allowed)
     if levels is None:
         return None
     import numpy as np

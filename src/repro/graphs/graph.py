@@ -470,16 +470,14 @@ class Graph:
         """Non-edges among ``nodes`` (pairs in original labels).
 
         Helper for picking two non-adjacent neighbours in the marking
-        process and in the Brooks gadget; quadratic in ``len(nodes)`` which
-        is at most Δ in all call sites.
+        process; quadratic in ``len(nodes)``, which is at most Δ there, and
+        it builds no graph-wide adjacency cache.
         """
-        adj_sets = self.adjacency_sets()
         out = []
         node_list = list(nodes)
         for i, u in enumerate(node_list):
-            for v in node_list[i + 1:]:
-                if v not in adj_sets[u]:
-                    out.append((u, v))
+            adjacent = set(self.neighbors(u))
+            out.extend((u, v) for v in node_list[i + 1:] if v not in adjacent)
         return out
 
     # -- dunder -----------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.primitives.linial import LinialResult, linial_coloring, reduction_sch
 from repro.primitives.list_coloring import (
     ListColoringStats,
     available_colors,
+    first_available_color,
     greedy_color_sequential,
     list_coloring_deterministic,
     list_coloring_hybrid,
@@ -60,6 +61,7 @@ __all__ = [
     "verify_ruling_set",
     "ListColoringStats",
     "available_colors",
+    "first_available_color",
     "list_coloring_random",
     "list_coloring_hybrid",
     "list_coloring_deterministic",

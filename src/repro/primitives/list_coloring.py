@@ -46,6 +46,7 @@ from repro.local.rounds import RoundLedger
 __all__ = [
     "ListColoringStats",
     "available_colors",
+    "first_available_color",
     "list_coloring_random",
     "list_coloring_hybrid",
     "list_coloring_deterministic",
@@ -73,6 +74,18 @@ def available_colors(
     """Colors in 1..max_colors not used by any colored neighbour of v."""
     taken = {colors[u] for u in graph.adj[v]}
     return [c for c in range(1, max_colors + 1) if c not in taken]
+
+
+def first_available_color(
+    graph: Graph, colors: list[int], v: int, max_colors: int
+) -> int:
+    """The first entry of :func:`available_colors` without building the
+    list, or ``UNCOLORED`` when every color in 1..max_colors is taken."""
+    taken = {colors[u] for u in graph.adj[v]}
+    color = 1
+    while color in taken:
+        color += 1
+    return color if color <= max_colors else UNCOLORED
 
 
 def _check_deg_plus_one(
@@ -392,12 +405,12 @@ def list_coloring_deterministic(
         stats.iterations += 1
         ledger.charge(1)
         for v in by_class.get(color_class, ()):
-            options = available_colors(graph, colors, v, max_colors)
-            if not options:
+            color = first_available_color(graph, colors, v, max_colors)
+            if color == UNCOLORED:
                 raise InfeasibleListColoringError(
                     f"node {v} has no available color (caller violated deg+1)"
                 )
-            colors[v] = options[0]
+            colors[v] = color
     return stats
 
 
@@ -414,9 +427,9 @@ def greedy_color_sequential(
     for v in sequence:
         if colors[v] != UNCOLORED:
             continue
-        options = available_colors(graph, colors, v, max_colors)
-        if not options:
+        color = first_available_color(graph, colors, v, max_colors)
+        if color == UNCOLORED:
             raise InfeasibleListColoringError(
                 f"node {v} has no available color in greedy finisher"
             )
-        colors[v] = options[0]
+        colors[v] = color

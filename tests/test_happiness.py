@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.happiness import build_happiness_layers
 from repro.core.marking import default_selection_probability, marking_process
+from repro.graphs.bfs import bfs_distances
 from repro.graphs.generators import high_girth_regular_graph, random_graph_with_max_degree
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
@@ -96,3 +97,42 @@ class TestBoundaryHandling:
         ledger = RoundLedger()
         build_happiness_layers(g, colors, h_nodes, marking, 3, r=7, ledger=ledger)
         assert ledger.total_rounds == 3 * 7
+
+    def test_empty_h_costs_nothing_but_its_rounds(self, monkeypatch):
+        import repro.core.happiness as happiness_mod
+        from repro.core.marking import MarkingOutcome
+
+        def search(*args, **kwargs):
+            raise LookupError("searched an empty H")
+
+        monkeypatch.setattr(happiness_mod, "distance_layers", search)
+        monkeypatch.setattr(happiness_mod, "bfs_distances", search)
+        g = high_girth_regular_graph(600, 3, girth=8, seed=8)
+        ledger = RoundLedger()
+        result = build_happiness_layers(
+            g, [UNCOLORED] * g.n, set(), MarkingOutcome(), 3, r=7, ledger=ledger
+        )
+        assert (result.layers, result.leftover, result.boundary) == ([], set(), set())
+        assert ledger.total_rounds == 3 * 7
+
+
+class TestCarvedH:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_boundary_is_the_h_degree_rule(self, seed):
+        # H = V minus a BFS ball: nodes next to the ball lose H-degree.
+        g = high_girth_regular_graph(800, 3, girth=8, seed=seed)
+        dist = bfs_distances(g, [0], max_depth=3)
+        h_nodes = {v for v in range(g.n) if dist[v] == -1}
+        colors = [UNCOLORED] * g.n
+        marking = marking_process(
+            g, h_nodes, colors, 0.02, 6, random.Random(seed), RoundLedger()
+        )
+        result = build_happiness_layers(g, colors, h_nodes, marking, 3, r=6, ledger=RoundLedger())
+        assert result.boundary == {
+            v for v in h_nodes if sum(u in h_nodes for u in g.adj[v]) < 3
+        }
+        assert result.boundary == {v for v in range(g.n) if dist[v] == -1 and any(
+            dist[u] == 3 for u in g.adj[v]
+        )}
+        layered = {v for layer in result.layers for v in layer}
+        assert layered | result.leftover == h_nodes - result.marked

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import AlgorithmContractError
+from repro.errors import AlgorithmContractError, InfeasibleListColoringError
 from repro.graphs.bfs import distance_layers
 from repro.graphs.generators import random_regular_graph, torus_grid
 from repro.graphs.validation import UNCOLORED, validate_coloring
@@ -12,6 +12,7 @@ from repro.local.rounds import RoundLedger
 from repro.primitives.linial import linial_coloring
 from repro.primitives.list_coloring import (
     available_colors,
+    first_available_color,
     greedy_color_sequential,
     list_coloring_deterministic,
     list_coloring_hybrid,
@@ -34,6 +35,31 @@ class TestAvailableColors:
         colors = [UNCOLORED] * g.n
         colors[g.adj[0][0]] = 2
         assert 2 not in available_colors(g, colors, 0, 4)
+
+
+class TestFirstAvailableColor:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_entry_of_available_colors(self, seed):
+        g = random_regular_graph(60, 4, seed=seed)
+        rng = random.Random(seed)
+        colors = [rng.randrange(0, 6) for _ in range(g.n)]
+        for max_colors in (1, 3, 5, 8):
+            for v in range(g.n):
+                options = available_colors(g, colors, v, max_colors)
+                expected = options[0] if options else UNCOLORED
+                assert first_available_color(g, colors, v, max_colors) == expected
+
+    def test_empty_list_raises_as_before(self):
+        # A torus node whose four neighbours hold colors 1..4: no option left.
+        g = torus_grid(5, 5)
+        colors = [UNCOLORED] * g.n
+        for c, u in enumerate(g.adj[0], start=1):
+            colors[u] = c
+        assert first_available_color(g, colors, 0, 4) == UNCOLORED
+        with pytest.raises(InfeasibleListColoringError, match="greedy finisher"):
+            greedy_color_sequential(g, list(colors), [0], 4)
+        with pytest.raises(InfeasibleListColoringError, match="caller violated"):
+            list_coloring_deterministic(g, list(colors), {0}, 4, [0] * g.n, 1)
 
 
 class TestRandomEngine:

@@ -3,15 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.marking import (
     MARK_COLOR,
+    _without_close_pairs,
     default_selection_probability,
     marking_process,
 )
 from repro.errors import AlgorithmContractError
 from repro.graphs.bfs import bfs_distances
-from repro.graphs.generators import high_girth_regular_graph, random_regular_graph
+from repro.graphs.generators import (
+    high_girth_regular_graph,
+    random_nice_graph,
+    random_regular_graph,
+)
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
 
@@ -122,3 +129,94 @@ class TestStatistics:
         assert outcome.backed_off + len(outcome.t_nodes) + outcome.no_pair_available \
             == outcome.initially_selected
         assert len(outcome.marked) == 2 * len(outcome.t_nodes)
+
+
+def _carved_h(graph, kind: str, rng: random.Random) -> set[int]:
+    """The remainder graph H: all of V, V minus random nodes, or V minus
+    a few BFS balls (the shape the B-layers cut out of a graph)."""
+    nodes = set(range(graph.n))
+    if kind == "random":
+        return {v for v in nodes if rng.random() >= 0.3}
+    if kind == "balls":
+        centers = [rng.randrange(graph.n) for _ in range(3)]
+        dist = bfs_distances(graph, centers, max_depth=2)
+        return {v for v in nodes if dist[v] == -1}
+    return nodes
+
+
+def _oracle_survivors(graph, selected: set[int], backoff: int, h_nodes: set[int]):
+    """{v in selected : no other selected node within ``backoff`` inside H},
+    by one plain BFS per selected node, checked against every other one."""
+    survivors = set()
+    for v in selected:
+        dist = bfs_distances(graph, [v], max_depth=backoff, allowed=h_nodes)
+        if all(dist[u] == -1 for u in selected if u != v):
+            survivors.add(v)
+    return survivors
+
+
+GRAPHS = {
+    "rrg3": lambda seed: random_regular_graph(400, 3, seed=seed),
+    "rrg4": lambda seed: random_regular_graph(300, 4, seed=seed),
+    "rrg6": lambda seed: random_regular_graph(200, 6, seed=seed),
+    "nice4": lambda seed: random_nice_graph(300, 4, seed=seed),
+    "girth8": lambda seed: high_girth_regular_graph(300, 3, girth=8, seed=seed % 4),
+}
+
+
+class TestBackoffOracle:
+    """The backoff rule against a plain BFS oracle: on random regular and
+    nice graphs, full and carved H, ``backoff`` 5-8 and ``p`` from the
+    preset up to 0.25, exactly the selected nodes with no other selected
+    node within ``backoff`` inside H survive."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(GRAPHS)),
+        seed=st.integers(0, 1000),
+        h_kind=st.sampled_from(["full", "random", "balls"]),
+        backoff=st.integers(5, 8),
+        p_scale=st.sampled_from([1.0, 3.0, 20.0, None]),
+    )
+    def test_survivors_match_oracle(self, family, seed, h_kind, backoff, p_scale):
+        graph = GRAPHS[family](seed)
+        rng = random.Random(seed)
+        h_nodes = _carved_h(graph, h_kind, rng)
+        preset = default_selection_probability(graph.max_degree(), backoff)
+        p = 0.25 if p_scale is None else min(0.25, preset * p_scale)
+
+        replay = random.Random(seed + 1)
+        selected = {v for v in h_nodes if replay.random() < p}
+        h_mask = bytearray(graph.n)
+        for v in h_nodes:
+            h_mask[v] = 1
+        expected = _oracle_survivors(graph, selected, backoff, h_nodes)
+        assert _without_close_pairs(graph, selected, backoff, h_mask) == expected
+
+        # marking_process draws the same selection and backs off the rest.
+        colors = [UNCOLORED] * graph.n
+        outcome = marking_process(
+            graph, h_nodes, colors, p, backoff, random.Random(seed + 1), RoundLedger()
+        )
+        assert outcome.initially_selected == len(selected)
+        assert outcome.backed_off == len(selected) - len(expected)
+        assert set(outcome.t_nodes) <= expected
+
+    def test_some_back_off_and_some_survive(self):
+        # One fixed case where the rule does both, so the oracle check
+        # above is never vacuous on every example.
+        graph = random_regular_graph(400, 3, seed=5)
+        h_nodes = set(range(graph.n))
+        selected = set(random.Random(3).sample(range(graph.n), 8))
+        expected = _oracle_survivors(graph, selected, 5, h_nodes)
+        assert 0 < len(expected) < len(selected)
+        assert _without_close_pairs(graph, selected, 5, bytearray([1]) * graph.n) == expected
+
+    def test_empty_h_draws_nothing_and_charges_the_rounds(self):
+        graph = random_regular_graph(100, 3, seed=2)
+        ledger = RoundLedger()
+        rng = random.Random(1)
+        outcome = marking_process(graph, set(), [UNCOLORED] * graph.n, 0.1, 6, rng, ledger)
+        assert (outcome.initially_selected, outcome.t_nodes, outcome.marked) == (0, {}, set())
+        assert ledger.total_rounds == 8
+        assert rng.random() == random.Random(1).random()

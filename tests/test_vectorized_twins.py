@@ -9,7 +9,11 @@ numpy-vs-Python threshold:
   too deep for the level-synchronous search;
 * ``validate_coloring`` — the numpy verdict matches the Python pass, and
   the ``ColoringError.violations`` a caller sees are the Python pass's;
-* ``bfs_distances`` / ``distance_layers`` — several sources, ``max_depth``;
+* ``bfs_distances`` / ``distance_layers`` — several sources, ``max_depth``,
+  ``allowed`` as ``None``, a set or a byte mask (sources outside it
+  too); small ``allowed`` sets stay on the Python path;
+* the H-boundary of phase 5 (``_boundary_vectorized`` /
+  ``_boundary_python``) — full and carved H, irregular graphs;
 * ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
   — the empty graph, edgeless graphs, isolated nodes;
 * ``detect_dccs`` — the native C ball pass (``dcc_kernel.c``: ball, tree
@@ -30,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.dcc as dcc_mod
+import repro.core.happiness as happiness_mod
 from repro.core import native
 from repro.errors import ColoringError
 from repro.graphs import bfs as bfs_mod
@@ -188,6 +193,16 @@ class TestValidateColoring:
         assert caught.value.violations == ["node 0 has out-of-palette color 0.5"]
 
 
+def _allowed(n: int, kind: str | None, rng: random.Random):
+    """``None``, or about 70% of the nodes as a set or a byte mask."""
+    if kind is None:
+        return None
+    keep = [rng.random() < 0.7 for _ in range(n)]
+    if kind == "set":
+        return {v for v in range(n) if keep[v]}
+    return bytearray(keep)
+
+
 class TestBreadthFirst:
     @FAST
     @given(
@@ -196,19 +211,81 @@ class TestBreadthFirst:
         avg=st.sampled_from([1.5, 3.0, 5.0]),
         num_sources=st.sampled_from([1, 2, 7, 40]),
         max_depth=st.sampled_from([None, 0, 1, 3, 10]),
+        allowed_kind=st.sampled_from([None, "set", "bytearray"]),
     )
-    def test_twins_agree(self, n, seed, avg, num_sources, max_depth):
+    def test_twins_agree(self, n, seed, avg, num_sources, max_depth, allowed_kind):
         rng = random.Random(seed)
         graph = sparse_graph(n, seed, avg)
-        sources = [rng.randrange(n) for _ in range(num_sources)]  # repeats too
-        dist = bfs_mod._bfs_distances_python(graph, sources, max_depth, None)
-        layers = bfs_mod._distance_layers_python(graph, sources, max_depth, None)
-        vec_dist = bfs_mod._bfs_distances_vectorized(graph, sources, max_depth)
-        vec_layers = bfs_mod._distance_layers_vectorized(graph, sources, max_depth)
+        allowed = _allowed(n, allowed_kind, rng)
+        # Repeats too, and with ``allowed`` some sources lie outside it.
+        sources = [rng.randrange(n) for _ in range(num_sources)]
+        dist = bfs_mod._bfs_distances_python(graph, sources, max_depth, allowed)
+        layers = bfs_mod._distance_layers_python(graph, sources, max_depth, allowed)
+        vec_dist = bfs_mod._bfs_distances_vectorized(graph, sources, max_depth, allowed)
+        vec_layers = bfs_mod._distance_layers_vectorized(graph, sources, max_depth, allowed)
         assert vec_dist is None or vec_dist == dist
         assert vec_layers is None or vec_layers == layers
-        assert bfs_mod.bfs_distances(graph, iter(sources), max_depth=max_depth) == dist
-        assert bfs_mod.distance_layers(graph, set(sources), max_depth=max_depth) == layers
+        assert bfs_mod.bfs_distances(
+            graph, iter(sources), max_depth=max_depth, allowed=allowed
+        ) == dist
+        assert bfs_mod.distance_layers(
+            graph, set(sources), max_depth=max_depth, allowed=allowed
+        ) == layers
+
+    def test_sources_outside_allowed_are_skipped(self):
+        graph = random_regular_graph(1024, 4, seed=3)
+        allowed = set(range(0, 1024, 2)) | {1}
+        mask = bytearray(v in allowed for v in range(1024))
+        sources = [1, 3, 5, 7]  # only 1 is allowed
+        expected = bfs_mod._bfs_distances_python(graph, sources, None, allowed)
+        assert expected[3] == expected[5] == -1 and expected[1] == 0
+        for flags in (allowed, mask):
+            assert bfs_mod.bfs_distances(graph, sources, allowed=flags) == expected
+            vec = bfs_mod._bfs_distances_vectorized(graph, sources, None, flags)
+            assert vec is None or vec == expected
+        assert bfs_mod.distance_layers(graph, [3, 5], allowed=allowed) == []
+
+    def test_empty_base_has_no_layers(self, monkeypatch):
+        graph = random_regular_graph(4096, 4, seed=1)
+
+        def python_twin(*args):
+            raise LookupError("empty base scanned the graph")
+
+        monkeypatch.setattr(bfs_mod, "_distance_layers_python", python_twin)
+        assert bfs_mod.distance_layers(graph, []) == []
+        assert bfs_mod.distance_layers(graph, set(), max_depth=8, allowed=set()) == []
+
+    def test_small_allowed_sets_stay_in_python(self, monkeypatch):
+        from repro.primitives.decomposition import gather_component_cost, mpx_clustering
+
+        graph = random_regular_graph(4096, 4, seed=2)
+
+        def vectorized(*args):
+            raise LookupError("numpy path taken")
+
+        monkeypatch.setattr(bfs_mod, "_bfs_distances_vectorized", vectorized)
+        monkeypatch.setattr(bfs_mod, "_distance_layers_vectorized", vectorized)
+        # A small component's member set and a decomposition's clusters:
+        # unbounded searches, but only a few hundred nodes to visit.
+        component = sorted(bfs_mod.bfs_ball(graph, 0, 4))
+        assert len(component) < bfs_mod.VECTOR_MIN_NODES
+        member_set = set(component)
+        dist = bfs_mod._bfs_distances_python(graph, [component[0]], None, member_set)
+        radius = max(dist[v] for v in component)
+        assert gather_component_cost(graph, component, member_set) == 2 * radius + 1
+        assert len(bfs_mod.distance_layers(graph, [0], allowed=member_set)) == 5
+        clustering = mpx_clustering(graph, member_set, 0.5, random.Random(1))
+        assert set(clustering.cluster_of) == member_set
+        # A large set or a length-n byte mask does vectorize.
+        big = set(range(0, 4096, 3)) | set(range(1, 4096, 3))
+        with pytest.raises(LookupError):
+            bfs_mod.bfs_distances(graph, range(0, 4096, 16), max_depth=3, allowed=big)
+        mask = bytearray(v in big for v in range(4096))
+        with pytest.raises(LookupError):
+            bfs_mod.distance_layers(graph, range(0, 4096, 16), max_depth=3, allowed=mask)
+        # Predicates and plain lists never do.
+        bfs_mod.bfs_distances(graph, range(0, 4096, 16), allowed=big.__contains__)
+        bfs_mod.bfs_distances(graph, range(0, 4096, 16), allowed=list(mask))
 
     def test_deep_search_falls_back(self):
         graph = path_graph(2000)
@@ -236,6 +313,38 @@ class TestBreadthFirst:
         assert bfs_mod.frontier_levels(graph, [0, 300], None) is None
         with pytest.raises(IndexError):
             bfs_mod.bfs_distances(graph, [0, 300])
+
+
+class TestBoundary:
+    """Phase 5's H-boundary (fewer than Δ neighbours inside H) from H's
+    CSR rows, on numpy and in pure Python."""
+
+    @FAST
+    @given(
+        n=st.sampled_from(SIZES),
+        seed=st.integers(0, 10_000),
+        avg=st.sampled_from([1.5, 3.0, 5.0]),
+        carved=st.booleans(),
+    )
+    def test_twins_agree(self, n, seed, avg, carved):
+        rng = random.Random(seed)
+        graph = sparse_graph(n, seed, avg)
+        h_nodes = _allowed(n, "set", rng) if carved else set(range(n))
+        h_mask = bytearray(v in h_nodes for v in range(n))
+        delta = graph.max_degree()
+        expected = happiness_mod._boundary_python(graph, h_nodes, h_mask, delta)
+        assert expected == {
+            v for v in h_nodes if sum(u in h_nodes for u in graph.adj[v]) < delta
+        }
+        vectorized = happiness_mod._boundary_vectorized(graph, h_nodes, h_mask, delta)
+        assert (vectorized is not None) == HAVE_NUMPY
+        assert vectorized is None or vectorized == expected
+        assert happiness_mod._boundary(graph, h_nodes, h_mask, delta) == expected
+
+    def test_regular_graph_has_no_boundary(self):
+        graph = high_girth_regular_graph(1024, 3, 7, seed=1)
+        h_nodes = set(range(graph.n))
+        assert happiness_mod._boundary(graph, h_nodes, bytearray([1]) * graph.n, 3) == set()
 
 
 class TestAdoption:
