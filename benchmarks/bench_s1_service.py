@@ -273,7 +273,7 @@ def run_smoke_requests(
 def run_shedding(n: int, delta: int, seed: int, burst: int = 24) -> dict:
     """Burst ``burst`` distinct requests at a gateway bounded to 2: the
     overflow must be rejected immediately and nothing may hang."""
-    with ServerThread(workers=1, max_queue=2, max_batch=2, max_wait_s=0.0) as server:
+    with ServerThread(max_queue=2, max_batch=2, max_wait_s=0.0) as server:
         graphs = [
             random_regular_graph(n, delta, seed=seed + i) for i in range(burst)
         ]
@@ -329,7 +329,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hot-instances", type=int, default=8)
     parser.add_argument("--hot-n", type=int, default=8192,
                         help="instance size for the cold-vs-cached check")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", default=str(RESULTS_DIR / "s1_service.json"))
     args = parser.parse_args(argv)
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
         args.rate = min(args.rate, 100.0)
 
     report = {"bench": "s1_service", "mode": "smoke" if args.smoke else "load"}
-    with ServerThread(workers=args.workers, max_queue=max(64, count)) as server:
+    with ServerThread(max_queue=max(64, count)) as server:
         report["hot_path"] = run_hot_path(
             server.port, args.hot_n, args.hot_delta, args.seed
         )

@@ -132,7 +132,7 @@ def run_tcp_update_check(n: int, delta: int, seed: int) -> dict:
     matching = carve_matching(full, 4)
     base = full.apply_updates(removed=matching)
     out = {"n": n, "delta": delta}
-    with ServerThread(workers=1, max_queue=16) as server:
+    with ServerThread(max_queue=16) as server:
         with ColoringClient(port=server.port, timeout=300.0) as client:
             solved = client.solve(base, seed=seed)
             first = client.update(solved.fingerprint, edges_added=[matching[0]])

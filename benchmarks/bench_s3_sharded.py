@@ -123,7 +123,7 @@ class ShardedCluster:
 
 
 def _serve_args(count: int) -> dict:
-    return {"workers": 1, "max-queue": max(64, count)}
+    return {"max-queue": max(64, count)}
 
 
 def run_routed_identity(
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     }
 
     # -- throughput: plain single process, then each sharded topology ------
-    with ServerThread(workers=1, max_queue=max(64, count)) as single:
+    with ServerThread(max_queue=max(64, count)) as single:
         report["single_process"] = run_open_loop(
             single.port, rate=rate, **open_loop_kwargs
         )

@@ -61,7 +61,6 @@ def run_trace_completeness(
         sample=1.0, export_path=str(trace_dir / "router.jsonl")
     )
     serve_args = {
-        "workers": 1,
         "trace-dir": str(trace_dir),
         "trace-sample": 1.0,
     }
@@ -161,8 +160,8 @@ def run_overhead(
     """
     graph = random_regular_graph(64, 4, seed=seed)
     estimates = []
-    with ServerThread(workers=1) as baseline_server, ServerThread(
-        workers=1, tracer=Tracer(sample=0.0, seed=seed)
+    with ServerThread() as baseline_server, ServerThread(
+        tracer=Tracer(sample=0.0, seed=seed)
     ) as traced_server:
         with ColoringClient(
             port=baseline_server.port, timeout=300.0

@@ -63,7 +63,6 @@ REPLAY_BUDGET_S = 20.0
 
 def _serve_args(store_dir: Path, fsync: str) -> dict:
     return {
-        "workers": 1,
         "max-queue": 128,
         "store-dir": str(store_dir),
         "wal": "on",

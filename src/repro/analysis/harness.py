@@ -518,7 +518,6 @@ def service_load_sweep(
     delta: int = 4,
     requests: int = 100,
     hot_instances: int = 8,
-    workers: int = 1,
     max_batch: int = 8,
     seed: int = 0,
     algorithm: str = "auto",
@@ -568,7 +567,7 @@ def service_load_sweep(
 
         async def _drive(workload: list[Any]) -> tuple[float, dict[str, Any]]:
             gateway = BatchingGateway(
-                workers=workers, max_batch=max_batch, max_queue=len(workload) + 1
+                max_batch=max_batch, max_queue=len(workload) + 1
             )
             gateway.warm()
             # Closed-loop with a bounded concurrency window: firing the

@@ -12,10 +12,10 @@ Gives downstream users a zero-code path to the library:
   Brooks' exceptions get their optimum).
 * ``serve`` — run the newline-delimited-JSON coloring service
   (:mod:`repro.service`): an asyncio TCP gateway that fingerprints,
-  caches, micro-batches and load-sheds solve requests over a warmed
-  :class:`repro.api.SolverPool`.  ``--shards N`` scales out to N
+  caches, micro-batches and load-sheds solve and update requests,
+  solving in its worker thread.  ``--shards N`` scales out to N
   supervised worker processes behind a consistent-hash router speaking
-  the same protocol.  See docs/SERVICE.md for the protocol and the
+  the same protocol (the way to serve on many CPUs).  See docs/SERVICE.md for the protocol and the
   sharding topology.
 * ``trace`` — render span JSONL exported by ``serve --trace-dir`` (see
   :mod:`repro.obs`) as a slowest-traces table plus per-trace waterfalls;
@@ -48,7 +48,7 @@ Examples::
     python -m repro bench --smoke
     python -m repro bench --sweep --sizes 2000,20000,250000 --json out.json
     python -m repro bench --sweep --workers 4 --batch 8
-    python -m repro serve --port 8512 --workers 2 --max-queue 128
+    python -m repro serve --port 8512 --max-queue 128
     python -m repro serve --port 8512 --shards 2
     python -m repro serve --port 8512 --shards 2 --trace-dir traces/
     python -m repro trace traces/ --top 3
@@ -377,7 +377,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = ColoringServer(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         storage=storage,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1000.0,
@@ -393,7 +392,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _publish_port(args.port_file, host, port)
         print(
             f"# repro service listening on {host}:{port} "
-            f"[workers={args.workers} max_batch={args.max_batch} "
+            f"[max_batch={args.max_batch} "
             f"max_queue={args.max_queue} cache_entries={args.cache_entries}"
             + (f" store_dir={args.store_dir} fsync={args.fsync}" if args.store_dir else "")
             + "]",
@@ -415,7 +414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """``repro serve --shards N``: supervised worker fleet + front tier.
 
-    Each shard is a full single-process server (its own solver pool,
+    Each shard is a full single-process server (its own gateway,
     cache and graph store) spawned as a child; the router speaks the
     same NDJSON protocol on ``--host:--port``, so clients are unchanged.
     """
@@ -424,7 +423,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     from repro.service.sharding import ShardRouter, ShardSupervisor
 
     serve_args = {
-        "workers": args.workers,
         "max-batch": args.max_batch,
         "max-wait-ms": args.max_wait_ms,
         "max-queue": args.max_queue,
@@ -468,8 +466,7 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             shard_list = ", ".join(f"{h}:{p}" for h, p in addresses)
             print(
                 f"# repro sharded service listening on {host}:{port} "
-                f"[shards={args.shards} vnodes={args.vnodes} "
-                f"workers/shard={args.workers}] -> {shard_list}",
+                f"[shards={args.shards} vnodes={args.vnodes}] -> {shard_list}",
                 file=sys.stderr,
             )
             monitor_task = loop.create_task(
@@ -616,10 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8512, help="0 = ephemeral")
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="solver process-pool width (1 = solve in-thread)",
-    )
     serve.add_argument(
         "--max-batch", type=int, default=8,
         help="micro-batch size cap for the request gateway",

@@ -9,9 +9,10 @@ tail latency, and cache hit rate become first-class measured quantities.
   :class:`repro.api.ColoringResult` objects with hit/miss/eviction and
   byte accounting;
 * :mod:`repro.service.batcher` — :class:`BatchingGateway`, the asyncio
-  admission/coalescing/micro-batching front over a warmed
-  :class:`repro.api.SolverPool`, with bounded queue depth and explicit
-  load shedding (:class:`repro.errors.ServiceOverloadedError`);
+  gateway: one request lifecycle (cache probe, coalescing, admission,
+  work in a worker thread, settlement) for ``solve`` micro-batches and
+  ``update`` deltas, with bounded queue depth and explicit load
+  shedding (:class:`repro.errors.ServiceOverloadedError`);
 * :mod:`repro.service.graphstore` — :class:`GraphStore`, the LRU of
   served instances that backs the ``update`` verb (edge-stream deltas
   repaired from a cached parent via :func:`repro.api.solve_incremental`
@@ -34,7 +35,7 @@ tail latency, and cache hit rate become first-class measured quantities.
 Quick start::
 
     # terminal 1
-    $ python -m repro serve --port 8512 --workers 2
+    $ python -m repro serve --port 8512
 
     # terminal 2 (or any script)
     from repro.service import ColoringClient

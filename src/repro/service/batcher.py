@@ -1,40 +1,50 @@
-"""The asyncio request gateway: admission, coalescing, micro-batching.
+"""The asyncio request gateway: one request lifecycle for both verbs.
 
-Request lifecycle (``await gateway.submit(graph, config)``):
+``solve`` (:meth:`BatchingGateway.submit`) and ``update``
+(:meth:`BatchingGateway.submit_update`) run through the same steps:
 
-1. **Fingerprint** the request (:mod:`repro.service.fingerprint`).
-2. **Cache probe** — a hit returns the frozen cached result immediately
-   (bit-identical to a fresh solve; the cache stores pure-function
+1. **Cache probe** — a hit returns the frozen cached result at once
+   (bit-identical to fresh work; the cache stores pure-function
    outputs).
-3. **Coalesce** — if the same fingerprint is already being solved, the
-   request attaches to the in-flight future instead of solving twice.
-4. **Admission** — if the number of outstanding (admitted, uncompleted)
+2. **Coalesce** — if the same digest is already in flight, the request
+   waits on that future instead of doing the work twice (at most
+   ``max_followers`` such waiters).
+3. **Admission** — if the number of outstanding (admitted, unsettled)
    requests has reached ``max_queue`` — or, with ``max_cost`` set, if
    their summed :func:`request_cost` (``n + m``) would exceed it — the
    request is rejected *now* with
    :class:`repro.errors.ServiceOverloadedError`.  Load shedding is
    explicit; nothing queues unboundedly and nothing hangs.
-5. **Micro-batch** — a dispatcher task drains the queue into batches of
-   up to ``max_batch`` requests, waiting at most ``max_wait_s`` for
-   stragglers once the first request of a batch arrives, and runs each
-   batch through :func:`repro.api.solve_many` on the gateway's warmed
-   :class:`repro.api.SolverPool` (in a worker thread, so the event loop
-   keeps accepting requests while engines run).
+4. **Reservation** — the in-flight future is registered and the slot
+   and cost are reserved before any await.
+5. **Work** in a worker thread, so the event loop keeps accepting
+   requests.  A ``solve`` joins a micro-batch: a dispatcher task drains
+   the queue into batches of up to ``max_batch`` requests, waiting at
+   most ``max_wait_s`` for stragglers, and its thread runs one
+   :func:`repro.api.solve` per request (building a lazily-sent graph
+   first).  An ``update`` applies its delta in place on the chain-head
+   engine.
+6. **Settlement** — the verb's success step (``solve``: result cache and
+   graph store; ``update``: WAL, result cache and chain head), then the
+   future's result or exception, the slot and cost released, and the
+   outcome counted.  A failed update puts the chain head back under the
+   parent digest.
 
-Failure isolation: a request whose engine raises (e.g. a clique sent to
-an algorithm that needs a *nice* graph) fails only its own future — the
-batch it rode in falls back to per-request solves, and the pool and
-dispatcher keep serving (see ``tests/test_service.py``).
+Settlement follows the work, not the caller: a cancelled caller stops
+waiting, but it neither cancels nor settles the work, so coalesced
+followers and a retry see the real outcome.  Each request in a batch is
+solved and its exception captured on its own, so a request whose engine
+raises (e.g. a clique sent to an algorithm that needs a *nice* graph)
+fails only its own future (see ``tests/test_gateway_lifecycle.py``).
 
-Graph streams: :meth:`BatchingGateway.submit_update` serves the
-``update`` verb — an edge delta against a previously served instance,
-addressed by the digest its reply carried.  The first update against a
-parent builds a chain-head :class:`repro.core.incremental.
-IncrementalColoring` engine from the stored graph + cached coloring;
-every further update **moves** that engine along the version chain
-(popped at the parent digest, delta applied in place via
-:func:`repro.api.apply_incremental`, re-stored at the child digest), so
-a long-lived stream pays the in-place price per op and never
+Graph streams: an ``update`` is an edge delta against a previously
+served instance, addressed by the digest its reply carried.  The first
+update against a parent builds a chain-head :class:`repro.core.
+incremental.IncrementalColoring` engine from the stored graph + cached
+coloring; every further update **moves** that engine along the version
+chain (taken at the parent digest, delta applied in place via
+:func:`repro.api.apply_incremental`, placed at the child digest), so a
+long-lived stream pays the in-place price per op and never
 re-materializes a child graph.  Child results are cached under
 version-chained digests.
 """
@@ -44,11 +54,13 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.api.config import SolverConfig
 from repro.api.result import ColoringResult
-from repro.api.solver import SolverPool, apply_incremental, solve_many
+from repro.api.solver import apply_incremental, solve
 from repro.errors import ServiceOverloadedError, StaleParentError
 from repro.graphs.graph import Graph
 from repro.service.fingerprint import (
@@ -83,9 +95,8 @@ class UpdateReply:
 
     ``fingerprint`` is the *child* digest (usable as the next
     ``parent_digest`` — the cache chains versions); ``update`` is the
-    repair-statistics dict of the op that produced the child (also
-    embedded in ``result.stats["incremental"]``, which is where it comes
-    from when the reply is served from the cache).
+    repair-statistics dict of the op that produced the child, read from
+    ``result.stats["incremental"]``.
     """
 
     result: ColoringResult
@@ -107,34 +118,45 @@ def request_cost(n: int, m: int) -> int:
     return n + m
 
 
-class _Pending:
-    __slots__ = (
-        "fingerprint", "graph", "config", "config_key", "future", "cost",
-        "span",
-    )
+#: What a verb hands the lifecycle once a request needs work: its
+#: admission cost, the work (run in a worker thread) and the settlement
+#: step (called with the work's result or exception).
+_Prepared = tuple[int, Callable[[], ColoringResult], Callable[[Any], None]]
 
-    def __init__(
-        self, fingerprint, graph, config, config_key, future, cost,
-        span=NOOP_SPAN,
-    ):
-        self.fingerprint = fingerprint
-        self.graph = graph
-        self.config = config
-        self.config_key = config_key
-        self.future = future
+
+class _Request:
+    """One admitted request, from reservation to settlement."""
+
+    __slots__ = ("key", "op", "cost", "work", "finish", "future", "span")
+
+    def __init__(self, key, op, cost, work, finish, future, span):
+        self.key = key
+        self.op = op
         self.cost = cost
+        self.work = work
+        self.finish = finish
+        self.future = future
         self.span = span
 
 
+def _run_batch(batch: list[_Request]) -> list[Any]:
+    """Runs in the dispatcher's worker thread: one ``work()`` per request,
+    each request's exception captured on its own."""
+    outcomes: list[Any] = []
+    for request in batch:
+        try:
+            outcomes.append(request.work())
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 class BatchingGateway:
-    """Coalescing micro-batch dispatcher over a warmed solver pool.
+    """Cache, coalescing, admission and micro-batching in front of the
+    solver, for both the ``solve`` and the ``update`` verb.
 
     Parameters
     ----------
-    workers:
-        Process-pool width for :func:`repro.api.solve_many`; ``1`` keeps
-        solves in the dispatcher's worker thread (no process hop), which
-        is the right default on single-CPU containers.
     storage:
         The gateway's stores, as a declarative
         :class:`~repro.service.storage.StorageConfig` (built here, with
@@ -157,9 +179,9 @@ class BatchingGateway:
         raises :class:`ServiceOverloadedError`.
     max_followers:
         Bound on concurrently *coalesced* waiters (duplicate-fingerprint
-        requests attached to an in-flight solve).  Followers cost no
-        solve work but each holds its request payload, so they are
-        bounded too; default ``8 * max_queue``.
+        requests attached to an in-flight request).  Followers cost no
+        work but each holds its request payload, so they are bounded
+        too; default ``8 * max_queue``.
     max_cost:
         Cost-aware admission bound: the summed :func:`request_cost`
         (``n + m``) of outstanding requests may not exceed this.  An
@@ -171,16 +193,15 @@ class BatchingGateway:
     tracer:
         The :class:`repro.obs.Tracer` child spans are recorded on
         (``gateway.cache_probe`` / ``gateway.coalesce_wait`` /
-        ``gateway.admission`` / ``gateway.batch_execute`` plus the
-        synthesized per-solver-phase and per-repair-rung spans).  Spans
-        are emitted only under a sampled ``parent_span`` — an untraced
-        request costs nothing here.  Defaults to the disabled
-        :data:`repro.obs.NULL_TRACER`.
+        ``gateway.admission`` / ``gateway.batch_execute`` /
+        ``gateway.update_apply`` plus the synthesized per-solver-phase
+        and per-repair-rung spans).  Spans are emitted only under a
+        sampled ``parent_span`` — an untraced request costs nothing
+        here.  Defaults to the disabled :data:`repro.obs.NULL_TRACER`.
     """
 
     def __init__(
         self,
-        workers: int = 1,
         *,
         metrics: ServiceMetrics | None = None,
         max_batch: int = 8,
@@ -222,9 +243,7 @@ class BatchingGateway:
             max_followers if max_followers is not None else 8 * max_queue
         )
         self.max_cost = max_cost
-        self.workers = workers
-        self._pool = SolverPool(workers) if workers > 1 else None
-        self._queue: deque[_Pending] = deque()
+        self._queue: deque[_Request] = deque()
         self._inflight: dict[str, asyncio.Future] = {}
         self._outstanding = 0
         self._outstanding_cost = 0
@@ -237,11 +256,8 @@ class BatchingGateway:
     # -- lifecycle ---------------------------------------------------------
 
     def warm(self) -> "BatchingGateway":
-        """Spawn and warm the process pool outside any timed region, and
-        replay durable state (chain heads from the WAL) when there is
-        any — the warm-restart path."""
-        if self._pool is not None:
-            self._pool.warm()
+        """Replay durable state (chain heads from the WAL) when there is
+        any — the warm-restart path — before the server binds."""
         self.replay()
         return self
 
@@ -277,14 +293,12 @@ class BatchingGateway:
             )
 
     async def close(self) -> None:
-        """Drain the queue, stop the dispatcher, shut the pool down."""
+        """Drain the queue, stop the dispatcher, close owned storage."""
         self._running = False
         self._wake.set()
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
-        if self._pool is not None:
-            self._pool.close()
         if self._owns_storage:
             self.storage.close()
 
@@ -294,7 +308,7 @@ class BatchingGateway:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    # -- request path ------------------------------------------------------
+    # -- the verbs ---------------------------------------------------------
 
     async def submit(
         self,
@@ -309,9 +323,9 @@ class BatchingGateway:
 
         ``graph`` may be a :class:`Graph` or a zero-arg callable building
         one; a callable requires an explicit ``fingerprint`` and is only
-        invoked — off the event loop — when the request actually needs a
-        solve.  The TCP server uses this to answer cache hits without
-        paying graph construction and validation
+        invoked — in the dispatcher's worker thread — when the request
+        actually needs a solve.  The TCP server uses this to answer cache
+        hits without paying graph construction and validation
         (:func:`repro.service.fingerprint.edge_keys_fingerprint` hashes
         the raw payload).  ``cost`` is the request's admission weight
         (:func:`request_cost`); it is computed from the graph when
@@ -347,125 +361,25 @@ class BatchingGateway:
                 )
             else:
                 fingerprint = request_fingerprint(graph, config)
-        probe = self.tracer.start_span("gateway.cache_probe", parent=parent_span)
-        hit = self.cache.get(fingerprint)
-        if probe:
-            probe.set_attr("hit", hit is not None).end()
-        if hit is not None:
-            self.metrics.record_request(time.perf_counter() - started, cached=True)
-            return GatewayReply(result=hit, cached=True, fingerprint=fingerprint)
+        key = fingerprint
 
-        shared = self._inflight.get(fingerprint)
-        if shared is not None:
-            if self._followers >= self.max_followers:
-                self.metrics.record_rejected()
-                raise ServiceOverloadedError(
-                    f"too many requests waiting on in-flight duplicates "
-                    f"({self._followers}/{self.max_followers}); retry with backoff"
-                )
-            self.coalesced += 1
-            self._followers += 1
-            wait_span = self.tracer.start_span(
-                "gateway.coalesce_wait", parent=parent_span
-            )
-            try:
-                with wait_span:
-                    result = await asyncio.shield(shared)
-            except asyncio.CancelledError:
-                raise  # this follower itself was cancelled, not failed
-            except BaseException as exc:
-                # every follower saw the failure
-                self.metrics.record_failed(error_kind(exc))
-                raise
-            finally:
-                self._followers -= 1
-            self.metrics.record_request(
-                time.perf_counter() - started, cached=False, coalesced=True
-            )
-            return GatewayReply(result=result, cached=False, fingerprint=fingerprint)
+        def work() -> ColoringResult:
+            nonlocal graph
+            if callable(graph):
+                graph = graph()  # build + validate: only misses pay this
+            return solve(graph, config)
 
-        with self.tracer.start_span(
-            "gateway.admission", parent=parent_span,
-        ) as admission:
-            if admission:
-                admission.set_attr("outstanding", self._outstanding)
-                admission.set_attr("cost", cost)
-            self._admit(cost)
+        def finish(outcome: Any) -> None:
+            if not isinstance(outcome, BaseException):
+                self.cache.put(key, outcome)
+                # Retained under the same digest so a later `update`
+                # can use this instance as its repair parent.
+                self.graph_store.put(key, graph)
 
-        # One future carries the request from here on: registered before
-        # any await so concurrent duplicates coalesce onto it, reserved
-        # against the queue bound before construction begins.
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[fingerprint] = future
-        self._outstanding += 1
-        self._outstanding_cost += cost
-        self.metrics.set_queue_depth(self._outstanding)
-
-        if callable(graph):
-            # Build + validate off the event loop (only misses pay this).
-            # BaseException matters: a CancelledError here (caller timeout,
-            # server shutdown) must release the queue slot and resolve the
-            # in-flight future, or followers hang and capacity leaks.
-            try:
-                graph = await asyncio.get_running_loop().run_in_executor(None, graph)
-            except BaseException as exc:
-                self._outstanding -= 1
-                self._outstanding_cost -= cost
-                self._inflight.pop(fingerprint, None)
-                self.metrics.record_failed(error_kind(exc))
-                self.metrics.set_queue_depth(self._outstanding)
-                if not future.done():
-                    # followers get a retryable error, not the leader's
-                    # CancelledError (they were not cancelled themselves)
-                    future.set_exception(
-                        ServiceOverloadedError(
-                            "in-flight request was cancelled; retry"
-                        )
-                        if isinstance(exc, asyncio.CancelledError)
-                        else exc
-                    )
-                    future.exception()  # coalesced followers still see it;
-                    # retrieving here silences the never-retrieved warning
-                raise
-
-        pending = _Pending(
-            fingerprint, graph, config, config_fingerprint(config), future, cost,
-            span=parent_span,
+        result, cached = await self._serve(
+            key, "solve", parent_span, started, lambda: (cost, work, finish)
         )
-        self._queue.append(pending)
-        self.metrics.set_queue_depth(self._outstanding)
-        self._ensure_dispatcher()
-        self._wake.set()
-        try:
-            result = await asyncio.shield(future)
-        finally:
-            if future.done() and self._inflight.get(fingerprint) is future:
-                del self._inflight[fingerprint]
-        self.metrics.record_request(time.perf_counter() - started, cached=False)
-        return GatewayReply(result=result, cached=False, fingerprint=fingerprint)
-
-    def _admit(self, cost: int) -> None:
-        """Admission control: request-count bound plus (optionally) the
-        cost bound.  Raises :class:`ServiceOverloadedError` on rejection."""
-        if self._outstanding >= self.max_queue:
-            self.metrics.record_rejected()
-            raise ServiceOverloadedError(
-                f"request queue full ({self._outstanding}/{self.max_queue} "
-                "outstanding); retry with backoff"
-            )
-        if (
-            self.max_cost is not None
-            and self._outstanding > 0
-            and self._outstanding_cost + cost > self.max_cost
-        ):
-            self.metrics.record_rejected()
-            raise ServiceOverloadedError(
-                f"queued work too large (outstanding cost "
-                f"{self._outstanding_cost} + {cost} > {self.max_cost}); "
-                "retry with backoff"
-            )
-
-    # -- update path -------------------------------------------------------
+        return GatewayReply(result=result, cached=cached, fingerprint=key)
 
     async def submit_update(
         self,
@@ -507,21 +421,114 @@ class BatchingGateway:
         child_digest = update_fingerprint(
             parent_digest, edges_added, edges_removed, config_fingerprint(config)
         )
+        engine = parent_graph = parent_result = None
+
+        def take_parent() -> _Prepared:
+            # Take ownership of the chain head if one lives at the parent
+            # digest (pop, not get: a concurrent update on the same parent
+            # loses the race and sees a stale parent — retriable);
+            # otherwise seed a fresh engine from the stored graph + cached
+            # result.
+            nonlocal engine, parent_graph, parent_result
+            engine = self.graph_store.pop_engine(parent_digest)
+            if engine is None:
+                parent_graph = self.graph_store.get(parent_digest)
+                parent_result = self.cache.get(parent_digest)
+                if parent_graph is None or parent_result is None:
+                    raise StaleParentError(
+                        f"unknown parent {parent_digest[:16]}…: not in the graph "
+                        "store / result cache (evicted, never solved here, or a "
+                        "chain that moved on); fall back to a full solve of the "
+                        "child graph"
+                    )
+            sized = engine if engine is not None else parent_graph
+            return request_cost(sized.n, sized.num_edges), work, finish
+
+        def work() -> ColoringResult:
+            nonlocal engine
+            with self.tracer.start_span(
+                "gateway.update_apply", parent=parent_span
+            ) as span:
+                if engine is None:
+                    from repro.core.incremental import IncrementalColoring
+
+                    engine = IncrementalColoring.from_result(
+                        parent_graph, parent_result, config=config
+                    )
+                updated = apply_incremental(
+                    engine, edges_added, edges_removed, config,
+                    materialize_graph=False,
+                )
+                span.set_attr("full_resolve", bool(updated.update.get("full_resolve")))
+            # Repair-rung children synthesized from the engine's own wall
+            # breakdown, laid end-to-end under the apply span.
+            offset = 0.0
+            for rung, wall in updated.update.get("rung_wall_s", {}).items():
+                self.tracer.emit(f"repair.{rung}", span, wall, offset_s=offset)
+                offset += wall
+            return updated.result
+
+        def finish(outcome: Any) -> None:
+            if isinstance(outcome, BaseException):
+                # A refused or rejected delta leaves the engine exactly as
+                # it was (the engine's rollback contract), so the chain
+                # head goes back where it was and the caller may correct
+                # and retry.
+                if engine is not None:
+                    self.graph_store.put_engine(parent_digest, engine)
+                return
+            if self.storage.wal is not None:
+                # Logged after the apply succeeded (facts, not intents):
+                # replay reapplies exactly the deltas that once worked.
+                self.storage.wal.append(
+                    update_record(
+                        parent_digest, child_digest, edges_added, edges_removed,
+                        config,
+                    )
+                )
+            self.cache.put(child_digest, outcome)
+            self.graph_store.put_engine(child_digest, engine)
+
+        result, cached = await self._serve(
+            child_digest, "update", parent_span, started, take_parent
+        )
+        return UpdateReply(
+            result=result,
+            cached=cached,
+            fingerprint=child_digest,
+            parent_digest=parent_digest,
+            update=dict(result.stats.get("incremental", {})),
+        )
+
+    # -- the request lifecycle ---------------------------------------------
+
+    async def _serve(
+        self,
+        key: str,
+        op: str,
+        parent_span,
+        started: float,
+        prepare: Callable[[], _Prepared],
+    ) -> tuple[ColoringResult, bool]:
+        """Cache probe, coalesce-wait, admission, reservation, work and
+        settlement for one request; returns ``(result, cached)``.
+
+        ``prepare()`` runs only when the request needs work of its own
+        (after the probe and the coalesce check).  It takes what the
+        work needs and returns ``(cost, work, finish)``.  ``finish`` is
+        also called with the :class:`ServiceOverloadedError` when
+        admission refuses the request, so whatever ``prepare`` took goes
+        back.
+        """
         probe = self.tracer.start_span("gateway.cache_probe", parent=parent_span)
-        hit = self.cache.get(child_digest)
+        hit = self.cache.get(key)
         if probe:
             probe.set_attr("hit", hit is not None).end()
         if hit is not None:
             self.metrics.record_request(time.perf_counter() - started, cached=True)
-            return UpdateReply(
-                result=hit,
-                cached=True,
-                fingerprint=child_digest,
-                parent_digest=parent_digest,
-                update=dict(hit.stats.get("incremental", {})),
-            )
+            return hit, True
 
-        shared = self._inflight.get(child_digest)
+        shared = self._inflight.get(key)
         if shared is not None:
             if self._followers >= self.max_followers:
                 self.metrics.record_rejected()
@@ -538,44 +545,23 @@ class BatchingGateway:
                 with wait_span:
                     result = await asyncio.shield(shared)
             except asyncio.CancelledError:
-                raise
+                raise  # this follower itself was cancelled, not failed
             except BaseException as exc:
-                self.metrics.record_failed(error_kind(exc))
+                # every follower saw the failure
+                self.metrics.record_failed(error_kind(exc, op))
                 raise
             finally:
                 self._followers -= 1
             self.metrics.record_request(
                 time.perf_counter() - started, cached=False, coalesced=True
             )
-            return UpdateReply(
-                result=result,
-                cached=False,
-                fingerprint=child_digest,
-                parent_digest=parent_digest,
-                update=dict(result.stats.get("incremental", {})),
-            )
+            return result, False
 
-        # Take ownership of the chain head if one lives at the parent
-        # digest; otherwise fall back to seeding a fresh engine from the
-        # stored graph + cached result.  Ownership (pop, not get) is what
-        # makes the in-place mutation safe: a concurrent update on the
-        # same parent loses the race and sees a stale parent — retriable.
-        engine = self.graph_store.pop_engine(parent_digest)
-        parent_graph = parent_result = None
-        if engine is None:
-            parent_graph = self.graph_store.get(parent_digest)
-            parent_result = self.cache.get(parent_digest)
-            if parent_graph is None or parent_result is None:
-                self.metrics.record_failed("stale_parent")
-                raise StaleParentError(
-                    f"unknown parent {parent_digest[:16]}…: not in the graph "
-                    "store / result cache (evicted, never solved here, or a "
-                    "chain that moved on); fall back to a full solve of the "
-                    "child graph"
-                )
-            cost = request_cost(parent_graph.n, parent_graph.num_edges)
-        else:
-            cost = request_cost(engine.n, engine.num_edges)
+        try:
+            cost, work, finish = prepare()
+        except Exception as exc:
+            self.metrics.record_failed(error_kind(exc, op))
+            raise
         try:
             with self.tracer.start_span(
                 "gateway.admission", parent=parent_span,
@@ -584,96 +570,75 @@ class BatchingGateway:
                     admission.set_attr("outstanding", self._outstanding)
                     admission.set_attr("cost", cost)
                 self._admit(cost)
-        except BaseException:
-            if engine is not None:
-                self.graph_store.put_engine(parent_digest, engine)
+        except ServiceOverloadedError as exc:
+            finish(exc)
             raise
 
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._inflight[child_digest] = future
+        # Reserved before any await, so concurrent duplicates coalesce
+        # onto this future and the slot counts against the bounds.
+        loop = asyncio.get_running_loop()
+        request = _Request(
+            key, op, cost, work, finish, loop.create_future(), parent_span
+        )
+        self._inflight[key] = request.future
         self._outstanding += 1
         self._outstanding_cost += cost
         self.metrics.set_queue_depth(self._outstanding)
-
-        def _apply() -> "Any":
-            nonlocal engine
-            if engine is None:
-                from repro.core.incremental import IncrementalColoring
-
-                engine = IncrementalColoring.from_result(
-                    parent_graph, parent_result, config=config
-                )
-            return apply_incremental(
-                engine, edges_added, edges_removed, config,
-                materialize_graph=False,
-            )
-
-        apply_span = self.tracer.start_span(
-            "gateway.update_apply", parent=parent_span
-        )
-        try:
-            updated = await asyncio.get_running_loop().run_in_executor(
-                None, _apply
-            )
-            if apply_span:
-                apply_span.set_attr(
-                    "full_resolve", bool(updated.update.get("full_resolve"))
-                )
-                apply_span.end()
-                # Repair-rung children synthesized from the engine's own
-                # wall breakdown, laid end-to-end under the apply span.
-                offset = 0.0
-                for rung, wall in updated.update.get("rung_wall_s", {}).items():
-                    self.tracer.emit(
-                        f"repair.{rung}", apply_span, wall, offset_s=offset
-                    )
-                    offset += wall
-        except BaseException as exc:
-            if apply_span:
-                apply_span.set_attr("error", type(exc).__name__)
-                apply_span.end()
-            # Rejected deltas leave the engine state exactly unchanged
-            # (the engine's rollback contract), so the chain head goes
-            # back where it was and the caller may correct and retry.
-            if engine is not None:
-                self.graph_store.put_engine(parent_digest, engine)
-            self.metrics.record_failed(error_kind(exc))
-            if not future.done():
-                future.set_exception(
-                    ServiceOverloadedError("in-flight update was cancelled; retry")
-                    if isinstance(exc, asyncio.CancelledError)
-                    else exc
-                )
-                future.exception()  # silence the never-retrieved warning
-            raise
+        if op == "solve":
+            self._queue.append(request)
+            self._ensure_dispatcher()
+            self._wake.set()
         else:
-            if self.storage.wal is not None:
-                # Logged after the apply succeeded (facts, not intents):
-                # replay reapplies exactly the deltas that once worked.
-                self.storage.wal.append(
-                    update_record(
-                        parent_digest, child_digest, edges_added, edges_removed,
-                        config,
-                    )
-                )
-            self.cache.put(child_digest, updated.result)
-            self.graph_store.put_engine(child_digest, engine)
-            if not future.done():
-                future.set_result(updated.result)
-            self.metrics.record_request(time.perf_counter() - started, cached=False)
-            return UpdateReply(
-                result=updated.result,
-                cached=False,
-                fingerprint=child_digest,
-                parent_digest=parent_digest,
-                update=updated.update,
+            loop.run_in_executor(None, work).add_done_callback(
+                lambda done: self._settle(request, done.exception() or done.result())
             )
-        finally:
-            self._outstanding -= 1
-            self._outstanding_cost -= cost
-            if self._inflight.get(child_digest) is future:
-                del self._inflight[child_digest]
-            self.metrics.set_queue_depth(self._outstanding)
+        # Shielded: a cancelled caller stops waiting, the work and its
+        # settlement go on.
+        result = await asyncio.shield(request.future)
+        self.metrics.record_request(time.perf_counter() - started, cached=False)
+        return result, False
+
+    def _admit(self, cost: int) -> None:
+        """Admission control: request-count bound plus (optionally) the
+        cost bound.  Raises :class:`ServiceOverloadedError` on rejection."""
+        if self._outstanding >= self.max_queue:
+            self.metrics.record_rejected()
+            raise ServiceOverloadedError(
+                f"request queue full ({self._outstanding}/{self.max_queue} "
+                "outstanding); retry with backoff"
+            )
+        if (
+            self.max_cost is not None
+            and self._outstanding > 0
+            and self._outstanding_cost + cost > self.max_cost
+        ):
+            self.metrics.record_rejected()
+            raise ServiceOverloadedError(
+                f"queued work too large (outstanding cost "
+                f"{self._outstanding_cost} + {cost} > {self.max_cost}); "
+                "retry with backoff"
+            )
+
+    def _settle(self, request: _Request, outcome: Any) -> None:
+        """Settlement, on the event loop, once the request's work finished:
+        the verb's ``finish`` step, then the future, the released slot and
+        cost, and the outcome's metrics.  Never driven by the caller."""
+        try:
+            request.finish(outcome)
+        except Exception as exc:  # e.g. a WAL append that failed
+            outcome = exc
+        self._outstanding -= 1
+        self._outstanding_cost -= request.cost
+        del self._inflight[request.key]
+        self.metrics.set_queue_depth(self._outstanding)
+        if isinstance(outcome, BaseException):
+            self.metrics.record_failed(error_kind(outcome, request.op))
+            request.future.set_exception(outcome)
+            # Retrieved here: a cancelled caller may leave no one to await
+            # it, and coalesced followers still see it.
+            request.future.exception()
+        else:
+            request.future.set_result(outcome)
 
     # -- dispatcher --------------------------------------------------------
 
@@ -701,64 +666,16 @@ class BatchingGateway:
                     break
             self.metrics.record_batch(len(batch))
             batch_started = time.perf_counter()
-            outcomes = await loop.run_in_executor(None, self._solve_batch, batch)
+            outcomes = await loop.run_in_executor(None, _run_batch, batch)
             batch_elapsed = time.perf_counter() - batch_started
-            for pending, outcome in outcomes:
-                self._outstanding -= 1
-                self._outstanding_cost -= pending.cost
-                self._inflight.pop(pending.fingerprint, None)
-                if isinstance(outcome, BaseException):
-                    self.metrics.record_failed(error_kind(outcome))
-                    if not pending.future.done():
-                        pending.future.set_exception(outcome)
-                else:
-                    self._emit_solve_spans(pending, outcome, batch_elapsed, len(batch))
-                    self.cache.put(pending.fingerprint, outcome)
-                    # Retained under the same digest so a later `update`
-                    # can use this instance as its repair parent.
-                    self.graph_store.put(pending.fingerprint, pending.graph)
-                    if not pending.future.done():
-                        pending.future.set_result(outcome)
-            self.metrics.set_queue_depth(self._outstanding)
-
-    def _solve_batch(self, batch: list[_Pending]) -> list[tuple[_Pending, object]]:
-        """Runs in a worker thread: one ``solve_many`` per config group.
-
-        ``solve_many`` takes a single config for the whole batch, so the
-        micro-batch is grouped by config fingerprint (in practice service
-        traffic is config-uniform and this is one group).  A group whose
-        batched solve raises falls back to per-request solves so one bad
-        request cannot fail its batchmates.
-        """
-        groups: dict[str, list[_Pending]] = {}
-        for pending in batch:
-            groups.setdefault(pending.config_key, []).append(pending)
-        outcomes: list[tuple[_Pending, object]] = []
-        for group in groups.values():
-            graphs = [p.graph for p in group]
-            config = group[0].config
-            try:
-                results = solve_many(graphs, config, pool=self._pool)
-                outcomes.extend(zip(group, results))
-            except Exception:
-                # executor.map loses the group's completed results when one
-                # task raises, so the whole group re-solves one-by-one —
-                # still through the pool, so process isolation (and any
-                # already-warm workers) is kept.  Rare path: only batches
-                # containing a failing request pay it.
-                for pending in group:
-                    try:
-                        result = solve_many(
-                            [pending.graph], pending.config, pool=self._pool
-                        )[0]
-                        outcomes.append((pending, result))
-                    except Exception as exc:
-                        outcomes.append((pending, exc))
-        return outcomes
+            for request, outcome in zip(batch, outcomes):
+                if not isinstance(outcome, BaseException):
+                    self._emit_solve_spans(request, outcome, batch_elapsed, len(batch))
+                self._settle(request, outcome)
 
     def _emit_solve_spans(
         self,
-        pending: _Pending,
+        request: _Request,
         result: ColoringResult,
         batch_elapsed: float,
         batch_size: int,
@@ -766,11 +683,11 @@ class BatchingGateway:
         """Synthesize the batch-execute span plus one child per solver
         phase (from the engine's recorded ``wall_s`` breakdown) under a
         sampled request's span.  Untraced requests skip out in one check."""
-        if not pending.span:
+        if not request.span:
             return
         exec_span = self.tracer.emit(
             "gateway.batch_execute",
-            pending.span,
+            request.span,
             batch_elapsed,
             attrs={"batch_size": batch_size, "algorithm": result.algorithm},
         )
@@ -803,7 +720,6 @@ class BatchingGateway:
         if hasattr(cache_stats, "as_dict"):
             cache_stats = cache_stats.as_dict()
         out = {
-            "workers": self.workers,
             "max_batch": self.max_batch,
             "max_wait_ms": round(1000 * self.max_wait_s, 3),
             "max_queue": self.max_queue,

@@ -33,6 +33,7 @@ from collections import deque
 from typing import Any
 
 from repro.errors import (
+    GraphError,
     IncrementalUpdateError,
     ServiceOverloadedError,
     ServiceProtocolError,
@@ -50,12 +51,15 @@ __all__ = ["LatencyWindow", "ServiceMetrics", "percentile", "error_kind"]
 SHED_KINDS = frozenset({"overloaded", "shard_unavailable"})
 
 
-def error_kind(exc: BaseException) -> str:
-    """Map an exception to its wire/metrics error kind.
+def error_kind(exc: BaseException, op: str = "solve") -> str:
+    """Map an exception to its error kind: the one taxonomy behind both
+    the server's reply ``error.type`` and the ``repro_errors_total{kind}``
+    label (docs/SERVICE.md has the table).
 
-    Mirrors the server's reply taxonomy (docs/SERVICE.md): the string
-    returned here is both the counter label and, for reply-layer errors,
-    the ``error.type`` the client sees.
+    ``op`` is the verb the error answers.  A :class:`GraphError` (self-
+    loop, duplicate or out-of-range edge) is a malformed payload in a
+    ``solve`` (``protocol``) and a rejected delta in an ``update``
+    (``update``).
     """
     if isinstance(exc, ShardUnavailableError):
         return "shard_unavailable"
@@ -65,6 +69,8 @@ def error_kind(exc: BaseException) -> str:
         return "stale_parent"
     if isinstance(exc, IncrementalUpdateError):
         return "update"
+    if isinstance(exc, GraphError):
+        return "update" if op == "update" else "protocol"
     if isinstance(exc, ServiceProtocolError):
         return "protocol"
     if isinstance(exc, asyncio.CancelledError):

@@ -35,12 +35,15 @@ match on ``id``)::
      "error": {"type": "overloaded", "name": "ServiceOverloadedError",
                "message": "…"}}
 
-``error.type`` is ``"overloaded"`` (shed load, retry with backoff),
-``"protocol"`` (malformed request — don't retry), ``"engine"`` (the
+``error.type`` comes from :func:`repro.service.metrics.error_kind`, the
+same mapping that labels ``repro_errors_total``: ``"overloaded"`` (shed
+load, retry with backoff), ``"protocol"`` (malformed request, a
+self-loop or duplicate edge included — don't retry), ``"engine"`` (the
 solver rejected the instance, e.g. a non-nice graph sent to a
 ``needs_nice`` algorithm), ``"stale_parent"`` (an ``update`` named a
 parent digest the server no longer holds — fall back to a full solve)
-or ``"update"`` (a rejected delta: edge already present / not present).
+or ``"update"`` (a rejected delta: edge already present / not present,
+self-loop, bad endpoint).
 Each request line is handled in its own task, so one slow solve never
 blocks the connection — that concurrency is what feeds the gateway's
 micro-batches.
@@ -56,14 +59,7 @@ from typing import Any
 
 from repro.api.config import SolverConfig
 from repro.core.randomized import RandomizedParams
-from repro.errors import (
-    GraphError,
-    IncrementalUpdateError,
-    ReproError,
-    ServiceOverloadedError,
-    ServiceProtocolError,
-    StaleParentError,
-)
+from repro.errors import ReproError, ServiceProtocolError
 from repro.graphs.graph import Graph
 from repro.obs.meters import render_prometheus
 from repro.obs.trace import Tracer
@@ -73,6 +69,7 @@ from repro.service.fingerprint import (
     config_fingerprint,
     edge_keys_fingerprint,
 )
+from repro.service.metrics import error_kind
 
 __all__ = [
     "ColoringServer",
@@ -429,7 +426,7 @@ class ColoringServer(NdjsonEndpoint):
 
     Usage::
 
-        server = ColoringServer(port=0, workers=2, max_queue=128)
+        server = ColoringServer(port=0, max_queue=128)
         await server.start()          # binds; server.port is the real port
         await server.serve_forever()  # or keep doing other loop work
 
@@ -476,15 +473,22 @@ class ColoringServer(NdjsonEndpoint):
                 "metrics_text": render_prometheus(snapshot),
             }
         if fmt != "json":
-            return _error_reply(
-                request_id,
-                "protocol",
-                ServiceProtocolError(
-                    f"unknown metrics format {fmt!r}; expected 'json' or "
-                    "'prometheus'"
-                ),
+            raise ServiceProtocolError(
+                f"unknown metrics format {fmt!r}; expected 'json' or "
+                "'prometheus'"
             )
         return {"id": request_id, "ok": True, "metrics": snapshot}
+
+    @staticmethod
+    def _failed(
+        request_id: Any, span: Any, exc: ReproError, op: str
+    ) -> dict[str, Any]:
+        """The error reply for a request the gateway refused or failed,
+        typed by the same :func:`~repro.service.metrics.error_kind` that
+        labelled its ``repro_errors_total`` count."""
+        kind = error_kind(exc, op)
+        span.set_attr("error", kind).end()
+        return _error_reply(request_id, kind, exc)
 
     async def _reply_for(self, line: bytes) -> dict[str, Any]:
         request_id: Any = None
@@ -506,9 +510,6 @@ class ColoringServer(NdjsonEndpoint):
                 raise ServiceProtocolError(f"unknown op {op!r}")
             parsed = parse_graph_payload(request.get("graph"))
             config = config_from_payload(request.get("config"))
-        except ServiceProtocolError as exc:
-            self.gateway.metrics.record_error("protocol")
-            return _error_reply(request_id, "protocol", exc)
         except (json.JSONDecodeError, ReproError) as exc:
             self.gateway.metrics.record_error("protocol")
             return _error_reply(request_id, "protocol", exc)
@@ -534,16 +535,8 @@ class ColoringServer(NdjsonEndpoint):
                 parsed.build, config, fingerprint=fingerprint, cost=cost,
                 parent_span=span,
             )
-        except ServiceOverloadedError as exc:
-            span.set_attr("error", "overloaded").end()
-            return _error_reply(request_id, "overloaded", exc)
-        except GraphError as exc:
-            # deferred structural validation (self-loops, duplicate edges)
-            span.set_attr("error", "protocol").end()
-            return _error_reply(request_id, "protocol", exc)
         except ReproError as exc:
-            span.set_attr("error", "engine").end()
-            return _error_reply(request_id, "engine", exc)
+            return self._failed(request_id, span, exc, "solve")
         span.set_attr("cached", reply.cached).end()
         body: dict[str, Any] = {
             "id": request_id,
@@ -574,35 +567,23 @@ class ColoringServer(NdjsonEndpoint):
         The reply mirrors ``solve`` plus ``parent_digest`` and an
         ``update`` block with the repair statistics; ``fingerprint`` is
         the child digest — pass it as the next ``parent_digest`` to
-        chain further updates.
+        chain further updates.  A malformed request raises
+        :class:`ServiceProtocolError`, which :meth:`_reply_for` counts
+        and answers like any other ``protocol`` error.
         """
         parent_digest = request.get("parent_digest")
         if not isinstance(parent_digest, str) or not parent_digest:
-            return _error_reply(
-                request_id,
-                "protocol",
-                ServiceProtocolError("update needs a string parent_digest"),
-            )
+            raise ServiceProtocolError("update needs a string parent_digest")
         # Legacy field: the three old values are accepted and ignored.
         backend = request.get("backend", "auto")
         if backend not in ("auto", "dynamic", "immutable"):
-            return _error_reply(
-                request_id,
-                "protocol",
-                ServiceProtocolError(
-                    f"unknown update backend {backend!r}; expected "
-                    "'auto', 'dynamic' or 'immutable'"
-                ),
+            raise ServiceProtocolError(
+                f"unknown update backend {backend!r}; expected "
+                "'auto', 'dynamic' or 'immutable'"
             )
-        try:
-            added = parse_edge_pairs(request.get("edges_added", []), "edges_added")
-            removed = parse_edge_pairs(
-                request.get("edges_removed", []), "edges_removed"
-            )
-            config = config_from_payload(request.get("config"))
-        except ServiceProtocolError as exc:
-            self.gateway.metrics.record_error("protocol")
-            return _error_reply(request_id, "protocol", exc)
+        added = parse_edge_pairs(request.get("edges_added", []), "edges_added")
+        removed = parse_edge_pairs(request.get("edges_removed", []), "edges_removed")
+        config = config_from_payload(request.get("config"))
         span = self.tracer.start_span(
             "server.request",
             remote_parent=request.get("trace"),
@@ -612,24 +593,8 @@ class ColoringServer(NdjsonEndpoint):
             reply = await self.gateway.submit_update(
                 parent_digest, added, removed, config, parent_span=span,
             )
-        except ServiceOverloadedError as exc:
-            span.set_attr("error", "overloaded").end()
-            return _error_reply(request_id, "overloaded", exc)
-        except ServiceProtocolError as exc:
-            # defensive: the fingerprint layer re-checks packed-id range
-            span.set_attr("error", "protocol").end()
-            return _error_reply(request_id, "protocol", exc)
-        except StaleParentError as exc:
-            span.set_attr("error", "stale_parent").end()
-            return _error_reply(request_id, "stale_parent", exc)
-        except (IncrementalUpdateError, GraphError) as exc:
-            # rejected delta (edge already present / not present, bad
-            # endpoints): the client's request is wrong, not the engine
-            span.set_attr("error", "update").end()
-            return _error_reply(request_id, "update", exc)
         except ReproError as exc:
-            span.set_attr("error", "engine").end()
-            return _error_reply(request_id, "engine", exc)
+            return self._failed(request_id, span, exc, "update")
         span.set_attr("cached", reply.cached).end()
         return {
             "id": request_id,

@@ -46,7 +46,7 @@ class _TracedCluster:
         ]
         self.router_tracer = Tracer(sample=router_sample, seed=99)
         self.servers = [
-            ColoringServer(port=0, workers=1, tracer=tracer)
+            ColoringServer(port=0, tracer=tracer)
             for tracer in self.shard_tracers
         ]
         self.router: ShardRouter | None = None
@@ -73,7 +73,7 @@ class TestSingleServerTracing:
     def test_solve_produces_a_connected_span_tree(self):
         graph = random_regular_graph(32, 3, seed=0)
         tracer = Tracer(seed=3)
-        server = ColoringServer(port=0, workers=1, tracer=tracer)
+        server = ColoringServer(port=0, tracer=tracer)
 
         async def drive():
             await server.start()
@@ -121,7 +121,7 @@ class TestSingleServerTracing:
     def test_update_emits_repair_rung_spans(self):
         parent_graph, matching = updatable_instance()
         tracer = Tracer(seed=4)
-        server = ColoringServer(port=0, workers=1, tracer=tracer)
+        server = ColoringServer(port=0, tracer=tracer)
 
         async def drive():
             await server.start()
@@ -155,7 +155,7 @@ class TestSingleServerTracing:
     def test_sampling_off_records_nothing(self):
         graph = random_regular_graph(32, 3, seed=0)
         tracer = Tracer(sample=0.0, seed=5)
-        server = ColoringServer(port=0, workers=1, tracer=tracer)
+        server = ColoringServer(port=0, tracer=tracer)
 
         async def drive():
             await server.start()
@@ -222,7 +222,7 @@ class TestCrossTierTracing:
 class TestMetricsVerb:
     def test_single_server_metrics_json_and_prometheus(self):
         graph = random_regular_graph(32, 3, seed=0)
-        server = ColoringServer(port=0, workers=1)
+        server = ColoringServer(port=0)
 
         async def drive():
             await server.start()

@@ -354,7 +354,7 @@ class TestServerClient:
         graph = random_regular_graph(48, 3, seed=5)
 
         async def main():
-            server = ColoringServer(port=0, workers=1, max_queue=16)
+            server = ColoringServer(port=0, max_queue=16)
             await server.start()
             try:
                 async with AsyncColoringClient(port=server.port) as client:
@@ -393,7 +393,7 @@ class TestServerClient:
     def test_server_reports_protocol_engine_and_overload_errors(self):
         async def main():
             server = ColoringServer(
-                port=0, workers=1, max_queue=1, max_batch=1, max_wait_s=0.0
+                port=0, max_queue=1, max_batch=1, max_wait_s=0.0
             )
             await server.start()
             try:
@@ -436,7 +436,7 @@ class TestServerClient:
 
         async def main():
             server = ColoringServer(
-                port=0, workers=1, max_queue=1, max_batch=1, max_wait_s=0.0
+                port=0, max_queue=1, max_batch=1, max_wait_s=0.0
             )
             await server.start()
             try:

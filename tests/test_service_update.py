@@ -273,7 +273,7 @@ class TestUpdateOverTCP:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -321,7 +321,7 @@ class TestUpdateOverTCP:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -376,7 +376,7 @@ class TestUpdateOverTCP:
         present = next(base.edges())
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -422,7 +422,7 @@ class TestUpdateOverTCP:
             engine.batch_update(added=batch)
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -444,7 +444,7 @@ class TestUpdateOverTCP:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 from repro.service.client import AsyncColoringClient
@@ -469,7 +469,7 @@ class TestUpdateOverTCP:
 
     def test_malformed_update_requests(self):
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -633,7 +633,7 @@ class TestDynamicBackendWire:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -672,7 +672,7 @@ class TestDynamicBackendWire:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -707,7 +707,7 @@ class TestDynamicBackendWire:
 
     def test_invalid_backend_is_protocol_error(self):
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 port = server.port
@@ -735,7 +735,7 @@ class TestDynamicBackendWire:
         base, matching = updatable_instance()
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 from repro.graphs.dynamic import DynamicGraph

@@ -24,7 +24,7 @@ from repro.service import ColoringClient, ShardSupervisor, ShardWorker
 class TestPolicyWithoutProcesses:
     def test_command_construction(self):
         worker = ShardWorker(
-            "shard-3", host="10.0.0.1", serve_args={"max-queue": 16, "workers": 2}
+            "shard-3", host="10.0.0.1", serve_args={"max-queue": 16, "max-batch": 2}
         )
         try:
             cmd = worker.command(Path("/tmp/pf"))
@@ -33,7 +33,7 @@ class TestPolicyWithoutProcesses:
             assert cmd[cmd.index("--port") + 1] == "0"
             assert cmd[cmd.index("--port-file") + 1] == "/tmp/pf"
             assert cmd[cmd.index("--max-queue") + 1] == "16"
-            assert cmd[cmd.index("--workers") + 1] == "2"
+            assert cmd[cmd.index("--max-batch") + 1] == "2"
         finally:
             worker.close()
 
@@ -112,7 +112,6 @@ class TestRealProcesses:
         graph = random_regular_graph(32, 3, seed=0)
         supervisor = ShardSupervisor(
             1,
-            serve_args={"workers": 1},
             poll_interval_s=0.05,
             boot_timeout_s=60.0,
             backoff_base_s=0.0,
@@ -172,7 +171,7 @@ class TestRealProcesses:
 
     def test_sigterm_drains_to_clean_exit(self):
         supervisor = ShardSupervisor(
-            1, serve_args={"workers": 1}, boot_timeout_s=60.0
+            1, boot_timeout_s=60.0
         )
         try:
             supervisor.start()

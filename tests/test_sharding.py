@@ -50,7 +50,7 @@ class _Cluster:
 
     def __init__(self, n_shards: int = 2, **server_kwargs):
         self.servers = [
-            ColoringServer(port=0, workers=1, **server_kwargs)
+            ColoringServer(port=0, **server_kwargs)
             for _ in range(n_shards)
         ]
         self.router: ShardRouter | None = None
@@ -89,7 +89,7 @@ class TestRoutedSolve:
             async with _Cluster() as cluster:
                 # the acceptance bar: routed solves bit-identical to the
                 # same requests against one single-process server
-                reference = ColoringServer(port=0, workers=1)
+                reference = ColoringServer(port=0)
                 await reference.start()
                 try:
                     async with AsyncColoringClient(port=reference.port) as ref:
@@ -303,7 +303,7 @@ class TestDeadShard:
                 config = SolverConfig(seed=1)
                 owner = cluster.shard_of(base, config)
                 # move the owner's traffic onto a fresh replacement server
-                replacement = ColoringServer(port=0, workers=1)
+                replacement = ColoringServer(port=0)
                 address = await replacement.start()
                 try:
                     await cluster.servers[owner].close()
@@ -366,7 +366,7 @@ class TestGracefulShutdown:
         graph = random_regular_graph(512, 4, seed=7)
 
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             client = AsyncColoringClient(port=server.port)
             await client.connect()
@@ -390,7 +390,7 @@ class TestGracefulShutdown:
 
     def test_shutdown_deadline_bounds_the_wait(self):
         async def drive():
-            server = ColoringServer(port=0, workers=1)
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 # nothing in flight: shutdown is immediate even with a
