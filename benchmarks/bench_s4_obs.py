@@ -89,6 +89,7 @@ def run_trace_completeness(
                 requests += 1
             merged_metrics = client.metrics()
             prometheus_text = client.metrics(format="prometheus")
+            fleet_stats = client.stats()
 
     records = load_spans([str(trace_dir)])
     views = group_traces(records)
@@ -118,6 +119,12 @@ def run_trace_completeness(
             "values", ()
         )
     )
+    merged_latency_count = sum(
+        series["count"]
+        for series in merged_metrics.get(
+            "repro_request_latency_seconds", {}
+        ).get("values", ())
+    )
     report = {
         "requests": requests,
         "export_files": sorted(
@@ -128,6 +135,10 @@ def run_trace_completeness(
         "complete_traces": len(complete),
         "solver_or_repair_spans": solver_spans,
         "fleet_completed_via_metrics_verb": int(fleet_completed),
+        "latency_count_via_metrics_verb": int(merged_latency_count),
+        "latency_count_via_stats_verb": int(
+            fleet_stats["metrics"].get("latency", {}).get("count", -1)
+        ),
         "prometheus_exposition_ok": (
             "# TYPE repro_router_requests_total counter" in prometheus_text
             and "# TYPE repro_requests_total counter" in prometheus_text
@@ -261,6 +272,13 @@ def main(argv=None) -> int:
             f"metrics verb undercounts the fleet: "
             f"{traces['fleet_completed_via_metrics_verb']} completed for "
             f"{traces['requests']} requests"
+        )
+    if (traces["latency_count_via_stats_verb"]
+            != traces["latency_count_via_metrics_verb"]):
+        failures.append(
+            f"stats latency count {traces['latency_count_via_stats_verb']} "
+            f"differs from the merged histogram's "
+            f"{traces['latency_count_via_metrics_verb']}"
         )
     if not traces["prometheus_exposition_ok"]:
         failures.append("prometheus exposition missing expected TYPE lines")

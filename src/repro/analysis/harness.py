@@ -45,7 +45,6 @@ __all__ = [
     "size_sweep",
     "delta_coloring_sweep",
     "throughput_sweep",
-    "service_load_sweep",
     "incremental_update_sweep",
     "carve_matching",
 ]
@@ -510,111 +509,3 @@ def sustained_update_stream(
         "recolored": engine.totals["recolored"],
         "full_resolves": engine.totals["full_resolves"],
     }
-
-
-def service_load_sweep(
-    duplicate_ratios: Sequence[float] = (0.0, 0.5, 0.9),
-    n: int = 512,
-    delta: int = 4,
-    requests: int = 100,
-    hot_instances: int = 8,
-    max_batch: int = 8,
-    seed: int = 0,
-    algorithm: str = "auto",
-) -> list[SweepPoint]:
-    """Serving-layer sweep: QPS / tail latency / hit rate vs duplicate ratio.
-
-    Drives the :class:`repro.service.BatchingGateway` *in process* (no
-    TCP — the wire-level load generator is ``benchmarks/
-    bench_s1_service.py``), submitting ``requests`` solve requests per
-    point.  A ``duplicate_ratio`` fraction of them is drawn from a pool
-    of ``hot_instances`` repeated instances (cache/coalescing traffic);
-    the rest are fresh seeds.  The queue bound is sized to admit
-    everything — shedding behaviour is the load generator's concern;
-    this sweep measures the cache's effect on throughput and tail.
-
-    Per-point metadata: achieved ``qps``, latency ``p50_ms``/``p99_ms``,
-    and the cache ``hit_rate`` over the whole point.
-    """
-    import asyncio
-
-    from repro.api import SolverConfig
-    from repro.graphs.generators import random_regular_graph
-    from repro.service.batcher import BatchingGateway
-
-    if hot_instances < 1:
-        raise ValueError(f"hot_instances must be >= 1, got {hot_instances}")
-    config = SolverConfig(algorithm=algorithm, seed=seed, validate=False)
-    points: list[SweepPoint] = []
-    for ratio in duplicate_ratios:
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"duplicate ratio must be in [0, 1], got {ratio}")
-        hot = [
-            random_regular_graph(n, delta, seed=seed + i)
-            for i in range(hot_instances)
-        ]
-        duplicates = int(round(ratio * requests))
-        fresh = [
-            random_regular_graph(n, delta, seed=seed + hot_instances + 1 + i)
-            for i in range(requests - duplicates)
-        ]
-        # Deterministic interleaving: every k-th request is a hot repeat.
-        schedule: list[Any] = list(fresh)
-        for i in range(duplicates):
-            schedule.insert(
-                (i * (len(schedule) + 1)) // max(1, duplicates), hot[i % len(hot)]
-            )
-
-        async def _drive(workload: list[Any]) -> tuple[float, dict[str, Any]]:
-            gateway = BatchingGateway(
-                max_batch=max_batch, max_queue=len(workload) + 1
-            )
-            gateway.warm()
-            # Closed-loop with a bounded concurrency window: firing the
-            # whole schedule at once would make every duplicate *coalesce*
-            # onto its in-flight leader, so the cache would record zero
-            # hits at any ratio; the window lets later duplicates arrive
-            # after their leader resolved — actual cache traffic.
-            window = asyncio.Semaphore(
-                max(1, min(2 * max_batch, len(workload) // 4))
-            )
-
-            async def one(graph: Any) -> None:
-                async with window:
-                    await gateway.submit(graph, config)
-
-            started = time.perf_counter()
-            async with gateway:
-                await asyncio.gather(*(one(graph) for graph in workload))
-                elapsed = time.perf_counter() - started
-                snapshot = gateway.metrics.snapshot()
-                cache_stats = gateway.cache.stats()
-            meta = {
-                "qps": round(len(workload) / elapsed, 2),
-                "p50_ms": snapshot["latency"].get("p50_ms", 0.0),
-                "p99_ms": snapshot["latency"].get("p99_ms", 0.0),
-                "hit_rate": cache_stats.as_dict()["hit_rate"],
-                "coalesced": gateway.coalesced,
-            }
-            return elapsed, meta
-
-        elapsed, meta = asyncio.run(_drive(schedule))
-        points.append(
-            SweepPoint(
-                params={
-                    "dup_ratio": ratio,
-                    "n": n,
-                    "delta": delta,
-                    "requests": requests,
-                },
-                measurement=Measurement(
-                    label=f"dup={ratio:.2f} n={n} reqs={requests}",
-                    repeats=1,
-                    best_s=elapsed,
-                    mean_s=elapsed,
-                    stdev_s=0.0,
-                    meta=meta,
-                ),
-            )
-        )
-    return points

@@ -22,6 +22,7 @@ from repro.obs.meters import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    histogram_summary,
     merge_snapshots,
     render_prometheus,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_prometheus",
+    "histogram_summary",
     "merge_snapshots",
     "TraceView",
     "group_traces",

@@ -12,6 +12,10 @@ Prometheus data model, stdlib-only).  Two expositions:
   a snapshot dict rather than a live registry so the router can expose
   the *merged* fleet snapshot through the same function.
 
+:func:`histogram_summary` reads nearest-rank percentiles off a histogram
+snapshot entry (one process's or a merged fleet's), so the ``stats``
+verb's latency sections come from the same buckets as the exposition.
+
 Recording is a dict upsert under one lock per registry — cheap enough
 for the serving path (the admission/batching locks around it dominate).
 Process-level gauges (RSS, GC collections, thread count) are registered
@@ -21,6 +25,7 @@ as callbacks, read only at snapshot time.
 from __future__ import annotations
 
 import gc
+import math
 import threading
 from bisect import bisect_left
 from typing import Any, Callable, Iterable
@@ -32,6 +37,8 @@ __all__ = [
     "MetricsRegistry",
     "render_prometheus",
     "merge_snapshots",
+    "histogram_summary",
+    "percentile",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -399,8 +406,8 @@ def merge_snapshots(snapshots: "list[dict[str, Any]]") -> dict[str, Any]:
 
     Counters and histograms sum per (metric, label tuple); gauges sum
     too — the fleet's RSS/threads/queue depth is the sum of its
-    processes' (for a worst-shard view, read the per-shard sections the
-    ``metrics`` verb also returns).  Metrics present in only some
+    processes' (for a per-shard view, read the ``shards`` sections of
+    the router's ``stats`` reply).  Metrics present in only some
     snapshots merge from those that have them.
     """
     merged: dict[str, Any] = {}
@@ -435,3 +442,58 @@ def merge_snapshots(snapshots: "list[dict[str, Any]]") -> dict[str, Any]:
                     existing["value"] += series["value"]
             target["values"].sort(key=lambda series: series["labels"])
     return merged
+
+
+def percentile(sorted_samples: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted, non-empty list."""
+    if not sorted_samples:
+        raise ValueError("percentile of an empty sample set")
+    return sorted_samples[_nearest_rank(q, len(sorted_samples)) - 1]
+
+
+def _nearest_rank(q: float, n: int) -> int:
+    """1-based rank of the ``q``-th percentile among ``n`` samples."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    # Nearest-rank uses ceil, not round: round()'s banker's rounding would
+    # bias exact half-ranks one rank low (p50 of 5 samples must be the 3rd).
+    return min(n, max(1, math.ceil(q / 100.0 * n)))
+
+
+def histogram_summary(metric: dict[str, Any], **labels: Any) -> dict[str, float]:
+    """``{count, p50_ms, p95_ms, p99_ms, max_ms}`` of a histogram entry.
+
+    ``metric`` is one histogram of a :meth:`MetricsRegistry.as_dict` or
+    :func:`merge_snapshots` snapshot.  Series whose labels match
+    ``labels`` are summed (no labels: all of them).  Each quantile is the
+    upper bound of the bucket holding the nearest-rank sample, so it
+    reads in bucket resolution: the true value is at most that bound and
+    above the bucket below.  ``max_ms`` is the bound of the highest
+    non-empty bucket; a rank in the ``+Inf`` bucket reads as the largest
+    finite bound.  No matching samples: ``{"count": 0}``.
+    """
+    bounds = list(metric["buckets"])
+    names = list(metric["labelnames"])
+    wanted = {name: str(value) for name, value in labels.items()}
+    counts = [0] * (len(bounds) + 1)
+    for series in metric.get("values", ()):
+        own = dict(zip(names, series["labels"]))
+        if all(own.get(name) == value for name, value in wanted.items()):
+            counts = [a + b for a, b in zip(counts, series["counts"])]
+    total = sum(counts)
+    if not total:
+        return {"count": 0}
+
+    def bound_ms(rank: int) -> float:
+        cumulative = 0
+        for index, count in enumerate(counts):
+            cumulative += count
+            if cumulative >= rank:
+                break
+        return round(1000 * bounds[min(index, len(bounds) - 1)], 3)
+
+    summary: dict[str, float] = {"count": total}
+    for q in (50, 95, 99):
+        summary[f"p{q}_ms"] = bound_ms(_nearest_rank(q, total))
+    summary["max_ms"] = bound_ms(total)
+    return summary

@@ -58,7 +58,7 @@ from repro.service.fingerprint import (
     update_fingerprint,
 )
 from repro.service.graphstore import GraphStore
-from repro.service.metrics import LatencyWindow, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.server import ColoringServer, NdjsonEndpoint
 from repro.service.sharding import (
     HashRing,
@@ -84,7 +84,6 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "ServiceMetrics",
-    "LatencyWindow",
     "ColoringServer",
     "NdjsonEndpoint",
     "ColoringClient",

@@ -531,7 +531,7 @@ class BatchingGateway:
         shared = self._inflight.get(key)
         if shared is not None:
             if self._followers >= self.max_followers:
-                self.metrics.record_rejected()
+                self.metrics.record_error("overloaded")
                 raise ServiceOverloadedError(
                     f"too many requests waiting on in-flight duplicates "
                     f"({self._followers}/{self.max_followers}); retry with backoff"
@@ -548,7 +548,7 @@ class BatchingGateway:
                 raise  # this follower itself was cancelled, not failed
             except BaseException as exc:
                 # every follower saw the failure
-                self.metrics.record_failed(error_kind(exc, op))
+                self.metrics.record_error(error_kind(exc, op))
                 raise
             finally:
                 self._followers -= 1
@@ -560,7 +560,7 @@ class BatchingGateway:
         try:
             cost, work, finish = prepare()
         except Exception as exc:
-            self.metrics.record_failed(error_kind(exc, op))
+            self.metrics.record_error(error_kind(exc, op))
             raise
         try:
             with self.tracer.start_span(
@@ -602,7 +602,7 @@ class BatchingGateway:
         """Admission control: request-count bound plus (optionally) the
         cost bound.  Raises :class:`ServiceOverloadedError` on rejection."""
         if self._outstanding >= self.max_queue:
-            self.metrics.record_rejected()
+            self.metrics.record_error("overloaded")
             raise ServiceOverloadedError(
                 f"request queue full ({self._outstanding}/{self.max_queue} "
                 "outstanding); retry with backoff"
@@ -612,7 +612,7 @@ class BatchingGateway:
             and self._outstanding > 0
             and self._outstanding_cost + cost > self.max_cost
         ):
-            self.metrics.record_rejected()
+            self.metrics.record_error("overloaded")
             raise ServiceOverloadedError(
                 f"queued work too large (outstanding cost "
                 f"{self._outstanding_cost} + {cost} > {self.max_cost}); "
@@ -632,7 +632,7 @@ class BatchingGateway:
         del self._inflight[request.key]
         self.metrics.set_queue_depth(self._outstanding)
         if isinstance(outcome, BaseException):
-            self.metrics.record_failed(error_kind(outcome, request.op))
+            self.metrics.record_error(error_kind(outcome, request.op))
             request.future.set_exception(outcome)
             # Retrieved here: a cancelled caller may leave no one to await
             # it, and coalesced followers still see it.

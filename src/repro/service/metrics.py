@@ -1,15 +1,7 @@
 """Service-side request metrics: latency percentiles, QPS, queue depth.
 
-The first subsystem in this repo for which *requests per second* is a
-first-class measured quantity.  Kept dependency-free and cheap on the
-hot path: recording a request is an append to a bounded ring plus a few
-counter increments; percentile math happens only when a snapshot is
-asked for — and only when samples arrived since the last one (the
-sorted view is cached, so a tight metrics-poll loop costs O(1) per
-scrape instead of re-sorting the full window).
-
-Counters live on a :class:`repro.obs.meters.MetricsRegistry` — the same
-instruments behind the server's ``metrics`` verb and its Prometheus
+Everything lives on a :class:`repro.obs.meters.MetricsRegistry` — the
+same instruments behind the server's ``metrics`` verb and its Prometheus
 exposition — with the legacy attribute names (``completed``,
 ``rejected``, ...) preserved as read-through properties.  Shed and
 failed requests are labelled by typed error kind
@@ -17,19 +9,20 @@ failed requests are labelled by typed error kind
 ``stale_parent``, ``update``, ``engine``, ``protocol``, ``cancelled``),
 so a router shed and an engine rejection are distinguishable in stats.
 
-Latencies feed a bounded reservoir (the most recent ``window`` samples),
-so long-running servers report the *current* tail, not the all-time
-mix.  Percentiles use the nearest-rank method on a sorted copy of the
-window — exact for the window.
+Latency has one mechanism: the ``repro_request_latency_seconds{outcome}``
+histogram.  Recording a request is one observation there; the ``stats``
+sections (``latency``, ``latency_cached``, ...) are read off its buckets
+by :func:`latency_sections`, cumulative since start, with each percentile
+the upper bound of the bucket holding the nearest-rank sample.  Bucket
+counts add across processes, so the shard router reports true fleet
+percentiles from the merged histogram through the same function.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 import time
-from collections import deque
 from typing import Any
 
 from repro.errors import (
@@ -40,9 +33,12 @@ from repro.errors import (
     ShardUnavailableError,
     StaleParentError,
 )
-from repro.obs.meters import MetricsRegistry
+from repro.obs.meters import MetricsRegistry, histogram_summary, percentile
 
-__all__ = ["LatencyWindow", "ServiceMetrics", "percentile", "error_kind"]
+__all__ = ["ServiceMetrics", "latency_sections", "percentile", "error_kind"]
+
+#: The request-latency histogram every ``stats`` latency section reads.
+LATENCY_METRIC = "repro_request_latency_seconds"
 
 
 #: Error kinds that are *sheds* (admission refused; retriable) — they
@@ -78,56 +74,16 @@ def error_kind(exc: BaseException, op: str = "solve") -> str:
     return "engine"
 
 
-def percentile(sorted_samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted, non-empty list."""
-    if not sorted_samples:
-        raise ValueError("percentile of an empty sample set")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    # Nearest-rank uses ceil, not round: round()'s banker's rounding would
-    # bias exact half-ranks one rank low (p50 of 5 samples must be the 3rd).
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_samples)))
-    return sorted_samples[min(rank, len(sorted_samples)) - 1]
-
-
-class LatencyWindow:
-    """Bounded reservoir of recent latency samples with percentile queries.
-
-    The ascending-sorted view is computed lazily and cached: ``record``
-    marks it dirty, ``snapshot`` re-sorts only when samples arrived since
-    the previous snapshot.  Metrics scrapes between requests are O(1).
-    """
-
-    def __init__(self, window: int = 8192):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self._samples: deque[float] = deque(maxlen=window)
-        self._sorted: list[float] | None = []
-        self.count = 0  # all-time, beyond the window
-
-    def record(self, latency_s: float) -> None:
-        self._samples.append(latency_s)
-        self.count += 1
-        self._sorted = None
-
-    def _sorted_view(self) -> list[float]:
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return self._sorted
-
-    def snapshot(self) -> dict[str, float]:
-        """``{count, p50_ms, p95_ms, p99_ms, max_ms}`` over the window."""
-        ordered = self._sorted_view()
-        if not ordered:
-            return {"count": 0}
-        return {
-            "count": self.count,
-            "window": len(ordered),
-            "p50_ms": round(1000 * percentile(ordered, 50), 3),
-            "p95_ms": round(1000 * percentile(ordered, 95), 3),
-            "p99_ms": round(1000 * percentile(ordered, 99), 3),
-            "max_ms": round(1000 * ordered[-1], 3),
-        }
+def latency_sections(histogram: dict[str, Any]) -> dict[str, dict[str, float]]:
+    """The ``stats`` latency sections of a :data:`LATENCY_METRIC` snapshot
+    entry (one server's, or the router's merge of its shards'): all
+    requests, then each ``outcome`` on its own."""
+    return {
+        "latency": histogram_summary(histogram),
+        "latency_cached": histogram_summary(histogram, outcome="cached"),
+        "latency_solved": histogram_summary(histogram, outcome="solved"),
+        "latency_coalesced": histogram_summary(histogram, outcome="coalesced"),
+    }
 
 
 class ServiceMetrics:
@@ -145,7 +101,6 @@ class ServiceMetrics:
 
     def __init__(
         self,
-        latency_window: int = 8192,
         clock=time.monotonic,
         registry: MetricsRegistry | None = None,
     ):
@@ -171,7 +126,7 @@ class ServiceMetrics:
             "repro_batched_requests_total", "Requests carried by micro-batches"
         )
         self._latency_hist = self.registry.histogram(
-            "repro_request_latency_seconds",
+            LATENCY_METRIC,
             "End-to-end gateway latency by outcome",
             labelnames=("outcome",),
         )
@@ -181,10 +136,6 @@ class ServiceMetrics:
         self._queue_peak_gauge = self.registry.gauge(
             "repro_queue_depth_peak", "High-water mark of the request queue"
         )
-        self.latency = LatencyWindow(latency_window)
-        self.cached_latency = LatencyWindow(latency_window)
-        self.solved_latency = LatencyWindow(latency_window)
-        self.coalesced_latency = LatencyWindow(latency_window)
         self.queue_depth = 0
         self.queue_depth_peak = 0
 
@@ -226,30 +177,17 @@ class ServiceMetrics:
         self, latency_s: float, cached: bool, coalesced: bool = False
     ) -> None:
         """One completed request.  ``coalesced`` marks a duplicate served
-        by someone else's in-flight solve — kept out of the solved-path
-        window so duplicate-heavy traffic doesn't distort the reported
-        solve latency distribution."""
+        by someone else's in-flight solve — its own ``outcome`` series,
+        so duplicate-heavy traffic doesn't distort the reported solve
+        latency distribution."""
         outcome = "cached" if cached else ("coalesced" if coalesced else "solved")
         self._requests.inc(outcome=outcome)
         self._latency_hist.observe(latency_s, outcome=outcome)
-        with self._lock:
-            self.latency.record(latency_s)
-            if cached:
-                self.cached_latency.record(latency_s)
-            elif coalesced:
-                self.coalesced_latency.record(latency_s)
-            else:
-                self.solved_latency.record(latency_s)
-
-    def record_rejected(self, kind: str = "overloaded") -> None:
-        self._errors.inc(kind=kind)
-
-    def record_failed(self, kind: str = "engine") -> None:
-        self._errors.inc(kind=kind)
 
     def record_error(self, kind: str) -> None:
-        """Count a reply-layer error (e.g. a malformed request) that never
-        reached the gateway's shed/failed paths."""
+        """Count one shed or failed request by :func:`error_kind`; kinds
+        in :data:`SHED_KINDS` count as ``rejected``, the rest as
+        ``failed``."""
         self._errors.inc(kind=kind)
 
     def record_batch(self, size: int) -> None:
@@ -283,6 +221,7 @@ class ServiceMetrics:
         cached = self.cached
         batches = self.batches
         batched_requests = self.batched_requests
+        latency = latency_sections(self._latency_hist._snapshot())
         with self._lock:
             elapsed = max(1e-9, self._clock() - self.started_at)
             return {
@@ -297,10 +236,7 @@ class ServiceMetrics:
                     cached / completed if completed else 0.0, 4
                 ),
                 "coalesced": self.coalesced,
-                "latency": self.latency.snapshot(),
-                "latency_cached": self.cached_latency.snapshot(),
-                "latency_solved": self.solved_latency.snapshot(),
-                "latency_coalesced": self.coalesced_latency.snapshot(),
+                **latency,
                 "batches": batches,
                 "mean_batch_size": round(
                     batched_requests / batches if batches else 0.0, 2

@@ -20,9 +20,12 @@ its digest arc:
   never cross shards; a forgotten mapping surfaces as the protocol's
   existing retriable ``stale_parent``.
 * ``stats`` — fanned out to every shard and aggregated into one cluster
-  snapshot (summed counters, worst-shard latency percentiles) that
-  keeps the single-server stats shape, plus ``router`` and per-shard
-  sections.
+  snapshot (summed counters; latency percentiles read off the merged
+  ``repro_request_latency_seconds`` histogram, so they are fleet
+  quantiles) that keeps the single-server stats shape, plus ``router``
+  and per-shard sections.
+* ``metrics`` — fanned out and merged into one fleet registry snapshot
+  (JSON or Prometheus text).
 * ``ping`` — answered locally with the fleet's liveness.
 
 Transport: one :class:`repro.service.client.NdjsonConnection` per shard,
@@ -48,6 +51,7 @@ from repro.service.fingerprint import (
     config_fingerprint,
     edge_keys_fingerprint,
 )
+from repro.service.metrics import LATENCY_METRIC, latency_sections
 from repro.service.server import (
     NdjsonEndpoint,
     _error_reply,
@@ -291,12 +295,15 @@ class ShardRouter(NdjsonEndpoint):
         return list(await asyncio.gather(*(one(link) for link in self._links)))
 
     async def _aggregate_stats(self, request_id: Any) -> dict[str, Any]:
+        bodies, fleet = await asyncio.gather(
+            self._fan_out("stats"), self._fleet_metrics()
+        )
         shards = [
             {"shard": i, "alive": True, **body} if isinstance(body, dict)
             else {"shard": i, "alive": False, "error": body}
-            for i, body in enumerate(await self._fan_out("stats"))
+            for i, body in enumerate(bodies)
         ]
-        stats = _merge_shard_stats(shards)
+        stats = _merge_shard_stats(shards, fleet)
         stats["router"] = {
             "shards": self.num_shards,
             "alive": sum(1 for s in shards if s.get("alive")),
@@ -309,9 +316,7 @@ class ShardRouter(NdjsonEndpoint):
         stats["shards"] = shards
         return {"id": request_id, "ok": True, "stats": stats}
 
-    async def _aggregate_metrics(
-        self, request_id: Any, request: dict[str, Any]
-    ) -> dict[str, Any]:
+    async def _fleet_metrics(self) -> dict[str, Any]:
         """Fan ``metrics`` out to every shard and merge the snapshots
         (plus the router's own registry) into one fleet-wide view.
 
@@ -320,18 +325,23 @@ class ShardRouter(NdjsonEndpoint):
         processes' RSS.  A dead shard is skipped — its absence shows as
         ``repro_router_shard_up 0`` rather than a failed scrape.
         """
+        bodies = await self._fan_out("metrics")
+        for shard, body in enumerate(bodies):
+            self._shard_up.set(1.0 if isinstance(body, dict) else 0.0, shard=shard)
+        # the router's registry is read after the gauges it just set
+        return merge_snapshots(
+            [self.registry.as_dict()] + [b for b in bodies if isinstance(b, dict)]
+        )
+
+    async def _aggregate_metrics(
+        self, request_id: Any, request: dict[str, Any]
+    ) -> dict[str, Any]:
         fmt = request.get("format", "json")
         if fmt not in ("json", "prometheus"):
             raise ServiceProtocolError(
                 f"unknown metrics format {fmt!r} (expected json|prometheus)"
             )
-        bodies = await self._fan_out("metrics")
-        for shard, body in enumerate(bodies):
-            self._shard_up.set(1.0 if isinstance(body, dict) else 0.0, shard=shard)
-        # the router's registry is read after the gauges it just set
-        merged = merge_snapshots(
-            [self.registry.as_dict()] + [b for b in bodies if isinstance(b, dict)]
-        )
+        merged = await self._fleet_metrics()
         if fmt == "prometheus":
             return {
                 "id": request_id, "ok": True,
@@ -340,17 +350,20 @@ class ShardRouter(NdjsonEndpoint):
         return {"id": request_id, "ok": True, "metrics": merged}
 
 
-def _merge_shard_stats(shards: list[dict[str, Any]]) -> dict[str, Any]:
+def _merge_shard_stats(
+    shards: list[dict[str, Any]], fleet: dict[str, Any]
+) -> dict[str, Any]:
     """Fold per-shard gateway snapshots into one cluster view that keeps
     the single-server stats shape (``cache``/``graph_store``/``metrics``/
     ``coalesced`` at the top level), so tooling written against one
     server — the bench harness's hit-rate deltas, the smoke checks —
     reads the router's stats unchanged.
 
-    Counters sum.  Latency percentiles take the worst shard (a cluster-
-    wide percentile cannot be recovered from per-shard quantiles, and
-    for an SLO check the pessimistic merge is the honest one);
-    ``mean_batch_size`` is batch-count weighted.
+    Counters sum; ``mean_batch_size`` is batch-count weighted.  The
+    latency sections come from ``fleet``, the merged registry snapshot:
+    histogram buckets add across shards, so its percentiles are the
+    fleet's, through the same :func:`latency_sections` a single server
+    uses.
     """
     alive = [s for s in shards if s.get("alive")]
     cache = {}
@@ -389,19 +402,8 @@ def _merge_shard_stats(shards: list[dict[str, Any]]) -> dict[str, Any]:
             ) / weight,
             3,
         ) if weight else 0.0
-        for window in ("latency", "latency_cached", "latency_solved",
-                       "latency_coalesced"):
-            windows = [snap[window] for snap in snaps if window in snap]
-            if windows:
-                merged = {
-                    "count": sum(w.get("count", 0) for w in windows),
-                    "window": sum(w.get("window", 0) for w in windows),
-                }
-                for quantile in ("p50_ms", "p95_ms", "p99_ms", "max_ms"):
-                    merged[quantile] = max(
-                        (w.get(quantile, 0.0) for w in windows), default=0.0
-                    )
-                metrics[window] = merged
+        if LATENCY_METRIC in fleet:
+            metrics.update(latency_sections(fleet[LATENCY_METRIC]))
     return {
         "cache": cache,
         "graph_store": graph_store,

@@ -4,7 +4,7 @@ Span identity / parentage / sampling, the bounded ring, JSONL export and
 ``load_spans``, synthesized (``emit``) spans, the instrument registry
 with its Prometheus exposition and cross-process snapshot merge, the
 waterfall renderer, plus the :mod:`repro.service.metrics` satellites:
-the cached sorted latency view and the typed error-kind classifier.
+the histogram percentile summary and the typed error-kind classifier.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     IncrementalUpdateError,
@@ -26,13 +28,14 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     group_traces,
+    histogram_summary,
     load_spans,
     merge_snapshots,
     render_prometheus,
     render_report,
 )
+from repro.obs.meters import DEFAULT_LATENCY_BUCKETS
 from repro.service.metrics import (
-    LatencyWindow,
     ServiceMetrics,
     error_kind,
     percentile,
@@ -282,7 +285,27 @@ class TestRender:
         assert "server.request" in render_report(records)
 
 
-class TestLatencyWindow:
+def _bucket_ms(value: float) -> float:
+    """The smallest bucket bound >= ``value`` in ms; past the last finite
+    bound, that bound."""
+    bound = next(
+        (b for b in DEFAULT_LATENCY_BUCKETS if b >= value),
+        DEFAULT_LATENCY_BUCKETS[-1],
+    )
+    return round(1000 * bound, 3)
+
+
+_LATENCIES = st.lists(
+    st.one_of(
+        st.sampled_from(DEFAULT_LATENCY_BUCKETS),  # exactly on a bound
+        st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=200,
+)
+
+
+class TestHistogramSummary:
     def test_nearest_rank_percentiles(self):
         samples = [0.01, 0.02, 0.03, 0.04, 0.05]
         assert percentile(samples, 50) == 0.03
@@ -291,28 +314,32 @@ class TestLatencyWindow:
         with pytest.raises(ValueError):
             percentile([], 50)
 
-    def test_sorted_view_is_cached_between_snapshots(self):
-        window = LatencyWindow(window=8)
-        for value in (0.3, 0.1, 0.2):
-            window.record(value)
-        assert window._sorted is None  # dirty after a record
-        first = window.snapshot()
-        assert first["p50_ms"] == 200.0
-        # a snapshot with no intervening records reuses the sorted view
-        assert window._sorted_view() is window._sorted_view()
-        assert window.snapshot() == first
-        window.record(0.4)
-        assert window._sorted is None
-        assert window.snapshot()["max_ms"] == 400.0
+    @settings(max_examples=60, deadline=None)
+    @given(samples=_LATENCIES)
+    def test_quantiles_are_the_bucket_of_the_nearest_rank_sample(self, samples):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", labelnames=("outcome",))
+        for i, value in enumerate(samples):
+            hist.observe(value, outcome="even" if i % 2 == 0 else "odd")
+        entry = registry.as_dict()["lat"]
+        for summary, subset in (
+            (histogram_summary(entry), samples),
+            (histogram_summary(entry, outcome="even"), samples[::2]),
+        ):
+            ordered = sorted(subset)
+            assert summary["count"] == len(subset)
+            for q in (50, 95, 99):
+                expected = _bucket_ms(percentile(ordered, q))
+                assert summary[f"p{q}_ms"] == expected
+            assert summary["max_ms"] == _bucket_ms(percentile(ordered, 100))
 
-    def test_window_bounds_but_count_is_all_time(self):
-        window = LatencyWindow(window=4)
-        for i in range(10):
-            window.record(float(i))
-        snap = window.snapshot()
-        assert snap["count"] == 10
-        assert snap["window"] == 4
-        assert snap["p50_ms"] == 7000.0  # only the newest 4 remain
+    def test_empty_histogram_reports_only_a_zero_count(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", labelnames=("outcome",))
+        assert histogram_summary(registry.as_dict()["lat"]) == {"count": 0}
+        hist.observe(0.01, outcome="solved")
+        entry = registry.as_dict()["lat"]
+        assert histogram_summary(entry, outcome="cached") == {"count": 0}
 
 
 class TestErrorKinds:
@@ -331,10 +358,10 @@ class TestErrorKinds:
 
     def test_service_metrics_split_sheds_from_failures(self):
         metrics = ServiceMetrics()
-        metrics.record_rejected("overloaded")
-        metrics.record_rejected("shard_unavailable")
-        metrics.record_failed("engine")
-        metrics.record_failed("stale_parent")
+        metrics.record_error("overloaded")
+        metrics.record_error("shard_unavailable")
+        metrics.record_error("engine")
+        metrics.record_error("stale_parent")
         metrics.record_error("protocol")
         assert metrics.rejected == 2
         assert metrics.failed == 3

@@ -185,7 +185,7 @@ class TestMetrics:
         clock[0] = 2.0
         metrics.record_request(0.010, cached=False)
         metrics.record_request(0.001, cached=True)
-        metrics.record_rejected()
+        metrics.record_error("overloaded")
         metrics.record_batch(2)
         metrics.set_queue_depth(3)
         metrics.set_queue_depth(1)
@@ -461,30 +461,6 @@ class TestServerClient:
         assert rejected, "burst past max_queue=1 must shed load"
         assert served, "admitted requests must still complete"
         assert len(rejected) + len(served) == len(graphs)
-
-
-class TestHarnessServiceSweep:
-    def test_service_load_sweep_reports_hit_rate_gradient(self):
-        from repro.analysis.harness import service_load_sweep
-
-        points = service_load_sweep(
-            duplicate_ratios=(0.0, 0.8),
-            n=48,
-            delta=3,
-            requests=20,
-            hot_instances=2,
-            seed=1,
-        )
-        assert len(points) == 2
-        cold, hot = points
-        assert cold.measurement.meta["hit_rate"] == 0.0
-        assert (
-            hot.measurement.meta["hit_rate"] > 0.0
-            or hot.measurement.meta["coalesced"] > 0
-        )
-        for point in points:
-            assert point.measurement.meta["qps"] > 0
-            assert "p99_ms" in point.measurement.meta
 
 
 class TestCLI:

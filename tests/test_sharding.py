@@ -12,7 +12,8 @@ exercising the full NDJSON wire path:
   shard's GraphStore);
 * stale-parent / overload / dead-shard all surface as the protocol's
   typed, retriable errors;
-* aggregated stats keep the single-server shape;
+* aggregated stats keep the single-server shape, with latency
+  percentiles read off the merged shard histograms;
 * ``shutdown()`` drains in-flight requests before closing.
 """
 
@@ -34,6 +35,7 @@ from repro.graphs.validation import validate_coloring
 from repro.service import (
     AsyncColoringClient,
     ColoringServer,
+    ServiceMetrics,
     ShardRouter,
     request_fingerprint,
 )
@@ -347,6 +349,49 @@ class TestAggregatedStats:
         assert sum(stats["router"]["per_shard"]) == 4
         assert len(stats["shards"]) == 2
         assert all(s["alive"] for s in stats["shards"])
+
+    def test_fleet_latency_comes_from_the_merged_histograms(self):
+        # Shard 0 served 99 cache hits at 0.4 ms, shard 1 one 80 ms
+        # solve.  Fleet p50/p99 are in the <=1 ms bucket, and the max is
+        # in the <=100 ms one; no shard's own percentiles say that.
+        hits, solve = ServiceMetrics(), ServiceMetrics()
+        for _ in range(99):
+            hits.record_request(0.0004, cached=True)
+        solve.record_request(0.080, cached=False)
+        shards = [hits, solve]
+        router = ShardRouter([("127.0.0.1", 1), ("127.0.0.1", 2)])
+
+        async def fan_out(op):
+            if op == "stats":
+                return [{"metrics": shard.snapshot()} for shard in shards]
+            return [shard.registry.as_dict() for shard in shards]
+
+        router._fan_out = fan_out
+        reply = asyncio.run(router._aggregate_stats("s"))
+        latency = reply["stats"]["metrics"]["latency"]
+        assert latency["count"] == 100
+        assert latency["p50_ms"] == 1.0
+        assert latency["p99_ms"] == 1.0
+        assert latency["max_ms"] == 100.0
+        solved = reply["stats"]["metrics"]["latency_solved"]
+        assert solved["count"] == 1 and solved["p50_ms"] == 100.0
+        assert reply["stats"]["metrics"]["latency_coalesced"] == {"count": 0}
+
+    def test_fleet_latency_count_matches_the_metrics_verb(self):
+        graphs = [random_regular_graph(32, 3, seed=s) for s in range(3)]
+
+        async def drive():
+            async with _Cluster() as cluster:
+                async with AsyncColoringClient(port=cluster.port) as client:
+                    for g in graphs + graphs[:2]:
+                        await client.solve(g, seed=0)
+                    return await client.stats(), await client.metrics()
+
+        stats, merged = asyncio.run(drive())
+        histogram = merged["repro_request_latency_seconds"]
+        merged_count = sum(series["count"] for series in histogram["values"])
+        assert merged_count == 5
+        assert stats["metrics"]["latency"]["count"] == merged_count
 
     def test_dead_shard_reported_not_fatal(self):
         async def drive():
