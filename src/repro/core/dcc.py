@@ -18,15 +18,17 @@ A ball is kept only if it has >= 4 members and at least as many in-ball
 edges as members; otherwise it induces a tree (the overwhelmingly common
 case on locally-tree-like graphs) and cannot host a 2-connected block.
 A kept ball is peeled to its 2-core, where every block lives; a core
-that is one cycle skips the Hopcroft–Tarjan walk.  The ball pass (ball
-collection, in-ball degrees, tree reject, peel: about n·Δ^(r+1) probes)
-runs in one small C kernel, ``dcc_kernel.c``, built with the system
-compiler on first use and called through ctypes (``repro.core.native``):
-≈45 ms at n=32768, Δ=8, r=2 on a 2-CPU box, under half of the phase.
-Its pure-Python twin
-(:func:`_ball_cores_python`) is pinned bit-identical to it and runs when
-no compiler is available.  Block selection stays in Python on both
-paths.  Wall time is ``solver.1-dcc-detect.ms`` in perfbench
+that is one cycle skips the Hopcroft–Tarjan walk.  Nodes go in
+ascending order, and the selected block's unselected members adopt it,
+so an adopted node never collects its ball.  The whole phase (ball
+collection, in-ball degrees, tree reject, peel, block selection and
+adoption: about n·Δ^(r+1) probes) runs in one small C kernel,
+``dcc_kernel.c``, built with the system compiler on first use and
+called through ctypes (``repro.core.native``); Python only wraps the
+selected DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its pure-Python
+twin (:func:`_ball_cores_python` feeding :func:`_select_blocks`) is
+pinned bit-identical to it and runs when no compiler is available.
+Wall time is ``solver.1-dcc-detect.ms`` in perfbench
 (perfbench/README.md).
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
@@ -68,9 +70,9 @@ class DCCDetection:
     rounds: int = 0
 
 
-# Output rows per kernel call (each row: node, core size, cycle flag); a
-# full buffer ends the call and the pass resumes at the next node.
-_OUT_ROWS = 4096
+# DCCs per kernel call; a full buffer ends the call and the pass resumes
+# at the node whose DCC did not fit.
+_OUT_DCCS = 1024
 
 
 class DCCScratch:
@@ -78,12 +80,12 @@ class DCCScratch:
 
     One allocation of the byte mask, the Hopcroft–Tarjan disc/low arrays,
     the active-membership mask and (when the native kernel runs) its
-    ``array('i')`` work and output buffers serves *every* ``detect_dccs``
-    call on graphs of the same node count — the per-component call sites
-    (``repro.core.small_components``) call it once per small component,
-    which would otherwise pay O(n) allocations to look at a 10-node
-    component.  Masks and degrees are returned to their zeroed state
-    after each call, so sharing is safe.
+    ``array('i')`` work, selection and output buffers serves *every*
+    ``detect_dccs`` call on graphs of the same node count — the
+    per-component call sites (``repro.core.small_components``) call it
+    once per small component, which would otherwise pay O(n) allocations
+    to look at a 10-node component.  Masks, degrees and selections are
+    returned to their rest state after each call, so sharing is safe.
     """
 
     __slots__ = ("n", "mask", "scratch", "active_mask", "_kernel_buffers")
@@ -96,14 +98,19 @@ class DCCScratch:
         self._kernel_buffers: tuple[array, ...] | None = None
 
     def kernel_buffers(self) -> tuple[array, ...]:
-        """``(deg, ball, stack, rows, members)`` for the native kernel,
-        allocated on first use; ``members`` holds at least ``n`` entries,
-        so any single core fits."""
+        """``(zeroed, work, selected_by, sizes, members)`` for the native
+        kernel, allocated on first use: ``zeroed`` (2n, zero at rest),
+        ``work`` (7n), ``selected_by`` (n, -1 at rest), ``sizes`` and
+        ``members``; ``members`` holds at least ``n`` entries, so any
+        single DCC fits."""
         if self._kernel_buffers is None:
             n = self.n
-            self._kernel_buffers = tuple(
+            zeroed, work, sizes, members = (
                 array("i", bytes(4 * size))
-                for size in (n, n, n, 3 * _OUT_ROWS, n + 8 * _OUT_ROWS)
+                for size in (2 * n, 7 * n, _OUT_DCCS, n + 8 * _OUT_DCCS)
+            )
+            self._kernel_buffers = (
+                zeroed, work, array("i", [-1]) * n, sizes, members
             )
         return self._kernel_buffers
 
@@ -119,9 +126,10 @@ def detect_dccs(
 
     Every active node whose radius-``radius`` ball (within the active set)
     contains a non-clique / non-odd-cycle block through it selects that
-    block.  Selections are deduplicated: nodes choosing the same block
-    share one virtual node, mirroring the paper's "subgraphs sharing a
-    vertex are adjacent" semantics with fewer virtual nodes.
+    block, in ascending node order.  The block's unselected members adopt
+    it, so nodes choosing the same block share one virtual node (the
+    paper's "subgraphs sharing a vertex are adjacent" semantics with
+    fewer virtual nodes), and an adopted node does not detect.
 
     ``scratch`` may carry a :class:`DCCScratch` of matching ``n`` reused
     across calls (the layered/per-component pipelines call this once per
@@ -141,56 +149,63 @@ def detect_dccs(
             allowed[v] = 1
     kernel = native.dcc_kernel()
     if kernel is None:
-        cores = _ball_cores_python(state, radius, nodes, allowed)
-    else:
-        cores = _ball_cores_native(kernel, state, radius, nodes, allowed)
-    # Rows come in ascending node order; a node that adopted an earlier
-    # selection does not detect (a core never depends on selections).
-    selected_by = state.selected_by
-    for v, core, cycle in cores:
-        if selected_by[v] == -1:
+        for v, core, cycle in _ball_cores_python(state, radius, nodes, allowed):
             _select_blocks(state, v, core, cycle)
+    else:
+        _detect_native(kernel, state, radius, nodes, allowed)
     if allowed is not None:
         for v in nodes:
             allowed[v] = 0
     return detection
 
 
-def _ball_cores_native(kernel, state: "_DetectState", radius: int, nodes, allowed):
-    """The ``(v, core, single_cycle)`` rows of ``dcc_kernel.c``, one
-    output buffer per kernel call (see :func:`_ball_cores_python` for
-    what a row is)."""
+def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -> None:
+    """The whole phase in ``dcc_kernel.c``, one output buffer of DCCs per
+    kernel call; the kernel's selections are copied into the detection
+    and its ``selected_by`` buffer is left at -1."""
     graph = state.graph
     count = graph.n if nodes is None else len(nodes)
     if count == 0:
         return
     offsets, indices = graph.csr()
-    deg, ball, stack, rows, members = state.shared.kernel_buffers()
+    zeroed, work, chosen, sizes, members = state.shared.kernel_buffers()
     node_buf = None if nodes is None else array("i", nodes)
     # The byte masks are exported for the whole sweep (never resized).
     mask = ctypes.c_char.from_buffer(state.mask)
     active = None if allowed is None else ctypes.c_char.from_buffer(allowed)
     args = (
-        _address(offsets), _address(indices), radius,
+        _address(offsets), _address(indices), graph.n, radius,
         None if active is None else ctypes.addressof(active),
         None if node_buf is None else _address(node_buf),
         count,
     )
-    work = (
-        ctypes.addressof(mask), _address(deg), _address(ball), _address(stack),
-        _address(rows), len(rows) // 3, _address(members), len(members),
+    work_args = (
+        ctypes.addressof(mask), _address(zeroed), _address(work), _address(chosen),
     )
+    out = (_address(sizes), len(sizes), _address(members), len(members))
+    detection = state.detection
+    dccs = detection.dccs
     emitted = ctypes.c_int()
     start = 0
     while start < count:
-        start = kernel(*args, start, *work, ctypes.byref(emitted))
-        head = rows[: 3 * emitted.value].tolist()
-        body = members[: sum(head[1::3])].tolist()
+        start = kernel(
+            *args, start, *work_args, len(dccs), *out, ctypes.byref(emitted)
+        )
+        lengths = sizes[: emitted.value].tolist()
+        body = members[: sum(lengths)].tolist()
         at = 0
-        for i in range(0, len(head), 3):
-            size = head[i + 1]
-            yield head[i], body[at : at + size], head[i + 2] == 1
+        for size in lengths:
+            dccs.append(tuple(body[at : at + size]))
             at += size
+    selected_by = state.selected_by
+    nodes_in_dccs = detection.nodes_in_dccs
+    for dcc in dccs:
+        nodes_in_dccs.update(dcc)
+        for u in dcc:
+            dcc_id = chosen[u]
+            if dcc_id != -1:
+                selected_by[u] = dcc_id
+                chosen[u] = -1
 
 
 def _address(buffer: array) -> int:
@@ -198,7 +213,8 @@ def _address(buffer: array) -> int:
 
 
 def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
-    """Pure-Python twin of ``dcc_kernel.c``: per node ``v`` (ascending),
+    """Pure-Python twin of ``dcc_kernel.c``'s ball pass (steps 1-3 there;
+    :func:`_select_blocks` is steps 4-5): per node ``v`` (ascending),
     collect its radius-``radius`` ball (within ``allowed`` when given),
     reject it if it has < 4 members or fewer in-ball edges than members
     (a tree hosts no 2-connected block), peel it to its 2-core, and yield
@@ -209,7 +225,7 @@ def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
     Hopcroft–Tarjan walk sees only the usually-tiny cycle-carrying core,
     and ``v`` being peeled proves no block contains it.  Rows are made
     lazily: a node selected by adoption before its turn is skipped
-    before any work (the caller would skip its row anyway).
+    before any work, as in the kernel.
     """
     graph = state.graph
     adj = graph.adj
@@ -268,11 +284,11 @@ def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
 
 
 class _DetectState:
-    """Per-sweep state (dedup, adoption) over a reusable :class:`DCCScratch`."""
+    """Per-sweep state (adoption, core memo) over a reusable :class:`DCCScratch`."""
 
     __slots__ = (
         "graph", "detection", "selected_by", "shared", "mask", "scratch",
-        "active_mask", "index_of", "core_blocks",
+        "active_mask", "core_blocks",
     )
 
     def __init__(
@@ -291,7 +307,6 @@ class _DetectState:
         self.mask = shared.mask
         self.scratch = shared.scratch
         self.active_mask = shared.active_mask
-        self.index_of: dict[tuple[int, ...], int] = {}
         # Block decompositions per distinct (canonicalised) core: on
         # locally-tree-like graphs the nodes of one cycle cluster all
         # peel to the *same* core, so the Hopcroft–Tarjan walk and the
@@ -346,12 +361,11 @@ def _select_blocks(
             break
     if chosen is None:
         return
+    # ``chosen`` is always new: had it been chosen before, v (a member)
+    # would have adopted it then and not be selecting now.
     detection = state.detection
-    dcc_id = state.index_of.get(chosen)
-    if dcc_id is None:
-        dcc_id = len(detection.dccs)
-        detection.dccs.append(chosen)
-        state.index_of[chosen] = dcc_id
+    dcc_id = len(detection.dccs)
+    detection.dccs.append(chosen)
     # Every member of the block that has not selected yet adopts it; this
     # matches "each node selects one such subgraph" while keeping the
     # virtual graph small.

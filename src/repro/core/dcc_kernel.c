@@ -1,44 +1,154 @@
-/* DCC detection ball pass: radius-r ball, tree reject, 2-core peel.
+/* DCC detection (phase 1) in one pass: radius-r ball, tree reject, 2-core
+ * peel, block selection and adoption.
  *
  * Built by repro.core.native with the system C compiler and called
  * through ctypes from repro.core.dcc.  Pinned bit-identical to the
- * pure-Python twin there (_ball_cores_python): for each node v, in the
- * order given, it emits exactly the core that twin would hand to block
- * selection.  The kernel never reads selection state, so emitting every
- * core up front and letting the caller skip already-selected nodes gives
- * the same selections as the lazy per-node loop.
+ * pure-Python twin there (_ball_cores_python feeding _select_blocks):
+ * for each node v, in the order given, it selects the block that twin
+ * selects and lets the same members adopt it.
  */
 
-/* dcc_cores: for positions pos = start .. count-1 (node nodes[pos], or pos
- * itself when nodes is NULL):
+#include <stdlib.h>
+
+static int ascending(const void *a, const void *b)
+{
+    int x = *(const int *)a, y = *(const int *)b;
+    return (x > y) - (x < y);
+}
+
+/* Is the block (k >= 4 nodes, each marked mask == 2) neither a clique nor
+ * an odd cycle?  A block is connected, so it is a clique iff every
+ * in-block degree is k - 1, and a cycle iff every in-block degree is 2. */
+static int is_dcc_block(const int *offsets, const int *indices,
+                        const unsigned char *mask, const int *block, int k)
+{
+    int i, e, first = 0;
+    for (i = 0; i < k; i++) {
+        int u = block[i], d = 0;
+        for (e = offsets[u]; e < offsets[u + 1]; e++)
+            d += mask[indices[e]] == 2;
+        if (i == 0)
+            first = d;
+        else if (d != first)
+            return 1;
+    }
+    return first != k - 1 && (first != 2 || k % 2 == 0);
+}
+
+/* Hopcroft–Tarjan over the core (the nodes with mask != 0, listed
+ * ascending in core[0..size)): roots ascending, neighbours in CSR order,
+ * so blocks complete in the order of repro.graphs.blocks.blocks_through.
+ * Returns the size k of the first block that contains v, has >= 4 nodes
+ * and is neither a clique nor an odd cycle, with its nodes (unsorted) in
+ * block[0..k); 0 when there is none.  A block's nodes are popped from a
+ * vertex stack: the child's subtree above it plus the parent, the same
+ * set the twin collects from its edge stack.  disc must be zero on entry
+ * for the core; the caller zeroes it again. */
+static int first_dcc_block(const int *offsets, const int *indices,
+                           unsigned char *mask, const int *core, int size,
+                           int v, int *disc, int *low, int *next, int *parent,
+                           int *dfs, int *vstack, int *block)
+{
+    int timer = 1, r, i;
+    for (r = 0; r < size; r++) {
+        int root = core[r], depth = 0, vtop = 0;
+        if (disc[root])
+            continue;
+        disc[root] = low[root] = timer++;
+        parent[root] = -1;
+        next[root] = offsets[root];
+        dfs[depth++] = root;
+        vstack[vtop++] = root;
+        while (depth) {
+            int u = dfs[depth - 1], p, k, x, has_v;
+            if (next[u] < offsets[u + 1]) {
+                int w = indices[next[u]++];
+                if (!mask[w] || w == parent[u])
+                    continue;
+                if (!disc[w]) {
+                    disc[w] = low[w] = timer++;
+                    parent[w] = u;
+                    next[w] = offsets[w];
+                    dfs[depth++] = w;
+                    vstack[vtop++] = w;
+                } else if (disc[w] < low[u]) {
+                    low[u] = disc[w];
+                }
+                continue;
+            }
+            depth--;
+            p = parent[u];
+            if (p == -1)
+                continue;
+            if (low[u] < low[p])
+                low[p] = low[u];
+            if (low[u] < disc[p])
+                continue;
+            k = 0;
+            has_v = p == v;
+            do {
+                x = vstack[--vtop];
+                block[k++] = x;
+                has_v |= x == v;
+            } while (x != u);
+            block[k++] = p;
+            if (k < 4 || !has_v)
+                continue;
+            for (i = 0; i < k; i++)
+                mask[block[i]] = 2;
+            x = is_dcc_block(offsets, indices, mask, block, k);
+            for (i = 0; i < k; i++)
+                mask[block[i]] = 1;
+            if (x)
+                return k;
+        }
+    }
+    return 0;
+}
+
+/* dcc_detect: for positions pos = start .. count-1 (node nodes[pos], or
+ * pos itself when nodes is NULL), skipping v when selected_by[v] != -1:
  *
  *   1. collect the radius-`radius` ball of v over the CSR (offsets,
  *      indices), stepping only onto nodes with active[w] != 0 when
  *      `active` is not NULL;
  *   2. reject it if it has < 4 members or fewer in-ball edges than
  *      members (it is a tree: no 2-connected block);
- *   3. peel it to its 2-core;
- *   4. if v survives in a core of >= 4 nodes, emit the row
- *      (v, core size, single-cycle flag) into `rows` and the core members
- *      into `members`.
+ *   3. peel it to its 2-core; stop unless v survives in a core of >= 4
+ *      nodes;
+ *   4. choose the first block through v that has >= 4 nodes and is
+ *      neither a clique nor an odd cycle (a core whose degrees are all 2
+ *      is one cycle, its own only block);
+ *   5. emit that block as DCC number base + (DCCs emitted so far in this
+ *      call): its size into `sizes`, its nodes ascending into `members`,
+ *      and set selected_by[u] to its number for every member u still at
+ *      -1.
  *
- * `mask`, `deg` (n entries each) must be zero on entry and are zero on
- * return; `ball` and `stack` (n entries each) are free scratch.  When the
- * next core does not fit in `rows` (row_cap rows) or `members`
- * (member_cap entries), the pass stops and returns the position to resume
- * from; it returns `count` when done.  *emitted receives the row count.
- * member_cap >= n guarantees progress (a core fits an empty buffer).
+ * `mask` (n bytes) and `zeroed` (2n ints: in-ball degrees, discovery
+ * times) must be zero on entry and are zero on return; `work` (7n ints)
+ * is free scratch.  When the next DCC does not fit in `sizes` (size_cap
+ * entries) or `members` (member_cap entries), the pass stops before v,
+ * having changed nothing for it, and returns the position to resume
+ * from; it returns `count` when done.  *emitted receives the DCC count.
+ * member_cap >= n guarantees progress (a block fits an empty buffer).
  */
-int dcc_cores(
-    const int *offsets, const int *indices, int radius,
+int dcc_detect(
+    const int *offsets, const int *indices, int n, int radius,
     const unsigned char *active, const int *nodes, int count, int start,
-    unsigned char *mask, int *deg, int *ball, int *stack,
-    int *rows, int row_cap, int *members, int member_cap, int *emitted)
+    unsigned char *mask, int *zeroed, int *work, int *selected_by, int base,
+    int *sizes, int size_cap, int *members, int member_cap, int *emitted)
 {
-    int num_rows = 0, used = 0, pos;
+    int *deg = zeroed, *disc = zeroed + n;
+    int *ball = work, *stack = work + n, *core = work + 2 * n;
+    int *low = work + 3 * n, *next = work + 4 * n, *parent = work + 5 * n;
+    int *vstack = work + 6 * n, *block = ball;
+    int num = 0, used = 0, pos;
     for (pos = start; pos < count; pos++) {
         int v = nodes ? nodes[pos] : pos;
-        int size = 1, lo = 0, level, i, e, twice = 0, top = 0, alive;
+        int size = 1, lo = 0, level, i, e, twice = 0, top = 0, alive, k;
+        const int *chosen = core;
+        if (selected_by[v] != -1)
+            continue;
         mask[v] = 1;
         ball[0] = v;
         for (level = 0; level < radius && lo < size; level++) {
@@ -79,6 +189,7 @@ int dcc_cores(
             if (!mask[u])
                 continue;
             mask[u] = 0;
+            deg[u] = 0;
             alive--;
             for (e = offsets[u]; e < offsets[u + 1]; e++) {
                 int w = indices[e];
@@ -86,33 +197,53 @@ int dcc_cores(
                     stack[top++] = w;
             }
         }
+        k = 0;
         if (alive >= 4 && mask[v]) {
-            int cycle = 1, k = used;
-            if (num_rows == row_cap || used + alive > member_cap) {
-                for (i = 0; i < size; i++) {
-                    mask[ball[i]] = 0;
-                    deg[ball[i]] = 0;
-                }
-                break;
-            }
+            int cycle = 1;
             for (i = 0; i < size; i++) {
                 int u = ball[i];
                 if (mask[u]) {
-                    members[k++] = u;
+                    core[k++] = u;
                     cycle &= deg[u] == 2;
                 }
             }
-            rows[3 * num_rows] = v;
-            rows[3 * num_rows + 1] = alive;
-            rows[3 * num_rows + 2] = cycle;
-            num_rows++;
-            used = k;
+            /* The ball is finished with: its nodes are the core (mask
+             * set) and peeled nodes (mask and deg already zero). */
+            for (i = 0; i < k; i++)
+                deg[core[i]] = 0;
+            qsort(core, k, sizeof *core, ascending);
+            if (!cycle) {
+                k = first_dcc_block(offsets, indices, mask, core, alive, v,
+                                    disc, low, next, parent, stack, vstack,
+                                    block);
+                for (i = 0; i < alive; i++)
+                    disc[core[i]] = 0;
+                chosen = block;
+                qsort(block, k, sizeof *block, ascending);
+            } else if (k % 2) {
+                k = 0;
+            }
+            for (i = 0; i < alive; i++)
+                mask[core[i]] = 0;
+        } else {
+            for (i = 0; i < size; i++) {
+                mask[ball[i]] = 0;
+                deg[ball[i]] = 0;
+            }
         }
-        for (i = 0; i < size; i++) {
-            mask[ball[i]] = 0;
-            deg[ball[i]] = 0;
+        if (!k)
+            continue;
+        if (num == size_cap || used + k > member_cap)
+            break;
+        for (i = 0; i < k; i++) {
+            int u = chosen[i];
+            members[used + i] = u;
+            if (selected_by[u] == -1)
+                selected_by[u] = base + num;
         }
+        sizes[num++] = k;
+        used += k;
     }
-    *emitted = num_rows;
+    *emitted = num;
     return pos;
 }

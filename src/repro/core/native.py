@@ -1,6 +1,7 @@
 """Build-on-first-use loader for the C kernel of DCC detection.
 
-``dcc_kernel.c`` (next to this module) is compiled by the system C
+``dcc_kernel.c`` (next to this module) runs all of phase (1): ball,
+peel, block selection and adoption.  It is compiled by the system C
 compiler (``cc`` on ``PATH``) into a shared object and called through
 :mod:`ctypes`; no numpy, scipy or cffi is involved.  The object is cached
 under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
@@ -63,7 +64,7 @@ _status_lock = threading.Lock()
 
 
 def dcc_kernel():
-    """The ctypes ``dcc_cores`` function, or ``None`` (Python path)."""
+    """The ctypes ``dcc_detect`` function, or ``None`` (Python path)."""
     return kernel_status().function
 
 
@@ -105,7 +106,7 @@ def _private_dir(path: Path) -> None:
 
 def load(compiler: str | None, root: Path) -> KernelStatus:
     """Find or build the shared object for ``compiler`` under ``root``
-    and bind ``dcc_cores``.  ``reason`` is set on failure, and also when
+    and bind ``dcc_detect``.  ``reason`` is set on failure, and also when
     the kernel loaded from a private build because ``root`` was refused."""
     if compiler is None:
         return KernelStatus(None, None, "no C compiler (cc) on PATH")
@@ -159,16 +160,16 @@ def _build_and_bind(compiler: str, target: Path) -> KernelStatus:
         info = os.lstat(target)
         if info.st_uid != os.getuid() or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH):
             return KernelStatus(None, None, f"{target} is writable by other users")
-        function = ctypes.CDLL(str(target)).dcc_cores
+        function = ctypes.CDLL(str(target)).dcc_detect
     except (OSError, AttributeError) as error:
         return KernelStatus(None, None, f"loading {target} failed: {error}")
     function.restype = ctypes.c_int
     pointer, integer = ctypes.c_void_p, ctypes.c_int
     function.argtypes = [
-        pointer, pointer, integer,  # offsets, indices, radius
+        pointer, pointer, integer, integer,  # offsets, indices, n, radius
         pointer, pointer, integer, integer,  # active, nodes, count, start
-        pointer, pointer, pointer, pointer,  # mask, deg, ball, stack
-        pointer, integer, pointer, integer,  # rows, row_cap, members, member_cap
+        pointer, pointer, pointer, pointer, integer,  # mask, zeroed, work, selected_by, base
+        pointer, integer, pointer, integer,  # sizes, size_cap, members, member_cap
         ctypes.POINTER(ctypes.c_int),  # emitted
     ]
     return KernelStatus(function, str(target), None)

@@ -312,11 +312,6 @@ class MetricsRegistry:
             "Garbage collections across all generations",
             callback=lambda: float(sum(s["collections"] for s in gc.get_stats())),
         )
-        self.gauge(
-            "process_gc_objects_tracked",
-            "Objects currently tracked by the garbage collector",
-            callback=lambda: float(len(gc.get_objects())),
-        )
 
 
 def _rss_bytes() -> float:

@@ -83,18 +83,16 @@ def reduction_schedule(n: int, delta: int) -> list[tuple[int, int, int]]:
 def _reduce_round_vectorized(graph: Graph, colors: list[int], d: int, q: int):
     """One Linial reduction round as numpy array arithmetic (or ``None``).
 
-    Computes exactly what the scalar loop does — evaluate every node's
-    degree-``d`` polynomial over GF(q) at all points, forbid points where a
-    neighbour's polynomial agrees, pick the smallest free point — but as a
-    handful of (n × q) array operations plus one CSR-aligned comparison
-    over the edge endpoints, instead of ~n·q·Δ interpreted steps.  Falls
-    back (returns ``None``) without numpy.
-
-    The evaluation is a sum of per-digit table rows (``table_j[c, x] =
-    c·x^j mod q``) with a single final reduction, in the narrowest dtype
-    that holds it: GF(q) values take one byte whenever q <= 256 (both
-    rounds at Δ = 8 use q = 29, then 17), so the (edges × q) comparison
-    moves half the bytes of 16-bit values and an eighth of int64 ones.
+    Computes exactly what the scalar loop does — every node picks the
+    smallest point ``x`` where its degree-``d`` polynomial over GF(q)
+    differs from all its neighbours' — as a search over ``x = 0, 1, …``:
+    at each point every polynomial is evaluated (Horner over the base-q
+    digits, n-vector operations), the values are compared only on the
+    edges of nodes still blocked, and nodes with no agreeing neighbour
+    take ``x`` and leave the search along with their edges.  Two distinct
+    polynomials agree on at most ``d`` points, so most nodes resolve at
+    the first points and the compared edges shrink fast.  Falls back
+    (returns ``None``) without numpy.
     """
     try:
         import numpy as np
@@ -102,51 +100,36 @@ def _reduce_round_vectorized(graph: Graph, colors: list[int], d: int, q: int):
         return None
     n = graph.n
     offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    dst = np.frombuffer(indices, dtype=np.int32)
-    value_type = np.uint8 if q <= 256 else np.uint16
-    # (d + 1) reduced terms, each < q, sum without overflow.
-    acc_type = np.uint16 if (d + 1) * q < 2**16 else np.uint32
+    # The edges of still-blocked nodes, as (owner, neighbour) pairs.
+    owner = np.repeat(
+        np.arange(n, dtype=np.int32), np.diff(np.frombuffer(offsets, dtype=np.int32))
+    )
+    other = np.frombuffer(indices, dtype=np.int32)
+    # digits[j] = coefficient of x^j: base-q digit j of the color.
     rest = np.asarray(colors, dtype=np.int64)
-    points = np.arange(q, dtype=np.int64)
-    power = np.ones(q, dtype=np.int64)  # x^j mod q, for all points x
-    values = np.zeros((n, q), dtype=acc_type)
+    digits = []
     for _ in range(d + 1):
-        table = (points[:, None] * power % q).astype(acc_type)
-        values += table[rest % q]
+        digits.append(rest % q)
         rest //= q
-        power = power * points % q
-    values %= acc_type(q)
-    values = values.astype(value_type)
-    # conflict[v, x] = some neighbour's polynomial agrees with v's at x.
-    conflict = np.zeros(n * q, dtype=bool)
-    m = len(dst)
-    if m:
-        degrees = np.diff(indptr)
-        # Chunk by node ranges so the (edges × q) comparison stays bounded;
-        # each node's edges are one contiguous CSR segment, so repeating
-        # its value row lines it up with its neighbours' rows.
-        rows_per_chunk = max(1, int(8_000_000 // max(1, q * max(1, m // n))))
-        for start in range(0, n, rows_per_chunk):
-            stop = min(n, start + rows_per_chunk)
-            lo, hi = int(indptr[start]), int(indptr[stop])
-            if lo == hi:
-                continue
-            counts = degrees[start:stop]
-            equal = np.repeat(values[start:stop], counts, axis=0) == values[dst[lo:hi]]
-            # Agreements are sparse (two distinct polynomials agree on at
-            # most d points): scatter them instead of reducing every row.
-            hits = np.flatnonzero(equal)
-            edge = hits // q
-            owner = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
-            conflict[owner[edge] * q + (hits - edge * q)] = True
-    free = ~conflict.reshape(n, q)
-    chosen_x = free.argmax(axis=1)
-    rows = np.arange(n)
-    if not free[rows, chosen_x].all():
-        raise AssertionError("no free evaluation point; parameter bug")
-    chosen_value = values[rows, chosen_x].astype(np.int64)
-    return (chosen_x * q + chosen_value).tolist()
+    new_colors = np.empty(n, dtype=np.int64)
+    pending = np.arange(n)
+    blocked = np.zeros(n, dtype=bool)
+    for x in range(q):
+        value = digits[d]
+        for j in range(d - 1, -1, -1):
+            value = (value * x + digits[j]) % q
+        blocked[:] = False
+        blocked[owner[value[owner] == value[other]]] = True
+        still = blocked[pending]
+        done = pending[~still]
+        new_colors[done] = x * q + value[done]
+        pending = pending[still]
+        if not len(pending):
+            return new_colors.tolist()
+        keep = blocked[owner]
+        owner = owner[keep]
+        other = other[keep]
+    raise AssertionError("no free evaluation point; parameter bug")
 
 
 def _reduce_round_python(graph: Graph, colors: list[int], d: int, q: int) -> list[int]:

@@ -54,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import logging
 from array import array
 from typing import Any
 
@@ -242,6 +243,9 @@ def config_from_payload(payload: Any) -> SolverConfig:
         raise ServiceProtocolError(f"bad config: {exc}") from None
 
 
+log = logging.getLogger(__name__)
+
+
 def _error_reply(request_id: Any, kind: str, exc: BaseException) -> dict[str, Any]:
     return {
         "id": request_id,
@@ -266,10 +270,13 @@ class NdjsonEndpoint:
     tasks up to a bounded deadline, cancel stragglers, then close
     connections — what ``repro serve`` runs on SIGTERM/SIGINT).
 
-    Subclasses implement :meth:`_reply_for` (bytes in, reply dict out)
-    plus the optional :meth:`_on_start` / :meth:`_on_close` lifecycle
-    hooks.  :class:`ColoringServer` is the solving endpoint; the shard
-    router (:mod:`repro.service.sharding.router`) is a forwarding one.
+    Subclasses implement :meth:`_reply_for` (bytes in, reply dict out),
+    :meth:`_count_error` (the endpoint's ``errors_total`` counter) and
+    the optional :meth:`_on_start` / :meth:`_on_close` lifecycle hooks.
+    An exception that escapes :meth:`_reply_for` is still answered, as
+    an ``engine`` error, and counted once.  :class:`ColoringServer` is
+    the solving endpoint; the shard router
+    (:mod:`repro.service.sharding.router`) is a forwarding one.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8512):
@@ -288,6 +295,9 @@ class NdjsonEndpoint:
         """Called after the listener and connections are gone."""
 
     async def _reply_for(self, line: bytes) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def _count_error(self, kind: str) -> None:
         raise NotImplementedError
 
     # lifecycle -----------------------------------------------------------
@@ -405,7 +415,14 @@ class NdjsonEndpoint:
     async def _handle_line(
         self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
-        reply = await self._reply_for(line)
+        try:
+            reply = await self._reply_for(line)
+        except Exception as exc:
+            # Any failure still gets its reply: otherwise the client
+            # waits out its own timeout.
+            log.exception("unhandled %s answering a request", type(exc).__name__)
+            self._count_error("engine")
+            reply = _error_reply(_request_id(line), "engine", exc)
         result = reply.get("result")
         if result and len(result.get("colors", ())) > self._INLINE_ENCODE_MAX_COLORS:
             payload = await asyncio.get_running_loop().run_in_executor(
@@ -419,6 +436,15 @@ class NdjsonEndpoint:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+
+def _request_id(line: bytes) -> Any:
+    """The ``id`` of a request line, or ``None`` when it has none."""
+    try:
+        request = json.loads(line)
+    except ValueError:
+        return None
+    return request.get("id") if isinstance(request, dict) else None
 
 
 class ColoringServer(NdjsonEndpoint):
@@ -457,6 +483,9 @@ class ColoringServer(NdjsonEndpoint):
     async def _on_close(self) -> None:
         await self.gateway.close()
 
+    def _count_error(self, kind: str) -> None:
+        self.gateway.metrics.record_error(kind)
+
     def _reply_for_metrics(self, request_id: Any, request: dict[str, Any]) -> dict[str, Any]:
         """The ``metrics`` op: the registry snapshot (JSON or Prometheus).
 
@@ -481,11 +510,12 @@ class ColoringServer(NdjsonEndpoint):
 
     @staticmethod
     def _failed(
-        request_id: Any, span: Any, exc: ReproError, op: str
+        request_id: Any, span: Any, exc: Exception, op: str
     ) -> dict[str, Any]:
         """The error reply for a request the gateway refused or failed,
         typed by the same :func:`~repro.service.metrics.error_kind` that
-        labelled its ``repro_errors_total`` count."""
+        labelled its ``repro_errors_total`` count (the gateway counts
+        every failure it raises, of any type, so this does not)."""
         kind = error_kind(exc, op)
         span.set_attr("error", kind).end()
         return _error_reply(request_id, kind, exc)
@@ -535,7 +565,7 @@ class ColoringServer(NdjsonEndpoint):
                 parsed.build, config, fingerprint=fingerprint, cost=cost,
                 parent_span=span,
             )
-        except ReproError as exc:
+        except Exception as exc:
             return self._failed(request_id, span, exc, "solve")
         span.set_attr("cached", reply.cached).end()
         body: dict[str, Any] = {
@@ -593,7 +623,7 @@ class ColoringServer(NdjsonEndpoint):
             reply = await self.gateway.submit_update(
                 parent_digest, added, removed, config, parent_span=span,
             )
-        except ReproError as exc:
+        except Exception as exc:
             return self._failed(request_id, span, exc, "update")
         span.set_attr("cached", reply.cached).end()
         return {

@@ -160,6 +160,9 @@ class ShardRouter(NdjsonEndpoint):
         while len(owners) > self.update_map_entries:
             owners.popitem(last=False)
 
+    def _count_error(self, kind: str) -> None:
+        self._error_counter.inc(kind=kind)
+
     async def _reply_for(self, line: bytes) -> dict[str, Any]:
         request_id: Any = None
         try:

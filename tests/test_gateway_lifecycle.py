@@ -234,3 +234,113 @@ class TestErrorTaxonomy:
         assert not any(reply["ok"] for reply in failures)
         assert kinds == ["protocol", "protocol", "update", "update", "update"]
         assert errors == dict(Counter(kinds))
+
+
+def _raising_engine(graph, config):
+    raise RuntimeError("engine blew up")
+
+
+@pytest.fixture
+def raising_algorithm():
+    """A registered engine that fails with an untyped ``RuntimeError``."""
+    from repro.api import registry
+
+    registry.register_algorithm(registry.AlgorithmSpec(
+        name="raises-runtime-error", summary="test engine that raises",
+        needs_nice=False, deterministic=True, palette_bound="Δ+1",
+        run=_raising_engine,
+    ))
+    yield "raises-runtime-error"
+    del registry._REGISTRY["raises-runtime-error"]
+
+
+class TestUntypedFailures:
+    """An exception that is not a ``ReproError`` still gets a typed
+    ``engine`` reply at once, counted once — never a silent request the
+    client has to time out on."""
+
+    DEADLINE_S = 10
+
+    def test_engine_runtime_error_direct_and_routed(self, raising_algorithm):
+        from repro.service.client import AsyncColoringClient, RemoteEngineError
+        from repro.service.sharding.router import ShardRouter
+
+        graph = random_regular_graph(32, 3, seed=0)
+
+        async def drive():
+            servers = [ColoringServer(port=0) for _ in range(2)]
+            addresses = [await server.start() for server in servers]
+            router = ShardRouter(addresses, port=0)
+            await router.start()
+            try:
+                outcomes = []
+                for port in (servers[0].port, router.port):
+                    async with AsyncColoringClient(port=port) as client:
+                        try:
+                            await asyncio.wait_for(
+                                client.solve(graph, algorithm=raising_algorithm, seed=3),
+                                self.DEADLINE_S,
+                            )
+                        except RemoteEngineError as exc:
+                            outcomes.append(str(exc))
+                        # The connection still serves after the failure.
+                        pong = await asyncio.wait_for(client.ping(), self.DEADLINE_S)
+                        assert pong
+                errors = Counter()
+                for server in servers:
+                    errors.update(server.gateway.stats()["metrics"]["errors"])
+                return outcomes, errors
+            finally:
+                await router.close()
+                for server in servers:
+                    await server.close()
+
+        outcomes, errors = asyncio.run(drive())
+        assert len(outcomes) == 2
+        assert all("engine blew up" in message for message in outcomes)
+        # Each failure is counted once, as engine, on the server that ran
+        # it (the routed solve lands on whichever shard owns its digest).
+        assert errors == Counter({"engine": 2})
+
+    def test_escape_outside_the_gateway_is_answered(self, monkeypatch):
+        from repro.service.sharding.router import ShardRouter
+
+        def broken(self, *args):
+            raise RuntimeError("stats blew up")
+
+        monkeypatch.setattr(BatchingGateway, "stats", broken)
+        monkeypatch.setattr(ShardRouter, "_aggregate_stats", broken)
+
+        async def ask(port, obj):
+            reader, writer = await asyncio.open_connection(port=port)
+            try:
+                writer.write((json.dumps(obj) + "\n").encode())
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), self.DEADLINE_S)
+                return json.loads(line)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        async def drive():
+            server = ColoringServer(port=0)
+            address = await server.start()
+            router = ShardRouter([address], port=0)
+            await router.start()
+            try:
+                direct = await ask(server.port, {"id": 5, "op": "stats"})
+                routed = await ask(router.port, {"id": 6, "op": "stats"})
+                counted = server.gateway.metrics.snapshot()["errors"]
+                routed_counted = router._error_counter.value(kind="engine")
+                return direct, routed, counted, routed_counted
+            finally:
+                await router.close()
+                await server.close()
+
+        direct, routed, counted, routed_counted = asyncio.run(drive())
+        for reply, request_id in ((direct, 5), (routed, 6)):
+            assert reply["id"] == request_id and not reply["ok"]
+            assert reply["error"]["type"] == "engine"
+            assert reply["error"]["name"] == "RuntimeError"
+        assert counted == {"engine": 1}
+        assert routed_counted == 1

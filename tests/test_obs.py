@@ -236,6 +236,23 @@ class TestMeters:
         # a merged snapshot renders through the same exposition path
         assert "# TYPE req_total counter" in render_prometheus(merged)
 
+    def test_process_gauges_never_list_every_object(self, monkeypatch):
+        """A snapshot must not walk the heap: ``gc.get_objects()`` costs
+        milliseconds per call at tens of thousands of objects, and every
+        ``stats``/``metrics`` call takes a snapshot."""
+        import gc
+
+        def walk():
+            raise AssertionError("snapshot listed every tracked object")
+
+        monkeypatch.setattr(gc, "get_objects", walk)
+        registry = MetricsRegistry()
+        registry.install_process_gauges()
+        snapshot = registry.as_dict()
+        assert "process_resident_memory_bytes" in snapshot
+        assert "process_gc_collections_total" in snapshot
+        assert "process_gc_objects_tracked" not in snapshot
+
 
 class TestRender:
     @staticmethod

@@ -16,12 +16,18 @@ numpy-vs-Python threshold:
   ``_boundary_python``) — full and carved H, irregular graphs;
 * ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
   — the empty graph, edgeless graphs, isolated nodes;
-* ``detect_dccs`` — the native C ball pass (``dcc_kernel.c``: ball, tree
-  reject, 2-core peel, single-cycle flag, resumable output) vs its lazy
-  per-ball Python twin, on tori, planted 4- and 5-cycles and theta
-  graphs, girth-9 graphs, Gallai trees, disconnected graphs, ``active=``
-  subsets, small ``n`` and a one-row output buffer, with every selection
-  checked against Definition 9 independently.
+* Linial's reduction round (``_reduce_round_vectorized`` /
+  ``_reduce_round_python``) — regular, sparse, edgeless and dense
+  (q > 256) graphs, every round;
+* ``detect_dccs`` — the native C pass (``dcc_kernel.c``: ball, tree
+  reject, 2-core peel, Hopcroft–Tarjan block selection, adoption,
+  resumable output) vs its lazy per-ball Python twin, on tori,
+  hypercubes, rrg Δ=3..8, planted 4- and 5-cycles and theta graphs,
+  girth-9 graphs, Gallai trees (K4/K5 and odd-cycle blocks), chains of
+  blocks through cut vertices, wheels, K_n minus an edge, disconnected
+  graphs, ``active=`` subsets (per-component sweeps on one scratch),
+  small ``n`` and a one-DCC output buffer, with every selection checked
+  against Definition 9 independently.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from hypothesis import strategies as st
 
 import repro.core.dcc as dcc_mod
 import repro.core.happiness as happiness_mod
+import repro.primitives.linial as linial_mod
 from repro.core import native
 from repro.errors import ColoringError
 from repro.graphs import bfs as bfs_mod
@@ -44,9 +51,11 @@ from repro.graphs.generators import (
     cycle_graph,
     disjoint_union,
     high_girth_regular_graph,
+    hypercube,
     path_graph,
     random_gallai_tree,
     random_graph_with_max_degree,
+    random_nice_graph,
     random_regular_graph,
     torus_grid,
 )
@@ -384,6 +393,36 @@ class TestAdoption:
         self.assert_twins_agree(Graph(base.n + 40, list(base.edges())))
 
 
+# -- Linial reduction rounds --------------------------------------------------
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+@pytest.mark.parametrize("name,graph", [
+    ("rrg-d8", random_regular_graph(2048, 8, seed=3)),
+    ("rrg-d3", random_regular_graph(1024, 3, seed=4)),
+    ("isolated-and-sparse", sparse_graph(900, 5, 1.8)),
+    ("edgeless", Graph(600, [])),
+    ("dense", random_graph_with_max_degree(600, 130, 90.0, seed=6)),
+], ids=lambda value: value if isinstance(value, str) else "")
+def test_linial_rounds_agree(name, graph):
+    """Every reduction round of the vectorized first-free point search
+    against the scalar twin, starting from distinct random colors below
+    10^6 (so the dense graph's first round has q > 256)."""
+    delta = max(1, graph.max_degree())
+    k = 10**6
+    colors = random.Random(graph.n).sample(range(k), graph.n)
+    rounds = 0
+    while True:
+        d, q = linial_mod._choose_parameters(k, delta)
+        if q * q >= k:
+            break
+        fast = linial_mod._reduce_round_vectorized(graph, colors, d, q)
+        assert fast == linial_mod._reduce_round_python(graph, colors, d, q), (name, q)
+        colors, k = fast, q * q
+        rounds += 1
+    assert rounds >= 1
+
+
 # -- DCC detection ------------------------------------------------------------
 
 
@@ -527,29 +566,183 @@ def test_dcc_detection_paths_agree_on_sparse_graphs(n, seed, avg, radius, detect
     assert_same_detection(dcc_mod.detect_dccs(graph, radius), detect_python(graph, radius))
 
 
+def relabeled(graph: Graph, seed: int) -> Graph:
+    """``graph`` under a random permutation of its labels, so discovery
+    order (roots ascending, neighbours in CSR order) is exercised on
+    arbitrary labelings, not the generator's."""
+    order = list(range(graph.n))
+    random.Random(seed).shuffle(order)
+    return Graph(graph.n, [(order[u], order[v]) for u, v in graph.edges()])
+
+
+def glued(blocks: list[list[tuple[int, int]]], tail: int = 0) -> Graph:
+    """The blocks in a chain, each sharing one cut vertex with the next,
+    plus a ``tail``-node pendant path on the first block."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    joint = None
+    for block in blocks:
+        size = 1 + max(max(e) for e in block)
+        # Node 0 of each block is the previous block's last node.
+        base = n if joint is None else n - 1
+        mapping = {i: base + i for i in range(size)}
+        if joint is not None:
+            mapping[0] = joint
+        edges += [(mapping[u], mapping[v]) for u, v in block]
+        n = base + size
+        joint = mapping[size - 1]
+    for i in range(tail):
+        edges.append((i if i == 0 else n + i - 1, n + i))
+    return Graph(n + tail, edges)
+
+
+def clique_edges(k: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(k) for v in range(u + 1, k)]
+
+
+def cycle_edges(k: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def wheel_edges(rim: int) -> list[tuple[int, int]]:
+    return [(0, i) for i in range(1, rim + 1)] + [
+        (i, i % rim + 1) for i in range(1, rim + 1)
+    ]
+
+
+def minus_edge(k: int) -> list[tuple[int, int]]:
+    return clique_edges(k)[1:]
+
+
+def kernel_families():
+    cut_chain = [
+        cycle_edges(4), clique_edges(4), cycle_edges(5), theta_edges(0, (2, 2, 3)),
+        cycle_edges(6), wheel_edges(5), clique_edges(5), minus_edge(5),
+    ]
+    return [
+        ("cut-vertex-blocks", glued(cut_chain, tail=3)),
+        ("cut-vertex-blocks-relabeled", relabeled(glued(cut_chain + cut_chain[::-1], 4), 1)),
+        ("k4-k5-blocks", relabeled(glued([clique_edges(4), clique_edges(5), clique_edges(4)], 2), 2)),
+        ("odd-cycle-blocks", relabeled(glued([cycle_edges(5), cycle_edges(7), cycle_edges(3), cycle_edges(5)]), 3)),
+        ("chorded-odd-cycle", glued([cycle_edges(7) + [(0, 3)], cycle_edges(5)])),
+        (
+            "thetas",
+            relabeled(disjoint_union([
+                Graph(1 + max(max(e) for e in theta_edges(0, lengths)), theta_edges(0, lengths))
+                for lengths in ((1, 2, 2), (2, 2, 2), (2, 3, 3), (1, 3, 4), (3, 3, 5))
+            ]), 4),
+        ),
+        ("wheels", relabeled(disjoint_union([Graph(r + 1, wheel_edges(r)) for r in range(3, 9)]), 5)),
+        ("k-minus-edge", relabeled(disjoint_union([Graph(k, minus_edge(k)) for k in range(4, 8)]), 6)),
+        ("tori", disjoint_union([torus_grid(4, 5), torus_grid(5, 5), torus_grid(8, 9)])),
+        ("hypercubes", disjoint_union([hypercube(d) for d in range(3, 7)])),
+        *[(f"rrg-d{d}", random_regular_graph(160, d, seed=d)) for d in range(3, 9)],
+        ("random-nice", random_nice_graph(300, 5, seed=11)),
+    ]
+
+
+def assert_well_formed(detection):
+    """Distinct DCCs, each sorted, and every selection names a DCC that
+    holds its node."""
+    assert len(set(detection.dccs)) == len(detection.dccs)
+    assert all(list(dcc) == sorted(dcc) for dcc in detection.dccs)
+    for v, index in enumerate(detection.selected_by):
+        assert index == -1 or v in detection.dccs[index]
+    assert detection.nodes_in_dccs == set().union(*detection.dccs)
+
+
+@pytest.mark.parametrize(
+    "name,graph", kernel_families(), ids=[f[0] for f in kernel_families()]
+)
+def test_dcc_kernel_selection_matches_twin(name, graph, detect_python):
+    """Block selection in the kernel (Hopcroft–Tarjan order, the clique
+    and odd-cycle rejects, first qualifying block, adoption) against the
+    Python twin, radius 1 to 4."""
+    for radius in (1, 2, 3, 4):
+        got = dcc_mod.detect_dccs(graph, radius)
+        expected = detect_python(graph, radius)
+        assert_same_detection(got, expected, f"{name} r={radius}")
+        assert_well_formed(got)
+        assert_well_formed(expected)
+        assert all(is_degree_choosable_component(graph, dcc) for dcc in got.dccs), name
+        if name in ("k4-k5-blocks", "odd-cycle-blocks"):
+            assert not got.dccs  # a Gallai tree: every block is rejected
+
+
+def test_dcc_kernel_selects_the_expected_blocks():
+    """On a chain of blocks the selected DCCs are exactly the qualifying
+    blocks: the C4, the theta, the C6, the wheel and K5 minus an edge —
+    never the K4, the C5 or the K5."""
+    graph = glued([
+        cycle_edges(4), clique_edges(4), cycle_edges(5), theta_edges(0, (2, 2, 3)),
+        cycle_edges(6), wheel_edges(5), clique_edges(5), minus_edge(5),
+    ])
+    detection = dcc_mod.detect_dccs(graph, 4)
+    assert sorted(len(dcc) for dcc in detection.dccs) == [4, 5, 6, 6, 6]
+    assert all(is_degree_choosable_component(graph, dcc) for dcc in detection.dccs)
+    assert_well_formed(detection)
+
+
+@pytest.mark.parametrize("name,graph", [
+    ("tori", disjoint_union([torus_grid(5, 6), torus_grid(7, 7)])),
+    ("rrg-d4", random_regular_graph(400, 4, seed=2)),
+    ("random-nice", random_nice_graph(300, 5, seed=12)),
+    ("cut-vertex-blocks", relabeled(glued([
+        cycle_edges(4), clique_edges(4), theta_edges(0, (2, 2, 3)), wheel_edges(6),
+    ] * 3, 5), 7)),
+])
+def test_dcc_kernel_per_component_sweeps_share_scratch(name, graph, detect_python):
+    """The ``small_components`` call pattern: one :class:`DCCScratch`
+    serves a detection per connected piece of a carved subgraph, and is
+    left at rest (masks and degrees zero, selections -1)."""
+    rng = random.Random(graph.n)
+    kept = bytearray(1 if rng.random() < 0.75 else 0 for _ in range(graph.n))
+    pieces = Graph(graph.n, [
+        (u, v) for u, v in graph.edges() if kept[u] and kept[v]
+    ]).connected_components()
+    scratch = dcc_mod.DCCScratch(graph.n)
+    for radius in (1, 2, 3):
+        for piece in pieces:
+            active = {v for v in piece if kept[v]}
+            got = dcc_mod.detect_dccs(graph, radius, active=active, scratch=scratch)
+            assert_same_detection(got, detect_python(graph, radius, active=active), name)
+            assert_well_formed(got)
+            assert got.nodes_in_dccs <= active
+    assert not any(scratch.mask) and not any(scratch.active_mask)
+    if native.dcc_kernel() is not None:
+        zeroed, _, selected, _, _ = scratch.kernel_buffers()
+        assert not any(zeroed) and set(selected) == {-1}
+
+
 @requires_kernel
 def test_dcc_detection_tiny_output_capacity(monkeypatch, detect_python):
-    """One output row per kernel call: every row goes through the resume
-    path, including rows whose core must be recomputed."""
+    """One DCC per kernel call: every DCC after the first ends a call and
+    goes through the resume path (its node is recomputed from scratch)."""
     graph = planted(
         high_girth_regular_graph(400, 3, 9, seed=2),
         [theta_edges(0, (2, 2, 3)), theta_edges(0, (3, 3, 3))],
         3,
     )
-    expected = detect_python(graph, 3)
+    graph = disjoint_union([graph, torus_grid(6, 8), glued([
+        cycle_edges(4), clique_edges(4), wheel_edges(5), minus_edge(6),
+    ])])
     calls = []
     kernel = native.dcc_kernel()
 
     def counting(*args):
-        calls.append(args[6])  # the start position
+        calls.append(args[7])  # the start position
         return kernel(*args)
 
-    monkeypatch.setattr(dcc_mod, "_OUT_ROWS", 1)
+    monkeypatch.setattr(dcc_mod, "_OUT_DCCS", 1)
     monkeypatch.setattr(native, "dcc_kernel", lambda: counting)
-    assert_same_detection(dcc_mod.detect_dccs(graph, 3), expected)
-    assert expected.dccs
-    assert len(calls) > len(expected.dccs)
-    assert calls == sorted(calls)
+    for radius in (2, 3):
+        calls.clear()
+        expected = detect_python(graph, radius)
+        assert_same_detection(dcc_mod.detect_dccs(graph, radius), expected)
+        assert expected.dccs
+        # Every call but the last ends at a DCC that did not fit.
+        assert len(calls) == len(expected.dccs)
+        assert calls == sorted(calls)
     active = set(range(0, graph.n, 2)) | set(expected.nodes_in_dccs)
     assert_same_detection(
         dcc_mod.detect_dccs(graph, 3, active=active),
