@@ -1,13 +1,14 @@
 """E10 — hot-primitive microbenchmarks: generation and trial rounds.
 
-The two rng-stream-bound primitives the large-Δ pipeline leans on —
-configuration-model generation (:func:`repro.graphs.generators.
-random_regular_graph`) and the randomized (deg+1)-list trial rounds
-(:func:`repro.primitives.list_coloring.list_coloring_random`) — got
-vectorized fast paths with bit-identical pure-Python fallbacks.  This
-bench pins their wall clock so the ``bench --smoke`` perf-regression
-gate (``scripts/check_bench_regression.py``) catches either path rotting
-back toward per-stub / per-node Python.
+The two rng-stream-bound primitives the large-Δ pipeline leans on have
+fast paths with bit-identical pure-Python fallbacks: configuration-model
+generation (:func:`repro.graphs.generators.random_regular_graph`,
+vectorized) and the randomized (deg+1)-list trial rounds
+(:func:`repro.primitives.list_coloring.list_coloring_random`, which runs
+each round in the native kernel's ``trial_round`` when ``repro/kernel.c``
+loads).  This bench pins their wall clock so the ``bench --smoke``
+perf-regression gate (``scripts/check_bench_regression.py``) catches
+either path rotting back toward per-stub / per-node Python.
 
 * **E10a** — ``random_regular_graph`` wall clock per (n, Δ), plus a
   regularity check (the repair loop must not silently degrade).

@@ -30,7 +30,7 @@ Gives downstream users a zero-code path to the library:
 * ``demo`` — run one of the bundled example scenarios.
 * ``info`` — parse a graph and print its structural profile (Δ, girth
   probe, niceness, Gallai-tree status, component count), plus whether
-  the native DCC detection kernel loaded (its path) or why it did not.
+  the native kernel loaded (its path and entry points) or why it did not.
 * ``bench`` — wall-clock measurement via :mod:`repro.analysis.harness`:
   ``--smoke`` runs every ``benchmarks/bench_e*.py`` at its tiniest size
   (the CI rot check behind ``make bench-smoke``), ``--sweep`` times
@@ -63,8 +63,8 @@ import json
 import sys
 from pathlib import Path
 
+from repro import native
 from repro.api import SolverConfig, list_algorithms, solve
-from repro.core import native
 from repro.errors import GraphConstructionError, ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import girth_up_to, is_gallai_tree, is_nice
@@ -177,7 +177,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"girth (<=12) : {girth if girth is not None else '>12 or acyclic'}")
     print(f"nice         : {is_nice(graph)}")
     print(f"gallai tree  : {is_gallai_tree(graph)}")
-    print(f"dcc kernel   : {native.kernel_status().describe()}")
+    print(f"native kernel: {native.kernel_status().describe()}")
     return 0
 
 

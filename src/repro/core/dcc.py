@@ -22,14 +22,14 @@ that is one cycle skips the Hopcroft–Tarjan walk.  Nodes go in
 ascending order, and the selected block's unselected members adopt it,
 so an adopted node never collects its ball.  The whole phase (ball
 collection, in-ball degrees, tree reject, peel, block selection and
-adoption: about n·Δ^(r+1) probes) runs in one small C kernel,
-``dcc_kernel.c``, built with the system compiler on first use and
-called through ctypes (``repro.core.native``); Python only wraps the
-selected DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its pure-Python
-twin (:func:`_ball_cores_python` feeding :func:`_select_blocks`) is
-pinned bit-identical to it and runs when no compiler is available.
-Wall time is ``solver.1-dcc-detect.ms`` in perfbench
-(perfbench/README.md).
+adoption: about n·Δ^(r+1) probes) runs in one C entry point,
+``dcc_detect`` in ``repro/kernel.c``, built with the system compiler on
+first use and called through ctypes (``repro.native``); Python only
+wraps the selected DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its
+pure-Python twin (:func:`_ball_cores_python` feeding
+:func:`_select_blocks`) is pinned bit-identical to it and runs when no
+compiler is available.  Wall time is ``solver.1-dcc-detect.ms`` in
+perfbench (perfbench/README.md).
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
 rounds *simulated through member nodes*: each live DCC draws a priority,
@@ -46,7 +46,8 @@ import random
 from array import array
 from dataclasses import dataclass, field
 
-from repro.core import native
+from repro import native
+from repro.native import address
 from repro.graphs.blocks import blocks_through
 from repro.graphs.graph import Graph
 from repro.local.rounds import RoundLedger
@@ -147,7 +148,7 @@ def detect_dccs(
         allowed = state.active_mask
         for v in nodes:
             allowed[v] = 1
-    kernel = native.dcc_kernel()
+    kernel = native.kernel("dcc_detect")
     if kernel is None:
         for v, core, cycle in _ball_cores_python(state, radius, nodes, allowed):
             _select_blocks(state, v, core, cycle)
@@ -160,9 +161,9 @@ def detect_dccs(
 
 
 def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -> None:
-    """The whole phase in ``dcc_kernel.c``, one output buffer of DCCs per
-    kernel call; the kernel's selections are copied into the detection
-    and its ``selected_by`` buffer is left at -1."""
+    """The whole phase in ``kernel.c``'s ``dcc_detect``, one output
+    buffer of DCCs per kernel call; the kernel's selections are copied
+    into the detection and its ``selected_by`` buffer is left at -1."""
     graph = state.graph
     count = graph.n if nodes is None else len(nodes)
     if count == 0:
@@ -174,15 +175,15 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
     mask = ctypes.c_char.from_buffer(state.mask)
     active = None if allowed is None else ctypes.c_char.from_buffer(allowed)
     args = (
-        _address(offsets), _address(indices), graph.n, radius,
+        address(offsets), address(indices), graph.n, radius,
         None if active is None else ctypes.addressof(active),
-        None if node_buf is None else _address(node_buf),
+        None if node_buf is None else address(node_buf),
         count,
     )
     work_args = (
-        ctypes.addressof(mask), _address(zeroed), _address(work), _address(chosen),
+        ctypes.addressof(mask), address(zeroed), address(work), address(chosen),
     )
-    out = (_address(sizes), len(sizes), _address(members), len(members))
+    out = (address(sizes), len(sizes), address(members), len(members))
     detection = state.detection
     dccs = detection.dccs
     emitted = ctypes.c_int()
@@ -208,12 +209,8 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
                 chosen[u] = -1
 
 
-def _address(buffer: array) -> int:
-    return buffer.buffer_info()[0]
-
-
 def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
-    """Pure-Python twin of ``dcc_kernel.c``'s ball pass (steps 1-3 there;
+    """Pure-Python twin of ``dcc_detect``'s ball pass (steps 1-3 there;
     :func:`_select_blocks` is steps 4-5): per node ``v`` (ascending),
     collect its radius-``radius`` ball (within ``allowed`` when given),
     reject it if it has < 4 members or fewer in-ball edges than members

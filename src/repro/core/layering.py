@@ -17,6 +17,7 @@ coloring lives with each algorithm.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -25,11 +26,7 @@ from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
-from repro.primitives.list_coloring import (
-    list_coloring_deterministic,
-    list_coloring_hybrid,
-    list_coloring_random,
-)
+from repro.primitives.list_coloring import ColorWorkspace, ListColoringStats
 
 __all__ = ["ListEngine", "LayerColoringReport", "build_layers", "color_layers_in_reverse"]
 
@@ -84,46 +81,67 @@ def color_layers_in_reverse(
     In strict mode, verifies the structural contract before each layer:
     every node of layer i has a neighbour in layer i-1 (its uncolored
     lower neighbour at coloring time).
+
+    The whole pass shares one :class:`ColorWorkspace`, so the native
+    kernel pays for one int32 color mirror and one write-back per phase;
+    the deterministic engine outside strict mode sweeps every layer in
+    one kernel call.
     """
     rng = rng if rng is not None else random.Random(0)
     if engine == "deterministic" and (base_colors is None or palette is None):
         raise AlgorithmContractError("deterministic engine needs base_colors + palette")
-    report = LayerColoringReport()
     last = 0 if include_layer_zero else 1
-    for index in range(len(layers) - 1, last - 1, -1):
-        layer = layers[index]
-        if not layer:
-            continue
-        if strict and index >= 1:
-            previous = set(layers[index - 1])
-            for v in layer:
-                if not any(u in previous for u in graph.adj[v]):
-                    raise AlgorithmContractError(
-                        f"layer {index} node {v} has no neighbour in layer {index - 1}"
-                    )
-            for v in layer:
-                if colors[v] != UNCOLORED:
-                    raise AlgorithmContractError(
-                        f"layer {index} node {v} is already colored"
-                    )
-        targets = set(layer)
-        if engine == "random":
-            stats = list_coloring_random(
-                graph, colors, targets, max_colors, ledger, rng, strict=strict
+    order = [i for i in range(len(layers) - 1, last - 1, -1) if layers[i]]
+    report = LayerColoringReport()
+    with ColorWorkspace(graph, colors, sum(len(layers[i]) for i in order)) as work:
+        if engine == "deterministic" and not strict:
+            work.deterministic(
+                [layers[i] for i in order], max_colors, base_colors, palette, ledger
             )
-        elif engine == "hybrid":
-            stats = list_coloring_hybrid(
-                graph, colors, targets, max_colors, ledger, rng, strict=strict
-            )
-        else:
-            stats = list_coloring_deterministic(
-                graph, colors, targets, max_colors, base_colors, palette, ledger,
-                strict=strict,
-            )
-        report.layers_colored += 1
-        report.total_iterations += stats.iterations
-        report.max_iterations_per_layer = max(
-            report.max_iterations_per_layer, stats.iterations
-        )
-        report.gather_rounds += stats.gather_rounds
+            for _ in order:
+                _tally(report, ListColoringStats(iterations=palette))
+            return report
+        for index in order:
+            layer = layers[index]
+            if strict:
+                _check_layer(graph, work.view, layers, index)
+            if engine == "random":
+                stats = work.random(layer, max_colors, ledger, rng, strict=strict)
+            elif engine == "hybrid":
+                stats = work.hybrid(layer, max_colors, ledger, rng, strict=strict)
+            else:
+                work.deterministic(
+                    [layer], max_colors, base_colors, palette, ledger, strict=True
+                )
+                stats = ListColoringStats(iterations=palette)
+            _tally(report, stats)
     return report
+
+
+def _check_layer(
+    graph: Graph, colors: Sequence[int], layers: list[list[int]], index: int
+) -> None:
+    """Strict mode, before layer ``index`` is colored: each of its nodes
+    has a neighbour in layer ``index - 1`` and is still uncolored."""
+    layer = layers[index]
+    if index >= 1:
+        previous = set(layers[index - 1])
+        for v in layer:
+            if not any(u in previous for u in graph.adj[v]):
+                raise AlgorithmContractError(
+                    f"layer {index} node {v} has no neighbour in layer {index - 1}"
+                )
+        for v in layer:
+            if colors[v] != UNCOLORED:
+                raise AlgorithmContractError(
+                    f"layer {index} node {v} is already colored"
+                )
+
+
+def _tally(report: LayerColoringReport, stats: ListColoringStats) -> None:
+    report.layers_colored += 1
+    report.total_iterations += stats.iterations
+    report.max_iterations_per_layer = max(
+        report.max_iterations_per_layer, stats.iterations
+    )
+    report.gather_rounds += stats.gather_rounds

@@ -1,11 +1,19 @@
-/* DCC detection (phase 1) in one pass: radius-r ball, tree reject, 2-core
- * peel, block selection and adoption.
+/* The solver's native inner loops, over the CSR buffers of a graph.
  *
- * Built by repro.core.native with the system C compiler and called
- * through ctypes from repro.core.dcc.  Pinned bit-identical to the
- * pure-Python twin there (_ball_cores_python feeding _select_blocks):
- * for each node v, in the order given, it selects the block that twin
- * selects and lets the same members adopt it.
+ * Built by repro.native with the system C compiler and called through
+ * ctypes.  Every entry point is pinned bit-identical to a pure-Python
+ * twin, which runs when no compiler is available:
+ *
+ *   dcc_detect    phase (1) in one pass: radius-r ball, tree reject,
+ *                 2-core peel, block selection and adoption
+ *                 (repro.core.dcc: _ball_cores_python + _select_blocks);
+ *   class_sweep   the deterministic (deg+1)-list engine over a run of
+ *                 layers (repro.primitives.list_coloring:
+ *                 _class_sweep_python);
+ *   pending_nodes the sorted uncolored targets a trial run starts from
+ *                 (list_coloring: _pending);
+ *   trial_round   one propose/compare/commit round of the randomized
+ *                 engines (list_coloring: _python_trial_round).
  */
 
 #include <stdlib.h>
@@ -246,4 +254,174 @@ int dcc_detect(
     }
     *emitted = num;
     return pos;
+}
+
+/* ---- (deg+1)-list coloring ------------------------------------------- */
+
+/* The distinct colors in 1..max_colors that neighbours of v wear,
+ * ascending, into worn (room for deg(v) entries); returns how many. */
+static int worn_colors(const int *offsets, const int *indices,
+                       const int *colors, int max_colors, int v, int *worn)
+{
+    int e, i, j, k = 0;
+    for (e = offsets[v]; e < offsets[v + 1]; e++) {
+        int c = colors[indices[e]];
+        if (c >= 1 && c <= max_colors)
+            worn[k++] = c;
+    }
+    if (k > 32) {
+        qsort(worn, k, sizeof *worn, ascending);
+    } else {
+        for (i = 1; i < k; i++) {
+            int c = worn[i];
+            for (j = i; j > 0 && worn[j - 1] > c; j--)
+                worn[j] = worn[j - 1];
+            worn[j] = c;
+        }
+    }
+    for (i = j = 0; i < k; i++)
+        if (!j || worn[j - 1] != worn[i])
+            worn[j++] = worn[i];
+    return j;
+}
+
+/* The (pick + 1)-th smallest positive color not in worn[0..k) (ascending,
+ * distinct): each worn color at or below the candidate pushes it up. */
+static int nth_free(const int *worn, int k, unsigned long long pick)
+{
+    unsigned long long c = pick + 1;
+    int i;
+    for (i = 0; i < k && (unsigned long long)worn[i] <= c; i++)
+        c++;
+    return (int)c;
+}
+
+/* pending_nodes: sort nodes[0..count) ascending and keep, once each, the
+ * nodes with colors[v] == 0.  Returns how many are kept, or -1 (nodes
+ * sorted, nothing dropped) when a node lies outside 0..n-1. */
+int pending_nodes(const int *colors, int n, int *nodes, int count)
+{
+    int i, kept = 0;
+    if (count > 1)
+        qsort(nodes, count, sizeof *nodes, ascending);
+    if (count && (nodes[0] < 0 || nodes[count - 1] >= n))
+        return -1;
+    for (i = 0; i < count; i++)
+        if (!colors[nodes[i]] && (!kept || nodes[kept - 1] != nodes[i]))
+            nodes[kept++] = nodes[i];
+    return kept;
+}
+
+static int ascending_key(const void *a, const void *b)
+{
+    unsigned long long x = *(const unsigned long long *)a;
+    unsigned long long y = *(const unsigned long long *)b;
+    return (x > y) - (x < y);
+}
+
+/* class_sweep: the deterministic (deg+1)-list engine over `layers` runs
+ * of nodes, in the order given; layer i is nodes[ends[i-1] .. ends[i])
+ * (ends[-1] = 0).  In each layer, its pending nodes (pending_nodes) go
+ * by base color class 0 .. palette-1 and, within a class, in ascending
+ * node order; each takes the smallest color in 1..max_colors that no
+ * neighbour wears.  A class is an independent set when `base` is
+ * proper, so the order within one is free; fixing it keeps this pass
+ * and its twin equal on any input.
+ *
+ * Returns -1 when every layer is colored.  Otherwise it stops, keeping
+ * the colors given so far, with *failure set: 1 when the pending node
+ * it returns has a base color outside [0, palette) (checked for a whole
+ * layer before any of it is colored), 2 when the node it returns has no
+ * free color, 3 when the layer number it returns holds a node outside
+ * 0..n-1.  nodes is reordered in place; order (one 64-bit entry per
+ * entry of nodes) and worn (max degree) are scratch.
+ */
+int class_sweep(const int *offsets, const int *indices, int n, int *colors,
+                int max_colors, const int *base, int palette,
+                int *nodes, const int *ends, int layers,
+                unsigned long long *order, int *worn, int *failure)
+{
+    int layer, start = 0;
+    for (layer = 0; layer < layers; layer++) {
+        int *run = nodes + start;
+        int size = pending_nodes(colors, n, run, ends[layer] - start), i;
+        start = ends[layer];
+        if (size < 0) {
+            *failure = 3;
+            return layer;
+        }
+        for (i = 0; i < size; i++) {
+            int b = base[run[i]];
+            if (b < 0 || b >= palette) {
+                *failure = 1;
+                return run[i];
+            }
+            order[i] = (unsigned long long)b << 32 | (unsigned)run[i];
+        }
+        if (size > 1)
+            qsort(order, size, sizeof *order, ascending_key);
+        for (i = 0; i < size; i++) {
+            int v = (int)(order[i] & 0xffffffffu);
+            int k = worn_colors(offsets, indices, colors, max_colors, v, worn);
+            if (k >= max_colors) {
+                *failure = 2;
+                return v;
+            }
+            colors[v] = nth_free(worn, k, 0);
+        }
+    }
+    return -1;
+}
+
+/* trial_round: one propose/compare/commit round of the randomized
+ * engines over live[0..count) (uncolored, ascending, distinct).  The
+ * node v at position i proposes the (key % f)-th smallest of its f free
+ * colors in 1..max_colors, key being the little-endian 64-bit word in
+ * keys[8i .. 8i+8), and commits it (colors[v] = it) unless a neighbour
+ * proposed the same color.  The nodes that did not commit move, in
+ * order, to the front of live; returns how many.  When the node at
+ * position i has no free color, returns -1 - i having changed nothing.
+ * props (n entries) must be zero on entry and is zero on return; worn
+ * (max degree) is scratch.
+ */
+int trial_round(const int *offsets, const int *indices, int *colors,
+                int max_colors, int *live, int count,
+                const unsigned char *keys, int *props, int *worn)
+{
+    int i, j, e;
+    for (i = 0; i < count; i++) {
+        int v = live[i];
+        int k = worn_colors(offsets, indices, colors, max_colors, v, worn);
+        const unsigned char *bytes = keys + 8 * (size_t)i;
+        unsigned long long key = 0;
+        if (k >= max_colors) {
+            for (j = 0; j < i; j++)
+                props[live[j]] = 0;
+            return -1 - i;
+        }
+        for (j = 7; j >= 0; j--)
+            key = key << 8 | bytes[j];
+        props[v] = nth_free(worn, k, key % (unsigned long long)(max_colors - k));
+    }
+    /* A node that lost marks itself by complementing its entry; props
+     * stay untouched until every comparison is made. */
+    for (i = 0; i < count; i++) {
+        int v = live[i];
+        for (e = offsets[v]; e < offsets[v + 1]; e++)
+            if (props[indices[e]] == props[v])
+                break;
+        if (e < offsets[v + 1])
+            live[i] = ~v;
+    }
+    for (i = j = 0; i < count; i++) {
+        int v = live[i];
+        if (v < 0) {
+            v = ~v;
+            live[j++] = v;
+        } else {
+            colors[v] = props[v];
+        }
+        props[v] = 0;
+    }
+    return j;
 }

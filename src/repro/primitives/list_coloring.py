@@ -29,21 +29,35 @@ the live neighbourhood each time.  Three engines:
 
 All engines mutate ``colors`` in place and validate the deg+1 precondition
 in ``strict`` mode.
+
+The inner loops (the class sweep and each trial round) run in the native
+kernel, ``repro/kernel.c`` loaded by :mod:`repro.native`, on an int32
+mirror of ``colors`` (:class:`ColorWorkspace`); their pure-Python twins,
+:func:`_class_sweep_python` and :func:`_python_trial_round`, run when no
+compiler is available and are pinned bit-identical to it: same colors,
+same ledger charges, same rng draws.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
+from array import array
+from collections.abc import Iterable, MutableSequence, Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
+from repro import native
 from repro.errors import AlgorithmContractError, InfeasibleListColoringError
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
+from repro.native import address
 
 __all__ = [
+    "ColorWorkspace",
     "ListColoringStats",
     "available_colors",
     "first_available_color",
@@ -69,7 +83,7 @@ class ListColoringStats:
 
 
 def available_colors(
-    graph: Graph, colors: list[int], v: int, max_colors: int
+    graph: Graph, colors: Sequence[int], v: int, max_colors: int
 ) -> list[int]:
     """Colors in 1..max_colors not used by any colored neighbour of v."""
     taken = {colors[u] for u in graph.adj[v]}
@@ -77,7 +91,7 @@ def available_colors(
 
 
 def first_available_color(
-    graph: Graph, colors: list[int], v: int, max_colors: int
+    graph: Graph, colors: Sequence[int], v: int, max_colors: int
 ) -> int:
     """The first entry of :func:`available_colors` without building the
     list, or ``UNCOLORED`` when every color in 1..max_colors is taken."""
@@ -89,7 +103,7 @@ def first_available_color(
 
 
 def _check_deg_plus_one(
-    graph: Graph, colors: list[int], targets: set[int], max_colors: int
+    graph: Graph, colors: Sequence[int], targets: set[int], max_colors: int
 ) -> None:
     """Strict-mode precondition: every target has more available colors
     than uncolored target neighbours (the deg+1 property on the induced
@@ -111,7 +125,7 @@ def _check_deg_plus_one(
 def list_coloring_random(
     graph: Graph,
     colors: list[int],
-    targets: set[int],
+    targets: Iterable[int],
     max_colors: int,
     ledger: RoundLedger | None = None,
     rng: random.Random | None = None,
@@ -124,45 +138,23 @@ def list_coloring_random(
     neighbours, commit conflict-free proposals.  All of a round's
     randomness comes from a single ``rng.randbytes`` draw (one 64-bit key
     per live node, in ascending node order); node ``v`` proposes its
-    ``key % |options|``-th smallest available color.  The round itself
-    runs vectorized over the CSR buffers when numpy is available, with a
-    bit-identical pure-Python fallback — both consume the same entropy
-    and commit the same colors.  Returns statistics; any nodes still
-    uncolored after ``max_iterations`` are simply left uncolored for the
-    caller (used by the hybrid engine).
+    ``key % |options|``-th smallest available color.  The round runs in
+    the native kernel (``trial_round``) when it is loaded, else in its
+    pure-Python twin; both consume the same entropy and commit the same
+    colors.  Returns statistics; any nodes still uncolored after
+    ``max_iterations`` are simply left uncolored for the caller (used by
+    the hybrid engine).
     """
     ledger = ledger if ledger is not None else RoundLedger()
     rng = rng if rng is not None else random.Random(0)
-    if strict:
-        _check_deg_plus_one(graph, colors, targets, max_colors)
-    stats = ListColoringStats()
-    uncolored = sorted(v for v in targets if colors[v] == UNCOLORED)
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
-        np = None
-    state = None
-    while uncolored:
-        if max_iterations is not None and stats.iterations >= max_iterations:
-            break
-        stats.iterations += 1
-        ledger.charge(1)
-        buf = rng.randbytes(8 * len(uncolored))
-        if np is not None and len(uncolored) >= 64:
-            if state is None:
-                state = _VectorRoundState(graph, colors, np)
-            uncolored = state.run_round(uncolored, buf, max_colors)
-        else:
-            uncolored = _python_trial_round(
-                graph, colors, uncolored, buf, max_colors
-            )
-    stats.leftover_after_trials = len(uncolored)
-    return stats
+    targets = list(targets)
+    with ColorWorkspace(graph, colors, len(targets)) as work:
+        return work.random(targets, max_colors, ledger, rng, max_iterations, strict)
 
 
 def _python_trial_round(
     graph: Graph,
-    colors: list[int],
+    colors: MutableSequence[int],
     uncolored: list[int],
     buf: bytes,
     max_colors: int,
@@ -170,7 +162,7 @@ def _python_trial_round(
     """One propose/compare/commit round, pure Python.
 
     Returns the still-uncolored nodes (ascending).  Must stay
-    bit-identical to :meth:`_VectorRoundState.run_round`.
+    bit-identical to ``trial_round`` in ``repro/kernel.c``.
     """
     adj = graph.adj
     proposals: dict[int, int] = {}
@@ -180,9 +172,7 @@ def _python_trial_round(
         taken = {colors[u] for u in adj[v]}
         options = [c for c in range(1, max_colors + 1) if c not in taken]
         if not options:
-            raise InfeasibleListColoringError(
-                f"node {v} has no available color (caller violated deg+1)"
-            )
+            raise _no_color(v)
         key = int.from_bytes(buf[8 * pos : 8 * pos + 8], "little")
         proposals[v] = options[key % len(options)]
     leftover = []
@@ -195,104 +185,223 @@ def _python_trial_round(
     return leftover
 
 
-class _VectorRoundState:
-    """Per-call scratch of the vectorized trial rounds.
+def _class_sweep_python(
+    graph: Graph,
+    colors: MutableSequence[int],
+    layers: list[list[int]],
+    max_colors: int,
+    base_colors: Sequence[int],
+    palette: int,
+) -> None:
+    """The class sweep over ``layers`` in order, pure Python: in each
+    layer, the pending nodes (:func:`_pending`) take their first
+    available color by base color class ascending, and in ascending node
+    order within a class.  Must stay bit-identical to ``class_sweep`` in
+    ``repro/kernel.c``."""
+    for layer in layers:
+        pending = _pending(colors, layer)
+        for v in pending:
+            if not 0 <= base_colors[v] < palette:
+                raise _bad_base(v, base_colors[v], palette)
+        for v in sorted(pending, key=base_colors.__getitem__):
+            color = first_available_color(graph, colors, v, max_colors)
+            if color == UNCOLORED:
+                raise _no_color(v)
+            colors[v] = color
 
-    Keeps a numpy mirror of the color array (updated incrementally as
-    rounds commit) and a full-length proposal array, so each round only
-    does O(volume of the live set) work.
+
+def _pending(colors: Sequence[int], targets: Iterable[int]) -> list[int]:
+    """The uncolored targets, ascending and once each (the twin of
+    ``pending_nodes`` in ``repro/kernel.c``)."""
+    return sorted({v for v in targets if colors[v] == UNCOLORED})
+
+
+def _no_color(v: int) -> InfeasibleListColoringError:
+    return InfeasibleListColoringError(
+        f"node {v} has no available color (caller violated deg+1)"
+    )
+
+
+def _bad_base(v: int, base: int, palette: int) -> AlgorithmContractError:
+    return AlgorithmContractError(
+        f"node {v} has base color {base}, outside the base palette [0, {palette})"
+    )
+
+
+# The kernel works on an int32 mirror of the whole color list, copied in
+# and written back once per workspace (O(n) each), while a twin costs
+# O(volume of the targets); a workspace over fewer than n / 64 targets
+# (one small phase-6 component, say) keeps to the twins.
+_MIRROR_SHARE = 64
+_KERNELS = ("class_sweep", "pending_nodes", "trial_round")
+
+
+class ColorWorkspace:
+    """The colors a run of (deg+1)-list engine calls reads and writes.
+
+    When the native kernel is loaded and the run has targets enough to
+    pay for it, :attr:`view` is an int32 mirror of the caller's
+    ``colors``: the kernel updates it in place, and leaving the ``with``
+    block copies it back, however the run ends, so ``colors`` is then
+    what the twins would have left.  Otherwise :attr:`view` is ``colors``
+    itself.  The twins work on :attr:`view` too (the hybrid engine's
+    gathering, a base coloring the kernel cannot take), so one run may
+    mix the two.  Both give identical colors, ledger charges and rng
+    consumption.
+
+    :func:`repro.core.layering.color_layers_in_reverse` opens one
+    workspace per phase, so a phase pays for one mirror and one
+    write-back; each engine function below is a one-call workspace.
     """
 
-    __slots__ = ("np", "graph", "colors", "offsets", "indices", "colors_np", "props")
-
-    def __init__(self, graph: Graph, colors: list[int], np):
-        self.np = np
+    def __init__(self, graph: Graph, colors: list[int], target_count: int):
         self.graph = graph
         self.colors = colors
-        offsets, indices = graph.csr()
-        self.offsets = np.frombuffer(offsets, dtype=np.int32)
-        self.indices = np.frombuffer(indices, dtype=np.int32)
-        self.colors_np = np.array(colors, dtype=np.int64)
-        self.props = np.zeros(graph.n, dtype=np.int64)
+        self.view: MutableSequence[int] = colors
+        self._kernels = None
+        kernels = {name: native.kernel(name) for name in _KERNELS}
+        if None in kernels.values() or target_count * _MIRROR_SHARE < graph.n:
+            return
+        if len(colors) != graph.n:
+            return
+        try:
+            self.view = array("i", colors)
+        except OverflowError:  # a color beyond int32: the twins take it
+            return
+        self._kernels = kernels
+        self._csr = graph.csr()
+        self._worn = array("i", bytes(4 * max(1, graph.max_degree())))
+        self._props = array("i", bytes(4 * graph.n))
 
-    def run_round(
-        self, uncolored: list[int], buf: bytes, max_colors: int
-    ) -> list[int]:
-        """Numpy twin of :func:`_python_trial_round` (bit-identical).
+    def __enter__(self) -> "ColorWorkspace":
+        return self
 
-        The proposal phase works on the (live × palette) availability
-        matrix in row chunks bounded by a cell budget, so peak scratch
-        stays O(budget) however large the palette — the per-node Python
-        loop this replaces only ever needed O(Δ) scratch, and a huge-Δ
-        layer must not trade that for gigabyte temporaries.
-        """
-        np = self.np
-        live = np.asarray(uncolored, dtype=np.int64)
-        keys = np.frombuffer(buf, dtype="<u8")
-        chosen = np.empty(len(live), dtype=np.int64)
-        chunk = max(1, 4_000_000 // (max_colors + 1))
-        for lo in range(0, len(live), chunk):
-            hi = min(len(live), lo + chunk)
-            self._propose(live[lo:hi], keys[lo:hi], max_colors, chosen[lo:hi])
-        self.props[live] = chosen
-        # Conflict: any neighbour proposing the same color (non-proposers
-        # hold 0, which never equals a 1-based proposal).
-        nbrs, lens, bounds = self._neighbour_rows(live)
-        same = np.concatenate(
-            ([0], np.cumsum(self.props[nbrs] == np.repeat(chosen, lens)))
+    def __exit__(self, *exc_info) -> None:
+        if self.view is not self.colors:
+            self.colors[:] = self.view.tolist()
+
+    def random(
+        self,
+        targets: list[int],
+        max_colors: int,
+        ledger: RoundLedger,
+        rng: random.Random,
+        max_iterations: int | None = None,
+        strict: bool = False,
+    ) -> ListColoringStats:
+        """:func:`list_coloring_random` on this workspace."""
+        if strict:
+            _check_deg_plus_one(self.graph, self.view, set(targets), max_colors)
+        stats = ListColoringStats()
+        live = self._pending(targets)
+        while live:
+            if max_iterations is not None and stats.iterations >= max_iterations:
+                break
+            stats.iterations += 1
+            ledger.charge(1)
+            live = self._trial_round(live, rng.randbytes(8 * len(live)), max_colors)
+        stats.leftover_after_trials = len(live)
+        return stats
+
+    def _pending(self, targets: list[int]) -> MutableSequence[int]:
+        if self._kernels is None:
+            return _pending(self.view, targets)
+        live = array("i", targets)
+        count = self._kernels["pending_nodes"](
+            address(self.view), self.graph.n, address(live), len(live)
         )
-        conflicted = (same[bounds[1:]] - same[bounds[:-1]]) > 0
-        committed = live[~conflicted]
-        committed_colors = chosen[~conflicted]
-        self.props[live] = 0
-        self.colors_np[committed] = committed_colors
-        colors = self.colors
-        for v, c in zip(committed.tolist(), committed_colors.tolist()):
-            colors[v] = c
-        return live[conflicted].tolist()
+        if count < 0:
+            raise IndexError(f"target node out of range for n={self.graph.n}")
+        del live[count:]
+        return live
 
-    def _neighbour_rows(self, live):
-        """Concatenated CSR neighbour rows of ``live`` plus row geometry."""
-        np = self.np
-        starts = self.offsets[live]
-        lens = (self.offsets[live + 1] - starts).astype(np.int64)
-        bounds = np.concatenate(([0], np.cumsum(lens)))
-        flat = (
-            np.arange(int(bounds[-1]), dtype=np.int64)
-            - np.repeat(bounds[:-1], lens)
-            + np.repeat(starts.astype(np.int64), lens)
+    def _trial_round(self, live, buf: bytes, max_colors: int) -> MutableSequence[int]:
+        if self._kernels is None:
+            return _python_trial_round(self.graph, self.view, live, buf, max_colors)
+        offsets, indices = self._csr
+        count = self._kernels["trial_round"](
+            address(offsets), address(indices), address(self.view), max_colors,
+            address(live), len(live), buf, address(self._props), address(self._worn),
         )
-        return self.indices[flat].astype(np.int64), lens, bounds
+        if count < 0:
+            raise _no_color(live[-1 - count])
+        del live[count:]
+        return live
 
-    def _propose(self, live, keys, max_colors: int, out) -> None:
-        """Fill ``out`` with each live node's proposed color."""
-        np = self.np
-        nbrs, lens, _ = self._neighbour_rows(live)
-        rows = np.repeat(np.arange(len(live), dtype=np.int64), lens)
-        # forbidden[i, c]: some neighbour of live[i] wears color c
-        # (column 0 soaks up UNCOLORED and out-of-palette neighbours —
-        # colors beyond max_colors exclude nothing, as in the fallback).
-        forbidden = np.zeros((len(live), max_colors + 1), dtype=bool)
-        ncolors = self.colors_np[nbrs]
-        forbidden[rows, np.where(ncolors > max_colors, 0, ncolors)] = True
-        avail = ~forbidden[:, 1:]
-        counts = avail.sum(axis=1)
-        if not counts.all():
-            v = int(live[int(np.argmin(counts != 0))])
-            raise InfeasibleListColoringError(
-                f"node {v} has no available color (caller violated deg+1)"
+    def hybrid(
+        self,
+        targets: list[int],
+        max_colors: int,
+        ledger: RoundLedger,
+        rng: random.Random,
+        trial_budget: int | None = None,
+        strict: bool = False,
+    ) -> ListColoringStats:
+        """:func:`list_coloring_hybrid` on this workspace."""
+        if trial_budget is None:
+            delta = max(1, self.graph.max_degree())
+            trial_budget = 2 * math.ceil(math.log2(delta + 1)) + 4
+        stats = self.random(targets, max_colors, ledger, rng, trial_budget, strict)
+        if stats.leftover_after_trials:
+            leftovers = [v for v in targets if self.view[v] == UNCOLORED]
+            stats.gather_rounds = _finish_by_gathering(
+                self.graph, self.view, leftovers, max_colors, ledger
             )
-        picks = (keys % counts.astype(np.uint64)).astype(np.int32)
-        # Proposal = the picks[i]-th smallest available color: the column
-        # where the running count of available colors first hits picks+1.
-        rank = np.cumsum(avail, axis=1, dtype=np.int32)
-        out[:] = np.argmax(avail & (rank == (picks + 1)[:, None]), axis=1) + 1
+        return stats
+
+    def deterministic(
+        self,
+        layers: list[list[int]],
+        max_colors: int,
+        base_colors: Sequence[int],
+        palette: int,
+        ledger: RoundLedger,
+        strict: bool = False,
+    ) -> None:
+        """The class sweep over ``layers`` in order, ``palette`` rounds
+        each: one kernel call for all of them, or one per layer when
+        ``strict`` checks each layer's deg+1 property before its turn."""
+        for run in ([layer] for layer in layers) if strict else [layers]:
+            if strict:
+                _check_deg_plus_one(self.graph, self.view, set(run[0]), max_colors)
+            if palette * len(run):
+                ledger.charge(palette * len(run))
+            self._sweep(run, max_colors, base_colors, palette)
+
+    def _sweep(self, layers, max_colors, base_colors, palette) -> None:
+        n = self.graph.n
+        try:
+            base = array("i", base_colors) if self._kernels is not None else None
+        except OverflowError:  # a base color beyond int32: the twin takes it
+            base = None
+        if base is None or len(base) < n:
+            _class_sweep_python(
+                self.graph, self.view, layers, max_colors, base_colors, palette
+            )
+            return
+        nodes = array("i", chain.from_iterable(layers))
+        ends = array("i", accumulate(len(layer) for layer in layers))
+        order = array("Q", bytes(8 * len(nodes)))
+        offsets, indices = self._csr
+        failure = ctypes.c_int()
+        stop = self._kernels["class_sweep"](
+            address(offsets), address(indices), n, address(self.view), max_colors,
+            address(base), palette, address(nodes), address(ends), len(layers),
+            address(order), address(self._worn), ctypes.byref(failure),
+        )
+        if stop < 0:
+            return
+        if failure.value == 1:
+            raise _bad_base(stop, base_colors[stop], palette)
+        if failure.value == 2:
+            raise _no_color(stop)
+        raise IndexError(f"layer {stop} holds a node out of range for n={n}")
 
 
 def list_coloring_hybrid(
     graph: Graph,
     colors: list[int],
-    targets: set[int],
+    targets: Iterable[int],
     max_colors: int,
     ledger: RoundLedger | None = None,
     rng: random.Random | None = None,
@@ -309,25 +418,14 @@ def list_coloring_hybrid(
     """
     ledger = ledger if ledger is not None else RoundLedger()
     rng = rng if rng is not None else random.Random(0)
-    delta = max(1, graph.max_degree())
-    if trial_budget is None:
-        trial_budget = 2 * math.ceil(math.log2(delta + 1)) + 4
-    stats = list_coloring_random(
-        graph, colors, targets, max_colors, ledger, rng,
-        max_iterations=trial_budget, strict=strict,
-    )
-    leftovers = [v for v in targets if colors[v] == UNCOLORED]
-    stats.leftover_after_trials = len(leftovers)
-    if leftovers:
-        stats.gather_rounds = _finish_by_gathering(
-            graph, colors, leftovers, max_colors, ledger
-        )
-    return stats
+    targets = list(targets)
+    with ColorWorkspace(graph, colors, len(targets)) as work:
+        return work.hybrid(targets, max_colors, ledger, rng, trial_budget, strict)
 
 
 def _finish_by_gathering(
     graph: Graph,
-    colors: list[int],
+    colors: MutableSequence[int],
     leftovers: list[int],
     max_colors: int,
     ledger: RoundLedger,
@@ -380,9 +478,9 @@ def _component_radius(graph: Graph, component: list[int], member_set: set[int]) 
 def list_coloring_deterministic(
     graph: Graph,
     colors: list[int],
-    targets: set[int],
+    targets: Iterable[int],
     max_colors: int,
-    base_colors: list[int],
+    base_colors: Sequence[int],
     palette: int,
     ledger: RoundLedger | None = None,
     strict: bool = False,
@@ -390,33 +488,24 @@ def list_coloring_deterministic(
     """Deterministic engine: iterate base-coloring color classes.
 
     Round j: every uncolored target whose base color is j picks its
-    smallest available color; base color classes are independent sets, so
-    simultaneous commits never conflict.  Exactly ``palette`` rounds.
+    smallest available color (in ascending node order); base color
+    classes are independent sets, so simultaneous commits never conflict.
+    Exactly ``palette`` rounds.  A target whose base color lies outside
+    ``[0, palette)`` would never get a turn: it raises
+    :class:`AlgorithmContractError` before any of them is colored.  Runs
+    in the native kernel (``class_sweep``) when it is loaded, else in its
+    pure-Python twin, with identical output.
     """
     ledger = ledger if ledger is not None else RoundLedger()
-    if strict:
-        _check_deg_plus_one(graph, colors, targets, max_colors)
-    stats = ListColoringStats()
-    pending = [v for v in targets if colors[v] == UNCOLORED]
-    by_class: dict[int, list[int]] = {}
-    for v in pending:
-        by_class.setdefault(base_colors[v], []).append(v)
-    for color_class in range(palette):
-        stats.iterations += 1
-        ledger.charge(1)
-        for v in by_class.get(color_class, ()):
-            color = first_available_color(graph, colors, v, max_colors)
-            if color == UNCOLORED:
-                raise InfeasibleListColoringError(
-                    f"node {v} has no available color (caller violated deg+1)"
-                )
-            colors[v] = color
-    return stats
+    targets = list(targets)
+    with ColorWorkspace(graph, colors, len(targets)) as work:
+        work.deterministic([targets], max_colors, base_colors, palette, ledger, strict)
+    return ListColoringStats(iterations=palette)
 
 
 def greedy_color_sequential(
     graph: Graph,
-    colors: list[int],
+    colors: MutableSequence[int],
     nodes: list[int],
     max_colors: int,
     order: list[int] | None = None,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import native
+from repro import native
 from repro.core.dcc import detect_dccs
 from repro.graphs.generators import (
     complete_graph_minus_edge,
@@ -58,14 +58,25 @@ def small_dcc():
 
 
 @pytest.fixture(scope="session")
-def detect_python():
-    """``detect_dccs`` forced onto its pure-Python twin: the one seam the
-    kernel-vs-Python equivalence tests use (the same path a box without
-    a C compiler runs)."""
+def python_twins():
+    """Run ``fn(*args, **kwargs)`` with every native kernel entry point
+    off: the one seam the kernel-vs-twin equivalence tests use (the same
+    path a box without a C compiler runs, for DCC detection and list
+    coloring alike)."""
+
+    def run(fn, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "kernel", lambda name: None)
+            return fn(*args, **kwargs)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def detect_python(python_twins):
+    """``detect_dccs`` forced onto its pure-Python twin."""
 
     def run(graph, radius, **kwargs):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(native, "dcc_kernel", lambda: None)
-            return detect_dccs(graph, radius, **kwargs)
+        return python_twins(detect_dccs, graph, radius, **kwargs)
 
     return run

@@ -225,7 +225,7 @@ class TestValidationStillRejects:
 
 
 class TestVectorizedPathParity:
-    """The numpy fast paths and the native DCC kernel must be
+    """The numpy fast paths and the native kernel must be
     bit-identical to the pure-Python fallbacks — including the shapes
     that once broke them."""
 
@@ -296,16 +296,29 @@ class TestVectorizedPathParity:
             assert vec.nodes_in_dccs == fallback.nodes_in_dccs
             assert vec.dccs
 
-    def test_trial_rounds_vectorized_matches_python(self):
-        # list_coloring_random: the numpy round and the pure-Python round
-        # consume the same randbytes draw and must commit identical colors
-        # (the vectorized gate needs >= 64 live nodes, so n is above it).
+    def test_trial_rounds_kernel_matches_python(self, python_twins):
+        # list_coloring_random: the native trial round and the pure-Python
+        # round consume the same randbytes draw and must commit identical
+        # colors in the same number of rounds.
         import random as random_mod
 
-        import repro.primitives.list_coloring as lc
+        from repro import native
         from repro.graphs.generators import random_regular_graph, torus_grid
         from repro.graphs.validation import UNCOLORED, validate_coloring
         from repro.local.rounds import RoundLedger
+        from repro.primitives.list_coloring import list_coloring_random
+
+        if native.kernel("trial_round") is None:
+            pytest.skip("native kernel not loaded on this box")
+
+        def run(graph, palette, seed):
+            colors = [UNCOLORED] * graph.n
+            rng = random_mod.Random(seed)
+            ledger = RoundLedger()
+            stats = list_coloring_random(
+                graph, colors, set(range(graph.n)), palette, ledger, rng
+            )
+            return colors, stats, ledger.total_rounds, rng.random()
 
         workloads = [
             (random_regular_graph(300, 5, seed=1), 6),
@@ -313,45 +326,6 @@ class TestVectorizedPathParity:
         ]
         for graph, palette in workloads:
             for seed in range(3):
-                vec_colors = [UNCOLORED] * graph.n
-                rng = random_mod.Random(seed)
-                vec_stats = lc.list_coloring_random(
-                    graph, vec_colors, set(range(graph.n)), palette,
-                    RoundLedger(), rng,
-                )
-                vec_tail = rng.random()
-
-                py_colors = [UNCOLORED] * graph.n
-                rng = random_mod.Random(seed)
-
-                class _NoVector:
-                    def __init__(self, *args, **kwargs):
-                        raise AssertionError("vectorized path must be off")
-
-                real = lc._VectorRoundState
-                lc._VectorRoundState = _NoVector
-                try:
-                    # force the scalar rounds by lying about numpy
-                    import builtins
-
-                    orig_import = builtins.__import__
-
-                    def no_numpy(name, *args, **kwargs):
-                        if name == "numpy":
-                            raise ImportError("forced")
-                        return orig_import(name, *args, **kwargs)
-
-                    builtins.__import__ = no_numpy
-                    try:
-                        py_stats = lc.list_coloring_random(
-                            graph, py_colors, set(range(graph.n)), palette,
-                            RoundLedger(), rng,
-                        )
-                    finally:
-                        builtins.__import__ = orig_import
-                finally:
-                    lc._VectorRoundState = real
-                assert vec_colors == py_colors
-                assert vec_stats.iterations == py_stats.iterations
-                assert vec_tail == rng.random()
-                validate_coloring(graph, vec_colors, max_colors=palette)
+                kernel = run(graph, palette, seed)
+                assert kernel == python_twins(run, graph, palette, seed)
+                validate_coloring(graph, kernel[0], max_colors=palette)

@@ -130,6 +130,22 @@ class TestDeterministicEngine:
         assert stats.iterations == linial.palette
         assert ledger.total_rounds == linial.palette
 
+    @pytest.mark.parametrize("path", ["default", "python"])
+    def test_base_color_outside_palette_raises(self, path, python_twins):
+        # Node 7's base class (9) is never swept by a 3-class palette: it
+        # used to stay uncolored while the call reported success.
+        g = torus_grid(5, 5)
+        base = [(v + v // 5) % 3 for v in range(g.n)]
+        base[7] = 9
+        colors = [UNCOLORED] * g.n
+
+        def call():
+            return list_coloring_deterministic(g, colors, set(range(g.n)), 5, base, 3)
+
+        with pytest.raises(AlgorithmContractError, match=r"node 7 has base color 9"):
+            call() if path == "default" else python_twins(call)
+        assert colors == [UNCOLORED] * g.n
+
     def test_skips_already_colored(self):
         g, colors = _fresh(seed=40)
         linial = linial_coloring(g)

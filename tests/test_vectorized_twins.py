@@ -19,7 +19,7 @@ numpy-vs-Python threshold:
 * Linial's reduction round (``_reduce_round_vectorized`` /
   ``_reduce_round_python``) — regular, sparse, edgeless and dense
   (q > 256) graphs, every round;
-* ``detect_dccs`` — the native C pass (``dcc_kernel.c``: ball, tree
+* ``detect_dccs`` — the native C pass (``dcc_detect``: ball, tree
   reject, 2-core peel, Hopcroft–Tarjan block selection, adoption,
   resumable output) vs its lazy per-ball Python twin, on tori,
   hypercubes, rrg Δ=3..8, planted 4- and 5-cycles and theta graphs,
@@ -27,7 +27,15 @@ numpy-vs-Python threshold:
   blocks through cut vertices, wheels, K_n minus an edge, disconnected
   graphs, ``active=`` subsets (per-component sweeps on one scratch),
   small ``n`` and a one-DCC output buffer, with every selection checked
-  against Definition 9 independently.
+  against Definition 9 independently;
+* the (deg+1)-list engines — the native class sweep and trial round
+  (``class_sweep`` / ``trial_round`` in ``repro/kernel.c``) vs their
+  twins (``_class_sweep_python`` / ``_python_trial_round``) on rrg
+  Δ=3..8, tori, hypercubes and nice graphs, with random partial
+  precolorings (some above ``max_colors``), palettes from Δ+1 to 3Δ,
+  proper and improper base colorings, 20-node and empty layers, whole
+  layer passes and infeasible nodes: colors, stats, ledger and the rng
+  tail must all match.
 """
 
 from __future__ import annotations
@@ -42,8 +50,9 @@ from hypothesis import strategies as st
 import repro.core.dcc as dcc_mod
 import repro.core.happiness as happiness_mod
 import repro.primitives.linial as linial_mod
-from repro.core import native
-from repro.errors import ColoringError
+from repro import native
+from repro.core.layering import color_layers_in_reverse
+from repro.errors import AlgorithmContractError, ColoringError, InfeasibleListColoringError
 from repro.graphs import bfs as bfs_mod
 from repro.graphs import dynamic as dynamic_mod
 from repro.graphs import validation as validation_mod
@@ -61,6 +70,12 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_degree_choosable_component
+from repro.local.rounds import RoundLedger
+from repro.primitives.list_coloring import (
+    list_coloring_deterministic,
+    list_coloring_hybrid,
+    list_coloring_random,
+)
 
 try:
     import numpy  # noqa: F401
@@ -503,7 +518,7 @@ def detection_workloads():
 
 
 requires_kernel = pytest.mark.skipif(
-    native.dcc_kernel() is None, reason="native DCC kernel not loaded on this box"
+    native.kernel("dcc_detect") is None, reason="native kernel not loaded on this box"
 )
 
 
@@ -709,7 +724,7 @@ def test_dcc_kernel_per_component_sweeps_share_scratch(name, graph, detect_pytho
             assert_well_formed(got)
             assert got.nodes_in_dccs <= active
     assert not any(scratch.mask) and not any(scratch.active_mask)
-    if native.dcc_kernel() is not None:
+    if native.kernel("dcc_detect") is not None:
         zeroed, _, selected, _, _ = scratch.kernel_buffers()
         assert not any(zeroed) and set(selected) == {-1}
 
@@ -727,14 +742,17 @@ def test_dcc_detection_tiny_output_capacity(monkeypatch, detect_python):
         cycle_edges(4), clique_edges(4), wheel_edges(5), minus_edge(6),
     ])])
     calls = []
-    kernel = native.dcc_kernel()
+    kernel = native.kernel("dcc_detect")
+    real = native.kernel
 
     def counting(*args):
         calls.append(args[7])  # the start position
         return kernel(*args)
 
     monkeypatch.setattr(dcc_mod, "_OUT_DCCS", 1)
-    monkeypatch.setattr(native, "dcc_kernel", lambda: counting)
+    monkeypatch.setattr(
+        native, "kernel", lambda name: counting if name == "dcc_detect" else real(name)
+    )
     for radius in (2, 3):
         calls.clear()
         expected = detect_python(graph, radius)
@@ -762,3 +780,177 @@ def test_dcc_scratch_is_reused_and_left_zeroed():
     second = dcc_mod.detect_dccs(graph, 2, scratch=scratch)
     assert scratch.kernel_buffers() is buffers
     assert_same_detection(first, second)
+
+
+# -- (deg+1)-list coloring: class sweep and trial rounds, kernel vs twin --
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count the list-coloring kernel calls (proof the kernel path ran);
+    skips on a box where the kernel did not load."""
+    if native.kernel("trial_round") is None:
+        pytest.skip("native kernel not loaded on this box")
+    real = native.kernel
+    calls = Counter()
+
+    def counted(name):
+        function = real(name)
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(native, "kernel", counted)
+    return calls
+
+
+LIST_COLORING_GRAPHS = [
+    *((f"rrg-d{d}", random_regular_graph(240, d, seed=d)) for d in range(3, 9)),
+    ("torus", torus_grid(13, 15)),
+    ("hypercube", hypercube(7)),
+    ("nice", random_nice_graph(300, 6, seed=4)),
+    ("sparse", random_graph_with_max_degree(200, 5, 2.5, seed=6)),
+]
+on_list_coloring_graphs = pytest.mark.parametrize(
+    "name,graph", LIST_COLORING_GRAPHS, ids=[name for name, _ in LIST_COLORING_GRAPHS]
+)
+
+
+def precolored(graph: Graph, seed: int, max_colors: int) -> list[int]:
+    """About a third of the nodes colored, some of them above
+    ``max_colors`` (colors that exclude nothing)."""
+    rng = random.Random(seed)
+    return [
+        rng.randint(1, max_colors + 3) if rng.random() < 0.35 else 0
+        for _ in range(graph.n)
+    ]
+
+
+def target_sets(graph: Graph, seed: int) -> list[list[int]]:
+    """All nodes, a random half, a 20-node layer and an empty one."""
+    rng = random.Random(seed)
+    nodes = list(range(graph.n))
+    rng.shuffle(nodes)
+    return [nodes, nodes[: graph.n // 2], nodes[:20], []]
+
+
+def run_engine(engine, graph, colors, *args, **kwargs):
+    """``engine`` on a copy of ``colors``: (colors after, stats or the
+    error raised, ledger phases, the next rng draw)."""
+    colors = list(colors)
+    ledger = RoundLedger()
+    rng = random.Random(11)
+    try:
+        outcome = engine(graph, colors, *args, ledger=ledger, rng=rng, **kwargs)
+    except (InfeasibleListColoringError, AlgorithmContractError) as error:
+        outcome = (type(error), str(error))
+    return colors, outcome, ledger.snapshot(), rng.random()
+
+
+@on_list_coloring_graphs
+@pytest.mark.parametrize("engine", [list_coloring_random, list_coloring_hybrid])
+def test_trial_rounds_kernel_matches_twin(name, graph, engine, kernel_calls, python_twins):
+    delta = graph.max_degree()
+    for seed, max_colors in enumerate((delta + 1, delta + 2, 3 * delta)):
+        colors = precolored(graph, seed, max_colors)
+        for targets in target_sets(graph, seed):
+            for budget in (None, 1):
+                cap = "max_iterations" if engine is list_coloring_random else "trial_budget"
+                extra = {cap: budget}
+                got = run_engine(engine, graph, colors, targets, max_colors, **extra)
+                want = python_twins(run_engine, engine, graph, colors, targets, max_colors, **extra)
+                assert got == want, (name, max_colors, len(targets), budget)
+    assert kernel_calls["trial_round"] > 0
+
+
+@on_list_coloring_graphs
+def test_class_sweep_kernel_matches_twin(name, graph, kernel_calls, python_twins):
+    delta = graph.max_degree()
+    linial = linial_mod.linial_coloring(graph, RoundLedger())
+    rng = random.Random(len(name))
+    # A proper base coloring and an improper one: the shared within-class
+    # order keeps the two paths equal on both.
+    bases = [
+        (linial.colors, linial.palette),
+        ([rng.randrange(5) for _ in range(graph.n)], 5),
+    ]
+    for seed, max_colors in enumerate((delta + 1, delta + 2, 3 * delta)):
+        colors = precolored(graph, seed, max_colors)
+        for targets in target_sets(graph, seed):
+            for base, palette in bases:
+                args = (targets, max_colors, base, palette)
+                got = run_engine(_deterministic, graph, colors, *args)
+                want = python_twins(run_engine, _deterministic, graph, colors, *args)
+                assert got == want, (name, max_colors, len(targets), palette)
+    assert kernel_calls["class_sweep"] > 0
+
+
+def _deterministic(graph, colors, targets, max_colors, base, palette, ledger, rng):
+    return list_coloring_deterministic(graph, colors, targets, max_colors, base, palette, ledger)
+
+
+@pytest.mark.parametrize("engine", ["random", "hybrid", "deterministic"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_layer_passes_kernel_matches_twin(engine, strict, kernel_calls, python_twins):
+    """A whole phase (one workspace, one class-sweep call for every layer
+    outside strict mode), as the solvers run it."""
+    for graph in (torus_grid(12, 17), random_regular_graph(500, 6, seed=3)):
+        delta = graph.max_degree()
+        linial = linial_mod.linial_coloring(graph, RoundLedger())
+        layers = bfs_mod.distance_layers(graph, [0, graph.n // 2])
+        layers.append([])
+        for zero in (False, True):
+            args = (layers, delta, engine)
+            kwargs = {
+                "base_colors": linial.colors, "palette": linial.palette,
+                "include_layer_zero": zero, "strict": strict and not zero,
+            }
+            got = run_engine(_layers, graph, [0] * graph.n, *args, **kwargs)
+            want = python_twins(run_engine, _layers, graph, [0] * graph.n, *args, **kwargs)
+            assert got == want
+            assert got[1].layers_colored == len(layers) - 1 - (not zero), got[1]
+    assert sum(kernel_calls.values()) > 0
+
+
+def _layers(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs):
+    return color_layers_in_reverse(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs)
+
+
+@pytest.mark.parametrize("engine", [list_coloring_random, _deterministic])
+def test_infeasible_node_raises_on_both_paths(engine, kernel_calls, python_twins):
+    # Node 0 of the torus sees colors 1..4 around it: nothing is left in a
+    # 4-color palette, for either engine, and both paths name node 0 after
+    # the same partial progress.
+    graph = torus_grid(6, 7)
+    colors = [0] * graph.n
+    for c, u in enumerate(graph.adj[0], start=1):
+        colors[u] = c
+    targets = [v for v in range(graph.n) if not colors[v]]
+    args = (targets, 4) if engine is list_coloring_random else (targets, 4, [0] * graph.n, 1)
+    got = run_engine(engine, graph, colors, *args)
+    assert got == python_twins(run_engine, engine, graph, colors, *args)
+    assert got[1][0] is InfeasibleListColoringError and "node 0 " in got[1][1]
+    assert sum(kernel_calls.values()) > 0
+
+
+@FAST
+@given(
+    n=st.sampled_from([2, 9, 63, 64, 300]),
+    seed=st.integers(0, 10_000),
+    avg=st.sampled_from([1.5, 3.0, 5.0]),
+    spare=st.sampled_from([1, 2, 7]),
+)
+def test_list_coloring_paths_agree_on_sparse_graphs(n, seed, avg, spare, python_twins):
+    graph = sparse_graph(n, seed, avg)
+    max_colors = graph.max_degree() + spare
+    colors = precolored(graph, seed, max_colors)
+    targets = target_sets(graph, seed)[1]
+    for engine, args in (
+        (list_coloring_hybrid, (targets, max_colors)),
+        (_deterministic, (targets, max_colors, [v % 3 for v in range(n)], 3)),
+    ):
+        got = run_engine(engine, graph, colors, *args)
+        assert got == python_twins(run_engine, engine, graph, colors, *args)
