@@ -2,13 +2,29 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test check lint typecheck bench-smoke bench-regression bench-sweep \
+.PHONY: test test-no-cc check lint typecheck bench-smoke bench-regression bench-sweep \
 	bench-million serve-smoke bench-service incremental-smoke \
 	bench-incremental shard-smoke bench-sharded obs-smoke bench-obs \
 	store-smoke bench-store
 
 test:
 	$(PY) -m pytest -x -q
+
+# The pure-Python twins of every native kernel entry point, run as on a
+# box without a C compiler: PATH holds only the interpreter's own bin
+# directory (no cc) and the kernel cache is a fresh empty directory, so
+# the kernel cannot load and every solve runs the twins.
+TWIN_TESTS := tests/test_golden_solve.py tests/test_golden_seed.py \
+	tests/test_vectorized_twins.py tests/test_native_kernel.py
+
+test-no-cc:
+	@bin=$$(dirname "$$(python -c 'import sys; print(sys.executable)')"); \
+	cache=$$(mktemp -d); \
+	PATH="$$bin" XDG_CACHE_HOME="$$cache" PYTHONPATH=src "$$bin/python" -c \
+		"import sys; from repro import native; s = native.kernel_status(); print(s.describe()); sys.exit(bool(s.functions))" \
+	&& PATH="$$bin" XDG_CACHE_HOME="$$cache" PYTHONPATH=src "$$bin/python" -m pytest -q \
+		-p no:cacheprovider $(TWIN_TESTS); \
+	status=$$?; rm -rf "$$cache"; exit $$status
 
 # What CI runs: the tier-1 suite, the bench-rot smoke pass (plus the
 # perf-regression gate over its timings), the service smoke (boot the

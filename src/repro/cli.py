@@ -63,7 +63,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro import native
+from repro import native, numeric
 from repro.api import SolverConfig, list_algorithms, solve
 from repro.errors import GraphConstructionError, ReproError
 from repro.graphs.graph import Graph
@@ -242,16 +242,11 @@ def _bench_smoke(json_path: str | None = None) -> int:
             print(f"smoke {module_name:<28} FAIL  {elapsed:6.1f}s")
             traceback.print_exc()
     if json_path:
-        try:
-            import numpy  # noqa: F401 - vectorized fast paths present?
-            numeric = True
-        except ImportError:
-            numeric = False
         payload = {
             "bench": "smoke",
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            "numeric_stack": numeric,
+            "numeric_stack": numeric.np is not None,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "modules": modules,
         }

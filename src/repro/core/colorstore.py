@@ -27,10 +27,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator
 
-try:  # numpy fast path, pure-Python fallback pinned equivalent
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-free environments
-    _np = None
+from repro import numeric
 
 __all__ = ["ColorStore"]
 
@@ -51,11 +48,12 @@ class ColorStore:
     def __init__(self, colors: Iterable[int], *, backend: str = "auto"):
         if backend not in ("auto", "numpy", "python"):
             raise ValueError(f"unknown ColorStore backend: {backend!r}")
-        use_np = _np is not None and backend in ("auto", "numpy")
-        if backend == "numpy" and _np is None:
+        np = numeric.np
+        use_np = np is not None and backend in ("auto", "numpy")
+        if backend == "numpy" and np is None:
             raise RuntimeError("numpy backend requested but numpy is unavailable")
         if use_np:
-            self._buf = _np.asarray(list(colors), dtype=_np.int32)
+            self._buf = np.asarray(list(colors), dtype=np.int32)
             self._np = True
         else:
             self._buf = array("i", colors)
@@ -138,7 +136,8 @@ class ColorStore:
         """Swap in a whole new coloring (full re-solve path); any open
         transaction is discarded — the caller owns the diff."""
         if self._np:
-            self._buf = _np.asarray(list(colors), dtype=_np.int32)
+            np = numeric.np
+            self._buf = np.asarray(list(colors), dtype=np.int32)
         else:
             self._buf = array("i", colors)
         self._journal = None
@@ -146,11 +145,11 @@ class ColorStore:
     def diff_count(self, other: Iterable[int]) -> int:
         """How many positions differ from ``other`` (vectorized on numpy)."""
         if self._np:
-            arr = _np.asarray(
-                other if isinstance(other, _np.ndarray) else list(other),
-                dtype=_np.int32,
+            np = numeric.np
+            arr = np.asarray(
+                other if isinstance(other, np.ndarray) else list(other), dtype=np.int32
             )
-            return int(_np.count_nonzero(self._buf != arr))
+            return int(np.count_nonzero(self._buf != arr))
         buf = self._buf
         return sum(1 for v, c in enumerate(other) if buf[v] != c)
 

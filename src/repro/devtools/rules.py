@@ -226,7 +226,8 @@ class GuardedNumericImportRule(Rule):
     unconditional top-level ``import numpy`` anywhere on an import path
     breaks that whole leg at collection time.  The established pattern
     is either a function-local import or a module-level
-    ``try: import numpy ... except Exception``.
+    ``try: import numpy ... except Exception``; the solver's own fast
+    paths read ``repro.numeric.np``, the one such guard they share.
     """
 
     code = "RPL003"

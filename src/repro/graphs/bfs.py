@@ -15,25 +15,29 @@ set, a predicate, a ``bytearray``/bool-sequence mask (e.g. the ``mask`` of
 takes a specialised loop with no per-visit predicate call, which matters in
 the per-node ball collection of DCC detection.
 
-Searches that should reach a good part of the nodes they may visit, at
-least ``VECTOR_MIN_NODES`` of them, run level by level over the CSR
-buffers with numpy (:func:`frontier_levels`): the B-layers of the
-randomized pipeline, the boundary and C-layer searches inside H, the
-ruling forests of the deterministic one, connectivity checks.  A masked
-search vectorizes when ``allowed`` is a set (weighed by its size, so a
-small component's member set never pays an O(n) mask build) or a
-``bytearray`` mask of length n (its caller already paid O(n));
-disallowed nodes start the search as seen.  Predicates and other
-sequences always take the Python loop.  The per-visit Python loops stay
-as the bit-identical fallback twins.
+Multi-source searches (:func:`bfs_distances`, :func:`distance_layers`,
+and through them the B-layers of the randomized pipeline, the boundary
+and C-layer searches inside H, the ruling forests of the deterministic
+one, connectivity checks) run in the native kernel's ``level_bfs``
+(``repro/kernel.c``, loaded by :mod:`repro.native`): one pass that fills
+an int32 distance array and buckets the reached nodes by level, on graphs
+of any diameter.  A masked search goes native when ``allowed`` is a set
+(turned into a byte mask) or a ``bytearray``/``bytes`` mask of length n;
+predicates and other sequences take the Python loop.  The per-visit
+Python loops stay as the bit-identical twins, and run whenever the
+kernel is not loaded (no C compiler).  A source or ``allowed`` node
+outside ``0..n-1`` raises ``IndexError`` on both paths.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 
+from repro import native
 from repro.graphs.graph import Graph
+from repro.native import address
 
 __all__ = [
     "bfs_distances",
@@ -47,120 +51,93 @@ __all__ = [
 
 UNREACHED = -1
 
-# numpy BFS pays fixed costs (~20 µs a level, an O(n) conversion back
-# to a list) that the Python loop does not.  Measured on random 8-regular
-# graphs (best of 200): at serve-read's n=1024 a 64-source depth-10
-# search takes 0.25 ms in numpy vs 0.35 ms in Python, its layers 0.22 vs
-# 0.40 ms and a connectivity check 0.36 vs 0.49 ms; at n=256 Python wins
-# all three, at n=512 numpy does.  A search expected to reach under a
-# quarter of the graph (two sources, depth 2: 0.13 vs 0.04 ms at n=4096)
-# also stays in Python, and so does a graph too deep for the per-level
-# cost (more than VECTOR_MAX_LEVELS levels).
-VECTOR_MIN_NODES = 512
-VECTOR_MAX_LEVELS = 64
+# No size threshold: the kernel wins from a few dozen nodes up.  Measured
+# on random 8-regular graphs (2-CPU box, best of 200, kernel vs Python
+# twin): a full search's distances take 6 vs 21 µs at n=64, 22 vs 317 µs
+# at n=1024 and 1.1 vs 29 ms at n=32768; a 64-source depth-10 search's
+# layers 15 vs 44 µs at n=64 and 1.8 vs 33 ms at n=32768; a connectivity
+# check 1.2 vs 35 ms at n=32768.  At n=16 the two are within 3 µs.
+#
+# One case needs care: bfs_distances returns a list of n entries, and
+# converting the kernel's int32 array costs ≈10 ns an entry, where the
+# twin's [-1] * n costs ≈3.  So a search that reaches under a
+# SMALL_REACH-th of the graph fills a fresh list from the reached nodes
+# instead: a depth-2 search from one node at n=32768 takes 147 µs that
+# way, 323 µs with the conversion and 121 µs in the twin.
+SMALL_REACH = 8
 
 
-def _searchable_size(graph: Graph, allowed: object) -> int:
-    """How many nodes a search may visit, as far as the vectorize
-    decision is concerned: n unrestricted or for a length-n ``bytearray``
-    mask, ``len(allowed)`` for a set, and 0 (stay in Python) for a
-    predicate or any other sequence."""
+def _check_nodes(graph: Graph, nodes: Collection[int], what: str) -> None:
+    """Raise ``IndexError`` unless every entry of ``nodes`` is a node of
+    ``graph`` (a negative id must not wrap around to ``n + id``)."""
+    if nodes and (min(nodes) < 0 or max(nodes) >= graph.n):
+        bad = next(v for v in nodes if not 0 <= v < graph.n)
+        raise IndexError(f"{what} {bad} is not a node of this {graph.n}-node graph")
+
+
+def _native_mask(graph: Graph, allowed: object) -> array | None:
+    """``allowed`` as the kernel's byte mask: ``None`` unrestricted, a
+    copy of a length-n ``bytes``/``bytearray`` mask, or the mask of a
+    node set (``IndexError`` for a member outside the graph)."""
     if allowed is None:
-        return graph.n
-    if isinstance(allowed, (set, frozenset)):
-        return len(allowed)
-    if isinstance(allowed, (bytes, bytearray)) and len(allowed) == graph.n:
-        return graph.n
-    return 0
-
-
-def _worth_vectorizing(
-    graph: Graph, num_sources: int, max_depth: int | None, allowed: object = None
-) -> bool:
-    """Should a search run through :func:`frontier_levels`: at least
-    ``VECTOR_MIN_NODES`` searchable nodes (see :func:`_searchable_size`;
-    a masked search is weighed by the size of its set, so a component's
-    member set or a decomposition cluster stays in Python) and an
-    expected reach (sources times (Δ-1) per level) of at least a quarter
-    of them?"""
-    size = _searchable_size(graph, allowed)
-    if size < VECTOR_MIN_NODES or num_sources == 0:
-        return False
-    if max_depth is None:
-        return True
-    reach = num_sources
-    growth = max(1, graph.max_degree() - 1)
-    for _ in range(max_depth):
-        if 4 * reach >= size:
-            break
-        reach *= growth
-    return 4 * reach >= size
-
-
-def frontier_levels(
-    graph: Graph,
-    sources: Iterable[int],
-    max_depth: int | None,
-    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
-):
-    """Level-synchronous BFS over ``graph.csr()`` with numpy.
-
-    Returns ``levels``, a list of int arrays: ``levels[i]`` holds the
-    nodes at distance exactly ``i`` from the closest source (unsorted,
-    each once), stopping at the last non-empty level or ``max_depth``.
-    ``allowed`` (a node set or a length-n ``bytearray`` mask) restricts
-    the search: disallowed nodes start as seen, so sources outside it
-    are skipped and the search never enters them.  Returns ``None`` when
-    numpy is unavailable, a source or an ``allowed`` node is out of
-    range or the search runs deeper than ``VECTOR_MAX_LEVELS`` levels —
-    the caller then runs its Python twin, which is cheaper on long, thin
-    graphs.
-    """
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
         return None
+    if isinstance(allowed, (bytes, bytearray)):
+        return array("B", allowed)
+    _check_nodes(graph, allowed, "allowed node")
+    mask = array("B", bytes(graph.n))
+    for v in allowed:
+        mask[v] = 1
+    return mask
+
+
+def _takes_native(graph: Graph, allowed: object) -> bool:
+    """Can ``allowed`` be handed to the kernel: ``None``, a node set, or
+    a byte mask of length n?"""
+    return (
+        allowed is None
+        or isinstance(allowed, (set, frozenset))
+        or (isinstance(allowed, (bytes, bytearray)) and len(allowed) == graph.n)
+    )
+
+
+def _level_bfs(
+    kernel,
+    graph: Graph,
+    sources: list[int],
+    max_depth: int | None,
+    allowed: set[int] | frozenset[int] | bytes | bytearray | None,
+    layered: bool,
+) -> tuple[array, array, list[int]]:
+    """Run the kernel's ``level_bfs`` (see ``kernel.c``): returns the
+    distance array, the reached nodes level by level (each level
+    ascending when ``layered``) and the level bounds in that order
+    (``[0, end of level 0, ...]``)."""
     n = graph.n
+    _check_nodes(graph, sources, "source")
+    mask = _native_mask(graph, allowed)
     offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    frontier = np.fromiter(sources, dtype=np.int64)
-    if frontier.size and (frontier.min() < 0 or frontier.max() >= n):
-        return None  # the Python twin owns out-of-range semantics
-    if allowed is None:
-        seen = np.zeros(n, dtype=bool)
-    elif isinstance(allowed, (set, frozenset)):
-        members = np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-        if members.size and (members.min() < 0 or members.max() >= n):
-            return None
-        seen = np.ones(n, dtype=bool)
-        seen[members] = False
-    else:
-        seen = np.frombuffer(allowed, dtype=np.uint8, count=n) == 0
-    frontier = np.unique(frontier)
-    frontier = frontier[~seen[frontier]]
-    seen[frontier] = True
-    levels = [frontier] if frontier.size else []
-    slot = np.zeros(n, dtype=np.int64)
-    while frontier.size and (max_depth is None or len(levels) <= max_depth):
-        if len(levels) > VECTOR_MAX_LEVELS:
-            return None
-        starts = indptr[frontier]
-        deg = indptr[frontier + 1] - starts
-        total = int(deg.sum())
-        bounds = np.cumsum(deg) - deg
-        positions = np.repeat(starts - bounds, deg) + np.arange(total)
-        reached = idx[positions]
-        reached = reached[~seen[reached]]
-        # Keep one copy of each newly reached node: the last write to
-        # ``slot`` wins, and exactly one position reads its own index.
-        order = np.arange(reached.size)
-        slot[reached] = order
-        frontier = reached[slot[reached] == order]
-        seen[frontier] = True
-        if frontier.size:
-            levels.append(frontier)
-    return levels
+    starts = array("i", sources)
+    dist = array("i", b"\xff" * (4 * n))
+    order = array("i", bytes(4 * n))
+    ends = array("i", bytes(4 * n))
+    levels = kernel(
+        address(offsets), address(indices), n,
+        address(starts), len(starts), -1 if max_depth is None else max(0, max_depth),
+        None if mask is None else address(mask),
+        address(dist), address(order), address(ends), layered,
+    )
+    if levels < 0:  # _check_nodes already refused it
+        raise IndexError(f"source {starts[-1 - levels]} is not a node")
+    return dist, order, [0, *ends[:levels]]
+
+
+def reached_count(graph: Graph, sources: Iterable[int]) -> int | None:
+    """How many nodes an unrestricted search from ``sources`` reaches, by
+    the kernel; ``None`` when the kernel is not loaded."""
+    kernel = native.kernel("level_bfs")
+    if kernel is None:
+        return None
+    return _level_bfs(kernel, graph, list(sources), None, None, False)[2][-1]
 
 
 def _normalize_allowed(
@@ -191,29 +168,18 @@ def bfs_distances(
     skipped; traversal never enters disallowed nodes.
     """
     sources = list(sources)
-    if _worth_vectorizing(graph, len(sources), max_depth, allowed):
-        dist = _bfs_distances_vectorized(graph, sources, max_depth, allowed)
-        if dist is not None:
-            return dist
-    return _bfs_distances_python(graph, sources, max_depth, allowed)
-
-
-def _bfs_distances_vectorized(
-    graph: Graph,
-    sources: Iterable[int],
-    max_depth: int | None,
-    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
-) -> list[int] | None:
-    """:func:`bfs_distances` over :func:`frontier_levels`."""
-    levels = frontier_levels(graph, sources, max_depth, allowed)
-    if levels is None:
-        return None
-    import numpy as np
-
-    dist = np.full(graph.n, UNREACHED, dtype=np.int32)
-    for depth, level in enumerate(levels):
-        dist[level] = depth
-    return dist.tolist()
+    kernel = native.kernel("level_bfs")
+    if kernel is None or not _takes_native(graph, allowed):
+        return _bfs_distances_python(graph, sources, max_depth, allowed)
+    dist, order, bounds = _level_bfs(kernel, graph, sources, max_depth, allowed, False)
+    reached = bounds[-1]
+    if SMALL_REACH * reached >= graph.n:
+        return dist.tolist()
+    # Converting all n entries would cost more than the search did.
+    out = [UNREACHED] * graph.n
+    for v in order[:reached]:
+        out[v] = dist[v]
+    return out
 
 
 def _bfs_distances_python(
@@ -223,6 +189,10 @@ def _bfs_distances_python(
     allowed: set[int] | Sequence[bool] | Callable[[int], bool] | None,
 ) -> list[int]:
     """The per-visit loop behind :func:`bfs_distances` (reference twin)."""
+    sources = list(sources)
+    _check_nodes(graph, sources, "source")
+    if isinstance(allowed, (set, frozenset)):
+        _check_nodes(graph, allowed, "allowed node")
     dist = [UNREACHED] * graph.n
     queue: deque[int] = deque()
     adj = graph.adj
@@ -269,6 +239,7 @@ def bfs_ball(
     This is the LOCAL-model "collect your radius-r neighbourhood" primitive;
     callers charge ``radius`` rounds for it on the ledger.
     """
+    _check_nodes(graph, [center], "center")
     adj = graph.adj
     if allowed is None:
         dist = {center: 0}
@@ -312,6 +283,7 @@ def bfs_levels(
     levels are preserved so ``len(result) == radius + 1`` (Lemmas 12/14/15
     reason about the size of a specific level ``B_r``).
     """
+    _check_nodes(graph, [center], "center")
     ok = _normalize_allowed(graph, allowed)
     levels: list[list[int]] = [[] for _ in range(radius + 1)]
     if not ok(center):
@@ -347,6 +319,7 @@ def bfs_tree(
     that (every non-root reached node has exactly one neighbour on the
     previous level).
     """
+    _check_nodes(graph, [center], "center")
     ok = _normalize_allowed(graph, allowed)
     parent: dict[int, int] = {}
     level: dict[int, int] = {}
@@ -386,26 +359,11 @@ def distance_layers(
     base = list(base)
     if not base:
         return []
-    if _worth_vectorizing(graph, len(base), max_depth, allowed):
-        layers = _distance_layers_vectorized(graph, base, max_depth, allowed)
-        if layers is not None:
-            return layers
+    kernel = native.kernel("level_bfs")
+    if kernel is not None and _takes_native(graph, allowed):
+        _, order, bounds = _level_bfs(kernel, graph, base, max_depth, allowed, True)
+        return [order[bounds[i - 1] : bounds[i]].tolist() for i in range(1, len(bounds))]
     return _distance_layers_python(graph, base, max_depth, allowed)
-
-
-def _distance_layers_vectorized(
-    graph: Graph,
-    base: Iterable[int],
-    max_depth: int | None,
-    allowed: set[int] | frozenset[int] | bytes | bytearray | None = None,
-) -> list[list[int]] | None:
-    """:func:`distance_layers` over :func:`frontier_levels`."""
-    levels = frontier_levels(graph, base, max_depth, allowed)
-    if levels is None:
-        return None
-    import numpy as np
-
-    return [np.sort(level).tolist() for level in levels]
 
 
 def _distance_layers_python(
@@ -439,11 +397,13 @@ def closest_source_assignment(
     sources in ascending id order, and on equal distance the smaller
     assigned source id wins because it is enqueued first.
     """
+    ordered = sorted(set(sources))
+    _check_nodes(graph, ordered, "source")
     ok = _normalize_allowed(graph, allowed)
     dist = [UNREACHED] * graph.n
     assigned = [UNREACHED] * graph.n
     queue: deque[int] = deque()
-    for s in sorted(set(sources)):
+    for s in ordered:
         if ok(s) and dist[s] == UNREACHED:
             dist[s] = 0
             assigned[s] = s

@@ -56,6 +56,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 
+from repro import numeric
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
@@ -78,7 +79,7 @@ def _adopt_vectorized(offsets: array, n: int):
     """Row starts, row lengths and the degree histogram of a CSR offsets
     buffer, on numpy; None without numpy (the caller falls back to
     :func:`_adopt_python`, which returns the same triple)."""
-    np = _numpy()
+    np = numeric.np
     if np is None:
         return None
     offs = np.frombuffer(offsets, dtype=np.int32)
@@ -258,7 +259,7 @@ class DynamicGraph(Graph):
         """Compact the padded rows into classic CSR buffers (cached until
         the next mutation; never aliased by future mutations)."""
         if self._offsets is None:
-            np = _numpy()
+            np = numeric.np
             if np is not None and self.n >= VECTOR_MIN_NODES:
                 self._offsets, self._indices = self._compact_numpy(np)
             else:
@@ -554,10 +555,3 @@ class DynamicGraph(Graph):
             f"slots={len(self._data)}, holes={self._holes})"
         )
 
-
-def _numpy():
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
-        return None
-    return np

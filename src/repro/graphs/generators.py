@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 
+from repro import numeric
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, GraphBuilder
 
@@ -188,10 +189,7 @@ def _configuration_model_attempt(
 
     Returns the edge list, or ``None`` if conflicts could not be repaired.
     """
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
-        np = None
+    np = numeric.np
     if np is not None and n * d >= 256:
         return _attempt_vectorized(n, d, rng, repair_rounds, np)
     return _attempt_python(n, d, rng, repair_rounds)

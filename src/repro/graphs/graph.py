@@ -47,6 +47,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
+from repro import numeric
 from repro.errors import GraphError
 
 __all__ = ["Graph", "GraphBuilder", "SubgraphView"]
@@ -235,15 +236,11 @@ class Graph:
         fresh graph whose cache is cold.
         """
         if self._max_degree is None:
-            if self.n >= 1024:
-                try:
-                    import numpy as np
-                except Exception:  # pragma: no cover - numpy-free environments
-                    np = None
-                if np is not None:
-                    offs = np.frombuffer(self._offsets, dtype=np.int32)
-                    self._max_degree = int(np.max(np.diff(offs)))
-                    return self._max_degree
+            np = numeric.np
+            if self.n >= 1024 and np is not None:
+                offs = np.frombuffer(self._offsets, dtype=np.int32)
+                self._max_degree = int(np.max(np.diff(offs)))
+                return self._max_degree
             self._max_degree = max(self.degrees(), default=0)
         return self._max_degree
 
@@ -319,28 +316,17 @@ class Graph:
         """True iff the graph is connected (the empty graph counts as
         connected, single-node graphs too).
 
-        Graphs of at least ``bfs.VECTOR_MIN_NODES`` nodes run one BFS
-        from node 0 over the CSR buffers with numpy; the component scan
-        is the fallback twin (no numpy, or a graph too deep for a
-        level-synchronous search).
+        One search from node 0 in the native kernel (``level_bfs``); the
+        component scan is the twin when the kernel is not loaded.
         """
         if self.n <= 1:
             return True
-        from repro.graphs.bfs import VECTOR_MIN_NODES
+        from repro.graphs.bfs import reached_count
 
-        if self.n >= VECTOR_MIN_NODES:
-            connected = self._is_connected_vectorized()
-            if connected is not None:
-                return connected
-        return self._is_connected_python()
-
-    def _is_connected_vectorized(self) -> bool | None:
-        from repro.graphs.bfs import frontier_levels
-
-        levels = frontier_levels(self, [0], None)
-        if levels is None:
-            return None
-        return sum(len(level) for level in levels) == self.n
+        reached = reached_count(self, [0])
+        if reached is None:
+            return self._is_connected_python()
+        return reached == self.n
 
     def _is_connected_python(self) -> bool:
         return len(self.connected_components()) == 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro import numeric
 from repro.errors import ColoringError
 from repro.graphs.graph import Graph
 
@@ -86,9 +87,8 @@ def _validate_coloring_vectorized(
     """True iff the coloring passes every check of
     :func:`_validate_coloring_python`; False when it fails one or numpy
     cannot decide (missing, or colors that are not plain integers)."""
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
+    np = numeric.np
+    if np is None:
         return False
     try:
         color = np.asarray(colors)

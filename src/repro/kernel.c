@@ -13,7 +13,13 @@
  *   pending_nodes the sorted uncolored targets a trial run starts from
  *                 (list_coloring: _pending);
  *   trial_round   one propose/compare/commit round of the randomized
- *                 engines (list_coloring: _python_trial_round).
+ *                 engines (list_coloring: _python_trial_round);
+ *   linial_round  one reduction round of Linial's O(Δ²)-coloring
+ *                 (repro.primitives.linial: _reduce_round_python);
+ *   level_bfs     multi-source BFS bounded by depth and a byte mask,
+ *                 with the reached nodes bucketed by level
+ *                 (repro.graphs.bfs: _bfs_distances_python,
+ *                 _distance_layers_python; Graph._is_connected_python).
  */
 
 #include <stdlib.h>
@@ -424,4 +430,126 @@ int trial_round(const int *offsets, const int *indices, int *colors,
         props[v] = 0;
     }
     return j;
+}
+
+/* ---- Linial's color reduction ----------------------------------------- */
+
+/* The polynomial with coefficients digits[0..d] (digits[j] that of x^j),
+ * over GF(q), at x (Horner). */
+static int poly_at(const int *digits, int d, int q, int x)
+{
+    long long acc = 0;
+    int j;
+    if (!x)
+        return digits[0];
+    for (j = d; j >= 0; j--)
+        acc = (acc * x + digits[j]) % q;
+    return (int)acc;
+}
+
+/* linial_round: one reduction round of Linial's coloring.  Node v's color
+ * (colors[v], or v itself when colors is NULL) is read as a polynomial of
+ * degree <= d over GF(q), its base-q digits being the coefficients (the
+ * least significant that of x^0); colors must be below q^(d+1).  Each v
+ * takes the smallest x in 0..q-1 at which its polynomial differs from
+ * every neighbour's and gets out[v] = x*q + p_v(x).  digits (n*(d+1)
+ * ints) is scratch.  Returns -1 when every node got a color; otherwise
+ * the first node v with no such point (a neighbour wears v's color, or q
+ * is too small for v's degree), with out[0..v) written.
+ */
+int linial_round(const int *offsets, const int *indices, int n,
+                 const int *colors, int d, int q, int *out, int *digits)
+{
+    int v, j, e, x, width = d + 1;
+    for (v = 0; v < n; v++) {
+        int c = colors ? colors[v] : v;
+        int *own = digits + (size_t)v * width;
+        for (j = 0; j < width; j++) {
+            own[j] = c % q;
+            c /= q;
+        }
+    }
+    for (v = 0; v < n; v++) {
+        const int *own = digits + (size_t)v * width;
+        for (x = 0; x < q; x++) {
+            int value = poly_at(own, d, q, x);
+            for (e = offsets[v]; e < offsets[v + 1]; e++)
+                if (poly_at(digits + (size_t)indices[e] * width, d, q, x) == value)
+                    break;
+            if (e == offsets[v + 1]) {
+                out[v] = x * q + value;
+                break;
+            }
+        }
+        if (x == q)
+            return v;
+    }
+    return -1;
+}
+
+/* ---- Breadth-first search --------------------------------------------- */
+
+/* level_bfs: multi-source BFS over the CSR from sources[0..count).  A
+ * source already reached (a repeat) is skipped, and so is one with
+ * allowed[s] == 0 when allowed is not NULL; the search steps only onto
+ * nodes w with allowed[w] != 0, and stops after max_depth levels
+ * (max_depth < 0: no bound).  dist (n ints) must be -1 for every node on
+ * entry; it receives each reached node's distance.  order (n ints)
+ * receives the reached nodes level by level, each level ascending when
+ * `sorted` is nonzero, and ends (n ints) the end of each level in order
+ * (level i is order[ends[i-1] .. ends[i]), ends[-1] = 0).  Returns the
+ * number of levels, or -1 - i (having changed nothing) when sources[i]
+ * lies outside 0..n-1.
+ */
+int level_bfs(const int *offsets, const int *indices, int n,
+              const int *sources, int count, int max_depth,
+              const unsigned char *allowed, int *dist, int *order, int *ends,
+              int sorted)
+{
+    int i, e, size = 0, lo = 0, levels = 0;
+    for (i = 0; i < count; i++)
+        if (sources[i] < 0 || sources[i] >= n)
+            return -1 - i;
+    for (i = 0; i < count; i++) {
+        int s = sources[i];
+        if (dist[s] < 0 && (!allowed || allowed[s])) {
+            dist[s] = 0;
+            order[size++] = s;
+        }
+    }
+    while (lo < size) {
+        int hi = size;
+        ends[levels] = hi;
+        if (levels++ == max_depth)
+            break;
+        for (; lo < hi; lo++) {
+            int u = order[lo];
+            for (e = offsets[u]; e < offsets[u + 1]; e++) {
+                int w = indices[e];
+                if (dist[w] < 0 && (!allowed || allowed[w])) {
+                    dist[w] = levels;
+                    order[size++] = w;
+                }
+            }
+        }
+    }
+    if (!sorted)
+        return levels;
+    /* By one scan over the nodes when the search reached a good part of
+     * them, else level by level. */
+    if ((long long)size * 16 >= n) {
+        int start = 0;
+        for (i = 0; i < levels; i++) {
+            int end = ends[i];
+            ends[i] = start;
+            start = end;
+        }
+        for (i = 0; i < n; i++)
+            if (dist[i] >= 0)
+                order[ends[dist[i]]++] = i;
+    } else {
+        for (i = 0, lo = 0; i < levels; lo = ends[i++])
+            qsort(order + lo, ends[i] - lo, sizeof *order, ascending);
+    }
+    return levels;
 }

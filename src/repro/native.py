@@ -1,9 +1,10 @@
 """Build-on-first-use loader for the solver's C kernel.
 
 ``kernel.c`` (next to this module) holds the native inner loops: DCC
-detection (``dcc_detect``, all of phase (1)) and the two (deg+1)-list
+detection (``dcc_detect``, all of phase (1)), the two (deg+1)-list
 coloring engines' sweeps (``class_sweep``, ``pending_nodes`` and
-``trial_round``).  It is compiled by the system C compiler (``cc`` on
+``trial_round``), Linial's reduction round (``linial_round``) and the
+multi-source level BFS (``level_bfs``).  It is compiled by the system C compiler (``cc`` on
 ``PATH``) into one shared object and called through :mod:`ctypes`; no
 numpy, scipy or cffi is involved.  The object is cached under
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
@@ -74,6 +75,15 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _P, _P, _I,  # offsets, indices, colors, max_colors
         _P, _I, _P,  # live, count, keys
         _P, _P,  # props, worn
+    ],
+    "linial_round": [
+        _P, _P, _I, _P,  # offsets, indices, n, colors
+        _I, _I, _P, _P,  # d, q, out, digits
+    ],
+    "level_bfs": [
+        _P, _P, _I,  # offsets, indices, n
+        _P, _I, _I, _P,  # sources, count, max_depth, allowed
+        _P, _P, _P, _I,  # dist, order, ends, sorted
     ],
 }
 

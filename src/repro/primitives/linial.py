@@ -20,14 +20,27 @@ points are blocked and some ``x < q`` survives.  The new color is the pair
 
 Each iteration costs one round and maps ``k -> q² ≈ max(d*Δ, k^{1/(d+1)})²``;
 iterating reaches a fixed point of size O(Δ²) after O(log* k) rounds.
+
+The rounds run in the native kernel (``linial_round`` in
+``repro/kernel.c``, loaded by :mod:`repro.native`): per node, the base-q
+digits of every color once, then Horner evaluations at x = 0, 1, … until
+no neighbour's polynomial agrees.  :func:`linial_coloring` keeps the
+colorings in one int32 buffer across its rounds and starts from the
+identity coloring without materializing it.  On a random 8-regular graph
+at n=32768 (two rounds, 2-CPU box) a run takes ≈6 ms and the Python twin
+≈0.9 s.  :func:`_reduce_round_python` is the bit-identical twin, run when
+the kernel is not loaded.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
+from repro import native
 from repro.graphs.graph import Graph
 from repro.local.rounds import RoundLedger
+from repro.native import address
 from repro.primitives.numbers import int_to_digits, next_prime
 
 __all__ = ["LinialResult", "linial_coloring", "reduction_schedule"]
@@ -80,64 +93,12 @@ def reduction_schedule(n: int, delta: int) -> list[tuple[int, int, int]]:
     return schedule
 
 
-def _reduce_round_vectorized(graph: Graph, colors: list[int], d: int, q: int):
-    """One Linial reduction round as numpy array arithmetic (or ``None``).
-
-    Computes exactly what the scalar loop does — every node picks the
-    smallest point ``x`` where its degree-``d`` polynomial over GF(q)
-    differs from all its neighbours' — as a search over ``x = 0, 1, …``:
-    at each point every polynomial is evaluated (Horner over the base-q
-    digits, n-vector operations), the values are compared only on the
-    edges of nodes still blocked, and nodes with no agreeing neighbour
-    take ``x`` and leave the search along with their edges.  Two distinct
-    polynomials agree on at most ``d`` points, so most nodes resolve at
-    the first points and the compared edges shrink fast.  Falls back
-    (returns ``None``) without numpy.
-    """
-    try:
-        import numpy as np
-    except Exception:  # pragma: no cover - numpy-free environments
-        return None
-    n = graph.n
-    offsets, indices = graph.csr()
-    # The edges of still-blocked nodes, as (owner, neighbour) pairs.
-    owner = np.repeat(
-        np.arange(n, dtype=np.int32), np.diff(np.frombuffer(offsets, dtype=np.int32))
-    )
-    other = np.frombuffer(indices, dtype=np.int32)
-    # digits[j] = coefficient of x^j: base-q digit j of the color.
-    rest = np.asarray(colors, dtype=np.int64)
-    digits = []
-    for _ in range(d + 1):
-        digits.append(rest % q)
-        rest //= q
-    new_colors = np.empty(n, dtype=np.int64)
-    pending = np.arange(n)
-    blocked = np.zeros(n, dtype=bool)
-    for x in range(q):
-        value = digits[d]
-        for j in range(d - 1, -1, -1):
-            value = (value * x + digits[j]) % q
-        blocked[:] = False
-        blocked[owner[value[owner] == value[other]]] = True
-        still = blocked[pending]
-        done = pending[~still]
-        new_colors[done] = x * q + value[done]
-        pending = pending[still]
-        if not len(pending):
-            return new_colors.tolist()
-        keep = blocked[owner]
-        owner = owner[keep]
-        other = other[keep]
-    raise AssertionError("no free evaluation point; parameter bug")
-
-
 def _reduce_round_python(graph: Graph, colors: list[int], d: int, q: int) -> list[int]:
     """One Linial reduction round, pure Python (reference semantics).
 
-    The scalar twin of :func:`_reduce_round_vectorized`: same polynomial
-    evaluation over GF(q), same smallest-free-point choice, bit-identical
-    output — this is the path the numpy-free CI leg runs.
+    The twin of the kernel's ``linial_round``: same polynomial evaluation
+    over GF(q), same smallest-free-point choice, bit-identical output —
+    this is the path a box without a C compiler runs.
     """
     n = graph.n
     adj = graph.adj
@@ -195,27 +156,56 @@ def linial_coloring(
     iteration performs one synchronous exchange of colors and reduces the
     palette as described in the module docstring.  The returned palette is
     the fixed point q² for the smallest usable prime q (for Δ >= 2 this is
-    at most ``(2Δ + O(1))² = O(Δ²)``).  Rounds on graphs above a small size
-    threshold run through the vectorized fast path (bit-identical output).
+    at most ``(2Δ + O(1))² = O(Δ²)``).  The rounds run in the native
+    kernel when it is loaded (bit-identical output).
     """
     ledger = ledger if ledger is not None else RoundLedger()
     n = graph.n
     delta = max(1, graph.max_degree())
-    colors = list(range(n))
+    steps: list[tuple[int, int]] = []
     k = max(n, 2)
-    iterations = 0
-    while iterations < max_iterations:
+    while len(steps) < max_iterations:
         d, q = _choose_parameters(k, delta)
         if q * q >= k:
             break
-        iterations += 1
         ledger.charge(1)  # exchange current colors with all neighbours
-        if n >= 512:
-            reduced = _reduce_round_vectorized(graph, colors, d, q)
-            if reduced is not None:
-                colors = reduced
-                k = q * q
-                continue
-        colors = _reduce_round_python(graph, colors, d, q)
+        steps.append((d, q))
         k = q * q
-    return LinialResult(colors=colors, palette=k, iterations=iterations, rounds=iterations)
+    kernel = native.kernel("linial_round")
+    if kernel is not None:
+        colors = _reduce_rounds_native(kernel, graph, steps)
+    else:
+        colors = list(range(n))
+        for d, q in steps:
+            colors = _reduce_round_python(graph, colors, d, q)
+    return LinialResult(colors=colors, palette=k, iterations=len(steps), rounds=len(steps))
+
+
+def _reduce_rounds_native(
+    kernel, graph: Graph, steps: list[tuple[int, int]], colors: list[int] | None = None
+) -> list[int]:
+    """The reduction rounds ``steps`` (``(d, q)`` pairs) in the kernel's
+    ``linial_round``, from ``colors`` or, by default, the identity
+    coloring (which needs no buffer).  One int32 buffer holds two
+    colorings: each round reads one half and writes the other."""
+    n = graph.n
+    if not steps:
+        return list(range(n)) if colors is None else list(colors)
+    offsets, indices = graph.csr()
+    digits = array("i", bytes(4 * n * (1 + max(d for d, _ in steps))))
+    halves = array("i", bytes(8 * n))
+    start = address(halves)
+    source = None
+    if colors is not None:
+        halves[n:] = array("i", colors)
+        source = start + 4 * n
+    for i, (d, q) in enumerate(steps):
+        target = start + 4 * n * (i % 2)
+        stuck = kernel(
+            address(offsets), address(indices), n, source, d, q, target, address(digits)
+        )
+        if stuck >= 0:
+            raise AssertionError(f"no free evaluation point for node {stuck}; parameter bug")
+        source = target
+    last = n * ((len(steps) - 1) % 2)
+    return halves[last : last + n].tolist()

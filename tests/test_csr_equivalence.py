@@ -229,10 +229,11 @@ class TestVectorizedPathParity:
     bit-identical to the pure-Python fallbacks — including the shapes
     that once broke them."""
 
-    def test_linial_with_trailing_isolated_nodes(self):
-        # Regression: the chunked reduceat once clamped a trailing
+    def test_linial_with_trailing_isolated_nodes(self, python_twins):
+        # Regression: a vectorized round once clamped a trailing
         # zero-degree node's segment sentinel, stealing the previous
-        # node's last edge comparison.
+        # node's last edge comparison.  The kernel's round must match
+        # the scalar twin on the same shape.
         import repro.primitives.linial as linial_mod
         from repro.graphs.generators import random_graph_with_max_degree
         from repro.local.rounds import RoundLedger
@@ -240,15 +241,10 @@ class TestVectorizedPathParity:
         for seed in range(4):
             base = random_graph_with_max_degree(590, 7, 3.5, seed=seed)
             graph = Graph(600, list(base.edges()))  # nodes 590..599 isolated
-            vectorized = linial_mod.linial_coloring(graph, RoundLedger())
-            real = linial_mod._reduce_round_vectorized
-            linial_mod._reduce_round_vectorized = lambda *a, **k: None
-            try:
-                scalar = linial_mod.linial_coloring(graph, RoundLedger())
-            finally:
-                linial_mod._reduce_round_vectorized = real
-            assert vectorized.colors == scalar.colors
-            assert vectorized.palette == scalar.palette
+            native_run = linial_mod.linial_coloring(graph, RoundLedger())
+            scalar = python_twins(linial_mod.linial_coloring, graph, RoundLedger())
+            assert native_run.colors == scalar.colors
+            assert native_run.palette == scalar.palette
 
     def test_dcc_detection_paths_agree_on_multi_block_cut_vertex(self, detect_python):
         # Node 1 sits in two qualifying blocks (two C4s) with a pendant

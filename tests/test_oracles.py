@@ -11,7 +11,10 @@ on.  On each input:
 * :class:`NotNiceGraphError` is raised exactly when the input is not
   nice, and only by engines that need a nice graph.
 
-Graphs are kept small so every (engine, graph) pair runs in tier-1.
+Graphs are kept small so every (engine, graph) pair runs in tier-1.  Two
+long-diameter families (a 4×130 torus and a chain of K5-minus-an-edge
+gadgets) put more than 64 BFS levels between some nodes, so the layer
+searches run deep.
 """
 
 from __future__ import annotations
@@ -33,8 +36,26 @@ from repro.graphs.generators import (
     random_regular_graph,
     torus_grid,
 )
+from repro.graphs.bfs import distance_layers
+from repro.graphs.graph import Graph
 from repro.graphs.properties import is_nice
 from repro.graphs.validation import validate_coloring
+
+
+def gadget_chain(count: int, k: int = 5) -> Graph:
+    """``count`` copies of K_k minus an edge in a row, the two endpoints
+    of each missing edge tied to the neighbouring copies: (k-1)-regular
+    but for the chain's two ends, about 3 BFS levels per gadget."""
+    edges = []
+    for g in range(count):
+        base = g * k
+        edges += [
+            (base + i, base + j)
+            for i in range(k) for j in range(i + 1, k) if (i, j) != (0, k - 1)
+        ]
+        if g:
+            edges.append((base - 1, base))  # previous copy's k-1 to this copy's 0
+    return Graph(count * k, edges)
 
 FAMILIES = {
     "torus_4x4": lambda: torus_grid(4, 4),
@@ -68,7 +89,11 @@ FAMILIES = {
     "union_two_nice": lambda: disjoint_union([
         random_regular_graph(20, 3, seed=4), hypercube(3),
     ]),
+    "torus_4x130": lambda: torus_grid(4, 130),
+    "gadget_chain_30": lambda: gadget_chain(30),
 }
+
+LONG_DIAMETER = ("torus_4x130", "gadget_chain_30")
 
 # The Theorem 3 preset's own contract: it needs Δ >= 4 even on nice graphs.
 MIN_DELTA = {"randomized-large": 4}
@@ -108,3 +133,10 @@ def test_centralized_brooks_reaches_delta(family):
 def test_families_cover_both_sides():
     nice = [name for name, build in FAMILIES.items() if is_nice(build())]
     assert 8 <= len(nice) < len(FAMILIES)
+
+
+@pytest.mark.parametrize("family", LONG_DIAMETER)
+def test_long_diameter_families_are_deep(family):
+    graph = FAMILIES[family]()
+    assert is_nice(graph) and graph.is_connected()
+    assert len(distance_layers(graph, [0])) > 64

@@ -1,24 +1,31 @@
 """Fast paths of the Theorem 3 solve vs their pure-Python twins.
 
-Each vectorized kernel on the solve path keeps its Python twin as the
-fallback (reprolint RPL007); these tests pin the pairs to each other on
-shapes chosen to hit their edge cases, at sizes on both sides of every
-numpy-vs-Python threshold:
+Each fast path on the solve path — numpy or the native kernel
+(``repro/kernel.c``) — keeps its Python twin as the fallback (reprolint
+RPL007); these tests pin the pairs to each other on shapes chosen to hit
+their edge cases, at sizes on both sides of every threshold.  Kernel
+tests compare a call with the kernel loaded against the same call under
+the ``python_twins`` fixture (every entry point off, as on a box without
+a C compiler):
 
-* ``Graph.is_connected`` — disconnected graphs, isolated nodes, graphs
-  too deep for the level-synchronous search;
+* ``Graph.is_connected`` — the kernel's ``level_bfs`` from node 0 vs the
+  component scan: disconnected graphs, isolated nodes, deep graphs;
 * ``validate_coloring`` — the numpy verdict matches the Python pass, and
   the ``ColoringError.violations`` a caller sees are the Python pass's;
-* ``bfs_distances`` / ``distance_layers`` — several sources, ``max_depth``,
-  ``allowed`` as ``None``, a set or a byte mask (sources outside it
-  too); small ``allowed`` sets stay on the Python path;
+* ``bfs_distances`` / ``distance_layers`` — the kernel's ``level_bfs`` vs
+  the per-visit loops: rrg Δ=3..8, tori, hypercubes, nice, sparse and
+  disconnected graphs, paths deeper than 64 levels, ``max_depth`` 0, 1
+  and None, duplicate and empty sources, ``allowed`` as ``None``, a set
+  or a byte mask (sources outside it too), small and large reach, and
+  out-of-range sources and ``allowed`` nodes (``IndexError`` on both);
 * the H-boundary of phase 5 (``_boundary_vectorized`` /
   ``_boundary_python``) — full and carved H, irregular graphs;
 * ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
   — the empty graph, edgeless graphs, isolated nodes;
-* Linial's reduction round (``_reduce_round_vectorized`` /
+* Linial's reduction round (the kernel's ``linial_round`` /
   ``_reduce_round_python``) — regular, sparse, edgeless and dense
-  (q > 256) graphs, every round;
+  (q > 256) graphs from random colors, and every round of the schedule
+  from the identity coloring on the families above;
 * ``detect_dccs`` — the native C pass (``dcc_detect``: ball, tree
   reject, 2-core peel, Hopcroft–Tarjan block selection, adoption,
   resumable output) vs its lazy per-ball Python twin, on tori,
@@ -85,19 +92,45 @@ except ImportError:  # the numpy-free CI leg: every twin is the Python one
     HAVE_NUMPY = False
 
 # Sizes straddling validation.VECTOR_MIN_NODES (128) and
-# bfs.VECTOR_MIN_NODES (512).
+# happiness.VECTOR_MIN_NODES (64).
 SIZES = [40, 127, 128, 255, 256, 511, 512, 1100]
 FAST = settings(max_examples=25, deadline=None)
 
 
 def test_thresholds_are_the_measured_ones():
     assert validation_mod.VECTOR_MIN_NODES == 128
-    assert bfs_mod.VECTOR_MIN_NODES == 512
+    assert happiness_mod.VECTOR_MIN_NODES == 64
+    assert bfs_mod.SMALL_REACH == 8
 
 
 def sparse_graph(n: int, seed: int, avg_degree: float) -> Graph:
     """Irregular, often disconnected, usually with isolated nodes."""
     return random_graph_with_max_degree(n, 6, avg_degree, seed=seed)
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """Count the kernel's ``level_bfs`` calls (proof the kernel path ran);
+    0 on a box where the kernel did not load."""
+    real = native.kernel
+    calls = Counter()
+
+    def counted(name):
+        function = real(name)
+        if function is None or name != "level_bfs":
+            return function
+
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(native, "kernel", counted)
+    return calls
+
+
+KERNEL_LOADED = native.kernel("level_bfs") is not None
 
 
 class TestIsConnected:
@@ -107,33 +140,40 @@ class TestIsConnected:
         seed=st.integers(0, 10_000),
         avg=st.sampled_from([0.5, 1.8, 3.0, 5.0]),
     )
-    def test_twins_agree(self, n, seed, avg):
+    def test_twins_agree(self, n, seed, avg, python_twins):
         graph = sparse_graph(n, seed, avg)
         expected = graph._is_connected_python()
-        vectorized = graph._is_connected_vectorized()
-        assert vectorized is None or vectorized == expected
+        assert expected == (len(graph.connected_components()) == 1)
         assert graph.is_connected() == expected
+        assert python_twins(graph.is_connected) == expected
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_isolated_node_disconnects(self, n):
+    def test_isolated_node_disconnects(self, n, python_twins):
         base = random_regular_graph(n, 4, seed=n)
         graph = Graph(base.n + 1, list(base.edges()))
-        assert base._is_connected_vectorized() in (None, True)
-        assert base.is_connected()
-        assert graph._is_connected_vectorized() in (None, False)
+        assert base.is_connected() and python_twins(base.is_connected)
         assert not graph.is_connected()
+        assert not python_twins(graph.is_connected)
 
-    def test_two_components(self):
+    def test_two_components(self, bfs_calls, python_twins):
         halves = [random_regular_graph(300, 5, seed=i) for i in range(2)]
         graph = disjoint_union(halves)
-        assert graph._is_connected_vectorized() is (False if HAVE_NUMPY else None)
         assert not graph.is_connected()
+        assert bfs_calls["level_bfs"] == KERNEL_LOADED
+        assert not python_twins(graph.is_connected)
 
     @pytest.mark.parametrize("make", [cycle_graph, path_graph])
-    def test_deep_graphs_fall_back(self, make):
+    def test_deep_graphs_fall_back(self, make, bfs_calls, python_twins):
+        """Graphs far deeper than 64 levels: the kernel (which has no
+        level cap) and the fallback component scan agree."""
         graph = make(3000)
-        assert graph._is_connected_vectorized() is None  # > VECTOR_MAX_LEVELS
         assert graph.is_connected()
+        assert bfs_calls["level_bfs"] == KERNEL_LOADED
+        assert python_twins(graph.is_connected)
+        cuts = {(1499, 1500), (0, 2999)}
+        split = Graph(3000, [e for e in graph.edges() if e not in cuts])
+        assert not split.is_connected()
+        assert not python_twins(split.is_connected)
 
 
 def random_coloring(rng: random.Random, n: int, palette: int, defects: int):
@@ -227,7 +267,37 @@ def _allowed(n: int, kind: str | None, rng: random.Random):
     return bytearray(keep)
 
 
+def bfs_families():
+    """(name, graph) pairs for the kernel-vs-twin BFS tests."""
+    yield from ((f"rrg-d{d}", random_regular_graph(600, d, seed=d)) for d in range(3, 9))
+    yield "torus", torus_grid(9, 70)
+    yield "hypercube", hypercube(8)
+    yield "nice", random_nice_graph(400, 6, seed=4)
+    yield "sparse", sparse_graph(700, 3, 1.5)
+    yield "disconnected", disjoint_union(
+        [random_regular_graph(200, 4, seed=1), path_graph(90), Graph(5)]
+    )
+    yield "deep-path", path_graph(300)  # far more than 64 levels
+
+
+BFS_FAMILIES = list(bfs_families())
+
+
 class TestBreadthFirst:
+    @staticmethod
+    def assert_paths_agree(graph, sources, max_depth, allowed, python_twins):
+        dist = bfs_mod.bfs_distances(graph, sources, max_depth, allowed)
+        layers = bfs_mod.distance_layers(graph, sources, max_depth, allowed)
+        assert dist == python_twins(bfs_mod.bfs_distances, graph, sources, max_depth, allowed)
+        assert layers == python_twins(
+            bfs_mod.distance_layers, graph, sources, max_depth, allowed
+        )
+        # The layers are the distances, bucketed and ascending.
+        assert layers == [
+            [v for v in range(graph.n) if dist[v] == i] for i in range(len(layers))
+        ]
+        assert sum(map(len, layers)) == graph.n - dist.count(bfs_mod.UNREACHED)
+
     @FAST
     @given(
         n=st.sampled_from(SIZES),
@@ -237,7 +307,9 @@ class TestBreadthFirst:
         max_depth=st.sampled_from([None, 0, 1, 3, 10]),
         allowed_kind=st.sampled_from([None, "set", "bytearray"]),
     )
-    def test_twins_agree(self, n, seed, avg, num_sources, max_depth, allowed_kind):
+    def test_twins_agree(
+        self, n, seed, avg, num_sources, max_depth, allowed_kind, python_twins
+    ):
         rng = random.Random(seed)
         graph = sparse_graph(n, seed, avg)
         allowed = _allowed(n, allowed_kind, rng)
@@ -245,31 +317,75 @@ class TestBreadthFirst:
         sources = [rng.randrange(n) for _ in range(num_sources)]
         dist = bfs_mod._bfs_distances_python(graph, sources, max_depth, allowed)
         layers = bfs_mod._distance_layers_python(graph, sources, max_depth, allowed)
-        vec_dist = bfs_mod._bfs_distances_vectorized(graph, sources, max_depth, allowed)
-        vec_layers = bfs_mod._distance_layers_vectorized(graph, sources, max_depth, allowed)
-        assert vec_dist is None or vec_dist == dist
-        assert vec_layers is None or vec_layers == layers
         assert bfs_mod.bfs_distances(
             graph, iter(sources), max_depth=max_depth, allowed=allowed
         ) == dist
         assert bfs_mod.distance_layers(
             graph, set(sources), max_depth=max_depth, allowed=allowed
         ) == layers
+        self.assert_paths_agree(graph, sources, max_depth, allowed, python_twins)
 
-    def test_sources_outside_allowed_are_skipped(self):
+    @pytest.mark.parametrize("max_depth", [0, 1, None])
+    @pytest.mark.parametrize(
+        "name,graph", BFS_FAMILIES, ids=[name for name, _ in BFS_FAMILIES]
+    )
+    def test_kernel_matches_twin_on_families(
+        self, name, graph, max_depth, bfs_calls, python_twins
+    ):
+        rng = random.Random(graph.n)
+        n = graph.n
+        mask = bytearray(rng.random() < 0.8 for _ in range(n))
+        members = {v for v in range(n) if mask[v]}
+        source_sets = [
+            [0],
+            [n - 1, 0, n - 1, 0],  # duplicates, out of order
+            [rng.randrange(n) for _ in range(5)],
+            list(range(0, n, 9)),
+        ]
+        for sources in source_sets:
+            for allowed in (None, members, mask):
+                self.assert_paths_agree(graph, sources, max_depth, allowed, python_twins)
+        assert bfs_mod.bfs_distances(graph, [], max_depth) == [bfs_mod.UNREACHED] * n
+        assert python_twins(bfs_mod.bfs_distances, graph, [], max_depth) == (
+            [bfs_mod.UNREACHED] * n
+        )
+        assert bfs_calls["level_bfs"] == KERNEL_LOADED * (2 * 3 * len(source_sets) + 1)
+
+    @FAST
+    @given(
+        n=st.integers(1, 30),
+        edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=45),
+        sources=st.lists(st.integers(0, 29), max_size=6),
+        max_depth=st.one_of(st.none(), st.integers(0, 6)),
+        keep=st.lists(st.booleans(), min_size=30, max_size=30),
+        allowed_kind=st.sampled_from([None, "set", "bytearray"]),
+    )
+    def test_small_sparse_graphs(
+        self, n, edges, sources, max_depth, keep, allowed_kind, python_twins
+    ):
+        graph = Graph(n, {(min(u, v), max(u, v)) for u, v in edges if u != v and max(u, v) < n})
+        sources = [s for s in sources if s < n]
+        allowed = {
+            None: None,
+            "set": {v for v in range(n) if keep[v]},
+            "bytearray": bytearray(keep[:n]),
+        }[allowed_kind]
+        self.assert_paths_agree(graph, sources, max_depth, allowed, python_twins)
+        assert graph.is_connected() == python_twins(graph.is_connected)
+
+    def test_sources_outside_allowed_are_skipped(self, python_twins):
         graph = random_regular_graph(1024, 4, seed=3)
         allowed = set(range(0, 1024, 2)) | {1}
         mask = bytearray(v in allowed for v in range(1024))
         sources = [1, 3, 5, 7]  # only 1 is allowed
         expected = bfs_mod._bfs_distances_python(graph, sources, None, allowed)
         assert expected[3] == expected[5] == -1 and expected[1] == 0
-        for flags in (allowed, mask):
+        for flags in (allowed, mask, bytes(mask)):
             assert bfs_mod.bfs_distances(graph, sources, allowed=flags) == expected
-            vec = bfs_mod._bfs_distances_vectorized(graph, sources, None, flags)
-            assert vec is None or vec == expected
+            assert python_twins(bfs_mod.bfs_distances, graph, sources, allowed=flags) == expected
         assert bfs_mod.distance_layers(graph, [3, 5], allowed=allowed) == []
 
-    def test_empty_base_has_no_layers(self, monkeypatch):
+    def test_empty_base_has_no_layers(self, monkeypatch, bfs_calls):
         graph = random_regular_graph(4096, 4, seed=1)
 
         def python_twin(*args):
@@ -278,65 +394,77 @@ class TestBreadthFirst:
         monkeypatch.setattr(bfs_mod, "_distance_layers_python", python_twin)
         assert bfs_mod.distance_layers(graph, []) == []
         assert bfs_mod.distance_layers(graph, set(), max_depth=8, allowed=set()) == []
+        assert not bfs_calls
 
-    def test_small_allowed_sets_stay_in_python(self, monkeypatch):
-        from repro.primitives.decomposition import gather_component_cost, mpx_clustering
-
+    def test_allowed_kinds_route_by_type(self, bfs_calls):
+        """Sets (of any size) and length-n byte masks go to the kernel;
+        predicates, plain lists and masks of another length take the
+        Python loop, with the same answers."""
         graph = random_regular_graph(4096, 4, seed=2)
-
-        def vectorized(*args):
-            raise LookupError("numpy path taken")
-
-        monkeypatch.setattr(bfs_mod, "_bfs_distances_vectorized", vectorized)
-        monkeypatch.setattr(bfs_mod, "_distance_layers_vectorized", vectorized)
-        # A small component's member set and a decomposition's clusters:
-        # unbounded searches, but only a few hundred nodes to visit.
         component = sorted(bfs_mod.bfs_ball(graph, 0, 4))
-        assert len(component) < bfs_mod.VECTOR_MIN_NODES
         member_set = set(component)
-        dist = bfs_mod._bfs_distances_python(graph, [component[0]], None, member_set)
-        radius = max(dist[v] for v in component)
-        assert gather_component_cost(graph, component, member_set) == 2 * radius + 1
+        want = bfs_mod._bfs_distances_python(graph, [component[0]], None, member_set)
+        assert bfs_mod.bfs_distances(graph, [component[0]], allowed=member_set) == want
         assert len(bfs_mod.distance_layers(graph, [0], allowed=member_set)) == 5
-        clustering = mpx_clustering(graph, member_set, 0.5, random.Random(1))
-        assert set(clustering.cluster_of) == member_set
-        # A large set or a length-n byte mask does vectorize.
-        big = set(range(0, 4096, 3)) | set(range(1, 4096, 3))
-        with pytest.raises(LookupError):
-            bfs_mod.bfs_distances(graph, range(0, 4096, 16), max_depth=3, allowed=big)
-        mask = bytearray(v in big for v in range(4096))
-        with pytest.raises(LookupError):
-            bfs_mod.distance_layers(graph, range(0, 4096, 16), max_depth=3, allowed=mask)
-        # Predicates and plain lists never do.
-        bfs_mod.bfs_distances(graph, range(0, 4096, 16), allowed=big.__contains__)
-        bfs_mod.bfs_distances(graph, range(0, 4096, 16), allowed=list(mask))
+        mask = bytearray(v % 3 != 2 for v in range(4096))
+        layers = bfs_mod.distance_layers(graph, range(0, 4096, 16), max_depth=3, allowed=mask)
+        assert bfs_calls["level_bfs"] == 3 * KERNEL_LOADED
+        for flags in (mask.__getitem__, list(mask), mask + b"\0"):
+            assert bfs_mod.distance_layers(
+                graph, range(0, 4096, 16), max_depth=3, allowed=flags
+            ) == layers
+        assert bfs_calls["level_bfs"] == 3 * KERNEL_LOADED
 
-    def test_deep_search_falls_back(self):
+    def test_deep_search_falls_back(self, bfs_calls, python_twins):
+        """A search thousands of levels deep: the kernel (no level cap)
+        and the fallback twin give the same distances and layers."""
         graph = path_graph(2000)
-        assert bfs_mod.frontier_levels(graph, [0, 1999], None) is None
         dist = bfs_mod.bfs_distances(graph, [0, 1999])
         assert dist == [min(v, 1999 - v) for v in range(2000)]
-        # Bounded depth stays vectorized on the same graph.
-        assert (bfs_mod.frontier_levels(graph, [0, 1999], 5) is not None) == HAVE_NUMPY
+        assert python_twins(bfs_mod.bfs_distances, graph, [0, 1999]) == dist
+        layers = bfs_mod.distance_layers(graph, [0])
+        assert layers == [[v] for v in range(2000)]
+        assert python_twins(bfs_mod.distance_layers, graph, [0]) == layers
+        assert bfs_calls["level_bfs"] == 2 * KERNEL_LOADED
 
-    def test_only_searches_that_reach_far_are_vectorized(self, monkeypatch):
+    def test_small_reach_fills_a_fresh_list(self, bfs_calls, python_twins):
+        """Both ways the kernel's distances become a list (a search that
+        reaches under an eighth of the graph, and one that reaches
+        more) give the twin's list."""
         graph = random_regular_graph(4096, 8, seed=2)
+        for sources, depth in (([0, 1], 1), ([0, 1], 2), (range(0, 4096, 16), 3), ([5], None)):
+            dist = bfs_mod.bfs_distances(graph, sources, max_depth=depth)
+            assert dist == python_twins(bfs_mod.bfs_distances, graph, sources, max_depth=depth)
+        assert bfs_calls["level_bfs"] == 4 * KERNEL_LOADED
 
-        def vectorized(*args):
-            raise LookupError("numpy path taken")
-
-        monkeypatch.setattr(bfs_mod, "_bfs_distances_vectorized", vectorized)
-        bfs_mod.bfs_distances(graph, [0, 1], max_depth=2)  # reach ~100 nodes
-        with pytest.raises(LookupError):
-            bfs_mod.bfs_distances(graph, range(0, 4096, 16), max_depth=3)
-        with pytest.raises(LookupError):
-            bfs_mod.bfs_distances(graph, [0, 1])  # unbounded
-
-    def test_out_of_range_source_keeps_python_semantics(self):
+    def test_out_of_range_source_keeps_python_semantics(self, python_twins):
+        """A source or ``allowed`` node outside 0..n-1 raises IndexError
+        on both paths (a negative id once wrapped around to n + id)."""
         graph = random_regular_graph(300, 4, seed=1)
-        assert bfs_mod.frontier_levels(graph, [0, 300], None) is None
-        with pytest.raises(IndexError):
-            bfs_mod.bfs_distances(graph, [0, 300])
+        for run in (lambda fn, *args: fn(*args), python_twins):
+            for bad in (300, -1, 10**12):
+                with pytest.raises(IndexError):
+                    run(bfs_mod.bfs_distances, graph, [0, bad])
+                with pytest.raises(IndexError):
+                    run(bfs_mod.distance_layers, graph, [bad], 1)
+                with pytest.raises(IndexError):
+                    run(bfs_mod.bfs_distances, graph, [0], None, {0, 1, bad})
+                with pytest.raises(IndexError):
+                    run(bfs_mod.distance_layers, graph, [0], None, {0, bad})
+
+    def test_negative_source_does_not_wrap(self, python_twins):
+        """On a 16-node graph ``distance_layers(g, [-1], max_depth=1)``
+        once returned node 15 and its neighbours."""
+        graph = random_regular_graph(16, 3, seed=1)
+        for run in (lambda fn, *args, **kw: fn(*args, **kw), python_twins):
+            for search in (bfs_mod.distance_layers, bfs_mod.bfs_distances):
+                with pytest.raises(IndexError):
+                    run(search, graph, [-1], max_depth=1)
+            for search in (bfs_mod.bfs_ball, bfs_mod.bfs_levels, bfs_mod.bfs_tree):
+                with pytest.raises(IndexError):
+                    run(search, graph, -1, 1)
+            with pytest.raises(IndexError):
+                run(bfs_mod.closest_source_assignment, graph, [-1])
 
 
 class TestBoundary:
@@ -411,7 +539,6 @@ class TestAdoption:
 # -- Linial reduction rounds --------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 @pytest.mark.parametrize("name,graph", [
     ("rrg-d8", random_regular_graph(2048, 8, seed=3)),
     ("rrg-d3", random_regular_graph(1024, 3, seed=4)),
@@ -420,9 +547,12 @@ class TestAdoption:
     ("dense", random_graph_with_max_degree(600, 130, 90.0, seed=6)),
 ], ids=lambda value: value if isinstance(value, str) else "")
 def test_linial_rounds_agree(name, graph):
-    """Every reduction round of the vectorized first-free point search
+    """Every reduction round of the kernel's first-free point search
     against the scalar twin, starting from distinct random colors below
     10^6 (so the dense graph's first round has q > 256)."""
+    kernel = native.kernel("linial_round")
+    if kernel is None:
+        pytest.skip("native kernel not loaded on this box")
     delta = max(1, graph.max_degree())
     k = 10**6
     colors = random.Random(graph.n).sample(range(k), graph.n)
@@ -431,11 +561,71 @@ def test_linial_rounds_agree(name, graph):
         d, q = linial_mod._choose_parameters(k, delta)
         if q * q >= k:
             break
-        fast = linial_mod._reduce_round_vectorized(graph, colors, d, q)
+        fast = linial_mod._reduce_rounds_native(kernel, graph, [(d, q)], colors)
         assert fast == linial_mod._reduce_round_python(graph, colors, d, q), (name, q)
         colors, k = fast, q * q
         rounds += 1
     assert rounds >= 1
+
+
+LINIAL_FAMILIES = [
+    *((f"rrg-d{d}", random_regular_graph(1000, d, seed=d)) for d in range(3, 9)),
+    ("torus", torus_grid(20, 31)),
+    ("hypercube", hypercube(9)),
+    ("nice", random_nice_graph(700, 6, seed=4)),
+    ("sparse", sparse_graph(800, 3, 1.5)),
+    ("disconnected", disjoint_union([random_regular_graph(300, 5, seed=2), path_graph(40)])),
+    ("tiny", path_graph(3)),
+    ("empty", Graph(0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,graph", LINIAL_FAMILIES, ids=[name for name, _ in LINIAL_FAMILIES]
+)
+def test_linial_schedule_kernel_matches_twin(name, graph, python_twins):
+    """``linial_coloring`` from the identity coloring, round by round:
+    each round of the schedule in the kernel matches the scalar twin
+    applied to the kernel's previous round, and the whole run (colors,
+    palette, ledger) matches the twin's run."""
+    kernel = native.kernel("linial_round")
+    ledger, twin_ledger = RoundLedger(), RoundLedger()
+    result = linial_mod.linial_coloring(graph, ledger)
+    twin = python_twins(linial_mod.linial_coloring, graph, twin_ledger)
+    assert (result.colors, result.palette, result.iterations) == (
+        twin.colors, twin.palette, twin.iterations
+    )
+    assert ledger.total_rounds == twin_ledger.total_rounds == result.iterations
+    if kernel is None:
+        return
+    steps = []
+    k = max(graph.n, 2)
+    while True:
+        d, q = linial_mod._choose_parameters(k, max(1, graph.max_degree()))
+        if q * q >= k:
+            break
+        steps.append((d, q))
+        k = q * q
+    assert len(steps) == result.iterations
+    colors = list(range(graph.n))
+    for i, (d, q) in enumerate(steps):
+        fast = linial_mod._reduce_rounds_native(kernel, graph, steps[: i + 1])
+        colors = linial_mod._reduce_round_python(graph, colors, d, q)
+        assert fast == colors, (name, i)
+    assert colors == result.colors
+
+
+def test_linial_kernel_reports_a_stuck_node():
+    """A coloring that is not proper leaves a node with no free point:
+    the kernel names it and the wrapper raises, like the twin."""
+    kernel = native.kernel("linial_round")
+    if kernel is None:
+        pytest.skip("native kernel not loaded on this box")
+    graph = path_graph(4)
+    with pytest.raises(AssertionError, match="node 1"):
+        linial_mod._reduce_rounds_native(kernel, graph, [(1, 3)], [0, 3, 3, 5])
+    with pytest.raises(AssertionError):
+        linial_mod._reduce_round_python(graph, [0, 3, 3, 5], 1, 3)
 
 
 # -- DCC detection ------------------------------------------------------------
