@@ -98,7 +98,7 @@ def run_service_hot_update(
                 if first_update is None:
                     first_update = upd
             # Validity of the final child against its stored graph.
-            child_graph = gateway.graph_store.get(digest)
+            child_graph = gateway.cache.get_graph(digest)
             final = gateway.cache.get(digest)
             validate_coloring(
                 child_graph, list(final.colors), max_colors=final.palette

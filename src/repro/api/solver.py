@@ -181,8 +181,8 @@ def apply_incremental(
 
     Where ``solve_incremental`` builds a fresh engine per call (the
     one-shot price), this is the sustained-stream entry point: the caller
-    keeps the engine across ops — the service's chain-head
-    ``GraphStore`` does — and each call advances it in place.  The
+    keeps the engine across ops — the service's ``MemoryStore`` does for
+    chain heads — and each call advances it in place.  The
     returned result is bit-identical to what ``solve_incremental`` would
     produce for the same lineage (same colors, seed, and stats layout),
     which is what pins the service's chained-update digests to the old

@@ -363,8 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     storage = StorageConfig(
         cache_entries=args.cache_entries,
         cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
-        cache_ttl_s=args.cache_ttl if args.cache_ttl and args.cache_ttl > 0 else None,
-        graph_store_entries=args.graph_store_entries,
         store_dir=args.store_dir or None,
         wal=args.wal == "on",
         fsync=args.fsync,
@@ -422,10 +420,8 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         "max-wait-ms": args.max_wait_ms,
         "max-queue": args.max_queue,
         "max-cost": args.max_cost,
-        "graph-store-entries": args.graph_store_entries,
         "cache-entries": args.cache_entries,
         "cache-bytes": args.cache_bytes,
-        "cache-ttl": args.cache_ttl,
         "drain-s": args.drain_s,
     }
     if args.store_dir:
@@ -627,17 +623,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(<= 0 disables; an oversize request is still admitted when idle)",
     )
     serve.add_argument(
-        "--graph-store-entries", type=int, default=128,
-        help="served instances retained for the update verb's repair parents",
-    )
-    serve.add_argument("--cache-entries", type=int, default=1024)
-    serve.add_argument(
-        "--cache-bytes", type=int, default=256 * 1024 * 1024,
-        help="result-cache byte bound (<= 0 disables byte-based eviction)",
+        "--cache-entries", type=int, default=1152,
+        help="entry bound of the memory store (results, the graphs that "
+        "parent updates, and chain heads together)",
     )
     serve.add_argument(
-        "--cache-ttl", type=float, default=0.0,
-        help="result TTL in seconds (<= 0 = entries never expire)",
+        "--cache-bytes", type=int, default=768 * 1024 * 1024,
+        help="byte bound of the memory store (<= 0 disables byte-based "
+        "eviction)",
     )
     serve.add_argument(
         "--store-dir",

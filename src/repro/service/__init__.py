@@ -5,18 +5,11 @@ tail latency, and cache hit rate become first-class measured quantities.
 
 * :mod:`repro.service.fingerprint` — content-addressed request hashes
   (canonical CSR + result-affecting config fields);
-* :mod:`repro.service.cache` — LRU+TTL :class:`ResultCache` of frozen
-  :class:`repro.api.ColoringResult` objects with hit/miss/eviction and
-  byte accounting;
 * :mod:`repro.service.batcher` — :class:`BatchingGateway`, the asyncio
   gateway: one request lifecycle (cache probe, coalescing, admission,
   work in a worker thread, settlement) for ``solve`` micro-batches and
   ``update`` deltas, with bounded queue depth and explicit load
   shedding (:class:`repro.errors.ServiceOverloadedError`);
-* :mod:`repro.service.graphstore` — :class:`GraphStore`, the LRU of
-  served instances that backs the ``update`` verb (edge-stream deltas
-  repaired from a cached parent via :func:`repro.api.solve_incremental`
-  instead of re-solved — see docs/INCREMENTAL.md);
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics` latency
   histograms (p50/p95/p99), QPS and queue depth, one JSON snapshot;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -27,10 +20,13 @@ tail latency, and cache hit rate become first-class measured quantities.
   :class:`ShardWorker` child processes, and the :class:`ShardRouter`
   NDJSON front tier (``repro serve --shards N``);
 * :mod:`repro.service.storage` — the pluggable storage API:
-  :class:`ResultStore`/:class:`WriteAheadLog` protocols, the in-memory
-  and durable (:class:`DurableStore` + update WAL) backends, one
-  :class:`StorageConfig` of knobs, and warm-restart replay
-  (``repro serve --store-dir`` — see docs/STORAGE.md).
+  :class:`ResultStore`/:class:`WriteAheadLog` protocols,
+  :class:`MemoryStore` (one LRU over frozen results, the served graphs
+  that parent ``update`` deltas, and live chain-head engines, with byte
+  accounting), the durable :class:`DurableStore` + update WAL behind
+  it, one :class:`StorageConfig` of knobs, and warm-restart replay
+  (``repro serve --store-dir`` — see docs/STORAGE.md and
+  docs/INCREMENTAL.md).
 
 Quick start::
 
@@ -49,7 +45,6 @@ solve).
 """
 
 from repro.service.batcher import BatchingGateway, GatewayReply, UpdateReply
-from repro.service.cache import CacheStats, ResultCache
 from repro.service.client import AsyncColoringClient, ColoringClient, SolveReply
 from repro.service.fingerprint import (
     config_fingerprint,
@@ -57,7 +52,6 @@ from repro.service.fingerprint import (
     request_fingerprint,
     update_fingerprint,
 )
-from repro.service.graphstore import GraphStore
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import ColoringServer, NdjsonEndpoint
 from repro.service.sharding import (
@@ -68,10 +62,10 @@ from repro.service.sharding import (
 )
 from repro.service.storage import (
     DurableStore,
+    MemoryStore,
     ResultStore,
     StorageBundle,
     StorageConfig,
-    TieredResultStore,
     UpdateWAL,
     WriteAheadLog,
 )
@@ -80,9 +74,6 @@ __all__ = [
     "BatchingGateway",
     "GatewayReply",
     "UpdateReply",
-    "GraphStore",
-    "ResultCache",
-    "CacheStats",
     "ServiceMetrics",
     "ColoringServer",
     "NdjsonEndpoint",
@@ -98,7 +89,7 @@ __all__ = [
     "StorageConfig",
     "StorageBundle",
     "DurableStore",
-    "TieredResultStore",
+    "MemoryStore",
     "UpdateWAL",
     "graph_fingerprint",
     "config_fingerprint",

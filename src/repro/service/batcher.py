@@ -24,8 +24,8 @@
    :func:`repro.api.solve` per request (building a lazily-sent graph
    first).  An ``update`` applies its delta in place on the chain-head
    engine.
-6. **Settlement** — the verb's success step (``solve``: result cache and
-   graph store; ``update``: WAL, result cache and chain head), then the
+6. **Settlement** — the verb's success step (``solve``: result and
+   graph into the store; ``update``: WAL, result and chain head), then the
    future's result or exception, the slot and cost released, and the
    outcome counted.  A failed update puts the chain head back under the
    parent digest.
@@ -233,7 +233,6 @@ class BatchingGateway:
             self._owns_storage = False
         self.storage = storage
         self.cache = storage.cache
-        self.graph_store = storage.graph_store
         self.last_replay: dict | None = None
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.max_batch = max_batch
@@ -273,11 +272,7 @@ class BatchingGateway:
             return None
         with self.tracer.start_span("store.replay") as span:
             report = replay_chains(
-                self.storage.wal,
-                self.storage.durable,
-                self.graph_store,
-                cache=self.cache,
-                meters=self.storage.meters,
+                self.storage.wal, self.cache, meters=self.storage.meters
             )
             if span:
                 span.set_attr("chains_replayed", report["chains_replayed"])
@@ -374,7 +369,7 @@ class BatchingGateway:
                 self.cache.put(key, outcome)
                 # Retained under the same digest so a later `update`
                 # can use this instance as its repair parent.
-                self.graph_store.put(key, graph)
+                self.cache.put_graph(key, graph)
 
         result, cached = await self._serve(
             key, "solve", parent_span, started, lambda: (cost, work, finish)
@@ -393,7 +388,7 @@ class BatchingGateway:
         """Resolve one edge-stream update against a cached parent.
 
         The parent is addressed by the digest a previous ``solve`` (or
-        ``update``) reply carried.  If the graph store holds a live
+        ``update``) reply carried.  If the store holds a live
         chain-head engine there, the delta applies **in place** (the
         engine moves to the child digest); otherwise a fresh engine is
         seeded from the stored parent graph + cached coloring — so a
@@ -430,14 +425,14 @@ class BatchingGateway:
             # otherwise seed a fresh engine from the stored graph + cached
             # result.
             nonlocal engine, parent_graph, parent_result
-            engine = self.graph_store.pop_engine(parent_digest)
+            engine = self.cache.pop_engine(parent_digest)
             if engine is None:
-                parent_graph = self.graph_store.get(parent_digest)
+                parent_graph = self.cache.get_graph(parent_digest)
                 parent_result = self.cache.get(parent_digest)
                 if parent_graph is None or parent_result is None:
                     raise StaleParentError(
-                        f"unknown parent {parent_digest[:16]}…: not in the graph "
-                        "store / result cache (evicted, never solved here, or a "
+                        f"unknown parent {parent_digest[:16]}…: no graph and "
+                        "result in the store (evicted, never solved here, or a "
                         "chain that moved on); fall back to a full solve of the "
                         "child graph"
                     )
@@ -475,7 +470,7 @@ class BatchingGateway:
                 # head goes back where it was and the caller may correct
                 # and retry.
                 if engine is not None:
-                    self.graph_store.put_engine(parent_digest, engine)
+                    self.cache.put_engine(parent_digest, engine)
                 return
             if self.storage.wal is not None:
                 # Logged after the apply succeeded (facts, not intents):
@@ -487,7 +482,7 @@ class BatchingGateway:
                     )
                 )
             self.cache.put(child_digest, outcome)
-            self.graph_store.put_engine(child_digest, engine)
+            self.cache.put_engine(child_digest, engine)
 
         result, cached = await self._serve(
             child_digest, "update", parent_span, started, take_parent
@@ -715,10 +710,7 @@ class BatchingGateway:
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """Gateway-level counters merged with cache and metrics snapshots."""
-        cache_stats = self.cache.stats()
-        if hasattr(cache_stats, "as_dict"):
-            cache_stats = cache_stats.as_dict()
+        """Gateway-level counters merged with store and metrics snapshots."""
         out = {
             "max_batch": self.max_batch,
             "max_wait_ms": round(1000 * self.max_wait_s, 3),
@@ -729,8 +721,7 @@ class BatchingGateway:
             "outstanding_cost": self._outstanding_cost,
             "followers": self._followers,
             "coalesced": self.coalesced,
-            "cache": cache_stats,
-            "graph_store": self.graph_store.stats(),
+            **self.cache.stats(),
             "metrics": self.metrics.snapshot(),
         }
         if self.storage.durable is not None:

@@ -4,8 +4,8 @@ The service's request fingerprints (``r1:…`` solve keys, ``u1:…`` update
 keys — :mod:`repro.service.fingerprint`) are content addresses: a digest
 fully determines its result, independent of *where* it is computed.
 That makes the serving layer shardable with no coordination at all —
-each digest just needs a stable owner, and each shard's ``ResultCache``
-and ``GraphStore`` then hold exactly the keys of its arc.
+each digest just needs a stable owner, and each shard's ``MemoryStore``
+then holds exactly the keys of its arc.
 
 :class:`HashRing` provides that ownership map the classic way:
 

@@ -9,8 +9,7 @@ its digest arc:
   (``edge_keys_fingerprint + config_fingerprint``, the cache key) from
   the raw payload and routes by :meth:`HashRing.owner`.  Identical
   requests therefore always land on the same shard, so per-shard
-  ``ResultCache``/``GraphStore`` partitions hold disjoint arcs of the
-  keyspace and coalescing/caching work exactly as in the single-process
+  ``MemoryStore`` partitions hold disjoint arcs of the keyspace and coalescing/caching work exactly as in the single-process
   service — and replies stay bit-identical to it.
 * ``update`` — routed by the shard that *owns the chain*: child digests
   are recorded shard-side-sticky in a bounded LRU as replies stream
@@ -234,7 +233,7 @@ class ShardRouter(NdjsonEndpoint):
         if not isinstance(parent_digest, str) or not parent_digest:
             raise ServiceProtocolError("update needs a string parent_digest")
         # Chain locality: the shard that served the parent owns the whole
-        # chain (its GraphStore holds the live chain-head engine).  Root
+        # chain (its MemoryStore holds the live chain-head engine).  Root
         # parents (r1: solve digests) route by the ring like their solve
         # did; u1: children by the sticky map recorded from replies.
         shard = self._update_owner.get(parent_digest)
@@ -374,13 +373,14 @@ def _merge_shard_stats(
         cache = {
             k: sum(s.get("cache", {}).get(k, 0) for s in alive)
             for k in ("hits", "misses", "puts", "evictions_lru",
-                      "evictions_ttl", "entries", "bytes")
+                      "evictions_ttl", "entries", "bytes", "durable_hits")
         }
         probes = cache["hits"] + cache["misses"]
         cache["hit_rate"] = round(cache["hits"] / probes, 4) if probes else 0.0
     graph_store = {
         k: sum(s.get("graph_store", {}).get(k, 0) for s in alive)
-        for k in ("entries", "chains", "bytes", "hits", "misses", "evictions")
+        for k in ("entries", "chains", "bytes", "hits", "misses", "evictions",
+                  "evictions_graphs", "evictions_chains", "durable_hits")
     } if alive else {}
     metrics: dict[str, Any] = {}
     if alive:

@@ -7,8 +7,10 @@ See docs/STORAGE.md for the operator view.  The layout:
   :class:`StorageBundle` (the live stores).
 * :mod:`.journal` — the framed append-only file with torn-tail recovery
   that every durable structure is built from.
-* :mod:`.durable` — :class:`DurableStore` (segments + digest index) and
-  :class:`TieredResultStore` (memory front, disk behind).
+* :mod:`.durable` — :class:`DurableStore` (segments + digest index).
+* :mod:`.memory` — :class:`MemoryStore`, the one LRU over results,
+  graphs and chain heads, in front of the durable tier when there is
+  one.
 * :mod:`.wal` — :class:`UpdateWAL`, the update verb's delta log.
 * :mod:`.replay` — :func:`replay_chains`, warm-restart chain rebuild.
 """
@@ -20,7 +22,7 @@ from repro.service.storage.api import (
     StoreMeters,
     WriteAheadLog,
 )
-from repro.service.storage.durable import DurableStore, TieredResultStore
+from repro.service.storage.durable import DurableStore
 from repro.service.storage.journal import (
     FSYNC_POLICIES,
     FsyncPolicy,
@@ -28,6 +30,7 @@ from repro.service.storage.journal import (
     decode_record,
     encode_record,
 )
+from repro.service.storage.memory import MemoryStore
 from repro.service.storage.replay import replay_chains
 from repro.service.storage.wal import UpdateWAL, config_from_payload, update_record
 
@@ -38,7 +41,7 @@ __all__ = [
     "StorageBundle",
     "StoreMeters",
     "DurableStore",
-    "TieredResultStore",
+    "MemoryStore",
     "Journal",
     "FsyncPolicy",
     "FSYNC_POLICIES",

@@ -10,35 +10,39 @@ small protocols:
   results from different engines can share one store without colliding.
 * :class:`WriteAheadLog` — the ``update`` verb's durability half: an
   append-only log of edge deltas, replayed on restart to rebuild the
-  :class:`~repro.service.graphstore.GraphStore` chain heads the process
-  lost.
+  chain-head engines of the :class:`~repro.service.storage.memory.
+  MemoryStore` the process lost.
 
-Two backends ship behind them: the in-memory LRU+TTL
-:class:`~repro.service.cache.ResultCache` (bit-identical to the pre-API
-behaviour) and the durable
+Two backends ship behind them: the in-memory
+:class:`~repro.service.storage.memory.MemoryStore` (one LRU over
+results, graphs and chain heads) and the durable
 :class:`~repro.service.storage.durable.DurableStore` (append-only
 segment files + compact digest index; see docs/STORAGE.md).  With a
-store directory configured the service runs the two *tiered*
-(:class:`~repro.service.storage.durable.TieredResultStore`): memory in
-front, disk behind, warm restarts replaying instead of re-solving.
+store directory configured the memory store sits in front of the
+durable one: writes go through, misses read through, and warm restarts
+replay instead of re-solving.
 
 :class:`StorageConfig` is the one place every storage knob lives —
-cache bounds, graph-store bounds, durability options — and
-:meth:`StorageConfig.build` turns it into the :class:`StorageBundle` of
-live stores that :class:`~repro.service.batcher.BatchingGateway`,
+memory bounds and durability options — and :meth:`StorageConfig.build`
+turns it into the :class:`StorageBundle` of live stores that
+:class:`~repro.service.batcher.BatchingGateway`,
 :class:`~repro.service.server.ColoringServer` and ``repro serve`` all
-thread through.  Tests (and anything that needs bespoke instances, e.g.
-a frozen-clock cache) construct a :class:`StorageBundle` directly.
+thread through.  Tests (and anything that needs bespoke instances)
+construct a :class:`StorageBundle` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
 from repro.api.result import ColoringResult
 from repro.service.storage.journal import FSYNC_POLICIES
+
+if TYPE_CHECKING:
+    from repro.service.storage.memory import GraphStoreView, MemoryStore
 
 __all__ = [
     "ResultStore",
@@ -59,7 +63,7 @@ class ResultStore(Protocol):
     """
 
     def get(self, key: str) -> ColoringResult | None:
-        """The stored result, or None (miss/expired/evicted)."""
+        """The stored result, or None (miss/evicted)."""
         ...
 
     def put(self, key: str, result: ColoringResult) -> None:
@@ -71,7 +75,7 @@ class ResultStore(Protocol):
         ...
 
     def stats(self) -> Any:
-        """A JSON-able snapshot (or an object with ``as_dict()``)."""
+        """A JSON-able snapshot."""
         ...
 
     def clear(self) -> None:
@@ -170,22 +174,18 @@ class StoreMeters:
 class StorageConfig:
     """Every storage knob of the serving tier, in one place.
 
-    In-memory tier (always on)
-    --------------------------
-    cache_entries / cache_bytes / cache_ttl_s:
-        The :class:`~repro.service.cache.ResultCache` bounds — entry
-        count, summed byte estimate (None disables), per-entry TTL
-        (None = never expire).
-    graph_store_entries / graph_store_bytes:
-        The :class:`~repro.service.graphstore.GraphStore` bounds for
-        update-verb repair parents and chain-head engines.
+    Memory tier (always on)
+    -----------------------
+    cache_entries / cache_bytes:
+        The :class:`~repro.service.storage.memory.MemoryStore` bounds
+        over results, graphs and chain heads together — entry count and
+        summed byte estimate (None disables the byte bound).
 
     Durable tier (on when ``store_dir`` is set)
     -------------------------------------------
     store_dir:
         Directory of the append-only segment files, the compact digest
-        index and the update WAL.  None = memory-only (the pre-storage-
-        API behaviour, bit-identical).
+        index and the update WAL.  None = memory-only.
     wal:
         Keep the update write-ahead log (chain heads replay on restart).
         Ignored without ``store_dir``.
@@ -197,11 +197,8 @@ class StorageConfig:
         Roll to a fresh segment file past this size.
     """
 
-    cache_entries: int = 1024
-    cache_bytes: int | None = 256 * 1024 * 1024
-    cache_ttl_s: float | None = None
-    graph_store_entries: int = 128
-    graph_store_bytes: int | None = 512 * 1024 * 1024
+    cache_entries: int = 1152
+    cache_bytes: int | None = 768 * 1024 * 1024
     store_dir: str | Path | None = None
     wal: bool = True
     fsync: str = "batch"
@@ -210,10 +207,6 @@ class StorageConfig:
     def __post_init__(self) -> None:
         if self.cache_entries < 1:
             raise ValueError(f"cache_entries must be >= 1, got {self.cache_entries}")
-        if self.graph_store_entries < 1:
-            raise ValueError(
-                f"graph_store_entries must be >= 1, got {self.graph_store_entries}"
-            )
         if self.fsync not in FSYNC_POLICIES:
             raise ValueError(
                 f"unknown fsync policy {self.fsync!r}; expected one of "
@@ -234,20 +227,13 @@ class StorageConfig:
         ``registry`` (a :class:`repro.obs.meters.MetricsRegistry`) wires
         the ``repro_store_*`` instruments; None leaves them off.
         """
-        from repro.service.cache import ResultCache
-        from repro.service.graphstore import GraphStore
+        from repro.service.storage.durable import DurableStore
+        from repro.service.storage.memory import MemoryStore
+        from repro.service.storage.wal import UpdateWAL
 
         meters = StoreMeters(registry)
-        cache: Any = ResultCache(
-            max_entries=self.cache_entries,
-            max_bytes=self.cache_bytes,
-            ttl_s=self.cache_ttl_s,
-        )
         durable = wal = None
-        if self.durable:
-            from repro.service.storage.durable import DurableStore, TieredResultStore
-            from repro.service.storage.wal import UpdateWAL
-
+        if self.store_dir is not None:
             root = Path(self.store_dir)
             durable = DurableStore(
                 root,
@@ -255,21 +241,16 @@ class StorageConfig:
                 segment_max_bytes=self.segment_max_bytes,
                 meters=meters,
             )
-            cache = TieredResultStore(cache, durable, meters=meters)
             if self.wal:
                 wal = UpdateWAL(root / "update.wal", fsync=self.fsync, meters=meters)
-        graph_store = GraphStore(
-            max_entries=self.graph_store_entries,
-            max_bytes=self.graph_store_bytes,
+        cache = MemoryStore(
+            max_entries=self.cache_entries,
+            max_bytes=self.cache_bytes,
             durable=durable,
+            meters=meters,
         )
         return StorageBundle(
-            cache=cache,
-            graph_store=graph_store,
-            durable=durable,
-            wal=wal,
-            meters=meters,
-            config=self,
+            cache=cache, durable=durable, wal=wal, meters=meters, config=self
         )
 
 
@@ -278,28 +259,24 @@ class StorageBundle:
     """The live stores one gateway serves from.
 
     Built by :meth:`StorageConfig.build`, or constructed directly when a
-    caller needs bespoke instances (tests inject frozen-clock caches
-    this way).  ``cache`` must satisfy :class:`ResultStore`; ``wal``
-    must satisfy :class:`WriteAheadLog` when present.
+    caller needs bespoke instances.  ``cache`` is the memory tier (with
+    ``durable`` behind it when set); ``wal`` must satisfy
+    :class:`WriteAheadLog` when present.
     """
 
-    cache: Any
-    graph_store: Any
+    cache: "MemoryStore"
     durable: Any | None = None
     wal: Any | None = None
     meters: StoreMeters = field(default_factory=StoreMeters)
     config: StorageConfig | None = None
 
-    @property
-    def durable_enabled(self) -> bool:
-        return self.durable is not None
+    @cached_property
+    def graph_store(self) -> "GraphStoreView":
+        """The graph kinds of :attr:`cache` under their old method names;
+        kept only because perfbench (frozen) calls them."""
+        from repro.service.storage.memory import GraphStoreView
 
-    def sync(self) -> None:
-        """Flush both durable halves (results/graphs and the WAL)."""
-        if self.durable is not None:
-            self.durable.sync()
-        if self.wal is not None:
-            self.wal.sync()
+        return GraphStoreView(self.cache)
 
     def close(self) -> None:
         if self.durable is not None:
@@ -308,14 +285,9 @@ class StorageBundle:
             self.wal.close()
 
     def stats(self) -> dict[str, Any]:
-        cache_stats = self.cache.stats()
-        if hasattr(cache_stats, "as_dict"):
-            cache_stats = cache_stats.as_dict()
-        out: dict[str, Any] = {
-            "durable": self.durable_enabled,
-            "cache": cache_stats,
-            "graph_store": self.graph_store.stats(),
-        }
+        """The durable figures (the memory tier's ``cache`` and
+        ``graph_store`` sections sit at the top of the gateway's stats)."""
+        out: dict[str, Any] = {"durable": self.durable is not None}
         if self.durable is not None:
             out["store"] = self.durable.stats()
         if self.wal is not None:

@@ -22,13 +22,9 @@ offset and re-indexing what's there.  Nothing in recovery trusts file
 contents: torn or corrupt tails are truncated, and a record whose bytes
 fail the CRC on read is treated as a miss.
 
-:class:`TieredResultStore` composes the in-memory
-:class:`~repro.service.cache.ResultCache` in front of a
-:class:`DurableStore`: reads probe memory first and promote durable hits
-into the memory tier, writes go through to both.  It satisfies the
-:class:`~repro.service.storage.api.ResultStore` protocol, so the gateway
-cannot tell it from the bare cache — except that after a restart its
-misses aren't.
+:class:`~repro.service.storage.memory.MemoryStore` sits in front of it:
+reads probe memory first and promote durable hits, writes go through to
+both.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.service.storage.journal import Journal
 
-__all__ = ["DurableStore", "TieredResultStore"]
+__all__ = ["DurableStore"]
 
 _KIND_RESULT = "result"
 _KIND_GRAPH = "graph"
@@ -287,14 +283,6 @@ class DurableStore:
 
     # -- inventory ---------------------------------------------------------
 
-    def result_keys(self) -> list[str]:
-        with self._lock:
-            return [k for kind, k in self._index if kind == _KIND_RESULT]
-
-    def graph_keys(self) -> list[str]:
-        with self._lock:
-            return [k for kind, k in self._index if kind == _KIND_GRAPH]
-
     def __len__(self) -> int:
         with self._lock:
             return sum(1 for kind, _ in self._index if kind == _KIND_RESULT)
@@ -352,67 +340,3 @@ class DurableStore:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-class TieredResultStore:
-    """Memory in front, disk behind — one :class:`ResultStore` to callers.
-
-    ``get`` probes the memory tier, falls through to the durable tier,
-    and promotes durable hits into memory (so a replayed key pays the
-    disk read once per restart).  ``put`` writes through to both.
-    ``clear`` empties only the memory tier: the durable tier is the
-    source of truth and survives operator cache flushes.
-    """
-
-    def __init__(
-        self,
-        memory: Any,
-        durable: DurableStore,
-        meters: Any | None = None,
-    ):
-        self.memory = memory
-        self.durable = durable
-        self._meters = meters
-        self.promotions = 0
-
-    def get(self, key: str) -> ColoringResult | None:
-        result = self.memory.get(key)
-        if result is not None:
-            if self._meters is not None:
-                self._meters.request("memory", hit=True)
-            return result
-        if self._meters is not None:
-            self._meters.request("memory", hit=False)
-        result = self.durable.get(key)
-        if result is not None:
-            self.memory.put(key, result)
-            self.promotions += 1
-        return result
-
-    def put(self, key: str, result: ColoringResult) -> None:
-        self.memory.put(key, result)
-        self.durable.put(key, result)
-
-    def evict(self, key: str) -> bool:
-        dropped_memory = self.memory.evict(key)
-        dropped_durable = self.durable.evict(key)
-        return dropped_memory or dropped_durable
-
-    def clear(self) -> None:
-        self.memory.clear()
-
-    def __len__(self) -> int:
-        return len(self.durable)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.memory or key in self.durable
-
-    def stats(self) -> dict[str, Any]:
-        memory_stats = self.memory.stats()
-        if hasattr(memory_stats, "as_dict"):
-            memory_stats = memory_stats.as_dict()
-        return {
-            "tiered": True,
-            "promotions": self.promotions,
-            "memory": memory_stats,
-            "durable": self.durable.stats(),
-        }

@@ -1,8 +1,8 @@
 """Warm-restart replay: rebuild chain heads from the WAL + durable base.
 
 A restarted process opens its :class:`DurableStore` and immediately
-serves every persisted solve result (reads fall through the tiered
-store).  What it cannot serve yet are *updates*: the chain-head engines
+serves every persisted solve result (memory misses read through to
+disk).  What it cannot serve yet are *updates*: the chain-head engines
 died with the old process.  :func:`replay_chains` brings them back:
 
 1. Read the WAL (append order).  Identify the **heads** — child digests
@@ -19,13 +19,12 @@ died with the old process.  :func:`replay_chains` brings them back:
    deterministic, so the rebuilt head is bit-identical to the engine the
    dead process held — the next ``update`` against it continues the
    chain as if the restart never happened.
-4. Park the engine in the :class:`~repro.service.graphstore.GraphStore`
-   under the head digest.
+4. Park the engine in the :class:`~repro.service.storage.memory.
+   MemoryStore` under the head digest, with the head's result.
 
-Replay is **idempotent**: it writes nothing durable (engines go to the
-in-memory graph store; result puts during replay are all key-present
-no-ops), so running it twice — or crashing mid-replay and running it
-again — converges to the same state.  Broken chains (missing base,
+Replay is **idempotent**: it writes nothing durable (engines and head
+results go to the memory tier only), so running it twice — or crashing
+mid-replay and running it again — converges to the same state.  Broken chains (missing base,
 delta that no longer applies) are counted and skipped; the service
 degrades to the stale-parent → full-solve fallback for exactly those
 chains, never refuses to start.
@@ -34,9 +33,12 @@ chains, never refuses to start.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.service.storage.wal import config_from_payload
+
+if TYPE_CHECKING:
+    from repro.service.storage.memory import MemoryStore
 
 __all__ = ["replay_chains"]
 
@@ -70,21 +72,22 @@ def _lineages(records: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
 
 def replay_chains(
     wal: Any,
-    durable: Any,
-    graph_store: Any,
-    cache: Any | None = None,
+    store: "MemoryStore",
     meters: Any | None = None,
 ) -> dict[str, Any]:
-    """Rebuild every replayable chain head; returns the replay report.
+    """Rebuild every replayable chain head into ``store``; returns the
+    replay report.
 
-    ``cache`` (a :class:`ResultStore`) optionally receives each rebuilt
-    head's result, so the first post-restart ``solve`` probe of a chain
-    digest hits even if the old process died before persisting it.
+    Bases are read from ``store.durable``.  Each rebuilt head's engine
+    and result go into the memory tier only, so the first post-restart
+    probe of a chain digest hits even if the old process died before
+    persisting its result.
     """
     from repro.api.solver import apply_incremental
     from repro.core.incremental import IncrementalColoring
 
     start = time.monotonic()
+    durable = store.durable
     report = {
         "chains_seen": 0,
         "chains_replayed": 0,
@@ -132,9 +135,9 @@ def replay_chains(
             report["chains_skipped"] += 1
             continue
         head_digest = lineage[-1]["child"]
-        graph_store.put_engine(head_digest, engine)
-        if cache is not None and updated is not None:
-            cache.put(head_digest, updated.result)
+        store.put_engine(head_digest, engine)
+        if updated is not None:
+            store.put(head_digest, updated.result, write_through=False)
         report["chains_replayed"] += 1
 
     report["wall_s"] = time.monotonic() - start

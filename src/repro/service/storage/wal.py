@@ -2,7 +2,7 @@
 
 The ``update`` verb mutates state the result store cannot capture: a
 chain-head :class:`~repro.core.incremental.IncrementalColoring` engine
-living in the :class:`~repro.service.graphstore.GraphStore`.  Results
+living in the :class:`~repro.service.storage.memory.MemoryStore`.  Results
 are content-addressed and re-derivable; a live engine is neither — it
 is the *product* of a specific sequence of deltas applied to a specific
 base solve.  :class:`UpdateWAL` records exactly that sequence: one

@@ -1,6 +1,6 @@
 """Tests for the repro.service subsystem.
 
-Covers the four layers separately (fingerprint, cache, metrics, gateway)
+Covers the four layers separately (fingerprint, store, metrics, gateway)
 plus the TCP server/client round-trip, with small graphs throughout so
 the suite stays tier-1-fast.
 """
@@ -28,13 +28,13 @@ from repro.service import (
     BatchingGateway,
     ColoringClient,
     ColoringServer,
-    ResultCache,
+    MemoryStore,
     ServiceMetrics,
     config_fingerprint,
     graph_fingerprint,
     request_fingerprint,
 )
-from repro.service.cache import estimate_result_nbytes
+from repro.service.storage.memory import estimate_result_nbytes
 from repro.service.metrics import percentile
 from repro.service.server import config_from_payload, graph_from_payload
 
@@ -115,55 +115,49 @@ class TestFingerprint:
 
 
 class TestResultCache:
+    """The result kind of :class:`MemoryStore` (the ``cache`` section)."""
+
     def test_roundtrip_and_counters(self):
-        cache = ResultCache(max_entries=4)
+        cache = MemoryStore(max_entries=4)
         assert cache.get("a") is None
         cache.put("a", _result())
         assert cache.get("a") == _result()
-        stats = cache.stats().as_dict()
+        stats = cache.stats()["cache"]
         assert stats["hits"] == 1 and stats["misses"] == 1 and stats["puts"] == 1
         assert stats["hit_rate"] == 0.5
+        assert stats["evictions_ttl"] == 0
 
     def test_lru_eviction_order(self):
-        cache = ResultCache(max_entries=2)
+        cache = MemoryStore(max_entries=2)
         cache.put("a", _result(tag="a"))
         cache.put("b", _result(tag="b"))
         assert cache.get("a") is not None  # refresh a; b is now LRU
         cache.put("c", _result(tag="c"))
         assert "b" not in cache
         assert "a" in cache and "c" in cache
-        assert cache.stats().evictions_lru == 1
+        assert cache.stats()["cache"]["evictions_lru"] == 1
 
     def test_byte_bound_evicts(self):
         small = _result(n=4)
         per_entry = estimate_result_nbytes(small)
-        cache = ResultCache(max_entries=100, max_bytes=int(per_entry * 2.5))
+        cache = MemoryStore(max_entries=100, max_bytes=int(per_entry * 2.5))
         for key in ("a", "b", "c", "d"):
             cache.put(key, _result(n=4, tag=key))
-        stats = cache.stats()
-        assert stats.entries == 2
-        assert stats.bytes <= per_entry * 2.5
-        assert stats.evictions_lru == 2
-
-    def test_ttl_expiry(self):
-        now = [0.0]
-        cache = ResultCache(max_entries=4, ttl_s=10.0, clock=lambda: now[0])
-        cache.put("a", _result())
-        assert cache.get("a") is not None
-        now[0] = 10.1
-        assert cache.get("a") is None
-        assert cache.stats().evictions_ttl == 1
+        stats = cache.stats()["cache"]
+        assert stats["entries"] == 2
+        assert stats["bytes"] <= per_entry * 2.5
+        assert stats["evictions_lru"] == 2
 
     def test_byte_accounting_tracks_entries(self):
-        cache = ResultCache(max_entries=8)
+        cache = MemoryStore(max_entries=8)
         cache.put("a", _result(n=4))
-        one = cache.stats().bytes
+        one = cache.stats()["cache"]["bytes"]
         cache.put("b", _result(n=400))
-        assert cache.stats().bytes > one
+        assert cache.stats()["cache"]["bytes"] > one
         cache.put("a", _result(n=4))  # refresh does not double-count
-        assert cache.stats().entries == 2
+        assert cache.stats()["cache"]["entries"] == 2
         cache.clear()
-        assert cache.stats().bytes == 0 and len(cache) == 0
+        assert cache.stats()["cache"]["bytes"] == 0 and len(cache) == 0
 
 
 class TestMetrics:
@@ -233,7 +227,7 @@ class TestGateway:
         assert len(digests) == 1
         assert gateway.coalesced >= 1
         # only one actual solve happened
-        assert gateway.cache.stats().puts == 1
+        assert gateway.cache.stats()["cache"]["puts"] == 1
 
     def test_rejects_when_queue_full_without_hanging(self):
         graphs = [random_regular_graph(128, 3, seed=s) for s in range(10)]
@@ -280,7 +274,7 @@ class TestGateway:
         assert len(served) >= 1 and len(rejected) >= 1
         assert len(served) + len(rejected) == 10
         # one solve served every non-rejected duplicate
-        assert gateway.cache.stats().puts == 1
+        assert gateway.cache.stats()["cache"]["puts"] == 1
         digests = {o.result.content_digest() for o in served}
         assert len(digests) == 1
 
@@ -467,8 +461,13 @@ class TestCLI:
     def test_serve_subcommand_registered(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--max-queue", "7", "--cache-ttl", "5"]
+        parser = build_parser()
+        args = parser.parse_args(
+            ["serve", "--port", "0", "--max-queue", "7", "--cache-entries", "5"]
         )
         assert args.func.__name__ == "_cmd_serve"
-        assert args.max_queue == 7 and args.cache_ttl == 5.0
+        assert args.max_queue == 7 and args.cache_entries == 5
+        # one store, two bounds: the TTL and the graph-store bound are gone
+        for flag in ("--cache-ttl", "--graph-store-entries"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", flag, "5"])

@@ -1,6 +1,7 @@
 """Tests for the service's graph-stream surface.
 
-Covers the version-chained update fingerprints, the :class:`GraphStore`,
+Covers the version-chained update fingerprints, the graph kinds of the
+:class:`MemoryStore`,
 cost-aware admission in the gateway, and the ``update`` verb end to end
 (gateway-level and over TCP), with small graphs throughout so the suite
 stays tier-1-fast.
@@ -28,7 +29,7 @@ from repro.service import (
     BatchingGateway,
     ColoringClient,
     ColoringServer,
-    GraphStore,
+    MemoryStore,
     config_fingerprint,
     request_fingerprint,
     update_fingerprint,
@@ -87,30 +88,37 @@ class TestUpdateFingerprint:
 
 
 class TestGraphStore:
+    """The graph kinds of :class:`MemoryStore` (the ``graph_store``
+    section)."""
+
     def test_put_get_and_lru_eviction(self):
-        store = GraphStore(max_entries=2)
+        store = MemoryStore(max_entries=2)
         graphs = [Graph(3, [(0, i % 2 + 1)]) for i in range(3)]
         for i, g in enumerate(graphs):
-            store.put(f"k{i}", g)
-        assert store.get("k0") is None  # least recently used, evicted
-        assert store.get("k2") is graphs[2]
-        assert store.stats()["evictions"] == 1
+            store.put_graph(f"k{i}", g)
+        assert store.get_graph("k0") is None  # least recently used, evicted
+        stored = store.get_graph("k2")
+        # a CSR-only view sharing the caller's buffers, not the caller's graph
+        assert stored is not graphs[2] and stored.csr() == graphs[2].csr()
+        assert stored.csr()[1] is graphs[2].csr()[1]
+        assert store.stats()["graph_store"]["evictions"] == 1
+        assert store.stats()["graph_store"]["evictions_graphs"] == 1
 
     def test_get_refreshes_recency(self):
-        store = GraphStore(max_entries=2)
+        store = MemoryStore(max_entries=2)
         a, b, c = (Graph(2, [(0, 1)]) for _ in range(3))
-        store.put("a", a)
-        store.put("b", b)
-        assert store.get("a") is a  # touch
-        store.put("c", c)
-        assert store.get("b") is None  # b was the stale one
-        assert store.get("a") is a
+        store.put_graph("a", a)
+        store.put_graph("b", b)
+        assert store.get_graph("a") is not None  # touch
+        store.put_graph("c", c)
+        assert store.get_graph("b") is None  # b was the stale one
+        assert store.get_graph("a").csr() == a.csr()
 
     def test_byte_bound_evicts(self):
         big = random_regular_graph(256, 4, seed=0)
-        store = GraphStore(max_entries=64, max_bytes=3000)
-        store.put("a", big)
-        store.put("b", big)
+        store = MemoryStore(max_entries=64, max_bytes=3000)
+        store.put_graph("a", big)
+        store.put_graph("b", big)
         assert len(store) == 1  # each entry alone exceeds the bound
 
 
@@ -126,7 +134,7 @@ class TestGatewayUpdates:
                 )
                 assert upd.parent_digest == first.fingerprint
                 assert not upd.cached
-                child_graph = gateway.graph_store.get(upd.fingerprint)
+                child_graph = gateway.cache.get_graph(upd.fingerprint)
                 assert child_graph is not None
                 assert child_graph.has_edge(*matching[0])
                 validate_coloring(
@@ -574,27 +582,27 @@ class TestChainEngineEquivalence:
         async def drive():
             async with BatchingGateway() as gateway:
                 solved = await gateway.submit(base, SolverConfig(seed=1))
-                assert gateway.graph_store.stats()["chains"] == 0
+                assert gateway.cache.stats()["graph_store"]["chains"] == 0
                 upd1 = await gateway.submit_update(
                     solved.fingerprint, edges_added=[matching[0]]
                 )
-                assert gateway.graph_store.stats()["chains"] == 1
+                assert gateway.cache.stats()["graph_store"]["chains"] == 1
                 # a snapshot read at the head does not lose the engine
-                assert gateway.graph_store.get(upd1.fingerprint) is not None
-                assert gateway.graph_store.stats()["chains"] == 1
+                assert gateway.cache.get_graph(upd1.fingerprint) is not None
+                assert gateway.cache.stats()["graph_store"]["chains"] == 1
                 upd2 = await gateway.submit_update(
                     upd1.fingerprint, edges_added=[matching[1]]
                 )
                 # the engine moved to the new head — still one chain
-                assert gateway.graph_store.stats()["chains"] == 1
+                assert gateway.cache.stats()["graph_store"]["chains"] == 1
                 # the root's solve-time graph and the live head serve
                 # snapshot reads; the superseded intermediate version
                 # moved with the engine, so branching from it degrades
                 # to the retriable stale-parent path (the client's
                 # fallback_graph recovery), never to a wrong answer
-                assert gateway.graph_store.get(solved.fingerprint) is not None
-                assert gateway.graph_store.get(upd2.fingerprint) is not None
-                assert gateway.graph_store.get(upd1.fingerprint) is None
+                assert gateway.cache.get_graph(solved.fingerprint) is not None
+                assert gateway.cache.get_graph(upd2.fingerprint) is not None
+                assert gateway.cache.get_graph(upd1.fingerprint) is None
                 with pytest.raises(StaleParentError):
                     await gateway.submit_update(
                         upd1.fingerprint, edges_added=[matching[2]]
@@ -658,7 +666,7 @@ class TestDynamicBackendWire:
                     max_colors=reply["result"]["palette"],
                 )
                 # the chain head is a live engine in the graph store
-                engine = server.gateway.graph_store.pop_engine(reply["fingerprint"])
+                engine = server.gateway.cache.pop_engine(reply["fingerprint"])
                 assert engine is not None
                 assert set(engine.graph.edges()) == set(child.edges())
             finally:
@@ -747,7 +755,7 @@ class TestDynamicBackendWire:
                         solved.fingerprint, edges_added=[matching[0]]
                     )
                     assert upd.parent_digest == solved.fingerprint
-                engine = server.gateway.graph_store.pop_engine(upd.fingerprint)
+                engine = server.gateway.cache.pop_engine(upd.fingerprint)
                 assert engine is not None
                 assert isinstance(engine._graph, DynamicGraph)
             finally:
@@ -762,7 +770,7 @@ def test_solve_results_seed_the_graph_store():
     async def drive():
         async with BatchingGateway() as gateway:
             reply = await gateway.submit(base, SolverConfig(seed=2))
-            stored = gateway.graph_store.get(reply.fingerprint)
+            stored = gateway.cache.get_graph(reply.fingerprint)
             assert stored is not None
             assert stored.num_edges == base.num_edges
             # a cache hit must not require the graph store

@@ -9,7 +9,7 @@ exercising the full NDJSON wire path:
   single-process server, and land deterministically on the ring-owner
   shard (dup requests hit its cache);
 * update chains never cross shards (the chain-head engine stays in one
-  shard's GraphStore);
+  shard's MemoryStore);
 * stale-parent / overload / dead-shard all surface as the protocol's
   typed, retriable errors;
 * aggregated stats keep the single-server shape, with latency
@@ -39,6 +39,7 @@ from repro.service import (
     ShardRouter,
     request_fingerprint,
 )
+from repro.service.storage import StorageConfig
 
 
 def updatable_instance(n=64, delta=4, slack=4, seed=0):
@@ -50,10 +51,16 @@ def updatable_instance(n=64, delta=4, slack=4, seed=0):
 class _Cluster:
     """Two in-process shards behind a router, torn down reliably."""
 
-    def __init__(self, n_shards: int = 2, **server_kwargs):
+    def __init__(self, n_shards: int = 2, store_root=None, **server_kwargs):
+        # With ``store_root`` each shard owns a store directory of its own,
+        # as ``repro serve --shards N --store-dir`` lays them out.
         self.servers = [
-            ColoringServer(port=0, **server_kwargs)
-            for _ in range(n_shards)
+            ColoringServer(port=0, **server_kwargs) if store_root is None
+            else ColoringServer(
+                port=0, storage=StorageConfig(store_dir=store_root / str(k)),
+                **server_kwargs,
+            )
+            for k in range(n_shards)
         ]
         self.router: ShardRouter | None = None
 
@@ -115,7 +122,7 @@ class TestRoutedSolve:
                     cluster.shard_of(g, config) for g in graphs
                 ]
                 per_shard_hits = [
-                    server.gateway.cache.stats().hits
+                    server.gateway.cache.stats()["cache"]["hits"]
                     for server in cluster.servers
                 ]
                 return single, first, replay, expected_shards, per_shard_hits
@@ -215,7 +222,7 @@ class TestRoutedUpdates:
                     )
                 owner = cluster.shard_of(base, config)
                 chains = [
-                    server.gateway.graph_store.stats()["chains"]
+                    server.gateway.cache.stats()["graph_store"]["chains"]
                     for server in cluster.servers
                 ]
                 return solved, upd1, upd2, replay, owner, chains
@@ -349,6 +356,29 @@ class TestAggregatedStats:
         assert sum(stats["router"]["per_shard"]) == 4
         assert len(stats["shards"]) == 2
         assert all(s["alive"] for s in stats["shards"])
+
+    def test_durable_fleet_cache_counts_are_the_shards_sums(self, tmp_path):
+        """With a store directory each shard's ``cache`` section is as flat
+        as a memory-only one, so the fleet's counts are the shards' sums
+        (a nested durable section once merged to all zeros)."""
+        graphs = [random_regular_graph(32, 3, seed=s) for s in range(3)]
+
+        async def drive():
+            async with _Cluster(store_root=tmp_path) as cluster:
+                async with AsyncColoringClient(port=cluster.port) as client:
+                    for g in graphs + graphs[:2]:
+                        await client.solve(g, seed=0)
+                    return await client.stats()
+
+        stats = asyncio.run(drive())
+        assert all(s["storage"]["durable"] for s in stats["shards"])
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (2, 3)
+        assert stats["cache"]["puts"] == 3
+        shards = [s["cache"] for s in stats["shards"]]
+        for key in ("hits", "misses", "puts", "entries", "bytes"):
+            assert stats["cache"][key] == sum(s[key] for s in shards)
+        assert stats["cache"]["hit_rate"] == 0.4
+        assert stats["graph_store"]["entries"] == 3
 
     def test_fleet_latency_comes_from_the_merged_histograms(self):
         # Shard 0 served 99 cache hits at 0.4 ms, shard 1 one 80 ms

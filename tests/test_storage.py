@@ -4,8 +4,8 @@ The durable backend's crash-injection suite lives in
 ``test_storage_durable.py`` and the warm-restart replay suite in
 ``test_storage_replay.py``; this file covers the building blocks — the
 framed journal, the protocol conformance of both backends, the
-consolidated :class:`StorageConfig`, the tiered store's semantics, and
-the deprecation shims on the old gateway kwargs.
+consolidated :class:`StorageConfig`, the memory store over the durable
+tier, and the removal of the old gateway kwargs.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import pytest
 
 from repro.api import solve
 from repro.graphs.graph import Graph
-from repro.service import BatchingGateway, GraphStore, ResultCache
+from repro.service import BatchingGateway
 from repro.service.storage import (
     DurableStore,
     FsyncPolicy,
     Journal,
+    MemoryStore,
     ResultStore,
     StorageBundle,
     StorageConfig,
-    TieredResultStore,
     UpdateWAL,
     WriteAheadLog,
     decode_record,
@@ -94,11 +94,9 @@ class TestProtocolConformance:
     def test_both_backends_are_result_stores(self, tmp_path):
         durable = DurableStore(tmp_path / "store")
         try:
-            assert isinstance(ResultCache(), ResultStore)
+            assert isinstance(MemoryStore(), ResultStore)
             assert isinstance(durable, ResultStore)
-            assert isinstance(
-                TieredResultStore(ResultCache(), durable), ResultStore
-            )
+            assert isinstance(MemoryStore(durable=durable), ResultStore)
         finally:
             durable.close()
 
@@ -107,33 +105,33 @@ class TestProtocolConformance:
             assert isinstance(wal, WriteAheadLog)
 
     def test_result_cache_evict(self, result):
-        cache = ResultCache()
+        cache = MemoryStore()
         cache.put("k", result)
         assert cache.evict("k") is True
         assert cache.get("k") is None
         assert cache.evict("k") is False
-        assert cache.stats().evictions_lru == 1
+        assert cache.stats()["cache"]["evictions_lru"] == 1
 
     def test_graph_store_evict_is_typed(self):
-        store = GraphStore()
-        store.put("g", Graph(2, [(0, 1)]))
-        assert store.evict("g") is True and store.evict("g") is False
-        assert store.stats()["evictions_graphs"] == 1
-        assert store.stats()["evictions_chains"] == 0
+        store = MemoryStore()
+        store.put_graph("g", Graph(2, [(0, 1)]))
+        assert store.evict_graph("g") is True and store.evict_graph("g") is False
+        assert store.stats()["graph_store"]["evictions_graphs"] == 1
+        assert store.stats()["graph_store"]["evictions_chains"] == 0
 
 
 class TestStorageConfig:
-    def test_defaults_match_legacy_constructors(self):
+    def test_defaults_bound_one_store(self):
+        # The one store's bounds are the sums of the two it replaced
+        # (1024 + 128 entries, 256 + 512 MiB).
         bundle = StorageConfig().build()
-        cache, store = bundle.cache, bundle.graph_store
-        legacy_cache, legacy_store = ResultCache(), GraphStore()
-        assert isinstance(cache, ResultCache)
-        assert (cache.max_entries, cache.max_bytes, cache.ttl_s) == (
-            legacy_cache.max_entries, legacy_cache.max_bytes, legacy_cache.ttl_s,
+        cache = bundle.cache
+        assert isinstance(cache, MemoryStore)
+        assert (cache.max_entries, cache.max_bytes) == (1152, 768 * 1024 * 1024)
+        assert (cache.max_entries, cache.max_bytes) == (
+            MemoryStore().max_entries, MemoryStore().max_bytes,
         )
-        assert (store.max_entries, store.max_bytes) == (
-            legacy_store.max_entries, legacy_store.max_bytes,
-        )
+        assert cache.durable is None
         assert bundle.durable is None and bundle.wal is None
 
     def test_validation(self):
@@ -143,16 +141,28 @@ class TestStorageConfig:
             StorageConfig(fsync="later")
         with pytest.raises(ValueError):
             StorageConfig(segment_max_bytes=0)
+        for removed in ("cache_ttl_s", "graph_store_entries", "graph_store_bytes"):
+            with pytest.raises(TypeError):
+                StorageConfig(**{removed: 1})
 
     def test_durable_build_wires_all_pieces(self, tmp_path):
         bundle = StorageConfig(store_dir=tmp_path / "s").build()
         try:
-            assert isinstance(bundle.cache, TieredResultStore)
-            assert bundle.graph_store.durable is bundle.durable
+            assert isinstance(bundle.cache, MemoryStore)
+            assert bundle.cache.durable is bundle.durable
             assert bundle.wal is not None
             assert bundle.stats()["durable"] is True
         finally:
             bundle.close()
+
+    def test_graph_store_view_is_the_graph_kinds(self):
+        # What perfbench calls: graph semantics for get and put.
+        bundle = StorageConfig().build()
+        graph = Graph(3, [(0, 1), (1, 2)])
+        bundle.graph_store.put("k", graph)
+        assert bundle.graph_store.get("k").csr() == graph.csr()
+        assert bundle.cache.get("k") is None  # no result under the digest
+        assert bundle.graph_store.pop_engine("k") is None
 
     def test_wal_off(self, tmp_path):
         bundle = StorageConfig(store_dir=tmp_path / "s", wal=False).build()
@@ -163,23 +173,26 @@ class TestStorageConfig:
 
 
 class TestTieredStore:
+    """:class:`MemoryStore` over a :class:`DurableStore`."""
+
     def test_write_through_and_promotion(self, tmp_path, result):
         durable = DurableStore(tmp_path / "s")
-        memory = ResultCache()
-        tiered = TieredResultStore(memory, durable)
+        tiered = MemoryStore(durable=durable)
         tiered.put("k", result)
-        assert memory.get("k") is result
+        assert tiered.get("k") is result
         assert durable.get("k") is not None
         # cold memory tier: the durable hit promotes
-        memory.clear()
+        tiered.clear()
         promoted = tiered.get("k")
-        assert promoted is not None and tiered.promotions == 1
-        assert memory.get("k") is promoted  # now a memory hit
+        assert promoted is not None
+        assert tiered.stats()["cache"]["durable_hits"] == 1
+        assert tiered.get("k") is promoted  # now a memory hit
+        assert tiered.stats()["cache"]["durable_hits"] == 1
         durable.close()
 
     def test_clear_spares_the_durable_tier(self, tmp_path, result):
         durable = DurableStore(tmp_path / "s")
-        tiered = TieredResultStore(ResultCache(), durable)
+        tiered = MemoryStore(durable=durable)
         tiered.put("k", result)
         tiered.clear()
         assert tiered.get("k") is not None  # re-read from disk
@@ -187,31 +200,39 @@ class TestTieredStore:
 
     def test_evict_drops_both_tiers(self, tmp_path, result):
         durable = DurableStore(tmp_path / "s")
-        tiered = TieredResultStore(ResultCache(), durable)
+        tiered = MemoryStore(durable=durable)
         tiered.put("k", result)
         assert tiered.evict("k") is True
         assert tiered.get("k") is None
         assert "k" not in tiered and len(tiered) == 0
         durable.close()
 
+    def test_memory_only_put_skips_the_durable_tier(self, tmp_path, result):
+        durable = DurableStore(tmp_path / "s")
+        tiered = MemoryStore(durable=durable)
+        tiered.memory.put("k", result)
+        assert tiered.get("k") is result
+        assert durable.get("k") is None
+        assert tiered.stats()["cache"]["puts"] == 1
+        durable.close()
+
 
 class TestGatewayStorageParam:
     def test_legacy_kwargs_are_gone(self):
         # storage= is the one way in; custom stores ride in a bundle.
-        for kwargs in ({"cache": ResultCache()}, {"graph_store": GraphStore()}):
+        for kwargs in ({"cache": MemoryStore()}, {"graph_store": MemoryStore()}):
             with pytest.raises(TypeError):
                 BatchingGateway(**kwargs)
-        cache, store = ResultCache(max_entries=7), GraphStore(max_entries=5)
-        gateway = BatchingGateway(
-            storage=StorageBundle(cache=cache, graph_store=store)
-        )
-        assert gateway.cache is cache and gateway.graph_store is store
+        cache = MemoryStore(max_entries=7)
+        gateway = BatchingGateway(storage=StorageBundle(cache=cache))
+        assert gateway.cache is cache
+        assert not hasattr(gateway, "graph_store")
 
     def test_legacy_kwargs_with_storage_are_rejected(self):
         # No conflict to resolve any more: the old names are simply unknown.
         for kwargs in (
-            {"cache": ResultCache(), "storage": StorageConfig()},
-            {"graph_store": GraphStore(), "storage": StorageConfig()},
+            {"cache": MemoryStore(), "storage": StorageConfig()},
+            {"graph_store": MemoryStore(), "storage": StorageConfig()},
         ):
             with pytest.raises(TypeError):
                 BatchingGateway(**kwargs)
@@ -225,6 +246,6 @@ class TestGatewayStorageParam:
 
     def test_default_is_memory_only(self):
         gateway = BatchingGateway()
-        assert isinstance(gateway.cache, ResultCache)
+        assert isinstance(gateway.cache, MemoryStore)
         assert gateway.storage.durable is None
         assert "storage" not in gateway.stats()

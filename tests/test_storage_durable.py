@@ -28,12 +28,12 @@ from repro.graphs.validation import validate_coloring
 from repro.service import request_fingerprint
 from repro.service.storage import (
     DurableStore,
+    MemoryStore,
     Journal,
     UpdateWAL,
     replay_chains,
     update_record,
 )
-from repro.service.graphstore import GraphStore
 from repro.service.fingerprint import config_fingerprint, update_fingerprint
 
 
@@ -162,10 +162,11 @@ class TestIdempotence:
         for _ in range(2):
             store = DurableStore(tmp_path)
             wal = UpdateWAL(tmp_path / "update.wal")
-            graph_store = GraphStore()
+            memory = MemoryStore(durable=store)
             before = disk_bytes()
-            report = replay_chains(wal, store, graph_store, cache=None)
-            engine = graph_store.pop_engine(child_key)
+            report = replay_chains(wal, memory)
+            engine = memory.pop_engine(child_key)
+            assert memory.get(child_key) is not None
             assert engine is not None
             head_digests.append(tuple(engine.colors))
             reports.append(
@@ -228,13 +229,13 @@ class TestReplayProperties:
 
         store = DurableStore(tmp_path)
         wal = UpdateWAL(tmp_path / "update.wal")
-        graph_store = GraphStore()
-        report = replay_chains(wal, store, graph_store)
+        memory = MemoryStore(durable=store)
+        report = replay_chains(wal, memory)
         assert report == {
             **report, "chains_replayed": 1, "deltas_replayed": 2,
             "chains_skipped": 0,
         }
-        engine = graph_store.pop_engine(key)
+        engine = memory.pop_engine(key)
         assert engine is not None
         validate_coloring(engine.graph, engine.colors)
         assert engine.graph.num_edges == base_graph.num_edges
@@ -251,7 +252,7 @@ class TestReplayProperties:
                     SolverConfig(), "auto",
                 )
             )
-            report = replay_chains(wal, store, GraphStore())
+            report = replay_chains(wal, MemoryStore(durable=store))
             assert report["chains_seen"] == 1
             assert report["chains_skipped"] == 1
             assert report["chains_replayed"] == 0

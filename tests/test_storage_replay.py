@@ -20,9 +20,9 @@ from repro.errors import StaleParentError
 from repro.graphs.generators import random_regular_graph
 from repro.service import BatchingGateway, request_fingerprint
 from repro.service.fingerprint import config_fingerprint, update_fingerprint
-from repro.service.graphstore import GraphStore
 from repro.service.storage import (
     DurableStore,
+    MemoryStore,
     StorageConfig,
     UpdateWAL,
     replay_chains,
@@ -160,7 +160,7 @@ class TestChainHeadEviction:
         async def scenario():
             gateway = BatchingGateway(
                 storage=StorageConfig(
-                    store_dir=tmp_path, graph_store_entries=1, fsync="always"
+                    store_dir=tmp_path, cache_entries=2, fsync="always"
                 )
             ).warm()
             base = await gateway.submit(graph)
@@ -170,9 +170,9 @@ class TestChainHeadEviction:
             )
             # the head engine is live in the store; evicting it is the
             # typed loss the stats must surface
-            assert gateway.graph_store.stats()["chains"] == 1
-            assert gateway.graph_store.evict(u1.fingerprint) is True
-            assert gateway.graph_store.stats()["evictions_chains"] == 1
+            assert gateway.cache.stats()["graph_store"]["chains"] == 1
+            assert gateway.cache.evict_graph(u1.fingerprint) is True
+            assert gateway.cache.stats()["graph_store"]["evictions_chains"] == 1
             remaining = [
                 e for e in graph.edges()
                 if e != next(iter(graph.edges()))
@@ -225,11 +225,11 @@ class TestLegacyWalRecords:
         with DurableStore(tmp_path) as store, UpdateWAL(
             tmp_path / "update.wal"
         ) as wal:
-            graph_store = GraphStore()
-            report = replay_chains(wal, store, graph_store)
+            memory = MemoryStore(durable=store)
+            report = replay_chains(wal, memory)
             assert report["chains_replayed"] == 1
             assert report["deltas_replayed"] == 2
-            engine = graph_store.pop_engine(key)
+            engine = memory.pop_engine(key)
         assert engine is not None
         assert engine.colors == list(head.colors)
         assert set(engine.graph.edges()) == set(head_graph.edges())
