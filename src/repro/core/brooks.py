@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.errors import AlgorithmContractError, InfeasibleListColoringError
-from repro.core.degree_choosable import degree_list_color
+from repro.core.degree_choosable import color_against_outside
 from repro.graphs.bfs import bfs_ball, bfs_tree
 from repro.graphs.blocks import biconnected_components
 from repro.graphs.graph import Graph
@@ -327,15 +327,7 @@ def _recolor_dcc(
     """Uncolor the whole DCC and recolor it by degree-choosability."""
     for u in block:
         colors[u] = UNCOLORED
-    sub, originals = graph.subgraph(sorted(block))
-    lists: list[set[int]] = []
-    for i, u in enumerate(originals):
-        taken = {colors[w] for w in graph.adj[u] if colors[w] != UNCOLORED and w not in block}
-        lists.append({c for c in range(1, max_colors + 1) if c not in taken})
-    assignment = degree_list_color(sub, lists)
-    for i, u in enumerate(originals):
-        colors[u] = assignment[i]
-        touched.add(u)
+    touched.update(color_against_outside(graph, colors, block, max_colors))
 
 
 def _regional_repair(
@@ -358,17 +350,8 @@ def _regional_repair(
         saved = {u: colors[u] for u in region}
         for u in region:
             colors[u] = UNCOLORED
-        sub, originals = graph.subgraph(sorted(region))
-        lists = []
-        for u in originals:
-            taken = {
-                colors[w]
-                for w in graph.adj[u]
-                if colors[w] != UNCOLORED and w not in region
-            }
-            lists.append({c for c in range(1, max_colors + 1) if c not in taken})
         try:
-            assignment = degree_list_color(sub, lists)
+            color_against_outside(graph, colors, region, max_colors)
         except InfeasibleListColoringError as exc:
             for u, c in saved.items():
                 colors[u] = c
@@ -383,10 +366,7 @@ def _regional_repair(
             last_region_size = len(region)
             radius *= 2
             continue
-        for i, u in enumerate(originals):
-            if assignment[i] != saved[u]:
-                touched.add(u)
-            colors[u] = assignment[i]
+        touched.update(u for u in region if colors[u] != saved[u])
         ledger.charge(2 * radius + 1)
         result.rounds += 2 * radius + 1
         result.mode = "regional"

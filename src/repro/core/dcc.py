@@ -27,7 +27,7 @@ adoption: about n·Δ^(r+1) probes) runs in one C entry point,
 first use and called through ctypes (``repro.native``); Python only
 wraps the selected DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its
 pure-Python twin (:func:`_ball_cores_python` feeding
-:func:`_select_blocks`) is pinned bit-identical to it and runs when no
+:func:`_select_blocks_python`) is pinned bit-identical to it and runs when no
 compiler is available.  Wall time is ``solver.1-dcc-detect.ms`` in
 perfbench (perfbench/README.md).
 
@@ -151,7 +151,7 @@ def detect_dccs(
     kernel = native.kernel("dcc_detect")
     if kernel is None:
         for v, core, cycle in _ball_cores_python(state, radius, nodes, allowed):
-            _select_blocks(state, v, core, cycle)
+            _select_blocks_python(state, v, core, cycle)
     else:
         _detect_native(kernel, state, radius, nodes, allowed)
     if allowed is not None:
@@ -211,7 +211,7 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
 
 def _ball_cores_python(state: "_DetectState", radius: int, nodes, allowed):
     """Pure-Python twin of ``dcc_detect``'s ball pass (steps 1-3 there;
-    :func:`_select_blocks` is steps 4-5): per node ``v`` (ascending),
+    :func:`_select_blocks_python` is steps 4-5): per node ``v`` (ascending),
     collect its radius-``radius`` ball (within ``allowed`` when given),
     reject it if it has < 4 members or fewer in-ball edges than members
     (a tree hosts no 2-connected block), peel it to its 2-core, and yield
@@ -311,7 +311,7 @@ class _DetectState:
         self.core_blocks: dict[tuple[int, ...], list] = {}
 
 
-def _select_blocks(
+def _select_blocks_python(
     state: _DetectState, v: int, core: list[int], cycle: bool
 ) -> None:
     """Let ``v`` select its first qualifying block inside ``core``.
@@ -427,7 +427,7 @@ def virtual_graph_ruling_set(
                 cell.append(idx)
     # Conflict adjacency between DCC indices (share node or G-edge).
     conflicts: list[set[int]] = [set() for _ in range(num)]
-    adj = graph.adj
+    offsets, indices = graph.csr()
     for v, owners in enumerate(owners_of):
         if owners is None:
             continue
@@ -435,7 +435,7 @@ def virtual_graph_ruling_set(
             for b in owners[i + 1:]:
                 conflicts[a].add(b)
                 conflicts[b].add(a)
-        for u in adj[v]:
+        for u in indices[offsets[v] : offsets[v + 1]]:
             if u < v:
                 continue  # each edge contributes once; conflicts are symmetric
             others = owners_of[u]

@@ -41,13 +41,40 @@ Raises :class:`InfeasibleListColoringError` when no coloring exists.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from repro.errors import InfeasibleListColoringError
 from repro.graphs.blocks import biconnected_components
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_clique_nodes, is_odd_cycle_nodes
 
-__all__ = ["degree_list_color", "backtracking_list_color"]
+__all__ = ["backtracking_list_color", "color_against_outside", "degree_list_color"]
+
+
+def color_against_outside(
+    graph: Graph, colors: list[int], nodes: Iterable[int], max_colors: int
+) -> list[int]:
+    """Color the subgraph induced by ``nodes`` in place as one degree-list
+    instance against its colored surroundings.
+
+    Each node's list is ``1..max_colors`` minus the colors its colored
+    neighbours outside ``nodes`` wear; the nodes' own colors are ignored.
+    Rows are read through ``neighbors_csr``, so no graph-wide cache is
+    built and a :class:`~repro.graphs.dynamic.DynamicGraph` is not
+    compacted.  Returns the nodes in ascending order.  Raises
+    :class:`InfeasibleListColoringError` with ``colors`` untouched.
+    """
+    sub, originals = graph.subgraph(nodes)
+    members = set(originals)
+    palette = range(1, max_colors + 1)
+    lists = []
+    for u in originals:
+        taken = {colors[w] for w in graph.neighbors_csr(u) if w not in members}
+        lists.append({c for c in palette if c not in taken})
+    assignment = degree_list_color(sub, lists)
+    for i, u in enumerate(originals):
+        colors[u] = assignment[i]
+    return originals
 
 
 def degree_list_color(graph: Graph, lists: list[set[int]]) -> list[int]:

@@ -165,5 +165,8 @@ def _boundary_python(
     graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
 ) -> set[int]:
     """The per-node loop behind :func:`_boundary` (reference twin)."""
-    adj = graph.adj
-    return {v for v in h_nodes if sum(h_mask[u] for u in adj[v]) < delta}
+    offsets, indices = graph.csr()
+    return {
+        v for v in h_nodes
+        if sum(h_mask[u] for u in indices[offsets[v] : offsets[v + 1]]) < delta
+    }

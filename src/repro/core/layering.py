@@ -127,7 +127,7 @@ def _check_layer(
     if index >= 1:
         previous = set(layers[index - 1])
         for v in layer:
-            if not any(u in previous for u in graph.adj[v]):
+            if previous.isdisjoint(graph.neighbors_csr(v)):
                 raise AlgorithmContractError(
                     f"layer {index} node {v} has no neighbour in layer {index - 1}"
                 )

@@ -104,15 +104,17 @@ def marking_process(
         h_mask[v] = 1
     selected = {v for v in h_nodes if rng.random() < p}
     outcome.initially_selected = len(selected)
+    offsets, indices = graph.csr()
     survivors = _without_close_pairs(graph, selected, backoff, h_mask)
     outcome.backed_off = len(selected) - len(survivors)
-    adj = graph.adj
     for v in sorted(survivors):
         # A uniformly random non-adjacent pair of H-neighbours.  A clique
         # neighbourhood has none and its node cannot become a T-node
         # (cf. Lemma 13: that happens exactly where the graph is locally
         # DCC-free).
-        pairs = graph.complement_within([u for u in adj[v] if h_mask[u]])
+        pairs = graph.complement_within(
+            [u for u in indices[offsets[v] : offsets[v + 1]] if h_mask[u]]
+        )
         if not pairs:
             outcome.no_pair_available += 1
             continue
@@ -132,10 +134,11 @@ def _without_close_pairs(
     (distance measured inside H): the mutual-unselection rule.
 
     One BFS per selected node over the byte mask ``allowed`` of H, level
-    by level up to depth ``backoff``; it stops at the first other
-    selected node it reaches, which unselects its source.
+    by level up to depth ``backoff``, reading the graph's CSR rows; it
+    stops at the first other selected node it reaches, which unselects
+    its source.
     """
-    adj = graph.adj
+    offsets, indices = graph.csr()
     survivors = set()
     for source in selected:
         seen = {source}
@@ -143,7 +146,7 @@ def _without_close_pairs(
         for _ in range(backoff):
             reached = []
             for v in frontier:
-                for u in adj[v]:
+                for u in indices[offsets[v] : offsets[v + 1]]:
                     if allowed[u] and u not in seen:
                         seen.add(u)
                         reached.append(u)

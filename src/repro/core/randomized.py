@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.errors import AlgorithmContractError
 from repro.core.dcc import detect_dccs, virtual_graph_ruling_set
-from repro.core.degree_choosable import degree_list_color
+from repro.core.degree_choosable import color_against_outside
 from repro.core.happiness import build_happiness_layers
 from repro.core.layering import color_layers_in_reverse
 from repro.core.marking import default_selection_probability, marking_process
@@ -271,8 +271,7 @@ def run_pipeline(
     with ledger.phase("9:b0"):
         costs = []
         for idx in chosen:
-            block = set(detection.dccs[idx])
-            _color_base_component(graph, colors, block, delta)
+            color_against_outside(graph, colors, detection.dccs[idx], delta)
             costs.append(2 * r_dcc + 1)
         ledger.charge_max(costs)
 
@@ -306,22 +305,3 @@ def _auto_happiness_radius(
         frontier *= growth
         r += 1
     return max(4, r)
-
-
-def _color_base_component(
-    graph: Graph, colors: list[int], block: set[int], max_colors: int
-) -> None:
-    """Phase (9): color one base-layer DCC by degree-choosability."""
-    sub, originals = graph.subgraph(sorted(block))
-    adj = graph.adj
-    lists = []
-    for u in originals:
-        taken = {
-            colors[w]
-            for w in adj[u]
-            if colors[w] != UNCOLORED and w not in block
-        }
-        lists.append({c for c in range(1, max_colors + 1) if c not in taken})
-    assignment = degree_list_color(sub, lists)
-    for i, u in enumerate(originals):
-        colors[u] = assignment[i]

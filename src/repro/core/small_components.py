@@ -41,9 +41,9 @@ from dataclasses import dataclass, field
 
 from repro.errors import AlgorithmContractError, InfeasibleListColoringError
 from repro.core.dcc import DCCScratch, detect_dccs, virtual_graph_ruling_set
-from repro.core.degree_choosable import degree_list_color
+from repro.core.degree_choosable import color_against_outside
 from repro.core.layering import color_layers_in_reverse
-from repro.graphs.bfs import distance_layers
+from repro.graphs.bfs import bfs_distances, distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
@@ -107,6 +107,7 @@ def color_small_components(
 
 
 def _components(graph: Graph, members: set[int]) -> list[list[int]]:
+    offsets, indices = graph.csr()
     seen: set[int] = set()
     out = []
     for start in sorted(members):
@@ -117,7 +118,7 @@ def _components(graph: Graph, members: set[int]) -> list[list[int]]:
         component = [start]
         while stack:
             u = stack.pop()
-            for w in graph.adj[u]:
+            for w in indices[offsets[u] : offsets[u + 1]]:
                 if w in members and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -191,7 +192,7 @@ def _color_component(
                 )
             costs.append(1)
         else:
-            _color_dcc(graph, colors, set(system), delta)
+            color_against_outside(graph, colors, system, delta)
             costs.append(2 * dcc_radius + 1)
     ledger.charge_max(costs)
 
@@ -206,33 +207,17 @@ def _free_nodes(
 ) -> set[int]:
     """Free nodes of the component: degree < Δ, or an uncolored neighbour
     outside the component (an outer-happiness-layer node, colored later)."""
+    offsets, indices = graph.csr()
     free = set()
     for v in member_set:
         if graph.degree(v) < delta:
             free.add(v)
             continue
-        for u in graph.adj[v]:
+        for u in indices[offsets[v] : offsets[v + 1]]:
             if u not in member_set and colors[u] == UNCOLORED:
                 free.add(v)
                 break
     return free
-
-
-def _color_dcc(graph: Graph, colors: list[int], block: set[int], max_colors: int) -> None:
-    """Color an (uncolored) DCC by degree-choosability against its colored
-    surroundings."""
-    sub, originals = graph.subgraph(sorted(block))
-    lists = []
-    for u in originals:
-        taken = {
-            colors[w]
-            for w in graph.adj[u]
-            if colors[w] != UNCOLORED and w not in block
-        }
-        lists.append({c for c in range(1, max_colors + 1) if c not in taken})
-    assignment = degree_list_color(sub, lists)
-    for i, u in enumerate(originals):
-        colors[u] = assignment[i]
 
 
 def _fallback(
@@ -246,30 +231,16 @@ def _fallback(
     """Direct resolution: gather the component, solve it as a degree-list
     instance against its colored boundary (marked nodes at color 1)."""
     report.fallbacks += 1
-    member_set = set(component)
-    sub, originals = graph.subgraph(component)
-    lists = []
-    for u in originals:
-        taken = {
-            colors[w]
-            for w in graph.adj[u]
-            if colors[w] != UNCOLORED and w not in member_set
-        }
-        lists.append({c for c in range(1, delta + 1) if c not in taken})
     try:
-        assignment = degree_list_color(sub, lists)
+        color_against_outside(graph, colors, component, delta)
     except InfeasibleListColoringError as error:
         raise AlgorithmContractError(
             f"leftover component of size {len(component)} is infeasible "
             f"against its marked boundary — the backoff >= 5 invariant "
             f"should make this impossible: {error}"
         ) from error
-    for i, u in enumerate(originals):
-        colors[u] = assignment[i]
     # Gathering cost: 2 · component radius + 1.
-    from repro.graphs.bfs import bfs_distances
-
     leader = component[0]
-    dist = bfs_distances(graph, [leader], allowed=member_set)
+    dist = bfs_distances(graph, [leader], allowed=set(component))
     radius = max(dist[v] for v in component)
     ledger.charge(2 * radius + 1)

@@ -13,6 +13,7 @@ RPL005   bare/overbroad ``except`` in journal/WAL/recovery code
 RPL006   raw subscripts on decoded wire-protocol dicts
 RPL007   ``_*_vectorized`` without a dispatched ``_*_python`` twin
 RPL008   asserts on wall-clock ratios or differences under ``tests/``
+RPL009   ``.adj`` / ``.adjacency_sets()`` reads in the solver engines
 =======  ==============================================================
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "ValidatedWireAccessRule",
     "FallbackPairRule",
     "NoTimingAssertInTestsRule",
+    "CsrRowsInSolverRule",
 ]
 
 
@@ -664,3 +666,54 @@ class NoTimingAssertInTestsRule(Rule):
         ):
             return self._TIMING
         return kind
+
+
+@register
+class CsrRowsInSolverRule(Rule):
+    """RPL009: the randomized engine and its checks read CSR rows only.
+
+    ``graph.adj`` builds n Python lists on first use (tens of ms at
+    n=32768, next to a solve of about 100 ms) and ``adjacency_sets()``
+    n sets more; both caches then ride along in every pickle of the
+    graph.  The modules in scope read ``graph.csr()`` or
+    ``graph.neighbors_csr(v)`` instead.  Functions named ``*_python``
+    are exempt: the pure-Python twins that RPL007 pairs with a fast path
+    run when the kernel or numpy is missing, where ``adj`` is the fast
+    way to walk every row.
+    """
+
+    code = "RPL009"
+    name = "csr-rows-in-solver"
+    rationale = "a graph-wide adjacency cache costs O(n + m) per solve and travels in pickles"
+    module_prefixes = (
+        "repro.core.randomized",
+        "repro.core.dcc",
+        "repro.core.marking",
+        "repro.core.happiness",
+        "repro.core.layering",
+        "repro.core.small_components",
+        "repro.graphs.validation",
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        stack: list[ast.AST] = [ctx.tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name.endswith("_python")
+            ):
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if node.attr == "adj":
+                    yield self.finding(
+                        ctx, node,
+                        "`.adj` builds n lists on a fresh graph — read "
+                        "`graph.csr()` rows or `graph.neighbors_csr(v)`",
+                    )
+                elif node.attr == "adjacency_sets":
+                    yield self.finding(
+                        ctx, node,
+                        "`.adjacency_sets()` builds n sets on a fresh graph — "
+                        "probe the CSR row (`graph.has_edge`, `neighbors_csr`)",
+                    )
+            stack.extend(ast.iter_child_nodes(node))

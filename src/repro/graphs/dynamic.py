@@ -38,11 +38,13 @@ move and grow so edges insert and delete **in place**:
 against the immutable interface keeps working: ``csr()`` compacts the
 rows into a classic ``(offsets, indices)`` pair on demand (cached until
 the next mutation; the compaction itself runs vectorized on numpy with
-a bit-identical pure-Python fallback), ``adj`` / ``has_edge`` /
-``subgraph`` read through the live rows, and :meth:`snapshot` emits an
-immutable :class:`Graph` sharing the compacted buffers — safe to hand to
-caches and solvers because mutation never writes into a compacted
-buffer, it only abandons it.
+a bit-identical pure-Python fallback), ``adj`` / ``neighbors`` /
+``neighbors_csr`` / ``has_edge`` / ``subgraph`` read through the live
+rows, and :meth:`snapshot` emits an immutable :class:`Graph` sharing the
+compacted buffers — safe to hand to caches and solvers because mutation
+never writes into a compacted buffer, it only abandons it.  It pickles as
+:class:`Graph` does (its compacted CSR buffers) and comes back adopted:
+the same rows, at exact size.
 
 Row-order contract (pinned by ``tests/test_dynamic_graph.py`` against a
 naive list-of-rows model and from-scratch builds): a removal drops the
@@ -163,6 +165,10 @@ class DynamicGraph(Graph):
         dyn._adopt(graph, min_slots)
         return dyn
 
+    def _adopt_csr(self, n: int, offsets: array, indices: array, num_edges: int) -> None:
+        """Unpickling: adopt the pickled (compacted) rows at exact size."""
+        self._adopt(Graph._from_csr(n, offsets, indices, num_edges), MIN_ROW_SLOTS)
+
     def _adopt(self, graph: Graph, min_slots: int) -> None:
         graph = graph.snapshot() if isinstance(graph, DynamicGraph) else graph
         n = graph.n
@@ -231,29 +237,9 @@ class DynamicGraph(Graph):
             self._min_degree = min(self._lens) if self.n else 0
         return self._min_degree
 
-    def neighbors(self, v: int) -> list[int]:
-        s = self._starts[v]
-        return self._data[s : s + self._lens[v]].tolist()
-
     def neighbors_csr(self, v: int) -> memoryview:
         s = self._starts[v]
         return memoryview(self._data)[s : s + self._lens[v]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        # Probe the smaller row; never build the adjacency-set cache.
-        if self._lens[v] < self._lens[u]:
-            u, v = v, u
-        s = self._starts[u]
-        data = self._data
-        for i in range(s, s + self._lens[u]):
-            if data[i] == v:
-                return True
-        return False
-
-    def adjacency_sets(self) -> list[set[int]]:
-        if self._adj_sets is None:
-            self._adj_sets = [set(row) for row in self.adj]
-        return self._adj_sets
 
     def csr(self) -> tuple[array, array]:
         """Compact the padded rows into classic CSR buffers (cached until

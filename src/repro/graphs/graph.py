@@ -22,12 +22,20 @@ buffers, which
   paper's algorithms builds thousands of small subgraphs per run).
 
 Compatibility: ``Graph.adj`` is still a list-of-lists — it is materialised
-lazily from the CSR buffers on first access and cached, so existing call
-sites (and tight loops that bind ``adj = graph.adj`` once) keep working at
-full speed while code that never touches ``adj`` never pays for it.
+lazily from the CSR buffers on first access and cached, for the code
+outside the solver engines that binds ``adj = graph.adj`` once (the
+generators, the deterministic and ps engines, and the pure-Python twins
+of the native kernel's entry points).  A solve never builds it: the
+randomized pipeline and the facade's checks read CSR rows only, and the
+per-row accessors (:meth:`Graph.neighbors`, :meth:`Graph.has_edge`,
+:meth:`Graph.edges`) answer from the CSR row while the cache is cold.
+A pickled graph carries its two CSR buffers, ``n`` and the edge count,
+never the list or set caches, so a pooled task ships about 8 bytes per
+directed edge.
 Neighbour order is exactly the classic insertion order (for each input
 edge ``(u, v)``: ``v`` is appended to ``u``'s row and ``u`` to ``v``'s), so
-seeded algorithms behave identically to the historical representation.
+seeded algorithms behave identically to the historical representation,
+and a CSR row lists its neighbours in ``adj`` order.
 
 Three scaling helpers are new: :meth:`Graph.neighbors_csr` (zero-copy
 memoryview of a neighbour row), :meth:`Graph.subgraph_view`
@@ -51,6 +59,35 @@ from repro import numeric
 from repro.errors import GraphError
 
 __all__ = ["Graph", "GraphBuilder", "SubgraphView"]
+
+# Graphs of at least this many nodes list their edges with numpy.
+# Measured on random 6-regular graphs (best of 300, 2-CPU box), numpy vs
+# the row loop: n=16 10 vs 8 µs, n=32 14 vs 15 µs, n=64 19 vs 30 µs,
+# n=1024 0.34 vs 0.72 ms.
+EDGES_VECTOR_MIN_NODES = 32
+
+
+def _edges_vectorized(offsets: array, indices: array) -> Iterator[tuple[int, int]] | None:
+    """:meth:`Graph.edges` with numpy: every row's owner beside its
+    entries, kept where owner < entry; None without numpy."""
+    np = numeric.np
+    if np is None:
+        return None
+    offs = np.frombuffer(offsets, dtype=np.int32)
+    idx = np.frombuffer(indices, dtype=np.int32)
+    owners = np.repeat(np.arange(len(offs) - 1, dtype=np.int32), np.diff(offs))
+    keep = owners < idx
+    return zip(owners[keep].tolist(), idx[keep].tolist())
+
+
+def _edges_python(offsets: array, indices: array) -> Iterator[tuple[int, int]]:
+    """Pure-Python twin of :func:`_edges_vectorized`: one flat list of
+    the indices, sliced per row."""
+    flat = indices.tolist()
+    for u in range(len(offsets) - 1):
+        for v in flat[offsets[u] : offsets[u + 1]]:
+            if u < v:
+                yield (u, v)
 
 
 class Graph:
@@ -119,13 +156,7 @@ class Graph:
                 if stamp[w] == mark:
                     raise GraphError(f"duplicate edge ({u}, {w})")
                 stamp[w] = mark
-        self._offsets = offsets
-        self._indices = indices
-        self._num_edges = len(edge_list)
-        self._adj: list[list[int]] | None = None
-        self._adj_sets: list[set[int]] | None = None
-        self._max_degree: int | None = None
-        self._min_degree: int | None = None
+        self._adopt_csr(n, offsets, indices, len(edge_list))
 
     @classmethod
     def _from_csr(cls, n: int, offsets: array, indices: array, num_edges: int) -> "Graph":
@@ -136,15 +167,28 @@ class Graph:
         validation passes.
         """
         graph = cls.__new__(cls)
-        graph.n = n
-        graph._offsets = offsets
-        graph._indices = indices
-        graph._num_edges = num_edges
-        graph._adj = None
-        graph._adj_sets = None
-        graph._max_degree = None
-        graph._min_degree = None
+        graph._adopt_csr(n, offsets, indices, num_edges)
         return graph
+
+    def _adopt_csr(self, n: int, offsets: array, indices: array, num_edges: int) -> None:
+        """Take the CSR buffers as this graph's state, every cache cold."""
+        self.n = n
+        self._offsets = offsets
+        self._indices = indices
+        self._num_edges = num_edges
+        self._adj: list[list[int]] | None = None
+        self._adj_sets: list[set[int]] | None = None
+        self._max_degree: int | None = None
+        self._min_degree: int | None = None
+
+    # -- pickling: the two CSR buffers only -----------------------------
+
+    def __getstate__(self) -> tuple[int, array, array, int]:
+        offsets, indices = self.csr()
+        return self.n, offsets, indices, self._num_edges
+
+    def __setstate__(self, state: tuple[int, array, array, int]) -> None:
+        self._adopt_csr(*state)
 
     # -- factory helpers -------------------------------------------------
 
@@ -251,8 +295,12 @@ class Graph:
         return self._min_degree
 
     def neighbors(self, v: int) -> list[int]:
-        """The adjacency list of ``v`` (do not mutate)."""
-        return self.adj[v]
+        """The adjacency list of ``v`` (do not mutate); a fresh list from
+        the CSR row while ``adj`` is not built."""
+        adj = self._adj
+        if adj is not None:
+            return adj[v]
+        return self.neighbors_csr(v).tolist()
 
     def neighbors_csr(self, v: int) -> memoryview:
         """Zero-copy view of ``v``'s neighbour row in the CSR buffer.
@@ -274,15 +322,25 @@ class Graph:
         return self._adj_sets
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True iff ``{u, v}`` is an edge."""
-        return v in self.adjacency_sets()[u]
+        """True iff ``{u, v}`` is an edge: a set probe once
+        :meth:`adjacency_sets` is built, else a scan of the smaller CSR
+        row."""
+        sets = self._adj_sets
+        if sets is not None:
+            return v in sets[u]
+        if self.degree(v) < self.degree(u):
+            u, v = v, u
+        return v in self.neighbors_csr(u)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges as ``(u, v)`` with ``u < v``."""
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Iterate undirected edges as ``(u, v)`` with ``u < v``, row by
+        row in CSR order."""
+        offsets, indices = self.csr()
+        if self.n >= EDGES_VECTOR_MIN_NODES:
+            pairs = _edges_vectorized(offsets, indices)
+            if pairs is not None:
+                return pairs
+        return _edges_python(offsets, indices)
 
     def nodes(self) -> range:
         """Range over all node indices."""
@@ -362,29 +420,20 @@ class Graph:
 
         Returns ``(H, originals)`` where ``H`` is the induced subgraph with
         nodes relabeled ``0..k-1`` and ``originals[i]`` is the original index
-        of ``H``'s node ``i``.  Built through the unchecked CSR fast path:
-        the induced rows of a simple graph are simple, so no validation
-        passes run.
+        of ``H``'s node ``i``.  Built through the unchecked CSR fast path
+        from the members' CSR rows (a :class:`DynamicGraph` is read
+        through its live rows, not compacted): the induced rows of a
+        simple graph are simple, so no validation passes run.
         """
         originals = sorted(set(nodes))
-        k = len(originals)
         index = {v: i for i, v in enumerate(originals)}
-        adj = self.adj
-        rows: list[list[int]] = []
-        total = 0
+        row = self.neighbors_csr
+        offsets = array("i", [0])
+        indices = array("i")
         for v in originals:
-            row = [index[w] for w in adj[v] if w in index]
-            total += len(row)
-            rows.append(row)
-        offsets = array("i", bytes(4 * (k + 1)))
-        indices = array("i", bytes(4 * total))
-        pos = 0
-        for i, row in enumerate(rows):
-            for w in row:
-                indices[pos] = w
-                pos += 1
-            offsets[i + 1] = pos
-        return Graph._from_csr(k, offsets, indices, total // 2), originals
+            indices.extend(index[w] for w in row(v) if w in index)
+            offsets.append(len(indices))
+        return Graph._from_csr(len(originals), offsets, indices, len(indices) // 2), originals
 
     def subgraph_view(self, allowed: Iterable[int] | bytearray) -> "SubgraphView":
         """Allocation-free masked view of the subgraph induced by ``allowed``.
@@ -462,7 +511,7 @@ class Graph:
         out = []
         node_list = list(nodes)
         for i, u in enumerate(node_list):
-            adjacent = set(self.neighbors(u))
+            adjacent = set(self.neighbors_csr(u))
             out.extend((u, v) for v in node_list[i + 1:] if v not in adjacent)
         return out
 

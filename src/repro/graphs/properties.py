@@ -46,8 +46,12 @@ def is_clique_nodes(graph: Graph, nodes: Sequence[int]) -> bool:
     if any(graph.degree(v) < k - 1 for v in node_list):
         return False
     node_set = set(node_list)
-    adj_sets = graph.adjacency_sets()
-    return all(len(adj_sets[v] & node_set) == k - 1 for v in node_list)
+    return all(_degree_within(graph, v, node_set) == k - 1 for v in node_list)
+
+
+def _degree_within(graph: Graph, v: int, node_set: set[int]) -> int:
+    """Neighbours of ``v`` inside ``node_set``, from ``v``'s CSR row."""
+    return sum(1 for w in graph.neighbors_csr(v) if w in node_set)
 
 
 def is_odd_cycle_nodes(graph: Graph, nodes: Sequence[int]) -> bool:
@@ -63,8 +67,7 @@ def is_odd_cycle_nodes(graph: Graph, nodes: Sequence[int]) -> bool:
     if any(graph.degree(v) < 2 for v in node_list):
         return False
     node_set = set(node_list)
-    adj_sets = graph.adjacency_sets()
-    if any(len(adj_sets[v] & node_set) != 2 for v in node_list):
+    if any(_degree_within(graph, v, node_set) != 2 for v in node_list):
         return False
     # 2-regular induced subgraph: odd cycle iff connected.
     start = node_list[0]
@@ -72,8 +75,8 @@ def is_odd_cycle_nodes(graph: Graph, nodes: Sequence[int]) -> bool:
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in adj_sets[u] & node_set:
-            if v not in seen:
+        for v in graph.neighbors_csr(u):
+            if v in node_set and v not in seen:
                 seen.add(v)
                 stack.append(v)
     return len(seen) == k

@@ -132,12 +132,12 @@ def _validate_coloring_python(
         if len(violations) >= max_violations:
             break
     if len(violations) < max_violations:
-        adj = graph.adj
+        offsets, indices = graph.csr()
         for u in range(graph.n):
             cu = colors[u]
             if cu == UNCOLORED:
                 continue
-            for v in adj[u]:
+            for v in indices[offsets[u] : offsets[u + 1]]:
                 if u < v and colors[v] == cu:
                     violations.append(f"edge ({u}, {v}) is monochromatic (color {cu})")
                     if len(violations) >= max_violations:

@@ -86,7 +86,7 @@ def available_colors(
     graph: Graph, colors: Sequence[int], v: int, max_colors: int
 ) -> list[int]:
     """Colors in 1..max_colors not used by any colored neighbour of v."""
-    taken = {colors[u] for u in graph.adj[v]}
+    taken = {colors[u] for u in graph.neighbors(v)}
     return [c for c in range(1, max_colors + 1) if c not in taken]
 
 
@@ -95,7 +95,7 @@ def first_available_color(
 ) -> int:
     """The first entry of :func:`available_colors` without building the
     list, or ``UNCOLORED`` when every color in 1..max_colors is taken."""
-    taken = {colors[u] for u in graph.adj[v]}
+    taken = {colors[u] for u in graph.neighbors(v)}
     color = 1
     while color in taken:
         color += 1
@@ -112,7 +112,7 @@ def _check_deg_plus_one(
         if colors[v] != UNCOLORED:
             continue
         uncolored_neighbors = sum(
-            1 for u in graph.adj[v] if u in targets and colors[u] == UNCOLORED
+            1 for u in graph.neighbors(v) if u in targets and colors[u] == UNCOLORED
         )
         if len(available_colors(graph, colors, v, max_colors)) < uncolored_neighbors + 1:
             raise AlgorithmContractError(
@@ -162,14 +162,16 @@ def _python_trial_round(
     """One propose/compare/commit round, pure Python.
 
     Returns the still-uncolored nodes (ascending).  Must stay
-    bit-identical to ``trial_round`` in ``repro/kernel.c``.
+    bit-identical to ``trial_round`` in ``repro/kernel.c``.  It also
+    runs beside a loaded kernel, on workspaces too small to mirror, so
+    rows come from ``neighbors`` (no graph-wide ``adj`` build).
     """
-    adj = graph.adj
+    row = graph.neighbors
     proposals: dict[int, int] = {}
     for pos, v in enumerate(uncolored):
         # Inline available_colors: this is the innermost loop of every
         # randomized layer-coloring phase.
-        taken = {colors[u] for u in adj[v]}
+        taken = {colors[u] for u in row(v)}
         options = [c for c in range(1, max_colors + 1) if c not in taken]
         if not options:
             raise _no_color(v)
@@ -178,7 +180,7 @@ def _python_trial_round(
     leftover = []
     for v in uncolored:
         mine = proposals[v]
-        if all(proposals.get(u) != mine for u in adj[v]):
+        if all(proposals.get(u) != mine for u in row(v)):
             colors[v] = mine
         else:
             leftover.append(v)
@@ -459,7 +461,7 @@ def _uncolored_components(graph: Graph, member_set: set[int]) -> list[list[int]]
         component = [start]
         while stack:
             u = stack.pop()
-            for w in graph.adj[u]:
+            for w in graph.neighbors(u):
                 if w in member_set and w not in seen:
                     seen.add(w)
                     stack.append(w)

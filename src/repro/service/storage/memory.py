@@ -9,9 +9,9 @@ in one :class:`~collections.OrderedDict` keyed by ``(kind, digest)``:
   solve is a pure function of ``(graph, config)``, so a hit is
   bit-identical to a fresh solve and only removes latency.
 * **graph** — the solved :class:`~repro.graphs.graph.Graph`, the
-  ``update`` verb's repair parent.  Stored CSR-only: the solver builds
-  adjacency lists on the caller's graph, and they would cost ≈10× the
-  CSR buffers for as long as the entry lives.
+  ``update`` verb's repair parent.  Stored CSR-only: a solve builds no
+  adjacency lists, but another reader of the caller's graph may, and
+  they would cost ≈10× the CSR buffers for as long as the entry lives.
 * **engine** — a live :class:`~repro.core.incremental.
   IncrementalColoring` at the head of an update chain.  An ``update``
   *moves* it (:meth:`MemoryStore.pop_engine`, apply in place,

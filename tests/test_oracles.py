@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import native, numeric
 from repro.api import get_algorithm, list_algorithms, solve
 from repro.baselines.greedy import centralized_brooks
 from repro.errors import AlgorithmContractError, NotNiceGraphError
@@ -140,3 +141,26 @@ def test_long_diameter_families_are_deep(family):
     graph = FAMILIES[family]()
     assert is_nice(graph) and graph.is_connected()
     assert len(distance_layers(graph, [0])) > 64
+
+
+@pytest.mark.skipif(
+    not native.kernel_status().functions,
+    reason="native kernel not loaded: the Python twins read adj",
+)
+@pytest.mark.parametrize("numpy_off", [False, True], ids=["numpy", "no-numpy"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_randomized_solve_reads_csr_rows_only(family, numpy_off, monkeypatch):
+    """A solve builds no graph-wide adjacency cache on its input, also
+    when it raises (a graph that is not nice, Δ too small).  Each solve
+    gets a fresh copy: some generators read ``adj`` while they build."""
+    if numpy_off:
+        monkeypatch.setattr(numeric, "np", None)
+    built = FAMILIES[family]()
+    for algorithm in ("randomized-small", "randomized-large"):
+        for strict in (False, True):
+            graph = Graph._from_csr(built.n, *built.csr(), built.num_edges)
+            try:
+                solve(graph, algorithm=algorithm, seed=1, strict=strict)
+            except (NotNiceGraphError, AlgorithmContractError):
+                pass
+            assert graph._adj is None and graph._adj_sets is None

@@ -531,6 +531,47 @@ class TestRPL008NoTimingAssertInTests:
         assert findings == []
 
 
+class TestRPL009CsrRowsInSolver:
+    def test_adj_and_adjacency_sets_reads_flagged(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/core/marking.py",
+            """
+            def _pick(graph, v):
+                adj = graph.adj
+                sets = graph.adjacency_sets()
+                return adj[v], sets[v]
+            """,
+        )
+        assert codes(findings) == ["RPL009", "RPL009"]
+
+    def test_csr_rows_and_python_twins_clean(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/core/marking.py",
+            """
+            def _pick(graph, v):
+                offsets, indices = graph.csr()
+                return indices[offsets[v] : offsets[v + 1]], graph.neighbors_csr(v)
+
+            def _pick_python(graph, v):
+                return graph.adj[v]
+            """,
+        )
+        assert findings == []
+
+    def test_modules_outside_the_engines_not_scoped(self, tmp_path):
+        findings, _ = run_lint(
+            tmp_path,
+            "repro/core/deterministic.py",
+            """
+            def _halo(graph, u):
+                return graph.adj[u]
+            """,
+        )
+        assert findings == []
+
+
 class TestSuppressions:
     VIOLATION = """
     import time
@@ -720,7 +761,7 @@ class TestRunnerAndCLI:
         listing = out.getvalue()
         for code in (
             "RPL001", "RPL002", "RPL003", "RPL004",
-            "RPL005", "RPL006", "RPL007", "RPL008",
+            "RPL005", "RPL006", "RPL007", "RPL008", "RPL009",
         ):
             assert code in listing
 

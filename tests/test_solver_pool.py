@@ -1,8 +1,9 @@
 """SolverPool lifecycle coverage.
 
-The serving gateway (:mod:`repro.service.batcher`) keeps one warmed pool
-alive for the life of the process and keeps dispatching through it after
-individual requests fail, so the pool's lifecycle contracts are
+The serving gateway solves in its own worker thread and holds no pool.
+A pool serves ``solve_many`` batches: sweeps and perfbench's pooled runs
+keep one warmed pool alive across many batches and keep dispatching
+through it after a batch fails, so the pool's lifecycle contracts are
 load-bearing: a worker exception must not poison the pool, ``close``
 must be idempotent, and the context manager must behave like ``close``.
 """

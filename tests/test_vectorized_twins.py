@@ -22,6 +22,9 @@ a C compiler):
   ``_boundary_python``) — full and carved H, irregular graphs;
 * ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
   — the empty graph, edgeless graphs, isolated nodes;
+* ``Graph.edges`` (``_edges_vectorized`` / ``_edges_python``) — sparse
+  and edgeless graphs on both sides of its threshold, and a mutated
+  ``DynamicGraph``;
 * Linial's reduction round (the kernel's ``linial_round`` /
   ``_reduce_round_python``) — regular, sparse, edgeless and dense
   (q > 256) graphs from random colors, and every round of the schedule
@@ -62,6 +65,7 @@ from repro.core.layering import color_layers_in_reverse
 from repro.errors import AlgorithmContractError, ColoringError, InfeasibleListColoringError
 from repro.graphs import bfs as bfs_mod
 from repro.graphs import dynamic as dynamic_mod
+from repro.graphs import graph as graph_mod
 from repro.graphs import validation as validation_mod
 from repro.graphs.generators import (
     cycle_graph,
@@ -98,6 +102,7 @@ FAST = settings(max_examples=25, deadline=None)
 
 
 def test_thresholds_are_the_measured_ones():
+    assert graph_mod.EDGES_VECTOR_MIN_NODES == 32
     assert validation_mod.VECTOR_MIN_NODES == 128
     assert happiness_mod.VECTOR_MIN_NODES == 64
     assert bfs_mod.SMALL_REACH == 8
@@ -534,6 +539,43 @@ class TestAdoption:
     def test_isolated_nodes_among_edges(self):
         base = random_regular_graph(600, 5, seed=9)
         self.assert_twins_agree(Graph(base.n + 40, list(base.edges())))
+
+
+class TestEdges:
+    """``Graph.edges``: the numpy listing against the row loop, and both
+    against the rows themselves (CSR order, ``u < v``)."""
+
+    @staticmethod
+    def assert_twins_agree(graph: Graph) -> None:
+        offsets, indices = graph.csr()
+        expected = [
+            (u, v) for u in range(graph.n) for v in graph.neighbors_csr(u) if u < v
+        ]
+        assert list(graph_mod._edges_python(offsets, indices)) == expected
+        vectorized = graph_mod._edges_vectorized(offsets, indices)
+        assert (vectorized is not None) == HAVE_NUMPY
+        if vectorized is not None:
+            assert list(vectorized) == expected
+        assert list(graph.edges()) == expected
+
+    @FAST
+    @given(
+        n=st.sampled_from([2, 31, 32, 33, *SIZES]),
+        seed=st.integers(0, 10_000),
+        avg=st.sampled_from([0.5, 1.8, 3.0, 5.0]),
+    )
+    def test_twins_agree(self, n, seed, avg):
+        self.assert_twins_agree(sparse_graph(n, seed, avg))
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_edgeless_graphs(self, n):
+        self.assert_twins_agree(Graph(n))
+
+    def test_mutated_dynamic_graph(self):
+        dyn = dynamic_mod.DynamicGraph.from_graph(random_regular_graph(200, 5, seed=2))
+        dyn.delete_edge(*next(iter(dyn.edges())))
+        dyn.insert_edge(0, next(w for w in range(1, dyn.n) if not dyn.has_edge(0, w)))
+        self.assert_twins_agree(dyn)
 
 
 # -- Linial reduction rounds --------------------------------------------------
