@@ -1,14 +1,17 @@
 """E10 — hot-primitive microbenchmarks: generation and trial rounds.
 
-The two rng-stream-bound primitives the large-Δ pipeline leans on have
-fast paths with bit-identical pure-Python fallbacks: configuration-model
-generation (:func:`repro.graphs.generators.random_regular_graph`,
-vectorized) and the randomized (deg+1)-list trial rounds
+The two rng-stream-bound primitives the large-Δ pipeline leans on:
+configuration-model generation
+(:func:`repro.graphs.generators.random_regular_graph`, pure Python: one
+``randbytes`` draw and one stable sort per pairing step, its output
+pinned by hash in ``tests/test_generators.py``) and the randomized
+(deg+1)-list trial rounds
 (:func:`repro.primitives.list_coloring.list_coloring_random`, which runs
 each round in the native kernel's ``trial_round`` when ``repro/kernel.c``
-loads).  This bench pins their wall clock so the ``bench --smoke``
-perf-regression gate (``scripts/check_bench_regression.py``) catches
-either path rotting back toward per-stub / per-node Python.
+loads, with a bit-identical pure-Python twin).  This bench pins their
+wall clock so the ``bench --smoke`` perf-regression gate
+(``scripts/check_bench_regression.py``) catches either path rotting back
+toward per-stub / per-node Python.
 
 * **E10a** — ``random_regular_graph`` wall clock per (n, Δ), plus a
   regularity check (the repair loop must not silently degrade).
@@ -49,8 +52,8 @@ def build_generator_table():
                         "edges": graph.num_edges},
             ))
     table.notes.append(
-        "numpy pairing + vectorized conflict repair; bit-identical to the "
-        "pure-Python fallback for every seed"
+        "pure-Python pairing and conflict repair over one randbytes-keyed "
+        "stable sort per step; output pinned by CSR hash"
     )
     return emit(table, "e10a_generator")
 

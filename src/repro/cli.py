@@ -23,7 +23,7 @@ Gives downstream users a zero-code path to the library:
   solver phase.
 * ``lint`` — run **reprolint**, the repository's AST-based invariant
   linter (:mod:`repro.devtools`): eight repo-contract rules (seeded-only
-  randomness, non-blocking async tiers, guarded numpy imports, clock-free
+  randomness, non-blocking async tiers, no numpy under src/, clock-free
   fingerprints, typed storage excepts, validated wire access, complete
   vectorized/python fallback pairs, no wall-clock asserts in tests) with
   suppressions, pyproject config and a committed baseline.  See docs/DEVTOOLS.md.
@@ -63,7 +63,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro import native, numeric
+from repro import native
 from repro.api import SolverConfig, list_algorithms, solve
 from repro.errors import GraphConstructionError, ReproError
 from repro.graphs.graph import Graph
@@ -246,7 +246,6 @@ def _bench_smoke(json_path: str | None = None) -> int:
             "bench": "smoke",
             "python": sys.version.split()[0],
             "platform": platform.platform(),
-            "numeric_stack": numeric.np is not None,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "modules": modules,
         }

@@ -182,7 +182,7 @@ def _path_from_tree(parent: dict[int, int], root: int, target: int) -> list[int]
 
 
 def _take_free_color(graph: Graph, colors: list[int], v: int, max_colors: int) -> bool:
-    used = {colors[u] for u in graph.adj[v] if colors[u] != UNCOLORED}
+    used = {colors[u] for u in graph.neighbors_csr(v) if colors[u] != UNCOLORED}
     for c in range(1, max_colors + 1):
         if c not in used:
             colors[v] = c
@@ -243,8 +243,9 @@ def _find_target(
         if graph.degree(u) < max_colors:
             if "deficient" not in candidates or lu < candidates["deficient"][0]:
                 candidates["deficient"] = (lu, u)
-        neighbor_colors = [colors[w] for w in graph.adj[u]]
-        if any(c == UNCOLORED for w, c in zip(graph.adj[u], neighbor_colors) if w != token):
+        row = graph.neighbors_csr(u)
+        neighbor_colors = [colors[w] for w in row]
+        if any(c == UNCOLORED for w, c in zip(row, neighbor_colors) if w != token):
             if "uncolored" not in candidates or lu < candidates["uncolored"][0]:
                 candidates["uncolored"] = (lu, u)
         colored = [c for c in neighbor_colors if c != UNCOLORED]

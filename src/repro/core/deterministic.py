@@ -142,7 +142,7 @@ def _fix_base_layer(
         region = set(result.recolored) | {v}
         halo = set(region)
         for u in region:
-            halo.update(graph.adj[u])
+            halo.update(graph.neighbors_csr(u))
         placed = False
         for index, (blocked, cost) in enumerate(slots):
             if not (halo & blocked):

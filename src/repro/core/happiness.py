@@ -23,23 +23,18 @@ boundary through the now-uncolored mark (the paper's reassignment cascade
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
-from repro import numeric
+from repro import native
 from repro.graphs.bfs import bfs_distances, distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
 from repro.core.marking import MARK_COLOR, MarkingOutcome
+from repro.native import address
 
 __all__ = ["HappinessLayers", "build_happiness_layers"]
-
-# H-boundaries of at least this many nodes are computed with numpy; below
-# it numpy's fixed costs (a few array allocations and gathers) lose to the
-# per-node loop.  Measured on random 8-regular graphs with 90% of the
-# nodes in H (2-CPU box, best of 500, numpy vs loop): |H|=28 39 vs 29 µs,
-# |H|=57 45 vs 65 µs, |H|=115 56 vs 123 µs, |H|=921 152 vs 676 µs.
-VECTOR_MIN_NODES = 64
 
 
 @dataclass
@@ -76,7 +71,7 @@ def build_happiness_layers(
     ``r`` rounds for the boundary flood and ``2r`` for the layer BFS,
     also when H is empty.  The H-degrees come from H's own CSR rows
     (never a pass over all m edges), and both searches run inside H's
-    byte mask, so they vectorize once they reach far.
+    byte mask, so both go to the kernel's ``level_bfs``.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     result = HappinessLayers()
@@ -130,35 +125,23 @@ def _boundary(
     graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
 ) -> set[int]:
     """Nodes of H with fewer than ``delta`` neighbours in H, from the CSR
-    rows of H only (O(|H|·Δ)); ``h_mask`` is H's byte mask."""
-    if len(h_nodes) >= VECTOR_MIN_NODES:
-        boundary = _boundary_vectorized(graph, h_nodes, h_mask, delta)
-        if boundary is not None:
-            return boundary
-    return _boundary_python(graph, h_nodes, h_mask, delta)
-
-
-def _boundary_vectorized(
-    graph: Graph, h_nodes: set[int], h_mask: bytearray, delta: int
-) -> set[int] | None:
-    """:func:`_boundary` with numpy: gather H's rows, prefix-sum the mask
-    over them and difference at the row bounds."""
-    np = numeric.np
-    if np is None:
-        return None
+    rows of H only (O(|H|·Δ)), by the kernel's ``h_boundary`` when it is
+    loaded; ``h_mask`` is H's byte mask.  The set is built in the order
+    of ``h_nodes``, as the twin builds it."""
+    kernel = native.kernel("h_boundary")
+    if kernel is None:
+        return _boundary_python(graph, h_nodes, h_mask, delta)
     offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    rows = np.fromiter(h_nodes, dtype=np.int64, count=len(h_nodes))
-    starts = indptr[rows]
-    deg = indptr[rows + 1] - starts
-    bounds = np.cumsum(deg) - deg
-    positions = np.repeat(starts - bounds, deg) + np.arange(int(deg.sum()))
-    inside = np.frombuffer(h_mask, dtype=np.uint8)[idx[positions]]
-    prefix = np.zeros(inside.size + 1, dtype=np.int64)
-    np.cumsum(inside, out=prefix[1:])
-    deg_h = prefix[bounds + deg] - prefix[bounds]
-    return set(rows[deg_h < delta].tolist())
+    mask = array("B", h_mask)
+    nodes = array("i", h_nodes)
+    out = array("i", bytes(4 * len(nodes)))
+    size = kernel(
+        address(offsets), address(indices), graph.n,
+        address(mask), address(nodes), len(nodes), delta, address(out),
+    )
+    if size < 0:  # a node outside 0..n-1: left to the twin
+        return _boundary_python(graph, h_nodes, h_mask, delta)
+    return set(out[:size])
 
 
 def _boundary_python(

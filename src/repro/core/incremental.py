@@ -9,8 +9,8 @@ stateful engine:
 
 * it holds the current graph plus a valid coloring (typically seeded
   from a :class:`repro.api.ColoringResult`), the coloring in a
-  journaling :class:`repro.core.colorstore.ColorStore` (numpy-backed,
-  O(touched) diffing — no per-op O(n) list copies);
+  journaling :class:`repro.core.colorstore.ColorStore` (an
+  ``array('i')``, O(touched) diffing — no per-op O(n) list copies);
 * ``insert_edge`` / ``delete_edge`` / ``batch_update`` apply a delta,
   detect the conflicts the delta created, uncolor a *minimal* hitting
   set of conflict endpoints, and repair each through the ladder
@@ -35,7 +35,7 @@ The caller's graph is never mutated.  ``engine.graph`` returns an
 immutable :meth:`~repro.graphs.dynamic.DynamicGraph.snapshot`: the
 caller's own graph until the first accepted op, afterwards a compacted
 copy cached until the next mutation (O(n + m) if read every op; use
-``colors_view()`` / ``last_dirty_region`` for per-op monitoring).
+``last_dirty_region`` for per-op monitoring).
 Rejected and failed ops roll back both structures exactly: the graph via
 the delta undo log (which also restores the cached snapshot, so
 ``engine.graph`` keeps its identity), the colors via the store journal.
@@ -215,7 +215,7 @@ class IncrementalColoring:
         self._last_dirty: list[int] | None = []
         self._supports_inc: tuple[str, bool] | None = None
         if validate_seed:
-            validate_coloring(graph, self._colors, max_colors=self.palette or None)
+            validate_coloring(graph, self._colors.buffer, max_colors=self.palette or None)
         self.totals: dict[str, Any] = {
             "ops": 0,
             "edges_added": 0,
@@ -254,13 +254,8 @@ class IncrementalColoring:
     @property
     def colors(self) -> list[int]:
         """The current coloring (a plain-list copy; the engine owns its
-        state).  Prefer :meth:`colors_view` on hot paths."""
+        state)."""
         return self._colors.to_list()
-
-    def colors_view(self):
-        """A read-only, copy-free view of the current coloring (numpy
-        array or tuple; see :meth:`repro.core.colorstore.ColorStore.view`)."""
-        return self._colors.view()
 
     @property
     def delta(self) -> int:
@@ -340,7 +335,7 @@ class IncrementalColoring:
         if self.validate:
             if dirty is None:
                 validate_coloring(
-                    self._graph, self._colors, max_colors=self.palette or None
+                    self._graph, self._colors.buffer, max_colors=self.palette or None
                 )
             else:
                 validate_coloring_region(

@@ -2,8 +2,8 @@
 
 Currently: **reprolint**, an AST-based invariant linter enforcing the
 contracts generic linters can't know about — seeded-only randomness in
-engine code, non-blocking asyncio service tiers, guarded optional numpy
-imports, clock-free fingerprints, typed storage/recovery exceptions,
+engine code, non-blocking asyncio service tiers, no numpy under src/
+(optional elsewhere), clock-free fingerprints, typed storage/recovery exceptions,
 validated wire-dict access, and complete vectorized/pure-Python
 fallback pairs.  Run it with ``python -m repro lint``; rules, config,
 suppressions and the baseline workflow are documented in

@@ -2,7 +2,7 @@
 
 reprolint is this repository's own static-analysis pass.  It exists
 because the system's correctness rests on *conventions* generic linters
-cannot know about: bit-identical numpy/pure-Python fallback twins,
+cannot know about: bit-identical kernel/pure-Python fallback twins,
 seeded-only randomness in engine code (the determinism contract behind
 ``r1:``/``u1:`` content digests), non-blocking asyncio service tiers,
 and typed errors at every wire/recovery boundary.  Each rule in

@@ -7,7 +7,7 @@ example of each violation, and how to suppress):
 =======  ==============================================================
 RPL001   blocking calls inside ``async def`` in the service tier
 RPL002   unseeded randomness in engine code (determinism contract)
-RPL003   top-level numpy/scipy imports not behind the optional guard
+RPL003   numpy/scipy imports under src/, or unguarded ones elsewhere
 RPL004   wall-clock reads in fingerprint/digest construction
 RPL005   bare/overbroad ``except`` in journal/WAL/recovery code
 RPL006   raw subscripts on decoded wire-protocol dicts
@@ -222,24 +222,37 @@ class SeededRandomnessRule(Rule):
 
 @register
 class GuardedNumericImportRule(Rule):
-    """RPL003: numpy/scipy imports must be optional.
+    """RPL003: no numpy/scipy in the package; optional imports elsewhere.
 
-    The numpy-free CI leg exercises every pure-Python fallback; one
-    unconditional top-level ``import numpy`` anywhere on an import path
-    breaks that whole leg at collection time.  The established pattern
-    is either a function-local import or a module-level
-    ``try: import numpy ... except Exception``; the solver's own fast
-    paths read ``repro.numeric.np``, the one such guard they share.
+    Every hot path in ``src/`` has two tiers, the C kernel
+    (``repro/kernel.c``) and its pure-Python twin, so any numpy or scipy
+    import under ``src/`` (a module ``repro.*``) is flagged: guarded,
+    lazy or ``TYPE_CHECKING`` alike.  Outside the package (benchmarks,
+    scripts, tests) numpy stays optional: one unconditional top-level
+    ``import numpy`` there breaks the numpy-free CI leg at collection
+    time, so the imports must be function-local or inside a module-level
+    ``try: import numpy ... except Exception``.
     """
 
     code = "RPL003"
     name = "guarded-numeric-import"
-    rationale = "the numpy-free CI leg depends on optional numeric imports"
+    rationale = "src/ runs on the C kernel and pure Python; numpy is optional elsewhere"
     module_prefixes = ()  # applies to every linted file
 
     NUMERIC_ROOTS = frozenset({"numpy", "scipy"})
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        module = ctx.module or ""
+        if module == "repro" or module.startswith("repro."):
+            for node in ast.walk(ctx.tree):
+                root = self._numeric_import_root(node)
+                if root is not None:
+                    yield self.finding(
+                        ctx, node,
+                        f"import of {root} under src/ — the package has two "
+                        "tiers, the C kernel and its pure-Python twin",
+                    )
+            return
         yield from self._scan(ctx.tree.body, ctx, guarded=False)
 
     def _scan(
@@ -279,7 +292,7 @@ class GuardedNumericImportRule(Rule):
                     "must be able to import this module",
                 )
 
-    def _numeric_import_root(self, stmt: ast.stmt) -> str | None:
+    def _numeric_import_root(self, stmt: ast.AST) -> str | None:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
                 root = alias.name.split(".")[0]
@@ -480,11 +493,11 @@ class ValidatedWireAccessRule(Rule):
 class FallbackPairRule(Rule):
     """RPL007: every vectorized kernel has a dispatched pure-Python twin.
 
-    The repo's performance story is numpy fast paths pinned bit-identical
-    to pure-Python fallbacks (docs/API.md).  A ``_*_vectorized`` function
-    whose ``_*_python`` twin is missing — or defined but never dispatched
-    — means the numpy-free leg silently runs different (or no) code, the
-    exact divergence APGL-style repos accumulate.
+    Every fast path is pinned bit-identical to a pure-Python twin
+    (docs/API.md).  A ``_*_vectorized`` function whose ``_*_python`` twin
+    is missing — or defined but never dispatched — means a box without
+    the fast path silently runs different (or no) code, the exact
+    divergence APGL-style repos accumulate.
     """
 
     code = "RPL007"
@@ -677,9 +690,9 @@ class CsrRowsInSolverRule(Rule):
     n sets more; both caches then ride along in every pickle of the
     graph.  The modules in scope read ``graph.csr()`` or
     ``graph.neighbors_csr(v)`` instead.  Functions named ``*_python``
-    are exempt: the pure-Python twins that RPL007 pairs with a fast path
-    run when the kernel or numpy is missing, where ``adj`` is the fast
-    way to walk every row.
+    are exempt: the pure-Python twins of the kernel's entry points run
+    when the kernel is missing, where ``adj`` is the fast way to walk
+    every row.
     """
 
     code = "RPL009"
@@ -692,6 +705,7 @@ class CsrRowsInSolverRule(Rule):
         "repro.core.happiness",
         "repro.core.layering",
         "repro.core.small_components",
+        "repro.core.brooks",
         "repro.graphs.validation",
     )
 

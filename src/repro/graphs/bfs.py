@@ -240,7 +240,7 @@ def bfs_ball(
     callers charge ``radius`` rounds for it on the ledger.
     """
     _check_nodes(graph, [center], "center")
-    adj = graph.adj
+    row = graph.neighbors_csr
     if allowed is None:
         dist = {center: 0}
         queue: deque[int] = deque([center])
@@ -249,7 +249,7 @@ def bfs_ball(
             du = dist[u]
             if du >= radius:
                 continue
-            for v in adj[u]:
+            for v in row(u):
                 if v not in dist:
                     dist[v] = du + 1
                     queue.append(v)
@@ -264,7 +264,7 @@ def bfs_ball(
         du = dist[u]
         if du >= radius:
             continue
-        for v in adj[u]:
+        for v in row(u):
             if v not in dist and ok(v):
                 dist[v] = du + 1
                 queue.append(v)
@@ -291,13 +291,13 @@ def bfs_levels(
     dist = {center: 0}
     levels[0].append(center)
     queue: deque[int] = deque([center])
-    adj = graph.adj
+    row = graph.neighbors_csr
     while queue:
         u = queue.popleft()
         du = dist[u]
         if du >= radius:
             continue
-        for v in adj[u]:
+        for v in row(u):
             if v not in dist and ok(v):
                 dist[v] = du + 1
                 levels[du + 1].append(v)
@@ -328,13 +328,13 @@ def bfs_tree(
     parent[center] = center
     level[center] = 0
     queue: deque[int] = deque([center])
-    adj = graph.adj
+    row = graph.neighbors_csr
     while queue:
         u = queue.popleft()
         du = level[u]
         if du >= radius:
             continue
-        for v in adj[u]:
+        for v in row(u):
             if v not in level and ok(v):
                 level[v] = du + 1
                 parent[v] = u

@@ -37,8 +37,7 @@ move and grow so edges insert and delete **in place**:
 ``DynamicGraph`` subclasses :class:`Graph`, so everything written
 against the immutable interface keeps working: ``csr()`` compacts the
 rows into a classic ``(offsets, indices)`` pair on demand (cached until
-the next mutation; the compaction itself runs vectorized on numpy with
-a bit-identical pure-Python fallback), ``adj`` / ``neighbors`` /
+the next mutation), ``adj`` / ``neighbors`` /
 ``neighbors_csr`` / ``has_edge`` / ``subgraph`` read through the live
 rows, and :meth:`snapshot` emits an immutable :class:`Graph` sharing the
 compacted buffers — safe to hand to caches and solvers because mutation
@@ -57,8 +56,8 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable
+from operator import sub
 
-from repro import numeric
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 
@@ -67,9 +66,6 @@ __all__ = ["DynamicGraph", "DeltaUndo"]
 #: Smallest capacity (slots) of a relocated or compacted row.
 MIN_ROW_SLOTS = 4
 
-#: Graphs of at least this many nodes adopt and compact on numpy.
-VECTOR_MIN_NODES = 512
-
 
 def _row_capacity(deg: int, min_slots: int = MIN_ROW_SLOTS) -> int:
     """Power-of-two capacity with at least one free slot for ``deg`` edges."""
@@ -77,29 +73,12 @@ def _row_capacity(deg: int, min_slots: int = MIN_ROW_SLOTS) -> int:
     return max(min_slots, 1 << (need - 1).bit_length())
 
 
-def _adopt_vectorized(offsets: array, n: int):
+def _adopt_rows(offsets: array, n: int):
     """Row starts, row lengths and the degree histogram of a CSR offsets
-    buffer, on numpy; None without numpy (the caller falls back to
-    :func:`_adopt_python`, which returns the same triple)."""
-    np = numeric.np
-    if np is None:
-        return None
-    offs = np.frombuffer(offsets, dtype=np.int32)
-    # Written straight into the arrays' own buffers: no temporaries.
-    starts = array("q", bytes(8 * n))
-    lens = array("i", bytes(4 * n))
-    np.frombuffer(starts, dtype=np.int64)[:] = offs[:n]
-    lens_view = np.frombuffer(lens, dtype=np.int32)
-    np.subtract(offs[1:], offs[:-1], out=lens_view)
-    counts = np.bincount(lens_view)
-    hist = {int(d): int(counts[d]) for d in np.flatnonzero(counts)}
-    return starts, lens, hist
-
-
-def _adopt_python(offsets: array, n: int):
-    """Pure-Python twin of :func:`_adopt_vectorized`."""
-    lens = array("i", [offsets[v + 1] - offsets[v] for v in range(n)])
-    return array("q", offsets[:n]), lens, dict(Counter(lens))
+    buffer."""
+    bounds = offsets.tolist()
+    lens = array("i", list(map(sub, bounds[1:], bounds)))
+    return array("q", bounds[:n]), lens, dict(Counter(lens))
 
 
 class DeltaUndo:
@@ -173,8 +152,7 @@ class DynamicGraph(Graph):
         graph = graph.snapshot() if isinstance(graph, DynamicGraph) else graph
         n = graph.n
         offsets, indices = graph.csr()
-        parts = _adopt_vectorized(offsets, n) if n >= VECTOR_MIN_NODES else None
-        starts, lens, hist = parts if parts is not None else _adopt_python(offsets, n)
+        starts, lens, hist = _adopt_rows(offsets, n)
         self.n = n
         self._num_edges = graph.num_edges
         self._min_slots = min_slots
@@ -245,14 +223,10 @@ class DynamicGraph(Graph):
         """Compact the padded rows into classic CSR buffers (cached until
         the next mutation; never aliased by future mutations)."""
         if self._offsets is None:
-            np = numeric.np
-            if np is not None and self.n >= VECTOR_MIN_NODES:
-                self._offsets, self._indices = self._compact_numpy(np)
-            else:
-                self._offsets, self._indices = self._compact_python()
+            self._offsets, self._indices = self._compacted_csr()
         return self._offsets, self._indices
 
-    def _compact_python(self) -> tuple[array, array]:
+    def _compacted_csr(self) -> tuple[array, array]:
         n = self.n
         lens, starts, data = self._lens, self._starts, self._data
         offsets = array("i", bytes(4 * (n + 1)))
@@ -266,23 +240,6 @@ class DynamicGraph(Graph):
             if deg:
                 s = starts[v]
                 indices[offsets[v] : offsets[v] + deg] = data[s : s + deg]
-        return offsets, indices
-
-    def _compact_numpy(self, np) -> tuple[array, array]:
-        lens = np.frombuffer(self._lens, dtype=np.int32)
-        starts = np.frombuffer(self._starts, dtype=np.int64)
-        data = np.frombuffer(self._data, dtype=np.int32)
-        # Both outputs are written in place into their final arrays.
-        offsets = array("i", bytes(4 * (self.n + 1)))
-        offs = np.frombuffer(offsets, dtype=np.int32)
-        np.cumsum(lens, out=offs[1:])
-        # Source index of every compacted slot: its row's shift (live
-        # start minus compacted start) plus the slot's own position.
-        source = np.repeat(starts - offs[:-1], lens)
-        source += np.arange(len(source), dtype=np.int64)
-        indices = array("i", [0]) * len(source)
-        if len(source):
-            np.take(data, source, out=np.frombuffer(indices, dtype=np.int32))
         return offsets, indices
 
     def snapshot(self) -> Graph:

@@ -23,8 +23,9 @@ All generators take an explicit ``seed`` and are deterministic given it.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
-from repro import numeric
 from repro.errors import GraphError
 from repro.graphs.graph import Graph, GraphBuilder
 
@@ -156,23 +157,16 @@ def _circulant_with_swaps(n: int, d: int, rng: random.Random) -> Graph:
     return Graph.from_edges_unchecked(n, sorted(edges))
 
 
-def _shuffle_order(rng: random.Random, count: int, np=None):
-    """Permutation of ``range(count)`` from one ``rng.randbytes`` draw.
-
-    Both configuration-model paths shuffle by assigning every position a
-    64-bit key from the *same* byte stream and stably sorting, so the
-    numpy path and the pure-Python path consume identical entropy and
-    produce identical permutations (ties, if any, break by position in
-    both).  Returns a numpy array when ``np`` is given, else a list.
-    """
-    buf = rng.randbytes(8 * count)
-    if np is not None:
-        keys = np.frombuffer(buf, dtype="<u8")
-        return np.argsort(keys, kind="stable")
-    keys = [
-        int.from_bytes(buf[8 * i : 8 * i + 8], "little") for i in range(count)
-    ]
-    return sorted(range(count), key=keys.__getitem__)
+def _shuffle_order(rng: random.Random, count: int) -> list[int]:
+    """Permutation of ``range(count)`` from one ``rng.randbytes`` draw:
+    every position gets a little-endian 64-bit key from the byte stream,
+    and a stable sort by key orders them (ties, if any, break by
+    position)."""
+    keys = array("Q")  # 8-byte items
+    keys.frombytes(rng.randbytes(8 * count))
+    if sys.byteorder == "big":
+        keys.byteswap()
+    return sorted(range(count), key=keys.tolist().__getitem__)
 
 
 def _configuration_model_attempt(
@@ -183,22 +177,10 @@ def _configuration_model_attempt(
     Pairs the ``n*d`` half-edges along a key-sorted permutation
     (:func:`_shuffle_order`), detects self-loops / parallel edges, and
     re-pairs conflicting stubs (plus a few good edges broken open) for up
-    to ``repair_rounds`` rounds.  The scan and pairing run on numpy when
-    available and fall back to pure Python; the two paths draw the same
-    entropy and return bit-identical edge lists.
+    to ``repair_rounds`` rounds.
 
     Returns the edge list, or ``None`` if conflicts could not be repaired.
     """
-    np = numeric.np
-    if np is not None and n * d >= 256:
-        return _attempt_vectorized(n, d, rng, repair_rounds, np)
-    return _attempt_python(n, d, rng, repair_rounds)
-
-
-def _attempt_python(
-    n: int, d: int, rng: random.Random, repair_rounds: int
-) -> list[tuple[int, int]] | None:
-    """Pure-Python configuration-model attempt (reference semantics)."""
     order = _shuffle_order(rng, n * d)
     # Stub j belongs to node j // d.
     pairs = [
@@ -231,58 +213,6 @@ def _attempt_python(
         pairs = good + [
             (bad_stubs[2 * i], bad_stubs[2 * i + 1]) for i in range(len(bad_stubs) // 2)
         ]
-    return None
-
-
-def _attempt_vectorized(
-    n: int, d: int, rng: random.Random, repair_rounds: int, np
-) -> list[tuple[int, int]] | None:
-    """Numpy twin of :func:`_attempt_python` (bit-identical output).
-
-    Pairing, conflict detection (self-loops, duplicate edges keeping the
-    first occurrence) and the repair-round bookkeeping are all array
-    operations; only the rng draws and the loop skeleton match the pure
-    path step for step.
-    """
-    order = _shuffle_order(rng, n * d, np)
-    us = order[0::2] // d
-    vs = order[1::2] // d
-    for _ in range(repair_rounds):
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        keys = lo.astype(np.int64) * n + hi
-        # A pair is bad if it is a self-loop or repeats an earlier key;
-        # stable sort puts equal keys in scan order, so "not the first of
-        # its run" is exactly the fallback's ``key in seen``.
-        perm = np.argsort(keys, kind="stable")
-        dup_sorted = np.zeros(len(keys), dtype=bool)
-        if len(keys) > 1:
-            dup_sorted[1:] = keys[perm][1:] == keys[perm][:-1]
-        bad = np.zeros(len(keys), dtype=bool)
-        bad[perm] = dup_sorted
-        bad |= us == vs
-        if not bad.any():
-            return list(zip(lo.tolist(), hi.tolist()))
-        bad_count = int(bad.sum())
-        if 2 * bad_count > max(4, n // 2):
-            return None
-        good_lo, good_hi = lo[~bad], hi[~bad]
-        bad_stubs = np.column_stack((us[bad], vs[bad])).ravel()
-        k = min(len(good_lo), len(bad_stubs))
-        order = _shuffle_order(rng, len(good_lo), np)
-        good_lo, good_hi = good_lo[order], good_hi[order]
-        if k:
-            # The fallback pops k pairs off the end, appending (u, v) per
-            # pop: the tail in reverse, interleaved.
-            tail = np.column_stack(
-                (good_lo[len(good_lo) - k :], good_hi[len(good_hi) - k :])
-            )[::-1].ravel()
-            bad_stubs = np.concatenate((bad_stubs, tail))
-            good_lo, good_hi = good_lo[:-k], good_hi[:-k]
-        order = _shuffle_order(rng, len(bad_stubs), np)
-        bad_stubs = bad_stubs[order]
-        us = np.concatenate((good_lo, bad_stubs[0::2]))
-        vs = np.concatenate((good_hi, bad_stubs[1::2]))
     return None
 
 

@@ -54,35 +54,18 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
+from operator import sub
 
-from repro import numeric
+from repro import native
 from repro.errors import GraphError
+from repro.native import address
 
 __all__ = ["Graph", "GraphBuilder", "SubgraphView"]
 
-# Graphs of at least this many nodes list their edges with numpy.
-# Measured on random 6-regular graphs (best of 300, 2-CPU box), numpy vs
-# the row loop: n=16 10 vs 8 µs, n=32 14 vs 15 µs, n=64 19 vs 30 µs,
-# n=1024 0.34 vs 0.72 ms.
-EDGES_VECTOR_MIN_NODES = 32
-
-
-def _edges_vectorized(offsets: array, indices: array) -> Iterator[tuple[int, int]] | None:
-    """:meth:`Graph.edges` with numpy: every row's owner beside its
-    entries, kept where owner < entry; None without numpy."""
-    np = numeric.np
-    if np is None:
-        return None
-    offs = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    owners = np.repeat(np.arange(len(offs) - 1, dtype=np.int32), np.diff(offs))
-    keep = owners < idx
-    return zip(owners[keep].tolist(), idx[keep].tolist())
-
-
 def _edges_python(offsets: array, indices: array) -> Iterator[tuple[int, int]]:
-    """Pure-Python twin of :func:`_edges_vectorized`: one flat list of
-    the indices, sliced per row."""
+    """The row loop behind :meth:`Graph.edges` (reference twin of the
+    kernel's ``edge_pairs``): one flat list of the indices, sliced per
+    row."""
     flat = indices.tolist()
     for u in range(len(offsets) - 1):
         for v in flat[offsets[u] : offsets[u + 1]]:
@@ -269,22 +252,16 @@ class Graph:
     def degrees(self) -> list[int]:
         """List of all node degrees, indexed by node."""
         offsets = self._offsets
-        return [offsets[v + 1] - offsets[v] for v in range(self.n)]
+        return list(map(sub, offsets[1:], offsets))
 
     def max_degree(self) -> int:
         """Maximum degree Δ of the graph (0 for the empty graph); cached.
 
-        The first call on a large graph runs vectorized (max over the
-        CSR offset differences) when numpy is available — this sits on
-        the incremental hot path, where every update consults Δ on a
-        fresh graph whose cache is cold.
+        The first call is one pass over the CSR offsets.  The incremental
+        engine does not pay it per update: its ``DynamicGraph`` keeps Δ
+        in a degree histogram and hands it to every snapshot.
         """
         if self._max_degree is None:
-            np = numeric.np
-            if self.n >= 1024 and np is not None:
-                offs = np.frombuffer(self._offsets, dtype=np.int32)
-                self._max_degree = int(np.max(np.diff(offs)))
-                return self._max_degree
             self._max_degree = max(self.degrees(), default=0)
         return self._max_degree
 
@@ -334,13 +311,21 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as ``(u, v)`` with ``u < v``, row by
-        row in CSR order."""
+        row in CSR order (listed by the kernel's ``edge_pairs`` when it
+        is loaded)."""
         offsets, indices = self.csr()
-        if self.n >= EDGES_VECTOR_MIN_NODES:
-            pairs = _edges_vectorized(offsets, indices)
-            if pairs is not None:
-                return pairs
-        return _edges_python(offsets, indices)
+        kernel = native.kernel("edge_pairs")
+        if kernel is None:
+            return _edges_python(offsets, indices)
+        cap = len(indices) // 2
+        lo = array("i", bytes(4 * cap))
+        hi = array("i", bytes(4 * cap))
+        found = kernel(
+            address(offsets), address(indices), self.n, address(lo), address(hi), cap
+        )
+        if found != cap:  # not symmetric: only the twin lists it faithfully
+            return _edges_python(offsets, indices)
+        return zip(lo.tolist(), hi.tolist())
 
     def nodes(self) -> range:
         """Range over all node indices."""

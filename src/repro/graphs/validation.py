@@ -15,11 +15,13 @@ Color conventions used throughout the package:
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 
-from repro import numeric
+from repro import native
 from repro.errors import ColoringError
 from repro.graphs.graph import Graph
+from repro.native import address
 
 __all__ = [
     "UNCOLORED",
@@ -55,61 +57,53 @@ def validate_coloring(
     max_violations:
         Cap on collected violation messages (errors can otherwise be huge).
 
-    Graphs of at least ``VECTOR_MIN_NODES`` nodes are checked over the
-    CSR buffers with numpy; only a coloring that fails there (or colors
-    numpy cannot hold as integers) takes the Python pass, which is what
-    words the violation messages — so they are identical either way.
+    With the native kernel loaded the checks run in its ``validate``
+    scan over the CSR buffers; only a coloring that fails there (or
+    colors that are not all C ints) takes the Python pass, which is what
+    words the violation messages, so they are identical either way.  An
+    ``array('i')`` (such as a ``ColorStore``'s buffer) is scanned in
+    place; any other sequence is copied into one.
     """
     if len(colors) != graph.n:
         raise ColoringError(
             f"coloring has {len(colors)} entries for a graph on {graph.n} nodes"
         )
-    if graph.n >= VECTOR_MIN_NODES and _validate_coloring_vectorized(
-        graph, colors, max_colors, allow_partial
-    ):
+    kernel = native.kernel("validate")
+    if kernel is not None and _passes_kernel(kernel, graph, colors, max_colors, allow_partial):
         return
     _validate_coloring_python(graph, colors, max_colors, allow_partial, max_violations)
 
 
-# Measured on random 8-regular graphs (best of 200): at serve-read's
-# n=1024 numpy validates in 0.09 ms against 0.40 ms for the Python pass;
-# at n=128 it is 0.04 vs 0.06 ms, about where the list-to-array
-# conversion stops dominating.
-VECTOR_MIN_NODES = 128
+_INT_MAX = 2**31 - 1
 
 
-def _validate_coloring_vectorized(
+def _passes_kernel(
+    kernel,
     graph: Graph,
     colors: Sequence[int],
     max_colors: int | None,
     allow_partial: bool,
 ) -> bool:
-    """True iff the coloring passes every check of
-    :func:`_validate_coloring_python`; False when it fails one or numpy
-    cannot decide (missing, or colors that are not plain integers)."""
-    np = numeric.np
-    if np is None:
+    """True iff the kernel's ``validate`` passes the coloring; False when
+    it fails a check, or when a color does not fit a C int or
+    ``max_colors`` is not an int."""
+    if max_colors is not None and not isinstance(max_colors, int):
         return False
-    try:
-        color = np.asarray(colors)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    if color.ndim != 1 or color.dtype.kind not in "iu":
-        return False
-    colored = color != UNCOLORED
-    if not allow_partial and not colored.all():
-        return False
-    in_palette = color >= 1
-    if max_colors is not None:
-        in_palette &= color <= max_colors
-    if not (in_palette | ~colored).all():
-        return False
+    if isinstance(colors, array) and colors.typecode == "i":
+        buffer = colors
+    else:
+        try:
+            buffer = array("i", colors)
+        except (OverflowError, TypeError):
+            return False
+    # No C int exceeds _INT_MAX, and none lies in 1..0.
+    cap = _INT_MAX if max_colors is None else max(0, min(max_colors, _INT_MAX))
     offsets, indices = graph.csr()
-    indptr = np.frombuffer(offsets, dtype=np.int32)
-    idx = np.frombuffer(indices, dtype=np.int32)
-    owner_color = np.repeat(color, np.diff(indptr))
-    clash = owner_color == color[idx]
-    return not (clash & (owner_color != UNCOLORED)).any()
+    failed = kernel(
+        address(offsets), address(indices), graph.n, address(buffer),
+        cap, bool(allow_partial),
+    )
+    return failed < 0
 
 
 def _validate_coloring_python(

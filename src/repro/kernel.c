@@ -19,7 +19,13 @@
  *   level_bfs     multi-source BFS bounded by depth and a byte mask,
  *                 with the reached nodes bucketed by level
  *                 (repro.graphs.bfs: _bfs_distances_python,
- *                 _distance_layers_python; Graph._is_connected_python).
+ *                 _distance_layers_python; Graph._is_connected_python);
+ *   validate      the checks of a coloring, pass or first failure
+ *                 (repro.graphs.validation: _validate_coloring_python);
+ *   h_boundary    the nodes of H with fewer than delta neighbours in H
+ *                 (repro.core.happiness: _boundary_python);
+ *   edge_pairs    every edge (u, v), u < v, in CSR order
+ *                 (repro.graphs.graph: _edges_python).
  */
 
 #include <stdlib.h>
@@ -552,4 +558,79 @@ int level_bfs(const int *offsets, const int *indices, int n,
             qsort(order + lo, ends[i] - lo, sizeof *order, ascending);
     }
     return levels;
+}
+
+/* ---- Whole-graph scans ------------------------------------------------- */
+
+/* validate: the checks of repro.graphs.validation._validate_coloring_python
+ * over colors[0..n) (0 = uncolored).  A node fails when it is uncolored
+ * and allow_partial is 0, or when its color lies outside 1..max_colors;
+ * an edge (u, v), u < v, fails when both ends wear one color.  Returns
+ * -1 when nothing fails, else the first failing node: the first in node
+ * order, or failing that the smaller end of the first failing edge in
+ * CSR order.
+ */
+int validate(const int *offsets, const int *indices, int n, const int *colors,
+             int max_colors, int allow_partial)
+{
+    int u, e;
+    for (u = 0; u < n; u++) {
+        int c = colors[u];
+        if (c == 0 ? !allow_partial : c < 1 || c > max_colors)
+            return u;
+    }
+    for (u = 0; u < n; u++) {
+        int c = colors[u];
+        if (c == 0)
+            continue;
+        for (e = offsets[u]; e < offsets[u + 1]; e++)
+            if (u < indices[e] && colors[indices[e]] == c)
+                return u;
+    }
+    return -1;
+}
+
+/* h_boundary: the nodes of H (nodes[0..count), mask[v] != 0 exactly for
+ * v in H) with fewer than delta neighbours w in H (mask[w] != 0), into
+ * out in the order of nodes (repro.core.happiness._boundary_python).
+ * Returns how many, or -1 (nothing written) when a node lies outside
+ * 0..n-1.
+ */
+int h_boundary(const int *offsets, const int *indices, int n,
+               const unsigned char *mask, const int *nodes, int count,
+               int delta, int *out)
+{
+    int i, e, size = 0;
+    for (i = 0; i < count; i++)
+        if (nodes[i] < 0 || nodes[i] >= n)
+            return -1;
+    for (i = 0; i < count; i++) {
+        int v = nodes[i], inside = 0;
+        for (e = offsets[v]; e < offsets[v + 1]; e++)
+            inside += mask[indices[e]] != 0;
+        if (inside < delta)
+            out[size++] = v;
+    }
+    return size;
+}
+
+/* edge_pairs: every CSR entry v of row u with u < v, row by row in CSR
+ * order, as lo[i] = u, hi[i] = v (repro.graphs.graph._edges_python).
+ * Writes at most cap pairs and returns how many it found (more than cap
+ * only when the CSR is not symmetric).
+ */
+int edge_pairs(const int *offsets, const int *indices, int n,
+               int *lo, int *hi, int cap)
+{
+    int u, e, m = 0;
+    for (u = 0; u < n; u++)
+        for (e = offsets[u]; e < offsets[u + 1]; e++)
+            if (u < indices[e]) {
+                if (m < cap) {
+                    lo[m] = u;
+                    hi[m] = indices[e];
+                }
+                m++;
+            }
+    return m;
 }

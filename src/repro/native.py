@@ -3,11 +3,13 @@
 ``kernel.c`` (next to this module) holds the native inner loops: DCC
 detection (``dcc_detect``, all of phase (1)), the two (deg+1)-list
 coloring engines' sweeps (``class_sweep``, ``pending_nodes`` and
-``trial_round``), Linial's reduction round (``linial_round``) and the
-multi-source level BFS (``level_bfs``).  It is compiled by the system C compiler (``cc`` on
-``PATH``) into one shared object and called through :mod:`ctypes`; no
-numpy, scipy or cffi is involved.  The object is cached under
-``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
+``trial_round``), Linial's reduction round (``linial_round``), the
+multi-source level BFS (``level_bfs``), coloring validation
+(``validate``), phase (5)'s H-boundary (``h_boundary``) and the edge
+listing (``edge_pairs``).  It is compiled by the system C compiler
+(``cc`` on ``PATH``) into one shared object and called through
+:mod:`ctypes`; no numpy, scipy or cffi is involved.  The object is
+cached under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
 ``kernel-<hash>.so``, the hash covering the C source, the compiler path,
 the flags and the platform tag, so an edit to any of them builds a new
 file.  A build writes a temporary name and ``os.replace``-s it in, so
@@ -85,6 +87,15 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _I, _I, _P,  # sources, count, max_depth, allowed
         _P, _P, _P, _I,  # dist, order, ends, sorted
     ],
+    "validate": [
+        _P, _P, _I, _P,  # offsets, indices, n, colors
+        _I, _I,  # max_colors, allow_partial
+    ],
+    "h_boundary": [
+        _P, _P, _I,  # offsets, indices, n
+        _P, _P, _I, _I, _P,  # mask, nodes, count, delta, out
+    ],
+    "edge_pairs": [_P, _P, _I, _P, _P, _I],  # offsets, indices, n, lo, hi, cap
 }
 
 

@@ -1,9 +1,9 @@
 """Tests for the journaling color store (:class:`repro.core.ColorStore`).
 
-The fallback-pair contract: the numpy backend and the pure-Python
-backend behave identically through the whole public surface — item
-access, transactions, views, diffing.  Every test here runs against
-both (the numpy half skips on numpy-free environments).
+The store is one ``array('i')``.  Every test runs twice, on colors that
+arrive as a list and as a numpy int32 array (a caller's data; that half
+skips where numpy is not installed): item access, transactions, the
+buffer and diffing must behave identically, and hand out plain ints.
 """
 
 from __future__ import annotations
@@ -17,17 +17,25 @@ try:
 except Exception:  # pragma: no cover
     np = None
 
-BACKENDS = ["python"] + (["numpy"] if np is not None else [])
 
-
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=["python", "numpy"])
 def backend(request):
+    """How the initial colors arrive: ``python`` a list, ``numpy`` an
+    int32 array."""
+    if request.param == "numpy" and np is None:
+        pytest.skip("numpy unavailable")
     return request.param
+
+
+def store_of(colors, backend):
+    if backend == "numpy":
+        return ColorStore(np.asarray(colors, dtype=np.int32))
+    return ColorStore(colors)
 
 
 class TestSequenceProtocol:
     def test_len_get_set_iter(self, backend):
-        store = ColorStore([3, 1, 4, 1, 5], backend=backend)
+        store = store_of([3, 1, 4, 1, 5], backend)
         assert len(store) == 5
         assert store[2] == 4
         store[2] = 9
@@ -37,19 +45,21 @@ class TestSequenceProtocol:
     def test_items_are_plain_python_ints(self, backend):
         # numpy scalars break JSON round-trips and tuple equality pins;
         # the store must never leak them.
-        store = ColorStore([1, 2], backend=backend)
-        assert type(store[0]) is int
+        store = store_of([1, 2], backend)
+        store[1] = np.int32(5) if backend == "numpy" else 5
+        assert type(store[0]) is int and store[1] == 5
         assert all(type(c) is int for c in store)
         assert all(type(c) is int for c in store.to_list())
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        # There is one storage, so the former backend= option is gone.
+        with pytest.raises(TypeError):
             ColorStore([1], backend="fortran")
 
 
 class TestTransactions:
     def test_commit_reports_only_net_changes(self, backend):
-        store = ColorStore([1, 2, 3, 4], backend=backend)
+        store = store_of([1, 2, 3, 4], backend)
         store.begin()
         store[0] = 7
         store[1] = 9
@@ -59,7 +69,7 @@ class TestTransactions:
         assert store.to_list() == [7, 2, 3, 4]
 
     def test_rollback_restores_first_written_values(self, backend):
-        store = ColorStore([1, 2, 3], backend=backend)
+        store = store_of([1, 2, 3], backend)
         store.begin()
         store[0] = 5
         store[0] = 6  # journal keeps the first old value, 1
@@ -68,7 +78,7 @@ class TestTransactions:
         assert store.to_list() == [1, 2, 3]
 
     def test_transaction_misuse_raises(self, backend):
-        store = ColorStore([1], backend=backend)
+        store = store_of([1], backend)
         with pytest.raises(RuntimeError):
             store.commit()
         with pytest.raises(RuntimeError):
@@ -81,7 +91,7 @@ class TestTransactions:
         assert not store.in_transaction
 
     def test_writes_outside_transaction_do_not_journal(self, backend):
-        store = ColorStore([1, 2], backend=backend)
+        store = store_of([1, 2], backend)
         store[0] = 9
         store.begin()
         assert store.commit() == []
@@ -90,25 +100,15 @@ class TestTransactions:
 
 class TestBulkAccess:
     def test_view_reads_current_state(self, backend):
-        store = ColorStore([1, 2, 3], backend=backend)
-        view = store.view()
-        assert len(view) == 3
-        assert list(view) == [1, 2, 3]
-        assert view[1] == 2
-
-    def test_numpy_view_is_read_only_and_zero_copy(self):
-        if np is None:
-            pytest.skip("numpy unavailable")
-        store = ColorStore([1, 2, 3], backend="numpy")
-        view = store.view()
-        with pytest.raises(ValueError):
-            view[0] = 9
+        # ``buffer`` is the store's one view: the live array, no copy.
+        store = store_of([1, 2, 3], backend)
+        buffer = store.buffer
+        assert buffer.typecode == "i" and list(buffer) == [1, 2, 3]
         store[0] = 9
-        # zero-copy: the view tracks the buffer
-        assert view[0] == 9
+        assert buffer[0] == 9 and store.buffer is buffer
 
     def test_replace_swaps_whole_coloring(self, backend):
-        store = ColorStore([1, 2, 3], backend=backend)
+        store = store_of([1, 2, 3], backend)
         store.begin()
         store[0] = 9
         store.replace([4, 5, 6])
@@ -116,37 +116,43 @@ class TestBulkAccess:
         assert store.to_list() == [4, 5, 6]
 
     def test_diff_count(self, backend):
-        store = ColorStore([1, 2, 3, 4], backend=backend)
+        store = store_of([1, 2, 3, 4], backend)
         assert store.diff_count([1, 2, 3, 4]) == 0
         assert store.diff_count([1, 9, 3, 9]) == 2
         assert store.diff_count((9, 9, 9, 9)) == 4
 
 
-@pytest.mark.skipif(np is None, reason="numpy unavailable")
-def test_backends_pinned_equivalent():
-    """Drive both backends through an identical randomized script and
-    assert every observable output matches, step for step."""
+def test_store_matches_a_list_model():
+    """Drive a store and a plain list through one randomized script
+    (writes, transactions, diffs) and compare every observable output,
+    step for step."""
     import random
 
     rng = random.Random(0)
-    seed = [rng.randrange(1, 9) for _ in range(64)]
-    a = ColorStore(seed, backend="numpy")
-    b = ColorStore(seed, backend="python")
-    for _ in range(50):
+    model = [rng.randrange(1, 9) for _ in range(64)]
+    store = ColorStore(model)
+    journal: dict[int, int] | None = None
+    for _ in range(200):
         action = rng.randrange(4)
         if action == 0:
             v, c = rng.randrange(64), rng.randrange(1, 9)
-            a[v] = c
-            b[v] = c
-        elif action == 1 and not a.in_transaction:
-            a.begin()
-            b.begin()
-        elif action == 2 and a.in_transaction:
-            assert a.commit() == b.commit()
-        elif action == 3 and a.in_transaction:
-            a.rollback()
-            b.rollback()
-        assert a.to_list() == b.to_list()
-        assert a.in_transaction == b.in_transaction
+            if journal is not None:
+                journal.setdefault(v, model[v])
+            model[v] = c
+            store[v] = c
+        elif action == 1 and journal is None:
+            journal = {}
+            store.begin()
+        elif action == 2 and journal is not None:
+            changed = sorted(v for v, old in journal.items() if model[v] != old)
+            assert store.commit() == changed
+            journal = None
+        elif action == 3 and journal is not None:
+            for v, old in journal.items():
+                model[v] = old
+            store.rollback()
+            journal = None
+        assert store.to_list() == model and list(store) == model
+        assert store.in_transaction == (journal is not None)
         other = [rng.randrange(1, 9) for _ in range(64)]
-        assert a.diff_count(other) == b.diff_count(other)
+        assert store.diff_count(other) == sum(a != b for a, b in zip(model, other))

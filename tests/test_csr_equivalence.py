@@ -225,9 +225,8 @@ class TestValidationStillRejects:
 
 
 class TestVectorizedPathParity:
-    """The numpy fast paths and the native kernel must be
-    bit-identical to the pure-Python fallbacks — including the shapes
-    that once broke them."""
+    """The native kernel must be bit-identical to the pure-Python
+    fallbacks — including the shapes that once broke a fast path."""
 
     def test_linial_with_trailing_isolated_nodes(self, python_twins):
         # Regression: a vectorized round once clamped a trailing

@@ -1,10 +1,13 @@
 """Solves read CSR rows only, and graphs pickle as their CSR buffers.
 
 * A solve on a fresh graph leaves ``graph.adj`` and
-  ``graph.adjacency_sets()`` unbuilt, with numpy and without
-  (``tests/test_oracles.py`` runs the same check over its families on the
-  randomized specs).  Skipped only when the native kernel is not loaded:
-  the pure-Python twins of its entry points still read ``adj``.
+  ``graph.adjacency_sets()`` unbuilt, with ``import numpy`` working and
+  blocked (``src/`` imports no numpy either way; ``tests/test_oracles.py``
+  runs the same check over its families on the randomized specs).
+  Skipped only when the native kernel is not loaded: the pure-Python
+  twins of its entry points still read ``adj``.
+* The Theorem 5 token walks of the incremental engine read CSR rows too:
+  a stream of inserts builds no adjacency lists on its ``DynamicGraph``.
 * A pickled graph carries its two CSR buffers, ``n`` and the edge count,
   and never the list or set caches; a :class:`DynamicGraph` comes back
   as one, with the same rows.
@@ -16,11 +19,14 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 
-from repro import native, numeric
+from repro import native
+from repro.analysis.harness import carve_matching
 from repro.api import solve
+from repro.core.incremental import IncrementalColoring
 from repro.graphs.dynamic import DynamicGraph
 from repro.graphs.generators import high_girth_regular_graph, random_regular_graph
 from repro.graphs.graph import Graph
@@ -53,8 +59,9 @@ def girth9_cubic():
 
 @pytest.fixture(params=["numpy", "no-numpy"])
 def numpy_mode(request, monkeypatch):
+    """``no-numpy`` blocks ``import numpy``, as on a box without it."""
     if request.param == "no-numpy":
-        monkeypatch.setattr(numeric, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
     return request.param
 
 
@@ -65,6 +72,31 @@ def test_auto_solve_builds_no_adjacency_cache(request, name, strict, numpy_mode)
     graph = fresh(request.getfixturevalue(name))
     solve(graph, seed=1, strict=strict)
     assert_caches_cold(graph)
+
+
+@needs_kernel
+def test_theorem5_walks_build_no_adjacency_lists(monkeypatch):
+    """300 carved-matching inserts into an n=8192, Δ=8 rrg: the greedy
+    rung and the Theorem 5 walks (``fix_uncolored_node``) read
+    ``neighbors_csr``, so ``DynamicGraph.adj`` is never built."""
+    builds = []
+    real = DynamicGraph.adj
+
+    def counted(self):
+        if self._adj is None:
+            builds.append(self.n)
+        return real.fget(self)
+
+    monkeypatch.setattr(DynamicGraph, "adj", property(counted))
+    graph = random_regular_graph(8192, 8, seed=1)
+    matching = carve_matching(graph, 300)
+    base = graph.apply_updates(removed=matching)
+    engine = IncrementalColoring.from_result(base, solve(base, seed=1))
+    for u, v in matching:
+        engine.insert_edge(u, v)
+    modes = engine.totals["repair_modes"]
+    assert set(modes) - {"greedy"}, f"no Theorem 5 walk ran: {modes}"
+    assert builds == []
 
 
 class TestPickle:

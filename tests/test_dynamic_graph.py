@@ -293,18 +293,6 @@ class TestSnapshot:
         assert not dyn.has_edge(1, 2), "immutable-style delta mutated the dynamic graph"
 
 
-class TestCompactionTwins:
-    def test_numpy_and_python_compaction_agree(self):
-        np = pytest.importorskip("numpy")
-        rng = random.Random(5)
-        dyn = DynamicGraph.from_graph(random_regular_graph(600, 6, seed=5))
-        for step in random_stream(rng, set(dyn.snapshot().edges()), 600, ops=40):
-            dyn.apply_delta(added=step[0], removed=step[1])
-        off_np, idx_np = dyn._compact_numpy(np)
-        off_py, idx_py = dyn._compact_python()
-        assert off_np == off_py and idx_np == idx_py
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_streams_match_row_model(data):

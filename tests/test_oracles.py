@@ -19,9 +19,11 @@ searches run deep.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro import native, numeric
+from repro import native
 from repro.api import get_algorithm, list_algorithms, solve
 from repro.baselines.greedy import centralized_brooks
 from repro.errors import AlgorithmContractError, NotNiceGraphError
@@ -151,10 +153,11 @@ def test_long_diameter_families_are_deep(family):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_randomized_solve_reads_csr_rows_only(family, numpy_off, monkeypatch):
     """A solve builds no graph-wide adjacency cache on its input, also
-    when it raises (a graph that is not nice, Δ too small).  Each solve
-    gets a fresh copy: some generators read ``adj`` while they build."""
+    when it raises (a graph that is not nice, Δ too small), with
+    ``import numpy`` working and blocked.  Each solve gets a fresh copy:
+    some generators read ``adj`` while they build."""
     if numpy_off:
-        monkeypatch.setattr(numeric, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
     built = FAMILIES[family]()
     for algorithm in ("randomized-small", "randomized-large"):
         for strict in (False, True):

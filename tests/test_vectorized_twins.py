@@ -1,30 +1,33 @@
 """Fast paths of the Theorem 3 solve vs their pure-Python twins.
 
-Each fast path on the solve path — numpy or the native kernel
+Each fast path on the solve path — an entry point of the native kernel
 (``repro/kernel.c``) — keeps its Python twin as the fallback (reprolint
 RPL007); these tests pin the pairs to each other on shapes chosen to hit
-their edge cases, at sizes on both sides of every threshold.  Kernel
-tests compare a call with the kernel loaded against the same call under
-the ``python_twins`` fixture (every entry point off, as on a box without
-a C compiler):
+their edge cases.  Kernel tests compare a call with the kernel loaded
+against the same call under the ``python_twins`` fixture (every entry
+point off, as on a box without a C compiler):
 
 * ``Graph.is_connected`` — the kernel's ``level_bfs`` from node 0 vs the
   component scan: disconnected graphs, isolated nodes, deep graphs;
-* ``validate_coloring`` — the numpy verdict matches the Python pass, and
-  the ``ColoringError.violations`` a caller sees are the Python pass's;
+* ``validate_coloring`` — the kernel's ``validate`` verdict matches the
+  Python pass, and the ``ColoringError.violations`` a caller sees are the
+  Python pass's: proper colorings, monochromatic edges, uncolored nodes
+  (``allow_partial`` both ways), out-of-palette colors, ``max_colors``
+  None, colors beyond a C int, negative and non-int colors, a length
+  mismatch, ``array('i')`` and ``ColorStore`` arguments;
 * ``bfs_distances`` / ``distance_layers`` — the kernel's ``level_bfs`` vs
   the per-visit loops: rrg Δ=3..8, tori, hypercubes, nice, sparse and
   disconnected graphs, paths deeper than 64 levels, ``max_depth`` 0, 1
   and None, duplicate and empty sources, ``allowed`` as ``None``, a set
   or a byte mask (sources outside it too), small and large reach, and
   out-of-range sources and ``allowed`` nodes (``IndexError`` on both);
-* the H-boundary of phase 5 (``_boundary_vectorized`` /
-  ``_boundary_python``) — full and carved H, irregular graphs;
-* ``DynamicGraph`` adoption (``_adopt_vectorized`` / ``_adopt_python``)
-  — the empty graph, edgeless graphs, isolated nodes;
-* ``Graph.edges`` (``_edges_vectorized`` / ``_edges_python``) — sparse
-  and edgeless graphs on both sides of its threshold, and a mutated
-  ``DynamicGraph``;
+* the H-boundary of phase 5 (the kernel's ``h_boundary`` /
+  ``_boundary_python``) — empty, full, carved and random H, irregular
+  graphs; the sets must match in iteration order too;
+* ``DynamicGraph`` adoption (``_adopt_rows``, against the graph's own
+  rows) — the empty graph, edgeless graphs, isolated nodes;
+* ``Graph.edges`` (the kernel's ``edge_pairs`` / ``_edges_python``) —
+  sparse and edgeless graphs, and a mutated ``DynamicGraph``;
 * Linial's reduction round (the kernel's ``linial_round`` /
   ``_reduce_round_python``) — regular, sparse, edgeless and dense
   (q > 256) graphs from random colors, and every round of the schedule
@@ -38,6 +41,8 @@ a C compiler):
   graphs, ``active=`` subsets (per-component sweeps on one scratch),
   small ``n`` and a one-DCC output buffer, with every selection checked
   against Definition 9 independently;
+* the three whole-graph scans on rrg Δ=3..8, a torus, a hypercube, a
+  nice graph, sparse graphs and graphs with 0 and 1 nodes;
 * the (deg+1)-list engines — the native class sweep and trial round
   (``class_sweep`` / ``trial_round`` in ``repro/kernel.c``) vs their
   twins (``_class_sweep_python`` / ``_python_trial_round``) on rrg
@@ -51,6 +56,7 @@ a C compiler):
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -61,6 +67,7 @@ import repro.core.dcc as dcc_mod
 import repro.core.happiness as happiness_mod
 import repro.primitives.linial as linial_mod
 from repro import native
+from repro.core.colorstore import ColorStore
 from repro.core.layering import color_layers_in_reverse
 from repro.errors import AlgorithmContractError, ColoringError, InfeasibleListColoringError
 from repro.graphs import bfs as bfs_mod
@@ -88,24 +95,16 @@ from repro.primitives.list_coloring import (
     list_coloring_random,
 )
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # the numpy-free CI leg: every twin is the Python one
-    HAVE_NUMPY = False
-
-# Sizes straddling validation.VECTOR_MIN_NODES (128) and
-# happiness.VECTOR_MIN_NODES (64).
 SIZES = [40, 127, 128, 255, 256, 511, 512, 1100]
 FAST = settings(max_examples=25, deadline=None)
 
 
 def test_thresholds_are_the_measured_ones():
-    assert graph_mod.EDGES_VECTOR_MIN_NODES == 32
-    assert validation_mod.VECTOR_MIN_NODES == 128
-    assert happiness_mod.VECTOR_MIN_NODES == 64
+    # The kernel takes every size: the one measured knob left is how
+    # bfs_distances lists a small reach, and no size gate remains.
     assert bfs_mod.SMALL_REACH == 8
+    for module in (graph_mod, validation_mod, happiness_mod, dynamic_mod):
+        assert not [name for name in vars(module) if "VECTOR_MIN" in name]
 
 
 def sparse_graph(n: int, seed: int, avg_degree: float) -> Graph:
@@ -114,16 +113,16 @@ def sparse_graph(n: int, seed: int, avg_degree: float) -> Graph:
 
 
 @pytest.fixture
-def bfs_calls(monkeypatch):
-    """Count the kernel's ``level_bfs`` calls (proof the kernel path ran);
-    0 on a box where the kernel did not load."""
+def kernel_calls(monkeypatch):
+    """Count the calls of every kernel entry point by name (proof the
+    kernel path ran); empty on a box where the kernel did not load."""
     real = native.kernel
     calls = Counter()
 
     def counted(name):
         function = real(name)
-        if function is None or name != "level_bfs":
-            return function
+        if function is None:
+            return None
 
         def call(*args):
             calls[name] += 1
@@ -160,20 +159,20 @@ class TestIsConnected:
         assert not graph.is_connected()
         assert not python_twins(graph.is_connected)
 
-    def test_two_components(self, bfs_calls, python_twins):
+    def test_two_components(self, kernel_calls, python_twins):
         halves = [random_regular_graph(300, 5, seed=i) for i in range(2)]
         graph = disjoint_union(halves)
         assert not graph.is_connected()
-        assert bfs_calls["level_bfs"] == KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == KERNEL_LOADED
         assert not python_twins(graph.is_connected)
 
     @pytest.mark.parametrize("make", [cycle_graph, path_graph])
-    def test_deep_graphs_fall_back(self, make, bfs_calls, python_twins):
+    def test_deep_graphs_fall_back(self, make, kernel_calls, python_twins):
         """Graphs far deeper than 64 levels: the kernel (which has no
         level cap) and the fallback component scan agree."""
         graph = make(3000)
         assert graph.is_connected()
-        assert bfs_calls["level_bfs"] == KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == KERNEL_LOADED
         assert python_twins(graph.is_connected)
         cuts = {(1499, 1500), (0, 2999)}
         split = Graph(3000, [e for e in graph.edges() if e not in cuts])
@@ -188,6 +187,20 @@ def random_coloring(rng: random.Random, n: int, palette: int, defects: int):
     for _ in range(defects):
         colors[rng.randrange(n)] = rng.randrange(-1, palette + 2)
     return colors
+
+
+def verdict(graph, colors, max_colors, allow_partial):
+    """What :func:`validate_coloring` does: None when it accepts, else
+    the exception's type name and its violations (or message)."""
+    try:
+        validation_mod.validate_coloring(
+            graph, colors, max_colors=max_colors, allow_partial=allow_partial
+        )
+    except ColoringError as exc:
+        return "ColoringError", exc.violations
+    except Exception as exc:  # what the Python pass raises on odd colors
+        return type(exc).__name__, str(exc)
+    return None
 
 
 def python_verdict(graph, colors, max_colors, allow_partial):
@@ -209,7 +222,9 @@ class TestValidateColoring:
         allow_partial=st.booleans(),
         capped=st.booleans(),
     )
-    def test_twins_agree_and_messages_match(self, n, seed, defects, allow_partial, capped):
+    def test_twins_agree_and_messages_match(
+        self, n, seed, defects, allow_partial, capped, python_twins
+    ):
         rng = random.Random(seed)
         graph = sparse_graph(n, seed, 3.0)
         palette = graph.max_degree() + 1
@@ -222,17 +237,15 @@ class TestValidateColoring:
                 colors[v] = min(c for c in range(1, palette + 1) if c not in taken)
         max_colors = palette if capped else None
         expected = python_verdict(graph, colors, max_colors, allow_partial)
-        assert validation_mod._validate_coloring_vectorized(
-            graph, colors, max_colors, allow_partial
-        ) == (HAVE_NUMPY and expected is None)
-        try:
-            validation_mod.validate_coloring(
-                graph, colors, max_colors=max_colors, allow_partial=allow_partial
-            )
-        except ColoringError as exc:
-            assert exc.violations == expected
-        else:
-            assert expected is None
+        kernel = native.kernel("validate")
+        if kernel is not None:
+            assert validation_mod._passes_kernel(
+                kernel, graph, colors, max_colors, allow_partial
+            ) == (expected is None)
+        args = (graph, colors, max_colors, allow_partial)
+        assert verdict(*args) == python_twins(verdict, *args) == (
+            None if expected is None else ("ColoringError", expected)
+        )
 
     def test_monochromatic_edge_message_is_the_python_one(self):
         graph = random_regular_graph(1024, 8, seed=3)
@@ -254,7 +267,9 @@ class TestValidateColoring:
     def test_non_integer_colors_take_the_python_pass(self):
         graph = cycle_graph(300)
         colors = [1.5 if v % 2 else 2.5 for v in range(300)]
-        assert not validation_mod._validate_coloring_vectorized(graph, colors, None, False)
+        kernel = native.kernel("validate")
+        if kernel is not None:
+            assert not validation_mod._passes_kernel(kernel, graph, colors, None, False)
         validation_mod.validate_coloring(graph, colors)  # the Python pass accepts it
         colors[0] = 0.5
         with pytest.raises(ColoringError) as caught:
@@ -335,7 +350,7 @@ class TestBreadthFirst:
         "name,graph", BFS_FAMILIES, ids=[name for name, _ in BFS_FAMILIES]
     )
     def test_kernel_matches_twin_on_families(
-        self, name, graph, max_depth, bfs_calls, python_twins
+        self, name, graph, max_depth, kernel_calls, python_twins
     ):
         rng = random.Random(graph.n)
         n = graph.n
@@ -354,7 +369,7 @@ class TestBreadthFirst:
         assert python_twins(bfs_mod.bfs_distances, graph, [], max_depth) == (
             [bfs_mod.UNREACHED] * n
         )
-        assert bfs_calls["level_bfs"] == KERNEL_LOADED * (2 * 3 * len(source_sets) + 1)
+        assert kernel_calls["level_bfs"] == KERNEL_LOADED * (2 * 3 * len(source_sets) + 1)
 
     @FAST
     @given(
@@ -390,7 +405,7 @@ class TestBreadthFirst:
             assert python_twins(bfs_mod.bfs_distances, graph, sources, allowed=flags) == expected
         assert bfs_mod.distance_layers(graph, [3, 5], allowed=allowed) == []
 
-    def test_empty_base_has_no_layers(self, monkeypatch, bfs_calls):
+    def test_empty_base_has_no_layers(self, monkeypatch, kernel_calls):
         graph = random_regular_graph(4096, 4, seed=1)
 
         def python_twin(*args):
@@ -399,9 +414,9 @@ class TestBreadthFirst:
         monkeypatch.setattr(bfs_mod, "_distance_layers_python", python_twin)
         assert bfs_mod.distance_layers(graph, []) == []
         assert bfs_mod.distance_layers(graph, set(), max_depth=8, allowed=set()) == []
-        assert not bfs_calls
+        assert not kernel_calls["level_bfs"]
 
-    def test_allowed_kinds_route_by_type(self, bfs_calls):
+    def test_allowed_kinds_route_by_type(self, kernel_calls):
         """Sets (of any size) and length-n byte masks go to the kernel;
         predicates, plain lists and masks of another length take the
         Python loop, with the same answers."""
@@ -413,14 +428,14 @@ class TestBreadthFirst:
         assert len(bfs_mod.distance_layers(graph, [0], allowed=member_set)) == 5
         mask = bytearray(v % 3 != 2 for v in range(4096))
         layers = bfs_mod.distance_layers(graph, range(0, 4096, 16), max_depth=3, allowed=mask)
-        assert bfs_calls["level_bfs"] == 3 * KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == 3 * KERNEL_LOADED
         for flags in (mask.__getitem__, list(mask), mask + b"\0"):
             assert bfs_mod.distance_layers(
                 graph, range(0, 4096, 16), max_depth=3, allowed=flags
             ) == layers
-        assert bfs_calls["level_bfs"] == 3 * KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == 3 * KERNEL_LOADED
 
-    def test_deep_search_falls_back(self, bfs_calls, python_twins):
+    def test_deep_search_falls_back(self, kernel_calls, python_twins):
         """A search thousands of levels deep: the kernel (no level cap)
         and the fallback twin give the same distances and layers."""
         graph = path_graph(2000)
@@ -430,9 +445,9 @@ class TestBreadthFirst:
         layers = bfs_mod.distance_layers(graph, [0])
         assert layers == [[v] for v in range(2000)]
         assert python_twins(bfs_mod.distance_layers, graph, [0]) == layers
-        assert bfs_calls["level_bfs"] == 2 * KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == 2 * KERNEL_LOADED
 
-    def test_small_reach_fills_a_fresh_list(self, bfs_calls, python_twins):
+    def test_small_reach_fills_a_fresh_list(self, kernel_calls, python_twins):
         """Both ways the kernel's distances become a list (a search that
         reaches under an eighth of the graph, and one that reaches
         more) give the twin's list."""
@@ -440,7 +455,7 @@ class TestBreadthFirst:
         for sources, depth in (([0, 1], 1), ([0, 1], 2), (range(0, 4096, 16), 3), ([5], None)):
             dist = bfs_mod.bfs_distances(graph, sources, max_depth=depth)
             assert dist == python_twins(bfs_mod.bfs_distances, graph, sources, max_depth=depth)
-        assert bfs_calls["level_bfs"] == 4 * KERNEL_LOADED
+        assert kernel_calls["level_bfs"] == 4 * KERNEL_LOADED
 
     def test_out_of_range_source_keeps_python_semantics(self, python_twins):
         """A source or ``allowed`` node outside 0..n-1 raises IndexError
@@ -474,7 +489,8 @@ class TestBreadthFirst:
 
 class TestBoundary:
     """Phase 5's H-boundary (fewer than Δ neighbours inside H) from H's
-    CSR rows, on numpy and in pure Python."""
+    CSR rows, in the kernel and in pure Python; the sets must iterate in
+    one order too."""
 
     @FAST
     @given(
@@ -483,7 +499,7 @@ class TestBoundary:
         avg=st.sampled_from([1.5, 3.0, 5.0]),
         carved=st.booleans(),
     )
-    def test_twins_agree(self, n, seed, avg, carved):
+    def test_twins_agree(self, n, seed, avg, carved, python_twins):
         rng = random.Random(seed)
         graph = sparse_graph(n, seed, avg)
         h_nodes = _allowed(n, "set", rng) if carved else set(range(n))
@@ -493,10 +509,10 @@ class TestBoundary:
         assert expected == {
             v for v in h_nodes if sum(u in h_nodes for u in graph.adj[v]) < delta
         }
-        vectorized = happiness_mod._boundary_vectorized(graph, h_nodes, h_mask, delta)
-        assert (vectorized is not None) == HAVE_NUMPY
-        assert vectorized is None or vectorized == expected
-        assert happiness_mod._boundary(graph, h_nodes, h_mask, delta) == expected
+        got = happiness_mod._boundary(graph, h_nodes, h_mask, delta)
+        twin = python_twins(happiness_mod._boundary, graph, h_nodes, h_mask, delta)
+        assert got == twin == expected
+        assert list(got) == list(twin) == list(expected)
 
     def test_regular_graph_has_no_boundary(self):
         graph = high_girth_regular_graph(1024, 3, 7, seed=1)
@@ -506,21 +522,18 @@ class TestBoundary:
 
 class TestAdoption:
     """``DynamicGraph`` adoption: row starts, row lengths and the degree
-    histogram of a CSR, on numpy and in pure Python."""
+    histogram of a CSR (``_adopt_rows``), against the graph's own rows."""
 
     @staticmethod
     def assert_twins_agree(graph: Graph) -> None:
         offsets, _ = graph.csr()
-        starts, lens, hist = dynamic_mod._adopt_python(offsets, graph.n)
+        starts, lens, hist = dynamic_mod._adopt_rows(offsets, graph.n)
         assert starts.typecode == "q" and lens.typecode == "i"
         assert list(starts) == list(offsets[: graph.n])
-        assert list(lens) == graph.degrees()
-        assert hist == dict(Counter(graph.degrees()))
-        vectorized = dynamic_mod._adopt_vectorized(offsets, graph.n)
-        assert (vectorized is not None) == HAVE_NUMPY
-        if vectorized is not None:
-            assert vectorized[0].typecode == "q" and vectorized[1].typecode == "i"
-            assert vectorized == (starts, lens, hist)
+        assert list(lens) == [len(graph.neighbors_csr(v)) for v in range(graph.n)]
+        assert hist == dict(Counter(lens))
+        dyn = dynamic_mod.DynamicGraph.from_graph(graph)
+        assert dyn.max_degree() == max(hist, default=0) == graph.max_degree()
 
     @FAST
     @given(
@@ -542,8 +555,8 @@ class TestAdoption:
 
 
 class TestEdges:
-    """``Graph.edges``: the numpy listing against the row loop, and both
-    against the rows themselves (CSR order, ``u < v``)."""
+    """``Graph.edges``: the kernel's ``edge_pairs`` against the row loop,
+    and both against the rows themselves (CSR order, ``u < v``)."""
 
     @staticmethod
     def assert_twins_agree(graph: Graph) -> None:
@@ -552,10 +565,9 @@ class TestEdges:
             (u, v) for u in range(graph.n) for v in graph.neighbors_csr(u) if u < v
         ]
         assert list(graph_mod._edges_python(offsets, indices)) == expected
-        vectorized = graph_mod._edges_vectorized(offsets, indices)
-        assert (vectorized is not None) == HAVE_NUMPY
-        if vectorized is not None:
-            assert list(vectorized) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "kernel", lambda name: None)
+            assert list(graph.edges()) == expected
         assert list(graph.edges()) == expected
 
     @FAST
@@ -576,6 +588,139 @@ class TestEdges:
         dyn.delete_edge(*next(iter(dyn.edges())))
         dyn.insert_edge(0, next(w for w in range(1, dyn.n) if not dyn.has_edge(0, w)))
         self.assert_twins_agree(dyn)
+
+
+# -- Whole-graph scans: validate, h_boundary, edge_pairs --------------------
+
+
+def scan_families():
+    """(name, graph) pairs for the three whole-graph scans."""
+    yield from ((f"rrg-d{d}", random_regular_graph(300, d, seed=d)) for d in range(3, 9))
+    yield "torus", torus_grid(9, 12)
+    yield "hypercube", hypercube(6)
+    yield "nice", random_nice_graph(250, 5, seed=4)
+    yield "sparse", sparse_graph(300, 3, 1.5)
+    yield "sparse-isolated", sparse_graph(200, 8, 0.4)
+    yield "empty", Graph(0)
+    yield "single", Graph(1)
+
+
+SCAN_FAMILIES = list(scan_families())
+SCAN_IDS = [name for name, _ in SCAN_FAMILIES]
+
+
+def greedy_coloring(graph: Graph) -> list[int]:
+    colors = [0] * graph.n
+    for v in range(graph.n):
+        taken = {colors[u] for u in graph.neighbors_csr(v)}
+        colors[v] = next(c for c in range(1, graph.n + 2) if c not in taken)
+    return colors
+
+
+def coloring_cases(graph: Graph, seed: int):
+    """(label, colors, max_colors, allow_partial) covering every check of
+    the validator, on colors the kernel takes and colors it cannot."""
+    rng = random.Random(seed)
+    n = graph.n
+    proper = greedy_coloring(graph)
+    palette = max(proper, default=0)
+    yield "proper", proper, palette, False
+    yield "proper-uncapped", proper, None, False
+    yield "proper-palette-too-small", proper, palette - 1, False
+    edges = list(graph.edges())
+    if edges:
+        u, v = edges[rng.randrange(len(edges))]
+        mono = proper[:]
+        mono[v] = mono[u]
+        yield "monochromatic", mono, palette, False
+        yield "monochromatic-uncapped", mono, None, True
+
+    def changed(values):
+        colors = proper[:]
+        for _ in range(min(3, n)):
+            colors[rng.randrange(n)] = rng.choice(values)
+        return colors
+    if n:
+        partial = changed([0])
+        yield "uncolored", partial, palette, False
+        yield "uncolored-allowed", partial, palette, True
+        wide = changed([palette + 1, palette + 7])
+        yield "out-of-palette", wide, palette, False
+        yield "out-of-palette-uncapped", wide, None, False
+        yield "at-int-max", changed([2**31 - 1]), None, False
+        yield "beyond-int", changed([2**31, 2**40]), None, False
+        yield "beyond-int-capped", changed([2**31]), 2**40, False
+        yield "negative", changed([-1, -(2**31)]), palette, True
+        yield "below-int", changed([-(2**31) - 1]), None, True
+        yield "floats", changed([1.5, 2.0]), palette, False
+        yield "bools", changed([True]), palette, False
+        yield "none", changed([None]), palette, False
+        yield "cap-zero", proper, 0, True
+        yield "cap-negative", proper, -3, False
+
+
+def fits_int(colors) -> bool:
+    return all(type(c) in (int, bool) and -(2**31) <= c < 2**31 for c in colors)
+
+
+@pytest.mark.parametrize("name,graph", SCAN_FAMILIES, ids=SCAN_IDS)
+def test_validate_kernel_matches_twin(name, graph, kernel_calls, python_twins):
+    """Every case gives the twin's verdict, word for word, whether the
+    kernel decided it or handed it over; colors that fit a C int are
+    decided by the kernel, and its pass/fail equals the twin's."""
+    kernel = native.kernel_status().functions.get("validate")
+    for label, colors, max_colors, allow_partial in coloring_cases(graph, seed=graph.n):
+        args = (graph, colors, max_colors, allow_partial)
+        expected = python_twins(verdict, *args)
+        assert verdict(*args) == expected, label
+        for arg in (ColorStore(colors), array("i", colors)) if fits_int(colors) else ():
+            arg_args = (graph, arg, max_colors, allow_partial)
+            assert verdict(*arg_args) == python_twins(verdict, *arg_args), label
+        if kernel is not None and fits_int(colors):
+            passed = validation_mod._passes_kernel(kernel, graph, colors, max_colors, allow_partial)
+            assert passed == (expected is None), label
+    if kernel is not None:
+        assert kernel_calls["validate"] > 0
+
+
+@pytest.mark.parametrize("name,graph", SCAN_FAMILIES, ids=SCAN_IDS)
+def test_validate_length_mismatch(name, graph, python_twins):
+    for colors in ([1] * (graph.n + 1), [1] * max(0, graph.n - 1)):
+        if len(colors) == graph.n:
+            continue
+        expected = python_twins(verdict, graph, colors, None, False)
+        assert expected[0] == "ColoringError"
+        assert verdict(graph, colors, None, False) == expected
+        assert verdict(graph, ColorStore(colors), None, False) == expected
+
+
+@pytest.mark.parametrize("name,graph", SCAN_FAMILIES, ids=SCAN_IDS)
+def test_h_boundary_kernel_matches_twin(name, graph, kernel_calls, python_twins):
+    """Empty H, all of H and random H at several densities: the same set,
+    iterating in the same order, with Δ and Δ - 1 as the threshold."""
+    rng = random.Random(graph.n)
+    subsets = [set(), set(range(graph.n))]
+    subsets += [{v for v in range(graph.n) if rng.random() < p} for p in (0.2, 0.5, 0.9)]
+    delta = graph.max_degree()
+    for h_nodes in subsets:
+        h_mask = bytearray(v in h_nodes for v in range(graph.n))
+        for threshold in (delta, max(0, delta - 1)):
+            got = happiness_mod._boundary(graph, h_nodes, h_mask, threshold)
+            twin = python_twins(happiness_mod._boundary, graph, h_nodes, h_mask, threshold)
+            assert got == twin
+            assert list(got) == list(twin)
+    if native.kernel_status().functions:
+        assert kernel_calls["h_boundary"] > 0
+
+
+@pytest.mark.parametrize("name,graph", SCAN_FAMILIES, ids=SCAN_IDS)
+def test_edge_pairs_kernel_matches_twin(name, graph, kernel_calls, python_twins):
+    got = list(graph.edges())
+    assert got == python_twins(lambda: list(graph.edges()))
+    assert got == list(graph_mod._edges_python(*graph.csr()))
+    assert len(got) == graph.num_edges
+    if native.kernel_status().functions:
+        assert kernel_calls["edge_pairs"] == 1
 
 
 # -- Linial reduction rounds --------------------------------------------------
@@ -1017,28 +1162,6 @@ def test_dcc_scratch_is_reused_and_left_zeroed():
 # -- (deg+1)-list coloring: class sweep and trial rounds, kernel vs twin --
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Count the list-coloring kernel calls (proof the kernel path ran);
-    skips on a box where the kernel did not load."""
-    if native.kernel("trial_round") is None:
-        pytest.skip("native kernel not loaded on this box")
-    real = native.kernel
-    calls = Counter()
-
-    def counted(name):
-        function = real(name)
-
-        def call(*args):
-            calls[name] += 1
-            return function(*args)
-
-        return call
-
-    monkeypatch.setattr(native, "kernel", counted)
-    return calls
-
-
 LIST_COLORING_GRAPHS = [
     *((f"rrg-d{d}", random_regular_graph(240, d, seed=d)) for d in range(3, 9)),
     ("torus", torus_grid(13, 15)),
@@ -1082,6 +1205,7 @@ def run_engine(engine, graph, colors, *args, **kwargs):
     return colors, outcome, ledger.snapshot(), rng.random()
 
 
+@requires_kernel
 @on_list_coloring_graphs
 @pytest.mark.parametrize("engine", [list_coloring_random, list_coloring_hybrid])
 def test_trial_rounds_kernel_matches_twin(name, graph, engine, kernel_calls, python_twins):
@@ -1098,6 +1222,7 @@ def test_trial_rounds_kernel_matches_twin(name, graph, engine, kernel_calls, pyt
     assert kernel_calls["trial_round"] > 0
 
 
+@requires_kernel
 @on_list_coloring_graphs
 def test_class_sweep_kernel_matches_twin(name, graph, kernel_calls, python_twins):
     delta = graph.max_degree()
@@ -1124,6 +1249,7 @@ def _deterministic(graph, colors, targets, max_colors, base, palette, ledger, rn
     return list_coloring_deterministic(graph, colors, targets, max_colors, base, palette, ledger)
 
 
+@requires_kernel
 @pytest.mark.parametrize("engine", ["random", "hybrid", "deterministic"])
 @pytest.mark.parametrize("strict", [False, True])
 def test_layer_passes_kernel_matches_twin(engine, strict, kernel_calls, python_twins):
@@ -1151,6 +1277,7 @@ def _layers(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs):
     return color_layers_in_reverse(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs)
 
 
+@requires_kernel
 @pytest.mark.parametrize("engine", [list_coloring_random, _deterministic])
 def test_infeasible_node_raises_on_both_paths(engine, kernel_calls, python_twins):
     # Node 0 of the torus sees colors 1..4 around it: nothing is left in a
