@@ -15,7 +15,8 @@ test:
 # directory (no cc) and the kernel cache is a fresh empty directory, so
 # the kernel cannot load and every solve runs the twins.
 TWIN_TESTS := tests/test_golden_solve.py tests/test_golden_seed.py \
-	tests/test_vectorized_twins.py tests/test_native_kernel.py
+	tests/test_vectorized_twins.py tests/test_native_kernel.py \
+	tests/test_wire_packed.py
 
 test-no-cc:
 	@bin=$$(dirname "$$(python -c 'import sys; print(sys.executable)')"); \

@@ -58,8 +58,10 @@ from collections import Counter
 from collections.abc import Iterable
 from operator import sub
 
+from repro import native
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.native import address
 
 __all__ = ["DynamicGraph", "DeltaUndo"]
 
@@ -73,12 +75,27 @@ def _row_capacity(deg: int, min_slots: int = MIN_ROW_SLOTS) -> int:
     return max(min_slots, 1 << (need - 1).bit_length())
 
 
-def _adopt_rows(offsets: array, n: int):
+def _adopt_rows_python(offsets: array, n: int):
     """Row starts, row lengths and the degree histogram of a CSR offsets
-    buffer."""
+    buffer (reference twin of the kernel's ``adopt_rows``)."""
     bounds = offsets.tolist()
     lens = array("i", list(map(sub, bounds[1:], bounds)))
     return array("q", bounds[:n]), lens, dict(Counter(lens))
+
+
+def _adopt_rows(offsets: array, n: int):
+    """:func:`_adopt_rows_python`'s outputs, from the kernel when it is
+    loaded (one pass over the offsets instead of three Python ones)."""
+    kernel = native.kernel("adopt_rows")
+    if kernel is None:
+        return _adopt_rows_python(offsets, n)
+    starts = array("q", bytes(8 * n))
+    lens = array("i", bytes(4 * n))
+    hist = array("i", bytes(4 * (n + 1)))
+    top = kernel(address(offsets), n, address(starts), address(lens), address(hist), n + 1)
+    if top < 0:  # a row longer than n: not a simple graph's CSR
+        return _adopt_rows_python(offsets, n)
+    return starts, lens, {d: c for d, c in enumerate(hist[: top + 1]) if c}
 
 
 class DeltaUndo:

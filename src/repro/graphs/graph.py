@@ -62,15 +62,18 @@ from repro.native import address
 
 __all__ = ["Graph", "GraphBuilder", "SubgraphView"]
 
-def _edges_python(offsets: array, indices: array) -> Iterator[tuple[int, int]]:
-    """The row loop behind :meth:`Graph.edges` (reference twin of the
-    kernel's ``edge_pairs``): one flat list of the indices, sliced per
-    row."""
+def _edge_pairs_python(offsets: array, indices: array) -> array:
+    """The row loop behind :meth:`Graph.edge_pairs` (reference twin of
+    the kernel's ``edge_pairs``): one flat list of the indices, sliced
+    per row."""
     flat = indices.tolist()
+    pairs = array("i")
     for u in range(len(offsets) - 1):
         for v in flat[offsets[u] : offsets[u + 1]]:
             if u < v:
-                yield (u, v)
+                pairs.append(u)
+                pairs.append(v)
+    return pairs
 
 
 class Graph:
@@ -309,23 +312,27 @@ class Graph:
             u, v = v, u
         return v in self.neighbors_csr(u)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges as ``(u, v)`` with ``u < v``, row by
-        row in CSR order (listed by the kernel's ``edge_pairs`` when it
-        is loaded)."""
+    def edge_pairs(self) -> array:
+        """Every undirected edge ``(u, v)`` with ``u < v``, row by row in
+        CSR order, as one flat ``array('i')`` of interleaved pairs ``u0
+        v0 u1 v1 …`` (listed by the kernel's ``edge_pairs`` when it is
+        loaded).  The service's packed wire form is this buffer."""
         offsets, indices = self.csr()
         kernel = native.kernel("edge_pairs")
         if kernel is None:
-            return _edges_python(offsets, indices)
+            return _edge_pairs_python(offsets, indices)
         cap = len(indices) // 2
-        lo = array("i", bytes(4 * cap))
-        hi = array("i", bytes(4 * cap))
-        found = kernel(
-            address(offsets), address(indices), self.n, address(lo), address(hi), cap
-        )
+        pairs = array("i", bytes(8 * cap))
+        found = kernel(address(offsets), address(indices), self.n, address(pairs), cap)
         if found != cap:  # not symmetric: only the twin lists it faithfully
-            return _edges_python(offsets, indices)
-        return zip(lo.tolist(), hi.tolist())
+            return _edge_pairs_python(offsets, indices)
+        return pairs
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Iterate undirected edges as ``(u, v)`` with ``u < v``, row by
+        row in CSR order: :meth:`edge_pairs`, sliced into tuples."""
+        flat = self.edge_pairs().tolist()
+        return zip(flat[0::2], flat[1::2])
 
     def nodes(self) -> range:
         """Range over all node indices."""

@@ -24,8 +24,14 @@
  *                 (repro.graphs.validation: _validate_coloring_python);
  *   h_boundary    the nodes of H with fewer than delta neighbours in H
  *                 (repro.core.happiness: _boundary_python);
- *   edge_pairs    every edge (u, v), u < v, in CSR order
- *                 (repro.graphs.graph: _edges_python).
+ *   edge_pairs    every edge (u, v), u < v, in CSR order, as
+ *                 interleaved pairs (repro.graphs.graph:
+ *                 _edge_pairs_python);
+ *   edge_keys     the sorted packed keys (min << 32) | max of a pair
+ *                 buffer, endpoints range-checked (repro.service.
+ *                 fingerprint: _edge_keys_python);
+ *   adopt_rows    row starts, row lengths and degree histogram of a CSR
+ *                 (repro.graphs.dynamic: _adopt_rows_python).
  */
 
 #include <stdlib.h>
@@ -615,22 +621,101 @@ int h_boundary(const int *offsets, const int *indices, int n,
 }
 
 /* edge_pairs: every CSR entry v of row u with u < v, row by row in CSR
- * order, as lo[i] = u, hi[i] = v (repro.graphs.graph._edges_python).
- * Writes at most cap pairs and returns how many it found (more than cap
- * only when the CSR is not symmetric).
+ * order, as the interleaved pair pairs[2i] = u, pairs[2i + 1] = v
+ * (repro.graphs.graph._edge_pairs_python).  Writes at most cap pairs
+ * and returns how many it found (more than cap only when the CSR is not
+ * symmetric).
  */
 int edge_pairs(const int *offsets, const int *indices, int n,
-               int *lo, int *hi, int cap)
+               int *pairs, int cap)
 {
     int u, e, m = 0;
     for (u = 0; u < n; u++)
         for (e = offsets[u]; e < offsets[u + 1]; e++)
             if (u < indices[e]) {
                 if (m < cap) {
-                    lo[m] = u;
-                    hi[m] = indices[e];
+                    pairs[2 * (long long)m] = u;
+                    pairs[2 * (long long)m + 1] = indices[e];
                 }
                 m++;
             }
     return m;
+}
+
+/* One stable counting pass of an LSD radix sort: src into dst by the
+ * 11-bit digit of each key at shift. */
+static void radix_pass(const unsigned long long *src, unsigned long long *dst,
+                       int m, int shift)
+{
+    int i, digit;
+    long long at = 0, count[2048] = {0};
+    for (i = 0; i < m; i++)
+        count[(src[i] >> shift) & 2047]++;
+    for (digit = 0; digit < 2048; digit++) {
+        long long c = count[digit];
+        count[digit] = at;
+        at += c;
+    }
+    for (i = 0; i < m; i++)
+        dst[count[(src[i] >> shift) & 2047]++] = src[i];
+}
+
+/* edge_keys: the packed key (min(u, v) << 32) | max(u, v) of each of the
+ * m interleaved pairs (u, v) = (pairs[2i], pairs[2i + 1]), ascending in
+ * keys (repro.service.fingerprint._edge_keys_python); scratch holds m
+ * keys.  An endpoint below n sets only the low bits(n - 1) bits of each
+ * half, so the sort is an LSD radix sort over those bits, 11 at a time,
+ * low half first: every pass is stable, so the result is the order of
+ * the whole 64-bit keys.  Returns 0, or -1 when an endpoint lies outside
+ * 0..n-1 (keys are then undefined).
+ */
+int edge_keys(const int *pairs, int m, long long n,
+              long long *keys, long long *scratch)
+{
+    unsigned long long *from = (unsigned long long *)keys;
+    unsigned long long *to = (unsigned long long *)scratch, *swap;
+    int i, bits = 0, half, shift;
+    for (i = 0; i < m; i++) {
+        long long u = pairs[2 * (long long)i], v = pairs[2 * (long long)i + 1];
+        if (u < 0 || v < 0 || u >= n || v >= n)
+            return -1;
+        from[i] = u < v ? (unsigned long long)u << 32 | v
+                        : (unsigned long long)v << 32 | u;
+    }
+    while (n > 1 && bits < 31 && (n - 1) >> bits)
+        bits++;
+    for (half = 0; half <= 32; half += 32)
+        for (shift = 0; shift < bits; shift += 11) {
+            radix_pass(from, to, m, half + shift);
+            swap = from;
+            from = to;
+            to = swap;
+        }
+    if (from != (unsigned long long *)keys)
+        for (i = 0; i < m; i++)
+            keys[i] = (long long)from[i];
+    return 0;
+}
+
+/* adopt_rows: starts[v] = offsets[v], lens[v] = offsets[v + 1] - offsets[v]
+ * and hist[d] = the number of rows of length d, for d < cap
+ * (repro.graphs.dynamic._adopt_rows_python).  hist must hold cap zeros.
+ * Returns the largest row length, or -1 when a row is cap long or
+ * longer.
+ */
+int adopt_rows(const int *offsets, int n, long long *starts, int *lens,
+               int *hist, int cap)
+{
+    int v, top = 0;
+    for (v = 0; v < n; v++) {
+        int d = offsets[v + 1] - offsets[v];
+        if (d < 0 || d >= cap)
+            return -1;
+        starts[v] = offsets[v];
+        lens[v] = d;
+        hist[d]++;
+        if (d > top)
+            top = d;
+    }
+    return top;
 }

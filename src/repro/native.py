@@ -5,8 +5,10 @@ detection (``dcc_detect``, all of phase (1)), the two (deg+1)-list
 coloring engines' sweeps (``class_sweep``, ``pending_nodes`` and
 ``trial_round``), Linial's reduction round (``linial_round``), the
 multi-source level BFS (``level_bfs``), coloring validation
-(``validate``), phase (5)'s H-boundary (``h_boundary``) and the edge
-listing (``edge_pairs``).  It is compiled by the system C compiler
+(``validate``), phase (5)'s H-boundary (``h_boundary``), the edge
+listing (``edge_pairs``), the sorted packed edge keys behind every
+graph fingerprint (``edge_keys``) and the row tables a ``DynamicGraph``
+adopts (``adopt_rows``).  It is compiled by the system C compiler
 (``cc`` on ``PATH``) into one shared object and called through
 :mod:`ctypes`; no numpy, scipy or cffi is involved.  The object is
 cached under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
@@ -95,7 +97,9 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _P, _I,  # offsets, indices, n
         _P, _P, _I, _I, _P,  # mask, nodes, count, delta, out
     ],
-    "edge_pairs": [_P, _P, _I, _P, _P, _I],  # offsets, indices, n, lo, hi, cap
+    "edge_pairs": [_P, _P, _I, _P, _I],  # offsets, indices, n, pairs, cap
+    "edge_keys": [_P, _I, ctypes.c_longlong, _P, _P],  # pairs, m, n, keys, scratch
+    "adopt_rows": [_P, _I, _P, _P, _P, _I],  # offsets, n, starts, lens, hist, cap
 }
 
 

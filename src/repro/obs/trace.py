@@ -119,13 +119,14 @@ class Span:
         trace_id: str,
         span_id: str,
         parent_id: str | None,
+        t0: float | None = None,
     ):
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        self._t0 = time.perf_counter()
+        self._t0 = time.perf_counter() if t0 is None else t0
         self.start_s = tracer._epoch + (self._t0 - tracer._epoch_t0)
         self.duration_s: float | None = None
         self.attrs: dict[str, Any] = {}
@@ -259,6 +260,7 @@ class Tracer:
         *,
         remote_parent: dict[str, Any] | None = None,
         attrs: dict[str, Any] | None = None,
+        start: float | None = None,
     ) -> "Span | NoopSpan":
         """Start a span; returns :data:`NOOP_SPAN` when not sampled.
 
@@ -266,6 +268,10 @@ class Tracer:
         wire context (``{"trace_id", "span_id"}`` — a malformed one is
         ignored rather than poisoning the request).  With neither, this
         is a root span and the sampling decision is made here.
+        ``start`` is a ``time.perf_counter()`` reading taken earlier: a
+        span whose context is only known after some of its work (the
+        server's request span, which learns its remote parent by
+        decoding the request) starts there instead of now.
         """
         if not self.enabled:
             return NOOP_SPAN
@@ -284,9 +290,31 @@ class Tracer:
             # a NOOP parent: the upstream decided not to sample this
             # request — stay out of the trace entirely
             return NOOP_SPAN
-        span = Span(self, name, trace_id, self._new_id(64), parent_id)
+        span = Span(self, name, trace_id, self._new_id(64), parent_id, start)
         if attrs:
             span.attrs.update(attrs)
+        return span
+
+    def record(
+        self,
+        name: str,
+        parent: "Span | NoopSpan",
+        start: float,
+        end: float,
+        *,
+        attrs: dict[str, Any] | None = None,
+    ) -> "Span | NoopSpan":
+        """Record a finished child of ``parent`` from two measured
+        ``time.perf_counter()`` readings (work that ran before its span
+        could exist, like the decode that finds the request's trace
+        context, or that ran in another thread)."""
+        if not parent:
+            return NOOP_SPAN
+        span = Span(self, name, parent.trace_id, self._new_id(64), parent.span_id, start)
+        span.duration_s = max(0.0, end - start)
+        if attrs:
+            span.attrs.update(attrs)
+        span.end()
         return span
 
     def emit(

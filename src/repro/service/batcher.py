@@ -349,8 +349,9 @@ class BatchingGateway:
             if callable(graph):
                 raise ValueError("a lazy graph factory needs an explicit fingerprint")
             if graph.num_edges > 100_000:
-                # the canonical hash is an O(m) pure-Python walk — keep
-                # million-edge in-process submissions off the event loop
+                # the canonical hash is O(m) (C when the kernel is
+                # loaded, a Python walk when not) — keep million-edge
+                # in-process submissions off the event loop
                 fingerprint = await asyncio.get_running_loop().run_in_executor(
                     None, request_fingerprint, graph, config
                 )
@@ -662,28 +663,33 @@ class BatchingGateway:
             self.metrics.record_batch(len(batch))
             batch_started = time.perf_counter()
             outcomes = await loop.run_in_executor(None, _run_batch, batch)
-            batch_elapsed = time.perf_counter() - batch_started
+            batch_ended = time.perf_counter()
             for request, outcome in zip(batch, outcomes):
                 if not isinstance(outcome, BaseException):
-                    self._emit_solve_spans(request, outcome, batch_elapsed, len(batch))
+                    self._emit_solve_spans(
+                        request, outcome, batch_started, batch_ended, len(batch)
+                    )
                 self._settle(request, outcome)
 
     def _emit_solve_spans(
         self,
         request: _Request,
         result: ColoringResult,
-        batch_elapsed: float,
+        batch_started: float,
+        batch_ended: float,
         batch_size: int,
     ) -> None:
-        """Synthesize the batch-execute span plus one child per solver
-        phase (from the engine's recorded ``wall_s`` breakdown) under a
-        sampled request's span.  Untraced requests skip out in one check."""
+        """Record the batch-execute span (measured) plus one child per
+        solver phase (synthesized from the engine's recorded ``wall_s``
+        breakdown) under a sampled request's span.  Untraced requests
+        skip out in one check."""
         if not request.span:
             return
-        exec_span = self.tracer.emit(
+        exec_span = self.tracer.record(
             "gateway.batch_execute",
             request.span,
-            batch_elapsed,
+            batch_started,
+            batch_ended,
             attrs={"batch_size": batch_size, "algorithm": result.algorithm},
         )
         offset = 0.0

@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import socket
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Self
 
@@ -34,7 +35,12 @@ from repro.errors import (
     StaleParentError,
 )
 from repro.graphs.graph import Graph
-from repro.service.server import MAX_LINE_BYTES, encode_line, graph_from_payload
+from repro.service.server import (
+    MAX_LINE_BYTES,
+    encode_line,
+    graph_from_payload,
+    pack_edge_pairs,
+)
 
 __all__ = ["SolveReply", "ColoringClient", "AsyncColoringClient", "NdjsonConnection",
            "RemoteEngineError"]
@@ -67,14 +73,28 @@ class SolveReply:
 
 
 def graph_payload(graph: Any) -> dict[str, Any]:
-    """Coerce a :class:`Graph` / ``(n, edges)`` / raw dict into the wire shape."""
+    """Coerce a :class:`Graph` / ``(n, edges)`` / raw dict into the wire shape.
+
+    A graph or a tuple goes out in the packed form, ``{"n", "edges_b64"}``
+    (a graph's straight from :meth:`Graph.edge_pairs`); a dict passes
+    through unchanged.  A tuple whose ``n`` or edges cannot pack (not an
+    int, not pairs, an endpoint past int32) goes out as the list form,
+    so the server answers it with its usual typed refusal.
+    """
     if isinstance(graph, Graph):
-        return {"n": graph.n, "edges": [list(e) for e in graph.edges()]}
+        return {"n": graph.n, "edges_b64": pack_edge_pairs(graph.edge_pairs())}
     if isinstance(graph, dict):
         return graph
     if isinstance(graph, tuple) and len(graph) == 2:
         n, edges = graph
-        return {"n": n, "edges": [list(e) for e in edges]}
+        edge_lists = [list(e) for e in edges]
+        try:
+            if type(n) is int and set(map(len, edge_lists)) <= {2}:
+                pairs = array("i", itertools.chain.from_iterable(edge_lists))
+                return {"n": n, "edges_b64": pack_edge_pairs(pairs)}
+        except (OverflowError, TypeError):
+            pass
+        return {"n": n, "edges": edge_lists}
     raise ServiceProtocolError(
         f"cannot build a graph payload from {type(graph).__name__}"
     )

@@ -17,10 +17,13 @@ canonical byte encoding of both halves:
 
   The encoding is computable from a raw request payload *without*
   constructing a :class:`Graph` — that is what lets the server answer
-  cache hits without paying graph construction and validation
-  (:func:`edge_keys_fingerprint` is the shared core; payloads with
+  cache hits without paying graph construction and validation.  One
+  path serves both: :func:`edge_keys` turns a flat buffer of
+  interleaved endpoint pairs (a decoded payload's, or a graph's
+  :meth:`~repro.graphs.graph.Graph.edge_pairs`) into the sorted keys,
+  and :func:`edge_keys_fingerprint` hashes them.  Payloads with
   self-loops or duplicate edges hash to keys no valid graph can
-  produce, so they can never collide with a cached result).
+  produce, so they can never collide with a cached result.
 * **Config half** — :meth:`repro.api.SolverConfig.fingerprint_payload`,
   the result-affecting fields only (``validate``/``on_phase``/``strict``
   never change the colors and are excluded, so observability settings
@@ -39,15 +42,19 @@ import json
 from array import array
 from collections.abc import Iterable
 
+from repro import native
 from repro.api.config import SolverConfig
 from repro.errors import ServiceProtocolError
 from repro.graphs.graph import Graph
+from repro.native import address
 
 # Ids must pack into (u << 32) | v edge keys (and 'i' CSR buffers); the
 # same bound the server enforces on solve payloads (_MAX_NODE there).
 _MAX_PACKED_ID = 2**31
 
 __all__ = [
+    "SortedKeys",
+    "edge_keys",
     "graph_fingerprint",
     "edge_keys_fingerprint",
     "config_fingerprint",
@@ -57,19 +64,62 @@ __all__ = [
 ]
 
 
+class SortedKeys(array):
+    """An ``array('q')`` of packed edge keys in ascending order, as
+    :func:`edge_keys` returns them: :func:`edge_keys_fingerprint` hashes
+    one as it stands instead of sorting it again (do not mutate it)."""
+
+    __slots__ = ()
+
+
+def _edge_keys_python(n: int, pairs: array) -> SortedKeys:
+    """Reference twin of the kernel's ``edge_keys``: the range check, the
+    per-pair packing and a sort, in Python."""
+    if len(pairs) and not (0 <= min(pairs) and max(pairs) < n):
+        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    keys = sorted(
+        (u << 32) | v if u < v else (v << 32) | u
+        for u, v in zip(pairs[0::2], pairs[1::2])
+    )
+    return SortedKeys("q", keys)
+
+
+def edge_keys(n: int, pairs: array) -> SortedKeys:
+    """The sorted packed keys ``(min(u,v) << 32) | max(u,v)`` of the
+    interleaved endpoint pairs ``u0 v0 u1 v1 …`` in ``pairs`` (an
+    ``array('i')``), by the kernel's ``edge_keys`` when it is loaded.
+
+    ``n`` may be as large as ``2**31``.  Raises :class:`ValueError` when
+    an endpoint lies outside ``0..n-1``, and :class:`TypeError` when
+    ``pairs`` is not an even-length ``array('i')``.
+    """
+    if not isinstance(pairs, array) or pairs.typecode != "i" or len(pairs) % 2:
+        raise TypeError("pairs must be an array('i') of interleaved endpoint pairs")
+    kernel = native.kernel("edge_keys")
+    if kernel is None:
+        return _edge_keys_python(n, pairs)
+    m = len(pairs) // 2
+    keys = SortedKeys("q", bytes(8 * m))
+    scratch = array("q", bytes(8 * m))
+    if kernel(address(pairs), m, n, address(keys), address(scratch)):
+        raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+    return keys
+
+
 def edge_keys_fingerprint(n: int, edge_keys: Iterable[int]) -> str:
     """SHA-256 of ``n`` plus the sorted packed-edge-key multiset.
 
     ``edge_keys`` are ``(min(u,v) << 32) | max(u,v)`` packed ints with
-    ``0 <= u, v < 2**31``.  Sorting happens here, so callers may pass
-    keys in any order; duplicates are hashed as-is (a payload with a
-    duplicate edge therefore cannot collide with any simple graph).
+    ``0 <= u, v < 2**31``.  Callers may pass keys in any order: anything
+    but a :class:`SortedKeys` is sorted here.  Duplicates are hashed
+    as-is (a payload with a duplicate edge therefore cannot collide with
+    any simple graph).
     """
-    keys = sorted(edge_keys)
+    keys = edge_keys if isinstance(edge_keys, SortedKeys) else array("q", sorted(edge_keys))
     hasher = hashlib.sha256()
     hasher.update(b"g2:")  # encoding version tag
     hasher.update(n.to_bytes(8, "little"))
-    hasher.update(array("q", keys).tobytes())
+    hasher.update(keys)
     return hasher.hexdigest()
 
 
@@ -78,17 +128,10 @@ def graph_fingerprint(graph: Graph) -> str:
 
     Identical to what :func:`edge_keys_fingerprint` produces for the
     graph's edge multiset — the server relies on this equivalence to
-    hash raw payloads without building the graph first.
+    hash raw payloads without building the graph first.  Both take their
+    keys from :func:`edge_keys`.
     """
-    offsets, indices = graph.csr()
-    flat = indices.tolist()
-    keys = []
-    for u in range(graph.n):
-        for pos in range(offsets[u], offsets[u + 1]):
-            w = flat[pos]
-            if w > u:
-                keys.append((u << 32) | w)
-    return edge_keys_fingerprint(graph.n, keys)
+    return edge_keys_fingerprint(graph.n, edge_keys(graph.n, graph.edge_pairs()))
 
 
 def config_fingerprint(config: SolverConfig) -> str:

@@ -22,6 +22,11 @@ Request::
   integer ids are compacted ascending — the same normalisation as
   :func:`repro.cli.load_edge_list` — and the reply carries ``node_ids``
   mapping color index back to payload id.
+* ``graph.edges_b64`` — the packed form of the same pairs, what the
+  clients send: base64 of little-endian int32s ``u0 v0 u1 v1 …``
+  (:func:`pack_edge_pairs`).  ``graph.n`` is required with it, and a
+  graph carries ``edges`` or ``edges_b64``, not both.  Both forms decode
+  into one flat pair buffer, so they fingerprint and solve alike.
 * ``config`` — any subset of the :class:`repro.api.SolverConfig` fields
   (``params`` as a ``RandomizedParams`` field dict).
 
@@ -52,9 +57,12 @@ micro-batches.
 from __future__ import annotations
 
 import asyncio
+import binascii
 import dataclasses
 import json
 import logging
+import sys
+import time
 from array import array
 from typing import Any
 
@@ -68,6 +76,7 @@ from repro.service.batcher import BatchingGateway, request_cost
 from repro.service.fingerprint import (
     combine_fingerprints,
     config_fingerprint,
+    edge_keys,
     edge_keys_fingerprint,
 )
 from repro.service.metrics import error_kind
@@ -78,6 +87,7 @@ __all__ = [
     "ParsedGraphPayload",
     "parse_graph_payload",
     "parse_edge_pairs",
+    "pack_edge_pairs",
     "graph_from_payload",
     "config_from_payload",
     "MAX_LINE_BYTES",
@@ -106,34 +116,70 @@ _MAX_NODE = 2**31  # ids must pack into (u << 32) | v edge keys and 'i' CSR buff
 class ParsedGraphPayload:
     """A request's graph half, normalised but *not yet constructed*.
 
-    Carries everything the cache probe needs (``n`` plus the packed edge
-    keys that :func:`repro.service.fingerprint.edge_keys_fingerprint`
-    hashes) and a :meth:`build` that performs the full checked
-    :class:`Graph` construction — which the server only invokes on a
-    cache miss, keeping hits free of construction and validation cost.
-    Endpoints are kept as two flat ``array`` columns; Python-level
-    per-edge work on the hit path is the single packed-key comprehension.
+    Carries everything the cache probe needs (``n`` plus the sorted
+    packed edge keys that :func:`repro.service.fingerprint.
+    edge_keys_fingerprint` hashes) and a :meth:`build` that performs the
+    full checked :class:`Graph` construction — which the server only
+    invokes on a cache miss, keeping hits free of construction and
+    validation cost.  Both wire forms arrive here as one flat
+    ``array('i')`` of interleaved endpoint pairs; the range check, the
+    packing and the sort of the keys are one :func:`repro.service.
+    fingerprint.edge_keys` call, with no per-edge Python when the kernel
+    is loaded.
     """
 
-    __slots__ = ("n", "_us", "_vs", "edge_keys", "node_ids")
+    __slots__ = ("n", "pairs", "edge_keys", "node_ids")
 
-    def __init__(self, n: int, us: array, vs: array, node_ids: list[int] | None):
+    def __init__(self, n: int, pairs: array, node_ids: list[int] | None):
         self.n = n
-        self._us = us
-        self._vs = vs
+        self.pairs = pairs
         self.node_ids = node_ids
-        self.edge_keys = [
-            (u << 32) | v if u < v else (v << 32) | u for u, v in zip(us, vs)
-        ]
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self._us, self._vs))
+        try:
+            self.edge_keys = edge_keys(n, pairs)
+        except ValueError:
+            raise _endpoints_out_of_range(n) from None
 
     def build(self) -> Graph:
         """The checked construction (raises ``GraphError`` on self-loops,
         duplicate edges, out-of-range endpoints)."""
-        return Graph(self.n, self.pairs)
+        flat = self.pairs.tolist()
+        return Graph(self.n, zip(flat[0::2], flat[1::2]))
+
+
+def _endpoints_out_of_range(n: int) -> ServiceProtocolError:
+    return ServiceProtocolError(
+        f"edge endpoints must lie in 0..{n - 1} when graph.n is given"
+    )
+
+
+def pack_edge_pairs(pairs: array, byteorder: str = sys.byteorder) -> str:
+    """The ``graph.edges_b64`` text of an ``array('i')`` of interleaved
+    endpoint pairs: base64 of the pairs as little-endian int32s
+    (``byteorder`` is the host's)."""
+    if byteorder == "big":
+        pairs = array("i", pairs)
+        pairs.byteswap()
+    return binascii.b2a_base64(pairs, newline=False).decode("ascii")
+
+
+def _unpack_edge_pairs(text: Any, byteorder: str = sys.byteorder) -> array:
+    """Decode ``graph.edges_b64`` into the flat pair buffer (the inverse
+    of :func:`pack_edge_pairs`; ``byteorder`` is the host's)."""
+    if not isinstance(text, str):
+        raise ServiceProtocolError("graph.edges_b64 must be a base64 string")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise ServiceProtocolError("graph.edges_b64 is not valid base64") from None
+    if len(raw) % 8:
+        raise ServiceProtocolError(
+            f"graph.edges_b64 decodes to {len(raw)} bytes, not whole int32 pairs"
+        )
+    pairs = array("i")
+    pairs.frombytes(raw)
+    if byteorder == "big":
+        pairs.byteswap()
+    return pairs
 
 
 def _flat_int_pairs(edges_raw: Any, what: str) -> array:
@@ -168,38 +214,50 @@ def parse_edge_pairs(edges_raw: Any, what: str) -> list[tuple[int, int]]:
     return list(zip(flat[0::2], flat[1::2]))
 
 
+def _node_count(n: Any) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ServiceProtocolError(f"graph.n must be a non-negative int, got {n!r}")
+    if n > _MAX_NODE:
+        raise ServiceProtocolError(f"graph.n must be <= {_MAX_NODE}")
+    return n
+
+
 def parse_graph_payload(payload: Any) -> ParsedGraphPayload:
     """Normalise a request's ``graph`` object without building the graph.
 
-    With ``n`` present the ids must be ``0..n-1``; without it, arbitrary
-    integer ids are compacted ascending (``node_ids`` records the
-    mapping when it isn't the identity).  Malformed payloads raise
+    ``edges_b64`` (packed, ``n`` required) and ``edges`` (a list of
+    pairs) decode into the same flat pair buffer.  With ``n`` present the
+    ids must be ``0..n-1``; without it, arbitrary integer ids are
+    compacted ascending (``node_ids`` records the mapping when it isn't
+    the identity).  Malformed payloads raise
     :class:`ServiceProtocolError`; *structural* problems (self-loops,
     duplicate edges) are deliberately left to :meth:`ParsedGraphPayload.
     build` — their edge keys can never match a valid cached instance.
     """
     if not isinstance(payload, dict):
-        raise ServiceProtocolError("graph must be an object with 'edges'")
+        raise ServiceProtocolError("graph must be an object with 'edges' or 'edges_b64'")
+    if "edges_b64" in payload:
+        if "edges" in payload:
+            raise ServiceProtocolError("graph may carry 'edges' or 'edges_b64', not both")
+        if "n" not in payload:
+            raise ServiceProtocolError("graph.n is required with graph.edges_b64")
+        n = _node_count(payload.get("n"))
+        return ParsedGraphPayload(n, _unpack_edge_pairs(payload["edges_b64"]), None)
     flat = _flat_int_pairs(payload.get("edges"), "graph.edges")
     if "n" in payload:
-        n = payload["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ServiceProtocolError(f"graph.n must be a non-negative int, got {n!r}")
-        if n > _MAX_NODE:
-            raise ServiceProtocolError(f"graph.n must be <= {_MAX_NODE}")
-        if len(flat) and not (0 <= min(flat) and max(flat) < n):
-            raise ServiceProtocolError(
-                f"edge endpoints must lie in 0..{n - 1} when graph.n is given"
-            )
-        return ParsedGraphPayload(n, flat[0::2], flat[1::2], None)
+        n = _node_count(payload["n"])
+        try:
+            pairs = array("i", flat)
+        except OverflowError:
+            raise _endpoints_out_of_range(n) from None
+        return ParsedGraphPayload(n, pairs, None)
     ids = sorted(set(flat))
     if len(ids) > _MAX_NODE:
         raise ServiceProtocolError(f"too many distinct node ids (> {_MAX_NODE})")
     index = {node: i for i, node in enumerate(ids)}
-    us = array("q", (index[u] for u in flat[0::2]))
-    vs = array("q", (index[v] for v in flat[1::2]))
+    pairs = array("i", map(index.__getitem__, flat))
     identity = ids == list(range(len(ids)))
-    return ParsedGraphPayload(len(ids), us, vs, None if identity else list(ids))
+    return ParsedGraphPayload(len(ids), pairs, None if identity else list(ids))
 
 
 def graph_from_payload(payload: Any) -> tuple[Graph, list[int] | None]:
@@ -521,9 +579,14 @@ class ColoringServer(NdjsonEndpoint):
         return _error_reply(request_id, kind, exc)
 
     async def _reply_for(self, line: bytes) -> dict[str, Any]:
+        # Measured stamps for the request span and its first children:
+        # the span's trace context is only known once the line is
+        # decoded, so it is started afterwards, back-dated to here.
+        started = time.perf_counter()
         request_id: Any = None
         try:
             request = json.loads(line)
+            decoded = time.perf_counter()
             if not isinstance(request, dict):
                 raise ServiceProtocolError("request must be a JSON object")
             request_id = request.get("id")
@@ -535,7 +598,9 @@ class ColoringServer(NdjsonEndpoint):
             if op == "metrics":
                 return self._reply_for_metrics(request_id, request)
             if op == "update":
-                return await self._reply_for_update(request_id, request)
+                return await self._reply_for_update(
+                    request_id, request, started, decoded
+                )
             if op != "solve":
                 raise ServiceProtocolError(f"unknown op {op!r}")
             parsed = parse_graph_payload(request.get("graph"))
@@ -547,19 +612,18 @@ class ColoringServer(NdjsonEndpoint):
         # Hash the payload directly (edge_keys_fingerprint) so cache hits
         # never pay graph construction + validation; the checked build
         # runs lazily, off the event loop, only for requests that solve.
+        parsed_at = time.perf_counter()
         fingerprint = combine_fingerprints(
             edge_keys_fingerprint(parsed.n, parsed.edge_keys),
             config_fingerprint(config.without_observer()),
         )
+        hashed = time.perf_counter()
         cost = request_cost(parsed.n, len(parsed.edge_keys))
         node_ids = parsed.node_ids
-        # Root here when untraced upstream; a router's wire context
-        # (request["trace"]) continues the fleet-wide trace instead.
-        span = self.tracer.start_span(
-            "server.request",
-            remote_parent=request.get("trace"),
-            attrs={"op": "solve", "cost": cost},
-        )
+        span = self._request_span(request, {"op": "solve", "cost": cost}, started)
+        self.tracer.record("server.decode", span, started, decoded)
+        self.tracer.record("server.parse", span, decoded, parsed_at)
+        self.tracer.record("fingerprint", span, parsed_at, hashed)
         try:
             reply = await self.gateway.submit(
                 parsed.build, config, fingerprint=fingerprint, cost=cost,
@@ -579,8 +643,20 @@ class ColoringServer(NdjsonEndpoint):
             body["node_ids"] = node_ids
         return body
 
+    def _request_span(
+        self, request: dict[str, Any], attrs: dict[str, Any], started: float
+    ) -> Any:
+        """The ``server.request`` span, started at ``started``: a root
+        when untraced upstream, else a continuation of the router's wire
+        context (``request["trace"]``)."""
+        return self.tracer.start_span(
+            "server.request", remote_parent=request.get("trace"),
+            attrs=attrs, start=started,
+        )
+
     async def _reply_for_update(
-        self, request_id: Any, request: dict[str, Any]
+        self, request_id: Any, request: dict[str, Any], started: float,
+        decoded: float,
     ) -> dict[str, Any]:
         """The ``update`` op: an edge delta against a served instance.
 
@@ -614,11 +690,9 @@ class ColoringServer(NdjsonEndpoint):
         added = parse_edge_pairs(request.get("edges_added", []), "edges_added")
         removed = parse_edge_pairs(request.get("edges_removed", []), "edges_removed")
         config = config_from_payload(request.get("config"))
-        span = self.tracer.start_span(
-            "server.request",
-            remote_parent=request.get("trace"),
-            attrs={"op": "update"},
-        )
+        span = self._request_span(request, {"op": "update"}, started)
+        self.tracer.record("server.decode", span, started, decoded)
+        self.tracer.record("server.parse", span, decoded, time.perf_counter())
         try:
             reply = await self.gateway.submit_update(
                 parent_digest, added, removed, config, parent_span=span,

@@ -152,6 +152,45 @@ class TestSingleServerTracing:
             (rung,) = spans[f"repair.{name}"]
             assert rung["parent_id"] == apply_span["span_id"]
 
+    def test_hit_path_layers_are_measured_children(self):
+        """``server.request`` starts before the decode; its first
+        children are the measured decode, parse and fingerprint, laid
+        end to end in that order inside it."""
+        graph = random_regular_graph(32, 3, seed=0)
+        tracer = Tracer(seed=6)
+        server = ColoringServer(port=0, tracer=tracer)
+
+        async def drive():
+            await server.start()
+            try:
+                async with AsyncColoringClient(port=server.port) as client:
+                    solved = await client.solve(graph, algorithm="auto", seed=1)
+                    await client.solve(graph, algorithm="auto", seed=1)
+                    await client.update(solved.fingerprint)
+            finally:
+                await server.close()
+
+        asyncio.run(drive())
+        spans = _span_index(tracer)
+        roots = {r["span_id"]: r for r in spans["server.request"]}
+        assert [r["attrs"]["op"] for r in roots.values()] == ["solve", "solve", "update"]
+        layers = ("server.decode", "server.parse", "fingerprint")
+        for root in roots.values():
+            children = [
+                record
+                for name in layers
+                for record in spans.get(name, ())
+                if record["parent_id"] == root["span_id"]
+            ]
+            expected = layers if root["attrs"]["op"] == "solve" else layers[:2]
+            assert tuple(c["name"] for c in children) == expected
+            end = root["start_s"] + root["duration_s"]
+            at = root["start_s"]
+            for child in children:
+                assert child["start_s"] >= at - 1e-5  # records round to 1 µs
+                at = child["start_s"] + child["duration_s"]
+            assert at <= end + 1e-5
+
     def test_sampling_off_records_nothing(self):
         graph = random_regular_graph(32, 3, seed=0)
         tracer = Tracer(sample=0.0, seed=5)

@@ -24,10 +24,12 @@ point off, as on a box without a C compiler):
 * the H-boundary of phase 5 (the kernel's ``h_boundary`` /
   ``_boundary_python``) — empty, full, carved and random H, irregular
   graphs; the sets must match in iteration order too;
-* ``DynamicGraph`` adoption (``_adopt_rows``, against the graph's own
-  rows) — the empty graph, edgeless graphs, isolated nodes;
-* ``Graph.edges`` (the kernel's ``edge_pairs`` / ``_edges_python``) —
-  sparse and edgeless graphs, and a mutated ``DynamicGraph``;
+* ``DynamicGraph`` adoption (the kernel's ``adopt_rows`` /
+  ``_adopt_rows_python``, both against the graph's own rows) — the
+  empty graph, edgeless graphs, isolated nodes;
+* ``Graph.edges`` and ``Graph.edge_pairs`` (the kernel's ``edge_pairs``
+  / ``_edge_pairs_python``) — sparse and edgeless graphs, and a mutated
+  ``DynamicGraph``;
 * Linial's reduction round (the kernel's ``linial_round`` /
   ``_reduce_round_python``) — regular, sparse, edgeless and dense
   (q > 256) graphs from random colors, and every round of the schedule
@@ -522,7 +524,8 @@ class TestBoundary:
 
 class TestAdoption:
     """``DynamicGraph`` adoption: row starts, row lengths and the degree
-    histogram of a CSR (``_adopt_rows``), against the graph's own rows."""
+    histogram of a CSR (the kernel's ``adopt_rows`` and
+    ``_adopt_rows_python``), against the graph's own rows."""
 
     @staticmethod
     def assert_twins_agree(graph: Graph) -> None:
@@ -532,6 +535,7 @@ class TestAdoption:
         assert list(starts) == list(offsets[: graph.n])
         assert list(lens) == [len(graph.neighbors_csr(v)) for v in range(graph.n)]
         assert hist == dict(Counter(lens))
+        assert (starts, lens, hist) == dynamic_mod._adopt_rows_python(offsets, graph.n)
         dyn = dynamic_mod.DynamicGraph.from_graph(graph)
         assert dyn.max_degree() == max(hist, default=0) == graph.max_degree()
 
@@ -564,11 +568,13 @@ class TestEdges:
         expected = [
             (u, v) for u in range(graph.n) for v in graph.neighbors_csr(u) if u < v
         ]
-        assert list(graph_mod._edges_python(offsets, indices)) == expected
+        flat = array("i", [w for edge in expected for w in edge])
+        assert graph_mod._edge_pairs_python(offsets, indices) == flat
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(native, "kernel", lambda name: None)
             assert list(graph.edges()) == expected
         assert list(graph.edges()) == expected
+        assert graph.edge_pairs() == flat
 
     @FAST
     @given(
@@ -717,7 +723,8 @@ def test_h_boundary_kernel_matches_twin(name, graph, kernel_calls, python_twins)
 def test_edge_pairs_kernel_matches_twin(name, graph, kernel_calls, python_twins):
     got = list(graph.edges())
     assert got == python_twins(lambda: list(graph.edges()))
-    assert got == list(graph_mod._edges_python(*graph.csr()))
+    flat = graph_mod._edge_pairs_python(*graph.csr())
+    assert got == list(zip(flat[0::2], flat[1::2]))
     assert len(got) == graph.num_edges
     if native.kernel_status().functions:
         assert kernel_calls["edge_pairs"] == 1
