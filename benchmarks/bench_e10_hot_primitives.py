@@ -17,6 +17,12 @@ toward per-stub / per-node Python.
   regularity check (the repair loop must not silently degrade).
 * **E10b** — one whole-graph (deg+1)-list instance per (n, Δ): trial
   rounds to completion with a Δ+1 palette, validity-asserted.
+* **E10c** — phase (1), :func:`repro.core.dcc.detect_dccs` at r=2 on
+  rrg Δ=8: wall clock and DCC count.  The sparse rows (n >= 32768, about
+  a quarter of the nodes on a cycle of length <= 5) run the kernel's
+  short-cycle prefilter; the dense rows (n=1024, 4096: more than half
+  the nodes on such cycles) trip its guard and collect every ball, so
+  the guard's cost stays visible.
 
 Unlike the E-series experiment tables this is not a paper-claim probe —
 it deliberately isolates primitives whose cost the end-to-end benchmark
@@ -30,6 +36,7 @@ import time
 
 from common import emit, sizes
 from repro.analysis.experiments import Row, Table
+from repro.core.dcc import DCCScratch, detect_dccs
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.validation import UNCOLORED, validate_coloring
 from repro.local.rounds import RoundLedger
@@ -87,6 +94,33 @@ def build_trial_rounds_table():
     return emit(table, "e10b_trial_rounds")
 
 
+def build_dcc_detection_table():
+    table = Table(title="E10c: detect_dccs wall clock (rrg Δ=8, r=2)")
+    for family, ns in (
+        ("sparse", sizes([32768], [32768, 131072])),
+        ("dense", sizes([1024], [1024, 4096])),
+    ):
+        for n in ns:
+            graph = random_regular_graph(n, 8, seed=4)
+            scratch = DCCScratch(n)
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                detection = detect_dccs(graph, 2, scratch=scratch)
+                best = min(best, time.perf_counter() - started)
+            table.rows.append(Row(
+                params={"family": family, "n": n},
+                values={"detect_ms": round(1000 * best, 2),
+                        "dccs": len(detection.dccs)},
+            ))
+    table.notes.append(
+        "kernel prefilter: balls are collected only for nodes on a cycle of "
+        "length <= 2r+1, unless more than half the nodes are"
+    )
+    return emit(table, "e10c_dcc_detection")
+
+
 if __name__ == "__main__":
     build_generator_table()
     build_trial_rounds_table()
+    build_dcc_detection_table()

@@ -22,14 +22,31 @@ that is one cycle skips the Hopcroft–Tarjan walk.  Nodes go in
 ascending order, and the selected block's unselected members adopt it,
 so an adopted node never collects its ball.  The whole phase (ball
 collection, in-ball degrees, tree reject, peel, block selection and
-adoption: about n·Δ^(r+1) probes) runs in one C entry point,
-``dcc_detect`` in ``repro/kernel.c``, built with the system compiler on
-first use and called through ctypes (``repro.native``); Python only
-wraps the selected DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its
-pure-Python twin (:func:`_ball_cores_python` feeding
-:func:`_select_blocks_python`) is pinned bit-identical to it and runs when no
-compiler is available.  Wall time is ``solver.1-dcc-detect.ms`` in
-perfbench (perfbench/README.md).
+adoption) runs in one C entry point, ``dcc_detect`` in
+``repro/kernel.c``, built with the system compiler on first use and
+called through ctypes (``repro.native``); Python only wraps the selected
+DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its pure-Python twin
+(:func:`_ball_cores_python` feeding :func:`_select_blocks_python`) is
+pinned bit-identical to it and runs when no compiler is available.  Wall
+time is ``solver.1-dcc-detect.ms`` in perfbench (perfbench/README.md).
+
+On locally-tree-like graphs almost no ball holds a DCC, so the kernel
+first finds the nodes that can select one (``short_cycles``) and
+collects only their balls.  Two facts make that exact:
+
+* a node that selects lies in a 2-connected block of its ball with >= 4
+  nodes, so some in-ball edge joins two BFS branches of v, and the two
+  tree paths plus that edge form a cycle through v of length <= 2r+1;
+* every cycle of length <= 2r+1 lies in the restricted ball of its
+  smallest node x (depth r, stepping only onto nodes > x), hence in
+  that ball's 2-core.
+
+One sweep over the restricted balls (about a third of the full balls'
+probes) marks their 2-cores; only marked nodes collect a ball, and an
+unmarked node at the ball's rim is known to have in-ball degree 1, so
+its row is not read.  Where short cycles are everywhere the sweep is a
+loss, so it stops once more than half the swept nodes are marked and
+every ball is collected, as without it.
 
 **Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
 rounds *simulated through member nodes*: each live DCC draws a priority,
@@ -80,22 +97,24 @@ class DCCScratch:
     """Reusable O(n) scratch for :func:`detect_dccs` sweeps.
 
     One allocation of the byte mask, the Hopcroft–Tarjan disc/low arrays,
-    the active-membership mask and (when the native kernel runs) its
-    ``array('i')`` work, selection and output buffers serves *every*
-    ``detect_dccs`` call on graphs of the same node count — the
-    per-component call sites (``repro.core.small_components``) call it
-    once per small component, which would otherwise pay O(n) allocations
-    to look at a 10-node component.  Masks, degrees and selections are
-    returned to their rest state after each call, so sharing is safe.
+    the active-membership mask, the kernel's short-cycle marks and (when
+    the native kernel runs) its ``array('i')`` work, selection and output
+    buffers serves *every* ``detect_dccs`` call on graphs of the same
+    node count — the per-component call sites
+    (``repro.core.small_components``) call it once per small component,
+    which would otherwise pay O(n) allocations to look at a 10-node
+    component.  Masks, marks, degrees and selections are returned to
+    their rest state after each call, so sharing is safe.
     """
 
-    __slots__ = ("n", "mask", "scratch", "active_mask", "_kernel_buffers")
+    __slots__ = ("n", "mask", "scratch", "active_mask", "cyclic", "_kernel_buffers")
 
     def __init__(self, n: int):
         self.n = n
         self.mask = bytearray(n)
         self.scratch = ([0] * n, [0] * n)
         self.active_mask = bytearray(n)
+        self.cyclic = bytearray(n)
         self._kernel_buffers: tuple[array, ...] | None = None
 
     def kernel_buffers(self) -> tuple[array, ...]:
@@ -161,8 +180,10 @@ def detect_dccs(
 
 
 def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -> None:
-    """The whole phase in ``kernel.c``'s ``dcc_detect``, one output
-    buffer of DCCs per kernel call; the kernel's selections are copied
+    """The whole phase in ``kernel.c``: ``short_cycles`` marks the nodes
+    that can select, once per sweep, then ``dcc_detect`` runs over them
+    (over every node when the marks are dropped as too dense), one
+    output buffer of DCCs per call; the kernel's selections are copied
     into the detection and its ``selected_by`` buffer is left at -1."""
     graph = state.graph
     count = graph.n if nodes is None else len(nodes)
@@ -174,15 +195,19 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
     # The byte masks are exported for the whole sweep (never resized).
     mask = ctypes.c_char.from_buffer(state.mask)
     active = None if allowed is None else ctypes.c_char.from_buffer(allowed)
+    cyclic = state.shared.cyclic
+    marks = ctypes.addressof(ctypes.c_char.from_buffer(cyclic))
     args = (
         address(offsets), address(indices), graph.n, radius,
         None if active is None else ctypes.addressof(active),
         None if node_buf is None else address(node_buf),
         count,
     )
-    work_args = (
-        ctypes.addressof(mask), address(zeroed), address(work), address(chosen),
-    )
+    work_args = (ctypes.addressof(mask), address(zeroed), address(work))
+    marked = native.kernel("short_cycles")(*args, *work_args, marks)
+    if marked == 0:
+        return  # no node lies on a short cycle, so none selects
+    filtered = marked > 0
     out = (address(sizes), len(sizes), address(members), len(members))
     detection = state.detection
     dccs = detection.dccs
@@ -190,7 +215,8 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
     start = 0
     while start < count:
         start = kernel(
-            *args, start, *work_args, len(dccs), *out, ctypes.byref(emitted)
+            *args, start, marks if filtered else None, *work_args,
+            address(chosen), len(dccs), *out, ctypes.byref(emitted),
         )
         lengths = sizes[: emitted.value].tolist()
         body = members[: sum(lengths)].tolist()
@@ -198,6 +224,12 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
         for size in lengths:
             dccs.append(tuple(body[at : at + size]))
             at += size
+    if filtered:
+        if nodes is None:
+            ctypes.memset(marks, 0, count)
+        else:
+            for v in nodes:
+                cyclic[v] = 0
     selected_by = state.selected_by
     nodes_in_dccs = detection.nodes_in_dccs
     for dcc in dccs:
@@ -425,27 +457,31 @@ def virtual_graph_ruling_set(
                 owners_of[v] = [idx]
             else:
                 cell.append(idx)
-    # Conflict adjacency between DCC indices (share node or G-edge).
+    # Conflict adjacency between DCC indices (share node or G-edge), over
+    # the DCC members in ascending node order (the sets' insertion order
+    # decides their iteration order, which the float sums of "ghaffari"
+    # follow).
     conflicts: list[set[int]] = [set() for _ in range(num)]
     offsets, indices = graph.csr()
-    for v, owners in enumerate(owners_of):
-        if owners is None:
-            continue
-        for i, a in enumerate(owners):
-            for b in owners[i + 1:]:
-                conflicts[a].add(b)
-                conflicts[b].add(a)
-        for u in indices[offsets[v] : offsets[v + 1]]:
-            if u < v:
-                continue  # each edge contributes once; conflicts are symmetric
-            others = owners_of[u]
-            if others is None:
-                continue
-            for b in others:
-                for a in owners:
-                    if a != b:
-                        conflicts[a].add(b)
-                        conflicts[b].add(a)
+    rows = memoryview(indices)
+    for v in sorted({v for dcc in dccs for v in dcc}):
+        owners = owners_of[v]
+        if len(owners) > 1:
+            for i, a in enumerate(owners):
+                for b in owners[i + 1:]:
+                    conflicts[a].add(b)
+                    conflicts[b].add(a)
+        for u in rows[offsets[v] : offsets[v + 1]]:
+            # Each edge contributes once (conflicts are symmetric); a
+            # neighbour with the same owners adds no new pair.
+            if u > v:
+                others = owners_of[u]
+                if others is not None and others != owners:
+                    for b in others:
+                        for a in owners:
+                            if a != b:
+                                conflicts[a].add(b)
+                                conflicts[b].add(a)
 
     live = set(range(num))
     chosen: list[int] = []

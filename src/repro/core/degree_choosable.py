@@ -40,6 +40,7 @@ Raises :class:`InfeasibleListColoringError` when no coloring exists.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from collections.abc import Iterable
 
@@ -59,18 +60,30 @@ def color_against_outside(
 
     Each node's list is ``1..max_colors`` minus the colors its colored
     neighbours outside ``nodes`` wear; the nodes' own colors are ignored.
-    Rows are read through ``neighbors_csr``, so no graph-wide cache is
-    built and a :class:`~repro.graphs.dynamic.DynamicGraph` is not
-    compacted.  Returns the nodes in ascending order.  Raises
+    Each member's row is read once, through ``neighbors_csr``, for both
+    its induced row (as :meth:`Graph.subgraph` builds it) and its list,
+    so no graph-wide cache is built and a
+    :class:`~repro.graphs.dynamic.DynamicGraph` is not compacted.
+    Returns the nodes in ascending order.  Raises
     :class:`InfeasibleListColoringError` with ``colors`` untouched.
     """
-    sub, originals = graph.subgraph(nodes)
-    members = set(originals)
+    originals = sorted(set(nodes))
+    index = {v: i for i, v in enumerate(originals)}
     palette = range(1, max_colors + 1)
+    offsets = array("i", [0])
+    indices = array("i")
     lists = []
     for u in originals:
-        taken = {colors[w] for w in graph.neighbors_csr(u) if w not in members}
+        taken = set()
+        for w in graph.neighbors_csr(u):
+            i = index.get(w)
+            if i is None:
+                taken.add(colors[w])
+            else:
+                indices.append(i)
+        offsets.append(len(indices))
         lists.append({c for c in palette if c not in taken})
+    sub = Graph._from_csr(len(originals), offsets, indices, len(indices) // 2)
     assignment = degree_list_color(sub, lists)
     for i, u in enumerate(originals):
         colors[u] = assignment[i]

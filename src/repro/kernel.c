@@ -6,7 +6,11 @@
  *
  *   dcc_detect    phase (1) in one pass: radius-r ball, tree reject,
  *                 2-core peel, block selection and adoption
- *                 (repro.core.dcc: _ball_cores_python + _select_blocks);
+ *                 (repro.core.dcc: _ball_cores_python +
+ *                 _select_blocks_python);
+ *   short_cycles  dcc_detect's prefilter, the nodes on short cycles; it
+ *                 only decides which passes dcc_detect skips, so the
+ *                 pair is pinned to dcc_detect's twin;
  *   class_sweep   the deterministic (deg+1)-list engine over a run of
  *                 layers (repro.primitives.list_coloring:
  *                 _class_sweep_python);
@@ -132,8 +136,160 @@ static int first_dcc_block(const int *offsets, const int *indices,
     return 0;
 }
 
+/* The radius-`radius` ball of v in level order into ball[0..size), every
+ * member marked mask 1, stepping only onto nodes w > above with
+ * active[w] != 0 (when `active` is not NULL).  parent[] receives the BFS
+ * tree (parent[v] = -1) and deg[] the in-ball degree of every node below
+ * level `radius`: each of its neighbours that qualifies is in the ball
+ * once its row has been read.  Returns the size; *rim receives the index
+ * of the first node at level `radius` (the size when the ball ends
+ * sooner). */
+static int collect_ball(const int *offsets, const int *indices,
+                        const unsigned char *active, int above, int v,
+                        int radius, unsigned char *mask, int *deg,
+                        int *parent, int *ball, int *rim)
+{
+    int size = 1, lo = 0, level, e;
+    mask[v] = 1;
+    ball[0] = v;
+    parent[v] = -1;
+    for (level = 0; level < radius && lo < size; level++) {
+        int hi = size;
+        for (; lo < hi; lo++) {
+            int u = ball[lo], d = 0;
+            for (e = offsets[u]; e < offsets[u + 1]; e++) {
+                int w = indices[e];
+                if (mask[w]) {
+                    d++;
+                } else if (w > above && (!active || active[w])) {
+                    mask[w] = 1;
+                    parent[w] = u;
+                    ball[size++] = w;
+                    d++;
+                }
+            }
+            deg[u] = d;
+        }
+    }
+    *rim = lo;
+    return size;
+}
+
+/* The in-ball degree of a rim node u, read from its row. */
+static int rim_degree(const int *offsets, const int *indices,
+                      const unsigned char *mask, int u)
+{
+    int e, d = 0;
+    for (e = offsets[u]; e < offsets[u + 1]; e++)
+        d += mask[indices[e]];
+    return d;
+}
+
+/* Peel ball[0..size) (mask 1, deg[] the in-ball degrees) to its 2-core;
+ * returns the survivor count.  Survivors keep mask 1 and their core
+ * degree; peeled nodes end with mask and deg zero.  A node peeled with
+ * one live neighbour reaches it through its BFS parent when the parent is
+ * alive (it is then that neighbour), else by reading its row.  The 2-core
+ * does not depend on the peel order. */
+static int peel(const int *offsets, const int *indices, unsigned char *mask,
+                int *deg, const int *parent, const int *ball, int size,
+                int *stack)
+{
+    int i, e, top = 0, alive = size;
+    for (i = 0; i < size; i++)
+        if (deg[ball[i]] <= 1)
+            stack[top++] = ball[i];
+    while (top) {
+        int u = stack[--top], p = parent[u], live;
+        if (!mask[u])
+            continue;
+        mask[u] = 0;
+        live = deg[u];
+        deg[u] = 0;
+        alive--;
+        if (!live)
+            continue;
+        if (p >= 0 && mask[p]) {
+            if (--deg[p] == 1)
+                stack[top++] = p;
+            continue;
+        }
+        for (e = offsets[u]; e < offsets[u + 1]; e++) {
+            int w = indices[e];
+            if (mask[w]) {
+                if (--deg[w] == 1)
+                    stack[top++] = w;
+                break;
+            }
+        }
+    }
+    return alive;
+}
+
+/* dcc_detect skips a node unless it lies on a cycle of length <= 2r+1:
+ * a node that selects lies in a 2-connected block of its ball with >= 4
+ * nodes, so some in-ball edge (s, t) joins two BFS branches of v, and the
+ * two tree paths plus (s, t) close such a cycle through v.  Every such
+ * cycle lies in the restricted ball of its smallest node x (depth r,
+ * stepping only onto nodes > x), hence in that ball's 2-core.
+ *
+ * Once more than 1/DENSE_SHARE_DEN of the swept nodes are marked the
+ * marks are dropped and every pass runs: where short cycles are
+ * everywhere a filtered sweep costs more than it saves (without this
+ * guard, detection took 1.5-3.0x as long on rrg n=1024 Δ=8 r=2, n=4096
+ * Δ=6 and 8 r=3 and n=32768 Δ=16 r=2; 2-CPU box, gcc 12 -O2).  The
+ * outputs are the same either way. */
+#define DENSE_SHARE_DEN 2
+
+/* short_cycles: for positions 0 .. count-1 (node nodes[pos], or pos when
+ * nodes is NULL) mark in `cyclic` (n bytes, zero on entry) the 2-core of
+ * the node's restricted radius-`radius` ball (within `active` when not
+ * NULL).  Every node on a cycle of length <= 2*radius+1 of the graph
+ * induced on the swept nodes ends marked.  Returns the number marked, or
+ * -1 (cyclic zero again) once more than count / DENSE_SHARE_DEN are.
+ * mask, zeroed and work are as in dcc_detect and left as found. */
+int short_cycles(
+    const int *offsets, const int *indices, int n, int radius,
+    const unsigned char *active, const int *nodes, int count,
+    unsigned char *mask, int *zeroed, int *work, unsigned char *cyclic)
+{
+    int *deg = zeroed, *ball = work, *stack = work + n, *parent = work + 5 * n;
+    int marked = 0, pos, i;
+    for (pos = 0; pos < count; pos++) {
+        int x = nodes ? nodes[pos] : pos, rim, twice = 0;
+        int size = collect_ball(offsets, indices, active, x, x, radius, mask,
+                                deg, parent, ball, &rim);
+        for (i = rim; i < size; i++)
+            deg[ball[i]] = rim_degree(offsets, indices, mask, ball[i]);
+        for (i = 0; i < size; i++)
+            twice += deg[ball[i]];
+        if (twice >= 2 * size) {  /* connected with a cycle */
+            peel(offsets, indices, mask, deg, parent, ball, size, stack);
+            for (i = 0; i < size; i++) {
+                int u = ball[i];
+                if (mask[u] && !cyclic[u]) {
+                    cyclic[u] = 1;
+                    marked++;
+                }
+            }
+        }
+        for (i = 0; i < size; i++) {
+            mask[ball[i]] = 0;
+            deg[ball[i]] = 0;
+        }
+        if (DENSE_SHARE_DEN * marked > count) {
+            for (i = 0; i < count; i++)
+                cyclic[nodes ? nodes[i] : i] = 0;
+            return -1;
+        }
+    }
+    return marked;
+}
+
 /* dcc_detect: for positions pos = start .. count-1 (node nodes[pos], or
- * pos itself when nodes is NULL), skipping v when selected_by[v] != -1:
+ * pos itself when nodes is NULL), skipping v when selected_by[v] != -1,
+ * or when `cyclic` is not NULL and cyclic[v] == 0 (short_cycles' marks
+ * for the same radius, active set and nodes; such a v selects nothing):
  *
  *   1. collect the radius-`radius` ball of v over the CSR (offsets,
  *      indices), stepping only onto nodes with active[w] != 0 when
@@ -150,6 +306,10 @@ static int first_dcc_block(const int *offsets, const int *indices,
  *      and set selected_by[u] to its number for every member u still at
  *      -1.
  *
+ * With `cyclic`, a rim node (level `radius`) left unmarked is not read:
+ * its in-ball degree is 1, since a second in-ball neighbour would close a
+ * cycle of length <= 2*radius+1 through it.
+ *
  * `mask` (n bytes) and `zeroed` (2n ints: in-ball degrees, discovery
  * times) must be zero on entry and are zero on return; `work` (7n ints)
  * is free scratch.  When the next DCC does not fit in `sizes` (size_cap
@@ -161,6 +321,7 @@ static int first_dcc_block(const int *offsets, const int *indices,
 int dcc_detect(
     const int *offsets, const int *indices, int n, int radius,
     const unsigned char *active, const int *nodes, int count, int start,
+    const unsigned char *cyclic,
     unsigned char *mask, int *zeroed, int *work, int *selected_by, int base,
     int *sizes, int size_cap, int *members, int member_cap, int *emitted)
 {
@@ -171,34 +332,19 @@ int dcc_detect(
     int num = 0, used = 0, pos;
     for (pos = start; pos < count; pos++) {
         int v = nodes ? nodes[pos] : pos;
-        int size = 1, lo = 0, level, i, e, twice = 0, top = 0, alive, k;
+        int size, rim, i, twice = 0, alive, k;
         const int *chosen = core;
-        if (selected_by[v] != -1)
+        if (selected_by[v] != -1 || (cyclic && !cyclic[v]))
             continue;
-        mask[v] = 1;
-        ball[0] = v;
-        for (level = 0; level < radius && lo < size; level++) {
-            int hi = size;
-            for (; lo < hi; lo++) {
-                int u = ball[lo];
-                for (e = offsets[u]; e < offsets[u + 1]; e++) {
-                    int w = indices[e];
-                    if (!mask[w] && (!active || active[w])) {
-                        mask[w] = 1;
-                        ball[size++] = w;
-                    }
-                }
-            }
+        size = collect_ball(offsets, indices, active, -1, v, radius, mask,
+                            deg, parent, ball, &rim);
+        for (i = rim; i < size; i++) {
+            int u = ball[i];
+            deg[u] = cyclic && !cyclic[u]
+                         ? 1 : rim_degree(offsets, indices, mask, u);
         }
-        if (size >= 4) {
-            for (i = 0; i < size; i++) {
-                int u = ball[i], d = 0;
-                for (e = offsets[u]; e < offsets[u + 1]; e++)
-                    d += mask[indices[e]];
-                deg[u] = d;
-                twice += d;
-            }
-        }
+        for (i = 0; i < size; i++)
+            twice += deg[ball[i]];
         if (size < 4 || twice < 2 * size) {
             for (i = 0; i < size; i++) {
                 mask[ball[i]] = 0;
@@ -206,23 +352,7 @@ int dcc_detect(
             }
             continue;
         }
-        for (i = 0; i < size; i++)
-            if (deg[ball[i]] <= 1)
-                stack[top++] = ball[i];
-        alive = size;
-        while (top) {
-            int u = stack[--top];
-            if (!mask[u])
-                continue;
-            mask[u] = 0;
-            deg[u] = 0;
-            alive--;
-            for (e = offsets[u]; e < offsets[u + 1]; e++) {
-                int w = indices[e];
-                if (mask[w] && --deg[w] == 1)
-                    stack[top++] = w;
-            }
-        }
+        alive = peel(offsets, indices, mask, deg, parent, ball, size, stack);
         k = 0;
         if (alive >= 4 && mask[v]) {
             int cycle = 1;

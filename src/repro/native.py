@@ -1,7 +1,8 @@
 """Build-on-first-use loader for the solver's C kernel.
 
 ``kernel.c`` (next to this module) holds the native inner loops: DCC
-detection (``dcc_detect``, all of phase (1)), the two (deg+1)-list
+detection (``dcc_detect``, all of phase (1), behind its prefilter
+``short_cycles``), the two (deg+1)-list
 coloring engines' sweeps (``class_sweep``, ``pending_nodes`` and
 ``trial_round``), Linial's reduction round (``linial_round``), the
 multi-source level BFS (``level_bfs``), coloring validation
@@ -63,7 +64,7 @@ _P, _I = ctypes.c_void_p, ctypes.c_int
 ENTRY_POINTS: dict[str, list] = {
     "dcc_detect": [
         _P, _P, _I, _I,  # offsets, indices, n, radius
-        _P, _P, _I, _I,  # active, nodes, count, start
+        _P, _P, _I, _I, _P,  # active, nodes, count, start, cyclic
         _P, _P, _P, _P, _I,  # mask, zeroed, work, selected_by, base
         _P, _I, _P, _I,  # sizes, size_cap, members, member_cap
         ctypes.POINTER(_I),  # emitted
@@ -100,6 +101,11 @@ ENTRY_POINTS: dict[str, list] = {
     "edge_pairs": [_P, _P, _I, _P, _I],  # offsets, indices, n, pairs, cap
     "edge_keys": [_P, _I, ctypes.c_longlong, _P, _P],  # pairs, m, n, keys, scratch
     "adopt_rows": [_P, _I, _P, _P, _P, _I],  # offsets, n, starts, lens, hist, cap
+    "short_cycles": [
+        _P, _P, _I, _I,  # offsets, indices, n, radius
+        _P, _P, _I,  # active, nodes, count
+        _P, _P, _P, _P,  # mask, zeroed, work, cyclic
+    ],
 }
 
 

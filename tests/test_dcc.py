@@ -82,6 +82,7 @@ class TestSharedScratch:
         # the scratch is handed back zeroed every time
         assert not any(scratch.mask)
         assert not any(scratch.active_mask)
+        assert not any(scratch.cyclic)
         assert not any(scratch.scratch[0]) and not any(scratch.scratch[1])
 
     def test_scratch_reuse_on_full_graph_sweeps(self):

@@ -943,6 +943,7 @@ def test_dcc_detection_paths_agree_on_active_subsets(name, graph, radii, detect_
             assert_same_detection(got, detect_python(graph, radius, active=active), name)
             assert got.nodes_in_dccs <= active
     assert not any(scratch.mask) and not any(scratch.active_mask)
+    assert not any(scratch.cyclic)
 
 
 @pytest.mark.parametrize("bad", [-1, 42])
@@ -1108,6 +1109,7 @@ def test_dcc_kernel_per_component_sweeps_share_scratch(name, graph, detect_pytho
             assert_well_formed(got)
             assert got.nodes_in_dccs <= active
     assert not any(scratch.mask) and not any(scratch.active_mask)
+    assert not any(scratch.cyclic)
     if native.kernel("dcc_detect") is not None:
         zeroed, _, selected, _, _ = scratch.kernel_buffers()
         assert not any(zeroed) and set(selected) == {-1}
@@ -1159,11 +1161,132 @@ def test_dcc_scratch_is_reused_and_left_zeroed():
     first = dcc_mod.detect_dccs(graph, 2, scratch=scratch)
     buffers = scratch.kernel_buffers()
     deg = buffers[0]
-    assert not any(deg) and not any(scratch.mask)
+    assert not any(deg) and not any(scratch.mask) and not any(scratch.cyclic)
     assert not any(scratch.scratch[0]) and not any(scratch.scratch[1])
     second = dcc_mod.detect_dccs(graph, 2, scratch=scratch)
     assert scratch.kernel_buffers() is buffers
     assert_same_detection(first, second)
+
+
+# -- the short-cycle prefilter: which passes the kernel may skip --------
+#
+# ``short_cycles`` marks every node on a cycle of length <= 2r+1 and
+# ``dcc_detect`` collects only the marked nodes' balls, reading no row of
+# an unmarked node at the ball's rim.  A prefilter that misses a cycle
+# drops a DCC, and one that misjudges a rim node's degree breaks a core,
+# so the twin (which has no prefilter) is the oracle.
+
+
+@pytest.fixture
+def prefilter_marks(monkeypatch):
+    """The return value of every ``short_cycles`` call (the marked count,
+    or -1 when the marks were dropped as too dense)."""
+    real = native.kernel
+    marks = []
+
+    def recorded(name):
+        function = real(name)
+        if name != "short_cycles" or function is None:
+            return function
+
+        def call(*args):
+            marks.append(function(*args))
+            return marks[-1]
+
+        return call
+
+    monkeypatch.setattr(native, "kernel", recorded)
+    return marks
+
+
+def odd_thetas(cycle: int, copies: int, seed: int) -> Graph:
+    """Thetas of two ``cycle``-cycles sharing an edge, planted on a
+    girth-9 cubic graph: from the smallest node of either cycle, the edge
+    opposite it joins two nodes at depth (cycle - 1) / 2."""
+    half = cycle - 1
+    return planted(
+        high_girth_regular_graph(300, 3, 9, seed=4),
+        [theta_edges(0, (1, half, half))] * copies,
+        seed,
+    )
+
+
+@requires_kernel
+@pytest.mark.parametrize("cycle,radius", [(5, 2), (7, 3)])
+@pytest.mark.parametrize("relabel", [None, 1, 2])
+def test_dcc_prefilter_keeps_dccs_closed_by_odd_cycles(
+    cycle, radius, relabel, prefilter_marks, detect_python
+):
+    """The only DCCs are thetas of two (2r+1)-cycles: the prefilter must
+    read the rim's rows to find them, and stays on (the graph is sparse)."""
+    graph = odd_thetas(cycle, 4, seed=3)
+    if relabel is not None:
+        graph = relabeled(graph, relabel)
+    got = dcc_mod.detect_dccs(graph, radius)
+    expected = detect_python(graph, radius)
+    assert_same_detection(got, expected)
+    assert len(expected.dccs) == 4
+    assert all(len(dcc) == 2 * cycle - 2 for dcc in expected.dccs)
+    assert prefilter_marks and all(mark > 0 for mark in prefilter_marks)
+
+
+def dense_rrg(n: int, delta: int) -> Graph:
+    return random_regular_graph(n, delta, seed=n + delta)
+
+
+@requires_kernel
+@pytest.mark.parametrize("n,delta,radius", [(1024, 8, 2), (4096, 8, 3)])
+def test_dcc_prefilter_steps_aside_on_dense_graphs(
+    n, delta, radius, prefilter_marks, detect_python
+):
+    """Short cycles everywhere: the marks are dropped (-1) and every ball
+    is collected, with the twin's output."""
+    graph = dense_rrg(n, delta)
+    got = dcc_mod.detect_dccs(graph, radius)
+    assert_same_detection(got, detect_python(graph, radius))
+    assert got.dccs
+    assert prefilter_marks == [-1]
+
+
+@requires_kernel
+def test_dcc_prefilter_on_dense_active_subsets(prefilter_marks, detect_python):
+    """rrg n=4096, Δ=8, r=3 within ``active``: dense subsets drop the
+    marks, sparse ones keep them; one scratch serves all and is left at
+    rest."""
+    graph = dense_rrg(4096, 8)
+    rng = random.Random(5)
+    scratch = dcc_mod.DCCScratch(graph.n)
+    for share in (0.7, 0.3):
+        active = {v for v in range(graph.n) if rng.random() < share}
+        got = dcc_mod.detect_dccs(graph, 3, active=active, scratch=scratch)
+        assert_same_detection(got, detect_python(graph, 3, active=active))
+        assert got.dccs and got.nodes_in_dccs <= active
+    assert prefilter_marks[0] == -1 and prefilter_marks[1] > 0
+    assert not any(scratch.mask) and not any(scratch.active_mask)
+    assert not any(scratch.cyclic)
+
+
+@requires_kernel
+@pytest.mark.parametrize("dense", [False, True])
+def test_dcc_prefilter_runs_once_per_sweep_across_resumes(
+    dense, monkeypatch, kernel_calls, detect_python
+):
+    """One DCC per output buffer forces a resume per DCC; the marks are
+    built once per sweep and survive every resume."""
+    if dense:
+        graph = dense_rrg(1024, 8)
+    else:
+        graph = disjoint_union([odd_thetas(5, 3, seed=4), torus_grid(6, 8)])
+    monkeypatch.setattr(dcc_mod, "_OUT_DCCS", 1)
+    scratch = dcc_mod.DCCScratch(graph.n)
+    for sweep, radius in enumerate((2, 3), start=1):
+        expected = detect_python(graph, radius)
+        got = dcc_mod.detect_dccs(graph, radius, scratch=scratch)
+        assert_same_detection(got, expected)
+        assert len(expected.dccs) > 1
+        assert kernel_calls["short_cycles"] == sweep
+        assert not any(scratch.cyclic)
+    assert kernel_calls["dcc_detect"] > 2
 
 
 # -- (deg+1)-list coloring: class sweep and trial rounds, kernel vs twin --
