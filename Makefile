@@ -16,7 +16,8 @@ test:
 # the kernel cannot load and every solve runs the twins.
 TWIN_TESTS := tests/test_golden_solve.py tests/test_golden_seed.py \
 	tests/test_vectorized_twins.py tests/test_native_kernel.py \
-	tests/test_wire_packed.py
+	tests/test_wire_packed.py tests/test_degree_choosable.py \
+	tests/test_oracles.py
 
 test-no-cc:
 	@bin=$$(dirname "$$(python -c 'import sys; print(sys.executable)')"); \

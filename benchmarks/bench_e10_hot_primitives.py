@@ -23,6 +23,12 @@ toward per-stub / per-node Python.
   short-cycle prefilter; the dense rows (n=1024, 4096: more than half
   the nodes on such cycles) trip its guard and collect every ball, so
   the guard's cost stays visible.
+* **E10d** — phase (9) alone: one solve-dcc-sized B0 (rrg Δ=8, DCCs at
+  r=2 and the virtual ruling set's pick) against the colors of a solve
+  with those nodes cleared.  ``ColorWorkspace.degree_list`` (the
+  kernel's ``degree_list_surplus``, on an open workspace) vs the twin
+  loop of ``color_against_outside``: wall clock of each, the component
+  count and how many components the kernel handed back.
 
 Unlike the E-series experiment tables this is not a paper-claim probe —
 it deliberately isolates primitives whose cost the end-to-end benchmark
@@ -36,11 +42,13 @@ import time
 
 from common import emit, sizes
 from repro.analysis.experiments import Row, Table
-from repro.core.dcc import DCCScratch, detect_dccs
+from repro.api import solve
+from repro.core.dcc import DCCScratch, detect_dccs, virtual_graph_ruling_set
+from repro.core.degree_choosable import color_against_outside
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.validation import UNCOLORED, validate_coloring
 from repro.local.rounds import RoundLedger
-from repro.primitives.list_coloring import list_coloring_random
+from repro.primitives.list_coloring import ColorWorkspace, list_coloring_random
 
 
 def build_generator_table():
@@ -120,7 +128,48 @@ def build_dcc_detection_table():
     return emit(table, "e10c_dcc_detection")
 
 
+def build_b0_table():
+    table = Table(title="E10d: phase (9) on one B0 (rrg Δ=8, r=2)")
+    for n in sizes([4096, 32768], [32768, 131072]):
+        graph = random_regular_graph(n, 8, seed=5)
+        dccs = detect_dccs(graph, 2).dccs
+        chosen, _ = virtual_graph_ruling_set(
+            graph, dccs, rounds_per_virtual=5, rng=random.Random(1)
+        )
+        components = [dccs[i] for i in chosen]
+        colors = list(solve(graph, seed=1).colors)
+        for v in {v for component in components for v in component}:
+            colors[v] = UNCOLORED
+        kernel_best = twin_best = float("inf")
+        for _ in range(3):
+            native_colors = list(colors)
+            with ColorWorkspace(graph, native_colors, n) as work:
+                started = time.perf_counter()
+                handed_back = work.degree_list(components, 8)
+                kernel_best = min(kernel_best, time.perf_counter() - started)
+            twin_colors = list(colors)
+            started = time.perf_counter()
+            for component in components:
+                color_against_outside(graph, twin_colors, component, 8)
+            twin_best = min(twin_best, time.perf_counter() - started)
+        assert native_colors == twin_colors
+        validate_coloring(graph, twin_colors, max_colors=8)
+        table.rows.append(Row(
+            params={"n": n},
+            values={"kernel_ms": round(1000 * kernel_best, 2),
+                    "twin_ms": round(1000 * twin_best, 2),
+                    "components": len(components),
+                    "hand_backs": len(handed_back)},
+        ))
+    table.notes.append(
+        "kernel_ms excludes the int32 mirror, which phase (9) shares with "
+        "phase (8); without a compiler both columns run the twin"
+    )
+    return emit(table, "e10d_b0")
+
+
 if __name__ == "__main__":
     build_generator_table()
     build_trial_rounds_table()
     build_dcc_detection_table()
+    build_b0_table()

@@ -36,6 +36,15 @@ The algorithm (classic, following [ERT79] / Lovász's Brooks proof):
    feasible for their particular lists).
 
 Raises :class:`InfeasibleListColoringError` when no coloring exists.
+
+Phase (9) colors its components through
+:meth:`repro.primitives.list_coloring.ColorWorkspace.degree_list`.  With
+the native kernel loaded, case 1 of :func:`color_against_outside` runs
+there (``degree_list_surplus`` in ``repro/kernel.c``: same lists, root,
+BFS order and greedy step, its result checked before it is written);
+a component in any other case, or one that fails the check, is handed
+back to :func:`color_against_outside` here, which is also the whole
+path without the kernel.  Every other caller uses this module directly.
 """
 
 from __future__ import annotations
@@ -99,14 +108,21 @@ def degree_list_color(graph: Graph, lists: list[set[int]]) -> list[int]:
         Connected graph (nodes ``0..n-1``; callers relabel components).
     lists:
         ``lists[v]`` is the set of allowed colors; must satisfy
-        ``len(lists[v]) >= graph.degree(v)``.
+        ``len(lists[v]) >= graph.degree(v)``.  Colors are 1-based: 0 is
+        ``UNCOLORED``, the solver's sentinel, and no list may hold a
+        color below 1.
 
     Returns the color assignment (``result[v] ∈ lists[v]``) or raises
-    :class:`InfeasibleListColoringError`.
+    :class:`InfeasibleListColoringError`.  Raises ``ValueError`` naming
+    the node and the color when a list holds a color below 1.
     """
     n = graph.n
     if n == 0:
         return []
+    for v in range(n):
+        lowest = min(lists[v], default=1)
+        if lowest < 1:
+            raise ValueError(f"node {v}: list color {lowest} < 1 (colors are 1-based)")
     for v in range(n):
         if len(lists[v]) < graph.degree(v):
             raise InfeasibleListColoringError(

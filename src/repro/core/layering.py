@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Literal
 
@@ -69,6 +70,7 @@ def color_layers_in_reverse(
     palette: int | None = None,
     include_layer_zero: bool = False,
     strict: bool = False,
+    workspace: ColorWorkspace | None = None,
 ) -> LayerColoringReport:
     """Color ``layers[s], .., layers[1]`` (optionally also ``layers[0]``)
     in reverse order with the chosen (deg+1)-list engine.
@@ -85,7 +87,8 @@ def color_layers_in_reverse(
     The whole pass shares one :class:`ColorWorkspace`, so the native
     kernel pays for one int32 color mirror and one write-back per phase;
     the deterministic engine outside strict mode sweeps every layer in
-    one kernel call.
+    one kernel call.  A caller that passes its own ``workspace`` (over
+    ``colors``) keeps it open after the pass, for the phase after.
     """
     rng = rng if rng is not None else random.Random(0)
     if engine == "deterministic" and (base_colors is None or palette is None):
@@ -93,7 +96,11 @@ def color_layers_in_reverse(
     last = 0 if include_layer_zero else 1
     order = [i for i in range(len(layers) - 1, last - 1, -1) if layers[i]]
     report = LayerColoringReport()
-    with ColorWorkspace(graph, colors, sum(len(layers[i]) for i in order)) as work:
+    if workspace is None:
+        opened = ColorWorkspace(graph, colors, sum(len(layers[i]) for i in order))
+    else:
+        opened = nullcontext(workspace)
+    with opened as work:
         if engine == "deterministic" and not strict:
             work.deterministic(
                 [layers[i] for i in order], max_colors, base_colors, palette, ledger

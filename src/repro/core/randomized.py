@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from repro.errors import AlgorithmContractError
 from repro.core.dcc import detect_dccs, virtual_graph_ruling_set
-from repro.core.degree_choosable import color_against_outside
 from repro.core.happiness import build_happiness_layers
 from repro.core.layering import color_layers_in_reverse
 from repro.core.marking import default_selection_probability, marking_process
@@ -45,6 +44,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import EngineRun, RoundLedger
 from repro.primitives.linial import linial_coloring
+from repro.primitives.list_coloring import ColorWorkspace
 
 __all__ = [
     "RandomizedParams",
@@ -259,21 +259,26 @@ def run_pipeline(
             include_layer_zero=True, strict=params.strict,
         )
 
-    # Phase (8): B-layers in reverse.
-    with ledger.phase("8:b-layers"):
-        color_layers_in_reverse(
-            graph, colors, b_layers, delta, params.engine, ledger, rng,
-            base_colors=base_colors, palette=palette,
-            include_layer_zero=False, strict=params.strict,
-        )
+    # Phases (8) and (9) share one color workspace: every colored
+    # neighbour of a B0 component is in phase (8)'s view, and it is
+    # written back to ``colors`` once, at the end of phase (9).
+    b0_components = [detection.dccs[idx] for idx in chosen]
+    targets = sum(map(len, b_layers[1:])) + sum(map(len, b0_components))
+    with ColorWorkspace(graph, colors, targets) as work:
+        # Phase (8): B-layers in reverse.
+        with ledger.phase("8:b-layers"):
+            color_layers_in_reverse(
+                graph, colors, b_layers, delta, params.engine, ledger, rng,
+                base_colors=base_colors, palette=palette,
+                include_layer_zero=False, strict=params.strict, workspace=work,
+            )
 
-    # Phase (9): B0 components by degree-choosability.
-    with ledger.phase("9:b0"):
-        costs = []
-        for idx in chosen:
-            color_against_outside(graph, colors, detection.dccs[idx], delta)
-            costs.append(2 * r_dcc + 1)
-        ledger.charge_max(costs)
+        # Phase (9): B0 components by degree-choosability, each in
+        # parallel with the others in 2r+1 rounds.
+        with ledger.phase("9:b0"):
+            work.degree_list(b0_components, delta)
+            ledger.charge_max([2 * r_dcc + 1] * len(b0_components))
+            work.close()
 
     return EngineRun.from_ledger(
         algorithm, colors, delta, ledger, stats, RANDOMIZED_PHASE_KEYS,

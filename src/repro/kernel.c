@@ -35,7 +35,13 @@
  *                 buffer, endpoints range-checked (repro.service.
  *                 fingerprint: _edge_keys_python);
  *   adopt_rows    row starts, row lengths and degree histogram of a CSR
- *                 (repro.graphs.dynamic: _adopt_rows_python).
+ *                 (repro.graphs.dynamic: _adopt_rows_python);
+ *   degree_list_surplus
+ *                 phase (9): a run of B0 components, each a degree-list
+ *                 instance against its colored surroundings, in the
+ *                 surplus case; every other case is handed back to the
+ *                 twin (repro.core.degree_choosable:
+ *                 color_against_outside).
  */
 
 #include <stdlib.h>
@@ -406,31 +412,38 @@ int dcc_detect(
 
 /* ---- (deg+1)-list coloring ------------------------------------------- */
 
+/* Sort a[0..k) ascending and drop repeats; returns how many are left. */
+static int distinct(int *a, int k)
+{
+    int i, j;
+    if (k > 32) {
+        qsort(a, k, sizeof *a, ascending);
+    } else {
+        for (i = 1; i < k; i++) {
+            int c = a[i];
+            for (j = i; j > 0 && a[j - 1] > c; j--)
+                a[j] = a[j - 1];
+            a[j] = c;
+        }
+    }
+    for (i = j = 0; i < k; i++)
+        if (!j || a[j - 1] != a[i])
+            a[j++] = a[i];
+    return j;
+}
+
 /* The distinct colors in 1..max_colors that neighbours of v wear,
  * ascending, into worn (room for deg(v) entries); returns how many. */
 static int worn_colors(const int *offsets, const int *indices,
                        const int *colors, int max_colors, int v, int *worn)
 {
-    int e, i, j, k = 0;
+    int e, k = 0;
     for (e = offsets[v]; e < offsets[v + 1]; e++) {
         int c = colors[indices[e]];
         if (c >= 1 && c <= max_colors)
             worn[k++] = c;
     }
-    if (k > 32) {
-        qsort(worn, k, sizeof *worn, ascending);
-    } else {
-        for (i = 1; i < k; i++) {
-            int c = worn[i];
-            for (j = i; j > 0 && worn[j - 1] > c; j--)
-                worn[j] = worn[j - 1];
-            worn[j] = c;
-        }
-    }
-    for (i = j = 0; i < k; i++)
-        if (!j || worn[j - 1] != worn[i])
-            worn[j++] = worn[i];
-    return j;
+    return distinct(worn, k);
 }
 
 /* The (pick + 1)-th smallest positive color not in worn[0..k) (ascending,
@@ -572,6 +585,123 @@ int trial_round(const int *offsets, const int *indices, int *colors,
         props[v] = 0;
     }
     return j;
+}
+
+/* ---- degree-list instances (phase 9) --------------------------------- */
+
+/* One component run[0..k) (ascending, distinct; local[v] = j + 1 for
+ * v = run[j], 0 for every other node) in the surplus case of
+ * repro.core.degree_choosable.color_against_outside.  Member v's list is
+ * 1..max_colors minus the colors its outside neighbours wear; the root is
+ * the first member whose list exceeds its in-component degree; a BFS from
+ * the root over the members' rows, in row order, gives the order, and the
+ * members take, in reverse BFS order, the smallest list color no colored
+ * member neighbour wears.  The result is checked (each color on its list,
+ * no member edge monochromatic) and only then written to colors.  Returns
+ * 1 when it wrote the component, 0 (nothing written) when a list is
+ * shorter than its member's in-component degree, when no member has a
+ * surplus, when the BFS misses a member, when a greedy step finds no color
+ * or when the check fails.  local is left negated for the members (the
+ * caller clears it); order and assign hold k entries, worn max degree. */
+static int surplus_component(const int *offsets, const int *indices,
+                             int *colors, int max_colors, const int *run,
+                             int k, int *local, int *order, int *assign,
+                             int *worn)
+{
+    int j, e, root = -1, head = 0, tail = 1;
+    for (j = 0; j < k; j++) {
+        int v = run[j], inside = 0, m = 0;
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            int w = indices[e], c = colors[w];
+            if (local[w])
+                inside++;
+            else if (c >= 1 && c <= max_colors)
+                worn[m++] = c;
+        }
+        m = max_colors - distinct(worn, m);
+        if (m < inside)
+            return 0;
+        if (root < 0 && m > inside)
+            root = j;
+        assign[j] = 0;
+    }
+    if (root < 0)
+        return 0;
+    order[0] = root;
+    local[run[root]] = -local[run[root]];
+    while (head < tail) {
+        int u = run[order[head++]];
+        for (e = offsets[u]; e < offsets[u + 1]; e++) {
+            int t = local[indices[e]];
+            if (t > 0) {
+                local[indices[e]] = -t;
+                order[tail++] = t - 1;
+            }
+        }
+    }
+    if (tail < k)
+        return 0;
+    while (tail--) {
+        int v = run[order[tail]], m = 0;
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            int w = indices[e];
+            int c = local[w] ? assign[-local[w] - 1] : colors[w];
+            if (c >= 1 && c <= max_colors)
+                worn[m++] = c;
+        }
+        m = distinct(worn, m);
+        if (m >= max_colors)
+            return 0;
+        assign[order[tail]] = nth_free(worn, m, 0);
+    }
+    for (j = 0; j < k; j++) {
+        int v = run[j], c = assign[j];
+        if (c < 1 || c > max_colors)
+            return 0;
+        for (e = offsets[v]; e < offsets[v + 1]; e++) {
+            int w = indices[e];
+            if ((local[w] ? assign[-local[w] - 1] : colors[w]) == c)
+                return 0;
+        }
+    }
+    for (j = 0; j < k; j++)
+        colors[run[j]] = assign[j];
+    return 1;
+}
+
+/* degree_list_surplus: color components start .. count-1 in order, each
+ * the run members[ends[i-1] .. ends[i]) (ends[-1] = 0), as a degree-list
+ * instance against the colors around it (surplus_component); a component
+ * sees the colors of the ones before it.  Each run is sorted and its
+ * repeats dropped in place.  Returns the index of the first component not
+ * colored (count when all are), leaving it and those after it untouched;
+ * or, having written nothing, -1 - i when component i holds a node
+ * outside 0..n-1.  local (n entries) must be zero on entry and is zero on
+ * return; work holds twice the longest run, worn max degree entries.
+ */
+int degree_list_surplus(const int *offsets, const int *indices, int n,
+                        int *colors, int max_colors, int *members,
+                        const int *ends, int count, int start, int *local,
+                        int *work, int *worn)
+{
+    int i, j;
+    for (i = start; i < count; i++)
+        for (j = i ? ends[i - 1] : 0; j < ends[i]; j++)
+            if (members[j] < 0 || members[j] >= n)
+                return -1 - i;
+    for (i = start; i < count; i++) {
+        int lo = i ? ends[i - 1] : 0, k = distinct(members + lo, ends[i] - lo);
+        int *run = members + lo, colored;
+        for (j = 0; j < k; j++)
+            local[run[j]] = j + 1;
+        colored = !k || surplus_component(offsets, indices, colors, max_colors,
+                                          run, k, local, work, work + k, worn);
+        for (j = 0; j < k; j++)
+            local[run[j]] = 0;
+        if (!colored)
+            return i;
+    }
+    return count;
 }
 
 /* ---- Linial's color reduction ----------------------------------------- */

@@ -2,24 +2,25 @@
 
 ``kernel.c`` (next to this module) holds the native inner loops: DCC
 detection (``dcc_detect``, all of phase (1), behind its prefilter
-``short_cycles``), the two (deg+1)-list
-coloring engines' sweeps (``class_sweep``, ``pending_nodes`` and
-``trial_round``), Linial's reduction round (``linial_round``), the
-multi-source level BFS (``level_bfs``), coloring validation
-(``validate``), phase (5)'s H-boundary (``h_boundary``), the edge
-listing (``edge_pairs``), the sorted packed edge keys behind every
-graph fingerprint (``edge_keys``) and the row tables a ``DynamicGraph``
-adopts (``adopt_rows``).  It is compiled by the system C compiler
-(``cc`` on ``PATH``) into one shared object and called through
-:mod:`ctypes`; no numpy, scipy or cffi is involved.  The object is
-cached under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) as
-``kernel-<hash>.so``, the hash covering the C source, the compiler path,
-the flags and the platform tag, so an edit to any of them builds a new
-file.  A build writes a temporary name and ``os.replace``-s it in, so
-concurrent first uses never load a half-written file.  The cache is used
-only when the directory is owned by the current user and is not group-
-or world-writable; otherwise the kernel is built in a private
-``mkdtemp()`` directory, loaded, and the directory removed.
+``short_cycles``), the two (deg+1)-list coloring engines' sweeps
+(``class_sweep``, ``pending_nodes`` and ``trial_round``), phase (9)'s
+degree-list instances in their surplus case (``degree_list_surplus``),
+Linial's reduction round (``linial_round``), the multi-source level BFS
+(``level_bfs``), coloring validation (``validate``), phase (5)'s
+H-boundary (``h_boundary``), the edge listing (``edge_pairs``), the
+sorted packed edge keys behind every graph fingerprint (``edge_keys``)
+and the row tables a ``DynamicGraph`` adopts (``adopt_rows``).  It is
+compiled by the system C compiler (``cc`` on ``PATH``) into one shared
+object and called through :mod:`ctypes`; no numpy, scipy or cffi is
+involved.  The object is cached under ``$XDG_CACHE_HOME/repro``
+(default ``~/.cache/repro``) as ``kernel-<hash>.so``, the hash covering
+the C source, the compiler path, the flags and the platform tag, so an
+edit to any of them builds a new file.  A build writes a temporary name
+and ``os.replace``-s it in, so concurrent first uses never load a
+half-written file.  The cache is used only when the directory is owned
+by the current user and is not group- or world-writable; otherwise the
+kernel is built in a private ``mkdtemp()`` directory, loaded, and the
+directory removed.
 
 Every entry point binds or none does.  Any failure (no compiler, a
 failed build, a refused cache, a failed ``dlopen``, a missing symbol)
@@ -105,6 +106,11 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _P, _I, _I,  # offsets, indices, n, radius
         _P, _P, _I,  # active, nodes, count
         _P, _P, _P, _P,  # mask, zeroed, work, cyclic
+    ],
+    "degree_list_surplus": [
+        _P, _P, _I, _P, _I,  # offsets, indices, n, colors, max_colors
+        _P, _P, _I, _I,  # members, ends, count, start
+        _P, _P, _P,  # local, work, worn
     ],
 }
 

@@ -224,6 +224,10 @@ def _no_color(v: int) -> InfeasibleListColoringError:
     )
 
 
+def _out_of_range(component: int, n: int) -> IndexError:
+    return IndexError(f"component {component} holds a node out of range for n={n}")
+
+
 def _bad_base(v: int, base: int, palette: int) -> AlgorithmContractError:
     return AlgorithmContractError(
         f"node {v} has base color {base}, outside the base palette [0, {palette})"
@@ -235,7 +239,7 @@ def _bad_base(v: int, base: int, palette: int) -> AlgorithmContractError:
 # O(volume of the targets); a workspace over fewer than n / 64 targets
 # (one small phase-6 component, say) keeps to the twins.
 _MIRROR_SHARE = 64
-_KERNELS = ("class_sweep", "pending_nodes", "trial_round")
+_KERNELS = ("class_sweep", "pending_nodes", "trial_round", "degree_list_surplus")
 
 
 class ColorWorkspace:
@@ -253,7 +257,8 @@ class ColorWorkspace:
 
     :func:`repro.core.layering.color_layers_in_reverse` opens one
     workspace per phase, so a phase pays for one mirror and one
-    write-back; each engine function below is a one-call workspace.
+    write-back; the randomized pipeline opens one for phases (8) and (9)
+    together.  Each engine function below is a one-call workspace.
     """
 
     def __init__(self, graph: Graph, colors: list[int], target_count: int):
@@ -279,8 +284,64 @@ class ColorWorkspace:
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Copy the mirror back to ``colors``; from then on the
+        workspace works on ``colors`` itself, through the twins."""
         if self.view is not self.colors:
             self.colors[:] = self.view.tolist()
+            self.view = self.colors
+            self._kernels = None
+
+    def degree_list(self, components: list[list[int]], max_colors: int) -> list[int]:
+        """Color ``components`` in order, each as one degree-list
+        instance against the colors around it
+        (:func:`repro.core.degree_choosable.color_against_outside`); a
+        component sees the colors of the ones before it.
+
+        The kernel (``degree_list_surplus``) colors every component in
+        the surplus case and hands back the first one it does not color;
+        the twin colors that one on :attr:`view` and the kernel resumes
+        after it.  Returns the indices of the components the twin colored
+        (all of them without the kernel).  A node outside ``0..n-1``
+        raises ``IndexError`` before anything is written.
+        """
+        from repro.core.degree_choosable import color_against_outside
+
+        n = self.graph.n
+        members = None
+        if self._kernels is not None:
+            try:
+                members = array("i", chain.from_iterable(components))
+            except OverflowError:  # a node beyond int32: the twin's check names it
+                pass
+        if members is None:
+            for i, component in enumerate(components):
+                if not all(0 <= v < n for v in component):
+                    raise _out_of_range(i, n)
+            for component in components:
+                color_against_outside(self.graph, self.view, component, max_colors)
+            return list(range(len(components)))
+        ends = array("i", accumulate(map(len, components)))
+        work = array("i", bytes(8 * max(map(len, components), default=0)))
+        offsets, indices = self._csr
+        handed_back: list[int] = []
+        start = 0
+        while start < len(components):
+            stop = self._kernels["degree_list_surplus"](
+                address(offsets), address(indices), n, address(self.view), max_colors,
+                address(members), address(ends), len(components), start,
+                address(self._props), address(work), address(self._worn),
+            )
+            if stop < 0:
+                raise _out_of_range(-1 - stop, n)
+            if stop == len(components):
+                break
+            color_against_outside(self.graph, self.view, components[stop], max_colors)
+            handed_back.append(stop)
+            start = stop + 1
+        return handed_back
 
     def random(
         self,

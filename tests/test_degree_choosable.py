@@ -19,6 +19,7 @@ from repro.graphs.generators import (
     complete_graph_minus_edge,
     cycle_graph,
     hypercube,
+    path_graph,
     random_gallai_tree,
     random_nice_graph,
     random_regular_graph,
@@ -88,6 +89,25 @@ class TestInfeasibleCases:
         g = complete_graph(3)
         with pytest.raises(InfeasibleListColoringError, match="degree"):
             degree_list_color(g, [{1}, {1, 2}, {1, 2}])
+
+
+class TestOneBasedLists:
+    """Color 0 is UNCOLORED: a list holding it (or anything below 1) is
+    refused up front, naming the node and the color."""
+
+    def test_path_with_color_zero(self):
+        # Used to crash a feasible instance with an untyped AssertionError.
+        with pytest.raises(ValueError, match="node 0: list color 0 < 1"):
+            degree_list_color(path_graph(2), [{0, 1}, {0, 1}])
+
+    def test_even_cycle_with_color_zero(self):
+        # Used to "succeed" with [0, 1, 0, 1], half the nodes uncolored.
+        with pytest.raises(ValueError, match="node 0: list color 0 < 1"):
+            degree_list_color(cycle_graph(4), [{0, 1}] * 4)
+
+    def test_names_the_first_offending_node(self):
+        with pytest.raises(ValueError, match="node 2: list color -3 < 1"):
+            degree_list_color(path_graph(3), [{1, 2}, {1, 2}, {2, -3}])
 
 
 class TestBrooksColoring:

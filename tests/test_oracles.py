@@ -14,12 +14,18 @@ on.  On each input:
 Graphs are kept small so every (engine, graph) pair runs in tier-1.  Two
 long-diameter families (a 4×130 torus and a chain of K5-minus-an-edge
 gadgets) put more than 64 BFS levels between some nodes, so the layer
-searches run deep.
+searches run deep.  Brooks certificates (an even cycle, a theta, a
+wheel) planted into small random regular graphs, and a 12×12 torus
+dense with 4-cycles, become base-layer DCCs: phase (9) colors them, and
+the tight ones (every list exactly its node's in-component degree) go
+through the native kernel's hand-back to the Python twin.
 """
 
 from __future__ import annotations
 
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -43,6 +49,7 @@ from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_nice
 from repro.graphs.validation import validate_coloring
+from repro.primitives.list_coloring import ColorWorkspace
 
 
 def gadget_chain(count: int, k: int = 5) -> Graph:
@@ -59,6 +66,45 @@ def gadget_chain(count: int, k: int = 5) -> Graph:
         if g:
             edges.append((base - 1, base))  # previous copy's k-1 to this copy's 0
     return Graph(count * k, edges)
+
+def planted(certificate, copies: int, n: int, d: int, seed: int) -> Graph:
+    """``copies`` disjoint copies of ``certificate`` (k nodes, inner
+    edges) joined into a random d-regular graph on n nodes: a matching of
+    the host is cut, and each certificate node v takes d - deg(v) of the
+    freed ends, so the result is d-regular again."""
+    k, edges = certificate
+    host = random_regular_graph(n, d, seed=seed)
+    degree = Counter(v for edge in edges for v in edge)
+    stubs = [n + c * k + v for c in range(copies) for v in range(k) for _ in range(d - degree[v])]
+    order = list(host.edges())
+    random.Random(seed).shuffle(order)
+    cut: list[tuple[int, int]] = []
+    used: set[int] = set()
+    for u, v in order:
+        if 2 * len(cut) == len(stubs):
+            break
+        if u not in used and v not in used:
+            cut.append((u, v))
+            used.update((u, v))
+    freed = [end for edge in cut for end in edge]
+    removed = set(cut)
+    kept = [edge for edge in host.edges() if edge not in removed]
+    inner = [(n + c * k + a, n + c * k + b) for c in range(copies) for a, b in edges]
+    return Graph(n + copies * k, kept + inner + list(zip(stubs, freed)))
+
+
+# Snippet 2's Brooks certificates: an even cycle, a theta (two nodes
+# joined by three paths) and a wheel.
+EVEN_CYCLE = (4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+THETA = (6, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+WHEEL = (5, [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)])
+
+CERTIFICATES = {
+    "brooks_even_cycle_rrg3": lambda: planted(EVEN_CYCLE, 3, 30, 3, seed=1),
+    "brooks_theta_rrg3": lambda: planted(THETA, 3, 30, 3, seed=1),
+    "brooks_wheel_rrg4": lambda: planted(WHEEL, 3, 30, 4, seed=3),
+    "torus_dcc_12x12": lambda: torus_grid(12, 12),
+}
 
 FAMILIES = {
     "torus_4x4": lambda: torus_grid(4, 4),
@@ -94,6 +140,7 @@ FAMILIES = {
     ]),
     "torus_4x130": lambda: torus_grid(4, 130),
     "gadget_chain_30": lambda: gadget_chain(30),
+    **CERTIFICATES,
 }
 
 LONG_DIAMETER = ("torus_4x130", "gadget_chain_30")
@@ -143,6 +190,31 @@ def test_long_diameter_families_are_deep(family):
     graph = FAMILIES[family]()
     assert is_nice(graph) and graph.is_connected()
     assert len(distance_layers(graph, [0])) > 64
+
+
+def test_planted_certificates_reach_phase_nine(monkeypatch):
+    """The certificate families put components into B0, and phase (9)
+    colors both kinds: tight ones through the twin and, with the kernel
+    loaded, the rest natively."""
+    real = ColorWorkspace.degree_list
+    tally = Counter()
+
+    def spy(self, components, max_colors):
+        handed_back = real(self, components, max_colors)
+        tally["components"] += len(components)
+        tally["twin"] += len(handed_back)
+        return handed_back
+
+    monkeypatch.setattr(ColorWorkspace, "degree_list", spy)
+    for family, build in CERTIFICATES.items():
+        graph = build()
+        assert is_nice(graph), family
+        before = tally["components"]
+        solve(graph, algorithm="randomized-small", seed=1, strict=True)
+        assert tally["components"] > before, family
+    assert tally["twin"] > 0
+    if native.kernel("degree_list_surplus") is not None:
+        assert tally["twin"] < tally["components"]
 
 
 @pytest.mark.skipif(

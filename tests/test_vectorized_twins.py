@@ -52,7 +52,18 @@ point off, as on a box without a C compiler):
   precolorings (some above ``max_colors``), palettes from Δ+1 to 3Δ,
   proper and improper base colorings, 20-node and empty layers, whole
   layer passes and infeasible nodes: colors, stats, ledger and the rng
-  tail must all match.
+  tail must all match;
+* phase (9)'s degree-list instances — ``ColorWorkspace.degree_list``
+  with the kernel's ``degree_list_surplus`` vs the twin loop of
+  ``color_against_outside``: the B0 components of real solves (rrg Δ=8,
+  n=2048), surplus at the first, a middle and the last member, tight
+  instances the kernel must hand back (an even cycle with equal 2-lists,
+  K4 minus an edge, a theta, a wheel, a Gallai tree with feasible
+  lists), an infeasible one (colors untouched), Δ > 64, stale member
+  colors, uncolored outside neighbours, two adjacent components in one
+  call and out-of-range members (``IndexError``, nothing written): same
+  colors, same error text, and the kernel hands back exactly the
+  components outside the twin's surplus case.
 """
 
 from __future__ import annotations
@@ -66,10 +77,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.dcc as dcc_mod
+import repro.core.degree_choosable as degree_choosable_mod
 import repro.core.happiness as happiness_mod
 import repro.primitives.linial as linial_mod
 from repro import native
+from repro.api import solve
 from repro.core.colorstore import ColorStore
+from repro.core.degree_choosable import color_against_outside
 from repro.core.layering import color_layers_in_reverse
 from repro.errors import AlgorithmContractError, ColoringError, InfeasibleListColoringError
 from repro.graphs import bfs as bfs_mod
@@ -90,8 +104,10 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_degree_choosable_component
+from repro.graphs.validation import UNCOLORED, validate_coloring
 from repro.local.rounds import RoundLedger
 from repro.primitives.list_coloring import (
+    ColorWorkspace,
     list_coloring_deterministic,
     list_coloring_hybrid,
     list_coloring_random,
@@ -1443,3 +1459,257 @@ def test_list_coloring_paths_agree_on_sparse_graphs(n, seed, avg, spare, python_
     ):
         got = run_engine(engine, graph, colors, *args)
         assert got == python_twins(run_engine, engine, graph, colors, *args)
+
+
+# -- Phase (9): B0's degree-list instances, kernel vs twin -----------------
+
+
+def run_degree_list(graph, colors, components, max_colors):
+    """``ColorWorkspace.degree_list`` on a copy of ``colors``, mirrored
+    whenever the kernel is loaded: (colors after, the indices of the
+    components the twin colored, or the error raised)."""
+    colors = list(colors)
+    try:
+        with ColorWorkspace(graph, colors, graph.n) as work:
+            outcome = work.degree_list(components, max_colors)
+    except (InfeasibleListColoringError, IndexError) as error:
+        outcome = (type(error), str(error))
+    return colors, outcome
+
+
+def surplus_case(graph, colors, component, max_colors) -> bool:
+    """Does the twin color ``component`` in its surplus case (so the
+    kernel must color it too)?  Every list at least its node's
+    in-component degree, one list longer, the component connected."""
+    members = sorted(set(component))
+    inside = set(members)
+    surplus = False
+    for v in members:
+        row = graph.neighbors(v)
+        degree = sum(w in inside for w in row)
+        size = max_colors - len(
+            {colors[w] for w in row if w not in inside and 1 <= colors[w] <= max_colors}
+        )
+        if size < degree:
+            return False
+        surplus |= size > degree
+    return surplus and graph.subgraph(members)[0].is_connected()
+
+
+def expected_hand_backs(graph, colors, components, max_colors) -> list[int]:
+    """The components the kernel hands back, found by running the twin
+    one component at a time."""
+    colors = list(colors)
+    handed_back = []
+    for i, component in enumerate(components):
+        if not surplus_case(graph, colors, component, max_colors):
+            handed_back.append(i)
+        color_against_outside(graph, colors, component, max_colors)
+    return handed_back
+
+
+def assert_degree_list_pinned(graph, colors, components, max_colors, python_twins):
+    """Same colors and same error text on both paths; on success the
+    kernel hands back exactly the components outside the surplus case
+    (all of them without the kernel, or when a color beyond int32 keeps
+    the workspace on the twin).  Returns the first path's outcome."""
+    got = run_degree_list(graph, colors, components, max_colors)
+    want = python_twins(run_degree_list, graph, colors, components, max_colors)
+    assert got[0] == want[0]
+    if isinstance(want[1], tuple):
+        assert got[1] == want[1]
+    else:
+        assert want[1] == list(range(len(components)))
+        if native.kernel("degree_list_surplus") is not None and fits_int(colors):
+            assert got[1] == expected_hand_backs(graph, colors, components, max_colors)
+        else:
+            assert got[1] == want[1]
+    return got
+
+
+def with_lists(edges, lists, max_colors, member_colors=None):
+    """A component on nodes ``0..k-1`` with inner ``edges``, member v's
+    list made exactly ``lists[v]``: it gets one pendant outside neighbour
+    wearing each color of ``1..max_colors`` not on its list.  Returns
+    (graph, colors, component)."""
+    k = len(lists)
+    edges = list(edges)
+    colors = list(member_colors or [0] * k)
+    for v, allowed in enumerate(lists):
+        for c in range(1, max_colors + 1):
+            if c not in allowed:
+                edges.append((v, len(colors)))
+                colors.append(c)
+    return Graph(len(colors), edges), colors, list(range(k))
+
+
+def degree_lists(edges, k, extra=()):
+    """Lists ``1..deg(v)`` for every member, one color longer at the
+    members in ``extra``."""
+    degree = Counter(v for edge in edges for v in edge)
+    return [set(range(1, degree[v] + 1 + (v in extra))) for v in range(k)]
+
+
+C6 = cycle_edges(6)
+THETA = theta_edges(0, (2, 2, 3))
+WHEEL5 = wheel_edges(5)
+K4_MINUS_EDGE = minus_edge(4)
+TRIANGLE = clique_edges(3)
+
+
+def b0_inputs(graph, seed):
+    """What phase (9) of a real solve hands ``degree_list``: the colors
+    after phase (8), the B0 components and Δ."""
+    captured = []
+    real = ColorWorkspace.degree_list
+
+    def spy(self, components, max_colors):
+        captured.append((list(self.view), [list(c) for c in components], max_colors))
+        return real(self, components, max_colors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ColorWorkspace, "degree_list", spy)
+        solve(graph, algorithm="randomized-large", seed=seed)
+    (inputs,) = captured
+    return inputs
+
+
+@requires_kernel
+@pytest.mark.parametrize("seed", [1, 2])
+def test_degree_list_kernel_matches_twin_on_solves(seed, kernel_calls, python_twins):
+    graph = random_regular_graph(2048, 8, seed=seed)
+    colors, components, max_colors = b0_inputs(graph, seed)
+    assert len(components) > 10
+    got = assert_degree_list_pinned(graph, colors, components, max_colors, python_twins)
+    assert got[1] == []
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+@requires_kernel
+@pytest.mark.parametrize("surplus_at", [0, 2, 5])
+def test_degree_list_surplus_at_any_member(surplus_at, kernel_calls, python_twins):
+    graph, colors, component = with_lists(C6, degree_lists(C6, 6, extra={surplus_at}), 4)
+    got = assert_degree_list_pinned(graph, colors, [component], 4, python_twins)
+    assert got[1] == []
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+TIGHT = {
+    "even-cycle-equal-2-lists": (C6, [{1, 2}] * 6),
+    "K4-minus-edge": (K4_MINUS_EDGE, degree_lists(K4_MINUS_EDGE, 4)),
+    "theta": (THETA, degree_lists(THETA, 6)),
+    "wheel": (WHEEL5, degree_lists(WHEEL5, 6)),
+    "gallai-tree-feasible": (TRIANGLE, [{1, 2}, {2, 3}, {1, 3}]),
+}
+
+
+@requires_kernel
+@pytest.mark.parametrize("name", sorted(TIGHT))
+def test_degree_list_hands_tight_instances_back(name, kernel_calls, python_twins):
+    edges, lists = TIGHT[name]
+    graph, colors, component = with_lists(edges, lists, 6)
+    got = assert_degree_list_pinned(graph, colors, [component], 6, python_twins)
+    assert got[1] == [0]
+    validate_coloring(graph, got[0], max_colors=6)
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+@requires_kernel
+def test_degree_list_infeasible_leaves_colors_untouched(kernel_calls, python_twins):
+    graph, colors, component = with_lists(cycle_edges(5), [{1, 2}] * 5, 4, member_colors=[3] * 5)
+    got = assert_degree_list_pinned(graph, colors, [component], 4, python_twins)
+    assert got == (colors, (InfeasibleListColoringError, "Gallai tree with tight lists admits no coloring"))
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+@requires_kernel
+def test_degree_list_wide_palettes(kernel_calls, python_twins):
+    # Δ > 64 on both sides of the kernel: a tight instance over colors
+    # above 64, and a surplus one whose lists hold nearly every color.
+    for lists in ([{65, 70}] * 6, [set(range(1, 71))] + degree_lists(C6, 6)[1:]):
+        graph, colors, component = with_lists(C6, lists, 70)
+        assert graph.max_degree() > 64
+        assert_degree_list_pinned(graph, colors, [component], 70, python_twins)
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+@requires_kernel
+@pytest.mark.parametrize("stale", [[5, 1, 9, 2, 2, 7], [2**31] * 6])
+def test_degree_list_ignores_member_colors(stale, kernel_calls, python_twins):
+    # Stale colors on the members constrain nothing; a stale color beyond
+    # int32 keeps the whole workspace on the twin.
+    lists = degree_lists(C6, 6, extra={3})
+    graph, colors, component = with_lists(C6, lists, 4, member_colors=stale)
+    got = assert_degree_list_pinned(graph, colors, [component], 4, python_twins)
+    fresh = run_degree_list(graph, [0] * 6 + colors[6:], [component], 4)
+    assert got[0][:6] == fresh[0][:6]
+
+
+@requires_kernel
+def test_degree_list_uncolored_outside_neighbours(kernel_calls, python_twins):
+    # An uncolored outside neighbour takes nothing off a list: the member
+    # it touches gets the surplus.
+    graph, colors, component = with_lists(C6, [{1, 2}] * 6, 4)
+    colors[next(u for u in graph.neighbors(4) if u >= 6)] = UNCOLORED
+    got = assert_degree_list_pinned(graph, colors, [component], 4, python_twins)
+    assert got[1] == []
+
+
+@requires_kernel
+def test_degree_list_components_see_each_other(kernel_calls, python_twins):
+    # Two triangles joined by an edge: the second is colored against the
+    # first's new colors, on both paths, and order matters.
+    graph = Graph(6, TRIANGLE + [(3, 4), (4, 5), (3, 5), (2, 3)])
+    for components in ([[0, 1, 2], [3, 4, 5]], [[5, 4, 3], [2, 1, 0, 0]]):
+        got = assert_degree_list_pinned(graph, [0] * 6, components, 3, python_twins)
+        validate_coloring(graph, got[0], max_colors=3)
+    assert kernel_calls["degree_list_surplus"] > 0
+
+
+@requires_kernel
+@pytest.mark.parametrize("bad", [-1, 6, 2**31, 2**40])
+def test_degree_list_rejects_out_of_range_members(bad, kernel_calls, python_twins):
+    graph = Graph(6, TRIANGLE + [(3, 4), (4, 5), (3, 5)])
+    components = [[0, 1, 2], [3, 4, bad]]
+    got = assert_degree_list_pinned(graph, [0] * 6, components, 3, python_twins)
+    assert got == ([0] * 6, (IndexError, "component 1 holds a node out of range for n=6"))
+
+
+@requires_kernel
+def test_dcc_solve_never_calls_the_degree_list_twin(kernel_calls, monkeypatch):
+    """With the kernel loaded, every B0 component of a solve-dcc-shaped
+    solve is colored natively: the twin never runs."""
+    calls = Counter()
+    real = degree_choosable_mod.color_against_outside
+
+    def counted(*args):
+        calls["color_against_outside"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(degree_choosable_mod, "color_against_outside", counted)
+    result = solve(random_regular_graph(2048, 8, seed=3), seed=3)
+    assert result.stats["b0_components"] > 10
+    assert kernel_calls["degree_list_surplus"] >= 1
+    assert calls["color_against_outside"] == 0
+
+
+@FAST
+@given(
+    n=st.sampled_from([12, 40, 120]),
+    seed=st.integers(0, 10_000),
+    avg=st.sampled_from([2.0, 3.5, 5.0]),
+    spare=st.sampled_from([-1, 0, 1]),
+)
+def test_degree_list_paths_agree_on_sparse_graphs(n, seed, avg, spare, python_twins):
+    """Random balls as components, against random partial colorings, with
+    palettes from Δ-1 to Δ+1: surplus, tight and infeasible instances."""
+    graph = sparse_graph(n, seed, avg)
+    max_colors = max(1, graph.max_degree() + spare)
+    colors = precolored(graph, seed, max_colors)
+    rng = random.Random(seed)
+    components = []
+    for _ in range(4):
+        center = rng.randrange(n)
+        ball = bfs_mod.distance_layers(graph, [center], max_depth=rng.choice([0, 1, 2]))
+        components.append([v for layer in ball for v in layer][: rng.randint(1, 9)])
+    assert_degree_list_pinned(graph, colors, components, max_colors, python_twins)
