@@ -14,30 +14,47 @@ its cost structure is exactly reproduced here):
 Total: O(log² n / log Δ) · O(log n) = O(log³ n / log Δ) rounds — the
 baseline row of experiment E4, against which the new algorithms'
 O((log log n)²) / O(log Δ) + … rounds are compared.
+
+The pipeline is :data:`PS_PHASES`: Theorem 4's phases
+(:mod:`repro.core.deterministic`) with random trials as the layer engine
+and the B0 fixes charged as if all ran at once (the max of all fixes).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from repro.core.brooks import fix_uncolored_node
-from repro.core.deterministic import ruling_distance
-from repro.core.layering import color_layers_in_reverse
-from repro.graphs.bfs import distance_layers
+from repro.core.deterministic import (
+    LayeredState, color_layers, fix_base_layer, layer_by_distance, ruling_forest,
+)
 from repro.graphs.graph import Graph
-from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import EngineRun, RoundLedger
-from repro.primitives.ruling_sets import ruling_forest_aglp
+from repro.local.rounds import EngineRun, Phase, run_phases
 
-__all__ = ["PS_PHASE_KEYS", "ps_delta_coloring"]
+__all__ = ["PS_PHASES", "ps_delta_coloring"]
 
 
-PS_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "1:ruling-forest": ("ruling_distance", "b0_size"),
-    "2:layers": ("num_layers",),
-    "3:color-layers": ("layer_iterations", "max_layer_iterations"),
-    "4:color-b0-brooks": ("fix_modes",),
-}
+def _color_layers(s: LayeredState) -> dict[str, object]:
+    """Iterated random trials, O(log n) rounds per layer w.h.p."""
+    report = color_layers(s, "random")
+    return {
+        "layer_iterations": report.total_iterations,
+        "max_layer_iterations": report.max_iterations_per_layer,
+    }
+
+
+def _fix_b0_at_once(s: LayeredState) -> dict[str, object]:
+    fixes = fix_base_layer(s)
+    s.ledger.charge_max([result.rounds for _v, result in fixes])
+    return {"fix_modes": dict(Counter(result.mode for _v, result in fixes))}
+
+
+PS_PHASES: tuple[Phase, ...] = (
+    ("1:ruling-forest", ruling_forest),
+    ("2:layers", layer_by_distance),
+    ("3:color-layers", _color_layers),
+    ("4:color-b0-brooks", _fix_b0_at_once),
+)
 
 
 def ps_delta_coloring(
@@ -48,46 +65,5 @@ def ps_delta_coloring(
     The engine behind ``solve(graph, algorithm="ps")``, which checks
     niceness and validates the output.
     """
-    delta = graph.max_degree()
-    n = graph.n
-    rng = random.Random(seed)
-    ledger = RoundLedger()
-    colors = [UNCOLORED] * n
-    stats: dict[str, object] = {}
-
-    big_r = ruling_distance(n, delta)
-    stats["ruling_distance"] = big_r
-    with ledger.phase("1:ruling-forest"):
-        ruling = ruling_forest_aglp(graph, big_r, ledger)
-    base_layer = ruling.nodes
-    stats["b0_size"] = len(base_layer)
-
-    with ledger.phase("2:layers"):
-        layers = distance_layers(graph, base_layer)
-        ledger.charge(len(layers))
-    stats["num_layers"] = len(layers) - 1
-
-    with ledger.phase("3:color-layers"):
-        report = color_layers_in_reverse(
-            graph, colors, layers, delta, "random", ledger, rng, strict=strict
-        )
-    stats["layer_iterations"] = report.total_iterations
-    stats["max_layer_iterations"] = report.max_iterations_per_layer
-
-    with ledger.phase("4:color-b0-brooks"):
-        budget_radius = max(2, (big_r - 1) // 2)
-        costs = []
-        modes: dict[str, int] = {}
-        for v in sorted(base_layer):
-            if colors[v] != UNCOLORED:
-                continue
-            local = RoundLedger()
-            result = fix_uncolored_node(
-                graph, colors, v, delta, max_radius=budget_radius, ledger=local
-            )
-            modes[result.mode] = modes.get(result.mode, 0) + 1
-            costs.append(local.total_rounds)
-        ledger.charge_max(costs)
-        stats["fix_modes"] = modes
-
-    return EngineRun.from_ledger("ps", colors, delta, ledger, stats, PS_PHASE_KEYS)
+    state = LayeredState(graph, strict, random.Random(seed))
+    return EngineRun.from_state("ps", run_phases(state, PS_PHASES))

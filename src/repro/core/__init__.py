@@ -23,11 +23,7 @@ from repro.core.dcc import DCCDetection, detect_dccs, virtual_graph_ruling_set
 from repro.core.degree_choosable import backtracking_list_color, degree_list_color
 from repro.core.deterministic import ruling_distance
 from repro.core.happiness import HappinessLayers, build_happiness_layers
-from repro.core.layering import (
-    LayerColoringReport,
-    build_layers,
-    color_layers_in_reverse,
-)
+from repro.core.layering import LayerColoringReport, color_layers_in_reverse
 from repro.core.marking import (
     MarkingOutcome,
     default_selection_probability,
@@ -49,7 +45,6 @@ __all__ = [
     "default_fix_radius",
     "ColorStore",
     "LayerColoringReport",
-    "build_layers",
     "color_layers_in_reverse",
     "MarkingOutcome",
     "marking_process",

@@ -74,9 +74,13 @@ def color_against_outside(
     so no graph-wide cache is built and a
     :class:`~repro.graphs.dynamic.DynamicGraph` is not compacted.
     Returns the nodes in ascending order.  Raises
-    :class:`InfeasibleListColoringError` with ``colors`` untouched.
+    :class:`InfeasibleListColoringError`, or ``IndexError`` naming a node
+    outside ``0..n-1``, with ``colors`` untouched.
     """
     originals = sorted(set(nodes))
+    for v in originals[:1] + originals[-1:]:  # sorted: the extremes
+        if not 0 <= v < graph.n:
+            raise IndexError(f"node {v} is out of range for n={graph.n}")
     index = {v: i for i, v in enumerate(originals)}
     palette = range(1, max_colors + 1)
     offsets = array("i", [0])
@@ -366,25 +370,9 @@ def _find_brooks_gadget(
             for b in neighbors[i + 1:]:
                 if b in adj_sets[a]:
                     continue
-                if _connected_without(graph, node_set, {a, b}):
+                if len(graph.connected_components(node_set - {a, b})) <= 1:
                     return (v, a, b)
     return None
-
-
-def _connected_without(graph: Graph, node_set: set[int], removed: set[int]) -> bool:
-    remaining = node_set - removed
-    if len(remaining) <= 1:
-        return True
-    start = next(iter(remaining))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in graph.adj[u]:
-            if w in remaining and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(remaining)
 
 
 def backtracking_list_color(

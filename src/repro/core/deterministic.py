@@ -18,6 +18,12 @@ The algorithm is the layering technique in its purest form:
    repair is charged sequentially — honest accounting for the cases where
    a regional fallback outgrew its budget).
 
+The pipeline is :data:`DETERMINISTIC_PHASES` over a :class:`LayeredState`.
+Its ruling forest, layers, reverse layer coloring and B0 fix loop are
+shared with :mod:`repro.baselines.panconesi_srinivasan`; the two phase
+lists differ only in the layer engine, the B0 accounting (packed slots
+against the max of all fixes) and the stats each phase records.
+
 Theorem 21 (the 2^O(√log n) re-proof of [PS95]) prescribes the same
 pipeline with a network-decomposition-based ruling set; our AGLP + color
 class engine already runs in O(Δ²·log² n) ⊆ 2^{O(√log n)} rounds for
@@ -28,35 +34,123 @@ class engine already runs in O(Δ²·log² n) ⊆ 2^{O(√log n)} rounds for
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import dataclass, field
 
 from repro.errors import AlgorithmContractError
-from repro.core.brooks import fix_uncolored_node
-from repro.core.layering import color_layers_in_reverse
+from repro.core.brooks import BrooksFixResult, fix_uncolored_node
+from repro.core.layering import LayerColoringReport, ListEngine, color_layers_in_reverse
 from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import EngineRun, RoundLedger
+from repro.local.rounds import EngineRun, Phase, PipelineState, run_phases
 from repro.primitives.linial import linial_coloring
 from repro.primitives.ruling_sets import ruling_forest_aglp
 
 __all__ = [
-    "DETERMINISTIC_PHASE_KEYS", "delta_coloring_deterministic", "ruling_distance",
+    "DETERMINISTIC_PHASES", "LayeredState", "color_layers", "delta_coloring_deterministic",
+    "fix_base_layer", "layer_by_distance", "ruling_distance", "ruling_forest",
 ]
-
-
-DETERMINISTIC_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "0:linial": ("linial_palette",),
-    "1:ruling-forest": ("ruling_distance", "b0_size"),
-    "2:layers": ("num_layers",),
-    "3:color-layers": ("layer_iterations",),
-    "4:color-b0-brooks": ("fix_modes", "fix_slots", "max_fix_radius"),
-}
 
 
 def ruling_distance(n: int, delta: int) -> int:
     """The paper's R = 4·log_{Δ-1} n + 1 (>= 5, integer-rounded)."""
     base = max(2, delta - 1)
     return max(5, 4 * math.ceil(math.log(max(2, n)) / math.log(base)) + 1)
+
+
+@dataclass
+class LayeredState(PipelineState):
+    """What the layering pipeline's phases hand to each other.  ``big_r``
+    is the ruling distance R (None: :func:`ruling_distance`)."""
+
+    big_r: int | None = None
+    base_colors: list[int] | None = None
+    palette: int | None = None
+    base_layer: set[int] = field(default_factory=set)
+    layers: list[list[int]] = field(default_factory=list)
+
+
+def ruling_forest(s: LayeredState) -> dict[str, object]:
+    """B0 = an (R, (R-1)·⌈log₂ n⌉) AGLP ruling forest."""
+    if s.big_r is None:
+        s.big_r = ruling_distance(s.graph.n, s.delta)
+    s.base_layer = ruling_forest_aglp(s.graph, s.big_r, s.ledger).nodes
+    return {"ruling_distance": s.big_r, "b0_size": len(s.base_layer)}
+
+
+def layer_by_distance(s: LayeredState) -> dict[str, object]:
+    """B_0, B_1, .. by distance to B0, one round per layer."""
+    s.layers = distance_layers(s.graph, s.base_layer)
+    s.ledger.charge(len(s.layers))
+    if s.strict and sum(map(len, s.layers)) != s.graph.n:
+        raise AlgorithmContractError("ruling forest layers do not cover the graph")
+    return {"num_layers": len(s.layers) - 1}
+
+
+def color_layers(s: LayeredState, engine: ListEngine) -> LayerColoringReport:
+    """B_z, .., B_1 in reverse, each a (deg+1)-list instance for ``engine``."""
+    return color_layers_in_reverse(
+        s.graph, s.colors, s.layers, s.delta, engine, s.ledger, s.rng,
+        base_colors=s.base_colors, palette=s.palette, strict=s.strict,
+    )
+
+
+def fix_base_layer(s: LayeredState) -> list[tuple[int, BrooksFixResult]]:
+    """Theorem 5 on every B0 node still uncolored, in node order, each
+    within radius < R/2 on the shared colors.  Charges nothing: each
+    engine charges the fixes' ``rounds`` by its own accounting."""
+    budget_radius = max(2, (s.big_r - 1) // 2)
+    return [
+        (v, fix_uncolored_node(s.graph, s.colors, v, s.delta, max_radius=budget_radius))
+        for v in sorted(s.base_layer)
+        if s.colors[v] == UNCOLORED
+    ]
+
+
+def _linial(s: LayeredState) -> dict[str, object]:
+    linial = linial_coloring(s.graph, s.ledger)
+    s.base_colors, s.palette = linial.colors, linial.palette
+    return {"linial_palette": linial.palette}
+
+
+def _color_layers(s: LayeredState) -> dict[str, object]:
+    return {"layer_iterations": color_layers(s, "deterministic").total_iterations}
+
+
+def _fix_b0_in_slots(s: LayeredState) -> dict[str, object]:
+    """Fixes whose touched regions (plus a one-hop halo) are disjoint run
+    concurrently in LOCAL, so they share a round slot, which costs its
+    slowest fix."""
+    fixes = fix_base_layer(s)
+    slots: list[tuple[set[int], int]] = []
+    for v, result in fixes:
+        halo = set(result.recolored) | {v}
+        for u in list(halo):
+            halo.update(s.graph.neighbors_csr(u))
+        for index, (blocked, cost) in enumerate(slots):
+            if not (halo & blocked):
+                blocked |= halo
+                slots[index] = (blocked, max(cost, result.rounds))
+                break
+        else:
+            slots.append((halo, result.rounds))
+    for _blocked, cost in slots:
+        s.ledger.charge(cost)
+    return {
+        "fix_modes": dict(Counter(result.mode for _v, result in fixes)),
+        "fix_slots": len(slots),
+        "max_fix_radius": max((result.radius for _v, result in fixes), default=0),
+    }
+
+
+DETERMINISTIC_PHASES: tuple[Phase, ...] = (
+    ("0:linial", _linial),
+    ("1:ruling-forest", ruling_forest),
+    ("2:layers", layer_by_distance),
+    ("3:color-layers", _color_layers),
+    ("4:color-b0-brooks", _fix_b0_in_slots),
+)
 
 
 def delta_coloring_deterministic(
@@ -69,93 +163,5 @@ def delta_coloring_deterministic(
     the ruling distance R (exposed for the A3-style ablations); the
     default is the paper's 4·log_{Δ-1} n + 1.
     """
-    delta = graph.max_degree()
-    n = graph.n
-    ledger = RoundLedger()
-    colors = [UNCOLORED] * n
-    stats: dict[str, object] = {}
-
-    with ledger.phase("0:linial"):
-        linial = linial_coloring(graph, ledger)
-    stats["linial_palette"] = linial.palette
-
-    big_r = ruling_k if ruling_k is not None else ruling_distance(n, delta)
-    stats["ruling_distance"] = big_r
-    with ledger.phase("1:ruling-forest"):
-        ruling = ruling_forest_aglp(graph, big_r, ledger)
-    base_layer = ruling.nodes
-    stats["b0_size"] = len(base_layer)
-
-    with ledger.phase("2:layers"):
-        layers = distance_layers(graph, base_layer)
-        ledger.charge(len(layers))
-    stats["num_layers"] = len(layers) - 1
-    if strict:
-        covered = {v for layer in layers for v in layer}
-        if len(covered) != n:
-            raise AlgorithmContractError("ruling forest layers do not cover the graph")
-
-    with ledger.phase("3:color-layers"):
-        report = color_layers_in_reverse(
-            graph, colors, layers, delta, "deterministic", ledger,
-            base_colors=linial.colors, palette=linial.palette, strict=strict,
-        )
-    stats["layer_iterations"] = report.total_iterations
-
-    with ledger.phase("4:color-b0-brooks"):
-        fix_stats = _fix_base_layer(graph, colors, base_layer, delta, big_r, ledger)
-    stats.update(fix_stats)
-
-    return EngineRun.from_ledger(
-        "deterministic", colors, delta, ledger, stats, DETERMINISTIC_PHASE_KEYS
-    )
-
-
-def _fix_base_layer(
-    graph: Graph,
-    colors: list[int],
-    base_layer: set[int],
-    delta: int,
-    big_r: int,
-    ledger: RoundLedger,
-) -> dict[str, object]:
-    """Phase 4: repair every B0 node via Theorem 5, packing disjoint
-    repairs into shared round slots.
-
-    Each fix is executed sequentially on the shared color array (always
-    correct); round accounting groups fixes whose touched regions (plus a
-    one-hop halo) are disjoint — those run concurrently in LOCAL.
-    """
-    budget_radius = max(2, (big_r - 1) // 2)
-    slots: list[tuple[set[int], int]] = []
-    modes: dict[str, int] = {}
-    max_fix_radius = 0
-    for v in sorted(base_layer):
-        if colors[v] != UNCOLORED:
-            continue
-        local = RoundLedger()
-        result = fix_uncolored_node(
-            graph, colors, v, delta, max_radius=budget_radius, ledger=local
-        )
-        modes[result.mode] = modes.get(result.mode, 0) + 1
-        max_fix_radius = max(max_fix_radius, result.radius)
-        region = set(result.recolored) | {v}
-        halo = set(region)
-        for u in region:
-            halo.update(graph.neighbors_csr(u))
-        placed = False
-        for index, (blocked, cost) in enumerate(slots):
-            if not (halo & blocked):
-                blocked |= halo
-                slots[index] = (blocked, max(cost, local.total_rounds))
-                placed = True
-                break
-        if not placed:
-            slots.append((halo, local.total_rounds))
-    for _blocked, cost in slots:
-        ledger.charge(cost)
-    return {
-        "fix_modes": modes,
-        "fix_slots": len(slots),
-        "max_fix_radius": max_fix_radius,
-    }
+    state = run_phases(LayeredState(graph, strict, big_r=ruling_k), DETERMINISTIC_PHASES)
+    return EngineRun.from_state("deterministic", state)

@@ -9,9 +9,10 @@ was chosen (degree-choosability for the randomized algorithms' DCC base
 layer, Theorem 5 token walks for the deterministic algorithm's ruling
 forest).
 
-This module provides the two generic halves — building layers and
-reverse-coloring them with a pluggable (deg+1)-list engine; the base-layer
-coloring lives with each algorithm.
+This module provides the reverse-coloring half, with a pluggable
+(deg+1)-list engine; the layers come from
+:func:`repro.graphs.bfs.distance_layers`, and the base-layer coloring
+lives with each algorithm.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from dataclasses import dataclass
 from typing import Literal
 
 from repro.errors import AlgorithmContractError
-from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
 from repro.primitives.list_coloring import ColorWorkspace, ListColoringStats
 
-__all__ = ["ListEngine", "LayerColoringReport", "build_layers", "color_layers_in_reverse"]
+__all__ = ["ListEngine", "LayerColoringReport", "color_layers_in_reverse"]
 
 ListEngine = Literal["random", "hybrid", "deterministic"]
 
@@ -41,21 +41,6 @@ class LayerColoringReport:
     layers_colored: int = 0
     total_iterations: int = 0
     max_iterations_per_layer: int = 0
-    gather_rounds: int = 0
-
-
-def build_layers(
-    graph: Graph,
-    base: set[int],
-    max_depth: int | None = None,
-    allowed: set[int] | None = None,
-) -> list[list[int]]:
-    """Layers ``[B_0, B_1, ..]`` by exact distance from ``base``.
-
-    Thin wrapper over :func:`repro.graphs.bfs.distance_layers`, kept for
-    vocabulary symmetry with the paper.
-    """
-    return distance_layers(graph, base, max_depth=max_depth, allowed=allowed)
 
 
 def color_layers_in_reverse(
@@ -151,4 +136,3 @@ def _tally(report: LayerColoringReport, stats: ListColoringStats) -> None:
     report.max_iterations_per_layer = max(
         report.max_iterations_per_layer, stats.iterations
     )
-    report.gather_rounds += stats.gather_rounds

@@ -18,6 +18,11 @@ IV  Color DCC layers (8): B-layers in reverse; (9) B0's components by
     degree-choosability (they are pairwise non-adjacent by the ruling
     property).
 
+The pipeline is :data:`RANDOMIZED_PHASES` over a :class:`RandomizedState`:
+each phase reads what the ones before it left there and returns the stats
+it records.  Phase (8) opens the color workspace that phase (9) colors B0
+in and closes, so the two share one mirror and one write-back.
+
 Variant differences (paper: r = O(1) for Δ >= 4 vs r = Θ(log log n) for
 Δ = O(1); engines of Theorems 18/19) are captured by
 :class:`RandomizedParams` presets.  The selection probability and radii
@@ -31,24 +36,24 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import AlgorithmContractError
-from repro.core.dcc import detect_dccs, virtual_graph_ruling_set
-from repro.core.happiness import build_happiness_layers
+from repro.core.dcc import DCCDetection, detect_dccs, virtual_graph_ruling_set
+from repro.core.happiness import HappinessLayers, build_happiness_layers
 from repro.core.layering import color_layers_in_reverse
-from repro.core.marking import default_selection_probability, marking_process
+from repro.core.marking import MarkingOutcome, default_selection_probability, marking_process
 from repro.core.small_components import SmallComponentsReport, color_small_components
 from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
-from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import EngineRun, RoundLedger
+from repro.local.rounds import EngineRun, Phase, PipelineState, run_phases
 from repro.primitives.linial import linial_coloring
 from repro.primitives.list_coloring import ColorWorkspace
 
 __all__ = [
+    "RANDOMIZED_PHASES",
     "RandomizedParams",
-    "RANDOMIZED_PHASE_KEYS",
+    "RandomizedState",
     "large_delta_params",
     "run_pipeline",
     "small_delta_params",
@@ -130,22 +135,151 @@ def large_delta_params(
     return params
 
 
-# Which stats keys each pipeline phase produced (module-level so new
-# stats keys fail loudly in tests rather than silently vanishing from
-# the observer's view).
-RANDOMIZED_PHASE_KEYS: dict[str, tuple[str, ...]] = {
-    "0:linial": ("linial_palette", "linial_iterations"),
-    "1:dcc-detect": ("num_dccs", "nodes_in_dccs"),
-    "2:dcc-ruling-set": ("b0_components", "b0_size", "virtual_ruling_iterations"),
-    "3:b-layers": ("h_size",),
-    "4:marking": ("selection_p", "t_nodes", "marked", "initially_selected", "backed_off"),
-    "5:happiness-layers": (
-        "happiness_radius", "c_layers", "leftover_nodes", "uncolored_marks",
-    ),
-    "6:small-components": (
-        "leftover_components", "leftover_max_component", "fallbacks",
-    ),
-}
+@dataclass
+class RandomizedState(PipelineState):
+    """What the nine phases hand to each other (module docstring)."""
+
+    params: RandomizedParams = field(default_factory=RandomizedParams)
+    base_colors: list[int] = field(default_factory=list)
+    palette: int = 0
+    detection: DCCDetection = field(default_factory=DCCDetection)
+    b0_components: list[tuple[int, ...]] = field(default_factory=list)
+    b_layers: list[list[int]] = field(default_factory=list)
+    h_nodes: set[int] = field(default_factory=set)
+    selection_p: float = 0.0
+    marking: MarkingOutcome = field(default_factory=MarkingOutcome)
+    happiness: HappinessLayers = field(default_factory=HappinessLayers)
+    # Open from phase (8) to the end of phase (9): every colored neighbour
+    # of a B0 component is in phase (8)'s view, which is written back to
+    # ``colors`` once, at the end of phase (9).
+    workspace: ColorWorkspace | None = None
+
+
+def _linial(s: RandomizedState) -> dict[str, object]:
+    linial = linial_coloring(s.graph, s.ledger)
+    s.base_colors, s.palette = linial.colors, linial.palette
+    return {"linial_palette": linial.palette, "linial_iterations": linial.iterations}
+
+
+def _dcc_detect(s: RandomizedState) -> dict[str, object]:
+    s.detection = detect_dccs(s.graph, s.params.dcc_radius, ledger=s.ledger)
+    return {"num_dccs": len(s.detection.dccs), "nodes_in_dccs": len(s.detection.nodes_in_dccs)}
+
+
+def _dcc_ruling_set(s: RandomizedState) -> dict[str, object]:
+    dccs = s.detection.dccs
+    chosen, iterations = virtual_graph_ruling_set(
+        s.graph, dccs, rounds_per_virtual=max(1, 2 * s.params.dcc_radius + 1),
+        ledger=s.ledger, rng=s.rng,
+    )
+    s.b0_components = [dccs[idx] for idx in chosen]
+    size = sum(map(len, s.b0_components))  # chosen DCCs are disjoint
+    return {"b0_components": len(chosen), "b0_size": size, "virtual_ruling_iterations": iterations}
+
+
+def _b_layers(s: RandomizedState) -> dict[str, object]:
+    """Phase (3).  Depth covers every DCC-selecting node: a non-chosen
+    DCC conflicts with a chosen one, so its nodes lie within
+    (diameter + 1 + diameter) <= 4·r_dcc + 1 of B0."""
+    depth = 4 * s.params.dcc_radius + 2
+    s.ledger.charge(depth)
+    base_layer = {v for component in s.b0_components for v in component}
+    s.b_layers = distance_layers(s.graph, base_layer, max_depth=depth) if base_layer else []
+    layered = {v for layer in s.b_layers for v in layer}
+    if s.strict and base_layer and not s.detection.nodes_in_dccs <= layered:
+        missing = len(s.detection.nodes_in_dccs - layered)
+        raise AlgorithmContractError(f"phase 3 left {missing} DCC nodes outside the B-layers")
+    s.h_nodes = {v for v in range(s.graph.n) if v not in layered}
+    return {"h_size": len(s.h_nodes)}
+
+
+def _marking(s: RandomizedState) -> dict[str, object]:
+    p = s.params.selection_p
+    if p is None:
+        p = default_selection_probability(s.delta, s.params.backoff)
+    s.selection_p = p
+    s.marking = marking = marking_process(
+        s.graph, s.h_nodes, s.colors, p, s.params.backoff, s.rng, s.ledger
+    )
+    return {
+        "selection_p": p, "t_nodes": len(marking.t_nodes), "marked": len(marking.marked),
+        "initially_selected": marking.initially_selected, "backed_off": marking.backed_off,
+    }
+
+
+def _happiness_layers(s: RandomizedState) -> dict[str, object]:
+    params, radius = s.params, s.params.happiness_radius
+    if radius is None:
+        radius = _auto_happiness_radius(
+            s.graph, s.delta, s.selection_p, params.backoff, params.coverage_goal
+        )
+    s.happiness = happy = build_happiness_layers(
+        s.graph, s.colors, s.h_nodes, s.marking, s.delta, radius, s.ledger
+    )
+    return {
+        "happiness_radius": radius, "c_layers": len(happy.layers),
+        "leftover_nodes": len(happy.leftover), "uncolored_marks": happy.uncolored_marks,
+    }
+
+
+def _small_components(s: RandomizedState) -> dict[str, object]:
+    report = SmallComponentsReport()
+    if s.happiness.leftover:
+        report = color_small_components(
+            s.graph, s.colors, s.happiness.leftover, s.delta,
+            dcc_radius=max(2, s.params.dcc_radius), ledger=s.ledger, rng=s.rng,
+            engine=s.params.engine, base_colors=s.base_colors, palette=s.palette,
+            strict=s.strict,
+        )
+    sizes = report.component_sizes
+    return {
+        "leftover_components": len(sizes), "leftover_max_component": max(sizes, default=0),
+        "fallbacks": report.fallbacks,
+    }
+
+
+def _in_reverse(s: RandomizedState, layers: list[list[int]], include_layer_zero: bool) -> None:
+    color_layers_in_reverse(
+        s.graph, s.colors, layers, s.delta, s.params.engine, s.ledger, s.rng,
+        base_colors=s.base_colors, palette=s.palette,
+        include_layer_zero=include_layer_zero, strict=s.strict, workspace=s.workspace,
+    )
+
+
+def _c_layers(s: RandomizedState) -> dict[str, object]:
+    _in_reverse(s, s.happiness.layers, include_layer_zero=True)
+    return {}
+
+
+def _color_b_layers(s: RandomizedState) -> dict[str, object]:
+    targets = sum(map(len, s.b_layers[1:])) + sum(map(len, s.b0_components))
+    s.workspace = ColorWorkspace(s.graph, s.colors, targets)
+    _in_reverse(s, s.b_layers, include_layer_zero=False)
+    return {}
+
+
+def _color_b0(s: RandomizedState) -> dict[str, object]:
+    """Phase (9): each B0 component by degree-choosability, in parallel
+    with the others in 2r+1 rounds."""
+    s.workspace.degree_list(s.b0_components, s.delta)
+    s.ledger.charge_max([2 * s.params.dcc_radius + 1] * len(s.b0_components))
+    s.workspace.close()
+    s.workspace = None
+    return {}
+
+
+RANDOMIZED_PHASES: tuple[Phase, ...] = (
+    ("0:linial", _linial),
+    ("1:dcc-detect", _dcc_detect),
+    ("2:dcc-ruling-set", _dcc_ruling_set),
+    ("3:b-layers", _b_layers),
+    ("4:marking", _marking),
+    ("5:happiness-layers", _happiness_layers),
+    ("6:small-components", _small_components),
+    ("7:c-layers", _c_layers),
+    ("8:b-layers", _color_b_layers),
+    ("9:b0", _color_b0),
+)
 
 
 def run_pipeline(
@@ -158,132 +292,8 @@ def run_pipeline(
     ``params.strict`` mode every per-phase contract is checked.
     ``algorithm`` is the registry name the run is recorded under.
     """
-    delta = graph.max_degree()
-    n = graph.n
-    rng = random.Random(params.seed)
-    ledger = RoundLedger()
-    colors = [UNCOLORED] * n
-    stats: dict[str, object] = {}
-
-    # Phase 0: Linial base coloring for symmetry breaking.
-    with ledger.phase("0:linial"):
-        linial = linial_coloring(graph, ledger)
-    base_colors, palette = linial.colors, linial.palette
-    stats["linial_palette"] = palette
-    stats["linial_iterations"] = linial.iterations
-
-    # Phases (1)+(2): DCC detection and base layer B0.
-    r_dcc = params.dcc_radius
-    with ledger.phase("1:dcc-detect"):
-        detection = detect_dccs(graph, r_dcc, ledger=ledger)
-    stats["num_dccs"] = len(detection.dccs)
-    stats["nodes_in_dccs"] = len(detection.nodes_in_dccs)
-    with ledger.phase("2:dcc-ruling-set"):
-        chosen, vr_iterations = virtual_graph_ruling_set(
-            graph, detection.dccs, rounds_per_virtual=max(1, 2 * r_dcc + 1),
-            ledger=ledger, rng=rng,
-        )
-    base_layer = {v for idx in chosen for v in detection.dccs[idx]}
-    stats["b0_components"] = len(chosen)
-    stats["b0_size"] = len(base_layer)
-    stats["virtual_ruling_iterations"] = vr_iterations
-
-    # Phase (3): B-layers.  Depth covers every DCC-selecting node: a
-    # non-chosen DCC conflicts with a chosen one, so its nodes lie within
-    # (diameter + 1 + diameter) <= 4·r_dcc + 1 of B0.
-    s_depth = 4 * r_dcc + 2
-    with ledger.phase("3:b-layers"):
-        ledger.charge(s_depth)
-        b_layers = (
-            distance_layers(graph, base_layer, max_depth=s_depth) if base_layer else []
-        )
-    layered_b = {v for layer in b_layers for v in layer}
-    if params.strict and not detection.nodes_in_dccs <= layered_b | (set() if base_layer else detection.nodes_in_dccs):
-        raise AlgorithmContractError("phase 3 failed to cover all DCC nodes")
-    if params.strict and base_layer:
-        uncovered = detection.nodes_in_dccs - layered_b
-        if uncovered:
-            raise AlgorithmContractError(
-                f"phase 3 left {len(uncovered)} DCC nodes outside the B-layers"
-            )
-    h_nodes = {v for v in range(n) if v not in layered_b}
-    stats["h_size"] = len(h_nodes)
-
-    # Phase (4): marking.
-    p = params.selection_p
-    if p is None:
-        p = default_selection_probability(delta, params.backoff)
-    with ledger.phase("4:marking"):
-        marking = marking_process(
-            graph, h_nodes, colors, p, params.backoff, rng, ledger
-        )
-    stats["selection_p"] = p
-    stats["t_nodes"] = len(marking.t_nodes)
-    stats["marked"] = len(marking.marked)
-    stats["initially_selected"] = marking.initially_selected
-    stats["backed_off"] = marking.backed_off
-
-    # Phase (5): happiness layers.
-    r_happy = params.happiness_radius
-    if r_happy is None:
-        r_happy = _auto_happiness_radius(graph, delta, p, params.backoff, params.coverage_goal)
-    with ledger.phase("5:happiness-layers"):
-        happiness = build_happiness_layers(
-            graph, colors, h_nodes, marking, delta, r_happy, ledger
-        )
-    stats["happiness_radius"] = r_happy
-    stats["c_layers"] = len(happiness.layers)
-    stats["leftover_nodes"] = len(happiness.leftover)
-    stats["uncolored_marks"] = happiness.uncolored_marks
-
-    # Phase (6): small components.
-    with ledger.phase("6:small-components"):
-        if happiness.leftover:
-            small_report = color_small_components(
-                graph, colors, happiness.leftover, delta,
-                dcc_radius=max(2, r_dcc), ledger=ledger, rng=rng,
-                engine=params.engine, base_colors=base_colors, palette=palette,
-                strict=params.strict,
-            )
-        else:
-            small_report = SmallComponentsReport()
-    stats["leftover_components"] = len(small_report.component_sizes)
-    stats["leftover_max_component"] = max(small_report.component_sizes, default=0)
-    stats["fallbacks"] = small_report.fallbacks
-
-    # Phase (7): C-layers in reverse, including C_0.
-    with ledger.phase("7:c-layers"):
-        color_layers_in_reverse(
-            graph, colors, happiness.layers, delta, params.engine, ledger, rng,
-            base_colors=base_colors, palette=palette,
-            include_layer_zero=True, strict=params.strict,
-        )
-
-    # Phases (8) and (9) share one color workspace: every colored
-    # neighbour of a B0 component is in phase (8)'s view, and it is
-    # written back to ``colors`` once, at the end of phase (9).
-    b0_components = [detection.dccs[idx] for idx in chosen]
-    targets = sum(map(len, b_layers[1:])) + sum(map(len, b0_components))
-    with ColorWorkspace(graph, colors, targets) as work:
-        # Phase (8): B-layers in reverse.
-        with ledger.phase("8:b-layers"):
-            color_layers_in_reverse(
-                graph, colors, b_layers, delta, params.engine, ledger, rng,
-                base_colors=base_colors, palette=palette,
-                include_layer_zero=False, strict=params.strict, workspace=work,
-            )
-
-        # Phase (9): B0 components by degree-choosability, each in
-        # parallel with the others in 2r+1 rounds.
-        with ledger.phase("9:b0"):
-            work.degree_list(b0_components, delta)
-            ledger.charge_max([2 * r_dcc + 1] * len(b0_components))
-            work.close()
-
-    return EngineRun.from_ledger(
-        algorithm, colors, delta, ledger, stats, RANDOMIZED_PHASE_KEYS,
-        seed_used=params.seed,
-    )
+    state = RandomizedState(graph, params.strict, random.Random(params.seed), params=params)
+    return EngineRun.from_state(algorithm, run_phases(state, RANDOMIZED_PHASES), params.seed)
 
 
 def _auto_happiness_radius(

@@ -88,7 +88,7 @@ def color_small_components(
     """
     rng = rng if rng is not None else random.Random(0)
     report = SmallComponentsReport()
-    components = _components(graph, leftover)
+    components = graph.connected_components(leftover)
     costs = []
     # One O(n) detection scratch shared by every per-component
     # detect_dccs call (components are tiny; the allocations were not).
@@ -104,27 +104,6 @@ def color_small_components(
     ledger.charge_max(costs)
     report.max_rounds = max(costs, default=0)
     return report
-
-
-def _components(graph: Graph, members: set[int]) -> list[list[int]]:
-    offsets, indices = graph.csr()
-    seen: set[int] = set()
-    out = []
-    for start in sorted(members):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack = [start]
-        component = [start]
-        while stack:
-            u = stack.pop()
-            for w in indices[offsets[u] : offsets[u + 1]]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-                    component.append(w)
-        out.append(sorted(component))
-    return out
 
 
 def _color_component(

@@ -340,12 +340,13 @@ class Graph:
 
     # -- connectivity -----------------------------------------------------
 
-    def connected_components(self) -> list[list[int]]:
-        """Connected components as lists of nodes (each sorted ascending)."""
-        adj = self.adj
+    def connected_components(self, members: set[int] | None = None) -> list[list[int]]:
+        """Connected components as lists of nodes (each sorted ascending),
+        in order of their smallest node; with ``members``, the components
+        of the subgraph ``members`` induces.  Reads CSR rows only."""
         seen = bytearray(self.n)
         components: list[list[int]] = []
-        for start in range(self.n):
+        for start in range(self.n) if members is None else sorted(members):
             if seen[start]:
                 continue
             seen[start] = 1
@@ -353,8 +354,8 @@ class Graph:
             component = [start]
             while stack:
                 u = stack.pop()
-                for v in adj[u]:
-                    if not seen[v]:
+                for v in self.neighbors_csr(u):
+                    if not seen[v] and (members is None or v in members):
                         seen[v] = 1
                         stack.append(v)
                         component.append(v)
@@ -382,28 +383,9 @@ class Graph:
         return len(self.connected_components()) == 1
 
     def is_connected_without(self, removed: set[int]) -> bool:
-        """True iff ``G - removed`` is connected (and non-empty or trivial).
-
-        Used by the Erdős–Rubin–Taylor gadget search, which needs
-        ``G - {a, b}`` connected.
-        """
-        remaining = [v for v in range(self.n) if v not in removed]
-        if len(remaining) <= 1:
-            return True
-        adj = self.adj
-        seen = set(removed)
-        start = remaining[0]
-        seen.add(start)
-        stack = [start]
-        reached = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-                    reached += 1
-        return reached == len(remaining)
+        """True iff ``G - removed`` is connected (and non-empty or trivial)."""
+        kept = {v for v in range(self.n) if v not in removed}
+        return len(self.connected_components(kept)) <= 1
 
     # -- derived graphs ---------------------------------------------------
 

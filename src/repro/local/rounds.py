@@ -13,16 +13,25 @@ Two charging styles coexist, both exact LOCAL semantics:
 * ball collection (``charge(r)`` for "gather the radius-r neighbourhood and
   decide locally" — messages are unbounded in LOCAL, so collecting a ball
   of radius r costs exactly r rounds).
+
+An engine is a list of :data:`Phase` entries over a
+:class:`PipelineState`, run by :func:`run_phases`.
 """
 
 from __future__ import annotations
 
+import copy
+import random
 import time
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
-__all__ = ["RoundLedger", "PhaseBreakdown", "EngineRun"]
+from repro.graphs.graph import Graph
+from repro.graphs.validation import UNCOLORED
+
+__all__ = ["RoundLedger", "PhaseBreakdown", "EngineRun", "Phase", "PipelineState", "run_phases"]
 
 
 @dataclass
@@ -50,14 +59,10 @@ class PhaseBreakdown:
 class RoundLedger:
     """Accumulates LOCAL rounds, attributed to nested phases.
 
-    Usage::
-
-        ledger = RoundLedger()
-        with ledger.phase("1:dcc-detection"):
-            ledger.charge(2 * r)          # collect radius-2r balls
-        with ledger.phase("4:marking"):
-            ledger.charge(1)              # one exchange
-        ledger.total_rounds               # -> 2*r + 1
+    An engine's phases are opened by :func:`run_phases`, one ledger
+    phase per pipeline phase; inside it, a phase that collects radius-2r
+    balls calls ``ledger.charge(2 * r)`` and one exchange costs
+    ``ledger.charge(1)``.
 
     Phases nest; rounds are attributed to the innermost phase name joined
     with ``/``.  Parallel composition (phases that the paper runs on
@@ -155,42 +160,74 @@ class EngineRun:
     seed_used: int | None = None
 
     @classmethod
-    def from_ledger(
-        cls,
-        algorithm: str,
-        colors: list[int],
-        delta: int,
-        ledger: RoundLedger,
-        stats: dict[str, Any],
-        phase_keys: dict[str, tuple[str, ...]],
-        seed_used: int | None = None,
-    ) -> "EngineRun":
-        """A Δ-palette run whose rounds, phase rounds and phase walls
-        come from ``ledger``.
+    def from_state(
+        cls, algorithm: str, state: PipelineState, seed_used: int | None = None
+    ) -> EngineRun:
+        """A Δ-palette run of the phases :func:`run_phases` ran on ``state``.
 
-        ``phase_keys`` names the stats keys each phase produced; they are
-        copied into that phase's ``phase_stats`` entry.  Each phase's
-        wall-clock seconds land under the reserved ``wall_s`` key, and
-        nested ledger phases absent from ``phase_keys`` get an entry of
-        their own, so the timing decomposition is complete even where no
-        stats were attributed.  ``wall_s`` is stripped from content
-        digests, so two runs of equal coloring content stay digest-equal
-        across machines.
+        Rounds come from its ledger.  Each phase's ``phase_stats`` entry is
+        the stats it returned plus its wall seconds under the reserved
+        ``wall_s`` key (stripped from content digests); ``stats`` merges
+        the returned stats in phase order.
         """
-        phase_stats = {
-            phase: {k: stats[k] for k in keys if k in stats}
-            for phase, keys in phase_keys.items()
-        }
-        for phase, wall in ledger.wall_snapshot().items():
-            phase_stats.setdefault(phase, {})["wall_s"] = round(wall, 6)
+        walls = state.ledger.wall_snapshot()
+        phase_stats: dict[str, dict[str, Any]] = {}
+        stats: dict[str, Any] = {}
+        for phase, recorded in state.phase_stats.items():
+            stats.update(recorded)
+            phase_stats[phase] = {**recorded, "wall_s": round(walls[phase], 6)}
         return cls(
             algorithm=algorithm,
-            colors=colors,
-            delta=delta,
-            palette=delta,
-            rounds=ledger.total_rounds,
-            phase_rounds=ledger.snapshot(),
+            colors=state.colors,
+            delta=state.delta,
+            palette=state.delta,
+            rounds=state.ledger.total_rounds,
+            phase_rounds=state.ledger.snapshot(),
             phase_stats=phase_stats,
             stats=stats,
             seed_used=seed_used,
         )
+
+
+@dataclass
+class PipelineState:
+    """What the phases of one engine run hand to each other: the coloring,
+    the ledger, the coins and (in an engine's subclass) whatever a later
+    phase reads.  Between phases it is a plain value: running the
+    remaining phases on a :meth:`copy` finishes the solve as the
+    uninterrupted run does.
+    """
+
+    graph: Graph
+    strict: bool = False
+    rng: random.Random | None = None
+    delta: int = field(init=False)
+    colors: list[int] = field(init=False)
+    ledger: RoundLedger = field(init=False, default_factory=RoundLedger)
+    phase_stats: dict[str, dict[str, Any]] = field(init=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.delta = self.graph.max_degree()
+        self.colors = [UNCOLORED] * self.graph.n
+
+    def copy(self: S) -> S:
+        """An independent copy; only the graph, which no phase writes, is shared."""
+        return copy.deepcopy(self, {id(self.graph): self.graph})
+
+
+S = TypeVar("S", bound=PipelineState)
+
+# A pipeline phase: its ledger name and a function from the state to the
+# stats it produced.
+Phase = tuple[str, Callable[[Any], dict[str, Any]]]
+
+
+def run_phases(state: S, phases: Iterable[Phase]) -> S:
+    """Run ``phases`` in order on ``state``, each in its own ledger phase
+    (the only place an engine opens one), recording the stats each returns
+    as its ``phase_stats`` entry."""
+    for name, step in phases:
+        with state.ledger.phase(name):
+            stats = step(state)
+        state.phase_stats[name] = stats
+    return state

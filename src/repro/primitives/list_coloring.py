@@ -40,6 +40,7 @@ same ledger charges, same rng draws.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
 import random
@@ -257,8 +258,8 @@ class ColorWorkspace:
 
     :func:`repro.core.layering.color_layers_in_reverse` opens one
     workspace per phase, so a phase pays for one mirror and one
-    write-back; the randomized pipeline opens one for phases (8) and (9)
-    together.  Each engine function below is a one-call workspace.
+    write-back; the randomized pipeline's phase (8) opens one that phase
+    (9) closes, held in the pipeline state in between.  Each engine function below is a one-call workspace.
     """
 
     def __init__(self, graph: Graph, colors: list[int], target_count: int):
@@ -285,6 +286,15 @@ class ColorWorkspace:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    def __deepcopy__(self, memo: dict) -> "ColorWorkspace":
+        """A workspace over a copy of ``colors`` and of the mirror (a saved
+        pipeline state holds one); graph and kernel bindings are shared."""
+        twin = copy.copy(self)
+        twin.colors = twin.view = copy.deepcopy(self.colors, memo)
+        if self.view is not self.colors:
+            twin.view, twin._worn, twin._props = map(copy.copy, (self.view, self._worn, self._props))
+        return twin
 
     def close(self) -> None:
         """Copy the mirror back to ``colors``; from then on the

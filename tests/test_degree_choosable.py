@@ -12,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.degree_choosable import backtracking_list_color, degree_list_color
+from repro.core.degree_choosable import (
+    backtracking_list_color,
+    color_against_outside,
+    degree_list_color,
+)
 from repro.errors import InfeasibleListColoringError
 from repro.graphs.generators import (
     complete_graph,
@@ -108,6 +112,25 @@ class TestOneBasedLists:
     def test_names_the_first_offending_node(self):
         with pytest.raises(ValueError, match="node 2: list color -3 < 1"):
             degree_list_color(path_graph(3), [{1, 2}, {1, 2}, {2, -3}])
+
+
+class TestColorAgainstOutsideRange:
+    """A member outside ``0..n-1`` is refused before anything is written,
+    naming the node and n."""
+
+    @pytest.mark.parametrize("member", [-1, 4])
+    def test_out_of_range_member(self, member):
+        # -1 used to read an empty row and color node 3 (via colors[-1]);
+        # 4 raised a bare "array index out of range".
+        colors = [0, 0, 0, 0]
+        with pytest.raises(IndexError, match=rf"node {member} is out of range for n=4"):
+            color_against_outside(path_graph(4), colors, [member], 3)
+        assert colors == [0, 0, 0, 0]
+
+    def test_in_range_members_still_colored(self):
+        colors = [0, 0, 0, 0]
+        assert color_against_outside(path_graph(4), colors, [3, 2], 3) == [2, 3]
+        assert colors[2] != colors[3] and min(colors[2:]) >= 1
 
 
 class TestBrooksColoring:
