@@ -8,13 +8,20 @@ with color one — the survivor becomes a **T-node** (a node with two
 equally-colored neighbours, which is guaranteed a free color whenever it
 is colored last among its neighbours), the two neighbours are **marked**.
 
-The backoff rule is a purely local b-hop test, so it runs as one BFS per
-selected node: the search stays inside H, stops at depth b and exits at
-the first other selected node it meets.  That is what a node learns from
-b rounds of flooding selection flags, so the LOCAL charge stays
-``backoff + 2`` (the flood plus the pick/mark exchange); the selected
-nodes are few (p ≈ 1/|B_b|), so the searches together visit about as
-many nodes as H has.
+Selection and backoff run in one call of the native kernel's
+``marking_select`` when it is loaded, else in its Python twin
+:func:`_select_python`; both give the same survivors from the same coins.
+The coins are one ``rng.randbytes(8·|H|)`` block: H node i, in H's set
+iteration order, draws from bytes 8i..8i+8 exactly the value
+``rng.random()`` would have returned (:func:`_draws`), and the rng ends
+in the state those ``|H|`` calls leave.  The backoff rule is a purely
+local b-hop test, so it runs as one search per selected node: it stays
+inside H, stops at depth b and exits at the first other selected node it
+meets.  That is what a node learns from b rounds of flooding selection
+flags, so the LOCAL charge stays ``backoff + 2`` (the flood plus the
+pick/mark exchange); the selected nodes are few (p ≈ 1/|B_b|), so the
+searches together visit about as many nodes as H has.  The pair pick for
+the survivors stays in Python.
 
 The paper's parameters (b = 6 for Δ >= 4, b = 12 for Δ = 3; p = Δ^{-b})
 make the w.h.p. statements of Lemmas 23/31 true asymptotically but select
@@ -31,13 +38,18 @@ out the pathological leftover components discussed in
 
 from __future__ import annotations
 
+import ctypes
 import random
+import struct
+from array import array
 from dataclasses import dataclass, field
 
+from repro import native
 from repro.errors import AlgorithmContractError
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
+from repro.native import address
 
 __all__ = ["MarkingOutcome", "marking_process", "default_selection_probability"]
 
@@ -79,9 +91,11 @@ def marking_process(
 ) -> MarkingOutcome:
     """Run the marking process on the remainder graph H (phase (4)).
 
-    Precondition: every node of ``h_nodes`` is uncolored.  Mutates
-    ``colors`` (marked nodes receive color 1).  Charges ``backoff + 2``
-    rounds: the backoff conflict flood plus the pick/mark exchange.
+    Precondition: every node of ``h_nodes`` lies in ``0..n-1``
+    (``IndexError`` otherwise) and is uncolored.  Either failure is
+    raised before any coin is drawn or color written.  Mutates ``colors``
+    (marked nodes receive color 1).  Charges ``backoff + 2`` rounds: the
+    backoff conflict flood plus the pick/mark exchange.
     """
     rng = rng if rng is not None else random.Random(0)
     ledger = ledger if ledger is not None else RoundLedger()
@@ -90,30 +104,19 @@ def marking_process(
             f"backoff must be >= 5 to keep marks of distinct T-nodes "
             f"non-adjacent (got {backoff})"
         )
-    for v in h_nodes:
-        if colors[v] != UNCOLORED:
-            raise AlgorithmContractError(f"marking precondition: node {v} is colored")
-    outcome = MarkingOutcome()
+    survivors, selected = _select(graph, h_nodes, colors, p, backoff, rng)
     ledger.charge(backoff + 2)
-    outcome.rounds = backoff + 2
-    if not h_nodes:
-        return outcome
-
-    h_mask = bytearray(graph.n)
-    for v in h_nodes:
-        h_mask[v] = 1
-    selected = {v for v in h_nodes if rng.random() < p}
-    outcome.initially_selected = len(selected)
+    outcome = MarkingOutcome(
+        initially_selected=selected, backed_off=selected - len(survivors), rounds=backoff + 2
+    )
     offsets, indices = graph.csr()
-    survivors = _without_close_pairs(graph, selected, backoff, h_mask)
-    outcome.backed_off = len(selected) - len(survivors)
-    for v in sorted(survivors):
+    for v in survivors:
         # A uniformly random non-adjacent pair of H-neighbours.  A clique
         # neighbourhood has none and its node cannot become a T-node
         # (cf. Lemma 13: that happens exactly where the graph is locally
         # DCC-free).
         pairs = graph.complement_within(
-            [u for u in indices[offsets[v] : offsets[v + 1]] if h_mask[u]]
+            [u for u in indices[offsets[v] : offsets[v + 1]] if u in h_nodes]
         )
         if not pairs:
             outcome.no_pair_available += 1
@@ -125,6 +128,79 @@ def marking_process(
         outcome.marked.add(u1)
         outcome.marked.add(u2)
     return outcome
+
+
+def _select(
+    graph: Graph, h_nodes: set[int], colors: list[int], p: float, backoff: int,
+    rng: random.Random,
+) -> tuple[list[int], int]:
+    """The selected nodes that survive the backoff, ascending, and how
+    many were selected: by the kernel's ``marking_select`` when it is
+    loaded, else by :func:`_select_python`.  Anything the kernel refuses
+    (a node outside ``0..n-1``, a colored H node) goes to the twin with
+    the rng rewound, and the twin raises it."""
+    kernel = native.kernel("marking_select")
+    n = graph.n
+    if kernel is None or not h_nodes or len(colors) != n:
+        return _select_python(graph, h_nodes, colors, p, backoff, rng)
+    count = len(h_nodes)
+    try:
+        nodes = struct.pack(f"{count}i", *h_nodes)
+        # The kernel checks colors only when some node wears one.
+        packed_colors = None if colors.count(UNCOLORED) == n else struct.pack(f"{n}i", *colors)
+    except struct.error:  # a node or color beyond a C int: the twin takes it
+        return _select_python(graph, h_nodes, colors, p, backoff, rng)
+    offsets, indices = graph.csr()
+    mask = array("B", bytes(n))
+    queue = array("i", bytes(4 * count))
+    out = array("i", bytes(4 * count))
+    selected = ctypes.c_int()
+    state = rng.getstate()
+    block = rng.randbytes(8 * count)
+    size = kernel(
+        address(offsets), address(indices), n, packed_colors, nodes, count, block, p, backoff,
+        address(mask), address(queue), address(out), ctypes.byref(selected),
+    )
+    if size < 0:
+        rng.setstate(state)
+        return _select_python(graph, h_nodes, colors, p, backoff, rng)
+    return out[:size].tolist(), selected.value
+
+
+def _select_python(
+    graph: Graph, h_nodes: set[int], colors: list[int], p: float, backoff: int,
+    rng: random.Random,
+) -> tuple[list[int], int]:
+    """Selection and backoff in Python (reference twin of the kernel's
+    ``marking_select``): the same checks in the same order, the same
+    block of coins, the same survivors."""
+    n = graph.n
+    for v in h_nodes:
+        if not 0 <= v < n:
+            raise IndexError(f"H node {v} is out of range for n={n}")
+    for v in h_nodes:
+        if colors[v] != UNCOLORED:
+            raise AlgorithmContractError(f"marking precondition: node {v} is colored")
+    if not h_nodes:
+        return [], 0
+    h_mask = bytearray(n)
+    for v in h_nodes:
+        h_mask[v] = 1
+    draws = _draws(rng.randbytes(8 * len(h_nodes)))
+    selected = {v for v, draw in zip(h_nodes, draws) if draw < p}
+    return sorted(_without_close_pairs(graph, selected, backoff, h_mask)), len(selected)
+
+
+def _draws(block: bytes) -> list[float]:
+    """The ``random.random()`` values a block of ``rng.randbytes(8k)``
+    holds, one per 8 bytes: from the two little-endian 32-bit words a, b
+    there, ``((a >> 5)·2^26 + (b >> 6)) / 2^53``, which is how
+    ``random()`` combines the same two generator outputs."""
+    words = struct.unpack(f"<{len(block) // 4}I", block)
+    return [
+        ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992
+        for a, b in zip(words[0::2], words[1::2])
+    ]
 
 
 def _without_close_pairs(

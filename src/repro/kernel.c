@@ -41,7 +41,11 @@
  *                 instance against its colored surroundings, in the
  *                 surplus case; every other case is handed back to the
  *                 twin (repro.core.degree_choosable:
- *                 color_against_outside).
+ *                 color_against_outside);
+ *   marking_select
+ *                 phase (4)'s selection and backoff from one block of
+ *                 the engine rng's bytes (repro.core.marking:
+ *                 _select_python).
  */
 
 #include <stdlib.h>
@@ -702,6 +706,90 @@ int degree_list_surplus(const int *offsets, const int *indices, int n,
             return i;
     }
     return count;
+}
+
+/* ---- The marking process (phase 4) ----------------------------------- */
+
+/* The little-endian 32-bit word at b. */
+static unsigned long le32(const unsigned char *b)
+{
+    return b[0] | (unsigned long)b[1] << 8 | (unsigned long)b[2] << 16 |
+           (unsigned long)b[3] << 24;
+}
+
+/* marking_select: phase (4)'s selection and backoff
+ * (repro.core.marking._select_python).  H is nodes[0..count), in the
+ * caller's set order; colors (n ints) must be 0 on each of them, and may
+ * be NULL when no node is colored.  Entry i draws
+ * ((a >> 5) * 2^26 + (b >> 6)) / 2^53, where a and b are the
+ * little-endian 32-bit words at block[8i] and block[8i + 4]: the value
+ * random.random() makes of the same two generator outputs.  A node is
+ * selected, once, when a draw of one of its entries is below p.  A selected
+ * node survives when no other selected node lies within backoff hops of
+ * it inside H; each search, level by level in row order, stops at the
+ * first one it reaches.  Writes the survivors ascending to out[0..k), the
+ * number selected to *selected, and returns k; or returns -1, having
+ * written nothing, when a node lies outside 0..n-1 or is colored.  mask
+ * (n bytes) must be zero on entry and is zero on return; queue and out
+ * hold count ints each.
+ */
+int marking_select(const int *offsets, const int *indices, int n,
+                   const int *colors, const int *nodes, int count,
+                   const unsigned char *block, double p, int backoff,
+                   unsigned char *mask, int *queue, int *out, int *selected)
+{
+    enum { IN_H = 1, SELECTED = 2, SEEN = 4 };
+    int i, e, k = 0, chosen = 0;
+    for (i = 0; i < count; i++)
+        if (nodes[i] < 0 || nodes[i] >= n)
+            return -1;
+    if (colors)
+        for (i = 0; i < count; i++)
+            if (colors[nodes[i]] != 0)
+                return -1;
+    for (i = 0; i < count; i++)
+        mask[nodes[i]] = IN_H;
+    for (i = 0; i < count; i++) {
+        const unsigned char *b = block + 8 * (long long)i;
+        double draw = ((le32(b) >> 5) * 67108864.0 + (le32(b + 4) >> 6)) *
+                      (1.0 / 9007199254740992.0);
+        if (draw < p && !(mask[nodes[i]] & SELECTED)) {
+            mask[nodes[i]] |= SELECTED;
+            out[chosen++] = nodes[i];
+        }
+    }
+    for (i = 0; i < chosen; i++) {
+        int source = out[i], head = 0, tail = 1, depth, hit = 0;
+        queue[0] = source;
+        mask[source] |= SEEN;
+        for (depth = 0; depth < backoff && !hit && head < tail; depth++) {
+            int end = tail;
+            for (; head < end && !hit; head++) {
+                int v = queue[head];
+                for (e = offsets[v]; e < offsets[v + 1]; e++) {
+                    int w = indices[e];
+                    if ((mask[w] & (IN_H | SEEN)) != IN_H)
+                        continue;
+                    if (mask[w] & SELECTED) {
+                        hit = 1;
+                        break;
+                    }
+                    mask[w] |= SEEN;
+                    queue[tail++] = w;
+                }
+            }
+        }
+        while (tail--)
+            mask[queue[tail]] &= ~SEEN;
+        if (!hit)
+            out[k++] = source;
+    }
+    for (i = 0; i < count; i++)
+        mask[nodes[i]] = 0;
+    if (k > 1)
+        qsort(out, k, sizeof *out, ascending);
+    *selected = chosen;
+    return k;
 }
 
 /* ---- Linial's color reduction ----------------------------------------- */

@@ -5,6 +5,7 @@ detection (``dcc_detect``, all of phase (1), behind its prefilter
 ``short_cycles``), the two (deg+1)-list coloring engines' sweeps
 (``class_sweep``, ``pending_nodes`` and ``trial_round``), phase (9)'s
 degree-list instances in their surplus case (``degree_list_surplus``),
+phase (4)'s selection and backoff (``marking_select``),
 Linial's reduction round (``linial_round``), the multi-source level BFS
 (``level_bfs``), coloring validation (``validate``), phase (5)'s
 H-boundary (``h_boundary``), the edge listing (``edge_pairs``), the
@@ -111,6 +112,11 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _P, _I, _P, _I,  # offsets, indices, n, colors, max_colors
         _P, _P, _I, _I,  # members, ends, count, start
         _P, _P, _P,  # local, work, worn
+    ],
+    "marking_select": [
+        _P, _P, _I, _P,  # offsets, indices, n, colors
+        _P, _I, _P, ctypes.c_double, _I,  # nodes, count, block, p, backoff
+        _P, _P, _P, ctypes.POINTER(_I),  # mask, queue, out, selected
     ],
 }
 

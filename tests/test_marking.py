@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core.marking import (
     MARK_COLOR,
+    _draws,
+    _select,
+    _select_python,
     _without_close_pairs,
     default_selection_probability,
     marking_process,
@@ -101,6 +104,22 @@ class TestGuards:
         with pytest.raises(AlgorithmContractError, match="precondition"):
             marking_process(g, set(range(g.n)), colors, 0.1, 6)
 
+    @pytest.mark.parametrize("tier", ["dispatched", "twin"])
+    @pytest.mark.parametrize("bad", [-1, 64, 2**31, 2**40])
+    def test_out_of_range_h_node_rejected_before_any_draw(self, bad, tier, python_twins):
+        # Node -1 used to mark node n-1 as part of H and count as
+        # selected; node n raised an untyped "list index out of range".
+        g = random_regular_graph(64, 3, seed=1)
+        colors = [UNCOLORED] * g.n
+        rng, ledger = random.Random(5), RoundLedger()
+        h_nodes = set(range(10, 20)) | {bad}
+        run = python_twins if tier == "twin" else (lambda fn, *args: fn(*args))
+        with pytest.raises(IndexError, match=f"^H node {bad} is out of range for n=64$"):
+            run(marking_process, g, h_nodes, colors, 0.9, 6, rng, ledger)
+        assert rng.getstate() == random.Random(5).getstate()
+        assert colors == [UNCOLORED] * g.n
+        assert ledger.total_rounds == 0
+
     def test_rounds_charged(self):
         g = random_regular_graph(100, 3, seed=2)
         ledger = RoundLedger()
@@ -193,6 +212,16 @@ class TestBackoffOracle:
         expected = _oracle_survivors(graph, selected, backoff, h_nodes)
         assert _without_close_pairs(graph, selected, backoff, h_mask) == expected
 
+        # The dispatched selection (the kernel when it is loaded) and the
+        # twin draw the same nodes and keep exactly the oracle's survivors.
+        for select in (_select, _select_python):
+            replay = random.Random(seed + 1)
+            survivors, chosen = select(
+                graph, h_nodes, [UNCOLORED] * graph.n, p, backoff, replay
+            )
+            assert (survivors, chosen) == (sorted(expected), len(selected))
+            assert replay.getstate() == rng_after(seed + 1, len(h_nodes))
+
         # marking_process draws the same selection and backs off the rest.
         colors = [UNCOLORED] * graph.n
         outcome = marking_process(
@@ -220,3 +249,38 @@ class TestBackoffOracle:
         assert (outcome.initially_selected, outcome.t_nodes, outcome.marked) == (0, {}, set())
         assert ledger.total_rounds == 8
         assert rng.random() == random.Random(1).random()
+
+
+def rng_after(seed: int, draws: int) -> tuple:
+    """The state of ``random.Random(seed)`` after ``draws`` calls of
+    ``random()``."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        rng.random()
+    return rng.getstate()
+
+
+class TestEntropyContract:
+    """Phase (4) draws its coins as one ``rng.randbytes(8k)`` block; the
+    digests pinned elsewhere hold only while that block decodes to exactly
+    the ``k`` values ``random()`` would have returned and leaves the
+    generator where those calls leave it.  A CPython change to either
+    fails here first."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20181, 2**40 + 3])
+    @pytest.mark.parametrize("warmup", [0, 1, 3, 625])
+    @pytest.mark.parametrize("k", [1, 2, 5, 312, 313, 1000])
+    def test_block_equals_random_calls(self, seed, warmup, k):
+        block_rng, call_rng = random.Random(seed), random.Random(seed)
+        for rng in (block_rng, call_rng):
+            # Earlier draws of several kinds put the generator mid-state.
+            for i in range(warmup):
+                (rng.random, lambda: rng.getrandbits(7), lambda: rng.randrange(1000))[i % 3]()
+        assert _draws(block_rng.randbytes(8 * k)) == [call_rng.random() for _ in range(k)]
+        assert block_rng.getstate() == call_rng.getstate()
+        assert block_rng.random() == call_rng.random()
+
+    def test_empty_block(self):
+        rng = random.Random(3)
+        assert _draws(rng.randbytes(0)) == []
+        assert rng.getstate() == random.Random(3).getstate()

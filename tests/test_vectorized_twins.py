@@ -63,11 +63,20 @@ point off, as on a box without a C compiler):
   colors, uncolored outside neighbours, two adjacent components in one
   call and out-of-range members (``IndexError``, nothing written): same
   colors, same error text, and the kernel hands back exactly the
-  components outside the twin's surplus case.
+  components outside the twin's surplus case;
+* phase (4)'s selection and backoff (the kernel's ``marking_select`` /
+  ``_select_python``, one block of ``rng.randbytes`` each) — rrg Δ=3/4,
+  girth-9, torus and sparse graphs; full, random and sparse H (H a few
+  balls of a large graph, so its set order is not ascending); p 0, the
+  preset, 0.25 and 1; backoff 5-8; empty H; colored nodes in and out of
+  H; out-of-range nodes, alone and with a colored node: the same
+  survivors, counts, T-nodes, colors and rng tail, or the same error
+  with nothing drawn or written.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
 from array import array
 from collections import Counter
@@ -79,12 +88,14 @@ from hypothesis import strategies as st
 import repro.core.dcc as dcc_mod
 import repro.core.degree_choosable as degree_choosable_mod
 import repro.core.happiness as happiness_mod
+import repro.core.marking as marking_mod
 import repro.primitives.linial as linial_mod
 from repro import native
 from repro.api import solve
 from repro.core.colorstore import ColorStore
 from repro.core.degree_choosable import color_against_outside
 from repro.core.layering import color_layers_in_reverse
+from repro.core.marking import default_selection_probability, marking_process
 from repro.errors import AlgorithmContractError, ColoringError, InfeasibleListColoringError
 from repro.graphs import bfs as bfs_mod
 from repro.graphs import dynamic as dynamic_mod
@@ -1713,3 +1724,157 @@ def test_degree_list_paths_agree_on_sparse_graphs(n, seed, avg, spare, python_tw
         ball = bfs_mod.distance_layers(graph, [center], max_depth=rng.choice([0, 1, 2]))
         components.append([v for layer in ball for v in layer][: rng.randint(1, 9)])
     assert_degree_list_pinned(graph, colors, components, max_colors, python_twins)
+
+
+# -- The marking process (phase 4) --------------------------------------------
+
+
+def run_marking(graph, h_nodes, colors, p, backoff, seed=11):
+    """What phase (4) gives: the selection's survivors and count, then
+    ``marking_process``'s outcome, the colors it left and the rng's state
+    after it; an error raised stands in for the selection and outcome."""
+    colors, rng = list(colors), random.Random(seed)
+    try:
+        selection = marking_mod._select(graph, h_nodes, list(colors), p, backoff, random.Random(seed))
+        outcome = marking_process(graph, h_nodes, colors, p, backoff, rng, RoundLedger())
+    except (IndexError, AlgorithmContractError) as error:
+        return None, (type(error), str(error)), colors, rng.getstate()
+    fields = (outcome.t_nodes, outcome.marked, outcome.initially_selected,
+              outcome.backed_off, outcome.no_pair_available)
+    return selection, fields, colors, rng.getstate()
+
+
+def assert_marking_pinned(graph, h_nodes, colors, p, backoff, python_twins):
+    got = run_marking(graph, h_nodes, colors, p, backoff)
+    assert got == python_twins(run_marking, graph, h_nodes, colors, p, backoff)
+    return got
+
+
+def balls(graph, centers, radius):
+    """The nodes within ``radius`` of some center: a sparse H when the
+    graph is large."""
+    return {v for layer in bfs_mod.distance_layers(graph, centers, max_depth=radius) for v in layer}
+
+
+MARKING_FAMILIES = {
+    "rrg-d3": lambda: random_regular_graph(2000, 3, seed=1),
+    "rrg-d4": lambda: random_regular_graph(1500, 4, seed=2),
+    "girth9": lambda: high_girth_regular_graph(512, 3, 9, seed=2),
+    "torus": lambda: torus_grid(30, 30),
+    "sparse": lambda: sparse_graph(1100, 4, 1.8),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MARKING_FAMILIES))
+@pytest.mark.parametrize("h_kind", ["full", "random", "sparse"])
+def test_marking_kernel_matches_twin(family, h_kind, kernel_calls, python_twins):
+    graph = MARKING_FAMILIES[family]()
+    rng = random.Random(graph.n)
+    if h_kind == "full":
+        h_nodes = set(range(graph.n))
+    elif h_kind == "random":
+        h_nodes = {v for v in range(graph.n) if rng.random() < 0.6}
+    else:
+        h_nodes = balls(graph, rng.sample(range(graph.n), 6), 3) | set(rng.sample(range(graph.n), 40))
+    delta = max(3, graph.max_degree())
+    for backoff in (5, 6, 7, 8):
+        for p in (0.0, default_selection_probability(delta, backoff), 0.25, 1.0):
+            selection, fields, colors, _ = assert_marking_pinned(
+                graph, h_nodes, [UNCOLORED] * graph.n, p, backoff, python_twins
+            )
+            (survivors, selected), (t_nodes, marked, chosen, backed_off, no_pair) = selection, fields
+            assert (chosen, backed_off) == (selected, selected - len(survivors))
+            assert set(t_nodes) <= set(survivors) and len(t_nodes) + no_pair == len(survivors)
+            assert colors.count(1) == len(marked) == 2 * len(t_nodes)
+    if native.kernel_status().functions:
+        assert kernel_calls["marking_select"] > 0
+
+
+def test_marking_sparse_h_of_a_large_graph(kernel_calls, python_twins):
+    """H a few balls of a large graph, whose set iteration order is not
+    ascending: node i of that order draws the i-th coin on both paths."""
+    graph = random_regular_graph(20000, 3, seed=3)
+    h_nodes = balls(graph, random.Random(4).sample(range(graph.n), 12), 5)
+    assert list(h_nodes) != sorted(h_nodes)
+    for p in (default_selection_probability(3, 6), 0.05, 0.25):
+        selection, fields, _, _ = assert_marking_pinned(
+            graph, h_nodes, [UNCOLORED] * graph.n, p, 6, python_twins
+        )
+        assert selection[1] > 0
+    if native.kernel_status().functions:
+        assert kernel_calls["marking_select"] > 0
+
+
+def test_marking_repeated_h_entries(python_twins):
+    """H as a list naming every node twice: each entry draws a coin and a
+    node is selected once, on both paths."""
+    graph = random_regular_graph(400, 3, seed=6)
+    for p in (0.02, 0.25):
+        selection, fields, _, _ = assert_marking_pinned(
+            graph, list(range(graph.n)) * 2, [UNCOLORED] * graph.n, p, 5, python_twins
+        )
+        assert selection[1] > 0 and len(set(selection[0])) == len(selection[0])
+
+
+def test_marking_empty_h_draws_nothing(python_twins):
+    graph = random_regular_graph(300, 3, seed=5)
+    got = assert_marking_pinned(graph, set(), [UNCOLORED] * graph.n, 0.5, 6, python_twins)
+    assert got[0] == ([], 0)
+    assert got[3] == random.Random(11).getstate()
+
+
+def test_marking_colored_nodes(python_twins):
+    """A colored node outside H changes nothing; one inside H is the same
+    error, naming the same node, with nothing drawn or written."""
+    graph = random_regular_graph(400, 3, seed=6)
+    h_nodes = set(range(100, 400))
+    colors = [UNCOLORED] * graph.n
+    colors[7] = 2
+    got = assert_marking_pinned(graph, h_nodes, colors, 0.1, 6, python_twins)
+    assert got[1][2] > 0
+    colors[250] = 3
+    got = assert_marking_pinned(graph, h_nodes, colors, 0.1, 6, python_twins)
+    assert got[1] == (AlgorithmContractError, "marking precondition: node 250 is colored")
+    assert got[2] == colors and got[3] == random.Random(11).getstate()
+
+
+@pytest.mark.parametrize("bad", [-1, 400, 2**31, 2**40])
+def test_marking_out_of_range_nodes(bad, python_twins):
+    graph = random_regular_graph(400, 3, seed=6)
+    colors = [UNCOLORED] * graph.n
+    got = assert_marking_pinned(graph, set(range(100, 200)) | {bad}, colors, 0.5, 6, python_twins)
+    assert got[1] == (IndexError, f"H node {bad} is out of range for n=400")
+    assert got[2] == colors and got[3] == random.Random(11).getstate()
+    # Out of range is checked before colors, on both paths.
+    colors[150] = 2
+    got = assert_marking_pinned(graph, set(range(100, 200)) | {bad}, colors, 0.5, 6, python_twins)
+    assert got[1] == (IndexError, f"H node {bad} is out of range for n=400")
+
+
+@requires_kernel
+def test_marking_kernel_reuses_its_mask(python_twins):
+    """The kernel's mask is zero on return, so one mask serves call after
+    call; each call gives what the twin gives from the same block."""
+    graph = random_regular_graph(3000, 3, seed=8)
+    offsets, indices = graph.csr()
+    mask = array("B", bytes(graph.n))
+    kernel = native.kernel("marking_select")
+    rng = random.Random(9)
+    for seed, p in enumerate((0.01, 0.1, 1.0)):
+        h_nodes = {v for v in range(graph.n) if rng.random() < 0.7}
+        nodes = array("i", h_nodes)
+        block = random.Random(seed).randbytes(8 * len(nodes))
+        queue, out = array("i", bytes(4 * len(nodes))), array("i", bytes(4 * len(nodes)))
+        selected = ctypes.c_int()
+        size = kernel(
+            native.address(offsets), native.address(indices), graph.n, None,
+            native.address(nodes), len(nodes), block, p, 6,
+            native.address(mask), native.address(queue), native.address(out),
+            ctypes.byref(selected),
+        )
+        twin = python_twins(
+            marking_mod._select_python, graph, h_nodes, [UNCOLORED] * graph.n, p, 6,
+            random.Random(seed),
+        )
+        assert (out[:size].tolist(), selected.value) == twin
+        assert not any(mask)
