@@ -18,7 +18,7 @@ TWIN_TESTS := tests/test_golden_solve.py tests/test_golden_seed.py \
 	tests/test_vectorized_twins.py tests/test_native_kernel.py \
 	tests/test_wire_packed.py tests/test_degree_choosable.py \
 	tests/test_oracles.py tests/test_phase_resume.py \
-	tests/test_round_identities.py
+	tests/test_round_identities.py tests/test_dcc.py
 
 test-no-cc:
 	@bin=$$(dirname "$$(python -c 'import sys; print(sys.executable)')"); \

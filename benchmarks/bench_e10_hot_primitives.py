@@ -29,6 +29,11 @@ toward per-stub / per-node Python.
   kernel's ``degree_list_surplus``, on an open workspace) vs the twin
   loop of ``color_against_outside``: wall clock of each, the component
   count and how many components the kernel handed back.
+* **E10e** — phase (2) alone: the virtual ruling set of the DCCs phase
+  (1) finds on rrg Δ=8 at r=2.  :func:`repro.core.dcc.virtual_graph_ruling_set`
+  (one call of the kernel's ``virtual_ruling_set`` per Luby iteration)
+  vs its twin ``_ruling_set_python``, from the same seed: wall clock of
+  each, the DCC count, the iterations and the chosen count.
 
 Unlike the E-series experiment tables this is not a paper-claim probe —
 it deliberately isolates primitives whose cost the end-to-end benchmark
@@ -43,7 +48,12 @@ import time
 from common import emit, sizes
 from repro.analysis.experiments import Row, Table
 from repro.api import solve
-from repro.core.dcc import DCCScratch, detect_dccs, virtual_graph_ruling_set
+from repro.core.dcc import (
+    DCCScratch,
+    _ruling_set_python,
+    detect_dccs,
+    virtual_graph_ruling_set,
+)
 from repro.core.degree_choosable import color_against_outside
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.validation import UNCOLORED, validate_coloring
@@ -168,8 +178,38 @@ def build_b0_table():
     return emit(table, "e10d_b0")
 
 
+def build_ruling_set_table():
+    table = Table(title="E10e: phase (2) virtual ruling set (rrg Δ=8, r=2)")
+    for n in sizes([4096, 32768], [32768, 131072]):
+        graph = random_regular_graph(n, 8, seed=5)
+        dccs = detect_dccs(graph, 2).dccs
+        kernel_best = twin_best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            chosen = virtual_graph_ruling_set(graph, dccs, 5, rng=random.Random(1))
+            kernel_best = min(kernel_best, time.perf_counter() - started)
+            started = time.perf_counter()
+            twin = _ruling_set_python(graph, dccs, 5, RoundLedger(), random.Random(1), None)
+            twin_best = min(twin_best, time.perf_counter() - started)
+        assert chosen == twin
+        table.rows.append(Row(
+            params={"n": n},
+            values={"kernel_ms": round(1000 * kernel_best, 2),
+                    "twin_ms": round(1000 * twin_best, 2),
+                    "dccs": len(dccs),
+                    "iterations": chosen[1],
+                    "chosen": len(chosen[0])},
+        ))
+    table.notes.append(
+        "kernel_ms is the whole call (packing, one kernel call per Luby "
+        "iteration); without a compiler both columns run the twin"
+    )
+    return emit(table, "e10e_ruling_set")
+
+
 if __name__ == "__main__":
     build_generator_table()
     build_trial_rounds_table()
     build_dcc_detection_table()
     build_b0_table()
+    build_ruling_set_table()

@@ -48,20 +48,30 @@ its row is not read.  Where short cycles are everywhere the sweep is a
 loss, so it stops once more than half the swept nodes are marked and
 every ball is collected, as without it.
 
-**Virtual MIS** — the ruling set of G_DCC is computed by Luby/Ghaffari
-rounds *simulated through member nodes*: each live DCC draws a priority,
-every member node learns the max priority of the DCCs it belongs to, one
+**Virtual MIS** — the ruling set of G_DCC is computed by Luby rounds
+*simulated through member nodes*: each live DCC draws a priority, every
+member node learns the max priority of the DCCs it belongs to, one
 G-round spreads these to neighbours, and each DCC aggregates over its
 members — exactly adjacency "share a vertex or a G-edge".  One virtual
-round costs O(r) real rounds, as the paper states.
+round costs O(r) real rounds, as the paper states.  The kernel's
+``virtual_ruling_set`` finds each DCC's conflicts the same way, through
+a table of the DCCs owning each member node, and lists them once; then
+each iteration is one call that reads its coins from one
+``rng.randbytes`` block (live DCC k of the live set's iteration order
+draws what the k-th ``rng.random()`` would).  Its twin
+:func:`_ruling_set_python` builds the conflict sets in Python and draws
+with ``rng.random()``.  Wall time is ``solver.2-dcc-ruling-set.ms`` in
+perfbench.
 """
 
 from __future__ import annotations
 
 import ctypes
 import random
+import struct
 from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress
 
 from repro import native
 from repro.native import address
@@ -122,7 +132,8 @@ class DCCScratch:
         kernel, allocated on first use: ``zeroed`` (2n, zero at rest),
         ``work`` (7n), ``selected_by`` (n, -1 at rest), ``sizes`` and
         ``members``; ``members`` holds at least ``n`` entries, so any
-        single DCC fits."""
+        single DCC fits.  :func:`virtual_graph_ruling_set` keeps its
+        owners table in the first n entries of ``zeroed``."""
         if self._kernel_buffers is None:
             n = self.n
             zeroed, work, sizes, members = (
@@ -427,45 +438,135 @@ def virtual_graph_ruling_set(
     rounds_per_virtual: int,
     ledger: RoundLedger | None = None,
     rng: random.Random | None = None,
-    method: str = "luby",
     max_iterations: int | None = None,
+    scratch: DCCScratch | None = None,
 ) -> tuple[list[int], int]:
     """Phase (2): independent set of G_DCC covering all DCCs (a (2, β)
     ruling set run to maximality, so β is the virtual diameter bound 1).
 
-    Virtual Luby/Ghaffari: per iteration every live DCC draws a priority;
-    a DCC joins if its priority beats every DCC it conflicts with
-    (sharing a node or joined by a G-edge); joiners knock out their
-    conflicting DCCs.  Each iteration is charged ``2 * rounds_per_virtual``
-    real rounds (priority aggregation over the DCC's diameter + one
-    G-round + the symmetric removal flood).
+    Virtual Luby: per iteration every live DCC draws a priority; a DCC
+    joins if its priority beats every DCC it conflicts with (sharing a
+    node or joined by a G-edge); joiners knock out their conflicting
+    DCCs.  Each iteration is charged ``2 * rounds_per_virtual`` real
+    rounds (priority aggregation over the DCC's diameter + one G-round
+    + the symmetric removal flood).  When ``max_iterations`` stops the
+    loop early, the live DCCs with no chosen conflict are admitted
+    greedily by index, for ``rounds_per_virtual`` more rounds.
 
-    Returns ``(chosen_dcc_indices, iterations)``.
+    Every member must lie in ``0..n-1`` (``IndexError``) and no DCC may
+    hold a node twice (``ValueError``); both are raised before any coin
+    is drawn or round charged.  ``scratch`` may carry the
+    :class:`DCCScratch` of matching ``n`` that the caller's
+    :func:`detect_dccs` calls share; the kernel takes its owners table
+    from there instead of allocating O(n) per call.
+
+    Returns ``(chosen_dcc_indices, iterations)``, the indices ascending.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     rng = rng if rng is not None else random.Random(0)
-    num = len(dccs)
-    if num == 0:
+    if scratch is not None and scratch.n != graph.n:
+        raise ValueError(f"DCCScratch is sized for n={scratch.n}, graph has n={graph.n}")
+    if not dccs:
         return [], 0
-    # owners_of[v]: DCC indices containing v (almost always 0 or 1 entries;
-    # the flat list avoids dict probes in the edge scan below).
-    owners_of: list[list[int] | None] = [None] * graph.n
+    kernel = native.kernel("virtual_ruling_set")
+    if kernel is not None:
+        result = _ruling_set_native(
+            kernel, graph, dccs, rounds_per_virtual, ledger, rng, max_iterations, scratch
+        )
+        if result is not None:
+            return result
+    return _ruling_set_python(graph, dccs, rounds_per_virtual, ledger, rng, max_iterations)
+
+
+def _ruling_set_native(
+    kernel, graph: Graph, dccs, rounds_per_virtual: int, ledger: RoundLedger,
+    rng: random.Random, max_iterations: int | None, scratch: DCCScratch | None,
+) -> tuple[list[int], int] | None:
+    """Phase (2) in the kernel's ``virtual_ruling_set``: one call builds
+    every DCC's conflict list (again, with room for them all, when the
+    first guess was short), then one call per Luby iteration and one for
+    the finisher read them.  ``None``, with nothing drawn or charged,
+    for an input the build refuses; the twin raises on it.
+
+    Python keeps the live set, so its iteration order, which decides
+    which coin each DCC draws, is the twin's: after a shrinking
+    ``difference_update`` CPython may rebuild the table, and then small
+    ints no longer come out ascending.  Iteration k draws one
+    ``rng.randbytes(8·|live|)`` block, which leaves the rng where
+    ``|live|`` ``random()`` calls leave it."""
+    n, num = graph.n, len(dccs)
+    try:
+        ends = struct.pack(f"{num}i", *accumulate(map(len, dccs)))
+        total = struct.unpack_from("i", ends, 4 * (num - 1))[0]
+        members = struct.pack(f"{total}i", *chain.from_iterable(dccs))
+    except struct.error:  # a member beyond a C int: the twin raises
+        return None
+    offsets, indices = graph.csr()
+    heads = (
+        array("i", bytes(4 * n)) if scratch is None else scratch.kernel_buffers()[0]
+    )
+    links = array("i", bytes(8 * total))
+    conflict_ends = array("i", bytes(4 * num))
+    state = array("B", bytes(num))
+    keys = array("Q", bytes(8 * num))
+    out = array("i", bytes(4 * num))
+    table = (address(offsets), address(indices), n, members, ends, num, address(heads),
+             address(links), address(conflict_ends))
+    work = (address(state), address(keys), address(out))
+    # Room for 8 conflicts a member; rrg Δ=8 at n=4096, where DCCs
+    # crowd, needs about 5.
+    conflicts = array("i", bytes(4 * (8 * total + 64)))
+    size = kernel(*table, address(conflicts), len(conflicts), None, 0, None, *work)
+    if size > len(conflicts):  # dense conflicts: build again with room for all
+        conflicts = array("i", bytes(4 * size))
+        size = kernel(*table, address(conflicts), size, None, 0, None, *work)
+    if size < 0:
+        return None
+    lists = (*table, address(conflicts), size)
+    live = set(range(num))
+    iterations = 0
+    while live and (max_iterations is None or iterations < max_iterations):
+        iterations += 1
+        ledger.charge(2 * rounds_per_virtual)
+        order = array("i", live)
+        block = rng.randbytes(8 * len(order))
+        removed = kernel(*lists, address(order), len(order), block, *work)
+        live.difference_update(out[:removed])
+    if live:
+        order = array("i", sorted(live))
+        kernel(*lists, address(order), len(order), None, *work)
+        ledger.charge(rounds_per_virtual)
+    return list(compress(range(num), state)), iterations
+
+
+def _ruling_set_python(
+    graph: Graph, dccs, rounds_per_virtual: int, ledger: RoundLedger,
+    rng: random.Random, max_iterations: int | None,
+) -> tuple[list[int], int]:
+    """The virtual ruling set in Python (reference twin of the kernel's
+    ``virtual_ruling_set``): the same checks, the same conflicts and the
+    same coins in the same order, so the same DCCs are chosen."""
+    n = graph.n
     for idx, dcc in enumerate(dccs):
         for v in dcc:
-            cell = owners_of[v]
+            if not 0 <= v < n:
+                raise IndexError(f"DCC {idx} holds a node out of range for n={n}")
+    # owners_of[v]: the DCC indices containing v (almost always one).
+    owners_of: dict[int, list[int]] = {}
+    for idx, dcc in enumerate(dccs):
+        for v in dcc:
+            cell = owners_of.get(v)
             if cell is None:
                 owners_of[v] = [idx]
+            elif cell[-1] == idx:
+                raise ValueError(f"DCC {idx} holds node {v} twice")
             else:
                 cell.append(idx)
-    # Conflict adjacency between DCC indices (share node or G-edge), over
-    # the DCC members in ascending node order (the sets' insertion order
-    # decides their iteration order, which the float sums of "ghaffari"
-    # follow).
-    conflicts: list[set[int]] = [set() for _ in range(num)]
+    # Conflict adjacency between DCC indices (share node or G-edge).
+    conflicts: list[set[int]] = [set() for _ in dccs]
     offsets, indices = graph.csr()
     rows = memoryview(indices)
-    for v in sorted({v for dcc in dccs for v in dcc}):
-        owners = owners_of[v]
+    for v, owners in owners_of.items():
         if len(owners) > 1:
             for i, a in enumerate(owners):
                 for b in owners[i + 1:]:
@@ -475,7 +576,7 @@ def virtual_graph_ruling_set(
             # Each edge contributes once (conflicts are symmetric); a
             # neighbour with the same owners adds no new pair.
             if u > v:
-                others = owners_of[u]
+                others = owners_of.get(u)
                 if others is not None and others != owners:
                     for b in others:
                         for a in owners:
@@ -483,29 +584,17 @@ def virtual_graph_ruling_set(
                                 conflicts[a].add(b)
                                 conflicts[b].add(a)
 
-    live = set(range(num))
+    live = set(range(len(dccs)))
     chosen: list[int] = []
     iterations = 0
-    desire = {i: 0.5 for i in live} if method == "ghaffari" else None
     while live and (max_iterations is None or iterations < max_iterations):
         iterations += 1
         ledger.charge(2 * rounds_per_virtual)
-        if desire is None:
-            contenders = live
-        else:
-            contenders = {i for i in live if rng.random() < desire[i]}
-            for i in live:
-                load = sum(desire[j] for j in conflicts[i] if j in live)
-                desire[i] = desire[i] / 2 if load >= 2.0 else min(2 * desire[i], 0.5)
-        priority = {i: (rng.random(), i) for i in contenders}
+        priority = {i: (rng.random(), i) for i in live}
         joiners = [
             i
-            for i in contenders
-            if all(
-                priority[i] > priority[j]
-                for j in conflicts[i]
-                if j in contenders
-            )
+            for i in live
+            if all(priority[i] > priority[j] for j in conflicts[i] if j in live)
         ]
         removed = set(joiners)
         for i in joiners:

@@ -23,6 +23,7 @@ boundary through the now-uncolored mark (the paper's reassignment cascade
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -131,13 +132,17 @@ def _boundary(
     kernel = native.kernel("h_boundary")
     if kernel is None:
         return _boundary_python(graph, h_nodes, h_mask, delta)
+    count = len(h_nodes)
+    try:
+        nodes = struct.pack(f"{count}i", *h_nodes)
+    except struct.error:  # a node beyond a C int: left to the twin
+        return _boundary_python(graph, h_nodes, h_mask, delta)
     offsets, indices = graph.csr()
     mask = array("B", h_mask)
-    nodes = array("i", h_nodes)
-    out = array("i", bytes(4 * len(nodes)))
+    out = array("i", bytes(4 * count))
     size = kernel(
         address(offsets), address(indices), graph.n,
-        address(mask), address(nodes), len(nodes), delta, address(out),
+        address(mask), nodes, count, delta, address(out),
     )
     if size < 0:  # a node outside 0..n-1: left to the twin
         return _boundary_python(graph, h_nodes, h_mask, delta)

@@ -44,7 +44,7 @@ from repro.core.happiness import HappinessLayers, build_happiness_layers
 from repro.core.layering import color_layers_in_reverse
 from repro.core.marking import MarkingOutcome, default_selection_probability, marking_process
 from repro.core.small_components import SmallComponentsReport, color_small_components
-from repro.graphs.bfs import distance_layers
+from repro.graphs.bfs import distance_layers_and_rest
 from repro.graphs.graph import Graph
 from repro.local.rounds import EngineRun, Phase, PipelineState, run_phases
 from repro.primitives.linial import linial_coloring
@@ -183,13 +183,13 @@ def _b_layers(s: RandomizedState) -> dict[str, object]:
     (diameter + 1 + diameter) <= 4·r_dcc + 1 of B0."""
     depth = 4 * s.params.dcc_radius + 2
     s.ledger.charge(depth)
-    base_layer = {v for component in s.b0_components for v in component}
-    s.b_layers = distance_layers(s.graph, base_layer, max_depth=depth) if base_layer else []
-    layered = {v for layer in s.b_layers for v in layer}
-    if s.strict and base_layer and not s.detection.nodes_in_dccs <= layered:
-        missing = len(s.detection.nodes_in_dccs - layered)
-        raise AlgorithmContractError(f"phase 3 left {missing} DCC nodes outside the B-layers")
-    s.h_nodes = {v for v in range(s.graph.n) if v not in layered}
+    base_layer = [v for component in s.b0_components for v in component]
+    s.b_layers, s.h_nodes = distance_layers_and_rest(s.graph, base_layer, max_depth=depth)
+    if s.strict and base_layer:
+        layered = {v for layer in s.b_layers for v in layer}
+        if not s.detection.nodes_in_dccs <= layered:
+            missing = len(s.detection.nodes_in_dccs - layered)
+            raise AlgorithmContractError(f"phase 3 left {missing} DCC nodes outside the B-layers")
     return {"h_size": len(s.h_nodes)}
 
 

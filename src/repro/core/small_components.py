@@ -90,8 +90,8 @@ def color_small_components(
     report = SmallComponentsReport()
     components = graph.connected_components(leftover)
     costs = []
-    # One O(n) detection scratch shared by every per-component
-    # detect_dccs call (components are tiny; the allocations were not).
+    # One O(n) scratch shared by every per-component detect_dccs and
+    # ruling set call (components are tiny; the allocations were not).
     scratch = DCCScratch(graph.n)
     for component in components:
         report.component_sizes.append(len(component))
@@ -142,7 +142,7 @@ def _color_component(
 
     chosen, _iterations = virtual_graph_ruling_set(
         graph, systems, rounds_per_virtual=max(1, 2 * dcc_radius + 1),
-        ledger=ledger, rng=rng,
+        ledger=ledger, rng=rng, scratch=scratch,
     )
     seeds = {v for idx in chosen for v in systems[idx]}
 

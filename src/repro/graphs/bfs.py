@@ -31,9 +31,11 @@ outside ``0..n-1`` raises ``IndexError`` on both paths.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import deque
 from collections.abc import Callable, Collection, Iterable, Sequence
+from itertools import compress
 
 from repro import native
 from repro.graphs.graph import Graph
@@ -45,6 +47,7 @@ __all__ = [
     "bfs_levels",
     "bfs_tree",
     "distance_layers",
+    "distance_layers_and_rest",
     "closest_source_assignment",
     "eccentricity",
 ]
@@ -362,8 +365,47 @@ def distance_layers(
     kernel = native.kernel("level_bfs")
     if kernel is not None and _takes_native(graph, allowed):
         _, order, bounds = _level_bfs(kernel, graph, base, max_depth, allowed, True)
-        return [order[bounds[i - 1] : bounds[i]].tolist() for i in range(1, len(bounds))]
+        return _levels_of(order, bounds)
     return _distance_layers_python(graph, base, max_depth, allowed)
+
+
+def distance_layers_and_rest(
+    graph: Graph, base: Iterable[int], max_depth: int | None = None
+) -> tuple[list[list[int]], set[int]]:
+    """``distance_layers(graph, base, max_depth)`` and the set of the
+    nodes no layer holds (every node for an empty base).
+
+    The set is filled in ascending node order, as
+    ``{v for v in range(n) if v not in layered}`` fills it, so it has
+    that set's iteration order too.  The kernel path reads the unreached
+    nodes off the sign bytes of its distance array, and does no per-node
+    work at all when the search reached every node."""
+    base = list(base)
+    n = graph.n
+    if not base:
+        return [], set(range(n))
+    kernel = native.kernel("level_bfs")
+    if kernel is None:
+        dist = _bfs_distances_python(graph, base, max_depth, None)
+        return _layers_of(dist), set(compress(range(n), map(UNREACHED.__eq__, dist)))
+    dist, order, bounds = _level_bfs(kernel, graph, base, max_depth, None, True)
+    layers = _levels_of(order, bounds)
+    if bounds[-1] == n:
+        return layers, set()
+    unreached = dist.tobytes()[_SIGN_BYTE::4].translate(_NEGATIVE)
+    return layers, set(compress(range(n), unreached))
+
+
+def _levels_of(order: array, bounds: list[int]) -> list[list[int]]:
+    """The levels a layered ``level_bfs`` wrote to ``order``."""
+    return [order[bounds[i - 1] : bounds[i]].tolist() for i in range(1, len(bounds))]
+
+
+# A distance is negative (UNREACHED) exactly when the top bit of its
+# most significant byte is set: the table maps such a byte to 1, any
+# other to 0.
+_SIGN_BYTE = 3 if sys.byteorder == "little" else 0
+_NEGATIVE = bytes(128) + b"\x01" * 128
 
 
 def _distance_layers_python(
@@ -373,7 +415,11 @@ def _distance_layers_python(
     allowed: set[int] | Sequence[bool] | Callable[[int], bool] | None,
 ) -> list[list[int]]:
     """Layers from the per-visit BFS loop (reference twin)."""
-    dist = _bfs_distances_python(graph, base, max_depth, allowed)
+    return _layers_of(_bfs_distances_python(graph, base, max_depth, allowed))
+
+
+def _layers_of(dist: list[int]) -> list[list[int]]:
+    """The reached nodes of a distance list, bucketed by distance."""
     depth = max((d for d in dist if d != UNREACHED), default=-1)
     layers: list[list[int]] = [[] for _ in range(depth + 1)]
     for v, d in enumerate(dist):

@@ -45,7 +45,13 @@
  *   marking_select
  *                 phase (4)'s selection and backoff from one block of
  *                 the engine rng's bytes (repro.core.marking:
- *                 _select_python).
+ *                 _select_python);
+ *   virtual_ruling_set
+ *                 phase (2)'s ruling set of G_DCC: the DCCs' conflict
+ *                 lists, built through an owners table of their
+ *                 members, then per call one Luby iteration from one
+ *                 block of the engine rng's bytes, or the greedy
+ *                 finisher (repro.core.dcc: _ruling_set_python).
  */
 
 #include <stdlib.h>
@@ -790,6 +796,219 @@ int marking_select(const int *offsets, const int *indices, int n,
         qsort(out, k, sizeof *out, ascending);
     *selected = chosen;
     return k;
+}
+
+/* ---- The virtual ruling set (phase 2) --------------------------------- */
+
+/* A virtual_ruling_set build: the DCCs, the owners table over their
+ * members (heads[v] is 1 + the last member position holding node v, 0
+ * for none; next[p] the position before p on v's list the same way;
+ * owner[p] the DCC position p belongs to) and the conflict lists being
+ * written (size counts on past cap; stamps[j] == i + 1 once DCC j is on
+ * DCC i's list). */
+struct dcc_table {
+    const int *offsets, *indices, *members, *ends;
+    int n, *heads, *next, *owner, *stamps, *conflicts, cap;
+    long long size;
+};
+
+/* Put DCC i's members on the owners table: 0, or -1 with the table as it
+ * was when a member lies outside 0..n-1 or DCC i holds a node twice. */
+static int add_owners(struct dcc_table *t, int i)
+{
+    int p, lo = i ? t->ends[i - 1] : 0, hi = t->ends[i];
+    for (p = lo; p < hi; p++)
+        if (t->members[p] < 0 || t->members[p] >= t->n)
+            return -1;
+    for (p = lo; p < hi; p++) {
+        int v = t->members[p], q = t->heads[v];
+        if (q && t->owner[q - 1] == i) {
+            while (p-- > lo)
+                t->heads[t->members[p]] = t->next[p];
+            return -1;
+        }
+        t->next[p] = q;
+        t->owner[p] = i;
+        t->heads[v] = p + 1;
+    }
+    return 0;
+}
+
+/* Put the DCCs j != i that own node u on DCC i's conflict list, each
+ * once. */
+static void add_owned_by(struct dcc_table *t, int i, int u)
+{
+    int q;
+    for (q = t->heads[u]; q; q = t->next[q - 1]) {
+        int j = t->owner[q - 1];
+        if (j != i && t->stamps[j] != i + 1) {
+            t->stamps[j] = i + 1;
+            if (t->size < t->cap)
+                t->conflicts[t->size] = j;
+            t->size++;
+        }
+    }
+}
+
+/* The conflict lists of virtual_ruling_set's build (see there); returns
+ * their total or -1. */
+static int build_conflicts(const int *offsets, const int *indices, int n,
+                           const int *members, const int *ends, int count,
+                           int *heads, int *links, int *conflict_ends,
+                           int *conflicts, int cap, int *stamps)
+{
+    int total = count ? ends[count - 1] : 0, built, i, p, e;
+    struct dcc_table t;
+    t.offsets = offsets;
+    t.indices = indices;
+    t.members = members;
+    t.ends = ends;
+    t.n = n;
+    t.heads = heads;
+    t.next = links;
+    t.owner = links + total;
+    t.stamps = stamps;
+    t.conflicts = conflicts;
+    t.cap = cap;
+    t.size = 0;
+    for (built = 0; built < count; built++)
+        if (add_owners(&t, built) < 0)
+            break;
+    if (built == count) {
+        for (i = 0; i < count; i++)
+            stamps[i] = 0;
+        for (i = 0, p = 0; i < count; i++) {
+            for (; p < ends[i]; p++) {
+                int v = members[p];
+                add_owned_by(&t, i, v);
+                for (e = offsets[v]; e < offsets[v + 1]; e++)
+                    add_owned_by(&t, i, indices[e]);
+            }
+            conflict_ends[i] = t.size < cap ? (int)t.size : cap;
+        }
+    }
+    for (p = built ? ends[built - 1] : 0; p-- > 0;)
+        heads[members[p]] = 0;
+    if (built < count)
+        return -1;
+    return t.size > 2147483647 ? 2147483647 : (int)t.size;
+}
+
+/* The bits of state[i]: CHOSEN persists across calls; the others hold
+ * only during an iteration. */
+enum { CHOSEN = 1, LIVE = 2, JOINS = 4, GONE = 8 };
+
+/* One Luby iteration of virtual_ruling_set (see there). */
+static int luby_iteration(const int *conflict_ends, const int *conflicts,
+                          const int *order, int live,
+                          const unsigned char *block, unsigned char *state,
+                          unsigned long long *keys, int *out)
+{
+    int i, k, c, written = 0;
+    for (k = 0; k < live; k++) {
+        const unsigned char *b = block + 8 * (long long)k;
+        state[order[k]] |= LIVE;
+        keys[order[k]] =
+            (unsigned long long)(le32(b) >> 5) << 26 | le32(b + 4) >> 6;
+    }
+    for (k = 0; k < live; k++) {
+        i = order[k];
+        for (c = i ? conflict_ends[i - 1] : 0; c < conflict_ends[i]; c++) {
+            int j = conflicts[c];
+            if ((state[j] & LIVE) &&
+                (keys[j] > keys[i] || (keys[j] == keys[i] && j > i)))
+                break;
+        }
+        if (c == conflict_ends[i])
+            state[i] |= JOINS;
+    }
+    for (k = 0; k < live; k++) {
+        i = order[k];
+        if (!(state[i] & JOINS))
+            continue;
+        state[i] |= CHOSEN | GONE;
+        out[written++] = i;
+        for (c = i ? conflict_ends[i - 1] : 0; c < conflict_ends[i]; c++) {
+            int j = conflicts[c];
+            if ((state[j] & (LIVE | GONE)) == LIVE) {
+                state[j] |= GONE;
+                out[written++] = j;
+            }
+        }
+    }
+    for (k = 0; k < live; k++)
+        state[order[k]] &= CHOSEN;
+    return written;
+}
+
+/* The greedy finisher of virtual_ruling_set (see there). */
+static int greedy_finisher(const int *conflict_ends, const int *conflicts,
+                           const int *order, int live, unsigned char *state,
+                           int *out)
+{
+    int i, k, c, written = 0;
+    for (k = 0; k < live; k++) {
+        i = order[k];
+        for (c = i ? conflict_ends[i - 1] : 0; c < conflict_ends[i]; c++)
+            if (state[conflicts[c]] & CHOSEN)
+                break;
+        if (c == conflict_ends[i]) {
+            state[i] |= CHOSEN;
+            out[written++] = i;
+        }
+    }
+    return written;
+}
+
+/* virtual_ruling_set: phase (2)'s Luby rounds on the virtual graph G_DCC
+ * (repro.core.dcc._ruling_set_python), one call per step.  DCC i is
+ * members[ends[i-1] .. ends[i]) (ends[-1] = 0), i < count; DCCs i != j
+ * conflict when they share a node or an edge joins them.  DCC i's
+ * conflicts are conflicts[conflict_ends[i-1] .. conflict_ends[i]).
+ *
+ * Without order it builds them: it puts every DCC on the owners table
+ * (heads, n ints zero on entry and on return; links, 2 * ends[count-1]
+ * ints), lists each DCC's conflicts once, in the order its members and
+ * their rows meet them, and returns their total, which the caller
+ * compares with cap: past it the lists are cut short and the call must
+ * be repeated with room for the total.  out (count ints) is scratch
+ * here.  Returns -1, having changed nothing, when a member lies outside
+ * 0..n-1 or a DCC holds a node twice.
+ *
+ * With order, the live DCCs are order[0..live), in the caller's set
+ * order, the conflict lists are a full build's, and state[i] & 1 says
+ * DCC i was chosen.  With a block it runs one iteration: live entry k
+ * draws the 53-bit value ((a >> 5) * 2^26 + (b >> 6)) from the
+ * little-endian 32-bit words a, b at block[8k] and block[8k + 4]
+ * (random.random() of the same two generator outputs, times 2^53); a
+ * live DCC joins when (draw, index) beats that of every live DCC it
+ * conflicts with, and each joiner is chosen and it and its live
+ * conflicts leave.  It writes the DCCs that leave to out (each once) and
+ * returns their number.  Without a block it is the greedy finisher:
+ * order ascending, each DCC with no chosen conflict is chosen in turn
+ * and written to out.  Returns -1, having changed nothing, when an order
+ * entry is not a DCC.
+ */
+int virtual_ruling_set(const int *offsets, const int *indices, int n,
+                       const int *members, const int *ends, int count,
+                       int *heads, int *links, int *conflict_ends,
+                       int *conflicts, int cap, const int *order, int live,
+                       const unsigned char *block, unsigned char *state,
+                       unsigned long long *keys, int *out)
+{
+    int k;
+    if (!order)
+        return build_conflicts(offsets, indices, n, members, ends, count,
+                               heads, links, conflict_ends, conflicts, cap,
+                               out);
+    for (k = 0; k < live; k++)
+        if (order[k] < 0 || order[k] >= count)
+            return -1;
+    if (!block)
+        return greedy_finisher(conflict_ends, conflicts, order, live, state,
+                               out);
+    return luby_iteration(conflict_ends, conflicts, order, live, block, state,
+                          keys, out);
 }
 
 /* ---- Linial's color reduction ----------------------------------------- */

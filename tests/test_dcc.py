@@ -181,3 +181,71 @@ class TestVirtualRulingSet:
         for idx in range(len(detection.dccs)):
             if idx not in chosen_set:
                 assert any(self._conflicts(g, detection.dccs, idx, c) for c in chosen_set)
+
+
+class TestRulingSetInputChecks:
+    """Bad DCC lists fail on both tiers with the same error, before a
+    coin is drawn or a round charged."""
+
+    @staticmethod
+    def run(dccs, **kwargs):
+        graph = random_regular_graph(20, 3, seed=1)
+        ledger, rng = RoundLedger(), random.Random(5)
+        try:
+            outcome = virtual_graph_ruling_set(
+                graph, dccs, rounds_per_virtual=3, ledger=ledger, rng=rng, **kwargs
+            )
+        except (IndexError, ValueError) as error:
+            outcome = (type(error), str(error))
+        return outcome, ledger.total_rounds, rng.getstate()
+
+    @pytest.mark.parametrize(
+        "dccs, bad",
+        [
+            ([(-1, 0, 1, 2), (19, 5)], 0),  # -1 must not alias node 19
+            ([(0, 1), (19, 20)], 1),
+            ([(3, 4), (5,), (2**31,)], 2),
+            ([(2**40, 1)], 0),
+        ],
+    )
+    def test_member_out_of_range(self, dccs, bad, python_twins):
+        expected = (
+            (IndexError, f"DCC {bad} holds a node out of range for n=20"),
+            0,
+            random.Random(5).getstate(),
+        )
+        assert self.run(dccs) == expected
+        assert python_twins(self.run, dccs) == expected
+
+    def test_range_is_checked_before_repeats(self, python_twins):
+        dccs = [(0, 1, 1), (7,), (20,)]
+        expected = (IndexError, "DCC 2 holds a node out of range for n=20")
+        assert self.run(dccs)[0] == python_twins(self.run, dccs)[0] == expected
+
+    def test_repeated_member(self, python_twins):
+        # A DCC holding a node twice would conflict with itself and never
+        # join; it is refused instead.
+        expected = (
+            (ValueError, "DCC 1 holds node 4 twice"), 0, random.Random(5).getstate()
+        )
+        assert self.run([(0, 1), (3, 4, 4)]) == expected
+        assert python_twins(self.run, [(0, 1), (3, 4, 4)]) == expected
+
+    def test_scratch_of_another_size(self):
+        graph = random_regular_graph(20, 3, seed=1)
+        with pytest.raises(ValueError, match="sized for n=19"):
+            virtual_graph_ruling_set(graph, [(0, 1)], 3, scratch=DCCScratch(19))
+
+    def test_shared_scratch_is_left_at_rest(self):
+        graph = torus_grid(12, 12)
+        dccs = detect_dccs(graph, radius=2).dccs
+        scratch = DCCScratch(graph.n)
+        for seed in range(3):
+            with_scratch = virtual_graph_ruling_set(
+                graph, dccs, 5, rng=random.Random(seed), scratch=scratch
+            )
+            assert with_scratch == virtual_graph_ruling_set(
+                graph, dccs, 5, rng=random.Random(seed)
+            )
+            zeroed = scratch.kernel_buffers()[0]
+            assert not any(zeroed)

@@ -71,7 +71,22 @@ point off, as on a box without a C compiler):
   preset, 0.25 and 1; backoff 5-8; empty H; colored nodes in and out of
   H; out-of-range nodes, alone and with a colored node: the same
   survivors, counts, T-nodes, colors and rng tail, or the same error
-  with nothing drawn or written.
+  with nothing drawn or written;
+* phase (2)'s virtual ruling set (the kernel's ``virtual_ruling_set``,
+  one ``rng.randbytes`` block per Luby iteration / the twin's
+  ``rng.random()`` calls) — the DCCs of real solves (rrg Δ=8, a torus),
+  overlapping DCCs, phase (6)'s singleton systems on a shared scratch,
+  ``max_iterations`` 0, 1 and 2 with the greedy finisher, empty input,
+  out-of-range members, a live set whose order is not ascending, tied
+  coins, a clique whose conflicts outgrow the first build, and random
+  DCC lists (repeated members too) on sparse graphs: the same
+  chosen DCCs, iterations, rounds and rng tail, or the same error with
+  nothing drawn or charged;
+* phase (3)'s remainder H (``distance_layers_and_rest``, from the level
+  BFS's unreached nodes) — the BFS families above with empty, small and
+  covering bases, and a sparse H whose order is not ascending: the same
+  layers and the same set iteration order as the comprehension it
+  replaced.
 """
 
 from __future__ import annotations
@@ -1878,3 +1893,262 @@ def test_marking_kernel_reuses_its_mask(python_twins):
         )
         assert (out[:size].tolist(), selected.value) == twin
         assert not any(mask)
+
+
+# -- The virtual ruling set (phase 2) -----------------------------------------
+
+
+def run_ruling_set(graph, dccs, max_iterations=None, seed=7, scratch=None):
+    """Phase (2)'s chosen DCCs and iteration count (or the error raised),
+    the rounds it charged and the rng's state after it."""
+    ledger, rng = RoundLedger(), random.Random(seed)
+    try:
+        got = dcc_mod.virtual_graph_ruling_set(
+            graph, dccs, 5, ledger=ledger, rng=rng, max_iterations=max_iterations,
+            scratch=scratch,
+        )
+    except (IndexError, ValueError) as error:
+        got = (type(error), str(error))
+    return got, ledger.total_rounds, rng.getstate()
+
+
+def assert_ruling_set_pinned(graph, dccs, python_twins, **kwargs):
+    got = run_ruling_set(graph, dccs, **kwargs)
+    assert got == python_twins(run_ruling_set, graph, dccs, **kwargs)
+    return got
+
+
+@pytest.fixture
+def live_orders(monkeypatch):
+    """The live DCCs each kernel iteration is handed, in the order given."""
+    real = native.kernel
+    orders = []
+
+    def recorded(name):
+        function = real(name)
+        if name != "virtual_ruling_set" or function is None:
+            return function
+
+        def call(*args):
+            order, live, block = args[11:14]
+            if block is not None:
+                orders.append(list((ctypes.c_int * live).from_address(order)))
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(native, "kernel", recorded)
+    return orders
+
+
+RULING_SET_FAMILIES = {
+    "rrg-d8": lambda: random_regular_graph(2048, 8, seed=5),
+    "torus": lambda: torus_grid(12, 12),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RULING_SET_FAMILIES))
+def test_ruling_set_kernel_matches_twin_on_solve_dccs(family, kernel_calls, python_twins):
+    """The DCCs phase (1) hands phase (2) in a solve, at every seed and
+    iteration cap tried: the same chosen DCCs, iterations, rounds and rng
+    tail."""
+    graph = RULING_SET_FAMILIES[family]()
+    dccs = dcc_mod.detect_dccs(graph, 2).dccs
+    assert len(dccs) > 10
+    for seed in range(4):
+        for cap in (None, 1, 2):
+            (chosen, iterations), rounds, _ = assert_ruling_set_pinned(
+                graph, dccs, python_twins, max_iterations=cap, seed=seed
+            )
+            assert rounds in (10 * iterations, 10 * iterations + 5)
+            assert chosen and chosen == sorted(set(chosen))
+    if native.kernel_status().functions:
+        assert kernel_calls["virtual_ruling_set"] > 0
+
+
+def test_ruling_set_overlapping_dccs(python_twins):
+    """DCCs sharing nodes (one node in two or three DCCs) conflict through
+    the shared node on both paths."""
+    graph = random_regular_graph(2048, 8, seed=5)
+    dccs = dcc_mod.detect_dccs(graph, 2).dccs
+    rng = random.Random(3)
+    extra = []
+    for _ in range(60):
+        a, b = rng.sample(dccs, 2)
+        extra.append(tuple(sorted(set(a[:3]) | set(b[-2:]))))
+    shared = dccs[:40] + extra + [dccs[0]]  # the last repeats the first whole
+    for seed in range(3):
+        (chosen, _), _, _ = assert_ruling_set_pinned(graph, shared, python_twins, seed=seed)
+        used = [v for i in chosen for v in shared[i]]
+        assert len(used) == len(set(used))
+
+
+def test_ruling_set_phase6_singletons(python_twins):
+    """Phase (6)'s systems: the DCCs of a small component plus singletons
+    of its free nodes, some of them inside a DCC; one shared scratch."""
+    graph = torus_grid(12, 12)
+    component = set(range(48))
+    scratch = dcc_mod.DCCScratch(graph.n)
+    detection = dcc_mod.detect_dccs(graph, 2, active=component, scratch=scratch)
+    free = sorted(random.Random(2).sample(sorted(component), 14))
+    systems = list(detection.dccs) + [(v,) for v in free]
+    assert detection.dccs
+    for seed in range(4):
+        assert_ruling_set_pinned(graph, systems, python_twins, seed=seed, scratch=scratch)
+        assert_ruling_set_pinned(graph, [(v,) for v in free], python_twins, seed=seed)
+    assert not any(scratch.kernel_buffers()[0])
+
+
+def test_ruling_set_finisher(python_twins):
+    """``max_iterations`` 0 and 1: the greedy finisher admits what the
+    capped loop left, and charges its rounds once."""
+    graph = random_regular_graph(2048, 8, seed=5)
+    dccs = dcc_mod.detect_dccs(graph, 2).dccs
+    (chosen, iterations), rounds, state = assert_ruling_set_pinned(
+        graph, dccs, python_twins, max_iterations=0
+    )
+    assert iterations == 0 and rounds == 5 and state == random.Random(7).getstate()
+    assert chosen[0] == 0
+    (_, iterations), rounds, _ = assert_ruling_set_pinned(
+        graph, dccs, python_twins, max_iterations=1
+    )
+    assert (iterations, rounds) == (1, 15)
+
+
+def test_ruling_set_dense_conflicts_outgrow_the_first_build(kernel_calls, python_twins):
+    """Singletons on a clique conflict pairwise, more conflicts than the
+    first build has room for: the kernel builds again, with room for all,
+    and then runs the one iteration a clique needs."""
+    graph = Graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    dccs = [(v,) for v in range(40)] + [(0, 1, 2)]
+    for seed in range(3):
+        (chosen, iterations), _, _ = assert_ruling_set_pinned(
+            graph, dccs, python_twins, seed=seed
+        )
+        assert len(chosen) == 1 and iterations == 1
+    if native.kernel_status().functions:
+        assert kernel_calls["virtual_ruling_set"] == 3 * 3
+
+
+class TiedCoins(random.Random):
+    """Every coin is 0.5, on both paths: ``random()`` for the twin and
+    the bytes that decode to it for the kernel."""
+
+    def random(self):
+        return 0.5
+
+    def randbytes(self, n):
+        return b"\x00\x00\x00\x80\x00\x00\x00\x00" * (n // 8)
+
+
+def test_ruling_set_tied_coins_go_to_the_larger_index(python_twins):
+    """(draw, index) decides: with every draw equal, a DCC joins exactly
+    when its index is the largest among its live conflicts."""
+    graph = torus_grid(12, 12)
+    dccs = dcc_mod.detect_dccs(graph, 2).dccs
+
+    def run():
+        return dcc_mod.virtual_graph_ruling_set(graph, dccs, 5, rng=TiedCoins(1))
+
+    got = run()
+    assert got == python_twins(run)
+    assert len(dccs) - 1 in got[0]
+    assert marking_mod._draws(TiedCoins(1).randbytes(16)) == [0.5, 0.5]
+
+
+def test_ruling_set_empty_input_draws_nothing(python_twins):
+    graph = torus_grid(5, 5)
+    got = assert_ruling_set_pinned(graph, [], python_twins)
+    assert got == (([], 0), 0, random.Random(7).getstate())
+
+
+@pytest.mark.parametrize("bad", [-1, 400, 2**31, 2**40])
+def test_ruling_set_out_of_range_members(bad, python_twins):
+    graph = random_regular_graph(400, 3, seed=6)
+    dccs = [(0, 1, 2), (5, bad, 7), (9,)]
+    got = assert_ruling_set_pinned(graph, dccs, python_twins)
+    assert got == (
+        (IndexError, "DCC 1 holds a node out of range for n=400"), 0,
+        random.Random(7).getstate(),
+    )
+
+
+def test_ruling_set_live_order_is_the_set_order(live_orders, python_twins):
+    """When most DCCs leave in one iteration, CPython shrinks the live
+    set's table and its order is no longer ascending; the kernel is handed
+    that order, so each DCC draws the coin the twin draws for it."""
+    # 1100 isolated singletons join at once; 100 more on a path take
+    # several iterations, and their indices exceed the shrunk table.
+    graph = Graph(1200, [(v, v + 1) for v in range(1100, 1199)])
+    dccs = [(v,) for v in range(graph.n)]
+    for seed in range(3):
+        (chosen, iterations), _, _ = assert_ruling_set_pinned(
+            graph, dccs, python_twins, seed=seed
+        )
+        assert iterations >= 2 and set(range(1100)) <= set(chosen)
+    if native.kernel_status().functions:
+        assert any(order != sorted(order) for order in live_orders)
+
+
+@st.composite
+def dcc_lists(draw):
+    n = draw(st.integers(2, 60))
+    graph = sparse_graph(n, draw(st.integers(0, 10**6)), draw(st.sampled_from([0.5, 1.5, 3.0])))
+    unique = draw(st.sampled_from([True, True, True, False]))  # else a repeat is likely
+    dccs = draw(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=6, unique=unique).map(tuple), max_size=40)
+    )
+    return graph, dccs
+
+
+@FAST
+@given(case=dcc_lists(), seed=st.integers(0, 1000), cap=st.sampled_from([None, 0, 1, 2]))
+def test_ruling_set_random_dcc_lists(case, seed, cap, python_twins):
+    graph, dccs = case
+    assert_ruling_set_pinned(graph, dccs, python_twins, seed=seed, max_iterations=cap)
+
+
+# -- Phase (3)'s remainder H --------------------------------------------------
+
+
+@pytest.mark.parametrize("name, graph", list(bfs_families()))
+def test_layers_and_rest_match_distance_layers(name, graph, python_twins):
+    """The layers are ``distance_layers``'; the rest is every node no
+    layer holds, in the comprehension's order: depths 0, 2 and None,
+    empty, single and many sources (the last reach every node)."""
+    rng = random.Random(graph.n)
+    for base in ([], [0], rng.sample(range(graph.n), 5), list(range(0, graph.n, 3))):
+        for depth in (0, 2, None):
+            layers, rest = bfs_mod.distance_layers_and_rest(graph, base, depth)
+            assert layers == bfs_mod.distance_layers(graph, base, depth)
+            layered = {v for layer in layers for v in layer}
+            expected = {v for v in range(graph.n) if v not in layered}
+            assert list(rest) == list(expected)
+            twin = python_twins(bfs_mod.distance_layers_and_rest, graph, base, depth)
+            assert (twin[0], list(twin[1])) == (layers, list(rest))
+
+
+def test_b_layers_h_keeps_the_comprehension_order(python_twins):
+    """H built from the level BFS's unreached nodes iterates as the
+    comprehension over every node built it did, also where that order is
+    not ascending (a sparse H of a large graph); marking draws its coins
+    in this order."""
+    from repro.core.randomized import RandomizedParams, RandomizedState, _b_layers
+
+    graph = cycle_graph(40000)
+    # Random gaps: H is irregular, so some of its nodes collide in the
+    # set's table and the order depends on the order of insertion too.
+    base = random.Random(1).sample(range(graph.n), 1500)
+
+    def phase3():
+        state = RandomizedState(graph, True, random.Random(0), params=RandomizedParams())
+        state.b0_components = [(v,) for v in base]
+        _b_layers(state)
+        return state.b_layers, list(state.h_nodes)
+
+    layers, h_order = phase3()
+    layered = {v for layer in layers for v in layer}
+    old = {v for v in range(graph.n) if v not in layered}
+    assert h_order == list(old) and h_order != sorted(h_order)
+    assert list(set(sorted(old, reverse=True))) != h_order
+    assert python_twins(phase3) == (layers, h_order)
