@@ -27,7 +27,6 @@ from repro.api import SolverConfig, solve
 from repro.core.brooks import default_fix_radius, fix_uncolored_node
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.validation import UNCOLORED, validate_coloring
-from repro.local.rounds import RoundLedger
 
 
 def _color_minus_v(graph, v, delta, rng):
@@ -79,8 +78,7 @@ def build_table():
             colors = _color_minus_v(graph, v, delta, rng)
             if colors is None:
                 continue
-            ledger = RoundLedger()
-            result = fix_uncolored_node(graph, colors, v, delta, ledger=ledger)
+            result = fix_uncolored_node(graph, colors, v, delta)
             validate_coloring(graph, colors, max_colors=delta)
             radii.append(result.radius)
             recolored.append(len(result.recolored))

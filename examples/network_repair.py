@@ -29,7 +29,6 @@ from repro import (
     validate_coloring,
 )
 from repro.errors import InfeasibleListColoringError
-from repro.local import RoundLedger
 
 
 def scramble_without(graph: Graph, v: int, delta: int, rng: random.Random):
@@ -82,8 +81,7 @@ def main() -> None:
         stuck = len({colors[u] for u in graph.adj[v]}) == delta
         if not stuck and repairs >= 3:
             continue  # keep a few easy rows, then hunt for hard ones
-        ledger = RoundLedger()
-        result = fix_uncolored_node(graph, colors, v, delta, ledger=ledger)
+        result = fix_uncolored_node(graph, colors, v, delta)
         validate_coloring(graph, colors, max_colors=delta)
         print(f"{v:>6} {'yes' if stuck else 'no':>7} {result.mode:>16} "
               f"{result.radius:>7} {len(result.recolored):>10} {result.rounds:>7}")

@@ -43,7 +43,7 @@ from repro.core.special_cases import color_components
 from repro.errors import ReproError
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_nice
-from repro.local.rounds import EngineRun
+from repro.local.rounds import EngineRun, PipelineState, run_phases
 
 __all__ = [
     "AlgorithmSpec",
@@ -162,27 +162,23 @@ def _run_deterministic(graph: Graph, config: SolverConfig) -> EngineRun:
 def _run_slocal(graph: Graph, config: SolverConfig) -> EngineRun:
     from repro.core.slocal_coloring import slocal_delta_coloring
 
-    colors, run = slocal_delta_coloring(graph, order=config.order)
-    histogram: dict[str, int] = {}
-    for radius in run.per_node_radius.values():
-        histogram[str(radius)] = histogram.get(str(radius), 0) + 1
-    stats: dict[str, Any] = {
-        "model": "SLOCAL",
-        "read_radius": run.read_radius,
-        "write_radius": run.write_radius,
-        "max_locality": run.write_radius,
-        "locality_histogram": histogram,
-    }
-    return EngineRun(
-        algorithm="slocal",
-        colors=colors,
-        delta=graph.max_degree(),
-        palette=graph.max_degree(),
-        rounds=run.write_radius,  # SLOCAL's measure is locality, not rounds
-        phase_rounds={"slocal": run.write_radius},
-        phase_stats={"slocal": dict(stats)},
-        stats=stats,
-    )
+    def slocal(s: PipelineState) -> dict[str, Any]:
+        s.colors, run = slocal_delta_coloring(s.graph, order=config.order)
+        # SLOCAL's measure is locality, not rounds.
+        s.ledger.charge(run.write_radius)
+        histogram: dict[str, int] = {}
+        for radius in run.per_node_radius.values():
+            histogram[str(radius)] = histogram.get(str(radius), 0) + 1
+        return {
+            "model": "SLOCAL",
+            "read_radius": run.read_radius,
+            "write_radius": run.write_radius,
+            "max_locality": run.write_radius,
+            "locality_histogram": histogram,
+        }
+
+    state = run_phases(PipelineState(graph), [("slocal", slocal)])
+    return EngineRun.from_state("slocal", state)
 
 
 def _run_ps(graph: Graph, config: SolverConfig) -> EngineRun:
@@ -192,19 +188,18 @@ def _run_ps(graph: Graph, config: SolverConfig) -> EngineRun:
 def _run_greedy(graph: Graph, config: SolverConfig) -> EngineRun:
     from repro.baselines.greedy import centralized_greedy
 
-    colors = centralized_greedy(graph, order=config.order)
-    delta = graph.max_degree() if graph.n else 0
-    palette = max(colors, default=0)
-    return EngineRun(
-        algorithm="greedy",
-        colors=colors,
-        delta=delta,
-        palette=palette,
+    def greedy(s: PipelineState) -> dict[str, Any]:
+        s.colors = centralized_greedy(s.graph, order=config.order)
         # A sequential pass over n nodes: the honest LOCAL dependency chain.
-        rounds=graph.n,
-        phase_rounds={"greedy": graph.n},
-        phase_stats={"greedy": {"model": "centralized"}},
-        stats={"model": "centralized", "colors_used": len(set(colors))},
+        s.ledger.charge(s.graph.n)
+        return {"model": "centralized"}
+
+    state = run_phases(PipelineState(graph), [("greedy", greedy)])
+    return EngineRun.from_state(
+        "greedy",
+        state,
+        palette=max(state.colors, default=0),
+        stats={"colors_used": len(set(state.colors))},
     )
 
 

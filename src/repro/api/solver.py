@@ -79,13 +79,6 @@ def solve(
     wall_time = time.perf_counter() - started
     validate_coloring(graph, run.colors, max_colors=run.palette or None)
     phase_stats = {k: dict(v) for k, v in run.phase_stats.items()}
-    if len(run.phase_rounds) == 1:
-        # Single-phase engines (slocal, greedy, components) have no
-        # ledger breakdown; the whole engine run is that phase's wall.
-        (only_phase,) = run.phase_rounds
-        phase_stats.setdefault(only_phase, {}).setdefault(
-            "wall_s", round(wall_time, 6)
-        )
     result = ColoringResult(
         algorithm=run.algorithm,
         n=graph.n,

@@ -43,7 +43,6 @@ from repro.graphs.blocks import biconnected_components
 from repro.graphs.graph import Graph
 from repro.graphs.properties import is_clique_nodes, is_odd_cycle_nodes
 from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import RoundLedger
 
 __all__ = ["BrooksFixResult", "fix_uncolored_node", "default_fix_radius"]
 
@@ -56,7 +55,8 @@ class BrooksFixResult:
     farthest distance (from the original node) at which colors changed —
     the quantity Theorem 5 bounds by 2·log_{Δ-1} n and experiment E5
     measures.  ``recolored`` lists nodes whose color changed (excluding
-    the repaired node itself); ``rounds`` is the charged LOCAL cost.
+    the repaired node itself); ``rounds`` is the LOCAL cost, which the
+    caller charges to its own ledger.
     """
 
     mode: str
@@ -78,7 +78,6 @@ def fix_uncolored_node(
     v: int,
     max_colors: int,
     max_radius: int | None = None,
-    ledger: RoundLedger | None = None,
     max_attempts: int = 24,
 ) -> BrooksFixResult:
     """Complete the coloring at ``v`` by local recoloring (Theorem 5).
@@ -89,7 +88,6 @@ def fix_uncolored_node(
     this via the ruling-set distance; strict-mode callers check it).
     Mutates ``colors``; returns a :class:`BrooksFixResult`.
     """
-    ledger = ledger if ledger is not None else RoundLedger()
     if colors[v] != UNCOLORED:
         raise AlgorithmContractError(f"node {v} is already colored")
     if max_radius is None:
@@ -106,7 +104,6 @@ def fix_uncolored_node(
             result.mode = "free" if result.shifts == 0 else result.mode
             result.recolored = sorted(touched - {original})
             result.rounds += 1
-            ledger.charge(1)
             _update_radius(graph, result, original, touched | {token})
             return result
 
@@ -114,13 +111,12 @@ def fix_uncolored_node(
             graph, colors, token, max_colors, max_radius, burnt_targets
         )
         search_radius = max(level.values(), default=0)
-        ledger.charge(2 * search_radius + 1)
         result.rounds += 2 * search_radius + 1
 
         if target is None:
             return _regional_repair(
                 graph, colors, token, original, max_colors, max_radius,
-                ledger, result, touched,
+                result, touched,
             )
 
         path = _path_from_tree(parent, token, target)
@@ -140,7 +136,6 @@ def fix_uncolored_node(
             _recolor_dcc(graph, colors, block, max_colors, touched)
             result.mode = "dcc"
             result.recolored = sorted(touched - {original})
-            ledger.charge(len(path) + 2)
             result.rounds += len(path) + 2
             _update_radius(graph, result, original, touched | block)
             return result
@@ -156,19 +151,17 @@ def fix_uncolored_node(
                     "duplicate": "duplicate",
                 }[kind] if token == target else "shift-early-free"
                 result.recolored = sorted(touched - {original})
-                ledger.charge(len(path))
                 result.rounds += len(path)
                 _update_radius(graph, result, original, touched | {token})
                 return result
         # Arrived but no free color (duplicate destroyed en route): burn
         # this target and retry from the current token position.
         burnt_targets.add(target)
-        ledger.charge(len(path))
         result.rounds += len(path)
 
     # Retries exhausted: fall back to regional repair around the token.
     return _regional_repair(
-        graph, colors, token, original, max_colors, max_radius, ledger, result, touched
+        graph, colors, token, original, max_colors, max_radius, result, touched
     )
 
 
@@ -338,7 +331,6 @@ def _regional_repair(
     original: int,
     max_colors: int,
     max_radius: int,
-    ledger: RoundLedger,
     result: BrooksFixResult,
     touched: set[int],
 ) -> BrooksFixResult:
@@ -368,7 +360,6 @@ def _regional_repair(
             radius *= 2
             continue
         touched.update(u for u in region if colors[u] != saved[u])
-        ledger.charge(2 * radius + 1)
         result.rounds += 2 * radius + 1
         result.mode = "regional"
         result.recolored = sorted(touched - {original})

@@ -89,13 +89,11 @@ class DCCDetection:
     ``dccs`` lists the distinct selected DCCs (each a sorted node tuple);
     ``selected_by[v]`` is the index (into ``dccs``) of the DCC node v
     selected, or -1; ``nodes_in_dccs`` is the union of all selected DCCs.
-    ``rounds`` is the LOCAL cost charged (ball collection).
     """
 
     dccs: list[tuple[int, ...]] = field(default_factory=list)
     selected_by: list[int] = field(default_factory=list)
     nodes_in_dccs: set[int] = field(default_factory=set)
-    rounds: int = 0
 
 
 # DCCs per kernel call; a full buffer ends the call and the pass resumes
@@ -168,7 +166,7 @@ def detect_dccs(
     """
     ledger = ledger if ledger is not None else RoundLedger()
     ledger.charge(radius)
-    detection = DCCDetection(selected_by=[-1] * graph.n, rounds=radius)
+    detection = DCCDetection(selected_by=[-1] * graph.n)
     state = _DetectState(graph, detection, scratch)
     nodes = None if active is None else sorted(set(active))
     allowed = None

@@ -54,7 +54,6 @@ class HappinessLayers:
     t_nodes: set[int] = field(default_factory=set)
     boundary: set[int] = field(default_factory=set)
     uncolored_marks: int = 0
-    rounds: int = 0
 
 
 def build_happiness_layers(
@@ -77,7 +76,6 @@ def build_happiness_layers(
     ledger = ledger if ledger is not None else RoundLedger()
     result = HappinessLayers()
     ledger.charge(r + 2 * r)
-    result.rounds = 3 * r
     if not h_nodes:
         return result
 

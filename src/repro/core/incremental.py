@@ -84,6 +84,7 @@ from repro.graphs.validation import (
     validate_coloring,
     validate_coloring_region,
 )
+from repro.local.rounds import RoundLedger
 
 __all__ = ["IncrementalColoring", "UpdateOutcome", "check_delta"]
 
@@ -100,9 +101,10 @@ class UpdateOutcome:
     plus the :class:`repro.core.brooks.BrooksFixResult` modes for token
     walks); ``max_repair_radius`` is the farthest distance from a repair
     site at which a color changed — the locality Theorem 5 bounds by
-    2·log_{Δ-1} n; ``rounds`` is the charged LOCAL cost of the repairs.
-    ``full_resolve`` marks the ladder's last rung: the whole coloring was
-    recomputed and per-node repair stats do not apply.
+    2·log_{Δ-1} n.  ``full_resolve`` marks the ladder's last rung: the
+    whole coloring was recomputed and per-node repair stats do not apply.
+    ``rounds`` (the charged LOCAL cost of the repairs) and ``rung_wall_s``
+    are read off ``ledger``, whose phases are the rungs the op climbed.
     """
 
     op: str
@@ -112,18 +114,28 @@ class UpdateOutcome:
     recolored_count: int = 0
     repair_modes: dict[str, int] = field(default_factory=dict)
     max_repair_radius: int = 0
-    rounds: int = 0
     full_resolve: bool = False
     resolve_reason: str | None = None
     delta: int = 0
     palette: int = 0
     wall_time_s: float = 0.0
-    rung_wall_s: dict[str, float] = field(default_factory=dict)
+    ledger: RoundLedger | None = field(default=None, repr=False, compare=False)
 
-    def charge_rung_wall(self, rung: str, seconds: float) -> None:
-        """Accumulate wall-clock seconds against a ladder rung
-        (``greedy`` / ``token-walk`` / ``resolve``)."""
-        self.rung_wall_s[rung] = self.rung_wall_s.get(rung, 0.0) + seconds
+    def rung(self, name: str):
+        """Open ladder rung ``name`` (``greedy`` / ``token-walk`` /
+        ``resolve``) as a phase of the ledger, built on the first rung so
+        a conflict-free op pays nothing."""
+        if self.ledger is None:
+            self.ledger = RoundLedger()
+        return self.ledger.phase(name)
+
+    @property
+    def rounds(self) -> int:
+        return self.ledger.total_rounds if self.ledger is not None else 0
+
+    @property
+    def rung_wall_s(self) -> dict[str, float]:
+        return self.ledger.wall_snapshot() if self.ledger is not None else {}
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -484,34 +496,21 @@ class IncrementalColoring:
             colors[v] = UNCOLORED
         palette = self.palette
         for v in uncolor:
-            rung_started = time.perf_counter()
-            used = set()
-            for w in graph.neighbors_csr(v):
-                c = colors[w]
-                if c != UNCOLORED:
-                    used.add(c)
-            free = next(
-                (c for c in range(1, palette + 1) if c not in used), None
-            )
-            if free is not None:
-                colors[v] = free
-                outcome.repair_modes["greedy"] = (
-                    outcome.repair_modes.get("greedy", 0) + 1
-                )
-                outcome.rounds += 1
-                outcome.charge_rung_wall(
-                    "greedy", time.perf_counter() - rung_started
-                )
-                continue
-            fix = fix_uncolored_node(graph, colors, v, max_colors=palette)
-            outcome.repair_modes[fix.mode] = (
-                outcome.repair_modes.get(fix.mode, 0) + 1
-            )
-            outcome.max_repair_radius = max(outcome.max_repair_radius, fix.radius)
-            outcome.rounds += fix.rounds
-            outcome.charge_rung_wall(
-                "token-walk", time.perf_counter() - rung_started
-            )
+            with outcome.rung("greedy") as ledger:
+                # UNCOLORED (0) in ``used`` is harmless: colors start at 1.
+                used = {colors[w] for w in graph.neighbors_csr(v)}
+                free = next((c for c in range(1, palette + 1) if c not in used), None)
+                if free is not None:
+                    colors[v] = free
+                    ledger.charge(1)
+            mode = "greedy"
+            if free is None:
+                with outcome.rung("token-walk") as ledger:
+                    fix = fix_uncolored_node(graph, colors, v, max_colors=palette)
+                    ledger.charge(fix.rounds)
+                mode = fix.mode
+                outcome.max_repair_radius = max(outcome.max_repair_radius, fix.radius)
+            outcome.repair_modes[mode] = outcome.repair_modes.get(mode, 0) + 1
 
     def _resolve(self, outcome: UpdateOutcome, reason: str) -> None:
         """Rung 3: full re-solve of the (already mutated) graph through
@@ -531,12 +530,11 @@ class IncrementalColoring:
         config = self._config
         if config is None:
             config = SolverConfig(algorithm="auto", seed=self.seed)
-        rung_started = time.perf_counter()
-        result = solve(self._graph.snapshot(), config)
-        outcome.charge_rung_wall("resolve", time.perf_counter() - rung_started)
+        with outcome.rung("resolve") as ledger:
+            result = solve(self._graph.snapshot(), config)
+            ledger.charge(result.rounds)
         outcome.full_resolve = True
         outcome.resolve_reason = reason
-        outcome.rounds += result.rounds
         store = self._colors
         outcome.recolored_count = store.diff_count(result.colors)
         self.algorithm = result.algorithm

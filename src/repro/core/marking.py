@@ -70,7 +70,6 @@ class MarkingOutcome:
     initially_selected: int = 0
     backed_off: int = 0
     no_pair_available: int = 0
-    rounds: int = 0
 
 
 def default_selection_probability(delta: int, backoff: int) -> float:
@@ -106,9 +105,7 @@ def marking_process(
         )
     survivors, selected = _select(graph, h_nodes, colors, p, backoff, rng)
     ledger.charge(backoff + 2)
-    outcome = MarkingOutcome(
-        initially_selected=selected, backed_off=selected - len(survivors), rounds=backoff + 2
-    )
+    outcome = MarkingOutcome(initially_selected=selected, backed_off=selected - len(survivors))
     offsets, indices = graph.csr()
     for v in survivors:
         # A uniformly random non-adjacent pair of H-neighbours.  A clique

@@ -20,7 +20,6 @@ from __future__ import annotations
 from repro.core.brooks import default_fix_radius, fix_uncolored_node
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import RoundLedger
 from repro.local.slocal import SLocalRun, SLocalSimulator
 
 __all__ = ["slocal_delta_coloring"]
@@ -46,9 +45,7 @@ def slocal_delta_coloring(
         if outputs[v] != UNCOLORED:
             return set(), 0
         before = list(outputs)
-        result = fix_uncolored_node(
-            g, outputs, v, delta, max_radius=bound, ledger=RoundLedger()
-        )
+        result = fix_uncolored_node(g, outputs, v, delta, max_radius=bound)
         written = {u for u in range(g.n) if outputs[u] != before[u]}
         written.add(v)
         # The walk reads the balls it searched: bounded by the result

@@ -58,14 +58,12 @@ class SmallComponentsReport:
 
     ``component_sizes`` is the size distribution the shattering lemma
     bounds; ``fallbacks`` counts components that needed the direct
-    degree-list fallback; ``max_rounds`` is the charged (max) LOCAL cost.
+    degree-list fallback.
     """
 
     component_sizes: list[int] = field(default_factory=list)
     free_node_components: int = 0
-    dcc_components: int = 0
     fallbacks: int = 0
-    max_rounds: int = 0
 
 
 def color_small_components(
@@ -102,7 +100,6 @@ def color_small_components(
         )
         costs.append(local.total_rounds)
     ledger.charge_max(costs)
-    report.max_rounds = max(costs, default=0)
     return report
 
 
@@ -130,9 +127,6 @@ def _color_component(
     detection = detect_dccs(
         graph, dcc_radius, active=member_set, ledger=ledger, scratch=scratch
     )
-    if detection.dccs:
-        report.dcc_components += 1
-
     # Virtual graph C_DCC: DCC subgraphs plus free-node singletons.
     systems: list[tuple[int, ...]] = list(detection.dccs)
     systems.extend((v,) for v in sorted(free_nodes))

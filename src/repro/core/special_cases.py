@@ -24,6 +24,7 @@ diameter 1 and cost O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.randomized import RandomizedParams, run_pipeline
 from repro.errors import ColoringError, NotNiceGraphError
@@ -35,7 +36,7 @@ from repro.graphs.properties import (
     is_path_graph,
 )
 from repro.graphs.validation import UNCOLORED
-from repro.local.rounds import EngineRun
+from repro.local.rounds import EngineRun, PipelineState, run_phases
 
 __all__ = ["SpecialColoring", "color_special", "color_components"]
 
@@ -150,38 +151,36 @@ def color_components(graph: Graph, seed: int = 0, strict: bool = False) -> Engin
     survivor graph is recolored per component (see
     ``tests/test_special_cases.py``).
     """
-    colors = [UNCOLORED] * graph.n
-    palette = rounds = 0
-    families: dict[str, int] = {}
-    for component in graph.connected_components():
-        sub, originals = graph.subgraph(component)
-        if sub.n == 1:
-            assignment, bound, cost, family = [1], 1, 0, "isolated"
-        elif is_nice(sub):
-            run = run_pipeline(sub, RandomizedParams(seed=seed, strict=strict))
-            assignment, bound, cost, family = run.colors, run.delta, run.rounds, "nice"
-        else:
-            special = _color_excluded(sub)
-            assignment, bound = special.colors, special.num_colors
-            cost, family = special.rounds, special.family
-        if max(assignment) > bound:
-            raise ColoringError(
-                f"{family} component on {sub.n} nodes uses color "
-                f"{max(assignment)}, above its palette of {bound}"
-            )
-        for i, v in enumerate(originals):
-            colors[v] = assignment[i]
-        palette = max(palette, bound)
-        rounds = max(rounds, cost)
-        families[family] = families.get(family, 0) + 1
-    stats = {"component_families": families, "num_components": sum(families.values())}
-    return EngineRun(
-        algorithm="components",
-        colors=colors,
-        delta=graph.max_degree() if graph.n else 0,
-        palette=palette,
-        rounds=rounds,
-        phase_rounds={"components": rounds},
-        phase_stats={"components": dict(stats)},
-        stats=stats,
-    )
+    palette = 0
+
+    def components(s: PipelineState) -> dict[str, Any]:
+        nonlocal palette
+        rounds = 0
+        families: dict[str, int] = {}
+        for component in s.graph.connected_components():
+            sub, originals = s.graph.subgraph(component)
+            if sub.n == 1:
+                assignment, bound, cost, family = [1], 1, 0, "isolated"
+            elif is_nice(sub):
+                run = run_pipeline(sub, RandomizedParams(seed=seed, strict=strict))
+                assignment, bound, cost, family = run.colors, run.delta, run.rounds, "nice"
+            else:
+                special = _color_excluded(sub)
+                assignment, bound = special.colors, special.num_colors
+                cost, family = special.rounds, special.family
+            if max(assignment) > bound:
+                raise ColoringError(
+                    f"{family} component on {sub.n} nodes uses color "
+                    f"{max(assignment)}, above its palette of {bound}"
+                )
+            for i, v in enumerate(originals):
+                s.colors[v] = assignment[i]
+            palette = max(palette, bound)
+            rounds = max(rounds, cost)
+            families[family] = families.get(family, 0) + 1
+        # Charged even when 0, so the phase keeps its key on n = 0.
+        s.ledger.charge(rounds)
+        return {"component_families": families, "num_components": sum(families.values())}
+
+    state = run_phases(PipelineState(graph, strict), [("components", components)])
+    return EngineRun.from_state("components", state, palette=palette)

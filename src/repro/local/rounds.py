@@ -60,9 +60,10 @@ class RoundLedger:
     """Accumulates LOCAL rounds, attributed to nested phases.
 
     An engine's phases are opened by :func:`run_phases`, one ledger
-    phase per pipeline phase; inside it, a phase that collects radius-2r
-    balls calls ``ledger.charge(2 * r)`` and one exchange costs
-    ``ledger.charge(1)``.
+    phase per pipeline phase, and the update ladder's by
+    :meth:`repro.core.incremental.UpdateOutcome.rung`, one per rung;
+    inside it, a phase that collects radius-2r balls calls
+    ``ledger.charge(2 * r)`` and one exchange costs ``ledger.charge(1)``.
 
     Phases nest; rounds are attributed to the innermost phase name joined
     with ``/``.  Parallel composition (phases that the paper runs on
@@ -161,30 +162,38 @@ class EngineRun:
 
     @classmethod
     def from_state(
-        cls, algorithm: str, state: PipelineState, seed_used: int | None = None
+        cls,
+        algorithm: str,
+        state: PipelineState,
+        seed_used: int | None = None,
+        *,
+        palette: int | None = None,
+        stats: dict[str, Any] | None = None,
     ) -> EngineRun:
-        """A Δ-palette run of the phases :func:`run_phases` ran on ``state``.
+        """The run of the phases :func:`run_phases` ran on ``state``.
 
         Rounds come from its ledger.  Each phase's ``phase_stats`` entry is
         the stats it returned plus its wall seconds under the reserved
         ``wall_s`` key (stripped from content digests); ``stats`` merges
-        the returned stats in phase order.
+        the returned stats in phase order, then ``stats``.  The palette
+        is Δ unless ``palette`` says otherwise.
         """
         walls = state.ledger.wall_snapshot()
         phase_stats: dict[str, dict[str, Any]] = {}
-        stats: dict[str, Any] = {}
+        merged: dict[str, Any] = {}
         for phase, recorded in state.phase_stats.items():
-            stats.update(recorded)
+            merged.update(recorded)
             phase_stats[phase] = {**recorded, "wall_s": round(walls[phase], 6)}
+        merged.update(stats or {})
         return cls(
             algorithm=algorithm,
             colors=state.colors,
             delta=state.delta,
-            palette=state.delta,
+            palette=state.delta if palette is None else palette,
             rounds=state.ledger.total_rounds,
             phase_rounds=state.ledger.snapshot(),
             phase_stats=phase_stats,
-            stats=stats,
+            stats=merged,
             seed_used=seed_used,
         )
 

@@ -58,7 +58,6 @@ class LinialResult:
     colors: list[int]
     palette: int
     iterations: int
-    rounds: int
 
 
 def _choose_parameters(k: int, delta: int, max_degree_d: int = 64) -> tuple[int, int]:
@@ -178,7 +177,7 @@ def linial_coloring(
         colors = list(range(n))
         for d, q in steps:
             colors = _reduce_round_python(graph, colors, d, q)
-    return LinialResult(colors=colors, palette=k, iterations=len(steps), rounds=len(steps))
+    return LinialResult(colors=colors, palette=k, iterations=len(steps))
 
 
 def _reduce_rounds_native(

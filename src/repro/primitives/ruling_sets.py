@@ -48,7 +48,6 @@ class RulingSetResult:
     nodes: set[int]
     alpha: int
     beta: int
-    rounds: int
 
 
 def ruling_forest_aglp(
@@ -74,7 +73,7 @@ def ruling_forest_aglp(
     ledger = ledger if ledger is not None else RoundLedger()
     member_set = set(range(graph.n)) if members is None else set(members)
     if not member_set:
-        return RulingSetResult(nodes=set(), alpha=k, beta=0, rounds=0)
+        return RulingSetResult(nodes=set(), alpha=k, beta=0)
     bits = max(1, (max(member_set)).bit_length())
     merge_rounds_per_level = max(0, k - 1)
     ledger.charge(merge_rounds_per_level * bits)
@@ -100,7 +99,7 @@ def ruling_forest_aglp(
 
     nodes = recurse(sorted(member_set), bits - 1)
     beta = merge_rounds_per_level * bits
-    return RulingSetResult(nodes=nodes, alpha=k, beta=beta, rounds=merge_rounds_per_level * bits)
+    return RulingSetResult(nodes=nodes, alpha=k, beta=beta)
 
 
 def ruling_set_random(
@@ -123,7 +122,6 @@ def ruling_set_random(
     ledger = ledger if ledger is not None else RoundLedger()
     rng = rng if rng is not None else random.Random(0)
     member_set = set(range(graph.n)) if members is None else set(members)
-    before = ledger.total_rounds
     result = power_graph_mis(
         graph, k, ledger, rng, active=member_set, max_iterations=max_iterations, method=method
     )
@@ -139,9 +137,7 @@ def ruling_set_random(
             nodes.add(v)
             dist = bfs_distances(graph, [v], max_depth=k)
             remaining = {u for u in remaining if dist[u] == -1}
-    return RulingSetResult(
-        nodes=nodes, alpha=k + 1, beta=k, rounds=ledger.total_rounds - before
-    )
+    return RulingSetResult(nodes=nodes, alpha=k + 1, beta=k)
 
 
 def ruling_set_from_coloring(
@@ -159,11 +155,8 @@ def ruling_set_from_coloring(
     O(β·Δ^{2/β} + log* n).
     """
     ledger = ledger if ledger is not None else RoundLedger()
-    before = ledger.total_rounds
     result = greedy_mis_from_coloring(graph, base_colors, palette, ledger, active=members)
-    return RulingSetResult(
-        nodes=result.in_set, alpha=2, beta=1, rounds=ledger.total_rounds - before
-    )
+    return RulingSetResult(nodes=result.in_set, alpha=2, beta=1)
 
 
 def verify_ruling_set(

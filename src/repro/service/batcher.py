@@ -680,9 +680,10 @@ class BatchingGateway:
         batch_size: int,
     ) -> None:
         """Record the batch-execute span (measured) plus one child per
-        solver phase (synthesized from the engine's recorded ``wall_s``
-        breakdown) under a sampled request's span.  Untraced requests
-        skip out in one check."""
+        solver phase (synthesized from each ``phase_stats`` entry's
+        ``wall_s``, also for a phase that charged 0 rounds) under a
+        sampled request's span.  Untraced requests skip out in one
+        check."""
         if not request.span:
             return
         exec_span = self.tracer.record(
@@ -693,25 +694,15 @@ class BatchingGateway:
             attrs={"batch_size": batch_size, "algorithm": result.algorithm},
         )
         offset = 0.0
-        for phase in result.phase_rounds:
-            stats = result.phase_stats.get(phase, {})
+        for phase, stats in result.phase_stats.items():
             wall = stats.get("wall_s")
             if not isinstance(wall, (int, float)):
-                continue
+                continue  # an engine registered from outside the package
             self.tracer.emit(
                 f"solver.{phase}", exec_span, wall, offset_s=offset,
-                attrs={"rounds": result.phase_rounds.get(phase)},
+                attrs={"rounds": result.phase_rounds.get(phase, 0)},
             )
             offset += wall
-        # nested ledger phases ("a/b") ride along, anchored after the
-        # top-level phases rather than interleaved — their parent entry
-        # already contains their time
-        for phase, stats in result.phase_stats.items():
-            if phase in result.phase_rounds or "/" not in phase:
-                continue
-            wall = stats.get("wall_s")
-            if isinstance(wall, (int, float)):
-                self.tracer.emit(f"solver.{phase}", exec_span, wall)
 
     # -- reporting ---------------------------------------------------------
 

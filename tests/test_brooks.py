@@ -14,7 +14,6 @@ from repro.graphs.generators import (
     torus_grid,
 )
 from repro.graphs.validation import UNCOLORED, validate_coloring
-from repro.local.rounds import RoundLedger
 
 
 def _color_minus_v(graph, v, delta, rng, glauber_steps=None):
@@ -56,7 +55,7 @@ class TestBasicRepair:
         g = torus_grid(5, 5)
         colors = degree_list_color(g, [set(range(1, 5)) for _ in range(g.n)])
         colors[7] = UNCOLORED
-        result = fix_uncolored_node(g, colors, 7, 4, ledger=RoundLedger())
+        result = fix_uncolored_node(g, colors, 7, 4)
         validate_coloring(g, colors, max_colors=4)
         assert result.mode == "free"
         assert result.recolored == []
@@ -72,10 +71,8 @@ class TestScratchRepair:
             colors = _color_minus_v(g, v, d, rng)
             if colors is None:
                 continue
-            ledger = RoundLedger()
-            result = fix_uncolored_node(g, colors, v, d, ledger=ledger)
+            result = fix_uncolored_node(g, colors, v, d)
             validate_coloring(g, colors, max_colors=d)
-            assert result.rounds == ledger.total_rounds
             assert result.radius <= default_fix_radius(g.n, d)
 
     def test_torus(self):
@@ -84,7 +81,7 @@ class TestScratchRepair:
         for trial in range(6):
             v = rng.randrange(g.n)
             colors = _color_minus_v(g, v, 4, rng)
-            fix_uncolored_node(g, colors, v, 4, ledger=RoundLedger())
+            fix_uncolored_node(g, colors, v, 4)
             validate_coloring(g, colors, max_colors=4)
 
     def test_hypercube(self):
@@ -95,7 +92,7 @@ class TestScratchRepair:
             colors = _color_minus_v(g, v, 4, rng)
             if colors is None:
                 continue
-            fix_uncolored_node(g, colors, v, 4, ledger=RoundLedger())
+            fix_uncolored_node(g, colors, v, 4)
             validate_coloring(g, colors, max_colors=4)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -106,7 +103,7 @@ class TestScratchRepair:
         colors = _color_minus_v(g, v, 5, rng)
         if colors is None:
             pytest.skip("component infeasible without v")
-        result = fix_uncolored_node(g, colors, v, 5, ledger=RoundLedger())
+        result = fix_uncolored_node(g, colors, v, 5)
         validate_coloring(g, colors, max_colors=5)
         # irregular graphs have deficient nodes: repairs stay very local
         assert result.radius <= default_fix_radius(g.n, 5)
@@ -125,7 +122,7 @@ class TestRadiusBound:
             colors = _color_minus_v(g, v, 3, rng)
             if colors is None:
                 continue
-            result = fix_uncolored_node(g, colors, v, 3, ledger=RoundLedger())
+            result = fix_uncolored_node(g, colors, v, 3)
             validate_coloring(g, colors, max_colors=3)
             worst = max(worst, result.radius)
         assert worst <= bound
@@ -151,6 +148,6 @@ class TestMultipleUncoloredNodes:
         colors = list(base)
         colors[v] = UNCOLORED
         colors[far] = UNCOLORED
-        fix_uncolored_node(g, colors, v, 4, ledger=RoundLedger())
-        fix_uncolored_node(g, colors, far, 4, ledger=RoundLedger())
+        fix_uncolored_node(g, colors, v, 4)
+        fix_uncolored_node(g, colors, far, 4)
         validate_coloring(g, colors, max_colors=4)

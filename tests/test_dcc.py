@@ -44,7 +44,6 @@ class TestDetection:
         ledger = RoundLedger()
         detection = detect_dccs(g, radius=3, ledger=ledger)
         assert ledger.total_rounds == 3
-        assert detection.rounds == 3
 
     def test_active_subset(self):
         g = torus_grid(8, 8)

@@ -24,7 +24,6 @@ from repro.graphs.properties import (
     is_gallai_tree,
     is_nice,
 )
-from repro.local.rounds import RoundLedger
 
 
 def theta_graph(a: int, b: int, c: int) -> Graph:
@@ -152,7 +151,7 @@ class TestRepairEdgeCases:
         colors = [0, 1, 2, 0]
         colors[0] = UNCOLORED
         colors[3] = 1
-        result = fix_uncolored_node(g, colors, 0, 3, ledger=RoundLedger())
+        result = fix_uncolored_node(g, colors, 0, 3)
         validate_coloring(g, colors, max_colors=3)
         assert result.mode in ("free", "deficient", "dcc", "regional", "duplicate",
                                "uncolored-slack", "shift-early-free")
@@ -162,10 +161,10 @@ class TestRepairEdgeCases:
         # all three colors and must exploit the uncolored hub 1
         g = theta_graph(1, 1, 1)
         colors = [UNCOLORED, UNCOLORED, 1, 2, 3]
-        result = fix_uncolored_node(g, colors, 0, 3, ledger=RoundLedger())
+        result = fix_uncolored_node(g, colors, 0, 3)
         validate_coloring(g, colors, allow_partial=True, max_colors=3)
         assert colors[0] != UNCOLORED
-        fix_uncolored_node(g, colors, 1, 3, ledger=RoundLedger())
+        fix_uncolored_node(g, colors, 1, 3)
         validate_coloring(g, colors, max_colors=3)
         assert result.mode in (
             "dcc", "regional", "duplicate", "free", "uncolored-slack",

@@ -35,6 +35,7 @@ from repro.graphs.generators import (
     random_regular_graph,
     torus_grid,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.named import petersen_graph
 
 ALGORITHMS = (
@@ -60,6 +61,10 @@ NOT_NICE = {
         torus_grid(4, 4), complete_graph(5), cycle_graph(5),
         random_regular_graph(40, 3, seed=1),
     ]),
+    # The trivial graphs pin that a one-phase engine keeps its phase key
+    # when it charges 0 rounds.
+    "empty": lambda: Graph(0, []),
+    "K1": lambda: Graph(1, []),
 }
 
 
@@ -143,6 +148,10 @@ GOLDEN = {
     ('auto', 'P5', 1): '472cc6567e766bfa',
     ('auto', 'union', 0): '6a73b60f4945a593',
     ('auto', 'union', 1): '82bcaf4c95c9b4cd',
+    ('auto', 'empty', 0): '45e60dcb01487be6',
+    ('auto', 'empty', 1): '495533064792cf06',
+    ('auto', 'K1', 0): '9b820b16c004b828',
+    ('auto', 'K1', 1): 'b6c34868f0ce34a2',
     ('randomized', 'petersen', 0): '3e59931855d59bad',
     ('randomized', 'petersen', 1): 'b0d1cf7ef6cd5dca',
     ('randomized', 'torus_6x7', 0): 'e694e132cf1a0093',
@@ -223,6 +232,10 @@ GOLDEN = {
     ('greedy', 'P5', 1): '562707754b5c594c',
     ('greedy', 'union', 0): '1718714c08aa9430',
     ('greedy', 'union', 1): '5088231b030d0b18',
+    ('greedy', 'empty', 0): '2e057e6404113aa9',
+    ('greedy', 'empty', 1): '5251904d18a8f9b1',
+    ('greedy', 'K1', 0): '8c046cc1fce2ec3d',
+    ('greedy', 'K1', 1): '78739ef8ce6c3bbd',
     ('components', 'petersen', 0): '00f76ba8c6841a4f',
     ('components', 'petersen', 1): '8ad287fc20ffc582',
     ('components', 'torus_6x7', 0): '99f02ffb91c60722',
@@ -243,6 +256,10 @@ GOLDEN = {
     ('components', 'P5', 1): '472cc6567e766bfa',
     ('components', 'union', 0): '6a73b60f4945a593',
     ('components', 'union', 1): '82bcaf4c95c9b4cd',
+    ('components', 'empty', 0): '45e60dcb01487be6',
+    ('components', 'empty', 1): '495533064792cf06',
+    ('components', 'K1', 0): '9b820b16c004b828',
+    ('components', 'K1', 1): 'b6c34868f0ce34a2',
     ('auto', 'girth9_2048', 0): '6d6568015a553136',
     ('auto', 'girth9_2048', 1): '36777eb836e8920e',
     ('auto', 'girth9_2048_carved', 0): '80192d3c702a8b22',
@@ -273,6 +290,22 @@ def test_golden_solve(algorithm, name, seed):
 
 def test_table_covers_every_case():
     assert set(GOLDEN) == set(_cases())
+
+
+@pytest.mark.parametrize(
+    "algorithm,name,seed", sorted(GOLDEN), ids=lambda p: str(p)
+)
+def test_every_phase_reports_through_the_ledger(algorithm, name, seed):
+    """Every engine's phases come out of ``run_phases``: each
+    ``phase_stats`` entry carries the phase's wall seconds, and every
+    phase that charged rounds has an entry."""
+    try:
+        result = _solve(algorithm, name, seed)
+    except ReproError:
+        return  # pinned by its error type above
+    for phase, stats in result.phase_stats.items():
+        assert type(stats["wall_s"]) is float and stats["wall_s"] >= 0, phase
+    assert set(result.phase_rounds) <= set(result.phase_stats)
 
 
 @pytest.mark.parametrize("name", sorted(SHATTER))

@@ -118,6 +118,37 @@ class TestSingleServerTracing:
                 # phase spans are offset from the parent's start)
                 assert record["start_s"] >= parent["start_s"] - 1e-6
 
+    def test_one_solver_span_per_phase_stats_entry(self):
+        """A phase that charged 0 rounds still ran and has a wall time,
+        so it gets its span too (with ``rounds`` 0); on this instance
+        three of the ten phases charge nothing."""
+        graph = random_regular_graph(32, 3, seed=0)
+        tracer = Tracer(seed=7)
+        server = ColoringServer(port=0, tracer=tracer)
+
+        async def drive():
+            await server.start()
+            try:
+                async with AsyncColoringClient(port=server.port) as client:
+                    return await client.solve(graph, algorithm="auto", seed=1)
+            finally:
+                await server.close()
+
+        result = asyncio.run(drive()).result
+        assert set(result.phase_rounds) < set(result.phase_stats)
+        spans = _span_index(tracer)
+        (batch,) = spans["gateway.batch_execute"]
+        phase_spans = {
+            name.removeprefix("solver."): records
+            for name, records in spans.items()
+            if name.startswith("solver.")
+        }
+        assert set(phase_spans) == set(result.phase_stats)
+        for phase, records in phase_spans.items():
+            (record,) = records
+            assert record["parent_id"] == batch["span_id"]
+            assert record["attrs"]["rounds"] == result.phase_rounds.get(phase, 0)
+
     def test_update_emits_repair_rung_spans(self):
         parent_graph, matching = updatable_instance()
         tracer = Tracer(seed=4)

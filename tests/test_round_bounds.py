@@ -67,7 +67,6 @@ def test_linial_rounds_match_schedule(kind, maker, n):
     result = linial_coloring(graph, ledger)
     schedule = reduction_schedule(n, 2)
     assert result.iterations == len(schedule)
-    assert result.rounds == result.iterations
     assert ledger.total_rounds == result.iterations, (
         "Linial charged rounds beyond its reduction steps"
     )
@@ -146,7 +145,6 @@ def test_marking_charges_backoff_plus_two(backoff):
         graph, set(range(graph.n)), colors, 0.01, backoff,
         random.Random(0), ledger,
     )
-    assert outcome.rounds == backoff + 2
     assert ledger.total_rounds == backoff + 2
 
 

@@ -25,7 +25,7 @@ class TestAGLP:
         result = ruling_forest_aglp(g, k, ledger)
         ok, reason = verify_ruling_set(g, result.nodes, alpha=k, beta=result.beta)
         assert ok, reason
-        assert ledger.total_rounds == result.rounds
+        assert ledger.total_rounds == result.beta
 
     def test_member_subset(self):
         g = torus_grid(10, 10)
@@ -87,10 +87,11 @@ class TestColoringBased:
     def test_guarantees(self):
         g = random_regular_graph(200, 4, seed=7)
         linial = linial_coloring(g)
-        result = ruling_set_from_coloring(g, linial.colors, linial.palette)
+        ledger = RoundLedger()
+        result = ruling_set_from_coloring(g, linial.colors, linial.palette, ledger)
         ok, reason = verify_ruling_set(g, result.nodes, alpha=2, beta=1)
         assert ok, reason
-        assert result.rounds == linial.palette
+        assert ledger.total_rounds == linial.palette
 
 
 class TestVerifier:
