@@ -43,11 +43,11 @@ from repro.errors import AlgorithmContractError, InfeasibleListColoringError
 from repro.core.dcc import DCCScratch, detect_dccs, virtual_graph_ruling_set
 from repro.core.degree_choosable import color_against_outside
 from repro.core.layering import color_layers_in_reverse
-from repro.graphs.bfs import bfs_distances, distance_layers
+from repro.graphs.bfs import distance_layers
 from repro.graphs.graph import Graph
 from repro.graphs.validation import UNCOLORED
 from repro.local.rounds import RoundLedger
-from repro.primitives.list_coloring import first_available_color
+from repro.primitives.list_coloring import first_available_color, gather_cost
 
 __all__ = ["SmallComponentsReport", "color_small_components"]
 
@@ -212,8 +212,4 @@ def _fallback(
             f"against its marked boundary — the backoff >= 5 invariant "
             f"should make this impossible: {error}"
         ) from error
-    # Gathering cost: 2 · component radius + 1.
-    leader = component[0]
-    dist = bfs_distances(graph, [leader], allowed=set(component))
-    radius = max(dist[v] for v in component)
-    ledger.charge(2 * radius + 1)
+    ledger.charge(gather_cost(graph, component, set(component)))

@@ -14,15 +14,12 @@ from repro.graphs.bfs import (
     bfs_distances,
     bfs_levels,
     bfs_tree,
-    closest_source_assignment,
     distance_layers,
-    eccentricity,
 )
 from repro.graphs.blocks import (
     BlockDecomposition,
     biconnected_components,
     blocks_through,
-    cut_vertices,
 )
 from repro.graphs.generators import (
     complete_graph,
@@ -62,14 +59,11 @@ __all__ = [
     "BlockDecomposition",
     "biconnected_components",
     "blocks_through",
-    "cut_vertices",
     "bfs_ball",
     "bfs_distances",
     "bfs_levels",
     "bfs_tree",
-    "closest_source_assignment",
     "distance_layers",
-    "eccentricity",
     "cycle_graph",
     "path_graph",
     "complete_graph",

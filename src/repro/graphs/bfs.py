@@ -48,8 +48,6 @@ __all__ = [
     "bfs_tree",
     "distance_layers",
     "distance_layers_and_rest",
-    "closest_source_assignment",
-    "eccentricity",
 ]
 
 UNREACHED = -1
@@ -426,49 +424,3 @@ def _layers_of(dist: list[int]) -> list[list[int]]:
         if d != UNREACHED:
             layers[d].append(v)
     return layers
-
-
-def closest_source_assignment(
-    graph: Graph,
-    sources: Iterable[int],
-    max_depth: int | None = None,
-    allowed: set[int] | Sequence[bool] | Callable[[int], bool] | None = None,
-) -> tuple[list[int], list[int]]:
-    """Assign every reached node to its closest source, ties by smaller id.
-
-    Returns ``(dist, assigned)`` lists; unreached nodes have ``dist == -1``
-    and ``assigned == -1``.  Phase (5) of the randomized algorithm assigns
-    each happy node to its closest T-node / boundary node "breaking ties
-    using identifiers" — this implements that rule: the BFS processes
-    sources in ascending id order, and on equal distance the smaller
-    assigned source id wins because it is enqueued first.
-    """
-    ordered = sorted(set(sources))
-    _check_nodes(graph, ordered, "source")
-    ok = _normalize_allowed(graph, allowed)
-    dist = [UNREACHED] * graph.n
-    assigned = [UNREACHED] * graph.n
-    queue: deque[int] = deque()
-    for s in ordered:
-        if ok(s) and dist[s] == UNREACHED:
-            dist[s] = 0
-            assigned[s] = s
-            queue.append(s)
-    adj = graph.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if max_depth is not None and du >= max_depth:
-            continue
-        for v in adj[u]:
-            if dist[v] == UNREACHED and ok(v):
-                dist[v] = du + 1
-                assigned[v] = assigned[u]
-                queue.append(v)
-    return dist, assigned
-
-
-def eccentricity(graph: Graph, v: int, allowed=None) -> int:
-    """Eccentricity of ``v`` within its (allowed) connected component."""
-    dist = bfs_distances(graph, [v], allowed=allowed)
-    return max((d for d in dist if d != UNREACHED), default=0)

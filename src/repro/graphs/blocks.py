@@ -1,4 +1,4 @@
-"""Biconnected components (blocks), cut vertices, and the block-cut tree.
+"""Biconnected components (blocks) and cut vertices.
 
 Gallai trees (Definition 7) are graphs whose maximal 2-connected components
 are all cliques or odd cycles, and Theorem 8 (Erdős–Rubin–Taylor / Vizing)
@@ -20,8 +20,6 @@ from repro.graphs.graph import Graph
 __all__ = [
     "biconnected_components",
     "blocks_through",
-    "cut_vertices",
-    "block_cut_forest",
     "BlockDecomposition",
 ]
 
@@ -223,22 +221,3 @@ def blocks_through(
         disc[v] = 0
         low[v] = 0
     return found
-
-
-def cut_vertices(graph: Graph) -> set[int]:
-    """Articulation points of ``graph``."""
-    return biconnected_components(graph).cut_vertices
-
-
-def block_cut_forest(graph: Graph) -> tuple[list[list[int]], dict[int, list[int]]]:
-    """Block-cut forest: bipartite structure between blocks and cut nodes.
-
-    Returns ``(blocks, tree_adj)`` where ``tree_adj`` maps *block index* to
-    the list of cut vertices it contains, which is enough structure for the
-    leaf-block peeling used by the constructive list colorer.
-    """
-    decomposition = biconnected_components(graph)
-    tree_adj: dict[int, list[int]] = {}
-    for idx, block in enumerate(decomposition.blocks):
-        tree_adj[idx] = [v for v in block if v in decomposition.cut_vertices]
-    return decomposition.blocks, tree_adj

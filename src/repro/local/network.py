@@ -3,10 +3,10 @@
 This is the faithful execution substrate: per-node state machines exchange
 one message per neighbour per round, with unbounded message size and
 unbounded local computation, exactly as in [Linial 92, Peleg 00].  The
-engine is used directly by the primitives whose behaviour is genuinely
-round-by-round (Linial color reduction, Luby/Ghaffari MIS, randomized list
-coloring trials); higher-level algorithms compose those primitives and
-charge ball-collection rounds on the shared :class:`RoundLedger`.
+node programs of :mod:`repro.primitives.programs` (Luby's MIS, randomized
+list-coloring trials, layer discovery) run on it, and the tests pin the
+engines' simulated rounds against them; the engines themselves charge
+their rounds on the shared :class:`RoundLedger` directly.
 
 The node program interface is deliberately tiny:
 

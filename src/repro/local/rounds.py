@@ -9,7 +9,7 @@ report exactly the terms the theorems bound.
 
 Two charging styles coexist, both exact LOCAL semantics:
 
-* per-round loops (``charge(1)`` per iteration of Luby/Ghaffari/Linial), and
+* per-round loops (``charge(1)`` per iteration of Luby/Linial), and
 * ball collection (``charge(r)`` for "gather the radius-r neighbourhood and
   decide locally" — messages are unbounded in LOCAL, so collecting a ball
   of radius r costs exactly r rounds).

@@ -1,22 +1,20 @@
 """Distributed primitives: the substrates the paper's algorithms cite.
 
 * :mod:`repro.primitives.linial` — O(Δ²) coloring in O(log* n) rounds.
-* :mod:`repro.primitives.mis` — Luby and Ghaffari MIS (+ power-graph and
-  message-passing variants).
-* :mod:`repro.primitives.ruling_sets` — the Lemma 20 ruling-set toolbox.
+* :mod:`repro.primitives.ruling_sets` — the AGLP ruling forest of
+  Theorem 4 and the (α, β) ruling-set verifier.
 * :mod:`repro.primitives.list_coloring` — (deg+1)-list coloring engines
-  (Theorems 18/19 substitutes).
-* :mod:`repro.primitives.decomposition` — small-component finishers
-  (Lemma 24 substitutes).
+  (Theorems 18/19 substitutes), including the leader-gathering finisher
+  of small components (Lemma 24 substitute).
+* :mod:`repro.primitives.programs` — node programs (Luby's MIS, trial
+  coloring, layer discovery) for the message-passing engine; not
+  imported by the package, since no engine runs them.
+* :mod:`repro.primitives.numbers` — primes, digits and log*.
+
+Phase 2's ruling set on the DCC virtual graph (Lemma 20) lives with the
+DCCs, in :func:`repro.core.dcc.virtual_graph_ruling_set`.
 """
 
-from repro.primitives.decomposition import (
-    Clustering,
-    gather_component_cost,
-    mpx_clustering,
-    solve_component_by_clustering,
-    solve_components_by_gathering,
-)
 from repro.primitives.linial import LinialResult, linial_coloring, reduction_schedule
 from repro.primitives.list_coloring import (
     ListColoringStats,
@@ -27,37 +25,15 @@ from repro.primitives.list_coloring import (
     list_coloring_hybrid,
     list_coloring_random,
 )
-from repro.primitives.mis import (
-    LubyProgram,
-    MISResult,
-    ghaffari_mis,
-    greedy_mis_from_coloring,
-    luby_mis,
-    power_graph_mis,
-)
 from repro.primitives.numbers import ilog_star, int_to_digits, is_prime, next_prime
-from repro.primitives.ruling_sets import (
-    RulingSetResult,
-    ruling_forest_aglp,
-    ruling_set_from_coloring,
-    ruling_set_random,
-    verify_ruling_set,
-)
+from repro.primitives.ruling_sets import RulingSetResult, ruling_forest_aglp, verify_ruling_set
 
 __all__ = [
     "LinialResult",
     "linial_coloring",
     "reduction_schedule",
-    "MISResult",
-    "luby_mis",
-    "ghaffari_mis",
-    "power_graph_mis",
-    "greedy_mis_from_coloring",
-    "LubyProgram",
     "RulingSetResult",
     "ruling_forest_aglp",
-    "ruling_set_random",
-    "ruling_set_from_coloring",
     "verify_ruling_set",
     "ListColoringStats",
     "available_colors",
@@ -66,11 +42,6 @@ __all__ = [
     "list_coloring_hybrid",
     "list_coloring_deterministic",
     "greedy_color_sequential",
-    "Clustering",
-    "gather_component_cost",
-    "mpx_clustering",
-    "solve_component_by_clustering",
-    "solve_components_by_gathering",
     "is_prime",
     "next_prime",
     "int_to_digits",

@@ -66,6 +66,7 @@ __all__ = [
     "list_coloring_hybrid",
     "list_coloring_deterministic",
     "greedy_color_sequential",
+    "gather_cost",
 ]
 
 
@@ -505,7 +506,7 @@ def _finish_by_gathering(
 ) -> int:
     """Solve each uncolored component by gathering it at its min-id leader.
 
-    Rounds: 2·(component radius) + 1 per component, charged as the max over
+    Rounds: :func:`gather_cost` per component, charged as the max over
     components (they run concurrently).  Greedy in any order is always
     feasible because the instance is deg+1 (see module docstring).
     """
@@ -513,8 +514,7 @@ def _finish_by_gathering(
     components = _uncolored_components(graph, leftover_set)
     costs = []
     for component in components:
-        radius = _component_radius(graph, component, leftover_set)
-        costs.append(2 * radius + 1)
+        costs.append(gather_cost(graph, component, leftover_set))
         greedy_color_sequential(graph, colors, component, max_colors)
     ledger.charge_max(costs)
     return max(costs, default=0)
@@ -541,11 +541,15 @@ def _uncolored_components(graph: Graph, member_set: set[int]) -> list[list[int]]
     return components
 
 
-def _component_radius(graph: Graph, component: list[int], member_set: set[int]) -> int:
-    """Eccentricity of the min-id leader within the component."""
+def gather_cost(graph: Graph, component: list[int], member_set: set[int]) -> int:
+    """LOCAL rounds to solve ``component`` at its min-id leader: gather its
+    topology and boundary colors (radius rounds), solve centrally, send the
+    answer back (radius rounds), 2·radius + 1 in all.  The radius is the
+    leader's eccentricity inside ``member_set``, a node set holding
+    ``component`` and none of its outside neighbours."""
     leader = min(component)
     dist = bfs_distances(graph, [leader], allowed=member_set)
-    return max(dist[v] for v in component)
+    return 2 * max(dist[v] for v in component) + 1
 
 
 def list_coloring_deterministic(

@@ -1,12 +1,14 @@
-"""Additional node programs for the faithful message-passing engine.
+"""Node programs for the faithful message-passing engine.
 
 The vectorised primitives in this package simulate synchronous rounds
 with global data structures for speed; these :class:`NodeProgram`
-implementations run the same logic through the real per-node engine
-(:class:`repro.local.network.SyncNetwork`).  The test suite pins the two
-styles against each other — same outputs under the same randomness
-discipline, same rounds-per-iteration accounting — which is the evidence
-that the fast path is a faithful LOCAL simulation.
+implementations run through the real per-node engine
+(:class:`repro.local.network.SyncNetwork`).  The test suite pins the
+coloring and layering programs against the fast path — same outputs
+under the same randomness discipline, same rounds-per-iteration
+accounting — which is the evidence that the fast path is a faithful
+LOCAL simulation.  :class:`LubyProgram` pins the engine's own round
+accounting (two rounds per MIS iteration).
 """
 
 from __future__ import annotations
@@ -16,7 +18,60 @@ from typing import Any
 
 from repro.local.network import NodeContext
 
-__all__ = ["TrialColoringProgram", "LayerDiscoveryProgram"]
+__all__ = ["LubyProgram", "TrialColoringProgram", "LayerDiscoveryProgram"]
+
+UNDECIDED, IN_MIS, OUT = 0, 1, 2
+
+
+class LubyProgram:
+    """Luby's MIS as a :class:`NodeProgram` for the message-passing engine.
+
+    Every iteration takes two engine rounds, so a run's ledger total is
+    twice its iterations.  State protocol: phase alternates between "bid"
+    (send priority) and "resolve" (send join/out decision).
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+
+    def start(self, ctx: NodeContext) -> None:
+        ctx.state["rng"] = random.Random((self.seed << 20) ^ ctx.node)
+        ctx.state["status"] = UNDECIDED
+        ctx.state["phase"] = "bid"
+        ctx.state["live_neighbors"] = set(ctx.neighbors)
+
+    def message(self, ctx: NodeContext, round_index: int):
+        if ctx.state["phase"] == "bid":
+            ctx.state["priority"] = (ctx.state["rng"].random(), ctx.node)
+            return ("bid", ctx.state["priority"])
+        return ("decision", ctx.state["status"])
+
+    def receive(self, ctx: NodeContext, round_index: int, inbox) -> bool:
+        if ctx.state["phase"] == "bid":
+            mine = ctx.state["priority"]
+            bids = [
+                payload
+                for sender, (kind, payload) in inbox.items()
+                if kind == "bid" and sender in ctx.state["live_neighbors"]
+            ]
+            if all(mine > bid for bid in bids):
+                ctx.state["status"] = IN_MIS
+            ctx.state["phase"] = "resolve"
+            return False
+        # Resolve phase: a neighbour joining knocks this node out.
+        for sender, (kind, payload) in inbox.items():
+            if kind == "decision" and payload == IN_MIS:
+                if ctx.state["status"] != IN_MIS:
+                    ctx.state["status"] = OUT
+            if kind == "decision" and payload in (IN_MIS, OUT):
+                ctx.state["live_neighbors"].discard(sender)
+        ctx.state["phase"] = "bid"
+        return ctx.state["status"] != UNDECIDED
+
+    @staticmethod
+    def extract(contexts: dict[int, NodeContext]) -> set[int]:
+        """Nodes that joined the MIS after a run."""
+        return {v for v, ctx in contexts.items() if ctx.state["status"] == IN_MIS}
 
 
 class TrialColoringProgram:

@@ -1,38 +1,30 @@
 """Ruling sets (Lemma 20): the paper's base-layer selection machinery.
 
 An (α, β)-ruling set of a node set W in G is M ⊆ W with every two nodes of
-M at distance >= α and every node of W within distance β of M.  The paper
-uses four variants (Lemma 20); this module provides the engines we
-substitute for them, each with the variant it stands in for:
+M at distance >= α and every node of W within distance β of M.
 
 * :func:`ruling_forest_aglp` — deterministic (k, (k-1)·⌈log₂ n⌉) ruling set
   in (k-1)·⌈log₂ n⌉ rounds by the classic Awerbuch–Goldberg–Luby–Plotkin
-  bit recursion over identifiers (substitute for Lemma 20(2) [SEW13]).
-* :func:`ruling_set_random` — randomized (k+1, k)-ruling set via MIS of the
-  power graph G^k (Luby or Ghaffari engine; substitute for Lemma 20(3)/(4)).
-* :func:`ruling_set_from_coloring` — deterministic (2, 1) ruling set (an
-  MIS) in ``palette`` rounds from a base coloring (substitute for
-  Lemma 20(1) on bounded-degree graphs).
+  bit recursion over identifiers (substitute for Lemma 20(2) [SEW13]); the
+  ruling forest of Theorem 4.
+* :func:`verify_ruling_set` — checks the (α, β) guarantees.
 
-All results are checked by :func:`verify_ruling_set` in tests and strict
-mode.
+The randomized engines' ruling set of the DCC virtual graph (phase 2) is
+:func:`repro.core.dcc.virtual_graph_ruling_set`.  Both functions here
+raise ``IndexError`` for a member outside ``0..n-1``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.graph import Graph
 from repro.local.rounds import RoundLedger
-from repro.primitives.mis import greedy_mis_from_coloring, power_graph_mis
 
 __all__ = [
     "RulingSetResult",
     "ruling_forest_aglp",
-    "ruling_set_random",
-    "ruling_set_from_coloring",
     "verify_ruling_set",
 ]
 
@@ -48,6 +40,18 @@ class RulingSetResult:
     nodes: set[int]
     alpha: int
     beta: int
+
+
+def _member_set(graph: Graph, members: set[int] | None) -> set[int]:
+    """``members`` as a set (every node when ``None``); ``IndexError`` for
+    a member outside ``0..n-1`` (a negative id must not alias ``n + id``)."""
+    if members is None:
+        return set(range(graph.n))
+    member_set = set(members)
+    bad = next((v for v in member_set if not 0 <= v < graph.n), None)
+    if bad is not None:
+        raise IndexError(f"member {bad} is not a node of this {graph.n}-node graph")
+    return member_set
 
 
 def ruling_forest_aglp(
@@ -70,8 +74,8 @@ def ruling_forest_aglp(
     Theorem 4 spans the whole graph, and the ruling sets of virtual graphs
     (G_DCC) measure distance through the underlying network.
     """
+    member_set = _member_set(graph, members)
     ledger = ledger if ledger is not None else RoundLedger()
-    member_set = set(range(graph.n)) if members is None else set(members)
     if not member_set:
         return RulingSetResult(nodes=set(), alpha=k, beta=0)
     bits = max(1, (max(member_set)).bit_length())
@@ -102,63 +106,6 @@ def ruling_forest_aglp(
     return RulingSetResult(nodes=nodes, alpha=k, beta=beta)
 
 
-def ruling_set_random(
-    graph: Graph,
-    k: int,
-    ledger: RoundLedger | None = None,
-    rng: random.Random | None = None,
-    members: set[int] | None = None,
-    method: str = "luby",
-    max_iterations: int | None = None,
-) -> RulingSetResult:
-    """Randomized (k+1, k)-ruling set: MIS of G^k on the member set.
-
-    ``method='ghaffari'`` gives the O(log Δ)-type per-node convergence of
-    Lemma 20(4); stragglers past ``max_iterations`` are resolved by a
-    greedy pass (distance-k dominating completion), whose extra rounds are
-    charged as a depth-k flood per straggler batch — the deterministic
-    fallback mirroring the paper's shattering finisher.
-    """
-    ledger = ledger if ledger is not None else RoundLedger()
-    rng = rng if rng is not None else random.Random(0)
-    member_set = set(range(graph.n)) if members is None else set(members)
-    result = power_graph_mis(
-        graph, k, ledger, rng, active=member_set, max_iterations=max_iterations, method=method
-    )
-    nodes = set(result.in_set)
-    if result.undecided:
-        # Deterministic finisher: repeatedly admit the smallest-id
-        # undecided node and knock out its distance-k ball.  Sequential in
-        # the worst case; in practice undecided sets are tiny (shattering).
-        remaining = set(result.undecided)
-        while remaining:
-            ledger.charge(k)
-            v = min(remaining)
-            nodes.add(v)
-            dist = bfs_distances(graph, [v], max_depth=k)
-            remaining = {u for u in remaining if dist[u] == -1}
-    return RulingSetResult(nodes=nodes, alpha=k + 1, beta=k)
-
-
-def ruling_set_from_coloring(
-    graph: Graph,
-    base_colors: list[int],
-    palette: int,
-    ledger: RoundLedger | None = None,
-    members: set[int] | None = None,
-) -> RulingSetResult:
-    """Deterministic (2, 1)-ruling set (an MIS) in ``palette`` rounds.
-
-    Substitute for Lemma 20(1): given the Linial coloring, iterate color
-    classes.  A (2, β) guarantee with β=1 is stronger domination than the
-    lemma needs, at the price of palette = O(Δ²) rounds instead of
-    O(β·Δ^{2/β} + log* n).
-    """
-    ledger = ledger if ledger is not None else RoundLedger()
-    result = greedy_mis_from_coloring(graph, base_colors, palette, ledger, active=members)
-    return RulingSetResult(nodes=result.in_set, alpha=2, beta=1)
-
-
 def verify_ruling_set(
     graph: Graph,
     ruling: set[int],
@@ -172,7 +119,7 @@ def verify_ruling_set(
     a depth-(α-1) BFS from each ruling node).  Domination: every member
     within β of the ruling set.
     """
-    member_set = set(range(graph.n)) if members is None else set(members)
+    member_set = _member_set(graph, members)
     if not member_set:
         return (len(ruling) == 0, "empty member set")
     if not ruling:

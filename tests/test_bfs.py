@@ -1,16 +1,13 @@
-"""Unit tests for BFS utilities (distances, balls, layers, assignments)."""
+"""Unit tests for BFS utilities (distances, balls, layers)."""
 
 from repro.graphs.bfs import (
     bfs_ball,
     bfs_distances,
     bfs_levels,
     bfs_tree,
-    closest_source_assignment,
     distance_layers,
-    eccentricity,
 )
 from repro.graphs.generators import cycle_graph, path_graph, torus_grid
-from repro.graphs.graph import Graph
 
 
 class TestDistances:
@@ -95,32 +92,3 @@ class TestLayersAndAssignment:
         g = path_graph(10)
         layers = distance_layers(g, [0], max_depth=3)
         assert len(layers) == 4
-
-    def test_closest_source_tiebreak_by_smaller_id(self):
-        # node 2 is equidistant from sources 0 and 4 on a path
-        g = path_graph(5)
-        _dist, assigned = closest_source_assignment(g, [0, 4])
-        assert assigned[2] == 0
-
-    def test_closest_source_assignment_follows_bfs(self):
-        g = path_graph(7)
-        dist, assigned = closest_source_assignment(g, [0, 6])
-        assert assigned[1] == 0 and assigned[5] == 6
-        assert dist[3] == 3
-
-    def test_assignment_respects_allowed(self):
-        g = path_graph(5)
-        dist, assigned = closest_source_assignment(g, [0], allowed={0, 1})
-        assert assigned[3] == -1
-
-
-class TestEccentricity:
-    def test_path_end(self):
-        assert eccentricity(path_graph(5), 0) == 4
-
-    def test_path_middle(self):
-        assert eccentricity(path_graph(5), 2) == 2
-
-    def test_disconnected_component_only(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert eccentricity(g, 0) == 1

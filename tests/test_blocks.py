@@ -5,7 +5,7 @@ import random
 import networkx as nx
 import pytest
 
-from repro.graphs.blocks import biconnected_components, block_cut_forest, cut_vertices
+from repro.graphs.blocks import biconnected_components
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -79,14 +79,3 @@ class TestEdgeCases:
         assert d.cut_vertices == {2}
         assert len(d.blocks) == 2
         assert d.blocks_of_node[2] == [0, 1] or d.blocks_of_node[2] == [1, 0]
-
-    def test_cut_vertices_helper(self):
-        g = path_graph(4)
-        assert cut_vertices(g) == {1, 2}
-
-    def test_block_cut_forest(self):
-        g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        blocks, tree_adj = block_cut_forest(g)
-        assert len(blocks) == 2
-        for block_id, cuts in tree_adj.items():
-            assert cuts == [2]

@@ -5,7 +5,7 @@ import pytest
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.local.network import NodeContext, SyncNetwork
 from repro.local.rounds import RoundLedger
-from repro.primitives.mis import LubyProgram
+from repro.primitives.programs import LubyProgram
 
 
 class TestRoundLedger:

@@ -11,6 +11,9 @@ on.  On each input:
 * :class:`NotNiceGraphError` is raised exactly when the input is not
   nice, and only by engines that need a nice graph.
 
+The same checks run over every connected graph on at most 7 nodes
+(networkx's graph atlas), at two seeds.
+
 Graphs are kept small so every (engine, graph) pair runs in tier-1.  Two
 long-diameter families (a 4×130 torus and a chain of K5-minus-an-edge
 gadgets) put more than 64 BFS levels between some nodes, so the layer
@@ -23,10 +26,12 @@ through the native kernel's hand-back to the Python twin.
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from repro import native
@@ -149,27 +154,59 @@ LONG_DIAMETER = ("torus_4x130", "gadget_chain_30")
 MIN_DELTA = {"randomized-large": 4}
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("algorithm", list_algorithms())
-def test_engine_against_oracles(algorithm, family):
-    graph = FAMILIES[family]()
+def check_engine(graph: Graph, algorithm: str, seed: int = 1) -> None:
+    """The suite's checks of one engine on one graph: the typed refusal
+    when the graph is not nice (or Δ is below the preset's floor), else a
+    valid coloring within its palette, within Δ + 1 colors, and within Δ
+    when the engine promises Brooks' bound."""
     spec = get_algorithm(algorithm)
     delta = graph.max_degree()
     nice = is_nice(graph)
     if spec.needs_nice and not nice:
         with pytest.raises(NotNiceGraphError):
-            solve(graph, algorithm=algorithm, seed=1, strict=True)
+            solve(graph, algorithm=algorithm, seed=seed, strict=True)
         return
     if delta < MIN_DELTA.get(algorithm, 0):
         with pytest.raises(AlgorithmContractError):
-            solve(graph, algorithm=algorithm, seed=1, strict=True)
+            solve(graph, algorithm=algorithm, seed=seed, strict=True)
         return
-    result = solve(graph, algorithm=algorithm, seed=1, strict=True)
+    result = solve(graph, algorithm=algorithm, seed=seed, strict=True)
     validate_coloring(graph, list(result.colors), max_colors=result.palette or None)
     # Brooks: χ <= Δ + 1 for every graph, χ <= Δ for every nice one.
     assert result.palette <= delta + 1
     if spec.needs_nice or (nice and spec.palette_bound != "Δ+1"):
         assert result.palette <= delta
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("algorithm", list_algorithms())
+def test_engine_against_oracles(algorithm, family):
+    check_engine(FAMILIES[family](), algorithm)
+
+
+@functools.cache
+def connected_atlas() -> tuple[Graph, ...]:
+    """Every connected graph on at most 7 nodes, one per isomorphism
+    class: networkx's graph atlas without its null graph and its
+    disconnected entries (996 graphs, K1 included)."""
+    graphs = tuple(
+        Graph(g.number_of_nodes(), list(g.edges()))
+        for g in nx.graph_atlas_g()
+        if g.number_of_nodes() and nx.is_connected(g)
+    )
+    assert len(graphs) == 996
+    return graphs
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("algorithm", list_algorithms())
+def test_engine_against_oracles_on_atlas(algorithm, seed):
+    for index, graph in enumerate(connected_atlas()):
+        try:
+            check_engine(graph, algorithm, seed)
+        except (Exception, pytest.fail.Exception) as error:
+            error.add_note(f"connected atlas graph {index}: edges {list(graph.edges())}")
+            raise
 
 
 @pytest.mark.parametrize(

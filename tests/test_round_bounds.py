@@ -10,13 +10,10 @@ the instances with known behaviour:
 * Linial color reduction: exactly one round per reduction step, fixed
   point after ``len(reduction_schedule(n, Δ))`` steps (the O(log* n)
   quantity; ≤ 2 for Δ = 2 up to n = 32768), palette ≤ (2Δ+O(1))².
-* Luby / Ghaffari MIS: exactly 2 rounds per iteration; on paths/cycles
-  Luby finishes within 2·log₂(n) iterations for every tested seed.
-* Power-graph MIS with exponent k: exactly 2k rounds per iteration.
-* Coloring→MIS reduction: exactly ``palette`` rounds.
 * The marking process: exactly ``backoff + 2`` rounds.
 * The faithful message-passing engine charges exactly one round per
-  executed synchronous round (LubyProgram: 2 per MIS iteration).
+  executed synchronous round (LubyProgram: 2 per MIS iteration, within
+  2·log₂(n) + 2 iterations on paths and cycles).
 """
 
 from __future__ import annotations
@@ -33,13 +30,7 @@ from repro.graphs.validation import UNCOLORED
 from repro.local.network import SyncNetwork
 from repro.local.rounds import RoundLedger
 from repro.primitives.linial import linial_coloring, reduction_schedule
-from repro.primitives.mis import (
-    LubyProgram,
-    ghaffari_mis,
-    greedy_mis_from_coloring,
-    luby_mis,
-    power_graph_mis,
-)
+from repro.primitives.programs import LubyProgram
 
 PATHS_AND_CYCLES = [
     ("path", path_graph, 64),
@@ -75,65 +66,6 @@ def test_linial_rounds_match_schedule(kind, maker, n):
     # Fixed point is O(Δ²): for Δ = 2 the smallest usable prime is 5 -> 25.
     assert result.palette <= 49
     assert len(set(result.colors)) <= result.palette
-
-
-@pytest.mark.parametrize("kind,maker,n", PATHS_AND_CYCLES, ids=IDS)
-def test_luby_two_rounds_per_iteration(kind, maker, n):
-    graph = maker(n)
-    bound = 2 * math.log2(n)
-    for seed in range(5):
-        ledger = RoundLedger()
-        result = luby_mis(graph, ledger, random.Random(seed))
-        assert not result.undecided
-        _assert_mis(graph, result.in_set)
-        assert ledger.total_rounds == 2 * result.iterations, (
-            "Luby must charge exactly 2 rounds per iteration"
-        )
-        assert result.iterations <= bound, (
-            f"Luby took {result.iterations} iterations on a {kind} of {n} "
-            f"(documented bound 2·log2 n = {bound:.0f})"
-        )
-
-
-@pytest.mark.parametrize("kind,maker,n", [("path", path_graph, 512), ("cycle", cycle_graph, 512)], ids=["path-512", "cycle-512"])
-def test_ghaffari_two_rounds_per_iteration(kind, maker, n):
-    graph = maker(n)
-    ledger = RoundLedger()
-    result = ghaffari_mis(graph, ledger, random.Random(1))
-    assert not result.undecided
-    _assert_mis(graph, result.in_set)
-    assert ledger.total_rounds == 2 * result.iterations
-    # O(log Δ + log 1/ε)-per-node shape; global finish on bounded-degree
-    # instances stays well under 6·log2 n.
-    assert result.iterations <= 6 * math.log2(n)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_power_graph_mis_charges_2k_per_iteration(k):
-    graph = cycle_graph(256)
-    ledger = RoundLedger()
-    result = power_graph_mis(graph, k, ledger, random.Random(0))
-    assert not result.undecided
-    assert ledger.total_rounds == 2 * k * result.iterations
-    # Ruling-set property of G^k: members pairwise > k apart, everyone
-    # within k of a member (cycle distances are easy to check directly).
-    members = sorted(result.in_set)
-    n = graph.n
-    for i, v in enumerate(members):
-        w = members[(i + 1) % len(members)]
-        gap = (w - v) % n
-        assert gap > k
-        assert gap <= 2 * k + 1
-
-
-def test_greedy_mis_rounds_equal_palette():
-    graph = cycle_graph(100)
-    ledger = RoundLedger()
-    linial = linial_coloring(graph)
-    result = greedy_mis_from_coloring(graph, linial.colors, linial.palette, ledger)
-    _assert_mis(graph, result.in_set)
-    assert result.iterations == linial.palette
-    assert ledger.total_rounds == linial.palette
 
 
 @pytest.mark.parametrize("backoff", [5, 6, 8])

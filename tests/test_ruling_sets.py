@@ -1,20 +1,12 @@
 """Tests for ruling set constructions (Lemma 20 substitutes)."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.generators import random_regular_graph, torus_grid
+from repro.graphs.generators import path_graph, random_regular_graph, torus_grid
 from repro.local.rounds import RoundLedger
-from repro.primitives.linial import linial_coloring
-from repro.primitives.ruling_sets import (
-    ruling_forest_aglp,
-    ruling_set_from_coloring,
-    ruling_set_random,
-    verify_ruling_set,
-)
+from repro.primitives.ruling_sets import ruling_forest_aglp, verify_ruling_set
 
 
 class TestAGLP:
@@ -50,6 +42,16 @@ class TestAGLP:
         b = ruling_forest_aglp(g, 4).nodes
         assert a == b
 
+    @pytest.mark.parametrize("members", [{7}, {-1, 3}, {0, 5}])
+    def test_member_outside_graph_raises_before_charging(self, members):
+        """A member outside 0..n-1 is refused: ``{7}`` once came back as
+        the ruling set and ``{-1, 3}`` as ``{-1}``."""
+        g = path_graph(5)
+        ledger = RoundLedger()
+        with pytest.raises(IndexError):
+            ruling_forest_aglp(g, 2, ledger, members=members)
+        assert ledger.total_rounds == 0
+
     @given(k=st.integers(min_value=2, max_value=6), seed=st.integers(0, 100))
     @settings(max_examples=15, deadline=None)
     def test_property_random_graphs(self, k, seed):
@@ -57,41 +59,6 @@ class TestAGLP:
         result = ruling_forest_aglp(g, k)
         ok, reason = verify_ruling_set(g, result.nodes, alpha=k, beta=result.beta)
         assert ok, reason
-
-
-class TestRandomRulingSets:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_luby_guarantees(self, k):
-        g = random_regular_graph(300, 4, seed=4)
-        result = ruling_set_random(g, k, rng=random.Random(1))
-        ok, reason = verify_ruling_set(g, result.nodes, alpha=k + 1, beta=k)
-        assert ok, reason
-
-    def test_ghaffari_with_cap_and_finisher(self):
-        g = random_regular_graph(300, 4, seed=5)
-        result = ruling_set_random(
-            g, 2, rng=random.Random(2), method="ghaffari", max_iterations=6
-        )
-        ok, reason = verify_ruling_set(g, result.nodes, alpha=3, beta=2)
-        assert ok, reason
-
-    def test_member_subset(self):
-        g = random_regular_graph(300, 3, seed=6)
-        members = set(range(150))
-        result = ruling_set_random(g, 2, rng=random.Random(3), members=members)
-        ok, reason = verify_ruling_set(g, result.nodes, 3, 2, members=members)
-        assert ok, reason
-
-
-class TestColoringBased:
-    def test_guarantees(self):
-        g = random_regular_graph(200, 4, seed=7)
-        linial = linial_coloring(g)
-        ledger = RoundLedger()
-        result = ruling_set_from_coloring(g, linial.colors, linial.palette, ledger)
-        ok, reason = verify_ruling_set(g, result.nodes, alpha=2, beta=1)
-        assert ok, reason
-        assert ledger.total_rounds == linial.palette
 
 
 class TestVerifier:
@@ -109,6 +76,13 @@ class TestVerifier:
         g = torus_grid(5, 5)
         ok, reason = verify_ruling_set(g, {0}, alpha=2, beta=25, members={1, 2})
         assert not ok and "non-members" in reason
+
+    @pytest.mark.parametrize("members", [{-1, 4}, {4, 5}])
+    def test_member_outside_graph_raises(self, members):
+        """``dist[-1]`` once aliased node 4, so ``{4}`` was reported as
+        ruling ``{-1, 4}`` on a 5-node path."""
+        with pytest.raises(IndexError):
+            verify_ruling_set(path_graph(5), {4}, 2, 1, members=members)
 
     def test_empty_cases(self):
         g = torus_grid(5, 5)

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.core.happiness import build_happiness_layers
@@ -24,6 +25,14 @@ def _leftover_scenario(n=1200, d=3, girth=8, seed=0, r=3):
     return g, colors, happiness, d
 
 
+def _induced(g, members):
+    """The subgraph ``members`` induces, as a networkx graph (the oracle)."""
+    induced = nx.Graph()
+    induced.add_nodes_from(members)
+    induced.add_edges_from((u, v) for u, v in g.edges() if u in members and v in members)
+    return induced
+
+
 class TestPhaseSix:
     @pytest.mark.parametrize("seed", range(5))
     def test_colors_all_leftovers(self, seed):
@@ -39,8 +48,18 @@ class TestPhaseSix:
             assert colors[v] != UNCOLORED
         validate_coloring(g, colors, allow_partial=True, max_colors=d)
         assert sum(report.component_sizes) == len(happiness.leftover)
-        # every component's DCC detection charges its radius
-        assert ledger.total_rounds >= 2
+        if seed == 0:
+            # One component, no DCC (girth 8 > 2·radius) and no free node:
+            # the fallback's charge is DCC detection (radius 2) plus
+            # gathering at the min-id leader, 2·eccentricity + 1.
+            assert report.component_sizes == [g.n] and report.fallbacks == 1
+            assert report.free_node_components == 0
+            leader = min(happiness.leftover)
+            eccentricity = nx.eccentricity(_induced(g, happiness.leftover), leader)
+            assert ledger.total_rounds == 2 + 2 * eccentricity + 1
+        else:
+            # every component's DCC detection charges its radius
+            assert ledger.total_rounds >= 2
 
     @pytest.mark.parametrize("seed", range(3))
     def test_free_nodes_via_outer_layer(self, seed):

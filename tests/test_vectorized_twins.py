@@ -527,8 +527,6 @@ class TestBreadthFirst:
             for search in (bfs_mod.bfs_ball, bfs_mod.bfs_levels, bfs_mod.bfs_tree):
                 with pytest.raises(IndexError):
                     run(search, graph, -1, 1)
-            with pytest.raises(IndexError):
-                run(bfs_mod.closest_source_assignment, graph, [-1])
 
 
 class TestBoundary:
