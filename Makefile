@@ -2,10 +2,9 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-no-cc check lint typecheck bench-smoke bench-regression bench-sweep \
-	bench-million serve-smoke bench-service incremental-smoke \
-	bench-incremental shard-smoke bench-sharded obs-smoke bench-obs \
-	store-smoke bench-store
+.PHONY: test test-no-cc check lint typecheck bench-smoke serve-smoke bench-service \
+	incremental-smoke bench-incremental shard-smoke bench-sharded obs-smoke \
+	bench-obs store-smoke bench-store
 
 test:
 	$(PY) -m pytest -x -q
@@ -31,13 +30,13 @@ test-no-cc:
 		-p no:cacheprovider $(TWIN_TESTS); \
 	status=$$?; rm -rf "$$cache"; exit $$status
 
-# What CI runs: the tier-1 suite, the bench-rot smoke pass (plus the
-# perf-regression gate over its timings), the service smoke (boot the
-# TCP server, fire 50 mixed requests through ColoringClient, assert
-# validity + cache hits + load shedding), the incremental smoke
-# (single-edge update vs fresh solve at n=32768: >= 10x, digest-chained,
-# validity-asserted), the shard smoke (2-shard cluster bring-up,
-# routed solve/update/stats, a worker killed and restarted mid-load),
+# What CI runs: the tier-1 suite, the bench-rot smoke pass, the service
+# smoke (boot the TCP server, fire 50 mixed requests through
+# ColoringClient, assert validity + cache hits + load shedding), the
+# incremental smoke (single-edge update vs fresh solve at n=32768: >= 10x,
+# digest-chained, validity-asserted), the shard smoke (2-shard cluster
+# bring-up, routed solve/update/stats, a worker killed and restarted
+# mid-load, the 2-shard throughput floor),
 # the observability smoke (traced 2-shard fleet: every request must
 # reassemble into one connected router-to-solver-phase span tree from
 # the per-process JSONL exports, and the sampling-off tracing tax must
@@ -47,8 +46,10 @@ test-no-cc:
 # restart-to-warm time), so the solver facade, the bench harness, the
 # serving layer, the update path, the scale-out tier, the
 # instrumentation and the durable storage layer cannot rot
-# independently.
-check: test bench-regression serve-smoke incremental-smoke shard-smoke obs-smoke store-smoke
+# independently.  Speed is gated apart from this, by an A/B run against
+# the base commit: python scripts/ab.py --base REV --out PATH (the CI
+# `ab` job).
+check: test bench-smoke serve-smoke incremental-smoke shard-smoke obs-smoke store-smoke
 
 # Style + invariant gate.  Two layers: ruff (generic defect rules; CI
 # installs a pinned version, locally it is skipped if absent) and
@@ -77,29 +78,22 @@ serve-smoke:
 	$(PY) benchmarks/bench_s1_service.py --smoke
 
 # Incremental smoke: the update verb's acceptance gate (engine + TCP +
-# sustained stream), then the calibrated perf gate over its numbers
-# (update_ms and sustained ops/sec vs the committed baseline).
-# Refresh the baseline with:
-#   python scripts/check_bench_regression.py --incremental-current benchmarks/results/s2_incremental.json --update-baseline
+# sustained stream).  scripts/ab.py compares its update_ms and sustained
+# ops/sec with the base commit's.
 incremental-smoke:
 	$(PY) benchmarks/bench_s2_incremental.py --smoke
-	python scripts/check_bench_regression.py \
-		--incremental-current benchmarks/results/s2_incremental.json
 
-# Full incremental sweep: update-op latency vs fresh solves across edit sizes.
+# The incremental bench with its wire check at n=4096.
 bench-incremental:
 	$(PY) benchmarks/bench_s2_incremental.py
 
 # Sharded-service smoke: real 2-shard fleet (child processes) behind the
 # consistent-hash router — routed solve/update/stats asserted
 # bit-identical and chain-local, one shard SIGKILLed and restarted
-# mid-load — then the throughput gate (2-shard >= 1.5x single-process,
-# auto-skipped on boxes with < 2 CPUs).  Refresh the baseline with:
-#   python scripts/check_bench_regression.py --sharded-current benchmarks/results/s3_sharded.json --update-baseline
+# mid-load — and the throughput floor (2-shard >= 1.5x single-process,
+# skipped on boxes with < 2 CPUs).
 shard-smoke:
 	$(PY) benchmarks/bench_s3_sharded.py --smoke
-	python scripts/check_bench_regression.py \
-		--sharded-current benchmarks/results/s3_sharded.json
 
 # Full sharded load test: offered-vs-achieved QPS at 1/2/4 shards.
 bench-sharded:
@@ -139,24 +133,5 @@ bench-service:
 	$(PY) benchmarks/bench_s1_service.py --rate 100 --requests 300
 
 # CI rot check: every benchmarks/bench_e*.py at its single smallest size.
-# Timings land in benchmarks/results/BENCH_smoke.json for the gate below.
 bench-smoke:
-	$(PY) -m repro bench --smoke --smoke-json benchmarks/results/BENCH_smoke.json
-
-# Perf-regression gate: compare the smoke timings against the committed
-# baseline (machine-speed calibrated; fail on > 1.5x per-module slowdown).
-# Refresh the baseline with:
-#   python scripts/check_bench_regression.py --current benchmarks/results/BENCH_smoke.json --update-baseline
-bench-regression: bench-smoke
-	python scripts/check_bench_regression.py \
-		--current benchmarks/results/BENCH_smoke.json
-
-# Wall-clock scaling sweep via the harness (JSON lands in benchmarks/results/).
-bench-sweep:
-	$(PY) -m repro bench --sweep --sizes 2000,20000,250000 \
-		--json benchmarks/results/harness_sweep.json
-
-# The canonical million-edge demonstration: n=250k, Δ=8 → m=1e6.
-bench-million:
-	$(PY) -m repro bench --sweep --sizes 250000 --delta 8 --warmup 0 --repeats 1 \
-		--json benchmarks/results/harness_million.json
+	$(PY) -m repro bench --smoke

@@ -8,10 +8,9 @@ pinned by hash in ``tests/test_generators.py``) and the randomized
 (deg+1)-list trial rounds
 (:func:`repro.primitives.list_coloring.list_coloring_random`, which runs
 each round in the native kernel's ``trial_round`` when ``repro/kernel.c``
-loads, with a bit-identical pure-Python twin).  This bench pins their
-wall clock so the ``bench --smoke`` perf-regression gate
-(``scripts/check_bench_regression.py``) catches either path rotting back
-toward per-stub / per-node Python.
+loads, with a bit-identical pure-Python twin).  This bench prints their
+wall clock, so either path rotting back toward per-stub / per-node
+Python shows in its tables.
 
 * **E10a** — ``random_regular_graph`` wall clock per (n, Δ), plus a
   regularity check (the repair loop must not silently degrade).

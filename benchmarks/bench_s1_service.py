@@ -5,10 +5,13 @@ with open-loop traffic (requests fire on a fixed schedule regardless of
 completions — the honest way to measure tail latency under load) and
 reports one JSON document with:
 
-* ``hot_path`` — cold-solve vs cached latency on the same instance and
-  the resulting speedup (the acceptance bar is ≥ 10×), plus the
-  bit-identity check: the cached result's ``content_digest()`` equals
-  the fresh solve's.
+* ``hot_path`` — cold-solve vs cached latency on the same instance,
+  sent as a :class:`Graph` (the packed wire form both clients use), plus
+  the bit-identity check: the cached result's ``content_digest()``
+  equals the fresh solve's.  The figures are reported, not gated: the
+  hit path's speed is gated by ``scripts/ab.py`` on perfbench
+  serve-read's ``latency_p50_ms`` and ``capacity_rps`` against the base
+  commit.
 * ``open_loop`` — achieved QPS vs offered, p50/p95/p99 latency, server
   cache hit rate, for a mixed-size workload with a configurable
   duplicate-request ratio.
@@ -24,8 +27,8 @@ Modes::
 
 ``--smoke`` is the CI gate: 50 mixed requests through
 :class:`repro.service.ColoringClient`, every returned coloring validated
-client-side, cache hits and the ≥ 10× hot path asserted, shedding
-exercised.  Results land in ``benchmarks/results/s1_service.json``.
+client-side, cache hits and the hot path's bit-identity asserted,
+shedding exercised.  Results land in ``benchmarks/results/s1_service.json``.
 """
 
 from __future__ import annotations
@@ -139,12 +142,11 @@ def run_hot_path(port: int, n: int, delta: int, seed: int) -> dict:
     each is genuinely uncached), hot over repeats of the first request.
     """
     graph = random_regular_graph(n, delta, seed=seed)
-    payload = {"n": graph.n, "edges": [list(e) for e in graph.edges()]}
     with ColoringClient(port=port, timeout=600.0) as client:
         cold_samples = []
         for i in range(3):
             t0 = time.perf_counter()
-            reply = client.solve(payload, algorithm="auto", seed=seed + i)
+            reply = client.solve(graph, algorithm="auto", seed=seed + i)
             cold_samples.append(time.perf_counter() - t0)
             assert not reply.cached, "distinct-seed request must solve cold"
             if i == 0:
@@ -152,7 +154,7 @@ def run_hot_path(port: int, n: int, delta: int, seed: int) -> dict:
         hot_samples = []
         for _ in range(8):
             t0 = time.perf_counter()
-            hot = client.solve(payload, algorithm="auto", seed=seed)
+            hot = client.solve(graph, algorithm="auto", seed=seed)
             hot_samples.append(time.perf_counter() - t0)
             assert hot.cached, "repeat request must hit the cache"
         cold_s, hot_s = min(cold_samples), min(hot_samples)
@@ -340,9 +342,6 @@ def main(argv=None) -> int:
     if args.smoke:
         sizes = [32, 64, 128]
         count = 50
-        # Large and dense enough that a cold solve is robustly >= 10x the
-        # hot path's parse+hash+RTT floor on the pure-python fallback too
-        # (no numpy/scipy, where sparse small-n solves are quick).
         args.hot_n = 8192
         args.rate = min(args.rate, 100.0)
 
@@ -382,8 +381,6 @@ def main(argv=None) -> int:
     hot = report["hot_path"]
     if not hot["bit_identical"]:
         failures.append("cached result is not bit-identical to the fresh solve")
-    if hot["speedup"] < 10.0:
-        failures.append(f"hot-path speedup {hot['speedup']}x < 10x")
     shed = report["shedding"]
     if shed["rejected"] == 0:
         failures.append("queue-bound burst produced no rejections")
@@ -410,7 +407,8 @@ def main(argv=None) -> int:
             else f"{traffic['cache_hits']}/{traffic['requests']} cache hits"
         )
         print(
-            f"s1_service ok: hot path {hot['speedup']}x, {rate_info}, "
+            f"s1_service ok: hot path {hot['hot_ms']}ms cached vs "
+            f"{hot['cold_ms']}ms cold at n={hot['n']}, {rate_info}, "
             f"{shed['rejected']}/{shed['burst']} shed",
             file=sys.stderr,
         )

@@ -6,10 +6,6 @@ against a cached n=32768, Δ=8 instance must complete **≥ 10× faster**
 than a fresh solve of the same instance, digest-chained and
 validity-asserted.  Three probes:
 
-* ``engine`` — :func:`repro.analysis.harness.incremental_update_sweep`:
-  per-op latency of :func:`repro.api.solve_incremental` across edit
-  sizes (1 / 16 / 256 edges) vs the fresh :func:`repro.api.solve`
-  baseline, validation included on both sides.
 * ``service_hot_update`` — the headline: an in-process
   :class:`repro.service.BatchingGateway` serves the instance once
   (cold), then single-edge ``update`` ops chain against the cached
@@ -17,17 +13,21 @@ validity-asserted.  Three probes:
   re-fingerprinting, caching, and validation.  Asserts the ≥ 10× bar,
   the digest chain (every child names its parent; replaying an update
   hits the cache), and child-coloring validity.
-* ``sustained`` — :func:`repro.analysis.harness.sustained_update_stream`:
-  one long-lived engine, every delta in place on its updatable CSR, absorbs
-  thousands of alternating insert/delete ops at n=10⁵ with per-op
-  dirty-region validation; must hold **≥ 10⁴ ops/sec**.
+* ``sustained`` — :func:`sustained_update_stream`: one long-lived
+  engine, every delta in place on its updatable CSR, absorbs thousands
+  of alternating insert/delete ops at n=10⁵ with per-op dirty-region
+  validation; must hold **≥ 10⁴ ops/sec**.
 * ``tcp_update`` — functional check of the wire protocol on a small
   instance: solve → update → chained update over real sockets, plus the
   ``stale_parent`` and typed-rejection error paths.
 
+``scripts/ab.py`` runs the smoke in this checkout and in a base commit
+and compares ``service_hot_update.update_ms`` and
+``sustained.ops_per_sec`` between the two.
+
 Modes::
 
-    python benchmarks/bench_s2_incremental.py           # full sweep + checks
+    python benchmarks/bench_s2_incremental.py           # n=4096 wire check
     python benchmarks/bench_s2_incremental.py --smoke   # CI gate (make incremental-smoke)
 
 Results land in ``benchmarks/results/s2_incremental.json``.
@@ -42,12 +42,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.api import SolverConfig
-from repro.analysis.harness import (
-    carve_matching,
-    incremental_update_sweep,
-    sustained_update_stream,
-)
+from repro.api import SolverConfig, solve
+from repro.analysis.harness import carve_matching
+from repro.core.incremental import IncrementalColoring
 from repro.errors import IncrementalUpdateError, StaleParentError
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.validation import validate_coloring
@@ -56,11 +53,70 @@ from repro.service import BatchingGateway, ColoringClient
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def run_engine_sweep(sizes, delta, edits, seed, repeats) -> list[dict]:
-    points = incremental_update_sweep(
-        sizes, delta=delta, edits=edits, seed=seed, repeats=repeats
+def sustained_update_stream(
+    n: int = 100_000,
+    delta: int = 8,
+    ops: int = 2000,
+    matching_size: int = 256,
+    seed: int = 0,
+) -> dict:
+    """Sustained update throughput on one long-lived engine.
+
+    A single :class:`IncrementalColoring` engine absorbs a long
+    alternating insert/delete stream over a carved matching, every delta
+    in place.  Matching edges keep Δ fixed by construction (see
+    :func:`carve_matching`), so no op forces a full re-solve and every op
+    exercises exactly the in-place delta + conflict-repair machinery, with
+    per-op dirty-region validation on.
+
+    Returns a flat dict (ops/sec, p50/p99/max latencies, engine repair
+    totals, the cold fresh-solve time) for the bench report.
+    """
+    config = SolverConfig(algorithm="randomized-large", seed=seed)
+    full = random_regular_graph(n, delta, seed=seed)
+    matching = carve_matching(full, matching_size)
+    base = full.apply_updates(removed=matching)
+    t0 = time.perf_counter()
+    parent = solve(base, config)
+    cold_s = time.perf_counter() - t0
+    engine = IncrementalColoring.from_result(
+        base, parent, config=config, validate=True
     )
-    return [p.as_dict() for p in points]
+    # One untimed round trip warms the stream: the first relocation of
+    # the touched rows, the engine's registry lookup.
+    engine.insert_edge(*matching[0])
+    engine.delete_edge(*matching[0])
+    inserted = [False] * len(matching)
+    latencies: list[float] = []
+    idx = 0
+    started = time.perf_counter()
+    for _ in range(ops):
+        u, v = matching[idx]
+        t1 = time.perf_counter()
+        if inserted[idx]:
+            engine.delete_edge(u, v)
+        else:
+            engine.insert_edge(u, v)
+        latencies.append(time.perf_counter() - t1)
+        inserted[idx] = not inserted[idx]
+        idx = (idx + 1) % len(matching)
+    elapsed = time.perf_counter() - started
+    latencies.sort()
+    return {
+        "n": n,
+        "delta": delta,
+        "ops": ops,
+        "matching_size": matching_size,
+        "elapsed_s": round(elapsed, 6),
+        "ops_per_sec": round(ops / elapsed, 1),
+        "p50_us": round(latencies[len(latencies) // 2] * 1e6, 1),
+        "p99_us": round(latencies[(len(latencies) * 99) // 100] * 1e6, 1),
+        "max_us": round(latencies[-1] * 1e6, 1),
+        "cold_solve_s": round(cold_s, 6),
+        "conflicts": engine.totals["conflicts"],
+        "recolored": engine.totals["recolored"],
+        "full_resolves": engine.totals["full_resolves"],
+    }
 
 
 def run_service_hot_update(
@@ -178,12 +234,6 @@ def main(argv=None) -> int:
     parser.add_argument("--delta", type=int, default=8)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--sizes", default="8192,32768",
-        help="comma-separated sizes for the engine-level sweep (full mode)",
-    )
-    parser.add_argument("--edits", default="1,16,256")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
         "--min-speedup", type=float, default=10.0,
         help="acceptance bar for the single-edge service-path speedup",
     )
@@ -203,12 +253,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = {"bench": "s2_incremental", "mode": "smoke" if args.smoke else "full"}
-    if not args.smoke:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-        edits = tuple(int(e) for e in args.edits.split(",") if e)
-        report["engine_sweep"] = run_engine_sweep(
-            sizes, args.delta, edits, args.seed, args.repeats
-        )
     report["service_hot_update"] = run_service_hot_update(
         args.hot_n, args.delta, args.seed
     )

@@ -1,16 +1,7 @@
 """Analysis utilities: expansion measurements, experiment sweeps,
-wall-clock harness, statistics."""
+statistics."""
 
 from repro.analysis.experiments import Row, Table, sweep
-from repro.analysis.harness import (
-    HarnessReport,
-    Measurement,
-    SweepPoint,
-    delta_coloring_sweep,
-    measure,
-    size_sweep,
-    throughput_sweep,
-)
 from repro.analysis.expansion import (
     ExpansionSample,
     bfs_tree_is_unique,
@@ -25,13 +16,6 @@ __all__ = [
     "Row",
     "Table",
     "sweep",
-    "HarnessReport",
-    "Measurement",
-    "SweepPoint",
-    "measure",
-    "size_sweep",
-    "delta_coloring_sweep",
-    "throughput_sweep",
     "ExpansionSample",
     "measure_expansion",
     "bfs_tree_is_unique",

@@ -3,7 +3,7 @@
 Every engine hands :func:`repro.api.solve` one
 :class:`repro.local.rounds.EngineRun`; the facade checks it and packs
 it into :class:`ColoringResult`, the single, frozen,
-JSON-round-trippable record that every caller — CLI, harness, service,
+JSON-round-trippable record that every caller — CLI, service,
 benchmarks, examples — reads.
 """
 

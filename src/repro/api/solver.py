@@ -4,8 +4,8 @@
 a :class:`repro.api.result.ColoringResult`; :func:`solve_many` fans a
 batch of graphs out over a process pool for throughput workloads.
 :class:`SolverPool` keeps one warmed pool alive across many
-``solve_many`` calls (the harness reuses it across sweep points instead
-of re-spawning workers per point).
+``solve_many`` calls (perfbench reuses one across its batches instead
+of re-spawning workers per batch).
 
 Determinism: a solve is a pure function of ``(graph, config)`` — workers
 only change scheduling, never results, so ``solve_many(workers=4)`` is

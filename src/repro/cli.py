@@ -31,13 +31,10 @@ Gives downstream users a zero-code path to the library:
 * ``info`` — parse a graph and print its structural profile (Δ, girth
   probe, niceness, Gallai-tree status, component count), plus whether
   the native kernel loaded (its path and entry points) or why it did not.
-* ``bench`` — wall-clock measurement via :mod:`repro.analysis.harness`:
-  ``--smoke`` runs every ``benchmarks/bench_e*.py`` at its tiniest size
-  (the CI rot check behind ``make bench-smoke``), ``--sweep`` times
-  end-to-end Δ-coloring across instance sizes with warmup/repetition and
-  optional JSON output; ``--workers N --batch B`` adds a throughput
-  sweep that fans B instances per size over a shared N-worker pool via
-  :func:`repro.api.solve_many`.
+* ``bench --smoke`` — run every ``benchmarks/bench_e*.py`` at its
+  tiniest size (the CI rot check behind ``make bench-smoke``).  Wall-clock
+  figures come from ``perfbench/run.py`` and its A/B gate,
+  ``scripts/ab.py``.
 
 Examples::
 
@@ -46,8 +43,6 @@ Examples::
     python -m repro color edges.txt --json
     python -m repro info edges.txt
     python -m repro bench --smoke
-    python -m repro bench --sweep --sizes 2000,20000,250000 --json out.json
-    python -m repro bench --sweep --workers 4 --batch 8
     python -m repro serve --port 8512 --max-queue 128
     python -m repro serve --port 8512 --shards 2
     python -m repro serve --port 8512 --shards 2 --trace-dir traces/
@@ -182,32 +177,16 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if not args.smoke and not args.sweep:
-        print("bench: pass --smoke and/or --sweep", file=sys.stderr)
-        return 2
-    status = 0
-    if args.smoke:
-        status = _bench_smoke(args.smoke_json)
-    if args.sweep and status == 0:
-        status = _bench_sweep(args)
-    return status
-
-
-def _bench_smoke(json_path: str | None = None) -> int:
     """Import every ``benchmarks/bench_e*.py`` and run its ``build_*``
-    functions at smoke size; any exception fails the run.
-
-    With ``json_path``, per-module wall-clock seconds are written as one
-    JSON document — the input of ``scripts/check_bench_regression.py``,
-    the CI perf-regression gate (compared against the committed baseline
-    in ``benchmarks/baselines/``).
-    """
+    functions at smoke size; any exception fails the run."""
     import importlib
     import os
-    import platform
     import time
     import traceback
 
+    if not args.smoke:
+        print("bench: pass --smoke", file=sys.stderr)
+        return 2
     os.environ["REPRO_BENCH_SMOKE"] = "1"
     bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
     if not bench_dir.is_dir():
@@ -215,7 +194,6 @@ def _bench_smoke(json_path: str | None = None) -> int:
         return 2
     sys.path.insert(0, str(bench_dir))
     failures = 0
-    modules: dict[str, dict] = {}
     for path in sorted(bench_dir.glob("bench_e*.py")):
         module_name = path.stem
         started = time.perf_counter()
@@ -233,72 +211,15 @@ def _bench_smoke(json_path: str | None = None) -> int:
             for builder in builders:
                 builder()
             elapsed = time.perf_counter() - started
-            modules[module_name] = {"seconds": round(elapsed, 3), "ok": True}
             print(f"smoke {module_name:<28} ok    {elapsed:6.1f}s ({len(builders)} tables)")
         except Exception:
             failures += 1
             elapsed = time.perf_counter() - started
-            modules[module_name] = {"seconds": round(elapsed, 3), "ok": False}
             print(f"smoke {module_name:<28} FAIL  {elapsed:6.1f}s")
             traceback.print_exc()
-    if json_path:
-        payload = {
-            "bench": "smoke",
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "modules": modules,
-        }
-        out = Path(json_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {out}")
     if failures:
         print(f"bench --smoke: {failures} bench module(s) failed", file=sys.stderr)
         return 1
-    return 0
-
-
-def _bench_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.harness import (
-        HarnessReport,
-        delta_coloring_sweep,
-        throughput_sweep,
-    )
-
-    try:
-        sweep_sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        print(f"bench: bad --sizes {args.sizes!r}", file=sys.stderr)
-        return 2
-    report = HarnessReport(name="delta-coloring-wall-clock")
-    report.add(
-        f"randomized-large Δ={args.delta}",
-        delta_coloring_sweep(
-            sweep_sizes,
-            delta=args.delta,
-            seed=args.seed,
-            warmup=args.warmup,
-            repeats=args.repeats,
-        ),
-    )
-    if args.workers > 1:
-        report.add(
-            f"solve_many batch={args.batch} workers={args.workers} Δ={args.delta}",
-            throughput_sweep(
-                sweep_sizes,
-                delta=args.delta,
-                seed=args.seed,
-                batch=args.batch,
-                workers=args.workers,
-                warmup=args.warmup,
-                repeats=args.repeats,
-            ),
-        )
-    print(report.render())
-    if args.json:
-        written = report.write_json(args.json)
-        print(f"wrote {written}")
     return 0
 
 
@@ -558,44 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("edges")
     info.set_defaults(func=_cmd_info)
 
-    bench = sub.add_parser("bench", help="wall-clock benchmarks (harness)")
+    bench = sub.add_parser("bench", help="bench-module rot check")
     bench.add_argument(
         "--smoke",
         action="store_true",
         help="run every benchmarks/bench_e*.py at its tiniest size (CI rot check)",
     )
-    bench.add_argument(
-        "--smoke-json",
-        help="write per-module --smoke timings to this JSON path (the "
-        "input of scripts/check_bench_regression.py)",
-    )
-    bench.add_argument(
-        "--sweep",
-        action="store_true",
-        help="time end-to-end Δ-coloring across --sizes with warmup/repeats",
-    )
-    bench.add_argument(
-        "--sizes",
-        default="2000,20000",
-        help="comma-separated node counts for --sweep (default 2000,20000)",
-    )
-    bench.add_argument("--delta", type=int, default=8, help="degree for --sweep graphs")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--warmup", type=int, default=1)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="add a solve_many throughput sweep over this many processes",
-    )
-    bench.add_argument(
-        "--batch",
-        type=int,
-        default=4,
-        help="instances per size point for the --workers throughput sweep",
-    )
-    bench.add_argument("--json", help="write the sweep report to this JSON path")
     bench.set_defaults(func=_cmd_bench)
 
     serve = sub.add_parser(
@@ -619,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-cost", type=int, default=8_000_000,
         help="cost-aware admission: bound on the summed n+m of outstanding "
         "requests, so backlog is metered in work, not request count "
-        "(<= 0 disables; an oversize request is still admitted when idle)",
+        "(<= 0 disables; a single request over the bound is refused)",
     )
     serve.add_argument(
         "--cache-entries", type=int, default=1152,

@@ -14,7 +14,9 @@
    their summed :func:`request_cost` (``n + m``) would exceed it — the
    request is rejected *now* with
    :class:`repro.errors.ServiceOverloadedError`.  Load shedding is
-   explicit; nothing queues unboundedly and nothing hangs.
+   explicit; nothing queues unboundedly and nothing hangs.  A request
+   that alone costs more than ``max_cost`` is refused with
+   :class:`repro.errors.ServiceProtocolError`, which no retry cures.
 4. **Reservation** — the in-flight future is registered and the slot
    and cost are reserved before any await.
 5. **Work** in a worker thread, so the event loop keeps accepting
@@ -61,7 +63,11 @@ from typing import Any
 from repro.api.config import SolverConfig
 from repro.api.result import ColoringResult
 from repro.api.solver import apply_incremental, solve
-from repro.errors import ServiceOverloadedError, StaleParentError
+from repro.errors import (
+    ServiceOverloadedError,
+    ServiceProtocolError,
+    StaleParentError,
+)
 from repro.graphs.graph import Graph
 from repro.service.fingerprint import (
     config_fingerprint,
@@ -184,12 +190,13 @@ class BatchingGateway:
         too; default ``8 * max_queue``.
     max_cost:
         Cost-aware admission bound: the summed :func:`request_cost`
-        (``n + m``) of outstanding requests may not exceed this.  An
-        oversize request is still admitted when the gateway is otherwise
-        idle (otherwise it could never be served at all), so the bound
-        sheds *backlog*, proportionally to the work actually queued.
-        ``None`` (the default) disables cost metering and admission is
-        by request count alone.
+        (``n + m``) of outstanding requests may not exceed this, so the
+        bound sheds *backlog*, proportionally to the work actually
+        queued.  A request that alone costs more is refused with
+        :class:`ServiceProtocolError`, even when the gateway is idle: a
+        tiny frame naming a huge ``n`` is turned away before its graph
+        is built.  ``None`` (the default) disables cost metering and
+        admission is by request count alone.
     tracer:
         The :class:`repro.obs.Tracer` child spans are recorded on
         (``gateway.cache_probe`` / ``gateway.coalesce_wait`` /
@@ -329,7 +336,8 @@ class BatchingGateway:
 
         Raises :class:`ServiceOverloadedError` immediately when the
         outstanding-request bound (or, with ``max_cost`` set, the
-        outstanding-cost bound) is hit, and re-raises the engine's own
+        outstanding-cost bound) is hit, :class:`ServiceProtocolError`
+        when ``cost`` alone exceeds ``max_cost``, and re-raises the engine's own
         error (or the factory's construction error) if the solve fails.
 
         ``parent_span`` (a sampled :class:`repro.obs.Span`) attaches the
@@ -566,7 +574,7 @@ class BatchingGateway:
                     admission.set_attr("outstanding", self._outstanding)
                     admission.set_attr("cost", cost)
                 self._admit(cost)
-        except ServiceOverloadedError as exc:
+        except (ServiceOverloadedError, ServiceProtocolError) as exc:
             finish(exc)
             raise
 
@@ -596,7 +604,15 @@ class BatchingGateway:
 
     def _admit(self, cost: int) -> None:
         """Admission control: request-count bound plus (optionally) the
-        cost bound.  Raises :class:`ServiceOverloadedError` on rejection."""
+        cost bound.  Raises :class:`ServiceOverloadedError` when the
+        backlog is full, and :class:`ServiceProtocolError` for a request
+        that alone costs more than ``max_cost`` (no retry can succeed)."""
+        if self.max_cost is not None and cost > self.max_cost:
+            self.metrics.record_error("protocol")
+            raise ServiceProtocolError(
+                f"request cost {cost} (n + m) exceeds this server's "
+                f"max_cost {self.max_cost}; it is never admitted"
+            )
         if self._outstanding >= self.max_queue:
             self.metrics.record_error("overloaded")
             raise ServiceOverloadedError(
@@ -605,7 +621,6 @@ class BatchingGateway:
             )
         if (
             self.max_cost is not None
-            and self._outstanding > 0
             and self._outstanding_cost + cost > self.max_cost
         ):
             self.metrics.record_error("overloaded")

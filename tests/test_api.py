@@ -430,20 +430,6 @@ class TestObserver:
         assert by_name["1:dcc-detect"]["num_dccs"] == result.stats["num_dccs"]
         assert by_name["4:marking"]["t_nodes"] == result.stats["t_nodes"]
 
-    def test_harness_uses_observer_not_internals(self):
-        from repro.analysis.harness import delta_coloring_sweep
-
-        phases: list[str] = []
-        points = delta_coloring_sweep(
-            [64], delta=4, seed=0, warmup=1, repeats=2,
-            on_phase=lambda name, rounds, stats: phases.append(name),
-        )
-        assert len(points) == 1
-        assert "4:marking" in phases and "9:b0" in phases
-        # Exactly one event per phase per size point — warmup and repeat
-        # runs must not duplicate the replay.
-        assert len(phases) == len(set(phases))
-
 
 class TestSolverConfig:
     def test_overrides_compose_with_config(self):

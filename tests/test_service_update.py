@@ -10,6 +10,7 @@ stays tier-1-fast.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.errors import (
     EdgeNotPresentError,
     IncrementalUpdateError,
     ServiceOverloadedError,
+    ServiceProtocolError,
     StaleParentError,
 )
 from repro.graphs.generators import random_regular_graph
@@ -34,6 +36,7 @@ from repro.service import (
     request_fingerprint,
     update_fingerprint,
 )
+from repro.service.batcher import request_cost
 
 
 def updatable_instance(n=64, delta=4, slack=4, seed=0):
@@ -189,15 +192,70 @@ class TestGatewayUpdates:
 
 
 class TestCostAwareAdmission:
-    def test_oversize_request_admitted_when_idle(self):
-        graph = random_regular_graph(128, 4, seed=0)
+    def test_oversize_request_refused_even_when_idle(self):
+        # A tiny frame may name a huge instance; its cost alone is over
+        # the bound, so the idle gateway refuses it, typed and final,
+        # before the lazy factory builds anything.
+        built = []
+
+        def factory():
+            built.append(True)
+            return random_regular_graph(16, 3, seed=0)
 
         async def drive():
-            async with BatchingGateway(max_cost=1) as gateway:
+            async with BatchingGateway(max_cost=8_000_000) as gateway:
+                with pytest.raises(ServiceProtocolError) as refused:
+                    await gateway.submit(
+                        factory, SolverConfig(seed=0),
+                        fingerprint="c" * 64, cost=request_cost(2**31 - 1, 0),
+                    )
+                assert "retry" not in str(refused.value)
+                stats = gateway.stats()
+                assert stats["outstanding"] == stats["outstanding_cost"] == 0
+                assert gateway.metrics.snapshot()["errors"] == {"protocol": 1}
+
+        asyncio.run(drive())
+        assert built == []
+
+    def test_lone_request_at_exactly_max_cost_is_admitted(self):
+        graph = random_regular_graph(128, 4, seed=0)
+        cost = request_cost(graph.n, graph.num_edges)
+
+        async def drive():
+            async with BatchingGateway(max_cost=cost) as gateway:
                 reply = await gateway.submit(graph, SolverConfig(seed=0))
                 assert reply.result.n == 128
 
         asyncio.run(drive())
+
+    def test_tiny_frame_naming_a_huge_n_gets_a_typed_reply(self, monkeypatch):
+        from repro.service.server import ParsedGraphPayload
+
+        def no_build(self):
+            raise AssertionError("the graph must not be built")
+
+        monkeypatch.setattr(ParsedGraphPayload, "build", no_build)
+
+        async def drive():
+            server = ColoringServer(port=0, max_cost=8_000_000)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(port=server.port)
+                writer.write(
+                    b'{"id":1,"graph":{"n":2147483647,"edges_b64":""}}\n'
+                )
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.readline(), 60)
+                writer.close()
+                await writer.wait_closed()
+                return json.loads(reply)
+            finally:
+                await server.close()
+
+        reply = asyncio.run(drive())
+        assert not reply["ok"]
+        assert reply["error"]["type"] == "protocol"
+        assert "max_cost" in reply["error"]["message"]
 
     def test_cost_bound_sheds_backlog(self):
         # One big in-flight instance fills max_cost; a second big one is
