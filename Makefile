@@ -19,7 +19,8 @@ TWIN_TESTS := tests/test_golden_solve.py tests/test_golden_seed.py \
 	tests/test_oracles.py tests/test_phase_resume.py \
 	tests/test_round_identities.py tests/test_dcc.py \
 	tests/test_golden_update_stream.py tests/test_update_ladder.py \
-	tests/test_small_components.py tests/test_ruling_sets.py
+	tests/test_small_components.py tests/test_ruling_sets.py \
+	tests/test_list_coloring.py tests/test_linial.py tests/test_happiness.py
 
 test-no-cc:
 	@bin=$$(dirname "$$(python -c 'import sys; print(sys.executable)')"); \

@@ -25,10 +25,12 @@ collection, in-ball degrees, tree reject, peel, block selection and
 adoption) runs in one C entry point, ``dcc_detect`` in
 ``repro/kernel.c``, built with the system compiler on first use and
 called through ctypes (``repro.native``); Python only wraps the selected
-DCCs (≈490 at n=32768, Δ=8, r=2) into tuples.  Its pure-Python twin
-(:func:`_ball_cores_python` feeding :func:`_select_blocks_python`) is
-pinned bit-identical to it and runs when no compiler is available.  Wall
-time is ``solver.1-dcc-detect.ms`` in perfbench (perfbench/README.md).
+DCCs (≈490 at n=32768, Δ=8, r=2) into tuples, and keeps the kernel's
+flat member buffer for phase (2) (:attr:`DCCDetection.packed`).  Its
+pure-Python twin (:func:`_ball_cores_python` feeding
+:func:`_select_blocks_python`) is pinned bit-identical to it and runs
+when no compiler is available.  Wall time is ``solver.1-dcc-detect.ms``
+in perfbench (perfbench/README.md).
 
 On locally-tree-like graphs almost no ball holds a DCC, so the kernel
 first finds the nodes that can select one (``short_cycles``) and
@@ -89,11 +91,15 @@ class DCCDetection:
     ``dccs`` lists the distinct selected DCCs (each a sorted node tuple);
     ``selected_by[v]`` is the index (into ``dccs``) of the DCC node v
     selected, or -1; ``nodes_in_dccs`` is the union of all selected DCCs.
+    ``packed`` is ``dccs`` as the kernel wrote them, when it ran: every
+    member end to end and each DCC's end offset, two int32 arrays that
+    :func:`virtual_graph_ruling_set` reads without packing ``dccs``.
     """
 
     dccs: list[tuple[int, ...]] = field(default_factory=list)
     selected_by: list[int] = field(default_factory=list)
     nodes_in_dccs: set[int] = field(default_factory=set)
+    packed: tuple[array, array] | None = field(default=None, compare=False, repr=False)
 
 
 # DCCs per kernel call; a full buffer ends the call and the pass resumes
@@ -220,6 +226,7 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
     out = (address(sizes), len(sizes), address(members), len(members))
     detection = state.detection
     dccs = detection.dccs
+    packed = array("i")
     emitted = ctypes.c_int()
     start = 0
     while start < count:
@@ -228,11 +235,14 @@ def _detect_native(kernel, state: "_DetectState", radius: int, nodes, allowed) -
             address(chosen), len(dccs), *out, ctypes.byref(emitted),
         )
         lengths = sizes[: emitted.value].tolist()
-        body = members[: sum(lengths)].tolist()
+        body = members[: sum(lengths)]
+        packed += body
+        body = body.tolist()
         at = 0
         for size in lengths:
             dccs.append(tuple(body[at : at + size]))
             at += size
+    detection.packed = (packed, array("i", accumulate(map(len, dccs))))
     if filtered:
         if nodes is None:
             ctypes.memset(marks, 0, count)
@@ -438,6 +448,7 @@ def virtual_graph_ruling_set(
     rng: random.Random | None = None,
     max_iterations: int | None = None,
     scratch: DCCScratch | None = None,
+    packed: tuple[array, array] | None = None,
 ) -> tuple[list[int], int]:
     """Phase (2): independent set of G_DCC covering all DCCs (a (2, β)
     ruling set run to maximality, so β is the virtual diameter bound 1).
@@ -456,7 +467,9 @@ def virtual_graph_ruling_set(
     is drawn or round charged.  ``scratch`` may carry the
     :class:`DCCScratch` of matching ``n`` that the caller's
     :func:`detect_dccs` calls share; the kernel takes its owners table
-    from there instead of allocating O(n) per call.
+    from there instead of allocating O(n) per call.  ``packed`` may
+    carry ``dccs`` as :attr:`DCCDetection.packed` lays them out (the
+    detection that found them), so the kernel reads them as they are.
 
     Returns ``(chosen_dcc_indices, iterations)``, the indices ascending.
     """
@@ -469,7 +482,8 @@ def virtual_graph_ruling_set(
     kernel = native.kernel("virtual_ruling_set")
     if kernel is not None:
         result = _ruling_set_native(
-            kernel, graph, dccs, rounds_per_virtual, ledger, rng, max_iterations, scratch
+            kernel, graph, dccs, rounds_per_virtual, ledger, rng, max_iterations, scratch,
+            packed,
         )
         if result is not None:
             return result
@@ -479,6 +493,7 @@ def virtual_graph_ruling_set(
 def _ruling_set_native(
     kernel, graph: Graph, dccs, rounds_per_virtual: int, ledger: RoundLedger,
     rng: random.Random, max_iterations: int | None, scratch: DCCScratch | None,
+    packed: tuple[array, array] | None,
 ) -> tuple[list[int], int] | None:
     """Phase (2) in the kernel's ``virtual_ruling_set``: one call builds
     every DCC's conflict list (again, with room for them all, when the
@@ -493,12 +508,16 @@ def _ruling_set_native(
     ``rng.randbytes(8·|live|)`` block, which leaves the rng where
     ``|live|`` ``random()`` calls leave it."""
     n, num = graph.n, len(dccs)
-    try:
-        ends = struct.pack(f"{num}i", *accumulate(map(len, dccs)))
-        total = struct.unpack_from("i", ends, 4 * (num - 1))[0]
-        members = struct.pack(f"{total}i", *chain.from_iterable(dccs))
-    except struct.error:  # a member beyond a C int: the twin raises
-        return None
+    if packed is not None:
+        members, ends = map(address, packed)
+        total = len(packed[0])
+    else:
+        try:
+            ends = struct.pack(f"{num}i", *accumulate(map(len, dccs)))
+            total = struct.unpack_from("i", ends, 4 * (num - 1))[0]
+            members = struct.pack(f"{total}i", *chain.from_iterable(dccs))
+        except struct.error:  # a member beyond a C int: the twin raises
+            return None
     offsets, indices = graph.csr()
     heads = (
         array("i", bytes(4 * n)) if scratch is None else scratch.kernel_buffers()[0]

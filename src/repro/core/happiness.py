@@ -60,6 +60,7 @@ def build_happiness_layers(
     graph: Graph,
     colors: list[int],
     h_nodes: set[int],
+    h_mask: bytes | bytearray,
     marking: MarkingOutcome,
     delta: int,
     r: int,
@@ -71,7 +72,14 @@ def build_happiness_layers(
     ``r`` rounds for the boundary flood and ``2r`` for the layer BFS,
     also when H is empty.  The H-degrees come from H's own CSR rows
     (never a pass over all m edges), and both searches run inside H's
-    byte mask, so both go to the kernel's ``level_bfs``.
+    byte mask, so both go to the kernel's ``level_bfs``.  ``h_mask`` is
+    that mask (n bytes, nonzero exactly on H), as phase (3) returns it;
+    it is not modified.
+
+    Every node of H is uncolored on entry but the marks, which
+    ``marking`` colored (phase (4)); so once the boundary rule has
+    uncolored some of them, H's uncolored part is H minus the marks
+    still colored, and no pass over H's colors is made.
     """
     ledger = ledger if ledger is not None else RoundLedger()
     result = HappinessLayers()
@@ -79,9 +87,7 @@ def build_happiness_layers(
     if not h_nodes:
         return result
 
-    h_mask = bytearray(graph.n)
-    for v in h_nodes:
-        h_mask[v] = 1
+    h_mask = bytearray(h_mask)
     boundary = _boundary(graph, h_nodes, h_mask, delta)
     result.boundary = boundary
 
@@ -105,16 +111,18 @@ def build_happiness_layers(
     result.marked = marked
 
     seeds = t_alive | boundary
-    uncolored_h = {v for v in h_nodes if colors[v] == UNCOLORED}
-    for v in h_nodes - uncolored_h:
-        h_mask[v] = 0  # from here on the mask holds uncolored_h
+    for v in marked:
+        h_mask[v] = 0  # from here on the mask holds H's uncolored part
     # Demoted T-nodes and uncolored marks are plain uncolored nodes now and
     # participate in the BFS as relay/layer nodes.
-    layers = distance_layers(graph, seeds & uncolored_h, max_depth=2 * r, allowed=h_mask)
+    layers = distance_layers(graph, seeds - marked, max_depth=2 * r, allowed=h_mask)
     result.layers = layers
-    # The layers hold nodes of uncolored_h only, so equal counts mean no
-    # leftover and the set difference can be skipped.
-    if sum(map(len, layers)) < len(uncolored_h):
+    # The layers hold uncolored nodes of H only, so equal counts mean no
+    # leftover.  Otherwise the uncolored part is built in H's order, as
+    # the comprehension over H's colors built it, so the leftover set
+    # (phase (6) reads it in its iteration order) is that set's.
+    if sum(map(len, layers)) < len(h_nodes) - len(marked):
+        uncolored_h = {v for v in h_nodes if v not in marked}
         layered = {v for layer in layers for v in layer}
         result.leftover = uncolored_h - layered
     return result

@@ -146,6 +146,7 @@ class RandomizedState(PipelineState):
     b0_components: list[tuple[int, ...]] = field(default_factory=list)
     b_layers: list[list[int]] = field(default_factory=list)
     h_nodes: set[int] = field(default_factory=set)
+    h_mask: bytes = b""  # H's byte mask, from phase (3)
     selection_p: float = 0.0
     marking: MarkingOutcome = field(default_factory=MarkingOutcome)
     happiness: HappinessLayers = field(default_factory=HappinessLayers)
@@ -170,7 +171,7 @@ def _dcc_ruling_set(s: RandomizedState) -> dict[str, object]:
     dccs = s.detection.dccs
     chosen, iterations = virtual_graph_ruling_set(
         s.graph, dccs, rounds_per_virtual=max(1, 2 * s.params.dcc_radius + 1),
-        ledger=s.ledger, rng=s.rng,
+        ledger=s.ledger, rng=s.rng, packed=s.detection.packed,
     )
     s.b0_components = [dccs[idx] for idx in chosen]
     size = sum(map(len, s.b0_components))  # chosen DCCs are disjoint
@@ -184,7 +185,9 @@ def _b_layers(s: RandomizedState) -> dict[str, object]:
     depth = 4 * s.params.dcc_radius + 2
     s.ledger.charge(depth)
     base_layer = [v for component in s.b0_components for v in component]
-    s.b_layers, s.h_nodes = distance_layers_and_rest(s.graph, base_layer, max_depth=depth)
+    s.b_layers, s.h_nodes, s.h_mask = distance_layers_and_rest(
+        s.graph, base_layer, max_depth=depth
+    )
     if s.strict and base_layer:
         layered = {v for layer in s.b_layers for v in layer}
         if not s.detection.nodes_in_dccs <= layered:
@@ -214,7 +217,7 @@ def _happiness_layers(s: RandomizedState) -> dict[str, object]:
             s.graph, s.delta, s.selection_p, params.backoff, params.coverage_goal
         )
     s.happiness = happy = build_happiness_layers(
-        s.graph, s.colors, s.h_nodes, s.marking, s.delta, radius, s.ledger
+        s.graph, s.colors, s.h_nodes, s.h_mask, s.marking, s.delta, radius, s.ledger
     )
     return {
         "happiness_radius": radius, "c_layers": len(happy.layers),

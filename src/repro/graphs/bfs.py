@@ -369,9 +369,10 @@ def distance_layers(
 
 def distance_layers_and_rest(
     graph: Graph, base: Iterable[int], max_depth: int | None = None
-) -> tuple[list[list[int]], set[int]]:
-    """``distance_layers(graph, base, max_depth)`` and the set of the
-    nodes no layer holds (every node for an empty base).
+) -> tuple[list[list[int]], set[int], bytes]:
+    """``distance_layers(graph, base, max_depth)``, the set of the nodes
+    no layer holds (every node for an empty base) and that set's byte
+    mask (n bytes, 1 for a member).
 
     The set is filled in ascending node order, as
     ``{v for v in range(n) if v not in layered}`` fills it, so it has
@@ -381,17 +382,18 @@ def distance_layers_and_rest(
     base = list(base)
     n = graph.n
     if not base:
-        return [], set(range(n))
+        return [], set(range(n)), b"\x01" * n
     kernel = native.kernel("level_bfs")
     if kernel is None:
         dist = _bfs_distances_python(graph, base, max_depth, None)
-        return _layers_of(dist), set(compress(range(n), map(UNREACHED.__eq__, dist)))
+        unreached = bytes(map(UNREACHED.__eq__, dist))
+        return _layers_of(dist), set(compress(range(n), unreached)), unreached
     dist, order, bounds = _level_bfs(kernel, graph, base, max_depth, None, True)
     layers = _levels_of(order, bounds)
     if bounds[-1] == n:
-        return layers, set()
+        return layers, set(), bytes(n)
     unreached = dist.tobytes()[_SIGN_BYTE::4].translate(_NEGATIVE)
-    return layers, set(compress(range(n), unreached))
+    return layers, set(compress(range(n), unreached)), unreached
 
 
 def _levels_of(order: array, bounds: list[int]) -> list[list[int]]:

@@ -12,9 +12,11 @@
  *                 only decides which passes dcc_detect skips, so the
  *                 pair is pinned to dcc_detect's twin;
  *   class_sweep   the deterministic (deg+1)-list engine over a run of
- *                 layers (repro.primitives.list_coloring:
- *                 _class_sweep_python);
- *   pending_nodes the sorted uncolored targets a trial run starts from
+ *                 layers, a layer large against n or the palette
+ *                 ordered by linear passes, not sorts (repro.primitives.
+ *                 list_coloring: _class_sweep_python);
+ *   pending_nodes the sorted uncolored targets a trial run starts from,
+ *                 by one scan over the node ids when they are many
  *                 (list_coloring: _pending);
  *   trial_round   one propose/compare/commit round of the randomized
  *                 engines (list_coloring: _python_trial_round);
@@ -60,6 +62,46 @@ static int ascending(const void *a, const void *b)
 {
     int x = *(const int *)a, y = *(const int *)b;
     return (x > y) - (x < y);
+}
+
+/* Sort a[0..k) ascending: by insertion up to 32 entries (a ball's core
+ * or block, a node's worn colors, a small run), else by qsort. */
+static void sort_ints(int *a, int k)
+{
+    int i, j;
+    if (k > 32) {
+        qsort(a, k, sizeof *a, ascending);
+        return;
+    }
+    for (i = 1; i < k; i++) {
+        int c = a[i];
+        for (j = i; j > 0 && a[j - 1] > c; j--)
+            a[j] = a[j - 1];
+        a[j] = c;
+    }
+}
+
+/* Sort a[0..k) ascending and drop repeats; returns how many are left. */
+static int distinct(int *a, int k)
+{
+    int i, j;
+    sort_ints(a, k);
+    for (i = j = 0; i < k; i++)
+        if (!j || a[j - 1] != a[i])
+            a[j++] = a[i];
+    return j;
+}
+
+/* A run of `size` entries drawn from a range of `range` values is large
+ * when it fills at least 1/LARGE_SHARE of the range: one pass over the
+ * range (a scan of node ids, a count per color class) then costs O(size)
+ * and replaces a comparison sort.  A smaller run is sorted by
+ * comparisons, so no pass over the whole range is made for it. */
+#define LARGE_SHARE 16
+
+static int is_large(long long size, long long range)
+{
+    return size * LARGE_SHARE >= range;
 }
 
 /* Is the block (k >= 4 nodes, each marked mask == 2) neither a clique nor
@@ -383,7 +425,7 @@ int dcc_detect(
              * set) and peeled nodes (mask and deg already zero). */
             for (i = 0; i < k; i++)
                 deg[core[i]] = 0;
-            qsort(core, k, sizeof *core, ascending);
+            sort_ints(core, k);
             if (!cycle) {
                 k = first_dcc_block(offsets, indices, mask, core, alive, v,
                                     disc, low, next, parent, stack, vstack,
@@ -391,7 +433,7 @@ int dcc_detect(
                 for (i = 0; i < alive; i++)
                     disc[core[i]] = 0;
                 chosen = block;
-                qsort(block, k, sizeof *block, ascending);
+                sort_ints(block, k);
             } else if (k % 2) {
                 k = 0;
             }
@@ -422,26 +464,6 @@ int dcc_detect(
 
 /* ---- (deg+1)-list coloring ------------------------------------------- */
 
-/* Sort a[0..k) ascending and drop repeats; returns how many are left. */
-static int distinct(int *a, int k)
-{
-    int i, j;
-    if (k > 32) {
-        qsort(a, k, sizeof *a, ascending);
-    } else {
-        for (i = 1; i < k; i++) {
-            int c = a[i];
-            for (j = i; j > 0 && a[j - 1] > c; j--)
-                a[j] = a[j - 1];
-            a[j] = c;
-        }
-    }
-    for (i = j = 0; i < k; i++)
-        if (!j || a[j - 1] != a[i])
-            a[j++] = a[i];
-    return j;
-}
-
 /* The distinct colors in 1..max_colors that neighbours of v wear,
  * ascending, into worn (room for deg(v) entries); returns how many. */
 static int worn_colors(const int *offsets, const int *indices,
@@ -467,19 +489,35 @@ static int nth_free(const int *worn, int k, unsigned long long pick)
     return (int)c;
 }
 
-/* pending_nodes: sort nodes[0..count) ascending and keep, once each, the
- * nodes with colors[v] == 0.  Returns how many are kept, or -1 (nodes
- * sorted, nothing dropped) when a node lies outside 0..n-1. */
-int pending_nodes(const int *colors, int n, int *nodes, int count)
+/* pending_nodes: keep, once each and ascending, the nodes v of
+ * nodes[0..count) with colors[v] == 0, in nodes[0..kept); returns kept,
+ * or -1 (nodes untouched) when a node lies outside 0..n-1.  A large run
+ * (against n, is_large) is sorted by marking its nodes in seen (n ints,
+ * zero on entry and on return) and one scan over the node ids, which
+ * stops at the last marked one; a smaller run by distinct(). */
+int pending_nodes(const int *colors, int n, int *nodes, int count, int *seen)
 {
-    int i, kept = 0;
-    if (count > 1)
-        qsort(nodes, count, sizeof *nodes, ascending);
-    if (count && (nodes[0] < 0 || nodes[count - 1] >= n))
-        return -1;
+    int i, v, kept = 0, marked = 0;
     for (i = 0; i < count; i++)
-        if (!colors[nodes[i]] && (!kept || nodes[kept - 1] != nodes[i]))
+        if (nodes[i] < 0 || nodes[i] >= n)
+            return -1;
+    for (i = 0; i < count; i++)
+        if (!colors[nodes[i]])
             nodes[kept++] = nodes[i];
+    if (!is_large(kept, n))
+        return distinct(nodes, kept);
+    for (i = 0; i < kept; i++) {
+        marked += !seen[nodes[i]];
+        seen[nodes[i]] = 1;
+    }
+    /* Without branches: a marked node's entry is kept by the step past
+     * it, any other is written over. */
+    for (v = kept = 0; kept < marked; v++) {
+        int mark = seen[v];
+        seen[v] = 0;
+        nodes[kept] = v;
+        kept += mark;
+    }
     return kept;
 }
 
@@ -490,14 +528,47 @@ static int ascending_key(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
+/* The keys (base[v] << 32) | v of run[0..size) (ascending, distinct,
+ * each base color in [0, palette)) into order, ascending: by class,
+ * then by node.  A run large against the palette (is_large; palette at
+ * most n) takes one stable counting pass over the classes, counting in
+ * counts (n ints, zero on entry and on return); any other is sorted. */
+static void by_class(const int *base, int palette, int n, const int *run,
+                     int size, unsigned long long *order, int *counts)
+{
+    int i, c, at = 0;
+    if (palette > n || !is_large(size, palette)) {
+        for (i = 0; i < size; i++)
+            order[i] = (unsigned long long)base[run[i]] << 32 | (unsigned)run[i];
+        if (size > 1)
+            qsort(order, size, sizeof *order, ascending_key);
+        return;
+    }
+    for (i = 0; i < size; i++)
+        counts[base[run[i]]]++;
+    for (c = 0; c < palette; c++) {
+        int k = counts[c];
+        counts[c] = at;
+        at += k;
+    }
+    for (i = 0; i < size; i++) {
+        int b = base[run[i]];
+        order[counts[b]++] = (unsigned long long)b << 32 | (unsigned)run[i];
+    }
+    for (c = 0; c < palette; c++)
+        counts[c] = 0;
+}
+
 /* class_sweep: the deterministic (deg+1)-list engine over `layers` runs
  * of nodes, in the order given; layer i is nodes[ends[i-1] .. ends[i])
  * (ends[-1] = 0).  In each layer, its pending nodes (pending_nodes) go
  * by base color class 0 .. palette-1 and, within a class, in ascending
- * node order; each takes the smallest color in 1..max_colors that no
- * neighbour wears.  A class is an independent set when `base` is
- * proper, so the order within one is free; fixing it keeps this pass
- * and its twin equal on any input.
+ * node order (by_class); each takes the smallest color in 1..max_colors
+ * that no neighbour wears.  A class is an independent set when `base`
+ * is proper, so the order within one is free; fixing it keeps this pass
+ * and its twin equal on any input.  A layer large against n or the
+ * palette is ordered by linear passes, any other by sorting, so a small
+ * layer costs nothing in n.
  *
  * Returns -1 when every layer is colored.  Otherwise it stops, keeping
  * the colors given so far, with *failure set: 1 when the pending node
@@ -505,17 +576,20 @@ static int ascending_key(const void *a, const void *b)
  * layer before any of it is colored), 2 when the node it returns has no
  * free color, 3 when the layer number it returns holds a node outside
  * 0..n-1.  nodes is reordered in place; order (one 64-bit entry per
- * entry of nodes) and worn (max degree) are scratch.
+ * entry of nodes) and worn (max degree) are scratch, and scratch (n
+ * ints) must be zero on entry and is zero on return.
  */
 int class_sweep(const int *offsets, const int *indices, int n, int *colors,
                 int max_colors, const int *base, int palette,
                 int *nodes, const int *ends, int layers,
-                unsigned long long *order, int *worn, int *failure)
+                unsigned long long *order, int *scratch, int *worn,
+                int *failure)
 {
     int layer, start = 0;
     for (layer = 0; layer < layers; layer++) {
         int *run = nodes + start;
-        int size = pending_nodes(colors, n, run, ends[layer] - start), i;
+        int size = pending_nodes(colors, n, run, ends[layer] - start, scratch);
+        int i;
         start = ends[layer];
         if (size < 0) {
             *failure = 3;
@@ -527,10 +601,8 @@ int class_sweep(const int *offsets, const int *indices, int n, int *colors,
                 *failure = 1;
                 return run[i];
             }
-            order[i] = (unsigned long long)b << 32 | (unsigned)run[i];
         }
-        if (size > 1)
-            qsort(order, size, sizeof *order, ascending_key);
+        by_class(base, palette, n, run, size, order, scratch);
         for (i = 0; i < size; i++) {
             int v = (int)(order[i] & 0xffffffffu);
             int k = worn_colors(offsets, indices, colors, max_colors, v, worn);
@@ -1114,9 +1186,9 @@ int level_bfs(const int *offsets, const int *indices, int n,
     }
     if (!sorted)
         return levels;
-    /* By one scan over the nodes when the search reached a good part of
-     * them, else level by level. */
-    if ((long long)size * 16 >= n) {
+    /* By one scan over the nodes when the search is large against n
+     * (is_large), else level by level. */
+    if (is_large(size, n)) {
         int start = 0;
         for (i = 0; i < levels; i++) {
             int end = ends[i];

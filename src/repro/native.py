@@ -3,8 +3,10 @@
 ``kernel.c`` (next to this module) holds the native inner loops: DCC
 detection (``dcc_detect``, all of phase (1), behind its prefilter
 ``short_cycles``), the two (deg+1)-list coloring engines' sweeps
-(``class_sweep``, ``pending_nodes`` and ``trial_round``), phase (9)'s
-degree-list instances in their surplus case (``degree_list_surplus``),
+(``class_sweep``, ``pending_nodes`` and ``trial_round``; the first two
+order a large run by a scan over the node ids and a counting pass over
+the color classes, in an n-int scratch the caller keeps zero), phase
+(9)'s degree-list instances in their surplus case (``degree_list_surplus``),
 phase (4)'s selection and backoff (``marking_select``), phase (2)'s
 conflict lists and Luby iterations on the virtual graph G_DCC
 (``virtual_ruling_set``),
@@ -77,9 +79,9 @@ ENTRY_POINTS: dict[str, list] = {
         _P, _P, _I, _P,  # offsets, indices, n, colors
         _I, _P, _I,  # max_colors, base, palette
         _P, _P, _I,  # nodes, ends, layers
-        _P, _P, ctypes.POINTER(_I),  # order, worn, failure
+        _P, _P, _P, ctypes.POINTER(_I),  # order, scratch, worn, failure
     ],
-    "pending_nodes": [_P, _I, _P, _I],  # colors, n, nodes, count
+    "pending_nodes": [_P, _I, _P, _I, _P],  # colors, n, nodes, count, seen
     "trial_round": [
         _P, _P, _P, _I,  # offsets, indices, colors, max_colors
         _P, _I, _P,  # live, count, keys

@@ -25,11 +25,13 @@ The rounds run in the native kernel (``linial_round`` in
 ``repro/kernel.c``, loaded by :mod:`repro.native`): per node, the base-q
 digits of every color once, then Horner evaluations at x = 0, 1, … until
 no neighbour's polynomial agrees.  :func:`linial_coloring` keeps the
-colorings in one int32 buffer across its rounds and starts from the
-identity coloring without materializing it.  On a random 8-regular graph
-at n=32768 (two rounds, 2-CPU box) a run takes ≈6 ms and the Python twin
-≈0.9 s.  :func:`_reduce_round_python` is the bit-identical twin, run when
-the kernel is not loaded.
+colorings in one int32 buffer across its rounds, starts from the
+identity coloring without materializing it, and hands its result over
+as an int32 ``array``, the buffer the deterministic engine's
+``class_sweep`` reads as its base coloring without a copy.  On a random
+8-regular graph at n=32768 (two rounds, 2-CPU box) a run takes ≈6 ms
+and the Python twin ≈0.9 s.  :func:`_reduce_round_python` is the
+bit-identical twin, run when the kernel is not loaded.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ __all__ = ["LinialResult", "linial_coloring", "reduction_schedule"]
 class LinialResult:
     """Output of :func:`linial_coloring`.
 
-    ``colors[v]`` is a 0-based color < ``palette``; ``iterations`` is the
-    number of reduction rounds executed (the O(log* n) quantity measured by
-    experiment E9).
+    ``colors[v]`` is a 0-based color < ``palette``, held in an int32
+    ``array('i')``; ``iterations`` is the number of reduction rounds
+    executed (the O(log* n) quantity measured by experiment E9).
     """
 
-    colors: list[int]
+    colors: array
     palette: int
     iterations: int
 
@@ -174,22 +176,24 @@ def linial_coloring(
     if kernel is not None:
         colors = _reduce_rounds_native(kernel, graph, steps)
     else:
-        colors = list(range(n))
+        twin = list(range(n))
         for d, q in steps:
-            colors = _reduce_round_python(graph, colors, d, q)
+            twin = _reduce_round_python(graph, twin, d, q)
+        colors = array("i", twin)
     return LinialResult(colors=colors, palette=k, iterations=len(steps))
 
 
 def _reduce_rounds_native(
     kernel, graph: Graph, steps: list[tuple[int, int]], colors: list[int] | None = None
-) -> list[int]:
+) -> array:
     """The reduction rounds ``steps`` (``(d, q)`` pairs) in the kernel's
     ``linial_round``, from ``colors`` or, by default, the identity
-    coloring (which needs no buffer).  One int32 buffer holds two
-    colorings: each round reads one half and writes the other."""
+    coloring (which needs no buffer), as an int32 array.  One int32
+    buffer holds two colorings: each round reads one half and writes
+    the other."""
     n = graph.n
     if not steps:
-        return list(range(n)) if colors is None else list(colors)
+        return array("i", range(n) if colors is None else colors)
     offsets, indices = graph.csr()
     digits = array("i", bytes(4 * n * (1 + max(d for d, _ in steps))))
     halves = array("i", bytes(8 * n))
@@ -207,4 +211,4 @@ def _reduce_rounds_native(
             raise AssertionError(f"no free evaluation point for node {stuck}; parameter bug")
         source = target
     last = n * ((len(steps) - 1) % 2)
-    return halves[last : last + n].tolist()
+    return halves[last : last + n]

@@ -44,10 +44,11 @@ import copy
 import ctypes
 import math
 import random
+import struct
 from array import array
 from collections.abc import Iterable, MutableSequence, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from repro import native
 from repro.errors import AlgorithmContractError, InfeasibleListColoringError
@@ -214,9 +215,12 @@ def _class_sweep_python(
             colors[v] = color
 
 
-def _pending(colors: Sequence[int], targets: Iterable[int]) -> list[int]:
+def _pending(colors: Sequence[int], targets: Sequence[int]) -> list[int]:
     """The uncolored targets, ascending and once each (the twin of
-    ``pending_nodes`` in ``repro/kernel.c``)."""
+    ``pending_nodes`` in ``repro/kernel.c``); a target outside
+    ``0..n-1`` raises ``IndexError``, a negative one too."""
+    if min(targets, default=0) < 0:
+        raise IndexError(f"target node out of range for n={len(colors)}")
     return sorted({v for v in targets if colors[v] == UNCOLORED})
 
 
@@ -234,6 +238,13 @@ def _bad_base(v: int, base: int, palette: int) -> AlgorithmContractError:
     return AlgorithmContractError(
         f"node {v} has base color {base}, outside the base palette [0, {palette})"
     )
+
+
+def _int32(*runs: Sequence[int]) -> array:
+    """The runs end to end as one int32 array, each converted by one
+    ``struct.pack`` (about half the per-item cost of ``array("i",
+    ...)``); raises ``struct.error`` for a value that is no C int."""
+    return array("i", b"".join([struct.pack(f"{len(run)}i", *run) for run in runs]))
 
 
 # The kernel works on an int32 mirror of the whole color list, copied in
@@ -274,12 +285,14 @@ class ColorWorkspace:
         if len(colors) != graph.n:
             return
         try:
-            self.view = array("i", colors)
-        except OverflowError:  # a color beyond int32: the twins take it
+            self.view = _int32(colors)
+        except struct.error:  # a color beyond int32: the twins take it
             return
         self._kernels = kernels
         self._csr = graph.csr()
         self._worn = array("i", bytes(4 * max(1, graph.max_degree())))
+        # Zero at rest: trial_round's proposals, and pending_nodes' and
+        # class_sweep's marks and class counts.
         self._props = array("i", bytes(4 * graph.n))
 
     def __enter__(self) -> "ColorWorkspace":
@@ -324,8 +337,8 @@ class ColorWorkspace:
         members = None
         if self._kernels is not None:
             try:
-                members = array("i", chain.from_iterable(components))
-            except OverflowError:  # a node beyond int32: the twin's check names it
+                members = _int32(*components)
+            except struct.error:  # a node beyond int32: the twin's check names it
                 pass
         if members is None:
             for i, component in enumerate(components):
@@ -380,10 +393,15 @@ class ColorWorkspace:
     def _pending(self, targets: list[int]) -> MutableSequence[int]:
         if self._kernels is None:
             return _pending(self.view, targets)
-        live = array("i", targets)
-        count = self._kernels["pending_nodes"](
-            address(self.view), self.graph.n, address(live), len(live)
-        )
+        try:
+            live = _int32(targets)
+        except struct.error:  # a node beyond int32
+            count = -1
+        else:
+            count = self._kernels["pending_nodes"](
+                address(self.view), self.graph.n, address(live), len(live),
+                address(self._props),
+            )
         if count < 0:
             raise IndexError(f"target node out of range for n={self.graph.n}")
         del live[count:]
@@ -443,17 +461,25 @@ class ColorWorkspace:
             self._sweep(run, max_colors, base_colors, palette)
 
     def _sweep(self, layers, max_colors, base_colors, palette) -> None:
+        """The class sweep over ``layers`` by one ``class_sweep`` call.
+        An int32 ``base_colors`` (Linial's coloring) is read in place;
+        any other is converted, and one that does not fit, like a layer
+        node beyond int32, is left to the twin."""
         n = self.graph.n
-        try:
-            base = array("i", base_colors) if self._kernels is not None else None
-        except OverflowError:  # a base color beyond int32: the twin takes it
-            base = None
+        base = None
+        if self._kernels is not None:
+            try:
+                base = base_colors
+                if not (isinstance(base, array) and base.typecode == "i"):
+                    base = _int32(base_colors)
+                nodes = _int32(*layers)
+            except struct.error:
+                base = None
         if base is None or len(base) < n:
             _class_sweep_python(
                 self.graph, self.view, layers, max_colors, base_colors, palette
             )
             return
-        nodes = array("i", chain.from_iterable(layers))
         ends = array("i", accumulate(len(layer) for layer in layers))
         order = array("Q", bytes(8 * len(nodes)))
         offsets, indices = self._csr
@@ -461,7 +487,8 @@ class ColorWorkspace:
         stop = self._kernels["class_sweep"](
             address(offsets), address(indices), n, address(self.view), max_colors,
             address(base), palette, address(nodes), address(ends), len(layers),
-            address(order), address(self._worn), ctypes.byref(failure),
+            address(order), address(self._props), address(self._worn),
+            ctypes.byref(failure),
         )
         if stop < 0:
             return

@@ -84,4 +84,4 @@ class TestLinialColoring:
         result = linial_coloring(g)
         # n=20 is already below the fixed point for Δ=5; identity works
         assert result.iterations == 0
-        assert result.colors == list(range(20))
+        assert result.colors.tolist() == list(range(20))

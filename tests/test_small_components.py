@@ -21,7 +21,9 @@ def _leftover_scenario(n=1200, d=3, girth=8, seed=0, r=3):
     colors = [UNCOLORED] * g.n
     p = default_selection_probability(d, 6)
     marking = marking_process(g, h_nodes, colors, p, 6, random.Random(seed), RoundLedger())
-    happiness = build_happiness_layers(g, colors, h_nodes, marking, d, r=r, ledger=RoundLedger())
+    happiness = build_happiness_layers(
+        g, colors, h_nodes, b"\x01" * g.n, marking, d, r=r, ledger=RoundLedger()
+    )
     return g, colors, happiness, d
 
 

@@ -52,7 +52,13 @@ point off, as on a box without a C compiler):
   precolorings (some above ``max_colors``), palettes from Δ+1 to 3Δ,
   proper and improper base colorings, 20-node and empty layers, whole
   layer passes and infeasible nodes: colors, stats, ledger and the rng
-  tail must all match;
+  tail must all match; the sweep's and ``pending_nodes``' linear passes
+  (a scan over the node ids, a counting pass over the classes) on runs
+  on both sides of their thresholds, with repeats, colored nodes, empty
+  and descending runs, bases with fewer and more classes than nodes,
+  and each way a sweep stops (a base color outside the palette, no free
+  color, a node outside 0..n-1 or beyond int32) after a layer colored:
+  the twin's error, colors and ledger, the kernel's scratch left zero;
 * phase (9)'s degree-list instances — ``ColorWorkspace.degree_list``
   with the kernel's ``degree_list_surplus`` vs the twin loop of
   ``color_against_outside``: the B0 components of real solves (rrg Δ=8,
@@ -95,6 +101,7 @@ import ctypes
 import random
 from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +139,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.properties import is_degree_choosable_component
 from repro.graphs.validation import UNCOLORED, validate_coloring
 from repro.local.rounds import RoundLedger
+import repro.primitives.list_coloring as list_coloring_mod
 from repro.primitives.list_coloring import (
     ColorWorkspace,
     list_coloring_deterministic,
@@ -796,7 +804,7 @@ def test_linial_rounds_agree(name, graph):
         if q * q >= k:
             break
         fast = linial_mod._reduce_rounds_native(kernel, graph, [(d, q)], colors)
-        assert fast == linial_mod._reduce_round_python(graph, colors, d, q), (name, q)
+        assert fast.tolist() == linial_mod._reduce_round_python(graph, colors, d, q), (name, q)
         colors, k = fast, q * q
         rounds += 1
     assert rounds >= 1
@@ -845,8 +853,8 @@ def test_linial_schedule_kernel_matches_twin(name, graph, python_twins):
     for i, (d, q) in enumerate(steps):
         fast = linial_mod._reduce_rounds_native(kernel, graph, steps[: i + 1])
         colors = linial_mod._reduce_round_python(graph, colors, d, q)
-        assert fast == colors, (name, i)
-    assert colors == result.colors
+        assert fast.tolist() == colors, (name, i)
+    assert colors == result.colors.tolist()
 
 
 def test_linial_kernel_reports_a_stuck_node():
@@ -1447,6 +1455,161 @@ def _layers(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs):
     return color_layers_in_reverse(graph, colors, layers, max_colors, engine, ledger, rng, **kwargs)
 
 
+# n = 640: a run of 40 or more uncolored entries is sorted by one scan
+# over the node ids, and against a palette of 640 classes ordered by one
+# counting pass (kernel.c: is_large, 16 * size >= range).
+SWEEP_GRAPH = random_regular_graph(640, 4, seed=5)
+SWEEP_SIZES = (0, 1, 31, 33, 39, 40, 41, 200)
+
+
+def sweep_runs(colors: list[int], seed: int) -> list[list[int]]:
+    """Disjoint runs of SWEEP_SIZES distinct uncolored nodes, on both
+    sides of the kernel's thresholds: repeats added to the 33-, 41- and
+    200-node runs (the 33 crosses the scan threshold by them), colored
+    nodes mixed into the 1-, 39- and 40-node runs (the 39 stays below
+    it), the 31-, 40- and 200-node runs listed descending."""
+    rng = random.Random(seed)
+    pool = [v for v in range(len(colors)) if not colors[v]]
+    colored = [v for v in range(len(colors)) if colors[v]]
+    rng.shuffle(pool)
+    runs, at = [], 0
+    for size in SWEEP_SIZES:
+        run = pool[at : at + size]
+        at += size
+        if size in (33, 41, 200):
+            run += rng.choices(run, k=size // 3)
+        if size in (1, 39, 40):
+            run += rng.sample(colored, 5)
+        rng.shuffle(run)
+        if size in (31, 40, 200):
+            run.sort(reverse=True)
+        runs.append(run)
+    return runs
+
+
+def sweep_outcome(graph, colors, layers, max_colors, base, palette, strict=False):
+    """One workspace's class sweep over ``layers``: (colors after, the
+    error raised, its text unless an ``IndexError``, ledger phases).  The
+    kernel's n-int scratch must be all zero afterwards, however the
+    sweep ended."""
+    colors = list(colors)
+    ledger = RoundLedger()
+    outcome = None
+    with ColorWorkspace(graph, colors, graph.n) as work:
+        try:
+            work.deterministic(layers, max_colors, base, palette, ledger, strict)
+        except IndexError:
+            outcome = (IndexError,)
+        except (InfeasibleListColoringError, AlgorithmContractError) as error:
+            outcome = (type(error), str(error))
+        if work._kernels is not None:
+            assert not any(work._props)
+    return colors, outcome, ledger.snapshot()
+
+
+def sweep_bases(graph: Graph, seed: int):
+    """Linial's int32 coloring and its palette; random bases over n
+    classes (counting pass from 40 nodes) and over n + 3 (more classes
+    than nodes: never counted)."""
+    rng = random.Random(seed)
+    linial = linial_mod.linial_coloring(graph, RoundLedger())
+    yield linial.colors, linial.palette
+    for palette in (graph.n, graph.n + 3):
+        yield [rng.randrange(palette) for _ in range(graph.n)], palette
+
+
+@requires_kernel
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("strict", [False, True])
+def test_class_sweep_linear_passes_match_twin(seed, strict, kernel_calls, python_twins):
+    """The scan over node ids and the counting pass over the classes
+    against the twin's sorts: runs on both sides of each threshold,
+    repeats, colored nodes, empty and descending runs, in one kernel
+    call for every layer or (strict) one per layer."""
+    graph = SWEEP_GRAPH
+    colors = precolored(graph, seed, 5)
+    layers = sweep_runs(colors, seed)
+    for base, palette in sweep_bases(graph, seed):
+        args = (graph, colors, layers, 5, base, palette, strict)
+        got = sweep_outcome(*args)
+        assert got == python_twins(sweep_outcome, *args), palette
+        assert got[1] is None
+        assert sum(c == 0 for c in got[0]) < sum(c == 0 for c in colors) - 380
+    assert kernel_calls["class_sweep"] > 0
+
+
+@requires_kernel
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pending_nodes_kernel_matches_twin(seed, kernel_calls):
+    """Each run's pending nodes (uncolored, ascending, once each) from the
+    kernel's ``pending_nodes`` equal the twin's ``_pending``, on both
+    sides of the scan threshold, with the scratch left zero; a node
+    outside 0..n-1 raises ``IndexError`` on both."""
+    graph = SWEEP_GRAPH
+    colors = precolored(graph, seed, 5)
+    runs = sweep_runs(colors, seed) + [list(range(graph.n)), list(range(graph.n))[::-1] * 2]
+    with ColorWorkspace(graph, colors, graph.n) as work:
+        for run in runs:
+            got = work._pending(list(run))
+            assert list(got) == list_coloring_mod._pending(colors, run)
+            assert not any(work._props)
+        for bad in (-1, graph.n, 2**31):
+            run = [0, bad, 1]
+            with pytest.raises(IndexError):
+                work._pending(run)
+            with pytest.raises(IndexError):
+                list_coloring_mod._pending(colors, run)
+            assert not any(work._props)
+    assert kernel_calls["pending_nodes"] > 0
+
+
+@requires_kernel
+@pytest.mark.parametrize(
+    "failure", ["bad-base", "no-color", "out-of-range", "negative", "beyond-int"]
+)
+def test_class_sweep_failures_match_twin(failure, kernel_calls, python_twins):
+    """Each way a sweep stops, in a large (scanned) layer after a small
+    one is colored: a pending node's base color outside the palette
+    (failure 1: the smallest such node is named, nothing of the layer is
+    colored), a node with no free color (failure 2: the layer's nodes
+    before it keep their colors) and a node outside 0..n-1 (failure 3,
+    also a negative one and one beyond int32, where the twin runs): the
+    twin's error, colors and ledger."""
+    graph = SWEEP_GRAPH
+    n = graph.n
+    colors = [0] * n
+    small = sorted(random.Random(7).sample(range(1, n, 3), 31))
+    large = list(range(0, n, 3))
+    base = [v % 7 for v in range(n)]
+    max_colors = 5
+    if failure == "bad-base":
+        base[large[-1]], base[large[9]] = 7, -1
+        colors[large[3]], base[large[3]] = 2, 99  # colored: not pending, not checked
+    elif failure == "no-color":
+        target = max(large, key=lambda v: (base[v], v))
+        for c, u in enumerate(graph.neighbors(target), start=1):
+            colors[u] = c
+        max_colors = 4
+        large = [v for v in large if not colors[v]]
+    else:
+        large.insert(17, {"out-of-range": n, "negative": -1}.get(failure, 2**31))
+    layers = [small, large]
+    args = (graph, colors, layers, max_colors, base, 7)
+    got = sweep_outcome(*args)
+    assert got == python_twins(sweep_outcome, *args)
+    colored = sum(c != 0 for c in got[0]) - sum(c != 0 for c in colors)
+    if failure == "bad-base":
+        assert got[1] == (AlgorithmContractError, str(list_coloring_mod._bad_base(large[9], -1, 7)))
+        assert colored == len(small)
+    elif failure == "no-color":
+        assert got[1] == (InfeasibleListColoringError, str(list_coloring_mod._no_color(target)))
+        assert colored > len(small)
+    else:
+        assert got[1] == (IndexError,) and colored == len(small)
+    if failure != "beyond-int":
+        assert kernel_calls["class_sweep"] > 0
+
+
 @requires_kernel
 @pytest.mark.parametrize("engine", [list_coloring_random, _deterministic])
 def test_infeasible_node_raises_on_both_paths(engine, kernel_calls, python_twins):
@@ -1896,14 +2059,14 @@ def test_marking_kernel_reuses_its_mask(python_twins):
 # -- The virtual ruling set (phase 2) -----------------------------------------
 
 
-def run_ruling_set(graph, dccs, max_iterations=None, seed=7, scratch=None):
+def run_ruling_set(graph, dccs, max_iterations=None, seed=7, scratch=None, packed=None):
     """Phase (2)'s chosen DCCs and iteration count (or the error raised),
     the rounds it charged and the rng's state after it."""
     ledger, rng = RoundLedger(), random.Random(seed)
     try:
         got = dcc_mod.virtual_graph_ruling_set(
             graph, dccs, 5, ledger=ledger, rng=rng, max_iterations=max_iterations,
-            scratch=scratch,
+            scratch=scratch, packed=packed,
         )
     except (IndexError, ValueError) as error:
         got = (type(error), str(error))
@@ -1949,15 +2112,25 @@ RULING_SET_FAMILIES = {
 def test_ruling_set_kernel_matches_twin_on_solve_dccs(family, kernel_calls, python_twins):
     """The DCCs phase (1) hands phase (2) in a solve, at every seed and
     iteration cap tried: the same chosen DCCs, iterations, rounds and rng
-    tail."""
+    tail, also when the kernel reads phase (1)'s own member buffer
+    (``DCCDetection.packed``, which lays the DCCs out end to end)."""
     graph = RULING_SET_FAMILIES[family]()
-    dccs = dcc_mod.detect_dccs(graph, 2).dccs
+    detection = dcc_mod.detect_dccs(graph, 2)
+    dccs = detection.dccs
     assert len(dccs) > 10
+    if detection.packed is not None:
+        members, ends = detection.packed
+        assert members.tolist() == [v for dcc in dccs for v in dcc]
+        assert ends.tolist() == list(accumulate(map(len, dccs)))
     for seed in range(4):
         for cap in (None, 1, 2):
-            (chosen, iterations), rounds, _ = assert_ruling_set_pinned(
+            got = assert_ruling_set_pinned(
                 graph, dccs, python_twins, max_iterations=cap, seed=seed
             )
+            assert run_ruling_set(
+                graph, dccs, max_iterations=cap, seed=seed, packed=detection.packed
+            ) == got
+            (chosen, iterations), rounds, _ = got
             assert rounds in (10 * iterations, 10 * iterations + 5)
             assert chosen and chosen == sorted(set(chosen))
     if native.kernel_status().functions:
@@ -2112,18 +2285,20 @@ def test_ruling_set_random_dcc_lists(case, seed, cap, python_twins):
 @pytest.mark.parametrize("name, graph", list(bfs_families()))
 def test_layers_and_rest_match_distance_layers(name, graph, python_twins):
     """The layers are ``distance_layers``'; the rest is every node no
-    layer holds, in the comprehension's order: depths 0, 2 and None,
-    empty, single and many sources (the last reach every node)."""
+    layer holds, in the comprehension's order, and its mask is 1 exactly
+    on the rest: depths 0, 2 and None, empty, single and many sources
+    (the last reach every node)."""
     rng = random.Random(graph.n)
     for base in ([], [0], rng.sample(range(graph.n), 5), list(range(0, graph.n, 3))):
         for depth in (0, 2, None):
-            layers, rest = bfs_mod.distance_layers_and_rest(graph, base, depth)
+            layers, rest, mask = bfs_mod.distance_layers_and_rest(graph, base, depth)
             assert layers == bfs_mod.distance_layers(graph, base, depth)
             layered = {v for layer in layers for v in layer}
             expected = {v for v in range(graph.n) if v not in layered}
             assert list(rest) == list(expected)
+            assert mask == bytes(v in expected for v in range(graph.n))
             twin = python_twins(bfs_mod.distance_layers_and_rest, graph, base, depth)
-            assert (twin[0], list(twin[1])) == (layers, list(rest))
+            assert (twin[0], list(twin[1]), twin[2]) == (layers, list(rest), mask)
 
 
 def test_b_layers_h_keeps_the_comprehension_order(python_twins):
