@@ -133,6 +133,11 @@ bench-store:
 bench-service:
 	$(PY) benchmarks/bench_s1_service.py --rate 100 --requests 300
 
-# CI rot check: every benchmarks/bench_e*.py at its single smallest size.
+# CI rot check: every benchmarks/bench_e*.py at its single smallest size,
+# then every examples/*.py end to end (any nonzero exit fails the target).
 bench-smoke:
 	$(PY) -m repro bench --smoke
+	@for example in examples/*.py; do \
+		echo "# $$example"; \
+		$(PY) "$$example" || exit 1; \
+	done

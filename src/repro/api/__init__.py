@@ -37,7 +37,6 @@ maps each to its ``solve`` call.
 from repro.api.config import PhaseObserver, SolverConfig
 from repro.api.registry import (
     AlgorithmSpec,
-    algorithm_specs,
     get_algorithm,
     list_algorithms,
     register_algorithm,
@@ -67,6 +66,5 @@ __all__ = [
     "register_algorithm",
     "get_algorithm",
     "list_algorithms",
-    "algorithm_specs",
     "default_workers",
 ]

@@ -51,7 +51,6 @@ __all__ = [
     "register_algorithm",
     "get_algorithm",
     "list_algorithms",
-    "algorithm_specs",
 ]
 
 
@@ -105,11 +104,6 @@ def get_algorithm(name: str) -> AlgorithmSpec:
 def list_algorithms() -> list[str]:
     """Registered names, in registration order."""
     return list(_REGISTRY)
-
-
-def algorithm_specs() -> list[AlgorithmSpec]:
-    """The registered specs, in registration order."""
-    return list(_REGISTRY.values())
 
 
 def _effective_params(config: SolverConfig):

@@ -274,6 +274,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
+    from repro.service.batcher import DEFAULT_MAX_COST
+
+    if args.max_cost is None:
+        args.max_cost = DEFAULT_MAX_COST
     if args.shards > 1:
         return _cmd_serve_sharded(args)
 
@@ -294,7 +298,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1000.0,
         max_queue=args.max_queue,
-        max_cost=args.max_cost if args.max_cost > 0 else None,
+        max_cost=args.max_cost,
         tracer=_serve_tracer(args, f"server-{os.getpid()}.jsonl"),
     )
 
@@ -449,6 +453,16 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -505,10 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="outstanding-request bound; beyond it requests are rejected",
     )
     serve.add_argument(
-        "--max-cost", type=int, default=8_000_000,
+        "--max-cost", type=_positive_int, default=None,
         help="cost-aware admission: bound on the summed n+m of outstanding "
-        "requests, so backlog is metered in work, not request count "
-        "(<= 0 disables; a single request over the bound is refused)",
+        "requests, so backlog is metered in work, not request count; a "
+        "single request over the bound is refused (default: the "
+        "gateway's DEFAULT_MAX_COST, 8000000; must be >= 1)",
     )
     serve.add_argument(
         "--cache-entries", type=int, default=1152,

@@ -36,7 +36,7 @@ from repro.graphs.generators import (
     torus_grid,
 )
 from repro.graphs.dynamic import DynamicGraph
-from repro.graphs.graph import Graph, GraphBuilder, SubgraphView
+from repro.graphs.graph import Graph, GraphBuilder
 from repro.graphs.properties import (
     assert_nice,
     girth_up_to,
@@ -54,7 +54,6 @@ from repro.graphs.validation import UNCOLORED, count_colors, uncolored_nodes, va
 __all__ = [
     "Graph",
     "GraphBuilder",
-    "SubgraphView",
     "DynamicGraph",
     "BlockDecomposition",
     "biconnected_components",

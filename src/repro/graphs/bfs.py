@@ -10,10 +10,10 @@ All functions take an optional ``allowed`` predicate/set restricting the
 traversal to a node subset — the paper constantly BFS-es inside a remainder
 graph ``H`` or along *uncolored* paths, and filtering during traversal is
 much cheaper than materialising induced subgraphs.  ``allowed`` may be a
-set, a predicate, a ``bytearray``/bool-sequence mask (e.g. the ``mask`` of
-:class:`repro.graphs.graph.SubgraphView`), or ``None``; the ``None`` case
-takes a specialised loop with no per-visit predicate call, which matters in
-the per-node ball collection of DCC detection.
+set, a predicate, a ``bytearray``/bool-sequence mask of length n, or
+``None``; the ``None`` case takes a specialised loop with no per-visit
+predicate call, which matters in the per-node ball collection of DCC
+detection.
 
 Multi-source searches (:func:`bfs_distances`, :func:`distance_layers`,
 and through them the B-layers of the randomized pipeline, the boundary

@@ -37,11 +37,9 @@ edge ``(u, v)``: ``v`` is appended to ``u``'s row and ``u`` to ``v``'s), so
 seeded algorithms behave identically to the historical representation,
 and a CSR row lists its neighbours in ``adj`` order.
 
-Three scaling helpers are new: :meth:`Graph.neighbors_csr` (zero-copy
-memoryview of a neighbour row), :meth:`Graph.subgraph_view`
-(allocation-free masked view for "run on the remainder graph H" call
-sites), and :class:`GraphBuilder` (incremental construction for
-generators, with optional deduplication).
+Two scaling helpers sit beside the class: :meth:`Graph.neighbors_csr`
+(zero-copy memoryview of a neighbour row) and :class:`GraphBuilder`
+(incremental construction for generators, with optional deduplication).
 
 Graphs are immutable.  Edge deltas have one implementation, the
 in-place :class:`repro.graphs.dynamic.DynamicGraph`, which adopts a
@@ -60,7 +58,7 @@ from repro import native
 from repro.errors import GraphError
 from repro.native import address
 
-__all__ = ["Graph", "GraphBuilder", "SubgraphView"]
+__all__ = ["Graph", "GraphBuilder"]
 
 def _edge_pairs_python(offsets: array, indices: array) -> array:
     """The row loop behind :meth:`Graph.edge_pairs` (reference twin of
@@ -382,11 +380,6 @@ class Graph:
     def _is_connected_python(self) -> bool:
         return len(self.connected_components()) == 1
 
-    def is_connected_without(self, removed: set[int]) -> bool:
-        """True iff ``G - removed`` is connected (and non-empty or trivial)."""
-        kept = {v for v in range(self.n) if v not in removed}
-        return len(self.connected_components(kept)) <= 1
-
     # -- derived graphs ---------------------------------------------------
 
     def subgraph(self, nodes: Iterable[int]) -> tuple["Graph", list[int]]:
@@ -408,22 +401,6 @@ class Graph:
             indices.extend(index[w] for w in row(v) if w in index)
             offsets.append(len(indices))
         return Graph._from_csr(len(originals), offsets, indices, len(indices) // 2), originals
-
-    def subgraph_view(self, allowed: Iterable[int] | bytearray) -> "SubgraphView":
-        """Allocation-free masked view of the subgraph induced by ``allowed``.
-
-        Accepts a node iterable or a prebuilt ``bytearray`` mask of length
-        ``n``.  The view shares this graph's CSR buffers — nothing is
-        copied — and exposes the filtered ``degree`` / ``neighbors`` /
-        ``mask`` that the remainder-graph and per-layer call sites need.
-        """
-        if isinstance(allowed, bytearray):
-            mask = allowed
-        else:
-            mask = bytearray(self.n)
-            for v in allowed:
-                mask[v] = 1
-        return SubgraphView(self, mask)
 
     def apply_updates(
         self,
@@ -495,68 +472,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges}, Δ={self.max_degree()})"
 
 
-class SubgraphView:
-    """Read-only masked view of a :class:`Graph` (no copying).
-
-    ``view.mask`` is a ``bytearray`` usable directly as the ``allowed``
-    argument of the BFS helpers; ``degree``/``neighbors`` filter through it
-    on the fly.  Use :meth:`materialize` when a relabeled concrete
-    :class:`Graph` is genuinely needed.
-    """
-
-    __slots__ = ("graph", "mask")
-
-    def __init__(self, graph: Graph, mask: bytearray):
-        if len(mask) != graph.n:
-            raise GraphError(
-                f"mask length {len(mask)} does not match graph on {graph.n} nodes"
-            )
-        self.graph = graph
-        self.mask = mask
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self.mask[v])
-
-    def nodes(self) -> Iterator[int]:
-        """Member nodes in ascending order."""
-        mask = self.mask
-        return (v for v in range(self.graph.n) if mask[v])
-
-    def num_nodes(self) -> int:
-        return sum(self.mask)
-
-    def degree(self, v: int) -> int:
-        """Degree of ``v`` inside the view."""
-        mask = self.mask
-        return sum(1 for w in self.graph.adj[v] if mask[w])
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbours of ``v`` inside the view (fresh list)."""
-        mask = self.mask
-        return [w for w in self.graph.adj[v] if mask[w]]
-
-    def num_edges(self) -> int:
-        """Edge count of the induced subgraph (O(vol of the member set))."""
-        mask = self.mask
-        adj = self.graph.adj
-        twice = 0
-        for v in range(self.graph.n):
-            if mask[v]:
-                for w in adj[v]:
-                    if mask[w]:
-                        twice += 1
-        return twice // 2
-
-    def materialize(self) -> tuple[Graph, list[int]]:
-        """Concrete relabeled induced subgraph (see :meth:`Graph.subgraph`)."""
-        mask = self.mask
-        return self.graph.subgraph([v for v in range(self.graph.n) if mask[v]])
-
-
 class GraphBuilder:
     """Incremental graph construction for generators.
 
@@ -607,12 +522,6 @@ class GraphBuilder:
             if seen is not None:
                 seen.add((u << 32) | v)
         return builder
-
-    def add_node(self) -> int:
-        """Append a fresh isolated node, returning its index."""
-        v = self.n
-        self.n += 1
-        return v
 
     def ensure_node(self, v: int) -> None:
         """Grow the node range to include ``v``."""

@@ -46,15 +46,6 @@ class PhaseBreakdown:
     def total(self) -> int:
         return sum(self.phases.values())
 
-    def as_table(self) -> str:
-        """Human-readable phase table used by examples and benchmarks."""
-        if not self.phases:
-            return "(no rounds charged)"
-        width = max(len(name) for name in self.phases)
-        lines = [f"{name:<{width}}  {rounds:>8}" for name, rounds in self.phases.items()]
-        lines.append(f"{'TOTAL':<{width}}  {self.total():>8}")
-        return "\n".join(lines)
-
 
 class RoundLedger:
     """Accumulates LOCAL rounds, attributed to nested phases.

@@ -6,9 +6,6 @@
 * :mod:`repro.primitives.list_coloring` — (deg+1)-list coloring engines
   (Theorems 18/19 substitutes), including the leader-gathering finisher
   of small components (Lemma 24 substitute).
-* :mod:`repro.primitives.programs` — node programs (Luby's MIS, trial
-  coloring, layer discovery) for the message-passing engine; not
-  imported by the package, since no engine runs them.
 * :mod:`repro.primitives.numbers` — primes, digits and log*.
 
 Phase 2's ruling set on the DCC virtual graph (Lemma 20) lives with the

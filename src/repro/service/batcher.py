@@ -10,8 +10,8 @@
    waits on that future instead of doing the work twice (at most
    ``max_followers`` such waiters).
 3. **Admission** — if the number of outstanding (admitted, unsettled)
-   requests has reached ``max_queue`` — or, with ``max_cost`` set, if
-   their summed :func:`request_cost` (``n + m``) would exceed it — the
+   requests has reached ``max_queue``, or if their summed
+   :func:`request_cost` (``n + m``) would exceed ``max_cost``, the
    request is rejected *now* with
    :class:`repro.errors.ServiceOverloadedError`.  Load shedding is
    explicit; nothing queues unboundedly and nothing hangs.  A request
@@ -83,7 +83,7 @@ from repro.service.storage import (
 )
 from repro.obs.trace import NOOP_SPAN, NULL_TRACER, Tracer
 
-__all__ = ["BatchingGateway", "GatewayReply", "UpdateReply", "request_cost"]
+__all__ = ["BatchingGateway", "GatewayReply", "UpdateReply", "DEFAULT_MAX_COST", "request_cost"]
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,13 @@ def request_cost(n: int, m: int) -> int:
     backlog).
     """
     return n + m
+
+
+#: The default bound on the summed :func:`request_cost` of outstanding
+#: requests, for a library gateway, an in-process ``ColoringServer`` and
+#: ``repro serve`` alike.  There is no unbounded mode: a frame that names
+#: a huge ``n`` must never reach an n-length build.
+DEFAULT_MAX_COST = 8_000_000
 
 
 #: What a verb hands the lifecycle once a request needs work: its
@@ -195,8 +202,8 @@ class BatchingGateway:
         queued.  A request that alone costs more is refused with
         :class:`ServiceProtocolError`, even when the gateway is idle: a
         tiny frame naming a huge ``n`` is turned away before its graph
-        is built.  ``None`` (the default) disables cost metering and
-        admission is by request count alone.
+        is built.  Always on: the default is :data:`DEFAULT_MAX_COST`,
+        and a value below 1 is a ``ValueError``.
     tracer:
         The :class:`repro.obs.Tracer` child spans are recorded on
         (``gateway.cache_probe`` / ``gateway.coalesce_wait`` /
@@ -215,7 +222,7 @@ class BatchingGateway:
         max_wait_s: float = 0.002,
         max_queue: int = 64,
         max_followers: int | None = None,
-        max_cost: int | None = None,
+        max_cost: int = DEFAULT_MAX_COST,
         storage: "StorageConfig | StorageBundle | None" = None,
         tracer: Tracer | None = None,
     ):
@@ -225,7 +232,7 @@ class BatchingGateway:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_followers is not None and max_followers < 1:
             raise ValueError(f"max_followers must be >= 1, got {max_followers}")
-        if max_cost is not None and max_cost < 1:
+        if max_cost < 1:
             raise ValueError(f"max_cost must be >= 1, got {max_cost}")
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         if storage is None:
@@ -335,10 +342,9 @@ class BatchingGateway:
         payload's ``n`` and edge count are known before construction).
 
         Raises :class:`ServiceOverloadedError` immediately when the
-        outstanding-request bound (or, with ``max_cost`` set, the
-        outstanding-cost bound) is hit, :class:`ServiceProtocolError`
-        when ``cost`` alone exceeds ``max_cost``, and re-raises the engine's own
-        error (or the factory's construction error) if the solve fails.
+        outstanding-request or outstanding-cost bound is hit,
+        :class:`ServiceProtocolError` when ``cost`` alone exceeds
+        ``max_cost``, and re-raises the engine's own error (or the factory's construction error) if the solve fails.
 
         ``parent_span`` (a sampled :class:`repro.obs.Span`) attaches the
         gateway's child spans to the server's request span; with the
@@ -603,11 +609,10 @@ class BatchingGateway:
         return result, False
 
     def _admit(self, cost: int) -> None:
-        """Admission control: request-count bound plus (optionally) the
-        cost bound.  Raises :class:`ServiceOverloadedError` when the
+        """Admission control: the request-count bound and the cost bound.  Raises :class:`ServiceOverloadedError` when the
         backlog is full, and :class:`ServiceProtocolError` for a request
         that alone costs more than ``max_cost`` (no retry can succeed)."""
-        if self.max_cost is not None and cost > self.max_cost:
+        if cost > self.max_cost:
             self.metrics.record_error("protocol")
             raise ServiceProtocolError(
                 f"request cost {cost} (n + m) exceeds this server's "
@@ -619,10 +624,7 @@ class BatchingGateway:
                 f"request queue full ({self._outstanding}/{self.max_queue} "
                 "outstanding); retry with backoff"
             )
-        if (
-            self.max_cost is not None
-            and self._outstanding_cost + cost > self.max_cost
-        ):
+        if self._outstanding_cost + cost > self.max_cost:
             self.metrics.record_error("overloaded")
             raise ServiceOverloadedError(
                 f"queued work too large (outstanding cost "

@@ -152,3 +152,31 @@ class TestInfoCommand:
         out = capsys.readouterr().out
         assert "max degree Δ : 3" in out
         assert "nice         : True" in out
+
+
+class TestServeArguments:
+    @pytest.mark.parametrize("value", ["0", "-1", "many"])
+    def test_max_cost_below_one_is_an_argument_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--max-cost", value])
+        assert exited.value.code == 2
+        assert "--max-cost" in capsys.readouterr().err
+
+    def test_max_cost_unset_means_the_gateway_default(self, monkeypatch):
+        import repro.service.server as server_module
+        from repro.service.batcher import DEFAULT_MAX_COST
+
+        built = {}
+
+        class Stop(Exception):
+            pass
+
+        def fake_server(**kwargs):
+            built.update(kwargs)
+            raise Stop
+
+        monkeypatch.setattr(server_module, "ColoringServer", fake_server)
+        for argv, expected in (([], DEFAULT_MAX_COST), (["--max-cost", "1"], 1)):
+            with pytest.raises(Stop):
+                main(["serve", "--port", "0", *argv])
+            assert built["max_cost"] == expected

@@ -4,9 +4,9 @@ The CSR rewrite of :mod:`repro.graphs.graph` must be observationally
 identical to the obvious adjacency-structure it replaced.  A deliberately
 dumb reference implementation (dict of sorted neighbour lists, edge set of
 frozensets) is compared against ``Graph`` on degrees, edge sets,
-``has_edge``, induced ``subgraph``, ``subgraph_view`` and
-``connected_components`` across seeded-random graphs and the structured
-extremes (star, clique, empty, isolated nodes).
+``has_edge``, induced ``subgraph`` and ``connected_components`` across
+seeded-random graphs and the structured extremes (star, clique, empty,
+isolated nodes).
 """
 
 from __future__ import annotations
@@ -144,24 +144,6 @@ class TestCsrAgreesWithNaive:
             assert sub.degrees() == naive_sub.degrees()
             assert {frozenset(e) for e in sub.edges()} == naive_sub.edge_set
 
-    def test_subgraph_view(self, name, n, edges):
-        graph = Graph(n, edges)
-        ref = NaiveGraph(n, edges)
-        rng = random.Random(sum(map(ord, name)) * 17 + n + 1)
-        keep = [v for v in range(n) if rng.random() < 0.5]
-        view = graph.subgraph_view(keep)
-        keep_set = set(keep)
-        for v in keep:
-            assert view.degree(v) == len(ref.nbrs[v] & keep_set)
-            assert sorted(view.neighbors(v)) == sorted(ref.nbrs[v] & keep_set)
-        assert sorted(view.nodes()) == sorted(keep_set)
-        assert view.num_nodes() == len(keep_set)
-        naive_sub = ref.induced(keep)
-        assert view.num_edges() == len(naive_sub.edge_set)
-        sub, originals = view.materialize()
-        assert originals == sorted(keep_set)
-        assert {frozenset(e) for e in sub.edges()} == naive_sub.edge_set
-
     def test_builder_and_unchecked_match_checked(self, name, n, edges):
         graph = Graph(n, edges)
         unchecked = Graph.from_edges_unchecked(n, edges)
@@ -217,11 +199,6 @@ class TestValidationStillRejects:
         assert builder.has_edge(0, 1)
         assert not builder.has_edge(0, 2)
         assert builder.build().num_edges == 1
-
-    def test_subgraph_view_mask_length_checked(self):
-        graph = Graph(3, [(0, 1)])
-        with pytest.raises(GraphError, match="mask length"):
-            graph.subgraph_view(bytearray(2))
 
 
 class TestVectorizedPathParity:

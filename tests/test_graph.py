@@ -81,13 +81,6 @@ class TestConnectivity:
         assert Graph(3, [(0, 1), (1, 2)]).is_connected()
         assert not Graph(3, [(0, 1)]).is_connected()
 
-    def test_is_connected_without(self):
-        # path 0-1-2-3: removing 1 disconnects, removing 3 does not
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert not g.is_connected_without({1})
-        assert g.is_connected_without({3})
-        assert g.is_connected_without({0, 3})
-
 
 class TestDerived:
     def test_subgraph_relabeling(self):

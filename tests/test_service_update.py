@@ -36,7 +36,7 @@ from repro.service import (
     request_fingerprint,
     update_fingerprint,
 )
-from repro.service.batcher import request_cost
+from repro.service.batcher import DEFAULT_MAX_COST, request_cost
 
 
 def updatable_instance(n=64, delta=4, slack=4, seed=0):
@@ -194,8 +194,8 @@ class TestGatewayUpdates:
 class TestCostAwareAdmission:
     def test_oversize_request_refused_even_when_idle(self):
         # A tiny frame may name a huge instance; its cost alone is over
-        # the bound, so the idle gateway refuses it, typed and final,
-        # before the lazy factory builds anything.
+        # the default bound, so the idle gateway refuses it, typed and
+        # final, before the lazy factory builds anything.
         built = []
 
         def factory():
@@ -203,7 +203,7 @@ class TestCostAwareAdmission:
             return random_regular_graph(16, 3, seed=0)
 
         async def drive():
-            async with BatchingGateway(max_cost=8_000_000) as gateway:
+            async with BatchingGateway() as gateway:
                 with pytest.raises(ServiceProtocolError) as refused:
                     await gateway.submit(
                         factory, SolverConfig(seed=0),
@@ -237,7 +237,8 @@ class TestCostAwareAdmission:
         monkeypatch.setattr(ParsedGraphPayload, "build", no_build)
 
         async def drive():
-            server = ColoringServer(port=0, max_cost=8_000_000)
+            # Built with no arguments: the default cost bound applies.
+            server = ColoringServer(port=0)
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(port=server.port)
@@ -255,7 +256,13 @@ class TestCostAwareAdmission:
         reply = asyncio.run(drive())
         assert not reply["ok"]
         assert reply["error"]["type"] == "protocol"
-        assert "max_cost" in reply["error"]["message"]
+        assert f"max_cost {DEFAULT_MAX_COST}" in reply["error"]["message"]
+
+    def test_cost_bound_is_always_on(self):
+        assert BatchingGateway().max_cost == DEFAULT_MAX_COST
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_cost"):
+                BatchingGateway(max_cost=bad)
 
     def test_cost_bound_sheds_backlog(self):
         # One big in-flight instance fills max_cost; a second big one is
